@@ -22,10 +22,10 @@ from typing import Dict, List, Optional, Sequence, Union
 from .core import (
     Answer,
     AnswerFormat,
+    BREADTH_KINDS,
     Question,
     ReasoningTrace,
     StrategyConfig,
-    StrategyKind,
     Usage,
     canonical_answer,
 )
@@ -391,13 +391,13 @@ def _load_existing_traces(traces_path: str) -> Dict[str, List[ReasoningTrace]]:
 def _outcome_from_traces(q: Question, cfg: StrategyConfig,
                          traces: Sequence[ReasoningTrace]) -> QuestionOutcome:
     """Rebuild a per-question outcome from persisted traces (resume path)."""
-    if cfg.kind in (StrategyKind.ZERO_SHOT, StrategyKind.COT, StrategyKind.DEEP_COT):
+    if cfg.kind in BREADTH_KINDS:
+        final = vote_from_traces(traces).winner
+        rounds = 1
+    else:
         last = max(traces, key=lambda t: t.round)
         final = last.parsed
         rounds = last.round
-    else:
-        final = vote_from_traces(traces).winner
-        rounds = 1
     return QuestionOutcome(
         question_id=q.id, final=final,
         correct=(not final.abstain) and final == q.gold,

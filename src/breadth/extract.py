@@ -16,6 +16,8 @@ from importlib import resources
 from typing import List, Optional, Sequence
 
 from .core import (
+    _NUMBER_TOKEN,
+    _PAREN_LABEL,
     Answer,
     AnswerFormat,
     VoteResult,
@@ -31,8 +33,6 @@ class EmptyInputError(ValueError):
 
 _DEFAULT_LABELS = ("A", "B", "C", "D", "E")
 
-_NUMBER_TOKEN = re.compile(r"[-+]?(?:\d[\d,]*\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_PAREN_LABEL = re.compile(r"\(([A-Za-z])\)")
 _YES_NO_TOKEN = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _QUOTED_SPAN = re.compile(r"\"([^\"]+)\"")
 _BOLD_SPAN = re.compile(r"\*\*([^*]+)\*\*")

@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 import requests
 
@@ -372,20 +372,25 @@ class ReplayStore:
 
     Readers share the in-memory index; appends are serialized. A corrupt
     final line (truncated write) is dropped on load; corruption anywhere
-    else is an error.
+    else is an error. The first append repairs the tail, cutting a dropped
+    line off or ending an unterminated one, so each record gets its own line.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._records: dict = {}
+        self._repair: Optional[tuple] = None  # (size to cut the file to, prefix)
         self._load()
 
     def _load(self):
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        lines = data.decode("utf-8").split("\n")
+        if not lines[-1]:
+            lines.pop()
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -394,9 +399,13 @@ class ReplayStore:
             except ValueError:
                 if i == len(lines) - 1:
                     logger.warning("dropping corrupt trailing cache line in %s", self.path)
+                    cut = len(data) - len(line.encode("utf-8")) - data.endswith(b"\n")
+                    self._repair = (cut, "")
                     continue
                 raise ValueError(f"{self.path}: corrupt cache record at line {i + 1}")
             self._records[record["key"]] = record
+        if self._repair is None and data and not data.endswith(b"\n"):
+            self._repair = (len(data), "\n")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -411,10 +420,15 @@ class ReplayStore:
         return list(self._records.values())
 
     def append(self, record: dict):
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         with self._lock:
             self._records[record["key"]] = record
+            if self._repair is not None:
+                size, prefix = self._repair
+                os.truncate(self.path, size)
+                line, self._repair = prefix + line, None
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write(line)
                 fh.flush()
 
 
@@ -424,13 +438,13 @@ def _per_sample_requests(req: CompletionRequest) -> List[CompletionRequest]:
     return [replace(req, n_samples=1, sample_batch_id=i) for i in range(req.n_samples)]
 
 
-def _split_completion_tokens(total: int, texts: Sequence[str]) -> List[int]:
-    # Proportional to text length, remainder onto the first sample.
-    weights = [max(1, len(t)) for t in texts]
-    scale = sum(weights)
-    shares = [total * w // scale for w in weights]
-    shares[0] += total - sum(shares)
-    return shares
+def split_usage(usage: Usage, n_samples: int) -> List[Usage]:
+    """Per-sample shares of one multi-sample call's usage: prompt tokens on
+    the first sample, completion tokens split evenly with the remainder on
+    the first."""
+    share, remainder = divmod(usage.completion_tokens, n_samples)
+    return [Usage(usage.prompt_tokens, share + remainder)] + [
+        Usage(0, share) for _ in range(n_samples - 1)]
 
 
 class ReplayBackend(Backend):
@@ -464,14 +478,16 @@ class RecordingBackend(Backend):
         if all(cache_key(s) in self.store for s in singles):
             return _assemble_from_store(self.store, req)
         response = self.inner.complete(req)
-        shares = _split_completion_tokens(response.usage.completion_tokens, response.texts)
+        shares = split_usage(response.usage, len(response.texts))
         for single, text, share in zip(singles, response.texts, shares):
+            # Every per-sample request carries the whole prompt.
+            usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
             self.store.append(
                 {
                     "key": cache_key(single),
                     "request": single.to_dict(),
                     "texts": [text],
-                    "usage": Usage(response.usage.prompt_tokens, share).to_dict(),
+                    "usage": usage.to_dict(),
                 }
             )
         # Return the store's view so record and replay runs emit identical bytes.
@@ -498,7 +514,3 @@ def _assemble_from_store(store: ReplayStore, req: CompletionRequest,
         backend=backend_tag,
     )
 
-
-def complete(backend: Backend, req: CompletionRequest) -> CompletionResponse:
-    """Run one request against a configured backend."""
-    return backend.complete(req)

@@ -32,7 +32,7 @@ from .core import (
     VoteResult,
 )
 from .extract import extract_answer, majority_vote
-from .llmio import Backend, CompletionRequest, LlmIoError
+from .llmio import Backend, CompletionRequest, LlmIoError, split_usage
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 
 logger = logging.getLogger(__name__)
@@ -47,9 +47,6 @@ DEFAULT_TRIGGERS: Dict[AnswerFormat, str] = {
     AnswerFormat.YES_NO: "Therefore, the answer (Yes or No) is",
     AnswerFormat.FREE_FORM: "Therefore, the answer is",
 }
-
-_PATH_RETRIES = 2
-
 
 class StrategyError(LlmIoError):
     """A backend failure surfaced from a strategy run, tagged with the question."""
@@ -117,51 +114,40 @@ class StrategyOutcome:
         }
 
 
+def path_shape(cfg: StrategyConfig) -> Tuple[int, int, int]:
+    """The path-count law as ``(rounds, contexts, samples_per_context)``.
+
+    Depth iterates one context; self-consistency samples one context;
+    rewriting strategies explore ``n_reformulations`` contexts, and the
+    hybrids sample each of them ``m_samples`` times.
+    """
+    kind = cfg.kind
+    rounds = cfg.max_iterations if kind == StrategyKind.DEEP_COT else 1
+    contexts = (cfg.n_reformulations
+                if kind in BREADTH_KINDS and kind != StrategyKind.SC else 1)
+    samples = cfg.m_samples if kind in (
+        StrategyKind.SC, StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC) else 1
+    return rounds, contexts, samples
+
+
 def expected_trace_count(cfg: StrategyConfig) -> int:
-    """The path-count law: how many traces a config must produce.
+    """How many traces a config must produce.
 
     Depth runs may stop early under the stability rule, so for ``DeepCoT``
     this is the upper bound (exact under a fixed iteration count).
     """
-    kind = cfg.kind
-    if kind in (StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC):
-        return cfg.n_reformulations * cfg.m_samples
-    if kind == StrategyKind.SC:
-        return cfg.m_samples
-    if kind in (StrategyKind.QUESTION_C, StrategyKind.PROMPT_C):
-        return cfg.n_reformulations
-    if kind == StrategyKind.DEEP_COT:
-        return cfg.max_iterations
-    return 1
+    rounds, contexts, samples = path_shape(cfg)
+    return rounds * contexts * samples
 
 
 def _complete(backend: Backend, cfg: StrategyConfig, user_text: str,
-              n_samples: int = 1, batch_id: int = 0):
-    request = CompletionRequest(
-        model=backend.model,
-        user_text=user_text,
-        temperature=cfg.temperature,
-        n_samples=n_samples,
-        sample_batch_id=batch_id,
-    )
+              n_samples: int = 1):
+    request = CompletionRequest(model=backend.model, user_text=user_text,
+                                temperature=cfg.temperature, n_samples=n_samples)
     started = time.monotonic()
     response = backend.complete(request)
     elapsed_ms = 0 if backend.deterministic else int((time.monotonic() - started) * 1000)
     return response, elapsed_ms
-
-
-def _split_usage(usage: Usage, texts: Sequence[str]) -> List[Usage]:
-    # Per-sample attribution: prompt tokens on the first sample, completion
-    # tokens split evenly with the remainder on the first.
-    m = len(texts)
-    if m == 1:
-        return [usage]
-    share, remainder = divmod(usage.completion_tokens, m)
-    out = []
-    for i in range(m):
-        out.append(Usage(usage.prompt_tokens if i == 0 else 0,
-                         share + (remainder if i == 0 else 0)))
-    return out
 
 
 def _warn_if_blank(q: Question):
@@ -191,7 +177,6 @@ def _cot_trace(q: Question, cfg: StrategyConfig, backend: Backend,
                triggers, question_text: str, prompt_text: str,
                reformulation_index: int, sample_index: int,
                reasoning_text: Optional[str] = None,
-               assembled_input: Optional[str] = None,
                pre_usage: Usage = Usage(),
                round_index: int = 1) -> ReasoningTrace:
     """One full reasoning path. A pre-generated reasoning text (from a batched
@@ -205,14 +190,13 @@ def _cot_trace(q: Question, cfg: StrategyConfig, backend: Backend,
         reasoning, raw_prediction = "", response.texts[0]
         usage = usage + response.usage
     else:
+        assembled = assemble_reasoning_input(question_text, prompt_text)
         if reasoning_text is None:
-            assembled = assemble_reasoning_input(question_text, prompt_text)
             response, ms = _complete(backend, cfg, assembled)
             reasoning = response.texts[0]
             usage = usage + response.usage
             latency += ms
         else:
-            assembled = assembled_input or assemble_reasoning_input(question_text, prompt_text)
             reasoning = reasoning_text
         prediction_input = assemble_prediction_input(
             question_text, prompt_text, reasoning, trigger)
@@ -287,28 +271,31 @@ Reformulator = Callable[..., List[str]]
 
 def _build_contexts(q: Question, cfg: StrategyConfig, backend: Backend,
                     reformulator: Reformulator) -> List[Tuple[str, str]]:
-    """The (question_text, prompt_text) pairs the breadth run will explore.
+    """The (question_text, prompt_text) pairs a run will explore.
 
-    Rewriting strategies keep the original as context 0 and rewrite the rest.
+    Only rewriting strategies have more than the canonical context; they keep
+    the original as context 0 and rewrite the rest.
     """
     prompt_text = cfg.canonical_prompt.text
     kind = cfg.kind
-    if kind == StrategyKind.SC:
+    if kind == StrategyKind.SC or kind not in BREADTH_KINDS:
         return [(q.text, prompt_text)]
-    spec_n = cfg.n_reformulations
+    _, n_contexts, _ = path_shape(cfg)
     if kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC):
-        variants = reformulator(
-            q.text,
-            ReformulationSpec(ReformulationTarget.QUESTION, spec_n, include_original=True),
-            backend,
-        )
-        return [(v, prompt_text) for v in variants]
-    variants = reformulator(
-        prompt_text,
-        ReformulationSpec(ReformulationTarget.PROMPT, spec_n, include_original=True),
-        backend,
-    )
-    return [(q.text, v) for v in variants]
+        spec = ReformulationSpec(ReformulationTarget.QUESTION, n_contexts, include_original=True)
+        return [(v, prompt_text) for v in reformulator(q.text, spec, backend)]
+    spec = ReformulationSpec(ReformulationTarget.PROMPT, n_contexts, include_original=True)
+    return [(q.text, v) for v in reformulator(prompt_text, spec, backend)]
+
+
+def _abstention(q: Question, ctx_index: int, sample_index: int, reasoning_input: str,
+                reasoning_text: str = "", usage: Usage = Usage(),
+                latency_ms: int = 0) -> ReasoningTrace:
+    return ReasoningTrace(
+        question_id=q.id, round=1, reformulation_index=ctx_index,
+        sample_index=sample_index, assembled_input=reasoning_input,
+        reasoning_text=reasoning_text, raw_prediction_text="",
+        parsed=Answer.abstained(q.answer_format), usage=usage, latency_ms=latency_ms)
 
 
 def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: int,
@@ -318,70 +305,36 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
     """Run ``m_samples`` CoT paths per (question, prompt) context.
 
     Samples for one context come from a single multi-sample reasoning call
-    (the backend may batch or sequence it). A failing path is retried, then
-    recorded as an abstaining trace so the vote proceeds over survivors.
+    (the backend may batch or sequence it). A failing call is not retried
+    here; its paths are recorded as abstaining traces so the vote proceeds
+    over survivors.
     """
     traces: List[ReasoningTrace] = []
     for ctx_index, (question_text, prompt_text) in enumerate(contexts):
         reasoning_input = assemble_reasoning_input(question_text, prompt_text)
-        samples: Optional[Sequence[str]] = None
-        usage_shares: List[Usage] = []
-        latency = 0
-        for attempt in range(_PATH_RETRIES + 1):
-            try:
-                request = CompletionRequest(
-                    model=backend.model, user_text=reasoning_input,
-                    temperature=cfg.temperature, n_samples=m_samples,
-                )
-                started = time.monotonic()
-                response = backend.complete(request)
-                latency = 0 if backend.deterministic else int(
-                    (time.monotonic() - started) * 1000)
-                samples = response.texts
-                usage_shares = _split_usage(response.usage, samples)
-                break
-            except LlmIoError as exc:
-                logger.warning("question %s context %d reasoning failed (%s), attempt %d",
-                               q.id, ctx_index, exc, attempt + 1)
-        if samples is None:
-            logger.error("question %s context %d abandoned after retries; "
-                         "recording abstentions", q.id, ctx_index)
-            for sample_index in range(m_samples):
-                traces.append(ReasoningTrace(
-                    question_id=q.id, round=1,
-                    reformulation_index=ctx_index, sample_index=sample_index,
-                    assembled_input=reasoning_input, reasoning_text="",
-                    raw_prediction_text="",
-                    parsed=Answer.abstained(q.answer_format),
-                ))
+        try:
+            response, latency = _complete(backend, cfg, reasoning_input, m_samples)
+        except LlmIoError as exc:
+            logger.error("question %s context %d reasoning failed (%s); "
+                         "recording abstentions", q.id, ctx_index, exc)
+            traces.extend(_abstention(q, ctx_index, sample_index, reasoning_input)
+                          for sample_index in range(m_samples))
             continue
-        for sample_index, reasoning_text in enumerate(samples):
-            trace = None
-            for attempt in range(_PATH_RETRIES + 1):
-                try:
-                    trace = _cot_trace(
-                        q, cfg, backend, triggers,
-                        question_text=question_text, prompt_text=prompt_text,
-                        reformulation_index=ctx_index, sample_index=sample_index,
-                        reasoning_text=reasoning_text,
-                        assembled_input=reasoning_input,
-                        pre_usage=usage_shares[sample_index],
-                    )
-                    break
-                except LlmIoError as exc:
-                    logger.warning("question %s path (%d,%d) failed (%s), attempt %d",
-                                   q.id, ctx_index, sample_index, exc, attempt + 1)
-            if trace is None:
-                logger.error("question %s path (%d,%d) abandoned; recording abstention",
-                             q.id, ctx_index, sample_index)
-                trace = ReasoningTrace(
-                    question_id=q.id, round=1,
+        usage_shares = split_usage(response.usage, len(response.texts))
+        for sample_index, reasoning_text in enumerate(response.texts):
+            try:
+                trace = _cot_trace(
+                    q, cfg, backend, triggers,
+                    question_text=question_text, prompt_text=prompt_text,
                     reformulation_index=ctx_index, sample_index=sample_index,
-                    assembled_input=reasoning_input, reasoning_text=reasoning_text,
-                    raw_prediction_text="",
-                    parsed=Answer.abstained(q.answer_format),
-                    usage=usage_shares[sample_index], latency_ms=latency,
+                    reasoning_text=reasoning_text,
+                    pre_usage=usage_shares[sample_index],
                 )
+            except LlmIoError as exc:
+                logger.error("question %s path (%d,%d) failed (%s); recording abstention",
+                             q.id, ctx_index, sample_index, exc)
+                trace = _abstention(q, ctx_index, sample_index, reasoning_input,
+                                    reasoning_text, usage_shares[sample_index], latency)
             traces.append(trace)
     return traces
 
@@ -399,18 +352,16 @@ def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
                 ) -> StrategyOutcome:
     """The breadth family: diverse initial paths, majority-voted.
 
-    Context counts follow the config: self-consistency keeps one canonical
-    context with ``m_samples`` paths; rewriting strategies build
-    ``n_reformulations`` contexts at one path each; the hybrids take
-    ``m_samples`` per rewritten context.
+    Context and per-context sample counts follow :func:`path_shape`.
     """
     if cfg.kind not in BREADTH_KINDS:
         raise ValueError(f"not a breadth strategy: {cfg.kind}")
     _warn_if_blank(q)
-    reformulator = reformulator or reformulate
-    contexts = _build_contexts(q, cfg, backend, reformulator)
-    per_context = cfg.m_samples if cfg.kind in (
-        StrategyKind.SC, StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC) else 1
+    try:
+        contexts = _build_contexts(q, cfg, backend, reformulator or reformulate)
+    except LlmIoError as exc:
+        raise StrategyError(q.id, exc) from exc
+    _, _, per_context = path_shape(cfg)
     traces = run_contexts(q, contexts, per_context, cfg, backend, triggers)
     vote = vote_from_traces(traces)
     return StrategyOutcome(
@@ -431,6 +382,11 @@ def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
     return run_cot(q, cfg, backend, triggers)
 
 
+def _placeholder_rewrites(text: str, spec: ReformulationSpec, backend) -> List[str]:
+    return [text] + [f"<{spec.target.value} rewrite #{i}>"
+                     for i in range(1, spec.n_variants)]
+
+
 def plan_paths(q: Question, cfg: StrategyConfig,
                triggers: Optional[Mapping[AnswerFormat, str]] = None) -> List[dict]:
     """Dry-run view: the paths a run would take, with assembled inputs.
@@ -438,39 +394,22 @@ def plan_paths(q: Question, cfg: StrategyConfig,
     Rewritten contexts are shown with placeholder text since producing them
     needs backend calls.
     """
-    prompt_text = cfg.canonical_prompt.text
-    trigger = answer_trigger(q.answer_format, triggers)
     if cfg.kind == StrategyKind.ZERO_SHOT:
+        trigger = answer_trigger(q.answer_format, triggers)
         return [{"round": 1, "reformulation_index": 0, "sample_index": 0,
                  "input": assemble_zero_shot_input(q.text, trigger)}]
-    if cfg.kind in (StrategyKind.COT, StrategyKind.DEEP_COT):
-        rounds = cfg.max_iterations if cfg.kind == StrategyKind.DEEP_COT else 1
-        plans = [{"round": 1, "reformulation_index": 0, "sample_index": 0,
-                  "input": assemble_reasoning_input(q.text, prompt_text)}]
-        for r in range(2, rounds + 1):
-            plans.append({
-                "round": r, "reformulation_index": 0, "sample_index": 0,
-                "input": assemble_iteration_input(
-                    q.text, prompt_text, f"<round {r - 1} reasoning>",
-                    f"<round {r - 1} prediction>",
-                    cfg.iteration_guide or prompt_text),
-            })
-        return plans
-    if cfg.kind == StrategyKind.SC:
-        contexts = [(q.text, prompt_text)]
-    elif cfg.kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC):
-        contexts = [(q.text, prompt_text)] + [
-            (f"<question rewrite #{i}>", prompt_text)
-            for i in range(1, cfg.n_reformulations)]
-    else:
-        contexts = [(q.text, prompt_text)] + [
-            (q.text, f"<prompt rewrite #{i}>")
-            for i in range(1, cfg.n_reformulations)]
-    per_context = cfg.m_samples if cfg.kind in (
-        StrategyKind.SC, StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC) else 1
-    plans = []
-    for i, (qt, pt) in enumerate(contexts):
-        for j in range(per_context):
-            plans.append({"round": 1, "reformulation_index": i, "sample_index": j,
-                          "input": assemble_reasoning_input(qt, pt)})
+    rounds, _, per_context = path_shape(cfg)
+    contexts = _build_contexts(q, cfg, None, _placeholder_rewrites)
+    plans = [{"round": 1, "reformulation_index": i, "sample_index": j,
+              "input": assemble_reasoning_input(qt, pt)}
+             for i, (qt, pt) in enumerate(contexts) for j in range(per_context)]
+    prompt_text = cfg.canonical_prompt.text
+    for r in range(2, rounds + 1):
+        plans.append({
+            "round": r, "reformulation_index": 0, "sample_index": 0,
+            "input": assemble_iteration_input(
+                q.text, prompt_text, f"<round {r - 1} reasoning>",
+                f"<round {r - 1} prediction>",
+                cfg.iteration_guide or prompt_text),
+        })
     return plans

@@ -300,6 +300,19 @@ def test_per_question_failure_recorded_not_fatal(tmp_path):
     assert record.accuracy == pytest.approx(0.75)
 
 
+def test_failed_rewrite_is_recorded_not_fatal(tmp_path):
+    questions = _four_questions()
+    # Reasoning and prediction are scripted; the rewrite request matches no rule.
+    backend = _scripted_for(questions, ["A"] * 4)
+    cfg = default_config(StrategyKind.QUESTION_C, n_reformulations=2)
+    record = run_experiment("toy", questions, cfg, backend,
+                            runs_dir=str(tmp_path), run_id="rewrite-failures")
+    assert len(record.outcomes) == 4
+    assert all(o.error for o in record.outcomes)
+    assert all(o.question_id in o.error for o in record.outcomes)
+    assert record.accuracy == 0.0
+
+
 def test_runs_resume_skipping_completed_questions(tmp_path):
     questions = _four_questions()
     first_backend = _scripted_for(questions[:2], ["A", "A"])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from breadth.core import Usage
 from breadth.llmio import (
     BACKEND_MOCK,
     BACKEND_REPLAY_HIT,
@@ -150,6 +151,49 @@ def test_replay_is_sampling_mode_independent(tmp_path):
         for i in range(2)
     ]
     assert tuple(s.texts[0] for s in singles) == batched.texts
+
+
+def test_recording_splits_completion_tokens_evenly(tmp_path):
+    class SevenTokens(ScriptedBackend):
+        def complete(self, req):
+            response = super().complete(req)
+            return replace(response, usage=Usage(5, 7))
+
+    path = str(tmp_path / "cache.jsonl")
+    inner = SevenTokens({"q": ["a much longer first sample", "b", "c"]})
+    recorded = RecordingBackend(inner, ReplayStore(path)).complete(
+        req(user_text="q", n_samples=3))
+    records = [json.loads(line) for line in open(path, encoding="utf-8")]
+    assert [r["usage"]["completion_tokens"] for r in records] == [3, 2, 2]
+    assert recorded.usage == Usage(5, 7)
+
+
+def _cache_line(key: str) -> str:
+    return json.dumps({"key": key, "request": {}, "texts": ["t"], "usage": {}})
+
+
+def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    torn = _cache_line("k1") + "\n" + _cache_line("k2") + "\n" + _cache_line("k3")[:15]
+    path.write_text(torn, encoding="utf-8")
+    store = ReplayStore(str(path))
+    assert len(store) == 2 and "k3" not in store
+    assert path.read_text(encoding="utf-8") == torn  # loading never writes
+    store.append(json.loads(_cache_line("k4")))
+    store = ReplayStore(str(path))
+    assert {"k1", "k2", "k4"} <= set(r["key"] for r in store.records())
+    store.append(json.loads(_cache_line("k5")))
+    assert len(ReplayStore(str(path))) == 4
+
+
+def test_store_append_terminates_an_intact_last_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line("k1") + "\n" + _cache_line("k2"), encoding="utf-8")
+    store = ReplayStore(str(path))
+    assert len(store) == 2
+    store.append(json.loads(_cache_line("k3")))
+    assert len(ReplayStore(str(path))) == 3
+    assert path.read_text(encoding="utf-8").count("\n") == 3
 
 
 def test_store_tolerates_corrupt_trailing_line_only(tmp_path):

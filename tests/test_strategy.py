@@ -330,7 +330,8 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
     backend = ScriptedBackend()
     trigger = answer_trigger(q.answer_format)
     backend.add_exact(assemble_reasoning_input(q.text, PROMPT), ["R0", "R1"])
-    # Only one prediction rule: the other path exhausts its retries and abstains.
+    # Only one prediction rule: the other path's call fails once, unretried,
+    # and the path abstains.
     backend.add_exact(assemble_prediction_input(q.text, PROMPT, "R0", trigger),
                       ["the answer is (B) 16"])
     outcome = run_breadth(q, cfg, backend)
@@ -339,6 +340,7 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
     assert outcome.traces[1].parsed.abstain
     assert outcome.final.value == "B"
     assert outcome.vote.abstained == 1
+    assert len(backend.calls) == 3  # one reasoning call, two predictions
 
 
 def test_backend_error_carries_question_id():
@@ -439,5 +441,5 @@ def test_plan_paths_counts_match_the_law():
     ]:
         cfg = default_config(kind, n_reformulations=n, m_samples=m)
         plans = plan_paths(q, cfg)
-        assert len(plans) == expect
+        assert len(plans) == expect == expected_trace_count(cfg)
         assert all(p["input"] for p in plans)
