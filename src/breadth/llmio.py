@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import requests
 
@@ -211,8 +211,7 @@ class LiveBackend(Backend):
         if req.n_samples > 1 and not self.batch_samples:
             texts: List[str] = []
             usage = Usage()
-            for i in range(req.n_samples):
-                single = replace(req, n_samples=1, sample_batch_id=i)
+            for single in _per_sample_requests(req):
                 resp = self._complete_once(single)
                 texts.extend(resp.texts)
                 usage = usage + resp.usage
@@ -457,7 +456,8 @@ class ReplayBackend(Backend):
         self.model = model
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        return _assemble_from_store(self.store, req)
+        keys = [cache_key(s) for s in _per_sample_requests(req)]
+        return _assemble_from_store(self.store, keys)
 
 
 class RecordingBackend(Backend):
@@ -475,34 +475,36 @@ class RecordingBackend(Backend):
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         singles = _per_sample_requests(req)
-        if all(cache_key(s) in self.store for s in singles):
-            return _assemble_from_store(self.store, req)
+        keys = [cache_key(s) for s in singles]
+        if all(key in self.store for key in keys):
+            return _assemble_from_store(self.store, keys)
         response = self.inner.complete(req)
         shares = split_usage(response.usage, len(response.texts))
-        for single, text, share in zip(singles, response.texts, shares):
+        for key, single, text, share in zip(keys, singles, response.texts, shares):
             # Every per-sample request carries the whole prompt.
             usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
             self.store.append(
                 {
-                    "key": cache_key(single),
+                    "key": key,
                     "request": single.to_dict(),
                     "texts": [text],
                     "usage": usage.to_dict(),
                 }
             )
         # Return the store's view so record and replay runs emit identical bytes.
-        return _assemble_from_store(self.store, req, backend_tag=response.backend)
+        return _assemble_from_store(self.store, keys, backend_tag=response.backend)
 
 
-def _assemble_from_store(store: ReplayStore, req: CompletionRequest,
+def _assemble_from_store(store: ReplayStore, keys: Sequence[str],
                          backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
+    """One response from the per-sample records under ``keys``, in order."""
     texts: List[str] = []
     prompt_tokens = 0
     completion_tokens = 0
-    for i, single in enumerate(_per_sample_requests(req)):
-        record = store.get(cache_key(single))
+    for i, key in enumerate(keys):
+        record = store.get(key)
         if record is None:
-            raise CacheMissError(f"no recorded response for key {cache_key(single)}")
+            raise CacheMissError(f"no recorded response for key {key}")
         texts.extend(record["texts"])
         usage = Usage.from_dict(record.get("usage", {}))
         if i == 0:

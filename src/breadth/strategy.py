@@ -1,8 +1,11 @@
-"""Reasoning engines: plain chain-of-thought, deep iterative refinement, and
-the breadth family (self-consistency, question/prompt rewriting, hybrids).
+"""Reasoning engines: :func:`run_chain` for zero-shot, chain-of-thought and deep
+iterative refinement (``cot`` is ``deep_cot`` with one round), and
+:func:`run_breadth` for the breadth family (self-consistency, question/prompt
+rewriting, hybrids). Every path ends in :func:`_predict`, the one prediction
+step, which builds the path's trace.
 
-Every pipeline is built from three pure assembly functions that concatenate
-input parts with a single newline, in a fixed order:
+Inputs are built by pure assembly functions that concatenate their parts
+with a single newline, in a fixed order:
 
 - reasoning input:   question, prompt
 - prediction input:  question, prompt, reasoning, answer trigger
@@ -99,19 +102,7 @@ class StrategyOutcome:
     rounds_executed: int = 1
 
     def usage(self) -> Usage:
-        total = Usage()
-        for trace in self.traces:
-            total = total + trace.usage
-        return total
-
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "traces": [t.to_dict() for t in self.traces],
-            "vote": self.vote.to_dict(),
-            "final": self.final.to_dict(),
-            "rounds_executed": self.rounds_executed,
-        }
+        return sum((trace.usage for trace in self.traces), Usage())
 
 
 def path_shape(cfg: StrategyConfig) -> Tuple[int, int, int]:
@@ -150,113 +141,59 @@ def _complete(backend: Backend, cfg: StrategyConfig, user_text: str,
     return response, elapsed_ms
 
 
-def _warn_if_blank(q: Question):
-    if not q.text.strip():
-        logger.warning("question %s has empty text", q.id)
-
-
-def run_cot(q: Question, cfg: StrategyConfig, backend: Backend,
-            triggers: Optional[Mapping[AnswerFormat, str]] = None) -> StrategyOutcome:
-    """Standard two-call chain of thought (or one-call zero-shot)."""
-    _warn_if_blank(q)
-    try:
-        trace = _cot_trace(q, cfg, backend, triggers,
-                           question_text=q.text,
-                           prompt_text=cfg.canonical_prompt.text,
-                           reformulation_index=0, sample_index=0)
-    except LlmIoError as exc:
-        raise StrategyError(q.id, exc) from exc
-    vote = majority_vote([trace.parsed])
-    return StrategyOutcome(
-        question_id=q.id, traces=(trace,), vote=vote, final=trace.parsed,
-        rounds_executed=1,
-    )
-
-
-def _cot_trace(q: Question, cfg: StrategyConfig, backend: Backend,
-               triggers, question_text: str, prompt_text: str,
-               reformulation_index: int, sample_index: int,
-               reasoning_text: Optional[str] = None,
-               pre_usage: Usage = Usage(),
-               round_index: int = 1) -> ReasoningTrace:
-    """One full reasoning path. A pre-generated reasoning text (from a batched
-    sampling call) skips the reasoning-stage request."""
-    trigger = answer_trigger(q.answer_format, triggers)
-    usage = pre_usage
-    latency = 0
-    if cfg.kind == StrategyKind.ZERO_SHOT:
-        assembled = assemble_zero_shot_input(question_text, trigger)
-        response, latency = _complete(backend, cfg, assembled)
-        reasoning, raw_prediction = "", response.texts[0]
-        usage = usage + response.usage
-    else:
-        assembled = assemble_reasoning_input(question_text, prompt_text)
-        if reasoning_text is None:
-            response, ms = _complete(backend, cfg, assembled)
-            reasoning = response.texts[0]
-            usage = usage + response.usage
-            latency += ms
-        else:
-            reasoning = reasoning_text
-        prediction_input = assemble_prediction_input(
-            question_text, prompt_text, reasoning, trigger)
-        response, ms = _complete(backend, cfg, prediction_input)
-        raw_prediction = response.texts[0]
-        usage = usage + response.usage
-        latency += ms
-    parsed = extract_answer(raw_prediction, q.answer_format, q.choices)
+def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
+             prediction_input: str, reasoning: str, usage: Usage, latency_ms: int,
+             round: int, ctx: int, sample: int) -> ReasoningTrace:
+    """Predict, then trace the path; ``usage`` and ``latency_ms`` are what the
+    path spent before predicting."""
+    response, ms = _complete(backend, cfg, prediction_input)
+    raw_prediction = response.texts[0]
     return ReasoningTrace(
-        question_id=q.id, round=round_index,
-        reformulation_index=reformulation_index, sample_index=sample_index,
+        question_id=q.id, round=round, reformulation_index=ctx, sample_index=sample,
         assembled_input=assembled, reasoning_text=reasoning,
-        raw_prediction_text=raw_prediction, parsed=parsed,
-        usage=usage, latency_ms=latency,
+        raw_prediction_text=raw_prediction,
+        parsed=extract_answer(raw_prediction, q.answer_format, q.choices),
+        usage=usage + response.usage, latency_ms=latency_ms + ms,
     )
 
 
-def run_deep(q: Question, cfg: StrategyConfig, backend: Backend,
-             triggers: Optional[Mapping[AnswerFormat, str]] = None) -> StrategyOutcome:
-    """Iterative refinement: a CoT round, then refine rounds that feed the
-    prior reasoning and prediction back in.
+def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
+              triggers: Optional[Mapping[AnswerFormat, str]] = None) -> StrategyOutcome:
+    """One path over :func:`path_shape`'s rounds: zero-shot, CoT or deep CoT.
 
-    Each round's prediction sees only that round's reasoning. Stops at the
-    iteration cap, or one round after two consecutive equal (non-abstain)
-    predictions under the stability rule.
+    Zero-shot is one prediction call. Otherwise round 1 reasons over the
+    question and prompt, and each later round refines the prior round's
+    reasoning and prediction; a prediction sees only its own round's
+    reasoning. Stops at the round cap, or one round after two consecutive
+    equal (non-abstain) predictions under the stability rule.
     """
-    _warn_if_blank(q)
     prompt_text = cfg.canonical_prompt.text
-    guide_text = cfg.iteration_guide or prompt_text
     trigger = answer_trigger(q.answer_format, triggers)
+    rounds, _, _ = path_shape(cfg)
     traces: List[ReasoningTrace] = []
     try:
-        trace = _cot_trace(q, cfg, backend, triggers,
-                           question_text=q.text, prompt_text=prompt_text,
-                           reformulation_index=0, sample_index=0, round_index=1)
-        traces.append(trace)
-        for round_index in range(2, cfg.max_iterations + 1):
-            if cfg.stop_rule == StopRule.STABLE_STOP and len(traces) >= 2:
-                last, prev = traces[-1].parsed, traces[-2].parsed
-                if not last.abstain and last == prev:
-                    break
-            prev = traces[-1]
-            iteration_input = assemble_iteration_input(
-                q.text, prompt_text, prev.reasoning_text,
-                prev.raw_prediction_text, guide_text)
-            response, ms = _complete(backend, cfg, iteration_input)
-            reasoning = response.texts[0]
-            usage = response.usage
-            prediction_input = assemble_prediction_input(
-                q.text, prompt_text, reasoning, trigger)
-            pred_response, pms = _complete(backend, cfg, prediction_input)
-            raw_prediction = pred_response.texts[0]
-            parsed = extract_answer(raw_prediction, q.answer_format, q.choices)
-            traces.append(ReasoningTrace(
-                question_id=q.id, round=round_index,
-                reformulation_index=0, sample_index=0,
-                assembled_input=iteration_input, reasoning_text=reasoning,
-                raw_prediction_text=raw_prediction, parsed=parsed,
-                usage=usage + pred_response.usage, latency_ms=ms + pms,
-            ))
+        for round_index in range(1, rounds + 1):
+            if (cfg.stop_rule == StopRule.STABLE_STOP and len(traces) >= 2
+                    and not traces[-1].parsed.abstain
+                    and traces[-1].parsed == traces[-2].parsed):
+                break
+            if cfg.kind == StrategyKind.ZERO_SHOT:
+                assembled = prediction_input = assemble_zero_shot_input(q.text, trigger)
+                reasoning, usage, ms = "", Usage(), 0
+            else:
+                if traces:
+                    prior = traces[-1]
+                    assembled = assemble_iteration_input(
+                        q.text, prompt_text, prior.reasoning_text,
+                        prior.raw_prediction_text, cfg.iteration_guide or prompt_text)
+                else:
+                    assembled = assemble_reasoning_input(q.text, prompt_text)
+                response, ms = _complete(backend, cfg, assembled)
+                reasoning, usage = response.texts[0], response.usage
+                prediction_input = assemble_prediction_input(
+                    q.text, prompt_text, reasoning, trigger)
+            traces.append(_predict(q, cfg, backend, assembled, prediction_input,
+                                   reasoning, usage, ms, round_index, 0, 0))
     except LlmIoError as exc:
         raise StrategyError(q.id, exc) from exc
     final = traces[-1].parsed
@@ -305,10 +242,12 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
     """Run ``m_samples`` CoT paths per (question, prompt) context.
 
     Samples for one context come from a single multi-sample reasoning call
-    (the backend may batch or sequence it). A failing call is not retried
+    (the backend may batch or sequence it); sample 0 carries that call's
+    latency, as it carries its prompt tokens. A failing call is not retried
     here; its paths are recorded as abstaining traces so the vote proceeds
     over survivors.
     """
+    trigger = answer_trigger(q.answer_format, triggers)
     traces: List[ReasoningTrace] = []
     for ctx_index, (question_text, prompt_text) in enumerate(contexts):
         reasoning_input = assemble_reasoning_input(question_text, prompt_text)
@@ -322,19 +261,19 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
             continue
         usage_shares = split_usage(response.usage, len(response.texts))
         for sample_index, reasoning_text in enumerate(response.texts):
+            usage = usage_shares[sample_index]
+            ms = latency if sample_index == 0 else 0
             try:
-                trace = _cot_trace(
-                    q, cfg, backend, triggers,
-                    question_text=question_text, prompt_text=prompt_text,
-                    reformulation_index=ctx_index, sample_index=sample_index,
-                    reasoning_text=reasoning_text,
-                    pre_usage=usage_shares[sample_index],
-                )
+                trace = _predict(
+                    q, cfg, backend, reasoning_input,
+                    assemble_prediction_input(question_text, prompt_text,
+                                              reasoning_text, trigger),
+                    reasoning_text, usage, ms, 1, ctx_index, sample_index)
             except LlmIoError as exc:
                 logger.error("question %s path (%d,%d) failed (%s); recording abstention",
                              q.id, ctx_index, sample_index, exc)
                 trace = _abstention(q, ctx_index, sample_index, reasoning_input,
-                                    reasoning_text, usage_shares[sample_index], latency)
+                                    reasoning_text, usage, ms)
             traces.append(trace)
     return traces
 
@@ -356,18 +295,17 @@ def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
     """
     if cfg.kind not in BREADTH_KINDS:
         raise ValueError(f"not a breadth strategy: {cfg.kind}")
-    _warn_if_blank(q)
     try:
         contexts = _build_contexts(q, cfg, backend, reformulator or reformulate)
-    except LlmIoError as exc:
+    except (LlmIoError, ValueError) as exc:
+        # A ValueError here is a text that cannot be rewritten, such as a
+        # blank question: this question fails, the run goes on.
         raise StrategyError(q.id, exc) from exc
     _, _, per_context = path_shape(cfg)
     traces = run_contexts(q, contexts, per_context, cfg, backend, triggers)
     vote = vote_from_traces(traces)
-    return StrategyOutcome(
-        question_id=q.id, traces=tuple(traces), vote=vote, final=vote.winner,
-        rounds_executed=1,
-    )
+    return StrategyOutcome(question_id=q.id, traces=tuple(traces), vote=vote,
+                           final=vote.winner)
 
 
 def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
@@ -375,11 +313,11 @@ def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
                  triggers: Optional[Mapping[AnswerFormat, str]] = None,
                  ) -> StrategyOutcome:
     """Dispatch a question to the engine matching the config's kind."""
+    if not q.text.strip():
+        logger.warning("question %s has empty text", q.id)
     if cfg.kind in BREADTH_KINDS:
         return run_breadth(q, cfg, backend, reformulator, triggers)
-    if cfg.kind == StrategyKind.DEEP_COT:
-        return run_deep(q, cfg, backend, triggers)
-    return run_cot(q, cfg, backend, triggers)
+    return run_chain(q, cfg, backend, triggers)
 
 
 def _placeholder_rewrites(text: str, spec: ReformulationSpec, backend) -> List[str]:

@@ -26,7 +26,6 @@ from breadth.strategy import (
     assemble_reasoning_input,
     expected_trace_count,
     run_breadth,
-    run_deep,
     run_strategy,
 )
 from breadth.votemodel import (
@@ -139,7 +138,7 @@ def test_criterion_05_assembly_and_discard_rule():
             backend.add_exact(
                 assemble_iteration_input(q.text, PROMPT, reasoning, prediction, PROMPT),
                 [nxt[0]])
-    run_deep(q, cfg, backend)
+    run_strategy(q, cfg, backend)
     prediction_inputs = [c.user_text for c in backend.calls
                          if c.user_text.endswith(trigger)]
     discard_ok = len(prediction_inputs) == 3 and all(
@@ -167,7 +166,7 @@ def test_criterion_06_scripted_demos():
     backend.add_exact(assemble_prediction_input(sphere.text, PROMPT, r1, trigger), [p1])
     backend.add_exact(assemble_iteration_input(sphere.text, PROMPT, r1, p1, PROMPT), [r2])
     backend.add_exact(assemble_prediction_input(sphere.text, PROMPT, r2, trigger), [p2])
-    depth = run_deep(sphere, cfg, backend)
+    depth = run_strategy(sphere, cfg, backend)
     depth_ok = (depth.rounds_executed == 2 and depth.final.value == "B"
                 and depth.traces[0].parsed.value == "E")
 

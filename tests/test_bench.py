@@ -27,6 +27,7 @@ from breadth.bench import (
     sweep_grid,
 )
 from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
+from breadth.reformulate import QUESTION_INSTRUCTION
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
@@ -311,6 +312,23 @@ def test_failed_rewrite_is_recorded_not_fatal(tmp_path):
     assert all(o.error for o in record.outcomes)
     assert all(o.question_id in o.error for o in record.outcomes)
     assert record.accuracy == 0.0
+
+
+def test_blank_question_under_rewriting_is_recorded_not_fatal(tmp_path):
+    blank = mc_question("blank", "", "A")
+    normal = mc_question("normal", "Probe. Answer Choices: (A) x (B) y", "A")
+    backend = ScriptedBackend({
+        QUESTION_INSTRUCTION: ["Probe, restated."],
+        PROMPT: ["reasoning"] * 2,
+        answer_trigger(AnswerFormat.MULTIPLE_CHOICE): ["the answer is (A)"] * 2,
+    })
+    cfg = default_config(StrategyKind.QUESTION_C, n_reformulations=2)
+    record = run_experiment("toy", [blank, normal], cfg, backend,
+                            runs_dir=str(tmp_path), run_id="blank-question")
+    first, second = record.outcomes
+    assert first.question_id == "blank" and "blank" in first.error
+    assert second.error is None and second.correct and second.trace_count == 2
+    assert record.accuracy == 0.5
 
 
 def test_runs_resume_skipping_completed_questions(tmp_path):

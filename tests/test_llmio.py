@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import breadth.llmio
 from breadth.core import Usage
 from breadth.llmio import (
     BACKEND_MOCK,
@@ -166,6 +167,28 @@ def test_recording_splits_completion_tokens_evenly(tmp_path):
     records = [json.loads(line) for line in open(path, encoding="utf-8")]
     assert [r["usage"]["completion_tokens"] for r in records] == [3, 2, 2]
     assert recorded.usage == Usage(5, 7)
+
+
+def test_recording_and_replay_compute_each_cache_key_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_cache_key(request):
+        calls.append(request.sample_batch_id)
+        return cache_key(request)
+
+    monkeypatch.setattr(breadth.llmio, "cache_key", counting_cache_key)
+    store = ReplayStore(str(tmp_path / "cache.jsonl"))
+    backend = RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"]}), store)
+    three = req(user_text="q", n_samples=3)
+    missed = backend.complete(three)
+    assert sorted(calls) == [0, 1, 2]
+    calls.clear()
+    hit = backend.complete(three)
+    assert sorted(calls) == [0, 1, 2]
+    calls.clear()
+    replayed = ReplayBackend(store, model="m").complete(three)
+    assert sorted(calls) == [0, 1, 2]
+    assert missed.texts == hit.texts == replayed.texts == ("a", "b", "c")
 
 
 def _cache_line(key: str) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import string
+import time
 
 import pytest
 
@@ -22,8 +23,6 @@ from breadth.strategy import (
     expected_trace_count,
     plan_paths,
     run_breadth,
-    run_cot,
-    run_deep,
     run_strategy,
     vote_from_traces,
 )
@@ -92,7 +91,7 @@ def test_run_cot_two_calls_one_trace():
     q = mc_question("q1", "Pick one. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.COT)
     backend = _cot_script(q, "R", "the answer is (A)", cfg)
-    outcome = run_cot(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     assert len(backend.calls) == 2
     assert len(outcome.traces) == 1
     assert outcome.traces[0].round == 1
@@ -105,7 +104,7 @@ def test_zero_shot_single_call_without_prompt():
     q = mc_question("q1", "Pick one. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.ZERO_SHOT)
     backend = ScriptedBackend({"": ["the answer is (B)"]})
-    outcome = run_cot(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     assert len(backend.calls) == 1
     assert PROMPT not in backend.calls[0].user_text
     assert backend.calls[0].user_text == assemble_zero_shot_input(
@@ -144,7 +143,7 @@ def test_deep_fixed_t_runs_exactly_three_rounds():
         ("R2", "the answer is (B)"),
         ("R3", "the answer is (C)"),
     ])
-    outcome = run_deep(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     assert outcome.rounds_executed == 3
     assert len(outcome.traces) == 3
     assert len(backend.calls) == 6
@@ -161,7 +160,7 @@ def test_deep_stable_stop_after_two_equal_predictions():
         ("R2", "the answer is (A)"),
         ("R3", "the answer is (B)"),
     ])
-    outcome = run_deep(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     assert outcome.rounds_executed == 2
     assert outcome.final.value == "A"
 
@@ -175,7 +174,7 @@ def test_deep_abstain_rounds_count_and_continue():
         ("R2", "still nothing"),
         ("R3", "the answer is (A)"),
     ])
-    outcome = run_deep(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     # two consecutive abstentions are not a stable answer
     assert outcome.rounds_executed == 3
     assert outcome.traces[0].parsed.abstain
@@ -189,7 +188,7 @@ def test_deep_iteration_guide_defaults_to_canonical_prompt():
         ("R1", "the answer is (A)"),
         ("R2", "the answer is (A)"),
     ])
-    run_deep(q, cfg, backend)
+    run_strategy(q, cfg, backend)
     iteration_call = backend.calls[2].user_text
     assert iteration_call.split("\n")[-1] == PROMPT  # guide suffix reuses the prompt
 
@@ -202,7 +201,7 @@ def test_deep_discards_earlier_rounds_from_prediction_inputs():
         ("R2SENTINEL", "P2SENTINEL the answer is (B)"),
         ("R3SENTINEL", "P3SENTINEL the answer is (A)"),
     ])
-    run_deep(q, cfg, backend)
+    run_strategy(q, cfg, backend)
     trigger = answer_trigger(q.answer_format)
     prediction_inputs = [c.user_text for c in backend.calls
                          if c.user_text.endswith(trigger)]
@@ -227,7 +226,7 @@ def test_depth_demo_sphere_terminates_with_b(sphere_question):
          "sphere. The closest value to 15.8114 is (B) 15.8113.",
          "Therefore, among A through E, the answer is (B) 15.8113."),
     ])
-    outcome = run_deep(q, cfg, backend)
+    outcome = run_strategy(q, cfg, backend)
     assert outcome.rounds_executed == 2
     assert outcome.traces[0].parsed.value == "E"
     assert outcome.final.value == "B"
@@ -301,7 +300,7 @@ def test_sc_with_m1_reduces_to_cot(toy_shop_question):
                           ["the answer is (A) 15"])
         return backend
 
-    cot_outcome = run_cot(q, cot_cfg, build())
+    cot_outcome = run_strategy(q, cot_cfg, build())
     sc_outcome = run_breadth(q, sc_cfg, build())
     assert sc_outcome.final == cot_outcome.final
     assert len(sc_outcome.traces) == len(cot_outcome.traces) == 1
@@ -348,7 +347,7 @@ def test_backend_error_carries_question_id():
 
     q = mc_question("q-broken", "Pick. Answer Choices: (A) x (B) y", "A")
     with pytest.raises(StrategyError) as err:
-        run_cot(q, default_config(StrategyKind.COT), ScriptedBackend())
+        run_strategy(q, default_config(StrategyKind.COT), ScriptedBackend())
     assert "q-broken" in str(err.value)
 
 
@@ -420,6 +419,25 @@ def test_question_rewriting_goes_through_backend(toy_shop_question):
 # ---------------------------------------------------------------- planning
 
 
+def test_batched_reasoning_latency_is_carried_by_sample_zero():
+    class SleepingBackend(ScriptedBackend):
+        deterministic = False
+
+        def complete(self, req):
+            time.sleep(0.02)
+            return super().complete(req)
+
+    q = mc_question("q1", "Pick. Answer Choices: (A) x (B) y", "A")
+    cfg = default_config(StrategyKind.SC, m_samples=2)
+    backend = SleepingBackend({PROMPT: ["R1", "R2"], MC_TRIGGER: ["the answer is (A)"] * 2})
+    outcome = run_strategy(q, cfg, backend)
+    latencies = [t.latency_ms for t in outcome.traces]
+    assert len(backend.calls) == 3
+    # One reasoning call for both samples, then one prediction call each.
+    assert sum(latencies) >= 60
+    assert latencies[0] >= 40
+
+
 def test_blank_question_text_warns_upstream(caplog):
     from breadth.core import Answer, Question
 
@@ -427,7 +445,7 @@ def test_blank_question_text_warns_upstream(caplog):
                  gold=Answer(AnswerFormat.NUMERIC, "1"))
     backend = ScriptedBackend({"": ["the answer is 1"] * 4})
     with caplog.at_level("WARNING"):
-        run_cot(q, default_config(StrategyKind.COT), backend)
+        run_strategy(q, default_config(StrategyKind.COT), backend)
     assert any("empty text" in r.message for r in caplog.records)
 
 
