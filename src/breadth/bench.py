@@ -29,7 +29,7 @@ from .core import (
     Usage,
     canonical_answer,
 )
-from .llmio import Backend
+from .llmio import Backend, read_json_lines, repair_tail
 from .strategy import (
     Reformulator,
     StrategyError,
@@ -299,12 +299,6 @@ def generate_synthetic(kind: str, n: int, seed: int = 0) -> List[Question]:
 
 
 @dataclass(frozen=True)
-class RunLimits:
-    max_questions: Optional[int] = None
-    max_total_tokens: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class QuestionOutcome:
     question_id: str
     final: Answer
@@ -375,17 +369,15 @@ def _run_dir(runs_dir: str, run_id: str) -> str:
     return path
 
 
-def _load_existing_traces(traces_path: str) -> Dict[str, List[ReasoningTrace]]:
+def _load_existing_traces(traces_path: str) -> tuple:
+    """Traces by question id, and the repair the file's tail needs before the
+    next append (see :func:`read_json_lines`)."""
+    records, repair = read_json_lines(traces_path)
     by_question: Dict[str, List[ReasoningTrace]] = {}
-    if not os.path.exists(traces_path):
-        return by_question
-    with open(traces_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            trace = ReasoningTrace.from_dict(json.loads(line))
-            by_question.setdefault(trace.question_id, []).append(trace)
-    return by_question
+    for record in records:
+        trace = ReasoningTrace.from_dict(record)
+        by_question.setdefault(trace.question_id, []).append(trace)
+    return by_question, repair
 
 
 def _outcome_from_traces(q: Question, cfg: StrategyConfig,
@@ -407,7 +399,7 @@ def _outcome_from_traces(q: Question, cfg: StrategyConfig,
 
 def run_experiment(dataset_name: str, questions: Sequence[Question],
                    cfg: StrategyConfig, backend: Backend,
-                   limits: Optional[RunLimits] = None,
+                   max_total_tokens: Optional[int] = None,
                    runs_dir: str = "runs", run_id: Optional[str] = None,
                    reformulator: Optional[Reformulator] = None,
                    triggers: Optional[dict] = None,
@@ -415,37 +407,31 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     """Execute a strategy over every question, persisting traces as it goes.
 
     Completed questions found in an existing trace store are skipped, so
-    interrupted runs resume. Exceeding the token budget stops the run
+    interrupted runs resume. Reaching ``max_total_tokens`` stops the run
     gracefully with the record flagged partial; single-question failures are
     recorded and skipped, never fatal.
     """
-    limits = limits or RunLimits()
     if run_id is None:
         run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
     run_dir = _run_dir(runs_dir, run_id)
     traces_path = os.path.join(run_dir, "traces.jsonl")
-    existing = _load_existing_traces(traces_path)
-
-    selected = list(questions)
-    if limits.max_questions is not None:
-        selected = selected[: limits.max_questions]
+    existing, repair = _load_existing_traces(traces_path)
 
     started = time.monotonic()
     outcomes: List[QuestionOutcome] = []
     total_usage = Usage()
     partial = False
     with open(traces_path, "a", encoding="utf-8") as trace_file:
-        for q in selected:
+        for q in questions:
             if q.id in existing:
                 traces = existing[q.id]
                 outcomes.append(_outcome_from_traces(q, cfg, traces))
                 for t in traces:
                     total_usage = total_usage + t.usage
                 continue
-            if (limits.max_total_tokens is not None
-                    and total_usage.total_tokens >= limits.max_total_tokens):
+            if max_total_tokens is not None and total_usage.total_tokens >= max_total_tokens:
                 logger.warning("run %s: token budget %d exhausted, stopping early",
-                               run_id, limits.max_total_tokens)
+                               run_id, max_total_tokens)
                 partial = True
                 break
             try:
@@ -457,9 +443,12 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                     correct=False, rounds=0, trace_count=0, error=str(exc),
                 ))
                 continue
-            for trace in outcome.traces:
-                trace_file.write(json.dumps(trace.to_dict(), sort_keys=True,
-                                            separators=(",", ":")) + "\n")
+            lines = "".join(json.dumps(trace.to_dict(), sort_keys=True,
+                                       separators=(",", ":")) + "\n"
+                            for trace in outcome.traces)
+            if repair is not None:
+                lines, repair = repair_tail(traces_path, repair) + lines, None
+            trace_file.write(lines)
             trace_file.flush()
             total_usage = total_usage + outcome.usage()
             outcomes.append(QuestionOutcome(
@@ -480,23 +469,6 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return record
-
-
-def recompute_accuracy(runs_dir: str, run_id: str, questions: Sequence[Question],
-                       cfg: StrategyConfig) -> float:
-    """Recompute accuracy from the persisted trace store (drift check)."""
-    traces_path = os.path.join(runs_dir, run_id, "traces.jsonl")
-    by_question = _load_existing_traces(traces_path)
-    by_id = {q.id: q for q in questions}
-    correct = 0
-    total = 0
-    for qid, traces in by_question.items():
-        if qid not in by_id:
-            continue
-        outcome = _outcome_from_traces(by_id[qid], cfg, traces)
-        total += 1
-        correct += int(outcome.correct)
-    return correct / total if total else 0.0
 
 
 def load_run_record(runs_dir: str, run_id: str) -> RunRecord:

@@ -13,12 +13,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from . import bench, diversity, votemodel
 from .core import (
-    PromptVariant,
     Question,
     StopRule,
     StrategyConfig,
@@ -78,14 +76,7 @@ def _build_backend(args) -> Backend:
         return ReplayBackend(ReplayStore(args.replay), model=args.model)
     if args.mock_script:
         with open(args.mock_script, "r", encoding="utf-8") as fh:
-            script = json.load(fh)
-        if isinstance(script, list):
-            backend = ScriptedBackend(model=args.model)
-            for rule in script:
-                backend.add_rule(rule["match"], rule["responses"],
-                                 exact=bool(rule.get("exact", False)))
-            return backend
-        return ScriptedBackend(script, model=args.model)
+            return ScriptedBackend(json.load(fh), model=args.model)
     if not os.environ.get(API_KEY_ENV):
         raise RuntimeError(
             f"live mode needs the {API_KEY_ENV} environment variable; set it, "
@@ -104,39 +95,16 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 
 def _strategy_config(args, file_config: dict) -> StrategyConfig:
-    """CLI flags beat the config file, which beats built-in defaults."""
-    kind_name = args.strategy or file_config.get("kind")
-    if not kind_name:
+    """CLI flags beat the config file, which beats the kind's defaults."""
+    values = {k: v for k, v in file_config.items() if k != "answer_triggers"}
+    flags = {"kind": args.strategy, "n_reformulations": args.n, "m_samples": args.m,
+             "max_iterations": args.max_iter, "stop_rule": args.stop,
+             "temperature": args.temperature}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    if not values.get("kind"):
         raise UsageError("--strategy is required (or 'kind' in --config)")
-    cfg = default_config(StrategyKind.parse(str(kind_name)))
-    overrides = {}
-    for field_name, key in (
-        ("n_reformulations", "n_reformulations"),
-        ("m_samples", "m_samples"),
-        ("max_iterations", "max_iterations"),
-        ("temperature", "temperature"),
-        ("iteration_guide", "iteration_guide"),
-    ):
-        if key in file_config:
-            overrides[field_name] = file_config[key]
-    if "stop_rule" in file_config:
-        overrides["stop_rule"] = StopRule.parse(file_config["stop_rule"])
-    if "canonical_prompt" in file_config:
-        prompt = file_config["canonical_prompt"]
-        overrides["canonical_prompt"] = (
-            PromptVariant.from_dict(prompt) if isinstance(prompt, dict)
-            else PromptVariant.canonical(prompt))
-    if args.n is not None:
-        overrides["n_reformulations"] = args.n
-    if args.m is not None:
-        overrides["m_samples"] = args.m
-    if args.max_iter is not None:
-        overrides["max_iterations"] = args.max_iter
-    if args.stop is not None:
-        overrides["stop_rule"] = StopRule.parse(args.stop)
-    if args.temperature is not None:
-        overrides["temperature"] = args.temperature
-    return replace(cfg, **overrides) if overrides else cfg
+    defaults = default_config(StrategyKind.parse(str(values["kind"]))).to_dict()
+    return StrategyConfig.from_dict({**defaults, **values})
 
 
 def _load_questions(args) -> List[Question]:
@@ -186,11 +154,9 @@ def _cmd_run(args) -> int:
     triggers = _trigger_overrides(file_config)
     if triggers:
         effective["answer_triggers"] = {k.value: v for k, v in triggers.items()}
-    limits = bench.RunLimits(max_questions=args.limit,
-                             max_total_tokens=args.token_budget)
     record = bench.run_experiment(
         args.dataset, questions, cfg, backend,
-        limits=limits, runs_dir=args.runs_dir, run_id=args.run_id,
+        max_total_tokens=args.token_budget, runs_dir=args.runs_dir, run_id=args.run_id,
         triggers=triggers, effective_config=effective,
     )
     print(f"run {record.run_id}: accuracy {record.accuracy:.3f} over "
@@ -231,7 +197,7 @@ def _cmd_entropy(args) -> int:
     backend = _build_backend(args)
     cfg = default_config(StrategyKind.COT)
     report = diversity.run_factor_study(args.dataset, questions, factors, cfg, backend)
-    csv_text = diversity.report_to_csv([report])
+    csv_text = diversity.report_to_csv([report], factors=[f.factor for f in factors])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)

@@ -1,7 +1,7 @@
 """Shared domain types and answer canonicalization.
 
 All types here are immutable value objects (frozen dataclasses) and are safe
-to share across threads. Each type serializes to a stable JSON schema via
+to share across threads. Persisted types serialize to a stable JSON schema via
 ``to_dict`` / ``from_dict`` with the field names given in the dataclass.
 """
 
@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 logger = logging.getLogger(__name__)
 
 CANONICAL_COT_PROMPT = "Let's think step by step."
-
-TIE_BREAK_FIRST_OCCURRENCE = "first_occurrence"
 
 # Benchmark choice labels run A..E; anything past E is accepted but flagged.
 _EXPECTED_LABELS = "ABCDE"
@@ -249,11 +247,6 @@ class Question:
         elif canonical_answer(gold.value, self.answer_format) != gold:
             raise ValueError(f"question {self.id}: gold {gold.value!r} is not canonical")
 
-    def choice_labels(self) -> Optional[Sequence[str]]:
-        if self.choices is None:
-            return None
-        return [l for l, _ in self.choices]
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -416,12 +409,20 @@ class StrategyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyConfig":
+        """Inverse of ``to_dict``; also takes ``canonical_prompt`` as plain
+        text and stop rules by their CLI names. Unknown keys are an error."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
         kwargs = dict(d)
         kwargs["kind"] = StrategyKind.parse(kwargs["kind"])
         if "stop_rule" in kwargs:
             kwargs["stop_rule"] = StopRule.parse(kwargs["stop_rule"])
-        if "canonical_prompt" in kwargs and isinstance(kwargs["canonical_prompt"], dict):
-            kwargs["canonical_prompt"] = PromptVariant.from_dict(kwargs["canonical_prompt"])
+        prompt = kwargs.get("canonical_prompt")
+        if isinstance(prompt, dict):
+            kwargs["canonical_prompt"] = PromptVariant.from_dict(prompt)
+        elif isinstance(prompt, str):
+            kwargs["canonical_prompt"] = PromptVariant.canonical(prompt)
         return cls(**kwargs)
 
 
@@ -466,30 +467,8 @@ class VoteResult:
     total_paths: int
     abstained: int
     tie: bool
-    tie_break: str = TIE_BREAK_FIRST_OCCURRENCE
 
     def __post_init__(self):
         counted = sum(c for _, c in self.counts)
         if counted + self.abstained != self.total_paths:
             raise ValueError("counts plus abstentions must cover every path")
-
-    def to_dict(self) -> dict:
-        return {
-            "winner": self.winner.to_dict(),
-            "counts": [[a.to_dict(), c] for a, c in self.counts],
-            "total_paths": self.total_paths,
-            "abstained": self.abstained,
-            "tie": self.tie,
-            "tie_break": self.tie_break,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VoteResult":
-        return cls(
-            winner=Answer.from_dict(d["winner"]),
-            counts=tuple((Answer.from_dict(a), c) for a, c in d["counts"]),
-            total_paths=d["total_paths"],
-            abstained=d["abstained"],
-            tie=d["tie"],
-            tie_break=d.get("tie_break", TIE_BREAK_FIRST_OCCURRENCE),
-        )

@@ -58,10 +58,6 @@ class Factor(str, Enum):
         return aliases[key]
 
 
-class UnsupportedFactorError(RuntimeError):
-    """The factor is nameable but not runnable through this client."""
-
-
 @dataclass(frozen=True)
 class FactorSpec:
     """One diversity factor and the number of paths it should generate."""
@@ -101,28 +97,11 @@ class FactorResult:
     pooled_entropy_nats: float  # entropy of all predictions pooled
     per_question: Dict[str, List[Answer]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "factor": self.factor.value,
-            "entropy_nats": self.entropy_nats,
-            "pooled_entropy_nats": self.pooled_entropy_nats,
-            "per_question": {
-                qid: [a.to_dict() for a in answers]
-                for qid, answers in self.per_question.items()
-            },
-        }
-
 
 @dataclass(frozen=True)
 class FactorStudyReport:
     dataset: str
     results: Dict[Factor, FactorResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "results": {f.value: r.to_dict() for f, r in self.results.items()},
-        }
 
 
 def _factor_answers(q: Question, spec: FactorSpec, cfg: StrategyConfig,
@@ -147,11 +126,9 @@ def _factor_answers(q: Question, spec: FactorSpec, cfg: StrategyConfig,
         contexts = [(q.text, p) for p in bank[:k]]
         run_cfg = replace(cfg, temperature=REWORDING_TEMPERATURE)
         traces = run_contexts(q, contexts, 1, run_cfg, backend)
-    elif spec.factor == Factor.SAMPLING:
+    else:  # sampling; run_factor_study skips model perturbation
         run_cfg = replace(cfg, temperature=SAMPLING_TEMPERATURE)
         traces = run_contexts(q, [(q.text, prompt_text)], k, run_cfg, backend)
-    else:
-        raise UnsupportedFactorError(UNSUPPORTED_FACTOR_NOTE)
     return [t.parsed for t in traces]
 
 
@@ -159,11 +136,17 @@ def run_factor_study(dataset: str, questions: Sequence[Question],
                      factors: Sequence[FactorSpec], cfg: StrategyConfig,
                      backend: Backend) -> FactorStudyReport:
     """Generate per-factor prediction multisets over a question subset and
-    report mean per-question entropy (plus pooled entropy for audit)."""
+    report mean per-question entropy (plus pooled entropy for audit).
+
+    Model perturbation cannot run through an API client: it is skipped, with
+    no calls, and :func:`report_to_csv` tags it ``unsupported``.
+    """
     if not questions:
         raise EmptyInputError("factor study needs at least one question")
     results: Dict[Factor, FactorResult] = {}
     for spec in factors:
+        if spec.factor == Factor.MODEL_PERTURBATION:
+            continue
         per_question: Dict[str, List[Answer]] = {}
         for q in questions:
             per_question[q.id] = _factor_answers(q, spec, cfg, backend)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import requests
 
@@ -40,7 +41,10 @@ class NetworkError(LlmIoError):
 
 
 class RateLimitedError(LlmIoError):
-    def __init__(self, message: str, retry_after: float = 1.0):
+    """HTTP 429; ``retry_after`` is the server's delay in seconds, or None
+    when it gave none that parses."""
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
         super().__init__(message)
         self.retry_after = retry_after
 
@@ -226,8 +230,9 @@ class LiveBackend(Backend):
                     return self._post(req)
             except RateLimitedError as exc:
                 last_error = exc
-                logger.warning("rate limited, sleeping %.1fs", exc.retry_after)
-                self._sleep(exc.retry_after)
+                delay = self.retry.delay(attempt) if exc.retry_after is None else exc.retry_after
+                logger.warning("rate limited, sleeping %.1fs", delay)
+                self._sleep(delay)
             except NetworkError as exc:
                 last_error = exc
                 delay = self.retry.delay(attempt)
@@ -259,8 +264,8 @@ class LiveBackend(Backend):
         except requests.RequestException as exc:
             raise NetworkError(str(exc)) from exc
         if resp.status_code == 429:
-            retry_after = float(resp.headers.get("Retry-After", 1.0))
-            raise RateLimitedError("rate limited by server", retry_after=retry_after)
+            raise RateLimitedError("rate limited by server",
+                                   retry_after=_delay_seconds(resp.headers.get("Retry-After")))
         if resp.status_code >= 500:
             raise NetworkError(f"server error {resp.status_code}")
         if resp.status_code != 200:
@@ -269,21 +274,27 @@ class LiveBackend(Backend):
             data = resp.json()
             choices = sorted(data["choices"], key=lambda c: c.get("index", 0))
             texts = tuple(c["message"]["content"] for c in choices)
-            usage_data = data.get("usage", {})
-        except (ValueError, KeyError, TypeError) as exc:
+            # An absent or null usage reads as zeros; any other non-mapping is malformed.
+            usage_data = {} if data.get("usage") is None else data["usage"]
+            usage = Usage(int(usage_data.get("prompt_tokens", 0)),
+                          int(usage_data.get("completion_tokens", 0)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedResponseError(f"unparseable response body: {exc}") from exc
         if len(texts) != req.n_samples:
             raise MalformedResponseError(
                 f"expected {req.n_samples} samples, got {len(texts)}"
             )
-        return CompletionResponse(
-            texts=texts,
-            usage=Usage(
-                int(usage_data.get("prompt_tokens", 0)),
-                int(usage_data.get("completion_tokens", 0)),
-            ),
-            backend=BACKEND_LIVE,
-        )
+        return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_LIVE)
+
+
+def _delay_seconds(header: Optional[str]) -> Optional[float]:
+    """A Retry-After header's delay in seconds, or None when it is absent or
+    not a non-negative number (RFC 9110 also allows an HTTP-date)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 def _word_count(text: str) -> int:
@@ -302,10 +313,13 @@ class ScriptRule:
 class ScriptedBackend(Backend):
     """Deterministic test backend answering from match rules.
 
-    Rule priority: exact match beats substring; among substring matches the
-    longest pattern wins, then declaration order. Each matched rule consumes
-    its response list in order (``n_samples`` entries per call); running out
-    raises :class:`ScriptExhaustedError`. All calls are logged in ``calls``.
+    A script is either ``{pattern: responses}`` (substring rules) or a list
+    of ``{"match": pattern, "responses": [...], "exact": bool}`` rules, the
+    two shapes a ``--mock-script`` file may hold. Rule priority: exact match
+    beats substring; among substring matches the longest pattern wins, then
+    declaration order. Each matched rule consumes its response list in order
+    (``n_samples`` entries per call); running out raises
+    :class:`ScriptExhaustedError`. All calls are logged in ``calls``.
     """
 
     deterministic = True
@@ -315,13 +329,13 @@ class ScriptedBackend(Backend):
         self.calls: List[CompletionRequest] = []
         self.model = model
         self._lock = threading.Lock()
-        if script:
-            if isinstance(script, dict):
-                for pattern, responses in script.items():
-                    self.add_rule(pattern, responses)
-            else:
-                for rule in script:
-                    self.rules.append(rule)
+        if isinstance(script, dict):
+            for pattern, responses in script.items():
+                self.add_rule(pattern, responses)
+        else:
+            for rule in script or ():
+                self.add_rule(rule["match"], rule["responses"],
+                              exact=bool(rule.get("exact", False)))
 
     def add_rule(self, pattern: str, responses, exact: bool = False) -> "ScriptedBackend":
         if isinstance(responses, str):
@@ -361,50 +375,60 @@ class ScriptedBackend(Backend):
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_MOCK)
 
 
-def scripted_backend(script, model: str = DEFAULT_MODEL) -> ScriptedBackend:
-    """Build a scripted backend from {pattern: responses} or ScriptRule list."""
-    return ScriptedBackend(script, model=model)
+def read_json_lines(path: str) -> Tuple[List[dict], Optional[Tuple[int, str]]]:
+    """The records of an append-only JSON-lines file, and the repair its tail
+    needs before the next append.
+
+    A final line that does not parse (a write cut short by a crash) is
+    dropped; a corrupt line anywhere else is an error. The repair is None
+    for a whole tail, else ``(size, prefix)``: cut the file to ``size`` and
+    write ``prefix`` first, so the next record gets a line of its own.
+    Reading never writes the file.
+    """
+    if not os.path.exists(path):
+        return [], None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    records = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            if i < len(lines) - 1:
+                raise ValueError(f"{path}: corrupt record at line {i + 1}")
+            logger.warning("dropping corrupt trailing line in %s", path)
+            return records, (len(data) - len(line.encode("utf-8")) - data.endswith(b"\n"), "")
+    if data and not data.endswith(b"\n"):
+        return records, (len(data), "\n")
+    return records, None
+
+
+def repair_tail(path: str, repair: Tuple[int, str]) -> str:
+    """Apply a repair from :func:`read_json_lines`: cut the file, and return
+    the text to write before the next record."""
+    size, prefix = repair
+    os.truncate(path, size)
+    return prefix
 
 
 class ReplayStore:
     """Append-only JSON-lines store of per-sample responses keyed by digest.
 
-    Readers share the in-memory index; appends are serialized. A corrupt
-    final line (truncated write) is dropped on load; corruption anywhere
-    else is an error. The first append repairs the tail, cutting a dropped
-    line off or ending an unterminated one, so each record gets its own line.
+    Readers share the in-memory index; appends are serialized. The file's
+    tail is read and repaired by :func:`read_json_lines` and
+    :func:`repair_tail`, so a record appended after a crash is never lost.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._records: dict = {}
-        self._repair: Optional[tuple] = None  # (size to cut the file to, prefix)
-        self._load()
-
-    def _load(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        lines = data.decode("utf-8").split("\n")
-        if not lines[-1]:
-            lines.pop()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if i == len(lines) - 1:
-                    logger.warning("dropping corrupt trailing cache line in %s", self.path)
-                    cut = len(data) - len(line.encode("utf-8")) - data.endswith(b"\n")
-                    self._repair = (cut, "")
-                    continue
-                raise ValueError(f"{self.path}: corrupt cache record at line {i + 1}")
-            self._records[record["key"]] = record
-        if self._repair is None and data and not data.endswith(b"\n"):
-            self._repair = (len(data), "\n")
+        records, self._repair = read_json_lines(path)
+        self._records = {record["key"]: record for record in records}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -423,9 +447,7 @@ class ReplayStore:
         with self._lock:
             self._records[record["key"]] = record
             if self._repair is not None:
-                size, prefix = self._repair
-                os.truncate(self.path, size)
-                line, self._repair = prefix + line, None
+                line, self._repair = repair_tail(self.path, self._repair) + line, None
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line)
                 fh.flush()

@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from .llmio import Backend, CompletionRequest
 
@@ -49,25 +49,21 @@ class ReformulationTarget(str, Enum):
 
 @dataclass(frozen=True)
 class ReformulationSpec:
-    """How many rewrites to produce and with which instruction.
+    """How many rewrites of which target to produce.
 
     ``n_variants`` counts the returned list, including the original when
-    ``include_original`` is set. An empty ``instruction_text`` falls back to
-    the per-target default.
+    ``include_original`` is set.
     """
 
     target: ReformulationTarget
     n_variants: int
     include_original: bool = False
-    instruction_text: str = ""
 
     def __post_init__(self):
         if self.n_variants < 1:
             raise ValueError("n_variants must be >= 1")
 
     def instruction(self) -> str:
-        if self.instruction_text:
-            return self.instruction_text
         if self.target == ReformulationTarget.QUESTION:
             return QUESTION_INSTRUCTION
         return PROMPT_INSTRUCTION
@@ -76,13 +72,6 @@ class ReformulationSpec:
 def prompt_bank() -> List[str]:
     """The ten fixed alternative prompts, order-stable across calls."""
     return list(PROMPT_BANK)
-
-
-def bank_prompt(index: int) -> str:
-    """One bank entry by its 1-based index."""
-    if not 1 <= index <= len(PROMPT_BANK):
-        raise IndexError(f"bank index {index} out of range 1..{len(PROMPT_BANK)}")
-    return PROMPT_BANK[index - 1]
 
 
 def split_choice_block(text: str) -> tuple:
@@ -101,15 +90,14 @@ def _normalized(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def reformulate(text: str, spec: ReformulationSpec, backend: Backend,
-                temperature: float = 1.0,
-                model: Optional[str] = None) -> List[str]:
+def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> List[str]:
     """Generate ``spec.n_variants`` rewrites of ``text`` (element 0 is the
     verbatim original when ``include_original`` is set).
 
-    One backend call per variant; blank or normalized-duplicate outputs are
-    regenerated up to a small retry budget and then kept with a logged flag.
-    Never returns fewer than ``n_variants`` strings.
+    One backend call per variant, at temperature 1.0 with the backend's
+    model; blank or normalized-duplicate outputs are regenerated up to a
+    small retry budget and then kept with a logged flag. Never returns fewer
+    than ``n_variants`` strings.
     """
     if not text:
         raise ValueError("cannot reformulate empty text")
@@ -130,15 +118,14 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend,
 
     instruction = spec.instruction()
     prompt_text = f"{instruction}\n{stem}"
-    model_name = model or backend.model
 
     for index in range(needed):
         candidate = ""
         for attempt in range(_DEDUP_RETRIES + 1):
             request = CompletionRequest(
-                model=model_name,
+                model=backend.model,
                 user_text=prompt_text,
-                temperature=temperature,
+                temperature=1.0,
                 sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt,
             )
             candidate = backend.complete(request).texts[0].strip()

@@ -17,7 +17,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-_DEFAULT_SHARDS = 8
+# Each shard draws from its own seed spawned from the master seed, so the
+# shard count is part of what a seed reproduces.
+_SHARDS = 8
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,7 @@ def _vote_correct(paths: np.ndarray, k: int) -> np.ndarray:
     return wins | (ties & paths[:, 0].astype(bool))
 
 
-def simulate_plane(model: PlaneModel, trials: int, seed: int,
-                   shards: int = _DEFAULT_SHARDS) -> PlaneSimResult:
+def simulate_plane(model: PlaneModel, trials: int, seed: int) -> PlaneSimResult:
     """Seeded Monte-Carlo estimate of vote accuracy for every prefix budget
     k = 1..n*m (paths ordered context-major).
 
@@ -107,7 +108,7 @@ def simulate_plane(model: PlaneModel, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     n, m = model.n_contexts, model.m_per_context
     total = n * m
-    shards = max(1, min(shards, trials))
+    shards = max(1, min(_SHARDS, trials))
     correct_counts = np.zeros(total, dtype=np.int64)
     for shard_seed, shard_trials in zip(
             np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
@@ -147,8 +148,7 @@ def closed_form_depth(p_correct: float, q_advance: float, rounds: int) -> float:
     return 1.0 - (1.0 - p_correct) * (1.0 - q_advance) ** (rounds - 1)
 
 
-def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int,
-                   shards: int = _DEFAULT_SHARDS) -> List[DepthPoint]:
+def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int) -> List[DepthPoint]:
     """Markov-chain refinement: start correct w.p. ``p_correct``; each later
     round advances incorrect paths w.p. ``q_advance`` and regresses correct
     ones w.p. ``q_regress``. Returns accuracy after rounds 1..t_max."""
@@ -156,7 +156,7 @@ def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int,
         raise ValueError("t_max must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    shards = max(1, min(shards, trials))
+    shards = max(1, min(_SHARDS, trials))
     correct_counts = np.zeros(t_max, dtype=np.int64)
     for shard_seed, shard_trials in zip(
             np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):

@@ -1,18 +1,20 @@
 import json
 import os
+import sys
 
 import pytest
 
+from breadth.cli import main
 from breadth.core import (
     Answer,
     AnswerFormat,
+    StrategyConfig,
     StrategyKind,
     default_config,
 )
 from breadth.bench import (
     MismatchedQuestionSetsError,
     MissingFileError,
-    RunLimits,
     RunRecord,
     SchemaError,
     dataset_spec,
@@ -22,7 +24,6 @@ from breadth.bench import (
     load_dataset,
     load_run_record,
     pilot_subset,
-    recompute_accuracy,
     run_experiment,
     sweep_grid,
 )
@@ -34,6 +35,10 @@ from breadth.strategy import (
     assemble_reasoning_input,
 )
 from conftest import mc_question
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+from fakebackend import FakeBackend  # noqa: E402
 
 PROMPT = "Let's think step by step."
 
@@ -130,7 +135,7 @@ def test_aqua_golds_are_labels_and_choices_parsed(dataset_dir):
     questions = load_dataset(dataset_spec("aqua", path=str(dataset_dir / "aqua.jsonl")))
     q = questions[0]
     assert q.gold.value == "A"
-    assert q.choice_labels() == ["A", "B", "C", "D", "E"]
+    assert [label for label, _ in q.choices] == ["A", "B", "C", "D", "E"]
     assert "Answer Choices: (A) 1" in q.text
 
 
@@ -258,14 +263,24 @@ def test_run_experiment_accuracy_and_persistence(tmp_path):
     assert RunRecord.from_dict(summary) == record
 
 
-def test_accuracy_recomputed_from_traces_matches(tmp_path):
-    questions = _four_questions()
-    backend = _scripted_for(questions, ["A", "B", "A", "A"])
-    cfg = default_config(StrategyKind.COT)
-    record = run_experiment("toy", questions, cfg, backend,
-                            runs_dir=str(tmp_path), run_id="drift")
-    assert recompute_accuracy(str(tmp_path), "drift", questions, cfg) == \
-        pytest.approx(record.accuracy)
+def test_rerun_of_finished_run_resumes_every_question(tmp_path):
+    # Outcomes rebuilt from persisted traces must equal the fresh run's, for
+    # one-path and voted strategies alike.
+    questions = generate_synthetic("coinflip", 10, seed=3)
+    for kind in ("cot", "deep_cot", "sc", "questionc_sc", "promptc"):
+        cfg = StrategyConfig.from_dict({"kind": kind, "n_reformulations": 3,
+                                        "m_samples": 3, "max_iterations": 3,
+                                        "stop_rule": "stable"})
+        first = run_experiment("coinflip", questions, cfg,
+                               FakeBackend(questions, seed=1),
+                               runs_dir=str(tmp_path), run_id=kind)
+        untouched = ScriptedBackend()  # no rules: any call would fail
+        again = run_experiment("coinflip", questions, cfg, untouched,
+                               runs_dir=str(tmp_path), run_id=kind)
+        assert untouched.calls == []
+        assert again.outcomes == first.outcomes
+        assert again.accuracy == first.accuracy
+        assert again.usage == first.usage
 
 
 def test_token_budget_stops_gracefully_with_partial_flag(tmp_path):
@@ -274,20 +289,24 @@ def test_token_budget_stops_gracefully_with_partial_flag(tmp_path):
     cfg = default_config(StrategyKind.COT)
     record = run_experiment(
         "toy", questions, cfg, backend,
-        limits=RunLimits(max_total_tokens=25),
+        max_total_tokens=25,
         runs_dir=str(tmp_path), run_id="budget")
     assert record.partial
     assert 0 < len(record.outcomes) < 4
 
 
 def test_question_cap_is_not_partial(tmp_path):
-    questions = _four_questions()
-    backend = _scripted_for(questions, ["A", "A", "A", "A"])
-    record = run_experiment(
-        "toy", questions, default_config(StrategyKind.COT), backend,
-        limits=RunLimits(max_questions=2), runs_dir=str(tmp_path), run_id="cap")
-    assert len(record.outcomes) == 2
-    assert not record.partial
+    # The question cap is the CLI's --limit, a slice of the dataset; a run
+    # that answers every question it was given is whole.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"": ["the answer is yes"] * 4}), encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "cot",
+                 "--mock-script", str(script), "--runs-dir", str(tmp_path),
+                 "--run-id", "cap"])
+    assert code == 0
+    summary = json.loads((tmp_path / "cap" / "summary.json").read_text())
+    assert len(summary["outcomes"]) == 2
+    assert not summary["partial"]
 
 
 def test_per_question_failure_recorded_not_fatal(tmp_path):
@@ -335,8 +354,7 @@ def test_runs_resume_skipping_completed_questions(tmp_path):
     questions = _four_questions()
     first_backend = _scripted_for(questions[:2], ["A", "A"])
     cfg = default_config(StrategyKind.COT)
-    run_experiment("toy", questions, cfg, first_backend,
-                   limits=RunLimits(max_questions=2),
+    run_experiment("toy", questions[:2], cfg, first_backend,
                    runs_dir=str(tmp_path), run_id="resume")
     # second backend only knows the remaining questions: resume must skip q0/q1
     second_backend = _scripted_for(questions[2:], ["A", "B"])
@@ -346,6 +364,26 @@ def test_runs_resume_skipping_completed_questions(tmp_path):
     assert record.accuracy == pytest.approx(0.75)
     lines = (tmp_path / "resume" / "traces.jsonl").read_text().splitlines()
     assert len(lines) == 4  # no duplicates
+
+
+@pytest.mark.parametrize("cut", [1, 40], ids=["unterminated", "torn"])
+def test_resume_repairs_the_trace_file_tail(tmp_path, cut):
+    # A crash cuts the last trace's newline, or the trace itself, short.
+    questions = [mc_question(f"q{i}", f"Probe {i}. Answer Choices: (A) x (B) y", "A")
+                 for i in range(5)]
+    cfg = default_config(StrategyKind.COT)
+    run_experiment("toy", questions[:4], cfg, _scripted_for(questions, ["A"] * 4),
+                   runs_dir=str(tmp_path), run_id="crash")
+    path = tmp_path / "crash" / "traces.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    record = run_experiment("toy", questions, cfg,
+                            _scripted_for(questions[3:], ["A", "A"]),
+                            runs_dir=str(tmp_path), run_id="crash")
+    assert [o.question_id for o in record.outcomes] == [q.id for q in questions]
+    assert record.accuracy == 1.0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["question_id"] for line in lines] == [q.id for q in questions]
 
 
 def test_replay_run_twice_is_byte_identical(tmp_path):

@@ -1,11 +1,19 @@
 import json
+import os
+import shlex
 
 import pytest
 
 from breadth.bench import run_experiment
-from breadth.cli import main
+from breadth.cli import build_parser, main
 from breadth.core import AnswerFormat, StrategyKind, default_config
-from breadth.llmio import API_KEY_ENV, RecordingBackend, ReplayStore, ScriptedBackend
+from breadth.llmio import (
+    API_KEY_ENV,
+    CompletionRequest,
+    RecordingBackend,
+    ReplayStore,
+    ScriptedBackend,
+)
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
@@ -178,6 +186,23 @@ def test_entropy_subcommand(tmp_path, capsys):
     assert out.splitlines()[1] == "toy,0.0000"
 
 
+def test_entropy_reports_model_perturbation_as_unsupported(tmp_path, capsys):
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
+    script = {
+        "step by step": ["r"] * 10,
+        "Therefore, among A through E, the answer is": ["the answer is (A)"] * 10,
+    }
+    code = main([
+        "entropy", "--factors", "sampling,llms", "--subset", str(subset),
+        "--dataset", "toy", "--mock-script", _mock_script_file(tmp_path, script),
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["dataset,sampling,llms", "toy,0.0000,unsupported"]
+
+
 def test_votemodel_subcommand(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code = main(["votemodel", "--p", "0.6", "--rho", "0.8", "--n", "3", "--m", "2",
@@ -226,7 +251,6 @@ def test_cache_subcommand_counts_and_verifies(tmp_path, capsys):
     cache_path = str(tmp_path / "cache.jsonl")
     inner = ScriptedBackend({"q": ["resp1", "resp2"]})
     recorder = RecordingBackend(inner, ReplayStore(cache_path))
-    from breadth.llmio import CompletionRequest
     recorder.complete(CompletionRequest(model="m", user_text="q", n_samples=2))
 
     assert main(["cache", "--file", cache_path, "--verify"]) == 0
@@ -268,3 +292,56 @@ def test_replay_flag_round_trip(tmp_path, capsys):
     assert "accuracy 1.000" in capsys.readouterr().out
     summary = json.loads((tmp_path / "r1" / "replayed" / "summary.json").read_text())
     assert summary["config"]["backend_mode"] == "replay"
+
+
+# ---------------------------------------------------------------- README
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_blocks(language):
+    """The fenced blocks of README.md tagged with ``language``."""
+    blocks, current = [], None
+    for line in open(README, encoding="utf-8"):
+        if line.startswith("```"):
+            if current is None:
+                current = [line[3:].strip()]
+            else:
+                blocks.append(current)
+                current = None
+        elif current is not None:
+            current.append(line)
+    return ["".join(lines) for tag, *lines in blocks if tag == language]
+
+
+def test_readme_commands_parse():
+    # A flag removed or renamed without a README update fails here.
+    commands = []
+    for block in _readme_blocks(""):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line.split("|")[-1], comments=True)
+            if words[:1] == ["breadth"]:
+                commands.append(words[1:])
+    assert len(commands) >= 8
+    parser = build_parser()
+    for words in commands:
+        parser.parse_args(words)
+
+
+def test_readme_mock_script_examples_load():
+    # The mapping answers by substring; the rule list's exact rule wins.
+    request = CompletionRequest(model="m", user_text="Is it raining?\n" + PROMPT)
+    scripts = [json.loads(b) for b in _readme_blocks("json") if '"kind"' not in b]
+    answers = [ScriptedBackend(script).complete(request).texts for script in scripts]
+    assert answers == [("reasoning one",), ("reasoning two",)]
+
+
+def test_readme_config_example_loads(tmp_path, capsys):
+    (example,) = [b for b in _readme_blocks("json") if '"kind"' in b]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(example, encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 0
+    assert "3 planned paths" in capsys.readouterr().out

@@ -16,7 +16,6 @@ from breadth.core import (
     canonical_answer,
     default_config,
 )
-from breadth.extract import majority_vote
 
 
 def test_numeric_canonicalization():
@@ -161,6 +160,8 @@ def test_config_validation():
         StrategyConfig(kind=StrategyKind.SC, m_samples=0)
     with pytest.raises(ValueError):
         StrategyConfig(kind=StrategyKind.COT, temperature=-0.1)
+    with pytest.raises(ValueError, match="answer_triggers"):
+        StrategyConfig.from_dict({"kind": "cot", "answer_triggers": {}})
 
 
 def test_canonical_prompt_default_text():
@@ -186,11 +187,10 @@ def test_serialization_round_trips(toy_shop_question):
 
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
-
-    vote = majority_vote([Answer(AnswerFormat.MULTIPLE_CHOICE, "A"),
-                          Answer.abstained(AnswerFormat.MULTIPLE_CHOICE)])
-    from breadth.core import VoteResult
-    assert VoteResult.from_dict(vote.to_dict()) == vote
+    # a config file may give the prompt as plain text and the stop rule by its CLI name
+    text_form = {**cfg.to_dict(), "canonical_prompt": "Let's think step by step.",
+                 "stop_rule": "fixed"}
+    assert StrategyConfig.from_dict(text_form) == cfg
 
 
 def test_trace_validation():

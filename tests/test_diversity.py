@@ -7,7 +7,6 @@ from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
 from breadth.diversity import (
     Factor,
     FactorSpec,
-    UnsupportedFactorError,
     paper_reference_table,
     prediction_entropy,
     report_to_csv,
@@ -89,8 +88,9 @@ def test_model_perturbation_constructible_but_not_runnable():
     spec = FactorSpec(Factor.MODEL_PERTURBATION)  # nameable in reports
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.COT)
-    with pytest.raises(UnsupportedFactorError):
-        run_factor_study("toy", [q], [spec], cfg, ScriptedBackend({"": ["x"] * 10}))
+    backend = ScriptedBackend()  # no rules: any call would fail
+    report = run_factor_study("toy", [q], [spec], cfg, backend)
+    assert report.results == {} and backend.calls == []
 
 
 def _uniform_backend(answer_texts):

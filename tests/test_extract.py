@@ -111,7 +111,6 @@ def test_majority_vote_simple_and_tie():
     tie = majority_vote([mc("A"), mc("B")])
     assert tie.winner == mc("A")  # first occurrence
     assert tie.tie
-    assert tie.tie_break == "first_occurrence"
 
 
 def test_majority_vote_breadth_demo_counts():

@@ -23,7 +23,6 @@ from breadth.llmio import (
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
-    scripted_backend,
 )
 
 
@@ -37,7 +36,7 @@ def req(**kwargs) -> CompletionRequest:
 
 
 def test_scripted_ordered_consumption():
-    backend = scripted_backend({"toy shop": ["path A text", "path B text"]})
+    backend = ScriptedBackend({"toy shop": ["path A text", "path B text"]})
     first = backend.complete(req(user_text="about the toy shop"))
     second = backend.complete(req(user_text="about the toy shop"))
     assert first.texts == ("path A text",)
@@ -47,7 +46,7 @@ def test_scripted_ordered_consumption():
 
 
 def test_scripted_no_match():
-    backend = scripted_backend({"toy shop": ["x"]})
+    backend = ScriptedBackend({"toy shop": ["x"]})
     with pytest.raises(NoScriptMatchError):
         backend.complete(req(user_text="something else"))
 
@@ -57,6 +56,13 @@ def test_exact_rule_shadows_substring():
     backend.add_rule("abc", ["substring answer"])
     backend.add_exact("abc", ["exact answer"])
     assert backend.complete(req(user_text="abc")).texts == ("exact answer",)
+    # the same rules as a --mock-script rule list
+    listed = ScriptedBackend([
+        {"match": "abc", "responses": ["substring answer"]},
+        {"match": "abc", "responses": ["exact answer"], "exact": True},
+    ])
+    assert listed.complete(req(user_text="abc")).texts == ("exact answer",)
+    assert listed.complete(req(user_text="xabcx")).texts == ("substring answer",)
     # non-exact input falls back to the substring rule
     assert backend.complete(req(user_text="xx abc yy")).texts == ("substring answer",)
 
@@ -73,14 +79,14 @@ def test_longest_substring_wins_then_declaration_order():
 
 
 def test_multi_sample_request_yields_n_texts():
-    backend = scripted_backend({"q": [f"t{i}" for i in range(10)]})
+    backend = ScriptedBackend({"q": [f"t{i}" for i in range(10)]})
     response = backend.complete(req(user_text="q", n_samples=10, temperature=0.8))
     assert len(response.texts) == 10
     assert response.texts == tuple(f"t{i}" for i in range(10))
 
 
 def test_scripted_records_calls():
-    backend = scripted_backend({"q": ["a", "b"]})
+    backend = ScriptedBackend({"q": ["a", "b"]})
     backend.complete(req(user_text="q1 q"))
     backend.complete(req(user_text="q2 q"))
     assert [c.user_text for c in backend.calls] == ["q1 q", "q2 q"]
@@ -114,7 +120,7 @@ def test_cache_key_changes_with_any_field():
 
 def test_record_then_replay_hit(tmp_path):
     store = ReplayStore(str(tmp_path / "cache.jsonl"))
-    inner = scripted_backend({"q": ["scripted response"]})
+    inner = ScriptedBackend({"q": ["scripted response"]})
     backend = RecordingBackend(inner, store)
     first = backend.complete(req(user_text="q"))
     second = backend.complete(req(user_text="q"))
@@ -126,7 +132,7 @@ def test_record_then_replay_hit(tmp_path):
 
 def test_replay_backend_is_byte_identical_and_misses_error(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    inner = scripted_backend({"q": ["r1", "r2", "r3"]})
+    inner = ScriptedBackend({"q": ["r1", "r2", "r3"]})
     recorder = RecordingBackend(inner, ReplayStore(path))
     recorded = recorder.complete(req(user_text="q", n_samples=3))
 
@@ -142,7 +148,7 @@ def test_replay_backend_is_byte_identical_and_misses_error(tmp_path):
 def test_replay_is_sampling_mode_independent(tmp_path):
     # Recorded as one batched call; replayable sample by sample.
     path = str(tmp_path / "cache.jsonl")
-    inner = scripted_backend({"q": ["r0", "r1"]})
+    inner = ScriptedBackend({"q": ["r0", "r1"]})
     recorder = RecordingBackend(inner, ReplayStore(path))
     batched = recorder.complete(req(user_text="q", n_samples=2))
 
@@ -302,10 +308,31 @@ def test_live_honors_retry_after_on_429():
     assert sleeps == [2.5]
 
 
+def test_live_falls_back_to_policy_delay_when_retry_after_is_a_date():
+    # RFC 9110 allows an HTTP-date in place of a number of seconds.
+    session = FakeSession([
+        FakeResponse(status_code=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        FakeResponse(body=_ok_body(["done"])),
+    ])
+    backend, sleeps = _live(session)
+    assert backend.complete(req(user_text="q")).texts == ("done",)
+    assert sleeps == [backend.retry.delay(0)]
+
+
+def test_live_reads_null_usage_as_zero():
+    body = {**_ok_body(["done"]), "usage": None}
+    backend, _ = _live(FakeSession([FakeResponse(body=body)]))
+    response = backend.complete(req(user_text="q"))
+    assert response.texts == ("done",)
+    assert response.usage == Usage()
+
+
 @pytest.mark.parametrize("response", [
     FakeResponse(status_code=400, raw_text="bad request"),
     FakeResponse(status_code=200, body=None, raw_text="not json"),
     FakeResponse(status_code=200, body=_ok_body(["only one"])),
+    FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}),
+    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)),
 ])
 def test_live_never_retries_malformed(response):
     session = FakeSession([response, FakeResponse(body=_ok_body(["x", "y"]))])

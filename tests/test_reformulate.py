@@ -1,13 +1,12 @@
 import pytest
 
-from breadth.llmio import ScriptedBackend, scripted_backend
+from breadth.llmio import ScriptedBackend
 from breadth.reformulate import (
     PROMPT_BANK,
     PROMPT_INSTRUCTION,
     QUESTION_INSTRUCTION,
     ReformulationSpec,
     ReformulationTarget,
-    bank_prompt,
     prompt_bank,
     reformulate,
     split_choice_block,
@@ -20,11 +19,7 @@ def test_prompt_bank_contents_and_order():
     assert bank[0] == "Here are the steps we can follow to achieve our goal."
     assert bank[5] == "Let's take it one step at a time."
     assert bank[9] == "Let's think step by step."
-    assert bank_prompt(1) == bank[0]
-    assert bank_prompt(10) == "Let's think step by step."
     assert prompt_bank() == bank  # order-stable across calls
-    with pytest.raises(IndexError):
-        bank_prompt(11)
 
 
 def test_prompt_bank_returns_copy():
@@ -41,8 +36,6 @@ def test_default_instructions_per_target():
     assert p.instruction() == PROMPT_INSTRUCTION
     assert q.instruction().startswith("Significantly rephrase the following question")
     assert p.instruction().startswith("Rephrase the following sentence")
-    custom = ReformulationSpec(ReformulationTarget.PROMPT, 2, instruction_text="Say it anew.")
-    assert custom.instruction() == "Say it anew."
 
 
 def test_identity_case_makes_no_backend_calls():
@@ -53,7 +46,7 @@ def test_identity_case_makes_no_backend_calls():
 
 
 def test_scripted_prompt_rewrites_pass_through_in_order():
-    backend = scripted_backend({
+    backend = ScriptedBackend({
         PROMPT_INSTRUCTION: ["Rewrite one.", "Rewrite two.", "Rewrite three."],
     })
     spec = ReformulationSpec(ReformulationTarget.PROMPT, 3)
@@ -62,7 +55,7 @@ def test_scripted_prompt_rewrites_pass_through_in_order():
 
 
 def test_include_original_keeps_element_zero_verbatim():
-    backend = scripted_backend({
+    backend = ScriptedBackend({
         QUESTION_INSTRUCTION: [f"Variant {i}" for i in range(1, 10)],
     })
     spec = ReformulationSpec(ReformulationTarget.QUESTION, 10, include_original=True)
@@ -73,7 +66,7 @@ def test_include_original_keeps_element_zero_verbatim():
 
 
 def test_duplicates_are_regenerated_within_retry_budget():
-    backend = scripted_backend({
+    backend = ScriptedBackend({
         QUESTION_INSTRUCTION: ["Same thing", "same  THING", "A fresh wording"],
     })
     spec = ReformulationSpec(ReformulationTarget.QUESTION, 2)
@@ -82,7 +75,7 @@ def test_duplicates_are_regenerated_within_retry_budget():
 
 
 def test_exhausted_retry_budget_keeps_flagged_duplicate():
-    backend = scripted_backend({
+    backend = ScriptedBackend({
         QUESTION_INSTRUCTION: ["dup", "dup", "dup", "dup"],
     })
     spec = ReformulationSpec(ReformulationTarget.QUESTION, 2)
@@ -92,7 +85,7 @@ def test_exhausted_retry_budget_keeps_flagged_duplicate():
 
 
 def test_blank_variants_are_regenerated():
-    backend = scripted_backend({
+    backend = ScriptedBackend({
         QUESTION_INSTRUCTION: ["", "   ", "Usable rewording"],
     })
     spec = ReformulationSpec(ReformulationTarget.QUESTION, 1)
@@ -116,7 +109,7 @@ def test_choice_block_is_never_rewritten():
 
 def test_deterministic_under_scripted_backend():
     def build():
-        return scripted_backend({PROMPT_INSTRUCTION: ["One.", "Two."]})
+        return ScriptedBackend({PROMPT_INSTRUCTION: ["One.", "Two."]})
 
     spec = ReformulationSpec(ReformulationTarget.PROMPT, 2)
     first = reformulate("Prompt text.", spec, build())
@@ -125,7 +118,7 @@ def test_deterministic_under_scripted_backend():
 
 
 def test_rewrite_requests_use_distinct_batch_ids():
-    backend = scripted_backend({PROMPT_INSTRUCTION: ["One.", "Two.", "Three."]})
+    backend = ScriptedBackend({PROMPT_INSTRUCTION: ["One.", "Two.", "Three."]})
     spec = ReformulationSpec(ReformulationTarget.PROMPT, 3)
     reformulate("Prompt text.", spec, backend)
     batch_ids = [c.sample_batch_id for c in backend.calls]

@@ -102,13 +102,6 @@ def test_seed_determinism():
     assert third != first
 
 
-def test_sharding_does_not_change_results():
-    model = PlaneModel(p_correct=0.7, rho=0.4, n_contexts=2, m_per_context=3)
-    base = simulate_plane(model, trials=50_000, seed=11, shards=8)
-    regrouped = simulate_plane(model, trials=50_000, seed=11, shards=8)
-    assert base == regrouped
-
-
 def test_two_by_two_beats_one_by_four_under_correlation():
     for p in (0.6, 0.7, 0.9):
         for rho in (0.5, 0.8):
