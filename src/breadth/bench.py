@@ -10,14 +10,18 @@ under a deterministic backend.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import random
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from .core import (
     Answer,
@@ -29,7 +33,7 @@ from .core import (
     Usage,
     canonical_answer,
 )
-from .llmio import Backend, read_json_lines, repair_tail
+from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
 from .strategy import (
     Reformulator,
     StrategyError,
@@ -410,6 +414,13 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     interrupted runs resume. Reaching ``max_total_tokens`` stops the run
     gracefully with the record flagged partial; single-question failures are
     recorded and skipped, never fatal.
+
+    Under a non-deterministic backend up to ``MAX_IN_FLIGHT`` questions run
+    at once on worker threads; a deterministic one runs them inline, one at
+    a time. Either way each question's traces, outcome and usage are written
+    in question order, and the budget is checked before each question
+    starts, against the questions written so far, so a run may overshoot it
+    by the cost of the questions in flight.
     """
     if run_id is None:
         run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
@@ -421,41 +432,65 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     outcomes: List[QuestionOutcome] = []
     total_usage = Usage()
     partial = False
-    with open(traces_path, "a", encoding="utf-8") as trace_file:
+    # Started questions not yet written, oldest first, each with a callable
+    # that returns its StrategyOutcome (running it, or waiting for it).
+    window: Deque[tuple] = deque()
+
+    def write_oldest():
+        nonlocal repair, total_usage
+        q, result = window.popleft()
+        try:
+            outcome = result()
+        except StrategyError as exc:
+            logger.error("run %s: %s", run_id, exc)
+            outcomes.append(QuestionOutcome(
+                question_id=q.id, final=Answer.abstained(q.answer_format),
+                correct=False, rounds=0, trace_count=0, error=str(exc),
+            ))
+            return
+        lines = "".join(json.dumps(trace.to_dict(), sort_keys=True,
+                                   separators=(",", ":")) + "\n"
+                        for trace in outcome.traces)
+        if repair is not None:
+            lines, repair = repair_tail(traces_path, repair) + lines, None
+        trace_file.write(lines)
+        trace_file.flush()
+        total_usage = total_usage + outcome.usage()
+        outcomes.append(QuestionOutcome(
+            question_id=q.id, final=outcome.final,
+            correct=(not outcome.final.abstain) and outcome.final == q.gold,
+            rounds=outcome.rounds_executed, trace_count=len(outcome.traces),
+        ))
+
+    # Deterministic backends answer in-process, so there is nothing to
+    # overlap; scripted ones also hand out their responses in call order.
+    workers = (nullcontext() if backend.deterministic else
+               ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="breadth-question"))
+    with open(traces_path, "a", encoding="utf-8") as trace_file, workers as pool:
         for q in questions:
             if q.id in existing:
+                while window:
+                    write_oldest()
                 traces = existing[q.id]
                 outcomes.append(_outcome_from_traces(q, cfg, traces))
                 for t in traces:
                     total_usage = total_usage + t.usage
                 continue
+            if len(window) == MAX_IN_FLIGHT:
+                write_oldest()
             if max_total_tokens is not None and total_usage.total_tokens >= max_total_tokens:
                 logger.warning("run %s: token budget %d exhausted, stopping early",
                                run_id, max_total_tokens)
                 partial = True
                 break
-            try:
-                outcome = run_strategy(q, cfg, backend, reformulator, triggers)
-            except StrategyError as exc:
-                logger.error("run %s: %s", run_id, exc)
-                outcomes.append(QuestionOutcome(
-                    question_id=q.id, final=Answer.abstained(q.answer_format),
-                    correct=False, rounds=0, trace_count=0, error=str(exc),
-                ))
-                continue
-            lines = "".join(json.dumps(trace.to_dict(), sort_keys=True,
-                                       separators=(",", ":")) + "\n"
-                            for trace in outcome.traces)
-            if repair is not None:
-                lines, repair = repair_tail(traces_path, repair) + lines, None
-            trace_file.write(lines)
-            trace_file.flush()
-            total_usage = total_usage + outcome.usage()
-            outcomes.append(QuestionOutcome(
-                question_id=q.id, final=outcome.final,
-                correct=(not outcome.final.abstain) and outcome.final == q.gold,
-                rounds=outcome.rounds_executed, trace_count=len(outcome.traces),
-            ))
+            task = (run_strategy, q, cfg, backend, reformulator, triggers)
+            if pool is None:
+                window.append((q, functools.partial(*task)))
+                write_oldest()
+            else:
+                window.append((q, pool.submit(*task).result))
+        while window:
+            write_oldest()
 
     wall = 0.0 if backend.deterministic else round(time.monotonic() - started, 3)
     accuracy = sum(1 for o in outcomes if o.correct) / len(outcomes) if outcomes else 0.0

@@ -410,10 +410,16 @@ class StrategyConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyConfig":
         """Inverse of ``to_dict``; also takes ``canonical_prompt`` as plain
-        text and stop rules by their CLI names. Unknown keys are an error."""
+        text and stop rules by their CLI names. Unknown keys and values of the
+        wrong type are a ``ValueError``."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            types = _CONFIG_VALUE_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"strategy config {name!r} must be "
+                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         kwargs = dict(d)
         kwargs["kind"] = StrategyKind.parse(kwargs["kind"])
         if "stop_rule" in kwargs:
@@ -424,6 +430,19 @@ class StrategyConfig:
         elif isinstance(prompt, str):
             kwargs["canonical_prompt"] = PromptVariant.canonical(prompt)
         return cls(**kwargs)
+
+
+# The JSON types ``StrategyConfig.from_dict`` accepts for each key.
+_CONFIG_VALUE_TYPES = {
+    "kind": (str,),
+    "n_reformulations": (int,),
+    "m_samples": (int,),
+    "max_iterations": (int,),
+    "stop_rule": (str,),
+    "temperature": (int, float),
+    "canonical_prompt": (str, dict),
+    "iteration_guide": (str,),
+}
 
 
 # Sampling-based strategies default to the lower sampling temperature; plain

@@ -31,6 +31,10 @@ BACKEND_LIVE = "live"
 BACKEND_MOCK = "mock"
 BACKEND_REPLAY_HIT = "replay_hit"
 
+# Live calls in flight at once: the limiter's default concurrency, and the
+# number of questions a run keeps going under a non-deterministic backend.
+MAX_IN_FLIGHT = 4
+
 
 class LlmIoError(Exception):
     """Base class for backend failures."""
@@ -134,7 +138,7 @@ class Backend:
 class TokenBucketLimiter:
     """Gates live requests: bounded concurrency plus a requests/minute budget."""
 
-    def __init__(self, max_concurrent: int = 4, requests_per_minute: int = 60,
+    def __init__(self, max_concurrent: int = MAX_IN_FLIGHT, requests_per_minute: int = 60,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
         self._semaphore = threading.Semaphore(max_concurrent)
@@ -274,6 +278,8 @@ class LiveBackend(Backend):
             data = resp.json()
             choices = sorted(data["choices"], key=lambda c: c.get("index", 0))
             texts = tuple(c["message"]["content"] for c in choices)
+            if not all(isinstance(text, str) for text in texts):
+                raise MalformedResponseError("a choice's content is not a string")
             # An absent or null usage reads as zeros; any other non-mapping is malformed.
             usage_data = {} if data.get("usage") is None else data["usage"]
             usage = Usage(int(usage_data.get("prompt_tokens", 0)),
@@ -494,27 +500,59 @@ class RecordingBackend(Backend):
         self.store = store
         self.model = inner.model
         self.deterministic = inner.deterministic
+        self._keys_in_flight = _KeyGuard()
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         singles = _per_sample_requests(req)
         keys = [cache_key(s) for s in singles]
-        if all(key in self.store for key in keys):
-            return _assemble_from_store(self.store, keys)
-        response = self.inner.complete(req)
-        shares = split_usage(response.usage, len(response.texts))
-        for key, single, text, share in zip(keys, singles, response.texts, shares):
-            # Every per-sample request carries the whole prompt.
-            usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
-            self.store.append(
-                {
-                    "key": key,
-                    "request": single.to_dict(),
-                    "texts": [text],
-                    "usage": usage.to_dict(),
-                }
-            )
-        # Return the store's view so record and replay runs emit identical bytes.
-        return _assemble_from_store(self.store, keys, backend_tag=response.backend)
+        # Single flight: a concurrent caller of the same request waits here,
+        # then finds the first caller's records in the store.
+        self._keys_in_flight.acquire(keys)
+        try:
+            if all(key in self.store for key in keys):
+                return _assemble_from_store(self.store, keys)
+            response = self.inner.complete(req)
+            shares = split_usage(response.usage, len(response.texts))
+            for key, single, text, share in zip(keys, singles, response.texts, shares):
+                # Every per-sample request carries the whole prompt.
+                usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
+                self.store.append(
+                    {
+                        "key": key,
+                        "request": single.to_dict(),
+                        "texts": [text],
+                        "usage": usage.to_dict(),
+                    }
+                )
+            # Return the store's view so record and replay runs emit identical bytes.
+            return _assemble_from_store(self.store, keys, backend_tag=response.backend)
+        finally:
+            self._keys_in_flight.release(keys)
+
+
+class _KeyGuard:
+    """Per-key mutual exclusion: ``acquire(keys)`` waits until no other
+    thread holds any of ``keys``, then holds them all until ``release``."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._released = threading.Condition(self._lock)
+        self._held: set = set()
+        self._waiting = 0
+
+    def acquire(self, keys: Sequence[str]):
+        with self._lock:
+            while not self._held.isdisjoint(keys):
+                self._waiting += 1
+                self._released.wait()
+                self._waiting -= 1
+            self._held.update(keys)
+
+    def release(self, keys: Sequence[str]):
+        with self._lock:
+            self._held.difference_update(keys)
+            if self._waiting:  # skip notify_all's own cost when nobody waits
+                self._released.notify_all()
 
 
 def _assemble_from_store(store: ReplayStore, keys: Sequence[str],

@@ -1,6 +1,8 @@
 import json
 import os
 import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -27,7 +29,15 @@ from breadth.bench import (
     run_experiment,
     sweep_grid,
 )
-from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
+from breadth.llmio import (
+    MAX_IN_FLIGHT,
+    Backend,
+    NetworkError,
+    RecordingBackend,
+    ReplayBackend,
+    ReplayStore,
+    ScriptedBackend,
+)
 from breadth.reformulate import QUESTION_INSTRUCTION
 from breadth.strategy import (
     answer_trigger,
@@ -38,7 +48,7 @@ from conftest import mc_question
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
-from fakebackend import FakeBackend  # noqa: E402
+from fakebackend import FakeBackend, FakeParams  # noqa: E402
 
 PROMPT = "Let's think step by step."
 
@@ -414,6 +424,125 @@ def test_replay_run_twice_is_byte_identical(tmp_path):
         ))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+# ---------------------------------------------------------------- fan-out
+
+
+class _SlowBackend(Backend):
+    """Thread-safe and a pure function of the request (the benchmark's fake
+    model), sleeping 3 ms per call. Counts the calls in flight at once, and
+    fails every call whose text contains ``fail_text``."""
+
+    def __init__(self, questions, deterministic, fail_text=None):
+        self.inner = FakeBackend(questions, seed=1, params=FakeParams(base_latency_s=0.003))
+        self.model = self.inner.model
+        self.deterministic = deterministic
+        self.fail_text = fail_text
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def complete(self, req):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if self.fail_text is not None and self.fail_text in req.user_text:
+                raise NetworkError("unreachable")
+            return self.inner.complete(req)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _trace_lines(run_dir):
+    """The run's traces in file order, without their latencies."""
+    traces = [json.loads(line) for line in
+              (run_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
+    for trace in traces:
+        trace.pop("latency_ms")
+    return traces
+
+
+def test_fan_out_matches_the_inline_run(tmp_path):
+    questions = generate_synthetic("coinflip", 12, seed=5)
+    cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=2, m_samples=2)
+    records = {}
+    for deterministic in (True, False):
+        backend = _SlowBackend(questions, deterministic)
+        run_id = "inline" if deterministic else "fan-out"
+        records[run_id] = run_experiment("coinflip", questions, cfg, backend,
+                                         runs_dir=str(tmp_path), run_id=run_id)
+    inline, fan_out = records["inline"], records["fan-out"]
+    assert _trace_lines(tmp_path / "fan-out") == _trace_lines(tmp_path / "inline")
+    assert fan_out.outcomes == inline.outcomes
+    assert [o.question_id for o in fan_out.outcomes] == [q.id for q in questions]
+    assert fan_out.usage == inline.usage
+    assert fan_out.accuracy == inline.accuracy
+    assert fan_out.wall_time_s > 0 and inline.wall_time_s == 0.0
+
+
+def test_fan_out_keeps_at_most_four_calls_in_flight(tmp_path):
+    questions = generate_synthetic("coinflip", 12, seed=6)
+    cfg = default_config(StrategyKind.SC, m_samples=2)
+    inline = _SlowBackend(questions, deterministic=True)
+    run_experiment("coinflip", questions, cfg, inline, runs_dir=str(tmp_path), run_id="a")
+    fan_out = _SlowBackend(questions, deterministic=False)
+    run_experiment("coinflip", questions, cfg, fan_out, runs_dir=str(tmp_path), run_id="b")
+    assert inline.peak == 1
+    assert 2 <= fan_out.peak <= MAX_IN_FLIGHT == 4
+
+
+def test_failed_question_in_the_window_is_recorded_and_the_others_finish(tmp_path):
+    questions = generate_synthetic("coinflip", 8, seed=7)
+    backend = _SlowBackend(questions, deterministic=False, fail_text=questions[2].text)
+    record = run_experiment("coinflip", questions, default_config(StrategyKind.COT),
+                            backend, runs_dir=str(tmp_path), run_id="failure")
+    assert [o.question_id for o in record.outcomes] == [q.id for q in questions]
+    assert [o.question_id for o in record.outcomes if o.error] == [questions[2].id]
+    assert all(o.trace_count == 1 for o in record.outcomes if not o.error)
+    written = [t["question_id"] for t in _trace_lines(tmp_path / "failure")]
+    assert written == [q.id for q in questions if q is not questions[2]]
+
+
+def test_fan_out_resumes_over_a_torn_trace_file(tmp_path):
+    questions = generate_synthetic("coinflip", 10, seed=8)
+    cfg = default_config(StrategyKind.COT)
+    fresh = run_experiment("coinflip", questions, cfg, _SlowBackend(questions, False),
+                           runs_dir=str(tmp_path), run_id="fresh")
+    # A crash left q0-q2, q5 and a torn q6. The resume starts q3 and q4, and
+    # must write both before it takes q5 from the file.
+    done = [questions[i] for i in (0, 1, 2, 5, 6)]
+    run_experiment("coinflip", done, cfg, _SlowBackend(questions, False),
+                   runs_dir=str(tmp_path), run_id="crash")
+    path = tmp_path / "crash" / "traces.jsonl"
+    path.write_bytes(path.read_bytes()[:-40])
+    resumed = run_experiment("coinflip", questions, cfg, _SlowBackend(questions, False),
+                             runs_dir=str(tmp_path), run_id="crash")
+    assert resumed.outcomes == fresh.outcomes
+    assert resumed.usage == fresh.usage
+    written = Counter(t["question_id"] for t in _trace_lines(tmp_path / "crash"))
+    assert written == Counter(q.id for q in questions)
+
+
+def test_fan_out_token_budget_overshoots_by_at_most_the_questions_in_flight(tmp_path):
+    questions = generate_synthetic("coinflip", 16, seed=9)
+    cfg = default_config(StrategyKind.SC, m_samples=2)
+    full = run_experiment("coinflip", questions, cfg, _SlowBackend(questions, False),
+                          runs_dir=str(tmp_path), run_id="full")
+    costs = Counter()
+    for trace in _trace_lines(tmp_path / "full"):
+        costs[trace["question_id"]] += (trace["usage"]["prompt_tokens"]
+                                        + trace["usage"]["completion_tokens"])
+    assert sum(costs.values()) == full.usage.total_tokens
+    budget = full.usage.total_tokens // 4
+    record = run_experiment("coinflip", questions, cfg, _SlowBackend(questions, False),
+                            max_total_tokens=budget, runs_dir=str(tmp_path), run_id="budget")
+    assert record.partial
+    assert len(record.outcomes) < len(questions)
+    in_flight = sum(sorted(costs.values())[-MAX_IN_FLIGHT:])
+    assert budget <= record.usage.total_tokens < budget + in_flight
 
 
 # ---------------------------------------------------------------- pilot

@@ -337,6 +337,15 @@ def test_readme_mock_script_examples_load():
     assert answers == [("reasoning one",), ("reasoning two",)]
 
 
+def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": "sc", "m_samples": "3"}), encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 2
+    assert "'m_samples' must be int" in capsys.readouterr().err
+
+
 def test_readme_config_example_loads(tmp_path, capsys):
     (example,) = [b for b in _readme_blocks("json") if '"kind"' in b]
     config_path = tmp_path / "config.json"

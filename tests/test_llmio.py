@@ -1,16 +1,22 @@
 import json
 import random
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 import breadth.llmio
-from breadth.core import Usage
+from breadth.bench import run_experiment
+from breadth.core import StrategyKind, Usage, default_config
 from breadth.llmio import (
     BACKEND_MOCK,
     BACKEND_REPLAY_HIT,
+    Backend,
     CacheMissError,
     CompletionRequest,
+    CompletionResponse,
     LiveBackend,
     MalformedResponseError,
     NetworkError,
@@ -24,6 +30,7 @@ from breadth.llmio import (
     TokenBucketLimiter,
     cache_key,
 )
+from conftest import mc_question
 
 
 def req(**kwargs) -> CompletionRequest:
@@ -197,6 +204,55 @@ def test_recording_and_replay_compute_each_cache_key_once(tmp_path, monkeypatch)
     assert missed.texts == hit.texts == replayed.texts == ("a", "b", "c")
 
 
+def test_recording_sends_concurrent_equal_requests_once(tmp_path):
+    # Questions with the same text send the same request at the same time;
+    # later callers must wait and read the first caller's records.
+    class Slow(Backend):
+        model = "m"
+
+        def __init__(self):
+            self.calls = 0
+            self._lock = threading.Lock()
+
+        def complete(self, request):
+            with self._lock:
+                self.calls += 1
+                call = self.calls
+            time.sleep(0.02)
+            texts = tuple(f"call {call} sample {i}" for i in range(request.n_samples))
+            return CompletionResponse(texts=texts, usage=Usage(3, 4))
+
+    path = tmp_path / "cache.jsonl"
+    inner = Slow()
+    backend = RecordingBackend(inner, ReplayStore(str(path)))
+    requests = [req(user_text=text, n_samples=2) for text in ("same", "other")]
+    threads_count = 8  # more threads than cores
+    start = threading.Barrier(threads_count)
+    texts = [None] * threads_count
+
+    def ask(i):
+        start.wait(timeout=10)
+        texts[i] = backend.complete(requests[i % 2]).texts
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(threads_count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inner.calls == 2
+    assert len(set(texts[0::2])) == len(set(texts[1::2])) == 1
+    keys = [json.loads(line)["key"] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(keys) == len(set(keys)) == 4  # one record per sample key
+    replay = ReplayBackend(ReplayStore(str(path)), model="m")
+    assert [replay.complete(r).texts for r in requests] == texts[:2]
+
+
 def _cache_line(key: str) -> str:
     return json.dumps({"key": key, "request": {}, "texts": ["t"], "usage": {}})
 
@@ -333,6 +389,7 @@ def test_live_reads_null_usage_as_zero():
     FakeResponse(status_code=200, body=_ok_body(["only one"])),
     FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}),
     FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)),
+    FakeResponse(status_code=200, body=_ok_body(["x", None])),
 ])
 def test_live_never_retries_malformed(response):
     session = FakeSession([response, FakeResponse(body=_ok_body(["x", "y"]))])
@@ -340,6 +397,25 @@ def test_live_never_retries_malformed(response):
     with pytest.raises(MalformedResponseError):
         backend.complete(req(user_text="q", n_samples=2))
     assert len(session.posts) == 1
+
+
+def test_live_null_content_fails_only_its_question(tmp_path):
+    # A choice whose content is null must be a malformed response, which the
+    # run records as that question's failure.
+    class ByText:
+        def post(self, url, json=None, headers=None, timeout=None):
+            user_text = json["messages"][-1]["content"]
+            content = None if user_text.startswith("Probe 0.") else "the answer is (A)"
+            return FakeResponse(body=_ok_body([content] * json["n"]))
+
+    questions = [mc_question(f"q{i}", f"Probe {i}. Answer Choices: (A) x (B) y", "A")
+                 for i in range(2)]
+    backend, _ = _live(ByText())
+    record = run_experiment("toy", questions, default_config(StrategyKind.COT), backend,
+                            runs_dir=str(tmp_path), run_id="null-content")
+    failed, answered = record.outcomes
+    assert failed.question_id == "q0" and "not a string" in failed.error
+    assert answered.error is None and answered.correct and answered.trace_count == 1
 
 
 def test_live_gives_up_after_bounded_attempts():
