@@ -33,7 +33,7 @@ from .core import (
     Usage,
     canonical_answer,
 )
-from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
+from .llmio import MAX_IN_FLIGHT, Backend, canonical_json, read_json_lines, repair_tail
 from .strategy import (
     Reformulator,
     StrategyError,
@@ -448,9 +448,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 correct=False, rounds=0, trace_count=0, error=str(exc),
             ))
             return
-        lines = "".join(json.dumps(trace.to_dict(), sort_keys=True,
-                                   separators=(",", ":")) + "\n"
-                        for trace in outcome.traces)
+        lines = "".join(canonical_json(trace.to_dict()) + "\n" for trace in outcome.traces)
         if repair is not None:
             lines, repair = repair_tail(traces_path, repair) + lines, None
         trace_file.write(lines)

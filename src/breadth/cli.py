@@ -253,8 +253,14 @@ def _cmd_cache(args) -> int:
     if args.verify:
         bad = 0
         for record in records:
-            request = CompletionRequest.from_dict(record["request"])
-            if cache_key(request) != record["key"]:
+            try:
+                request = CompletionRequest.from_dict(record.get("request"))
+            except ValueError as exc:
+                bad += 1
+                print(f"bad request: {record['key']}: {exc}")
+                continue
+            # A stored request is one sample's, so it has exactly one key.
+            if cache_key(request) != (record["key"],):
                 bad += 1
                 print(f"key mismatch: {record['key']}")
         if bad:

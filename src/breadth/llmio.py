@@ -35,6 +35,11 @@ BACKEND_REPLAY_HIT = "replay_hit"
 # number of questions a run keeps going under a non-deterministic backend.
 MAX_IN_FLIGHT = 4
 
+# The one encoding of every cache key, cache record and trace line: sorted
+# keys, no spaces. ``json.dumps`` with these arguments would build a new
+# encoder on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class LlmIoError(Exception):
     """Base class for backend failures."""
@@ -102,7 +107,32 @@ class CompletionRequest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
+        """Inverse of ``to_dict``. Anything but an object with every field,
+        each of its JSON type, is a ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a request must be a JSON object, got {d!r}")
+        if set(d) != set(_REQUEST_VALUE_TYPES):
+            raise ValueError(f"request fields {sorted(d)} are not {sorted(_REQUEST_VALUE_TYPES)}")
+        for name, types in _REQUEST_VALUE_TYPES.items():
+            value = d[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"request field {name!r} must be "
+                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         return cls(**d)
+
+
+# The JSON types ``CompletionRequest.from_dict`` accepts for each field.
+_NULL = type(None)
+_REQUEST_VALUE_TYPES = {
+    "model": (str,),
+    "system_text": (str, _NULL),
+    "user_text": (str,),
+    "temperature": (int, float),
+    "top_k": (int, _NULL),
+    "n_samples": (int,),
+    "max_tokens": (int, _NULL),
+    "sample_batch_id": (int,),
+}
 
 
 @dataclass(frozen=True)
@@ -115,10 +145,25 @@ class CompletionResponse:
         object.__setattr__(self, "texts", tuple(self.texts))
 
 
-def cache_key(req: CompletionRequest) -> str:
-    """256-bit content digest over every request field."""
-    payload = json.dumps(req.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def cache_key(req: CompletionRequest) -> Tuple[str, ...]:
+    """The request's per-sample cache keys, in sample order.
+
+    Sample i's key is the SHA-256 of the canonical JSON of its own request:
+    the request itself when it has one sample, else the request with
+    ``n_samples`` 1 and ``sample_batch_id`` i. So batched and sequential
+    sampling share records. The request is encoded once; the samples'
+    payloads differ only in the batch id.
+    """
+    fields = req.to_dict()
+    if req.n_samples == 1:
+        return (hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest(),)
+    fields["n_samples"] = 1
+    fields["sample_batch_id"] = 0
+    # No JSON string holds this text (its quotes would be escaped), so the
+    # split finds the field itself.
+    head, tail = canonical_json(fields).encode("utf-8").split(b'"sample_batch_id":0,', 1)
+    return tuple(hashlib.sha256(b'%s"sample_batch_id":%d,%s' % (head, i, tail)).hexdigest()
+                 for i in range(req.n_samples))
 
 
 class Backend:
@@ -381,15 +426,18 @@ class ScriptedBackend(Backend):
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_MOCK)
 
 
-def read_json_lines(path: str) -> Tuple[List[dict], Optional[Tuple[int, str]]]:
+def read_json_lines(path: str, string_field: Optional[str] = None,
+                    ) -> Tuple[List[dict], Optional[Tuple[int, str]]]:
     """The records of an append-only JSON-lines file, and the repair its tail
     needs before the next append.
 
     A final line that does not parse (a write cut short by a crash) is
-    dropped; a corrupt line anywhere else is an error. The repair is None
-    for a whole tail, else ``(size, prefix)``: cut the file to ``size`` and
-    write ``prefix`` first, so the next record gets a line of its own.
-    Reading never writes the file.
+    dropped; a corrupt line anywhere else is an error. So is a record that
+    is not a JSON object, or, with ``string_field``, one without a string
+    under that name, wherever it is. The repair is None for a whole tail,
+    else ``(size, prefix)``: cut the file to ``size`` and write ``prefix``
+    first, so the next record gets a line of its own. Reading never writes
+    the file.
     """
     if not os.path.exists(path):
         return [], None
@@ -403,12 +451,17 @@ def read_json_lines(path: str) -> Tuple[List[dict], Optional[Tuple[int, str]]]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except ValueError:
             if i < len(lines) - 1:
                 raise ValueError(f"{path}: corrupt record at line {i + 1}")
             logger.warning("dropping corrupt trailing line in %s", path)
             return records, (len(data) - len(line.encode("utf-8")) - data.endswith(b"\n"), "")
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: record at line {i + 1} is not a JSON object")
+        if string_field is not None and not isinstance(record.get(string_field), str):
+            raise ValueError(f"{path}: record at line {i + 1} has no string {string_field!r}")
+        records.append(record)
     if data and not data.endswith(b"\n"):
         return records, (len(data), "\n")
     return records, None
@@ -433,7 +486,7 @@ class ReplayStore:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        records, self._repair = read_json_lines(path)
+        records, self._repair = read_json_lines(path, string_field="key")
         self._records = {record["key"]: record for record in records}
 
     def __len__(self) -> int:
@@ -449,7 +502,7 @@ class ReplayStore:
         return list(self._records.values())
 
     def append(self, record: dict):
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        line = canonical_json(record) + "\n"
         with self._lock:
             self._records[record["key"]] = record
             if self._repair is not None:
@@ -460,6 +513,8 @@ class ReplayStore:
 
 
 def _per_sample_requests(req: CompletionRequest) -> List[CompletionRequest]:
+    """The single-sample requests that sequential sampling sends, and that
+    :func:`cache_key` digests."""
     if req.n_samples == 1:
         return [req]
     return [replace(req, n_samples=1, sample_batch_id=i) for i in range(req.n_samples)]
@@ -484,8 +539,7 @@ class ReplayBackend(Backend):
         self.model = model
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        keys = [cache_key(s) for s in _per_sample_requests(req)]
-        return _assemble_from_store(self.store, keys)
+        return _assemble_from_store(self.store, cache_key(req))
 
 
 class RecordingBackend(Backend):
@@ -503,8 +557,7 @@ class RecordingBackend(Backend):
         self._keys_in_flight = _KeyGuard()
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        singles = _per_sample_requests(req)
-        keys = [cache_key(s) for s in singles]
+        keys = cache_key(req)
         # Single flight: a concurrent caller of the same request waits here,
         # then finds the first caller's records in the store.
         self._keys_in_flight.acquire(keys)
@@ -513,13 +566,16 @@ class RecordingBackend(Backend):
                 return _assemble_from_store(self.store, keys)
             response = self.inner.complete(req)
             shares = split_usage(response.usage, len(response.texts))
-            for key, single, text, share in zip(keys, singles, response.texts, shares):
+            request = req.to_dict()
+            for i, (key, text, share) in enumerate(zip(keys, response.texts, shares)):
+                if req.n_samples > 1:  # the sample's own request, as cache_key digests it
+                    request = {**request, "n_samples": 1, "sample_batch_id": i}
                 # Every per-sample request carries the whole prompt.
                 usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
                 self.store.append(
                     {
                         "key": key,
-                        "request": single.to_dict(),
+                        "request": request,
                         "texts": [text],
                         "usage": usage.to_dict(),
                     }

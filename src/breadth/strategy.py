@@ -279,9 +279,9 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
 
 
 def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
-    """Aggregate by path indices, not arrival order, so concurrent completion
-    never changes the result."""
-    ordered = sorted(traces, key=lambda t: (t.round, t.reformulation_index, t.sample_index))
+    """Aggregate one question's traces in path-key order, not arrival order,
+    so concurrent completion never changes the result."""
+    ordered = sorted(traces, key=ReasoningTrace.path_key)
     return majority_vote([t.parsed for t in ordered])
 
 

@@ -267,6 +267,40 @@ def test_cache_subcommand_counts_and_verifies(tmp_path, capsys):
     assert main(["cache", "--file", cache_path, "--verify"]) == 2
 
 
+@pytest.mark.parametrize("request_fields", [
+    {"model": "m", "user_text": "q", "bogus": 1},
+    {"model": "m"},
+    "not a request",
+])
+def test_cache_verify_counts_a_request_that_does_not_parse(tmp_path, capsys, request_fields):
+    cache_path = tmp_path / "cache.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["resp1", "resp2"]}), ReplayStore(str(cache_path))
+                     ).complete(CompletionRequest(model="m", user_text="q", n_samples=2))
+    with open(cache_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": "k3", "request": request_fields,
+                             "texts": ["t"], "usage": {}}) + "\n")
+    assert main(["cache", "--file", str(cache_path), "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert "bad request: k3" in captured.out
+    assert "error: 1 corrupt cache records" in captured.err
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1,2]", "is not a JSON object"),
+    ('{"request": {}, "texts": ["t"], "usage": {}}', "has no string 'key'"),
+])
+def test_cache_and_replay_reject_a_record_without_a_key(tmp_path, capsys, line, reason):
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text(line + "\n" + json.dumps({"key": "k", "texts": ["t"]}) + "\n",
+                          encoding="utf-8")
+    expected = f"error: {cache_path}: record at line 1 {reason}"
+    assert main(["cache", "--file", str(cache_path)]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--replay", str(cache_path), "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.strip() == expected
+
+
 def test_replay_flag_round_trip(tmp_path, capsys):
     # Seeded generator questions are reproducible, so a cache recorded through
     # the library replays through the CLI over the same dataset slice.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -28,6 +29,7 @@ from breadth.llmio import (
     ScriptExhaustedError,
     ScriptedBackend,
     TokenBucketLimiter,
+    _per_sample_requests,
     cache_key,
 )
 from conftest import mc_question
@@ -104,7 +106,7 @@ def test_scripted_records_calls():
 
 def test_cache_key_changes_with_any_field():
     rng = random.Random(3)
-    base = req(system_text="sys", top_k=10, n_samples=2, max_tokens=64)
+    base = req(system_text="sys", top_k=10, max_tokens=64)
     perturbations = {
         "model": lambda r: replace(r, model=r.model + "x"),
         "system_text": lambda r: replace(r, system_text="other"),
@@ -118,8 +120,43 @@ def test_cache_key_changes_with_any_field():
     for _ in range(100):
         field = rng.choice(list(perturbations))
         mutated = perturbations[field](base)
+        # More samples keep sample 0's key (its request is base itself) and
+        # add keys; any other change moves the one key.
         assert cache_key(mutated) != cache_key(base), field
     assert cache_key(base) == cache_key(replace(base))
+    assert len(cache_key(base)) == 1
+
+
+_ADVERSARIAL_TEXT = ['', 'plain', 'say "hi"', 'back\\slash\\', 'caf\u00e9 \u2713 \U0001f600',
+                     '"sample_batch_id":0,', '{"sample_batch_id":0,"n_samples":1}', 'line\nbreak']
+
+
+def _random_request(rng: random.Random) -> CompletionRequest:
+    def text():
+        return "".join(rng.choice(_ADVERSARIAL_TEXT) for _ in range(rng.randint(0, 3)))
+
+    return CompletionRequest(
+        model=text() or "m",
+        user_text=text(),
+        system_text=rng.choice([None, text()]),
+        temperature=rng.choice([0, 1, 2, 0.0, 0.7, 1.0, rng.random() * 2]),
+        top_k=rng.choice([None, 0, rng.randint(1, 100)]),
+        n_samples=rng.choice([1, 1, 2, 3, 10, 11]),
+        max_tokens=rng.choice([None, rng.randint(1, 4096)]),
+        sample_batch_id=rng.randint(0, 12),
+    )
+
+
+def test_cache_key_is_the_digest_of_each_samples_own_request():
+    # The reference: every sample's request built and encoded on its own.
+    rng = random.Random(11)
+    for _ in range(2000):
+        request = _random_request(rng)
+        expected = tuple(
+            hashlib.sha256(json.dumps(s.to_dict(), sort_keys=True, separators=(",", ":"))
+                           .encode("utf-8")).hexdigest()
+            for s in _per_sample_requests(request))
+        assert cache_key(request) == expected, request
 
 
 # ---------------------------------------------------------------- replay
@@ -182,11 +219,11 @@ def test_recording_splits_completion_tokens_evenly(tmp_path):
     assert recorded.usage == Usage(5, 7)
 
 
-def test_recording_and_replay_compute_each_cache_key_once(tmp_path, monkeypatch):
+def test_recording_and_replay_call_cache_key_once_per_request(tmp_path, monkeypatch):
     calls = []
 
     def counting_cache_key(request):
-        calls.append(request.sample_batch_id)
+        calls.append(request)
         return cache_key(request)
 
     monkeypatch.setattr(breadth.llmio, "cache_key", counting_cache_key)
@@ -194,14 +231,26 @@ def test_recording_and_replay_compute_each_cache_key_once(tmp_path, monkeypatch)
     backend = RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"]}), store)
     three = req(user_text="q", n_samples=3)
     missed = backend.complete(three)
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [three]  # on a miss
     calls.clear()
     hit = backend.complete(three)
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [three]  # on a hit
     calls.clear()
     replayed = ReplayBackend(store, model="m").complete(three)
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [three]
     assert missed.texts == hit.texts == replayed.texts == ("a", "b", "c")
+
+
+def test_recorded_records_hold_each_samples_own_request(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    three = req(user_text="q", n_samples=3, sample_batch_id=7)
+    RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"]}),
+                     ReplayStore(str(path))).complete(three)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    singles = _per_sample_requests(three)
+    assert [r["request"] for r in records] == [s.to_dict() for s in singles]
+    assert [r["key"] for r in records] == list(cache_key(three))
+    assert all((r["key"],) == cache_key(s) for r, s in zip(records, singles))
 
 
 def test_recording_sends_concurrent_equal_requests_once(tmp_path):
@@ -292,6 +341,45 @@ def test_store_tolerates_corrupt_trailing_line_only(tmp_path):
     bad.write_text("{broken\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ReplayStore(str(bad))
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1,2]", "is not a JSON object"),
+    ('"k1"', "is not a JSON object"),
+    ('{"request": {}, "texts": ["t"]}', "has no string 'key'"),
+    ('{"key": 5, "texts": ["t"]}', "has no string 'key'"),
+])
+def test_store_rejects_a_record_without_a_string_key(tmp_path, line, reason):
+    # Wherever it is, even last: a line that parses was not torn.
+    for lines in ([line, _cache_line("k1")], [_cache_line("k1"), line]):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            ReplayStore(str(path))
+        lineno = lines.index(line) + 1
+        assert str(caught.value) == f"{path}: record at line {lineno} {reason}"
+
+
+@pytest.mark.parametrize("fields", [
+    {"model": "m", "user_text": "q", "bogus": 1},
+    {"model": "m", "user_text": "q"},
+    {**req().to_dict(), "n_samples": "3"},
+    {**req().to_dict(), "user_text": 5},
+    {**req().to_dict(), "temperature": True},
+    {**req().to_dict(), "n_samples": 0},
+    ["m", "q"],
+    None,
+])
+def test_request_from_dict_rejects_what_to_dict_never_writes(fields):
+    with pytest.raises(ValueError):
+        CompletionRequest.from_dict(fields)
+
+
+def test_request_from_dict_inverts_to_dict():
+    rng = random.Random(5)
+    for _ in range(200):
+        request = _random_request(rng)
+        assert CompletionRequest.from_dict(request.to_dict()) == request
 
 
 # ---------------------------------------------------------------- live HTTP
