@@ -35,6 +35,7 @@ from .llmio import (
     ScriptedBackend,
     cache_key,
     CompletionRequest,
+    read_json_lines,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 from .strategy import plan_paths
@@ -247,12 +248,13 @@ def _cmd_pilot_subset(args) -> int:
 def _cmd_cache(args) -> int:
     if not os.path.exists(args.file):
         raise RuntimeError(f"no cache file at {args.file}")
-    store = ReplayStore(args.file)
-    records = list(store.records())
-    print(f"{len(records)} recorded responses in {args.file}")
+    # The full records, the last one for each key: the ones replay serves.
+    records, _ = read_json_lines(args.file, "key")
+    last = {record["key"]: record for record in records}
+    print(f"{len(last)} recorded responses in {args.file}")
     if args.verify:
         bad = 0
-        for record in records:
+        for record in last.values():
             try:
                 request = CompletionRequest.from_dict(record.get("request"))
             except ValueError as exc:

@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import requests
 
@@ -394,9 +394,6 @@ class ScriptedBackend(Backend):
         self.rules.append(ScriptRule(pattern, list(responses), exact=exact))
         return self
 
-    def add_exact(self, pattern: str, responses) -> "ScriptedBackend":
-        return self.add_rule(pattern, responses, exact=True)
-
     def _match(self, text: str) -> ScriptRule:
         exact = [r for r in self.rules if r.exact and r.pattern == text]
         if exact:
@@ -427,43 +424,44 @@ class ScriptedBackend(Backend):
 
 
 def read_json_lines(path: str, string_field: Optional[str] = None,
-                    ) -> Tuple[List[dict], Optional[Tuple[int, str]]]:
+                    keep: Optional[Callable[[dict], Any]] = None,
+                    ) -> Tuple[list, Optional[Tuple[int, str]]]:
     """The records of an append-only JSON-lines file, and the repair its tail
     needs before the next append.
 
-    A final line that does not parse (a write cut short by a crash) is
-    dropped; a corrupt line anywhere else is an error. So is a record that
-    is not a JSON object, or, with ``string_field``, one without a string
-    under that name, wherever it is. The repair is None for a whole tail,
-    else ``(size, prefix)``: cut the file to ``size`` and write ``prefix``
+    The file is read one line at a time, so it is never held whole; with
+    ``keep``, the list holds ``keep(record)`` in place of each record, and
+    the records themselves are not kept. Only ``"\\n"`` ends a line. A final
+    line that does not parse (a write cut short by a crash) is dropped; a
+    corrupt line anywhere else is an error. So is a record that is not a
+    JSON object, or, with ``string_field``, one without a string under that
+    name, wherever it is. The repair is None for a whole tail, else
+    ``(size, prefix)``: cut the file to ``size`` bytes and write ``prefix``
     first, so the next record gets a line of its own. Reading never writes
     the file.
     """
     if not os.path.exists(path):
         return [], None
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = data.decode("utf-8").split("\n")
-    if not lines[-1]:
-        lines.pop()
     records = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            if i < len(lines) - 1:
-                raise ValueError(f"{path}: corrupt record at line {i + 1}")
-            logger.warning("dropping corrupt trailing line in %s", path)
-            return records, (len(data) - len(line.encode("utf-8")) - data.endswith(b"\n"), "")
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}: record at line {i + 1} is not a JSON object")
-        if string_field is not None and not isinstance(record.get(string_field), str):
-            raise ValueError(f"{path}: record at line {i + 1} has no string {string_field!r}")
-        records.append(record)
-    if data and not data.endswith(b"\n"):
-        return records, (len(data), "\n")
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        line = ""
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                if fh.readline():
+                    raise ValueError(f"{path}: corrupt record at line {lineno}")
+                logger.warning("dropping corrupt trailing line in %s", path)
+                return records, (fh.buffer.tell() - len(line.encode("utf-8")), "")
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: record at line {lineno} is not a JSON object")
+            if string_field is not None and not isinstance(record.get(string_field), str):
+                raise ValueError(f"{path}: record at line {lineno} has no string {string_field!r}")
+            records.append(record if keep is None else keep(record))
+        if line and not line.endswith("\n"):
+            return records, (fh.buffer.tell(), "\n")
     return records, None
 
 
@@ -475,41 +473,73 @@ def repair_tail(path: str, repair: Tuple[int, str]) -> str:
     return prefix
 
 
+def _replay_entry(record: dict) -> tuple:
+    """What the store keeps of a record: its key, and the ``texts`` and
+    ``usage`` that replay serves, as parsed."""
+    return record["key"], (record.get("texts"), record.get("usage", {}))
+
+
 class ReplayStore:
     """Append-only JSON-lines store of per-sample responses keyed by digest.
 
-    Readers share the in-memory index; appends are serialized. The file's
-    tail is read and repaired by :func:`read_json_lines` and
-    :func:`repair_tail`, so a record appended after a crash is never lost.
+    In memory it keeps, per key, only the record's ``texts`` and ``usage``,
+    as parsed: never the ``request`` (``breadth cache`` reads full records
+    from the file itself). Opening streams the file through
+    :func:`read_json_lines`, the last record for a key wins, and a record
+    whose ``texts`` or ``usage`` cannot be used fails when it is served.
+    Readers share the index; appends are serialized. A torn tail is
+    repaired by the first append (:func:`repair_tail`), so a record
+    appended after a crash is never lost.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        records, self._repair = read_json_lines(path, string_field="key")
-        self._records = {record["key"]: record for record in records}
+        entries, self._repair = read_json_lines(path, "key", keep=_replay_entry)
+        self._entries = dict(entries)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def get(self, key: str) -> Optional[dict]:
-        return self._records.get(key)
-
-    def records(self) -> Iterable[dict]:
-        return list(self._records.values())
+        return key in self._entries
 
     def append(self, record: dict):
         line = canonical_json(record) + "\n"
+        key, entry = _replay_entry(record)
         with self._lock:
-            self._records[record["key"]] = record
             if self._repair is not None:
-                line, self._repair = repair_tail(self.path, self._repair) + line, None
+                line = repair_tail(self.path, self._repair) + line
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line)
                 fh.flush()
+            # Only a written line changes what the store serves or repairs.
+            self._repair = None
+            self._entries[key] = entry
+
+    def response(self, keys: Sequence[str],
+                 backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
+        """One response from the per-sample entries under ``keys``, in order."""
+        texts: List[str] = []
+        prompt_tokens = 0
+        completion_tokens = 0
+        for i, key in enumerate(keys):
+            entry = self._entries.get(key)
+            if entry is None:
+                raise CacheMissError(f"no recorded response for key {key}")
+            sample_texts, usage = entry
+            if sample_texts is None:
+                raise KeyError("texts")
+            texts.extend(sample_texts)
+            usage = Usage.from_dict(usage)
+            if i == 0:
+                prompt_tokens = usage.prompt_tokens
+            completion_tokens += usage.completion_tokens
+        return CompletionResponse(
+            texts=tuple(texts),
+            usage=Usage(prompt_tokens, completion_tokens),
+            backend=backend_tag,
+        )
 
 
 def _per_sample_requests(req: CompletionRequest) -> List[CompletionRequest]:
@@ -539,7 +569,7 @@ class ReplayBackend(Backend):
         self.model = model
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        return _assemble_from_store(self.store, cache_key(req))
+        return self.store.response(cache_key(req))
 
 
 class RecordingBackend(Backend):
@@ -563,7 +593,7 @@ class RecordingBackend(Backend):
         self._keys_in_flight.acquire(keys)
         try:
             if all(key in self.store for key in keys):
-                return _assemble_from_store(self.store, keys)
+                return self.store.response(keys)
             response = self.inner.complete(req)
             shares = split_usage(response.usage, len(response.texts))
             request = req.to_dict()
@@ -581,7 +611,7 @@ class RecordingBackend(Backend):
                     }
                 )
             # Return the store's view so record and replay runs emit identical bytes.
-            return _assemble_from_store(self.store, keys, backend_tag=response.backend)
+            return self.store.response(keys, backend_tag=response.backend)
         finally:
             self._keys_in_flight.release(keys)
 
@@ -609,26 +639,3 @@ class _KeyGuard:
             self._held.difference_update(keys)
             if self._waiting:  # skip notify_all's own cost when nobody waits
                 self._released.notify_all()
-
-
-def _assemble_from_store(store: ReplayStore, keys: Sequence[str],
-                         backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
-    """One response from the per-sample records under ``keys``, in order."""
-    texts: List[str] = []
-    prompt_tokens = 0
-    completion_tokens = 0
-    for i, key in enumerate(keys):
-        record = store.get(key)
-        if record is None:
-            raise CacheMissError(f"no recorded response for key {key}")
-        texts.extend(record["texts"])
-        usage = Usage.from_dict(record.get("usage", {}))
-        if i == 0:
-            prompt_tokens = usage.prompt_tokens
-        completion_tokens += usage.completion_tokens
-    return CompletionResponse(
-        texts=tuple(texts),
-        usage=Usage(prompt_tokens, completion_tokens),
-        backend=backend_tag,
-    )
-

@@ -130,14 +130,15 @@ def test_criterion_05_assembly_and_discard_rule():
     rounds = [("R1SENTINEL", "P1SENTINEL the answer is (A)"),
               ("R2SENTINEL", "P2SENTINEL the answer is (B)"),
               ("R3SENTINEL", "P3SENTINEL the answer is (A)")]
-    backend.add_exact(assemble_reasoning_input(q.text, PROMPT), [rounds[0][0]])
+    backend.add_rule(assemble_reasoning_input(q.text, PROMPT), [rounds[0][0]], exact=True)
     for (reasoning, prediction), nxt in zip(rounds, rounds[1:] + [None]):
-        backend.add_exact(
-            assemble_prediction_input(q.text, PROMPT, reasoning, trigger), [prediction])
+        backend.add_rule(
+            assemble_prediction_input(q.text, PROMPT, reasoning, trigger), [prediction],
+            exact=True)
         if nxt:
-            backend.add_exact(
+            backend.add_rule(
                 assemble_iteration_input(q.text, PROMPT, reasoning, prediction, PROMPT),
-                [nxt[0]])
+                [nxt[0]], exact=True)
     run_strategy(q, cfg, backend)
     prediction_inputs = [c.user_text for c in backend.calls
                          if c.user_text.endswith(trigger)]
@@ -162,10 +163,11 @@ def test_criterion_06_scripted_demos():
     r2 = ("The diagonal sqrt(250) is approximately 15.8114 and equals the "
           "sphere's diameter; closest is (B) 15.8113.")
     p2 = "Therefore, among A through E, the answer is (B) 15.8113."
-    backend.add_exact(assemble_reasoning_input(sphere.text, PROMPT), [r1])
-    backend.add_exact(assemble_prediction_input(sphere.text, PROMPT, r1, trigger), [p1])
-    backend.add_exact(assemble_iteration_input(sphere.text, PROMPT, r1, p1, PROMPT), [r2])
-    backend.add_exact(assemble_prediction_input(sphere.text, PROMPT, r2, trigger), [p2])
+    backend.add_rule(assemble_reasoning_input(sphere.text, PROMPT), [r1], exact=True)
+    backend.add_rule(assemble_prediction_input(sphere.text, PROMPT, r1, trigger), [p1], exact=True)
+    backend.add_rule(assemble_iteration_input(sphere.text, PROMPT, r1, p1, PROMPT), [r2],
+                     exact=True)
+    backend.add_rule(assemble_prediction_input(sphere.text, PROMPT, r2, trigger), [p2], exact=True)
     depth = run_strategy(sphere, cfg, backend)
     depth_ok = (depth.rounds_executed == 2 and depth.final.value == "B"
                 and depth.traces[0].parsed.value == "E")
@@ -184,15 +186,15 @@ def test_criterion_06_scripted_demos():
              "Therefore, among A through E, the answer is (A) 15.",
              "Therefore, the correct answer is (A) 15."]
     breadth_backend = ScriptedBackend()
-    breadth_backend.add_exact(assemble_reasoning_input(toy.text, prompts[0]),
-                              ["T1", "T2"])
-    breadth_backend.add_exact(assemble_reasoning_input(toy.text, prompts[1]),
-                              ["T3", "T4"])
+    breadth_backend.add_rule(assemble_reasoning_input(toy.text, prompts[0]),
+                             ["T1", "T2"], exact=True)
+    breadth_backend.add_rule(assemble_reasoning_input(toy.text, prompts[1]),
+                             ["T3", "T4"], exact=True)
     for i, reasoning in enumerate(["T1", "T2", "T3", "T4"]):
         prompt = prompts[0] if i < 2 else prompts[1]
-        breadth_backend.add_exact(
+        breadth_backend.add_rule(
             assemble_prediction_input(toy.text, prompt, reasoning, trigger),
-            [votes[i]])
+            [votes[i]], exact=True)
     breadth = run_breadth(toy, bcfg, breadth_backend, reformulator=reformulator)
     counts = {a.value: c for a, c in breadth.vote.counts}
     breadth_ok = ([t.parsed.value for t in breadth.traces] == ["C", "A", "A", "A"]
@@ -248,9 +250,9 @@ def test_criterion_08_replay_determinism(tmp_path):
     live = ScriptedBackend()
     for q in questions:
         reasoning = f"thinking about {q.id}"
-        live.add_exact(assemble_reasoning_input(q.text, PROMPT), [reasoning])
-        live.add_exact(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                       [f"the answer is {q.gold.value}"])
+        live.add_rule(assemble_reasoning_input(q.text, PROMPT), [reasoning], exact=True)
+        live.add_rule(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
+                      [f"the answer is {q.gold.value}"], exact=True)
     cache = str(tmp_path / "cache.jsonl")
     run_experiment("coinflip", questions, cfg,
                    RecordingBackend(live, ReplayStore(cache)),
@@ -347,11 +349,11 @@ def test_criterion_10_pilot_plateau(tmp_path):
         for q in questions:
             plan = answer_plan[q.id]
             reasonings = [f"path {j} for {q.id}" for j in range(m)]
-            backend.add_exact(assemble_reasoning_input(q.text, PROMPT), reasonings)
+            backend.add_rule(assemble_reasoning_input(q.text, PROMPT), reasonings, exact=True)
             for j, reasoning in enumerate(reasonings):
-                backend.add_exact(
+                backend.add_rule(
                     assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                    [f"the answer is ({plan(j)})"])
+                    [f"the answer is ({plan(j)})"], exact=True)
         record = run_experiment(
             "pilot", questions, default_config(StrategyKind.SC, m_samples=m),
             backend, runs_dir=str(tmp_path), run_id=f"sc-m{m}")

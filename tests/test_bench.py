@@ -248,10 +248,10 @@ def _scripted_for(questions, answers):
     trigger = answer_trigger(AnswerFormat.MULTIPLE_CHOICE)
     for q, label in zip(questions, answers):
         reasoning = f"reasoning for {q.id}"
-        backend.add_exact(assemble_reasoning_input(q.text, PROMPT), [reasoning])
-        backend.add_exact(
+        backend.add_rule(assemble_reasoning_input(q.text, PROMPT), [reasoning], exact=True)
+        backend.add_rule(
             assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-            [f"the answer is ({label})"])
+            [f"the answer is ({label})"], exact=True)
     return backend
 
 
@@ -403,9 +403,9 @@ def test_replay_run_twice_is_byte_identical(tmp_path):
     live = ScriptedBackend()
     for q in questions:
         reasoning = f"thinking about {q.id}"
-        live.add_exact(assemble_reasoning_input(q.text, PROMPT), [reasoning])
-        live.add_exact(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                       [f"the answer is {q.gold.value}"])
+        live.add_rule(assemble_reasoning_input(q.text, PROMPT), [reasoning], exact=True)
+        live.add_rule(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
+                      [f"the answer is {q.gold.value}"], exact=True)
     cache = str(tmp_path / "cache.jsonl")
     recorder = RecordingBackend(live, ReplayStore(cache))
     run_experiment("coinflip", questions, cfg, recorder,
@@ -591,11 +591,11 @@ def _sc_backend_for_plateau(questions, answer_plan, m):
     for q in questions:
         plan = answer_plan[q.id]
         reasonings = [f"path {j} for {q.id}" for j in range(m)]
-        backend.add_exact(assemble_reasoning_input(q.text, PROMPT), reasonings)
+        backend.add_rule(assemble_reasoning_input(q.text, PROMPT), reasonings, exact=True)
         for j, reasoning in enumerate(reasonings):
-            backend.add_exact(
+            backend.add_rule(
                 assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                [f"the answer is ({plan(j)})"])
+                [f"the answer is ({plan(j)})"], exact=True)
     return backend
 
 

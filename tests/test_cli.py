@@ -222,10 +222,10 @@ def test_report_and_pilot_subset_subcommands(tmp_path, capsys):
         backend = ScriptedBackend()
         for q, label in zip(questions, labels):
             reasoning = f"r-{q.id}"
-            backend.add_exact(assemble_reasoning_input(q.text, PROMPT), [reasoning])
-            backend.add_exact(
+            backend.add_rule(assemble_reasoning_input(q.text, PROMPT), [reasoning], exact=True)
+            backend.add_rule(
                 assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                [f"the answer is ({label})"])
+                [f"the answer is ({label})"], exact=True)
         return backend
 
     runs = tmp_path / "runs"
@@ -259,12 +259,38 @@ def test_cache_subcommand_counts_and_verifies(tmp_path, capsys):
     assert "all keys verified" in out
 
     # corrupt a record's key: verify must fail with a runtime error
-    lines = open(cache_path).read().splitlines()
+    with open(cache_path) as fh:
+        lines = fh.read().splitlines()
     record = json.loads(lines[0])
     record["key"] = "0" * 64
     with open(cache_path, "w") as fh:
         fh.write(json.dumps(record) + "\n" + lines[1] + "\n")
     assert main(["cache", "--file", cache_path, "--verify"]) == 2
+
+
+def test_cache_counts_and_verifies_the_last_record_of_a_duplicate_key(tmp_path, capsys):
+    cache_path = tmp_path / "cache.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["resp1", "resp2"]}), ReplayStore(str(cache_path))
+                     ).complete(CompletionRequest(model="m", user_text="q", n_samples=2))
+    good = cache_path.read_text(encoding="utf-8")
+    first = json.loads(good.splitlines()[0])
+    stale = {**first, "request": {**first["request"], "user_text": "other"}}
+
+    # A bad record replaced by a later good one under the same key verifies.
+    cache_path.write_text(json.dumps(stale) + "\n" + good, encoding="utf-8")
+    assert main(["cache", "--file", str(cache_path), "--verify"]) == 0
+    assert capsys.readouterr().out == (f"2 recorded responses in {cache_path}\n"
+                                       "all keys verified\n")
+
+    # A good record replaced by a later bad one does not.
+    cache_path.write_text(good + json.dumps(stale) + "\n", encoding="utf-8")
+    assert main(["cache", "--file", str(cache_path)]) == 0
+    assert capsys.readouterr().out == f"2 recorded responses in {cache_path}\n"
+    assert main(["cache", "--file", str(cache_path), "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (f"2 recorded responses in {cache_path}\n"
+                            f"key mismatch: {first['key']}\n")
+    assert captured.err == "error: 1 corrupt cache records\n"
 
 
 @pytest.mark.parametrize("request_fields", [
@@ -311,9 +337,9 @@ def test_replay_flag_round_trip(tmp_path, capsys):
     live = ScriptedBackend()
     for q in questions:
         reasoning = f"r-{q.id}"
-        live.add_exact(assemble_reasoning_input(q.text, PROMPT), [reasoning])
-        live.add_exact(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
-                       [f"the answer is {q.gold.value}"])
+        live.add_rule(assemble_reasoning_input(q.text, PROMPT), [reasoning], exact=True)
+        live.add_rule(assemble_prediction_input(q.text, PROMPT, reasoning, trigger),
+                      [f"the answer is {q.gold.value}"], exact=True)
     cache = str(tmp_path / "cache.jsonl")
     run_experiment("coinflip", questions, default_config(StrategyKind.COT),
                    RecordingBackend(live, ReplayStore(cache)),
@@ -337,7 +363,9 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 def _readme_blocks(language):
     """The fenced blocks of README.md tagged with ``language``."""
     blocks, current = [], None
-    for line in open(README, encoding="utf-8"):
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for line in lines:
         if line.startswith("```"):
             if current is None:
                 current = [line[3:].strip()]

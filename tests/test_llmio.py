@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -31,6 +33,7 @@ from breadth.llmio import (
     TokenBucketLimiter,
     _per_sample_requests,
     cache_key,
+    read_json_lines,
 )
 from conftest import mc_question
 
@@ -63,7 +66,7 @@ def test_scripted_no_match():
 def test_exact_rule_shadows_substring():
     backend = ScriptedBackend()
     backend.add_rule("abc", ["substring answer"])
-    backend.add_exact("abc", ["exact answer"])
+    backend.add_rule("abc", ["exact answer"], exact=True)
     assert backend.complete(req(user_text="abc")).texts == ("exact answer",)
     # the same rules as a --mock-script rule list
     listed = ScriptedBackend([
@@ -214,7 +217,8 @@ def test_recording_splits_completion_tokens_evenly(tmp_path):
     inner = SevenTokens({"q": ["a much longer first sample", "b", "c"]})
     recorded = RecordingBackend(inner, ReplayStore(path)).complete(
         req(user_text="q", n_samples=3))
-    records = [json.loads(line) for line in open(path, encoding="utf-8")]
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
     assert [r["usage"]["completion_tokens"] for r in records] == [3, 2, 2]
     assert recorded.usage == Usage(5, 7)
 
@@ -315,7 +319,8 @@ def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
     assert path.read_text(encoding="utf-8") == torn  # loading never writes
     store.append(json.loads(_cache_line("k4")))
     store = ReplayStore(str(path))
-    assert {"k1", "k2", "k4"} <= set(r["key"] for r in store.records())
+    records, _ = read_json_lines(str(path))
+    assert {"k1", "k2", "k4"} <= set(r["key"] for r in records)
     store.append(json.loads(_cache_line("k5")))
     assert len(ReplayStore(str(path))) == 4
 
@@ -358,6 +363,139 @@ def test_store_rejects_a_record_without_a_string_key(tmp_path, line, reason):
             ReplayStore(str(path))
         lineno = lines.index(line) + 1
         assert str(caught.value) == f"{path}: record at line {lineno} {reason}"
+
+
+def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
+    # An intact last record without its newline: the next written line must
+    # still start with the newline, and an unwritten record must not be served.
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line("k1") + "\n" + _cache_line("k2"), encoding="utf-8")
+    store = ReplayStore(str(path))
+
+    def no_disk(*args, **kwargs):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(breadth.llmio, "open", no_disk, raising=False)
+    with pytest.raises(OSError):
+        store.append(json.loads(_cache_line("k3")))
+    monkeypatch.undo()
+    assert "k3" not in store and len(store) == 2
+    store.append(json.loads(_cache_line("k4")))
+    reloaded = ReplayStore(str(path))
+    assert len(reloaded) == 3 and "k4" in reloaded and "k3" not in reloaded
+    assert path.read_text(encoding="utf-8").count("\n") == 3
+
+
+def _split_read_json_lines(path, string_field=None):
+    """The loader as it was before it streamed: the whole file read, decoded
+    and split at once. The reference for the streaming loader."""
+    if not os.path.exists(path):
+        return [], None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    records = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            if i < len(lines) - 1:
+                raise ValueError(f"{path}: corrupt record at line {i + 1}")
+            return records, (len(data) - len(line.encode("utf-8")) - data.endswith(b"\n"), "")
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: record at line {i + 1} is not a JSON object")
+        if string_field is not None and not isinstance(record.get(string_field), str):
+            raise ValueError(f"{path}: record at line {i + 1} has no string {string_field!r}")
+        records.append(record)
+    if data and not data.endswith(b"\n"):
+        return records, (len(data), "\n")
+    return records, None
+
+
+def _random_lines_file(rng: random.Random) -> str:
+    def record():
+        text = "".join(rng.choice("ab é \"\\") for _ in range(rng.randrange(6)))
+        return json.dumps({"key": f"k{rng.randrange(5)}", "texts": [text]},
+                          ensure_ascii=rng.random() < 0.5)
+
+    kinds = [
+        record, record, record,
+        lambda: "",
+        lambda: rng.choice([" ", "\t", "  \r", "\r"]),
+        lambda: record() + "\r",  # one line of a CRLF file
+        lambda: '{"key":\r"ké"}',  # a lone \r is whitespace, not a break
+        lambda: "{broken",
+        lambda: record()[:rng.randrange(1, 12)],
+        lambda: rng.choice(["[1,2]", '"k1"', "5", "null"]),
+        lambda: rng.choice(['{"texts": ["t"]}', '{"key": 5}', '{"key": null}']),
+    ]
+    lines = [rng.choice(kinds)() for _ in range(rng.randrange(6))]
+    ending = rng.choice(["", "\n", "\r\n"])
+    if rng.random() < 0.3:  # a write cut short, anywhere in the last record
+        last = record()
+        ending = last[:rng.randrange(len(last))] + rng.choice(["", "\n"])
+    return "\n".join(lines) + ending
+
+
+def test_streaming_loader_matches_the_whole_file_reference(tmp_path, caplog):
+    rng = random.Random(7)
+    path = tmp_path / "store.jsonl"
+    outcomes = set()
+    for _ in range(3000):
+        path.write_bytes(_random_lines_file(rng).encode("utf-8"))
+        for string_field in (None, "key"):
+            results = []
+            for load in (_split_read_json_lines, read_json_lines):
+                try:
+                    results.append(load(str(path), string_field))
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], path.read_bytes()
+            outcomes.add(results[1] if isinstance(results[1], str) else results[1][1])
+    # Every outcome occurred: no repair, each repair kind, each error kind.
+    assert None in outcomes
+    assert any(isinstance(o, tuple) and o[1] == "" for o in outcomes)
+    assert any(isinstance(o, tuple) and o[1] == "\n" for o in outcomes)
+    for reason in ("corrupt record", "is not a JSON object", "has no string 'key'"):
+        assert any(isinstance(o, str) and reason in o for o in outcomes)
+
+
+def test_store_keeps_less_than_the_request_in_memory(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    text_length = 1000
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(2000):
+            request = req(user_text=f"{i:<{text_length}}").to_dict()
+            fh.write(json.dumps({"key": f"{i:064x}", "request": request,
+                                 "texts": [f"answer {i}"],
+                                 "usage": {"prompt_tokens": 1, "completion_tokens": 2}}) + "\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = ReplayStore(str(path))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 2000
+    assert retained / 2000 < text_length
+    assert store.response([f"{7:064x}"]).texts == ("answer 7",)
+
+
+def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
+    # The store opens; the record fails only when it is served.
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"key": "k1", "texts": ["t"], "usage": {"prompt_tokens": "x"}})
+                    + "\n" + json.dumps({"key": "k2", "usage": {}}) + "\n", encoding="utf-8")
+    store = ReplayStore(str(path))
+    assert len(store) == 2
+    with pytest.raises(ValueError):
+        store.response(["k1"])
+    with pytest.raises(KeyError):
+        store.response(["k2"])
 
 
 @pytest.mark.parametrize("fields", [

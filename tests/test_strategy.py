@@ -78,12 +78,12 @@ def test_assembly_golden_file():
 def _cot_script(question, reasoning, prediction, cfg):
     backend = ScriptedBackend()
     trigger = answer_trigger(question.answer_format)
-    backend.add_exact(assemble_reasoning_input(question.text, cfg.canonical_prompt.text),
-                      [reasoning])
-    backend.add_exact(
+    backend.add_rule(assemble_reasoning_input(question.text, cfg.canonical_prompt.text),
+                     [reasoning], exact=True)
+    backend.add_rule(
         assemble_prediction_input(question.text, cfg.canonical_prompt.text,
                                   reasoning, trigger),
-        [prediction])
+        [prediction], exact=True)
     return backend
 
 
@@ -122,16 +122,16 @@ def _deep_script(question, cfg, rounds):
     prompt = cfg.canonical_prompt.text
     guide = cfg.iteration_guide or prompt
     trigger = answer_trigger(question.answer_format)
-    backend.add_exact(assemble_reasoning_input(question.text, prompt), [rounds[0][0]])
+    backend.add_rule(assemble_reasoning_input(question.text, prompt), [rounds[0][0]], exact=True)
     for (reasoning, prediction), nxt in zip(rounds, rounds[1:] + [None]):
-        backend.add_exact(
+        backend.add_rule(
             assemble_prediction_input(question.text, prompt, reasoning, trigger),
-            [prediction])
+            [prediction], exact=True)
         if nxt is not None:
-            backend.add_exact(
+            backend.add_rule(
                 assemble_iteration_input(question.text, prompt, reasoning,
                                          prediction, guide),
-                [nxt[0]])
+                [nxt[0]], exact=True)
     return backend
 
 
@@ -258,16 +258,16 @@ def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
 
     backend = ScriptedBackend()
     trigger = answer_trigger(q.answer_format)
-    backend.add_exact(assemble_reasoning_input(q.text, PROMPT), ["RC", "RA1"])
-    backend.add_exact(assemble_reasoning_input(variant, PROMPT), ["RA2", "RA3"])
-    backend.add_exact(assemble_prediction_input(q.text, PROMPT, "RC", trigger),
-                      ["Therefore, among A through E, the answer is (C) 17."])
-    backend.add_exact(assemble_prediction_input(q.text, PROMPT, "RA1", trigger),
-                      ["The correct answer choice is (A) 15."])
-    backend.add_exact(assemble_prediction_input(variant, PROMPT, "RA2", trigger),
-                      ["Therefore, among A through E, the answer is (A) 15."])
-    backend.add_exact(assemble_prediction_input(variant, PROMPT, "RA3", trigger),
-                      ["Therefore, the correct answer is (A) 15."])
+    backend.add_rule(assemble_reasoning_input(q.text, PROMPT), ["RC", "RA1"], exact=True)
+    backend.add_rule(assemble_reasoning_input(variant, PROMPT), ["RA2", "RA3"], exact=True)
+    backend.add_rule(assemble_prediction_input(q.text, PROMPT, "RC", trigger),
+                     ["Therefore, among A through E, the answer is (C) 17."], exact=True)
+    backend.add_rule(assemble_prediction_input(q.text, PROMPT, "RA1", trigger),
+                     ["The correct answer choice is (A) 15."], exact=True)
+    backend.add_rule(assemble_prediction_input(variant, PROMPT, "RA2", trigger),
+                     ["Therefore, among A through E, the answer is (A) 15."], exact=True)
+    backend.add_rule(assemble_prediction_input(variant, PROMPT, "RA3", trigger),
+                     ["Therefore, the correct answer is (A) 15."], exact=True)
 
     outcome = run_breadth(q, cfg, backend, reformulator=reformulator)
     assert [t.parsed.value for t in outcome.traces] == ["C", "A", "A", "A"]
@@ -295,9 +295,9 @@ def test_sc_with_m1_reduces_to_cot(toy_shop_question):
     def build():
         backend = ScriptedBackend()
         trigger = answer_trigger(q.answer_format)
-        backend.add_exact(assemble_reasoning_input(q.text, PROMPT), ["R"])
-        backend.add_exact(assemble_prediction_input(q.text, PROMPT, "R", trigger),
-                          ["the answer is (A) 15"])
+        backend.add_rule(assemble_reasoning_input(q.text, PROMPT), ["R"], exact=True)
+        backend.add_rule(assemble_prediction_input(q.text, PROMPT, "R", trigger),
+                         ["the answer is (A) 15"], exact=True)
         return backend
 
     cot_outcome = run_strategy(q, cot_cfg, build())
@@ -315,9 +315,9 @@ def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
     backend = ScriptedBackend()
     trigger = answer_trigger(q.answer_format)
     for i, prompt in enumerate([PROMPT] + prompts):
-        backend.add_exact(assemble_reasoning_input(q.text, prompt), [f"R{i}"])
-        backend.add_exact(assemble_prediction_input(q.text, prompt, f"R{i}", trigger),
-                          [f"the answer is ({'CAB'[i]})"])
+        backend.add_rule(assemble_reasoning_input(q.text, prompt), [f"R{i}"], exact=True)
+        backend.add_rule(assemble_prediction_input(q.text, prompt, f"R{i}", trigger),
+                         [f"the answer is ({'CAB'[i]})"], exact=True)
     outcome = run_breadth(q, cfg, backend, reformulator=reformulator)
     assert len(outcome.traces) == 3  # m forced to 1
     assert [t.parsed.value for t in outcome.traces] == ["C", "A", "B"]
@@ -328,11 +328,11 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
     cfg = default_config(StrategyKind.SC, m_samples=2)
     backend = ScriptedBackend()
     trigger = answer_trigger(q.answer_format)
-    backend.add_exact(assemble_reasoning_input(q.text, PROMPT), ["R0", "R1"])
+    backend.add_rule(assemble_reasoning_input(q.text, PROMPT), ["R0", "R1"], exact=True)
     # Only one prediction rule: the other path's call fails once, unretried,
     # and the path abstains.
-    backend.add_exact(assemble_prediction_input(q.text, PROMPT, "R0", trigger),
-                      ["the answer is (B) 16"])
+    backend.add_rule(assemble_prediction_input(q.text, PROMPT, "R0", trigger),
+                     ["the answer is (B) 16"], exact=True)
     outcome = run_breadth(q, cfg, backend)
     assert len(outcome.traces) == 2
     assert outcome.traces[0].parsed.value == "B"
