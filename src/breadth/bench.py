@@ -3,9 +3,10 @@ subset filtering, and report emission.
 
 Upstream dataset schemas vary, so each loader is a small data-driven field
 map in ``ADAPTERS``. Runs persist every trace to
-``runs/<run_id>/traces.jsonl`` plus a ``summary.json``, are resumable
-(completed questions are skipped on restart), and are byte-reproducible
-under a deterministic backend.
+``runs/<run_id>/traces.jsonl`` plus a ``summary.json`` whose outcomes are
+derived from those traces alone, are resumable (completed questions are
+skipped on restart), and are byte-reproducible under a deterministic
+backend.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from .core import (
     Answer,
     AnswerFormat,
-    BREADTH_KINDS,
     Question,
     ReasoningTrace,
     StrategyConfig,
@@ -384,23 +384,6 @@ def _load_existing_traces(traces_path: str) -> tuple:
     return by_question, repair
 
 
-def _outcome_from_traces(q: Question, cfg: StrategyConfig,
-                         traces: Sequence[ReasoningTrace]) -> QuestionOutcome:
-    """Rebuild a per-question outcome from persisted traces (resume path)."""
-    if cfg.kind in BREADTH_KINDS:
-        final = vote_from_traces(traces).winner
-        rounds = 1
-    else:
-        last = max(traces, key=lambda t: t.round)
-        final = last.parsed
-        rounds = last.round
-    return QuestionOutcome(
-        question_id=q.id, final=final,
-        correct=(not final.abstain) and final == q.gold,
-        rounds=rounds, trace_count=len(traces),
-    )
-
-
 def run_experiment(dataset_name: str, questions: Sequence[Question],
                    cfg: StrategyConfig, backend: Backend,
                    max_total_tokens: Optional[int] = None,
@@ -433,14 +416,26 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     total_usage = Usage()
     partial = False
     # Started questions not yet written, oldest first, each with a callable
-    # that returns its StrategyOutcome (running it, or waiting for it).
+    # that returns its traces (running it, or waiting for it).
     window: Deque[tuple] = deque()
 
+    def add_outcome(q: Question, traces: Sequence[ReasoningTrace]):
+        """The question's outcome and usage, from its traces alone, whether
+        it ran now or was resumed."""
+        nonlocal total_usage
+        final = vote_from_traces(traces).winner
+        outcomes.append(QuestionOutcome(
+            question_id=q.id, final=final,
+            correct=(not final.abstain) and final == q.gold,
+            rounds=max(t.round for t in traces), trace_count=len(traces),
+        ))
+        total_usage = sum((t.usage for t in traces), total_usage)
+
     def write_oldest():
-        nonlocal repair, total_usage
+        nonlocal repair
         q, result = window.popleft()
         try:
-            outcome = result()
+            traces = result()
         except StrategyError as exc:
             logger.error("run %s: %s", run_id, exc)
             outcomes.append(QuestionOutcome(
@@ -448,17 +443,12 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 correct=False, rounds=0, trace_count=0, error=str(exc),
             ))
             return
-        lines = "".join(canonical_json(trace.to_dict()) + "\n" for trace in outcome.traces)
+        lines = "".join(canonical_json(trace.to_dict()) + "\n" for trace in traces)
         if repair is not None:
             lines, repair = repair_tail(traces_path, repair) + lines, None
         trace_file.write(lines)
         trace_file.flush()
-        total_usage = total_usage + outcome.usage()
-        outcomes.append(QuestionOutcome(
-            question_id=q.id, final=outcome.final,
-            correct=(not outcome.final.abstain) and outcome.final == q.gold,
-            rounds=outcome.rounds_executed, trace_count=len(outcome.traces),
-        ))
+        add_outcome(q, traces)
 
     # Deterministic backends answer in-process, so there is nothing to
     # overlap; scripted ones also hand out their responses in call order.
@@ -469,10 +459,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
             if q.id in existing:
                 while window:
                     write_oldest()
-                traces = existing[q.id]
-                outcomes.append(_outcome_from_traces(q, cfg, traces))
-                for t in traces:
-                    total_usage = total_usage + t.usage
+                add_outcome(q, existing[q.id])
                 continue
             if len(window) == MAX_IN_FLIGHT:
                 write_oldest()
@@ -520,27 +507,6 @@ def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:
         raise MismatchedQuestionSetsError(
             f"runs cover different questions: {len(cot)} vs {len(deep)}")
     return [qid for qid in cot if not cot[qid].correct and deep[qid].correct]
-
-
-def sweep_grid(dataset_name: str, questions: Sequence[Question],
-               base_cfg: StrategyConfig, n_values: Sequence[int],
-               m_values: Sequence[int], backend_factory,
-               runs_dir: str = "runs",
-               reformulator: Optional[Reformulator] = None) -> List[RunRecord]:
-    """Run the strategy over an N x M grid of reformulation/sample counts.
-
-    ``backend_factory`` is called per cell so scripted backends start fresh.
-    """
-    records = []
-    for n in n_values:
-        for m in m_values:
-            cfg = replace(base_cfg, n_reformulations=n, m_samples=m)
-            run_id = f"{dataset_name}-{cfg.kind.value}-n{n}-m{m}"
-            records.append(run_experiment(
-                dataset_name, questions, cfg, backend_factory(),
-                runs_dir=runs_dir, run_id=run_id, reformulator=reformulator,
-            ))
-    return records
 
 
 def _method_label(record: RunRecord) -> str:

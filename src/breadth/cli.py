@@ -130,8 +130,9 @@ def _cmd_run(args) -> int:
         questions = questions[: args.limit]
     if not questions:
         raise RuntimeError(f"dataset {args.dataset} produced no questions")
+    triggers = _trigger_overrides(file_config)
     if args.dry_run:
-        plans = plan_paths(questions[0], cfg)
+        plans = plan_paths(questions[0], cfg, triggers)
         print(f"{len(plans)} planned paths for question {questions[0].id}:")
         for plan in plans:
             print(f"--- round={plan['round']} reformulation={plan['reformulation_index']} "
@@ -152,7 +153,6 @@ def _cmd_run(args) -> int:
         effective["stop_rule_note"] = (
             "stability stop (two consecutive equal predictions); a stand-in "
             "for adaptive iteration stopping")
-    triggers = _trigger_overrides(file_config)
     if triggers:
         effective["answer_triggers"] = {k.value: v for k, v in triggers.items()}
     record = bench.run_experiment(

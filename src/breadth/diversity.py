@@ -11,12 +11,10 @@ an API client.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
 from .core import Answer, Question, StrategyConfig
@@ -185,11 +183,3 @@ def report_to_csv(reports: Sequence[FactorStudyReport],
         lines.append(",".join(cells))
     lines.append(f"# {UNSUPPORTED_FACTOR_NOTE}")
     return "\n".join(lines) + "\n"
-
-
-def paper_reference_table() -> Dict[str, Dict[str, float]]:
-    """Shipped reference entropies (nats, 10 paths); non-gating."""
-    path = resources.files("breadth").joinpath("data/entropy_reference.json")
-    with path.open("r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data["rows"]

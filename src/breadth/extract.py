@@ -49,11 +49,6 @@ def _load_triggers() -> dict:
 _TRIGGERS = _load_triggers()
 
 
-def trigger_phrases(fmt: AnswerFormat) -> Sequence[str]:
-    """The shipped trigger-phrase list for one answer format."""
-    return _TRIGGERS[fmt]
-
-
 def _after_last_trigger(text: str, fmt: AnswerFormat) -> Optional[str]:
     lowered = text.lower()
     best_end = -1
@@ -201,30 +196,3 @@ def majority_vote(answers: Sequence[Answer]) -> VoteResult:
         abstained=abstained,
         tie=tie,
     )
-
-
-def load_corpus(path: Optional[str] = None) -> List[dict]:
-    """Load an extraction corpus (JSON lines of text/format/expect)."""
-    if path is None:
-        resource = resources.files("breadth").joinpath("data/extraction_corpus.jsonl")
-        content = resource.read_text(encoding="utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    return [json.loads(line) for line in content.splitlines() if line.strip()]
-
-
-def evaluate_corpus(entries: Sequence[dict]) -> List[dict]:
-    """Run the extractor over a corpus; returns the mismatching entries."""
-    failures = []
-    for entry in entries:
-        fmt = AnswerFormat(entry["format"])
-        got = extract_answer(entry["text"], fmt)
-        expect = entry["expect"]
-        if expect is None:
-            ok = got.abstain
-        else:
-            ok = (not got.abstain) and got == canonical_answer(expect, fmt)
-        if not ok:
-            failures.append({**entry, "got": got.to_dict()})
-    return failures

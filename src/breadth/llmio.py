@@ -15,7 +15,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import requests
@@ -85,7 +85,7 @@ class CompletionRequest:
     top_k: Optional[int] = None
     n_samples: int = 1
     max_tokens: Optional[int] = None
-    sample_batch_id: int = 0  # disambiguates sequential single-sample calls
+    sample_batch_id: int = 0  # a sample's index in its key; rewrite retries vary it
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -238,14 +238,11 @@ class LiveBackend(Backend):
     schema (messages array with system/user roles, ``temperature``, ``n``).
 
     Credentials come from the ``BREADTH_API_KEY`` env var unless passed
-    explicitly. Multi-sample requests go out as one call with ``n`` when
-    ``batch_samples`` is on, else as sequential single-sample calls with
-    distinct ``sample_batch_id``s.
+    explicitly. A multi-sample request goes out as one call with ``n``.
     """
 
     def __init__(self, base_url: str, api_key: Optional[str] = None,
                  model: str = DEFAULT_MODEL, timeout: float = 60.0,
-                 batch_samples: bool = True,
                  retry: Optional[RetryPolicy] = None,
                  limiter: Optional[TokenBucketLimiter] = None,
                  session: Optional[requests.Session] = None,
@@ -254,24 +251,12 @@ class LiveBackend(Backend):
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.model = model
         self.timeout = timeout
-        self.batch_samples = batch_samples
         self.retry = retry or RetryPolicy()
         self.limiter = limiter or TokenBucketLimiter()
         self.session = session or requests.Session()
         self._sleep = sleep
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        if req.n_samples > 1 and not self.batch_samples:
-            texts: List[str] = []
-            usage = Usage()
-            for single in _per_sample_requests(req):
-                resp = self._complete_once(single)
-                texts.extend(resp.texts)
-                usage = usage + resp.usage
-            return CompletionResponse(texts=tuple(texts), usage=usage, backend=BACKEND_LIVE)
-        return self._complete_once(req)
-
-    def _complete_once(self, req: CompletionRequest) -> CompletionResponse:
         last_error: Optional[Exception] = None
         for attempt in range(self.retry.max_attempts):
             try:
@@ -487,9 +472,9 @@ class ReplayStore:
     from the file itself). Opening streams the file through
     :func:`read_json_lines`, the last record for a key wins, and a record
     whose ``texts`` or ``usage`` cannot be used fails when it is served.
-    Readers share the index; appends are serialized. A torn tail is
-    repaired by the first append (:func:`repair_tail`), so a record
-    appended after a crash is never lost.
+    Readers share the index; appends are serialized. A torn tail, or an
+    append cut short by a failed write, is repaired by the next append
+    (:func:`repair_tail`), so a record appended after a crash is never lost.
     """
 
     def __init__(self, path: str):
@@ -508,11 +493,19 @@ class ReplayStore:
         line = canonical_json(record) + "\n"
         key, entry = _replay_entry(record)
         with self._lock:
-            if self._repair is not None:
-                line = repair_tail(self.path, self._repair) + line
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
+            prefix = "" if self._repair is None else repair_tail(self.path, self._repair)
+            size = None
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    size = fh.tell()
+                    fh.write(prefix + line)
+                    fh.flush()
+            except BaseException:
+                # A write cut short may leave part of a line: the next append
+                # cuts the file back, and still owes the prefix.
+                if size is not None:
+                    self._repair = (size, prefix)
+                raise
             # Only a written line changes what the store serves or repairs.
             self._repair = None
             self._entries[key] = entry
@@ -540,14 +533,6 @@ class ReplayStore:
             usage=Usage(prompt_tokens, completion_tokens),
             backend=backend_tag,
         )
-
-
-def _per_sample_requests(req: CompletionRequest) -> List[CompletionRequest]:
-    """The single-sample requests that sequential sampling sends, and that
-    :func:`cache_key` digests."""
-    if req.n_samples == 1:
-        return [req]
-    return [replace(req, n_samples=1, sample_batch_id=i) for i in range(req.n_samples)]
 
 
 def split_usage(usage: Usage, n_samples: int) -> List[Usage]:

@@ -2,7 +2,9 @@
 iterative refinement (``cot`` is ``deep_cot`` with one round), and
 :func:`run_breadth` for the breadth family (self-consistency, question/prompt
 rewriting, hybrids). Every path ends in :func:`_predict`, the one prediction
-step, which builds the path's trace.
+step, which builds the path's trace. An engine returns only the question's
+traces; :func:`vote_from_traces` is the one rule that turns them into a
+final answer.
 
 Inputs are built by pure assembly functions that concatenate their parts
 with a single newline, in a fixed order:
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -91,20 +92,6 @@ def assemble_zero_shot_input(question_text: str, trigger: str) -> str:
     return f"{question_text}{SEPARATOR}{trigger}"
 
 
-@dataclass(frozen=True)
-class StrategyOutcome:
-    """Everything one strategy run produced for one question."""
-
-    question_id: str
-    traces: tuple
-    vote: VoteResult
-    final: Answer
-    rounds_executed: int = 1
-
-    def usage(self) -> Usage:
-        return sum((trace.usage for trace in self.traces), Usage())
-
-
 def path_shape(cfg: StrategyConfig) -> Tuple[int, int, int]:
     """The path-count law as ``(rounds, contexts, samples_per_context)``.
 
@@ -158,7 +145,8 @@ def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
 
 
 def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
-              triggers: Optional[Mapping[AnswerFormat, str]] = None) -> StrategyOutcome:
+              triggers: Optional[Mapping[AnswerFormat, str]] = None,
+              ) -> Tuple[ReasoningTrace, ...]:
     """One path over :func:`path_shape`'s rounds: zero-shot, CoT or deep CoT.
 
     Zero-shot is one prediction call. Otherwise round 1 reasons over the
@@ -196,11 +184,7 @@ def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
                                    reasoning, usage, ms, round_index, 0, 0))
     except LlmIoError as exc:
         raise StrategyError(q.id, exc) from exc
-    final = traces[-1].parsed
-    return StrategyOutcome(
-        question_id=q.id, traces=tuple(traces), vote=majority_vote([final]),
-        final=final, rounds_executed=len(traces),
-    )
+    return tuple(traces)
 
 
 Reformulator = Callable[..., List[str]]
@@ -279,17 +263,22 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
 
 
 def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
-    """Aggregate one question's traces in path-key order, not arrival order,
-    so concurrent completion never changes the result."""
-    ordered = sorted(traces, key=ReasoningTrace.path_key)
+    """The final-answer rule: a majority vote over the last round's paths.
+
+    Breadth paths are all round 1; a chain's last round is its one path, so
+    the vote gives that path's answer. Paths vote in path-key order, not
+    arrival order, so concurrent completion never changes the result.
+    """
+    last = max(t.round for t in traces)
+    ordered = sorted((t for t in traces if t.round == last), key=ReasoningTrace.path_key)
     return majority_vote([t.parsed for t in ordered])
 
 
 def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
                 reformulator: Optional[Reformulator] = None,
                 triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                ) -> StrategyOutcome:
-    """The breadth family: diverse initial paths, majority-voted.
+                ) -> Tuple[ReasoningTrace, ...]:
+    """The breadth family: diverse initial paths, voted by :func:`vote_from_traces`.
 
     Context and per-context sample counts follow :func:`path_shape`.
     """
@@ -302,16 +291,13 @@ def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
         # blank question: this question fails, the run goes on.
         raise StrategyError(q.id, exc) from exc
     _, _, per_context = path_shape(cfg)
-    traces = run_contexts(q, contexts, per_context, cfg, backend, triggers)
-    vote = vote_from_traces(traces)
-    return StrategyOutcome(question_id=q.id, traces=tuple(traces), vote=vote,
-                           final=vote.winner)
+    return tuple(run_contexts(q, contexts, per_context, cfg, backend, triggers))
 
 
 def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
                  reformulator: Optional[Reformulator] = None,
                  triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                 ) -> StrategyOutcome:
+                 ) -> Tuple[ReasoningTrace, ...]:
     """Dispatch a question to the engine matching the config's kind."""
     if not q.text.strip():
         logger.warning("question %s has empty text", q.id)

@@ -1,6 +1,12 @@
+import json
+import os
+
 import pytest
 
-from breadth.core import Answer, AnswerFormat, Question
+from breadth.core import Answer, AnswerFormat, Question, canonical_answer
+from breadth.extract import extract_answer
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 MC_TRIGGER = "Therefore, among A through E, the answer is"
 
@@ -40,3 +46,32 @@ def sphere_question():
     return mc_question("sphere", SPHERE_TEXT, "B",
                        choices=(("A", "13.3542"), ("B", "15.8113"), ("C", "18.3451"),
                                 ("D", "19.5667"), ("E", "20.8888")))
+
+
+def load_corpus():
+    """The extraction corpus: JSON lines of text, format and expected answer
+    (``expect`` null means the parser must abstain)."""
+    with open(os.path.join(DATA_DIR, "extraction_corpus.jsonl"), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def evaluate_corpus(entries):
+    """Run the extractor over a corpus; returns the mismatching entries."""
+    failures = []
+    for entry in entries:
+        fmt = AnswerFormat(entry["format"])
+        got = extract_answer(entry["text"], fmt)
+        expect = entry["expect"]
+        if expect is None:
+            ok = got.abstain
+        else:
+            ok = (not got.abstain) and got == canonical_answer(expect, fmt)
+        if not ok:
+            failures.append({**entry, "got": got.to_dict()})
+    return failures
+
+
+def paper_reference_table():
+    """Reference entropies (nats, 10 paths) from an open-weights study."""
+    with open(os.path.join(DATA_DIR, "entropy_reference.json"), encoding="utf-8") as fh:
+        return json.load(fh)["rows"]

@@ -16,8 +16,8 @@ from breadth.bench import (
     run_experiment,
 )
 from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
-from breadth.diversity import paper_reference_table, prediction_entropy
-from breadth.extract import evaluate_corpus, load_corpus, majority_vote
+from breadth.diversity import prediction_entropy
+from breadth.extract import majority_vote
 from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
 from breadth.strategy import (
     answer_trigger,
@@ -27,6 +27,7 @@ from breadth.strategy import (
     expected_trace_count,
     run_breadth,
     run_strategy,
+    vote_from_traces,
 )
 from breadth.votemodel import (
     PlaneModel,
@@ -35,7 +36,14 @@ from breadth.votemodel import (
     simulate_depth,
     simulate_plane,
 )
-from conftest import SPHERE_TEXT, TOY_SHOP_TEXT, mc_question
+from conftest import (
+    SPHERE_TEXT,
+    TOY_SHOP_TEXT,
+    evaluate_corpus,
+    load_corpus,
+    mc_question,
+    paper_reference_table,
+)
 
 PROMPT = "Let's think step by step."
 
@@ -110,11 +118,11 @@ def test_criterion_04_path_count_law():
             max_iterations=rng.randint(1, 3),
         )
         backend = ScriptedBackend({"": ["the answer is (A)"] * 3000})
-        outcome = run_strategy(q, cfg, backend)
-        ok = ok and len(outcome.traces) == expected_trace_count(cfg)
+        traces = run_strategy(q, cfg, backend)
+        ok = ok and len(traces) == expected_trace_count(cfg)
     hybrid = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     six = run_strategy(q, hybrid, ScriptedBackend({"": ["the answer is (A)"] * 100}))
-    ok = ok and len(six.traces) == 6
+    ok = ok and len(six) == 6
     _gate(4, "path-count law over 200 random configs", ok, "3x2=6 case included")
 
 
@@ -169,8 +177,9 @@ def test_criterion_06_scripted_demos():
                      exact=True)
     backend.add_rule(assemble_prediction_input(sphere.text, PROMPT, r2, trigger), [p2], exact=True)
     depth = run_strategy(sphere, cfg, backend)
-    depth_ok = (depth.rounds_executed == 2 and depth.final.value == "B"
-                and depth.traces[0].parsed.value == "E")
+    depth_final = vote_from_traces(depth).winner
+    depth_ok = (depth[-1].round == 2 and depth_final.value == "B"
+                and depth[0].parsed.value == "E")
 
     toy = mc_question("toy-shop", TOY_SHOP_TEXT, "A",
                       choices=(("A", "15"), ("B", "16"), ("C", "17"),
@@ -196,11 +205,12 @@ def test_criterion_06_scripted_demos():
             assemble_prediction_input(toy.text, prompt, reasoning, trigger),
             [votes[i]], exact=True)
     breadth = run_breadth(toy, bcfg, breadth_backend, reformulator=reformulator)
-    counts = {a.value: c for a, c in breadth.vote.counts}
-    breadth_ok = ([t.parsed.value for t in breadth.traces] == ["C", "A", "A", "A"]
-                  and breadth.final.value == "A" and counts == {"A": 3, "C": 1})
+    breadth_vote = vote_from_traces(breadth)
+    counts = {a.value: c for a, c in breadth_vote.counts}
+    breadth_ok = ([t.parsed.value for t in breadth] == ["C", "A", "A", "A"]
+                  and breadth_vote.winner.value == "A" and counts == {"A": 3, "C": 1})
     _gate(6, "worked depth and breadth demos", depth_ok and breadth_ok,
-          f"depth final={depth.final.value}, breadth final={breadth.final.value}")
+          f"depth final={depth_final.value}, breadth final={breadth_vote.winner.value}")
 
 
 def test_criterion_07_vote_model():

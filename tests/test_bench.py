@@ -27,7 +27,6 @@ from breadth.bench import (
     load_run_record,
     pilot_subset,
     run_experiment,
-    sweep_grid,
 )
 from breadth.llmio import (
     MAX_IN_FLIGHT,
@@ -275,18 +274,21 @@ def test_run_experiment_accuracy_and_persistence(tmp_path):
 
 def test_rerun_of_finished_run_resumes_every_question(tmp_path):
     # Outcomes rebuilt from persisted traces must equal the fresh run's, for
-    # one-path and voted strategies alike.
+    # one-path and voted strategies alike. The fake backend has no zero-shot
+    # stage, so zero_shot is left out.
     questions = generate_synthetic("coinflip", 10, seed=3)
-    for kind in ("cot", "deep_cot", "sc", "questionc_sc", "promptc"):
+    for kind, stop in [("cot", "stable"), ("deep_cot", "stable"), ("deep_cot", "fixed_t"),
+                       ("sc", "stable"), ("questionc", "stable"), ("questionc_sc", "stable"),
+                       ("promptc", "stable"), ("promptc_sc", "stable")]:
         cfg = StrategyConfig.from_dict({"kind": kind, "n_reformulations": 3,
                                         "m_samples": 3, "max_iterations": 3,
-                                        "stop_rule": "stable"})
+                                        "stop_rule": stop})
         first = run_experiment("coinflip", questions, cfg,
                                FakeBackend(questions, seed=1),
-                               runs_dir=str(tmp_path), run_id=kind)
+                               runs_dir=str(tmp_path), run_id=f"{kind}-{stop}")
         untouched = ScriptedBackend()  # no rules: any call would fail
         again = run_experiment("coinflip", questions, cfg, untouched,
-                               runs_dir=str(tmp_path), run_id=kind)
+                               runs_dir=str(tmp_path), run_id=f"{kind}-{stop}")
         assert untouched.calls == []
         assert again.outcomes == first.outcomes
         assert again.accuracy == first.accuracy
@@ -622,15 +624,14 @@ def test_pilot_plateau_half_recovered_then_rise_and_flat(tmp_path):
     assert accuracies[-1] > accuracies[0]
 
 
-def test_sweep_grid_covers_all_cells(tmp_path):
+def test_run_experiment_over_a_grid_of_sample_counts(tmp_path):
     questions = _four_questions()[:1]
-
-    def factory():
-        return ScriptedBackend({"": ["the answer is (A)"] * 200})
-
-    records = sweep_grid("toy", questions, default_config(StrategyKind.SC),
-                         n_values=[1], m_values=[1, 2, 3],
-                         backend_factory=factory, runs_dir=str(tmp_path))
+    records = [
+        run_experiment("toy", questions, default_config(StrategyKind.SC, m_samples=m),
+                       ScriptedBackend({"": ["the answer is (A)"] * 200}),
+                       runs_dir=str(tmp_path), run_id=f"toy-sc-n1-m{m}")
+        for m in (1, 2, 3)
+    ]
     assert [r.config["m_samples"] for r in records] == [1, 2, 3]
     assert all(r.accuracy == 1.0 for r in records)
 

@@ -140,6 +140,19 @@ def test_answer_trigger_override_via_config_file(tmp_path):
     assert custom_trigger not in traces.split("raw_prediction_text")[0]
 
 
+def test_dry_run_shows_the_answer_trigger_from_the_config_file(tmp_path, capsys):
+    custom_trigger = "So the verdict is"
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"answer_triggers": {"yes_no": custom_trigger}}),
+                           encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--strategy", "zero-shot", "--config", str(config_path), "--dry-run"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.rstrip("\n").endswith(custom_trigger)
+    assert YES_TRIGGER not in out
+
+
 def test_reformulate_subcommand(tmp_path, capsys):
     script = {"Rephrase the following sentence": ["One rewrite.", "Another rewrite."]}
     code = main([

@@ -7,7 +7,6 @@ from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
 from breadth.diversity import (
     Factor,
     FactorSpec,
-    paper_reference_table,
     prediction_entropy,
     report_to_csv,
     run_factor_study,
@@ -15,7 +14,7 @@ from breadth.diversity import (
 from breadth.extract import EmptyInputError
 from breadth.llmio import ScriptedBackend
 from breadth.reformulate import QUESTION_INSTRUCTION
-from conftest import MC_TRIGGER, mc_question
+from conftest import MC_TRIGGER, mc_question, paper_reference_table
 
 MC = AnswerFormat.MULTIPLE_CHOICE
 

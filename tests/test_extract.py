@@ -1,18 +1,14 @@
 import itertools
+import json
 import random
 import time
+from importlib import resources
 
 import pytest
 
 from breadth.core import Answer, AnswerFormat, canonical_answer
-from breadth.extract import (
-    EmptyInputError,
-    evaluate_corpus,
-    extract_answer,
-    load_corpus,
-    majority_vote,
-    trigger_phrases,
-)
+from breadth.extract import EmptyInputError, extract_answer, majority_vote
+from conftest import evaluate_corpus, load_corpus
 
 MC = AnswerFormat.MULTIPLE_CHOICE
 
@@ -95,7 +91,8 @@ def test_free_form_quoted_bold_then_last_line():
 
 
 def test_trigger_lists_ship_as_data():
-    phrases = trigger_phrases(MC)
+    shipped = resources.files("breadth").joinpath("data/answer_triggers.json")
+    phrases = json.loads(shipped.read_text(encoding="utf-8"))[MC.value]
     assert "the answer is" in phrases
     assert all(p == p.lower() for p in phrases)
 

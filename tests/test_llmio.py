@@ -31,7 +31,6 @@ from breadth.llmio import (
     ScriptExhaustedError,
     ScriptedBackend,
     TokenBucketLimiter,
-    _per_sample_requests,
     cache_key,
     read_json_lines,
 )
@@ -42,6 +41,16 @@ def req(**kwargs) -> CompletionRequest:
     base = dict(model="m", user_text="hello", temperature=1.0)
     base.update(kwargs)
     return CompletionRequest(**base)
+
+
+def _per_sample_requests(request: CompletionRequest):
+    """Each sample's own request, as :func:`cache_key` digests it: the request
+    itself with one sample, else one copy per sample with ``n_samples`` 1 and
+    the sample's index as ``sample_batch_id``."""
+    if request.n_samples == 1:
+        return [request]
+    return [replace(request, n_samples=1, sample_batch_id=i)
+            for i in range(request.n_samples)]
 
 
 # ---------------------------------------------------------------- scripted
@@ -386,6 +395,48 @@ def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
     assert path.read_text(encoding="utf-8").count("\n") == 3
 
 
+class _HalfWrite:
+    """A file whose writes stop halfway through their text, then fail."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("tail", ["\n", ""], ids=["whole", "unterminated"])
+def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypatch, tail):
+    # Half a line stays on disk: the next record must not be glued onto it,
+    # and a newline the first append owed must still be written.
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line("k1") + tail, encoding="utf-8")
+    store = ReplayStore(str(path))
+    real_open = open
+    monkeypatch.setattr(breadth.llmio, "open",
+                        lambda *a, **kw: _HalfWrite(real_open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        store.append(json.loads(_cache_line("k2")))
+    monkeypatch.undo()
+    assert "k2" not in store
+    store.append(json.loads(_cache_line("k3")))
+    store.append(json.loads(_cache_line("k4")))
+    records, repair = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k1", "k3", "k4"] and repair is None
+    assert len(ReplayStore(str(path))) == 3
+
+
 def _split_read_json_lines(path, string_field=None):
     """The loader as it was before it streamed: the whole file read, decoded
     and split at once. The reference for the streaming loader."""
@@ -556,13 +607,13 @@ def _ok_body(texts, prompt_tokens=7, completion_tokens=9):
     }
 
 
-def _live(session, **kwargs):
+def _live(session):
     sleeps = []
     backend = LiveBackend(
         "https://example.test/v1", api_key="k", session=session,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01),
         limiter=TokenBucketLimiter(max_concurrent=2, requests_per_minute=6000),
-        sleep=sleeps.append, **kwargs,
+        sleep=sleeps.append,
     )
     return backend, sleeps
 
@@ -650,15 +701,6 @@ def test_live_gives_up_after_bounded_attempts():
     with pytest.raises(NetworkError):
         backend.complete(req(user_text="q"))
     assert len(session.posts) == 3
-
-
-def test_live_sequential_sampling_uses_distinct_batch_ids():
-    session = FakeSession([FakeResponse(body=_ok_body([f"t{i}"])) for i in range(3)])
-    backend, _ = _live(session, batch_samples=False)
-    response = backend.complete(req(user_text="q", n_samples=3))
-    assert response.texts == ("t0", "t1", "t2")
-    assert len(session.posts) == 3
-    assert all(p["json"]["n"] == 1 for p in session.posts)
 
 
 def test_live_wire_format():

@@ -91,26 +91,26 @@ def test_run_cot_two_calls_one_trace():
     q = mc_question("q1", "Pick one. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.COT)
     backend = _cot_script(q, "R", "the answer is (A)", cfg)
-    outcome = run_strategy(q, cfg, backend)
+    traces = run_strategy(q, cfg, backend)
     assert len(backend.calls) == 2
-    assert len(outcome.traces) == 1
-    assert outcome.traces[0].round == 1
-    assert outcome.final.value == "A"
-    assert outcome.vote.winner == outcome.final
-    assert outcome.traces[0].assembled_input.startswith(q.text)
+    assert len(traces) == 1
+    assert traces[0].round == 1
+    assert vote_from_traces(traces).winner.value == "A"
+    assert vote_from_traces(traces).winner == traces[-1].parsed
+    assert traces[0].assembled_input.startswith(q.text)
 
 
 def test_zero_shot_single_call_without_prompt():
     q = mc_question("q1", "Pick one. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.ZERO_SHOT)
     backend = ScriptedBackend({"": ["the answer is (B)"]})
-    outcome = run_strategy(q, cfg, backend)
+    traces = run_strategy(q, cfg, backend)
     assert len(backend.calls) == 1
     assert PROMPT not in backend.calls[0].user_text
     assert backend.calls[0].user_text == assemble_zero_shot_input(
         q.text, answer_trigger(q.answer_format))
-    assert outcome.final.value == "B"
-    assert outcome.traces[0].reasoning_text == ""
+    assert vote_from_traces(traces).winner.value == "B"
+    assert traces[0].reasoning_text == ""
 
 
 # ---------------------------------------------------------------- depth
@@ -143,12 +143,12 @@ def test_deep_fixed_t_runs_exactly_three_rounds():
         ("R2", "the answer is (B)"),
         ("R3", "the answer is (C)"),
     ])
-    outcome = run_strategy(q, cfg, backend)
-    assert outcome.rounds_executed == 3
-    assert len(outcome.traces) == 3
+    traces = run_strategy(q, cfg, backend)
+    assert traces[-1].round == 3
+    assert len(traces) == 3
     assert len(backend.calls) == 6
-    assert outcome.final.value == "C"
-    assert [t.round for t in outcome.traces] == [1, 2, 3]
+    assert vote_from_traces(traces).winner.value == "C"
+    assert [t.round for t in traces] == [1, 2, 3]
 
 
 def test_deep_stable_stop_after_two_equal_predictions():
@@ -160,9 +160,9 @@ def test_deep_stable_stop_after_two_equal_predictions():
         ("R2", "the answer is (A)"),
         ("R3", "the answer is (B)"),
     ])
-    outcome = run_strategy(q, cfg, backend)
-    assert outcome.rounds_executed == 2
-    assert outcome.final.value == "A"
+    traces = run_strategy(q, cfg, backend)
+    assert traces[-1].round == 2
+    assert vote_from_traces(traces).winner.value == "A"
 
 
 def test_deep_abstain_rounds_count_and_continue():
@@ -174,11 +174,11 @@ def test_deep_abstain_rounds_count_and_continue():
         ("R2", "still nothing"),
         ("R3", "the answer is (A)"),
     ])
-    outcome = run_strategy(q, cfg, backend)
+    traces = run_strategy(q, cfg, backend)
     # two consecutive abstentions are not a stable answer
-    assert outcome.rounds_executed == 3
-    assert outcome.traces[0].parsed.abstain
-    assert outcome.final.value == "A"
+    assert traces[-1].round == 3
+    assert traces[0].parsed.abstain
+    assert vote_from_traces(traces).winner.value == "A"
 
 
 def test_deep_iteration_guide_defaults_to_canonical_prompt():
@@ -226,10 +226,10 @@ def test_depth_demo_sphere_terminates_with_b(sphere_question):
          "sphere. The closest value to 15.8114 is (B) 15.8113.",
          "Therefore, among A through E, the answer is (B) 15.8113."),
     ])
-    outcome = run_strategy(q, cfg, backend)
-    assert outcome.rounds_executed == 2
-    assert outcome.traces[0].parsed.value == "E"
-    assert outcome.final.value == "B"
+    traces = run_strategy(q, cfg, backend)
+    assert traces[-1].round == 2
+    assert traces[0].parsed.value == "E"
+    assert vote_from_traces(traces).winner.value == "B"
 
 
 # ---------------------------------------------------------------- breadth
@@ -269,21 +269,22 @@ def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
     backend.add_rule(assemble_prediction_input(variant, PROMPT, "RA3", trigger),
                      ["Therefore, the correct answer is (A) 15."], exact=True)
 
-    outcome = run_breadth(q, cfg, backend, reformulator=reformulator)
-    assert [t.parsed.value for t in outcome.traces] == ["C", "A", "A", "A"]
-    assert outcome.final.value == "A"
-    counts = {a.value: c for a, c in outcome.vote.counts}
+    traces = run_breadth(q, cfg, backend, reformulator=reformulator)
+    vote = vote_from_traces(traces)
+    assert [t.parsed.value for t in traces] == ["C", "A", "A", "A"]
+    assert vote.winner.value == "A"
+    counts = {a.value: c for a, c in vote.counts}
     assert counts == {"A": 3, "C": 1}
-    assert not outcome.vote.tie
+    assert not vote.tie
 
 
 def test_hybrid_three_by_two_yields_six_traces():
     q = mc_question("q1", "Pick. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     backend = ScriptedBackend({"": ["the answer is (A)"] * 100})
-    outcome = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
-    assert len(outcome.traces) == 6
-    keys = {(t.reformulation_index, t.sample_index) for t in outcome.traces}
+    traces = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
+    assert len(traces) == 6
+    keys = {(t.reformulation_index, t.sample_index) for t in traces}
     assert keys == {(i, j) for i in range(3) for j in range(2)}
 
 
@@ -300,10 +301,10 @@ def test_sc_with_m1_reduces_to_cot(toy_shop_question):
                          ["the answer is (A) 15"], exact=True)
         return backend
 
-    cot_outcome = run_strategy(q, cot_cfg, build())
-    sc_outcome = run_breadth(q, sc_cfg, build())
-    assert sc_outcome.final == cot_outcome.final
-    assert len(sc_outcome.traces) == len(cot_outcome.traces) == 1
+    cot_traces = run_strategy(q, cot_cfg, build())
+    sc_traces = run_breadth(q, sc_cfg, build())
+    assert vote_from_traces(sc_traces).winner == vote_from_traces(cot_traces).winner
+    assert len(sc_traces) == len(cot_traces) == 1
 
 
 def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
@@ -318,9 +319,9 @@ def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
         backend.add_rule(assemble_reasoning_input(q.text, prompt), [f"R{i}"], exact=True)
         backend.add_rule(assemble_prediction_input(q.text, prompt, f"R{i}", trigger),
                          [f"the answer is ({'CAB'[i]})"], exact=True)
-    outcome = run_breadth(q, cfg, backend, reformulator=reformulator)
-    assert len(outcome.traces) == 3  # m forced to 1
-    assert [t.parsed.value for t in outcome.traces] == ["C", "A", "B"]
+    traces = run_breadth(q, cfg, backend, reformulator=reformulator)
+    assert len(traces) == 3  # m forced to 1
+    assert [t.parsed.value for t in traces] == ["C", "A", "B"]
 
 
 def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
@@ -333,12 +334,13 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
     # and the path abstains.
     backend.add_rule(assemble_prediction_input(q.text, PROMPT, "R0", trigger),
                      ["the answer is (B) 16"], exact=True)
-    outcome = run_breadth(q, cfg, backend)
-    assert len(outcome.traces) == 2
-    assert outcome.traces[0].parsed.value == "B"
-    assert outcome.traces[1].parsed.abstain
-    assert outcome.final.value == "B"
-    assert outcome.vote.abstained == 1
+    traces = run_breadth(q, cfg, backend)
+    assert len(traces) == 2
+    assert traces[0].parsed.value == "B"
+    assert traces[1].parsed.abstain
+    vote = vote_from_traces(traces)
+    assert vote.winner.value == "B"
+    assert vote.abstained == 1
     assert len(backend.calls) == 3  # one reasoning call, two predictions
 
 
@@ -370,10 +372,10 @@ def test_path_count_law_over_random_configs():
             m_samples=rng.randint(1, 5),
             max_iterations=rng.randint(1, 3),
         )
-        outcome = run_strategy(q, cfg, _catch_all_backend())
-        assert len(outcome.traces) == expected_trace_count(cfg), cfg
-        unique = {t.path_key() for t in outcome.traces}
-        assert len(unique) == len(outcome.traces)
+        traces = run_strategy(q, cfg, _catch_all_backend())
+        assert len(traces) == expected_trace_count(cfg), cfg
+        unique = {t.path_key() for t in traces}
+        assert len(unique) == len(traces)
 
 
 def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
@@ -382,23 +384,23 @@ def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
     backend = ScriptedBackend({
         "": ["the answer is (A)"] * 6 + ["the answer is (B)"] * 20,
     })
-    outcome = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
+    traces = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
     rng = random.Random(9)
     for _ in range(20):
-        shuffled = list(outcome.traces)
+        shuffled = list(traces)
         rng.shuffle(shuffled)
-        assert vote_from_traces(shuffled) == outcome.vote
+        assert vote_from_traces(shuffled) == vote_from_traces(traces)
 
 
 def test_sc_budget_matches_hybrid_budget():
     q = mc_question("budget", "Probe. Answer Choices: (A) x (B) y", "A")
     for n, m in [(2, 2), (3, 2), (3, 3), (5, 1)]:
-        hybrid = run_strategy(
+        hybrid_traces = run_strategy(
             q, default_config(StrategyKind.QUESTION_C_SC, n_reformulations=n, m_samples=m),
             _catch_all_backend(), reformulator=list_reformulator({}))
-        matched_sc = run_strategy(
+        matched_sc_traces = run_strategy(
             q, default_config(StrategyKind.SC, m_samples=n * m), _catch_all_backend())
-        assert len(hybrid.traces) == len(matched_sc.traces) == n * m
+        assert len(hybrid_traces) == len(matched_sc_traces) == n * m
 
 
 def test_question_rewriting_goes_through_backend(toy_shop_question):
@@ -409,9 +411,9 @@ def test_question_rewriting_goes_through_backend(toy_shop_question):
     backend.add_rule(QUESTION_INSTRUCTION, ["Fresh wording of the toy question?"])
     backend.add_rule("step by step", ["R"] * 2)
     backend.add_rule(MC_TRIGGER, ["the answer is (A)", "the answer is (A)"])
-    outcome = run_breadth(q, cfg, backend)
-    assert len(outcome.traces) == 2
-    rewritten = outcome.traces[1].assembled_input
+    traces = run_breadth(q, cfg, backend)
+    assert len(traces) == 2
+    rewritten = traces[1].assembled_input
     assert rewritten.startswith("Fresh wording of the toy question?")
     assert "Answer Choices: (A) 15" in rewritten  # choice block re-appended
 
@@ -430,8 +432,8 @@ def test_batched_reasoning_latency_is_carried_by_sample_zero():
     q = mc_question("q1", "Pick. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.SC, m_samples=2)
     backend = SleepingBackend({PROMPT: ["R1", "R2"], MC_TRIGGER: ["the answer is (A)"] * 2})
-    outcome = run_strategy(q, cfg, backend)
-    latencies = [t.latency_ms for t in outcome.traces]
+    traces = run_strategy(q, cfg, backend)
+    latencies = [t.latency_ms for t in traces]
     assert len(backend.calls) == 3
     # One reasoning call for both samples, then one prediction call each.
     assert sum(latencies) >= 60
