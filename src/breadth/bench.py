@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence
 
 from .core import (
     Answer,
@@ -61,24 +61,15 @@ class MismatchedQuestionSetsError(ValueError):
 
 
 @dataclass(frozen=True)
-class FileSource:
-    path: str
-    format_name: str  # adapter key
-
-
-@dataclass(frozen=True)
-class GeneratorSource:
-    kind: str  # coinflip | lastletters
-    n: int
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class DatasetSpec:
+    """Read from ``path`` with ``ADAPTERS[name]``, or generated from ``seed``
+    when ``path`` is None."""
+
     name: str
     answer_format: AnswerFormat
     expected_count: int
-    source: Union[FileSource, GeneratorSource]
+    path: Optional[str] = None
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -121,25 +112,20 @@ DATASET_TABLE: Dict[str, tuple] = {
     "coinflip": (AnswerFormat.YES_NO, 500, "generator"),
 }
 
-GENERATOR_DATASETS = ("lastletters", "coinflip")
-
-
-def dataset_spec(name: str, path: Optional[str] = None, n: Optional[int] = None,
-                 seed: int = 0) -> DatasetSpec:
+def dataset_spec(name: str, path: Optional[str] = None, seed: int = 0) -> DatasetSpec:
     """Build a spec from the built-in table; file datasets need a path."""
     key = name.strip().lower()
     if key not in DATASET_TABLE:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASET_TABLE)}")
     fmt, expected, default_file = DATASET_TABLE[key]
-    if key in GENERATOR_DATASETS:
-        return DatasetSpec(key, fmt, expected,
-                           GeneratorSource(kind=key, n=n or expected, seed=seed))
+    if key not in ADAPTERS:
+        return DatasetSpec(key, fmt, expected, seed=seed)
     if path is None:
         raise MissingFileError(f"dataset {key} needs a source file (default name "
                                f"{default_file!r}); pass --data-path")
     if os.path.isdir(path):
         path = os.path.join(path, default_file)
-    return DatasetSpec(key, fmt, expected, FileSource(path=path, format_name=key))
+    return DatasetSpec(key, fmt, expected, path=path)
 
 
 def _dig(record: dict, dotted: str):
@@ -220,11 +206,11 @@ def _records_from_file(path: str, fmap: FieldMap, dataset: str) -> List[dict]:
 def load_dataset(spec: DatasetSpec) -> List[Question]:
     """Normalize a dataset into Questions; warns (not errors) on a count
     mismatch against the built-in table."""
-    if isinstance(spec.source, GeneratorSource):
-        questions = generate_synthetic(spec.source.kind, spec.source.n, spec.source.seed)
+    if spec.path is None:
+        questions = generate_synthetic(spec.name, spec.expected_count, spec.seed)
     else:
-        fmap = ADAPTERS[spec.source.format_name]
-        records = _records_from_file(spec.source.path, fmap, spec.name)
+        fmap = ADAPTERS[spec.name]
+        records = _records_from_file(spec.path, fmap, spec.name)
         questions = []
         for index, record in enumerate(records):
             try:

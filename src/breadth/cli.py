@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 from . import bench, diversity, votemodel
 from .core import (
+    AnswerFormat,
     Question,
     StopRule,
     StrategyConfig,
@@ -77,7 +78,12 @@ def _build_backend(args) -> Backend:
         return ReplayBackend(ReplayStore(args.replay), model=args.model)
     if args.mock_script:
         with open(args.mock_script, "r", encoding="utf-8") as fh:
-            return ScriptedBackend(json.load(fh), model=args.model)
+            script = json.load(fh)
+        if not isinstance(script, dict) and not (
+                isinstance(script, list) and all(isinstance(rule, dict) for rule in script)):
+            raise ValueError(f"--mock-script {args.mock_script}: expected an object "
+                             "or a list of rule objects")
+        return ScriptedBackend(script, model=args.model)
     if not os.environ.get(API_KEY_ENV):
         raise RuntimeError(
             f"live mode needs the {API_KEY_ENV} environment variable; set it, "
@@ -92,7 +98,10 @@ def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"--config {path}: expected a JSON object, got {config!r:.80}")
+    return config
 
 
 def _strategy_config(args, file_config: dict) -> StrategyConfig:
@@ -108,26 +117,20 @@ def _strategy_config(args, file_config: dict) -> StrategyConfig:
     return StrategyConfig.from_dict({**defaults, **values})
 
 
-def _load_questions(args) -> List[Question]:
-    spec = bench.dataset_spec(args.dataset, path=args.data_path, seed=args.seed)
-    return bench.load_dataset(spec)
-
-
 def _trigger_overrides(file_config: dict):
-    from .core import AnswerFormat
-
-    raw = file_config.get("answer_triggers")
-    if not raw:
-        return None
+    raw = file_config.get("answer_triggers", {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"config key 'answer_triggers' must be an object, got {raw!r:.80}")
     return {AnswerFormat(k): str(v) for k, v in raw.items()}
 
 
 def _cmd_run(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("--limit must be at least 1")
     file_config = _load_config_file(args.config)
     cfg = _strategy_config(args, file_config)
-    questions = _load_questions(args)
-    if args.limit is not None:
-        questions = questions[: args.limit]
+    questions = bench.load_dataset(
+        bench.dataset_spec(args.dataset, path=args.data_path, seed=args.seed))[: args.limit]
     if not questions:
         raise RuntimeError(f"dataset {args.dataset} produced no questions")
     triggers = _trigger_overrides(file_config)
@@ -186,7 +189,10 @@ def _cmd_reformulate(args) -> int:
 
 def _load_subset(path: str) -> List[Question]:
     with open(path, "r", encoding="utf-8") as fh:
-        return [Question.from_dict(json.loads(line)) for line in fh if line.strip()]
+        records = [json.loads(line) for line in fh if line.strip()]
+    if not all(isinstance(record, dict) for record in records):
+        raise ValueError(f"--subset {path}: every line must be a JSON object")
+    return [Question.from_dict(record) for record in records]
 
 
 def _cmd_entropy(args) -> int:

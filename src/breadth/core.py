@@ -193,8 +193,6 @@ def canonical_answer(raw: str, fmt: AnswerFormat) -> Answer:
     Deterministic and total: unparseable input yields an abstaining answer,
     never an exception. Idempotent on its own output.
     """
-    if raw is None:
-        return Answer.abstained(fmt)
     if fmt == AnswerFormat.NUMERIC:
         value = _canonical_numeric(raw)
     elif fmt == AnswerFormat.MULTIPLE_CHOICE:
@@ -269,47 +267,6 @@ class Question:
 
 
 @dataclass(frozen=True)
-class PromptVariant:
-    """A reasoning-trigger prompt and where it came from."""
-
-    text: str
-    origin: str = "canonical"  # canonical | bank | reformulated
-    bank_index: Optional[int] = None  # 1-based position in the fixed bank
-    seed_text: Optional[str] = None  # original text a rewrite started from
-    variant_index: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("prompt variant text must be non-empty")
-        if self.origin == "bank" and not (self.bank_index and 1 <= self.bank_index <= 10):
-            raise ValueError("bank prompts carry a 1..10 index")
-
-    @classmethod
-    def canonical(cls, text: str = CANONICAL_COT_PROMPT) -> "PromptVariant":
-        return cls(text=text, origin="canonical")
-
-    def to_dict(self) -> dict:
-        origin: dict = {"kind": self.origin}
-        if self.bank_index is not None:
-            origin["bank_index"] = self.bank_index
-        if self.seed_text is not None:
-            origin["seed_text"] = self.seed_text
-            origin["variant_index"] = self.variant_index
-        return {"text": self.text, "origin": origin}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PromptVariant":
-        origin = d.get("origin", {"kind": "canonical"})
-        return cls(
-            text=d["text"],
-            origin=origin.get("kind", "canonical"),
-            bank_index=origin.get("bank_index"),
-            seed_text=origin.get("seed_text"),
-            variant_index=origin.get("variant_index"),
-        )
-
-
-@dataclass(frozen=True)
 class ReasoningTrace:
     """One reasoning path: assembled input, generated reasoning, prediction.
 
@@ -377,7 +334,8 @@ class StrategyConfig:
     ``n_reformulations`` is the number of reworded contexts, ``m_samples``
     the samples drawn per context, ``max_iterations`` the depth cap, and
     ``iteration_guide`` the prompt that steers refinement rounds (empty
-    string means: reuse the canonical prompt).
+    string means: reuse the canonical prompt). ``canonical_prompt`` is the
+    reasoning-trigger text every path starts from.
     """
 
     kind: StrategyKind
@@ -386,7 +344,7 @@ class StrategyConfig:
     max_iterations: int = 1
     stop_rule: StopRule = StopRule.FIXED_T
     temperature: float = 1.0
-    canonical_prompt: PromptVariant = field(default_factory=PromptVariant.canonical)
+    canonical_prompt: str = CANONICAL_COT_PROMPT
     iteration_guide: str = ""
 
     def __post_init__(self):
@@ -394,6 +352,8 @@ class StrategyConfig:
             raise ValueError("n_reformulations, m_samples, max_iterations must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if not self.canonical_prompt:
+            raise ValueError("canonical_prompt must be non-empty")
 
     def to_dict(self) -> dict:
         return {
@@ -403,15 +363,15 @@ class StrategyConfig:
             "max_iterations": self.max_iterations,
             "stop_rule": self.stop_rule.value,
             "temperature": self.temperature,
-            "canonical_prompt": self.canonical_prompt.to_dict(),
+            "canonical_prompt": {"text": self.canonical_prompt, "origin": dict(_CANONICAL_ORIGIN)},
             "iteration_guide": self.iteration_guide,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyConfig":
         """Inverse of ``to_dict``; also takes ``canonical_prompt`` as plain
-        text and stop rules by their CLI names. Unknown keys and values of the
-        wrong type are a ``ValueError``."""
+        text and stop rules by their CLI names. Unknown keys, values of the
+        wrong type and a non-canonical prompt origin are a ``ValueError``."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
@@ -426,10 +386,16 @@ class StrategyConfig:
             kwargs["stop_rule"] = StopRule.parse(kwargs["stop_rule"])
         prompt = kwargs.get("canonical_prompt")
         if isinstance(prompt, dict):
-            kwargs["canonical_prompt"] = PromptVariant.from_dict(prompt)
-        elif isinstance(prompt, str):
-            kwargs["canonical_prompt"] = PromptVariant.canonical(prompt)
+            if (set(prompt) - {"text", "origin"} or not isinstance(prompt.get("text"), str)
+                    or prompt.get("origin", _CANONICAL_ORIGIN) != _CANONICAL_ORIGIN):
+                raise ValueError("strategy config 'canonical_prompt' must be text or "
+                                 f"{{'text': ..., 'origin': {_CANONICAL_ORIGIN}}}, got {prompt!r}")
+            kwargs["canonical_prompt"] = prompt["text"]
         return cls(**kwargs)
+
+
+# How ``StrategyConfig.to_dict`` tags the prompt in run records.
+_CANONICAL_ORIGIN = {"kind": "canonical"}
 
 
 # The JSON types ``StrategyConfig.from_dict`` accepts for each key.

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .core import Answer, Question, StrategyConfig
 from .extract import EmptyInputError
@@ -107,7 +107,7 @@ def _factor_answers(q: Question, spec: FactorSpec, cfg: StrategyConfig,
     from dataclasses import replace
 
     k = spec.k_paths
-    prompt_text = cfg.canonical_prompt.text
+    prompt_text = cfg.canonical_prompt
     if spec.factor == Factor.QUESTION_REWORDING:
         variants = reformulate(
             q.text,
@@ -159,17 +159,9 @@ def run_factor_study(dataset: str, questions: Sequence[Question],
     return FactorStudyReport(dataset=dataset, results=results)
 
 
-def report_to_csv(reports: Sequence[FactorStudyReport],
-                  factors: Optional[Sequence[Factor]] = None) -> str:
-    """Rows are datasets, columns are factors; unsupported factors render as
-    a tag. A footer documents the out-of-scope perturbation setup."""
-    if factors is None:
-        seen = []
-        for report in reports:
-            for f in report.results:
-                if f not in seen:
-                    seen.append(f)
-        factors = seen
+def report_to_csv(reports: Sequence[FactorStudyReport], factors: Sequence[Factor]) -> str:
+    """Rows are datasets, columns are ``factors``; unsupported factors render
+    as a tag. A footer documents the out-of-scope perturbation setup."""
     lines = ["dataset," + ",".join(f.value for f in factors)]
     for report in reports:
         cells = [report.dataset]

@@ -128,21 +128,17 @@ def _fallback(text: str, fmt: AnswerFormat, labels: Sequence[str]) -> Optional[s
 
 
 def extract_answer(text: str, fmt: AnswerFormat,
-                   choices: Optional[Sequence] = None) -> Answer:
+                   choices: Optional[Sequence[tuple]] = None) -> Answer:
     """Parse raw prediction text into a canonical :class:`Answer`.
 
-    Never raises; abstains when nothing parseable is found. ``choices``
-    restricts the label space for multiple choice (default A-E); labels are
-    preferred over values, so "(A) 15" yields A even when 15 is a value.
+    Never raises; abstains when nothing parseable is found. ``choices``, the
+    question's ``(label, text)`` pairs, restricts the label space for
+    multiple choice (default A-E); labels are preferred over values, so
+    "(A) 15" yields A even when 15 is a value.
     """
     if not text or not text.strip():
         return Answer.abstained(fmt)
-    if choices and not isinstance(choices[0], str):
-        labels: Sequence[str] = [l for l, _ in choices]
-    elif choices:
-        labels = list(choices)
-    else:
-        labels = _DEFAULT_LABELS
+    labels = [l for l, _ in choices] if choices else _DEFAULT_LABELS
 
     fragment = _after_last_trigger(text, fmt)
     raw: Optional[str] = None

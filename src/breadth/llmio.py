@@ -35,6 +35,15 @@ BACKEND_REPLAY_HIT = "replay_hit"
 # number of questions a run keeps going under a non-deterministic backend.
 MAX_IN_FLIGHT = 4
 
+# The live backend's one retry policy, for transient failures only: up to
+# four attempts, backing off 0.5 s and doubling per attempt to at most 8 s.
+MAX_ATTEMPTS = 4
+
+
+def retry_delay(attempt: int) -> float:
+    return min(8.0, 0.5 * 2 ** attempt)
+
+
 # The one encoding of every cache key, cache record and trace line: sorted
 # keys, no spaces. ``json.dumps`` with these arguments would build a new
 # encoder on every call.
@@ -221,18 +230,6 @@ class TokenBucketLimiter:
         return False
 
 
-@dataclass
-class RetryPolicy:
-    """Bounded exponential backoff for transient failures only."""
-
-    max_attempts: int = 4
-    base_delay: float = 0.5
-    max_delay: float = 8.0
-
-    def delay(self, attempt: int) -> float:
-        return min(self.max_delay, self.base_delay * (2 ** attempt))
-
-
 class LiveBackend(Backend):
     """HTTP client for any endpoint speaking the common chat-completion JSON
     schema (messages array with system/user roles, ``temperature``, ``n``).
@@ -243,7 +240,6 @@ class LiveBackend(Backend):
 
     def __init__(self, base_url: str, api_key: Optional[str] = None,
                  model: str = DEFAULT_MODEL, timeout: float = 60.0,
-                 retry: Optional[RetryPolicy] = None,
                  limiter: Optional[TokenBucketLimiter] = None,
                  session: Optional[requests.Session] = None,
                  sleep: Callable[[float], None] = time.sleep):
@@ -251,28 +247,27 @@ class LiveBackend(Backend):
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.model = model
         self.timeout = timeout
-        self.retry = retry or RetryPolicy()
         self.limiter = limiter or TokenBucketLimiter()
         self.session = session or requests.Session()
         self._sleep = sleep
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         last_error: Optional[Exception] = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 with self.limiter:
                     return self._post(req)
             except RateLimitedError as exc:
                 last_error = exc
-                delay = self.retry.delay(attempt) if exc.retry_after is None else exc.retry_after
+                delay = retry_delay(attempt) if exc.retry_after is None else exc.retry_after
                 logger.warning("rate limited, sleeping %.1fs", delay)
                 self._sleep(delay)
             except NetworkError as exc:
                 last_error = exc
-                delay = self.retry.delay(attempt)
+                delay = retry_delay(attempt)
                 logger.warning("network error (%s), retrying in %.1fs", exc, delay)
                 self._sleep(delay)
-        raise NetworkError(f"gave up after {self.retry.max_attempts} attempts: {last_error}")
+        raise NetworkError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def _post(self, req: CompletionRequest) -> CompletionResponse:
         messages = []

@@ -155,7 +155,7 @@ def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
     reasoning. Stops at the round cap, or one round after two consecutive
     equal (non-abstain) predictions under the stability rule.
     """
-    prompt_text = cfg.canonical_prompt.text
+    prompt_text = cfg.canonical_prompt
     trigger = answer_trigger(q.answer_format, triggers)
     rounds, _, _ = path_shape(cfg)
     traces: List[ReasoningTrace] = []
@@ -197,7 +197,7 @@ def _build_contexts(q: Question, cfg: StrategyConfig, backend: Backend,
     Only rewriting strategies have more than the canonical context; they keep
     the original as context 0 and rewrite the rest.
     """
-    prompt_text = cfg.canonical_prompt.text
+    prompt_text = cfg.canonical_prompt
     kind = cfg.kind
     if kind == StrategyKind.SC or kind not in BREADTH_KINDS:
         return [(q.text, prompt_text)]
@@ -327,7 +327,7 @@ def plan_paths(q: Question, cfg: StrategyConfig,
     plans = [{"round": 1, "reformulation_index": i, "sample_index": j,
               "input": assemble_reasoning_input(qt, pt)}
              for i, (qt, pt) in enumerate(contexts) for j in range(per_context)]
-    prompt_text = cfg.canonical_prompt.text
+    prompt_text = cfg.canonical_prompt
     for r in range(2, rounds + 1):
         plans.append({
             "round": r, "reformulation_index": 0, "sample_index": 0,

@@ -429,3 +429,48 @@ def test_readme_config_example_loads(tmp_path, capsys):
                  "--config", str(config_path), "--dry-run"])
     assert code == 0
     assert "3 planned paths" in capsys.readouterr().out
+
+
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps([{"kind": "cot"}]), encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 2
+    assert str(config_path) in capsys.readouterr().err
+
+
+def test_answer_triggers_that_are_not_an_object_exit_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": "cot", "answer_triggers": ["So"]}),
+                           encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 2
+    assert "'answer_triggers' must be an object" in capsys.readouterr().err
+
+
+def test_mock_script_rule_that_is_not_an_object_exits_2(tmp_path, capsys):
+    script = _mock_script_file(tmp_path, [{"match": "step", "responses": ["r"]}, "step"])
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--mock-script", script, "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert script in capsys.readouterr().err
+
+
+def test_entropy_subset_line_that_is_not_an_object_exits_2(tmp_path, capsys):
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n[1, 2]\n", encoding="utf-8")
+    code = main(["entropy", "--factors", "sampling", "--subset", str(subset),
+                 "--mock-script", _mock_script_file(tmp_path, {})])
+    assert code == 2
+    assert str(subset) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_below_one_is_a_usage_error(limit, capsys):
+    code = main(["run", "--dataset", "coinflip", "--limit", limit,
+                 "--strategy", "cot", "--dry-run"])
+    assert code == 1
+    assert "--limit must be at least 1" in capsys.readouterr().err

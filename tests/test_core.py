@@ -6,7 +6,6 @@ import pytest
 from breadth.core import (
     Answer,
     AnswerFormat,
-    PromptVariant,
     Question,
     ReasoningTrace,
     StopRule,
@@ -166,16 +165,14 @@ def test_config_validation():
 
 def test_canonical_prompt_default_text():
     cfg = default_config(StrategyKind.COT)
-    assert cfg.canonical_prompt.text == "Let's think step by step."
-    assert cfg.canonical_prompt.origin == "canonical"
+    assert cfg.canonical_prompt == "Let's think step by step."
+    assert cfg.to_dict()["canonical_prompt"] == {"text": "Let's think step by step.",
+                                                 "origin": {"kind": "canonical"}}
 
 
 def test_serialization_round_trips(toy_shop_question):
     q = toy_shop_question
     assert Question.from_dict(q.to_dict()) == q
-
-    variant = PromptVariant(text="alt", origin="bank", bank_index=3)
-    assert PromptVariant.from_dict(variant.to_dict()) == variant
 
     trace = ReasoningTrace(
         question_id=q.id, round=2, reformulation_index=1, sample_index=0,
@@ -191,6 +188,13 @@ def test_serialization_round_trips(toy_shop_question):
     text_form = {**cfg.to_dict(), "canonical_prompt": "Let's think step by step.",
                  "stop_rule": "fixed"}
     assert StrategyConfig.from_dict(text_form) == cfg
+    # the prompt object's origin may be left out, but only a canonical one is accepted
+    assert StrategyConfig.from_dict(
+        {**cfg.to_dict(), "canonical_prompt": {"text": "Let's think step by step."}}) == cfg
+    for prompt in ({"text": "alt", "origin": {"kind": "bank", "bank_index": 3}}, "",
+                   {"text": "", "origin": {"kind": "canonical"}}):
+        with pytest.raises(ValueError, match="canonical_prompt"):
+            StrategyConfig.from_dict({**cfg.to_dict(), "canonical_prompt": prompt})
 
 
 def test_trace_validation():

@@ -27,12 +27,12 @@ from breadth.llmio import (
     RecordingBackend,
     ReplayBackend,
     ReplayStore,
-    RetryPolicy,
     ScriptExhaustedError,
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
     read_json_lines,
+    retry_delay,
 )
 from conftest import mc_question
 
@@ -611,7 +611,6 @@ def _live(session):
     sleeps = []
     backend = LiveBackend(
         "https://example.test/v1", api_key="k", session=session,
-        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
         limiter=TokenBucketLimiter(max_concurrent=2, requests_per_minute=6000),
         sleep=sleeps.append,
     )
@@ -649,7 +648,7 @@ def test_live_falls_back_to_policy_delay_when_retry_after_is_a_date():
     ])
     backend, sleeps = _live(session)
     assert backend.complete(req(user_text="q")).texts == ("done",)
-    assert sleeps == [backend.retry.delay(0)]
+    assert sleeps == [retry_delay(0)]
 
 
 def test_live_reads_null_usage_as_zero():
@@ -700,7 +699,7 @@ def test_live_gives_up_after_bounded_attempts():
     backend, _ = _live(session)
     with pytest.raises(NetworkError):
         backend.complete(req(user_text="q"))
-    assert len(session.posts) == 3
+    assert len(session.posts) == 4
 
 
 def test_live_wire_format():

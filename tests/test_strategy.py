@@ -78,10 +78,10 @@ def test_assembly_golden_file():
 def _cot_script(question, reasoning, prediction, cfg):
     backend = ScriptedBackend()
     trigger = answer_trigger(question.answer_format)
-    backend.add_rule(assemble_reasoning_input(question.text, cfg.canonical_prompt.text),
+    backend.add_rule(assemble_reasoning_input(question.text, cfg.canonical_prompt),
                      [reasoning], exact=True)
     backend.add_rule(
-        assemble_prediction_input(question.text, cfg.canonical_prompt.text,
+        assemble_prediction_input(question.text, cfg.canonical_prompt,
                                   reasoning, trigger),
         [prediction], exact=True)
     return backend
@@ -119,7 +119,7 @@ def test_zero_shot_single_call_without_prompt():
 def _deep_script(question, cfg, rounds):
     """rounds: list of (reasoning, prediction) per iteration."""
     backend = ScriptedBackend()
-    prompt = cfg.canonical_prompt.text
+    prompt = cfg.canonical_prompt
     guide = cfg.iteration_guide or prompt
     trigger = answer_trigger(question.answer_format)
     backend.add_rule(assemble_reasoning_input(question.text, prompt), [rounds[0][0]], exact=True)
