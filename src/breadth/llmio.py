@@ -260,12 +260,11 @@ class LiveBackend(Backend):
             except RateLimitedError as exc:
                 last_error = exc
                 delay = retry_delay(attempt) if exc.retry_after is None else exc.retry_after
-                logger.warning("rate limited, sleeping %.1fs", delay)
-                self._sleep(delay)
             except NetworkError as exc:
                 last_error = exc
                 delay = retry_delay(attempt)
-                logger.warning("network error (%s), retrying in %.1fs", exc, delay)
+            if attempt + 1 < MAX_ATTEMPTS:  # no wait once no attempt is left
+                logger.warning("%s, retrying in %.1fs", last_error, delay)
                 self._sleep(delay)
         raise NetworkError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
@@ -369,8 +368,13 @@ class ScriptedBackend(Backend):
                               exact=bool(rule.get("exact", False)))
 
     def add_rule(self, pattern: str, responses, exact: bool = False) -> "ScriptedBackend":
+        if not isinstance(pattern, str):
+            raise ValueError(f"script rule {pattern!r}: match must be a string")
         if isinstance(responses, str):
             responses = [responses]
+        if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
+            raise ValueError(f"script rule {pattern!r}: responses must be a string or "
+                             f"a list of strings, got {responses!r:.80}")
         self.rules.append(ScriptRule(pattern, list(responses), exact=exact))
         return self
 

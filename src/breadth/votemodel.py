@@ -90,38 +90,55 @@ def _shard_sizes(trials: int, shards: int) -> List[int]:
     return [base + (1 if i < remainder else 0) for i in range(shards)]
 
 
-def _vote_correct(paths: np.ndarray, k: int) -> np.ndarray:
-    counts = paths[:, :k].sum(axis=1)
-    wins = counts * 2 > k
-    ties = counts * 2 == k
-    return wins | (ties & paths[:, 0].astype(bool))
-
-
 def simulate_plane(model: PlaneModel, trials: int, seed: int) -> PlaneSimResult:
     """Seeded Monte-Carlo estimate of vote accuracy for every prefix budget
     k = 1..n*m (paths ordered context-major).
 
     Trials run in shards with seeds spawned from the master seed and reduce
     in shard order, so results are identical however the shards execute.
+    A k-path vote is correct when ``2 * correct + first > k``: a majority,
+    or an even split with the first path correct. One pass over the paths
+    keeps that score for every prefix k.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, m = model.n_contexts, model.m_per_context
     total = n * m
-    shards = max(1, min(_SHARDS, trials))
+    shards = min(_SHARDS, trials)
+    sizes = _shard_sizes(trials, shards)
+    # Buffers for the largest shard, reused by every shard. Each draw fills
+    # the front of ``draws`` in the order a fresh array would, so a seed
+    # gives the same paths as allocating per shard.
+    draws = np.empty(sizes[0] * total)
+    context_buf = np.empty(sizes[0] * n, dtype=bool)
+    copy_buf = np.empty(sizes[0] * total, dtype=bool)
+    paths_buf = np.empty(sizes[0] * total, dtype=bool)
+    score_buf = np.empty(sizes[0], dtype=np.min_scalar_type(2 * total + 1))
+    vote_buf = np.empty(sizes[0], dtype=bool)
     correct_counts = np.zeros(total, dtype=np.int64)
-    for shard_seed, shard_trials in zip(
-            np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
-        if shard_trials == 0:
-            continue
+    for shard_seed, shard_trials in zip(np.random.SeedSequence(seed).spawn(shards), sizes):
         rng = np.random.default_rng(shard_seed)
-        context = rng.random((shard_trials, n)) < model.p_correct
-        copy_mask = rng.random((shard_trials, n, m)) < model.rho
-        independent = rng.random((shard_trials, n, m)) < model.p_correct
-        paths = np.where(copy_mask, context[:, :, None], independent)
-        paths = paths.reshape(shard_trials, total).astype(np.int8)
-        for k in range(1, total + 1):
-            correct_counts[k - 1] += int(_vote_correct(paths, k).sum())
+        size = shard_trials * total
+        context = np.less(rng.random(out=draws[:shard_trials * n]), model.p_correct,
+                          out=context_buf[:shard_trials * n])
+        copy = np.less(rng.random(out=draws[:size]), model.rho, out=copy_buf[:size])
+        paths = np.less(rng.random(out=draws[:size]), model.p_correct, out=paths_buf[:size])
+        # A copying path takes its context's draw: flip it where they differ.
+        flip = np.repeat(context, m)
+        flip ^= paths
+        flip &= copy
+        paths ^= flip
+        del flip  # before the next shard allocates its own
+        # Path k of every trial, contiguous, in the copy mask's spent buffer.
+        columns = copy.reshape(total, shard_trials)
+        np.copyto(columns, paths.reshape(shard_trials, total).T)
+        # score = 2 * (correct paths among the first k) + first path's bit
+        score, vote = score_buf[:shard_trials], vote_buf[:shard_trials]
+        np.copyto(score, columns[0])
+        for k, column in enumerate(columns, 1):
+            score += column
+            score += column
+            correct_counts[k - 1] += np.count_nonzero(np.greater(score, k, out=vote))
     curve = []
     for k in range(1, total + 1):
         acc = correct_counts[k - 1] / trials
@@ -156,12 +173,10 @@ def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int) -> Lis
         raise ValueError("t_max must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    shards = max(1, min(_SHARDS, trials))
+    shards = min(_SHARDS, trials)
     correct_counts = np.zeros(t_max, dtype=np.int64)
     for shard_seed, shard_trials in zip(
             np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
-        if shard_trials == 0:
-            continue
         rng = np.random.default_rng(shard_seed)
         state = rng.random(shard_trials) < model.p_correct
         correct_counts[0] += int(state.sum())

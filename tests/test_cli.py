@@ -458,6 +458,23 @@ def test_mock_script_rule_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert script in capsys.readouterr().err
 
 
+_NOT_STRINGS = "script rule 'step by step': responses must be a string or a list of strings"
+
+
+@pytest.mark.parametrize("script,message", [
+    ({"step by step": 5}, _NOT_STRINGS),
+    ([{"match": "step by step", "responses": 5}], _NOT_STRINGS),
+    ([{"match": "step by step", "responses": ["r", 5]}], _NOT_STRINGS),
+    ([{"match": 5, "responses": ["r"]}], "script rule 5: match must be a string"),
+], ids=["object", "rule-list", "non-string-response", "non-string-match"])
+def test_mock_script_rule_that_is_not_text_exits_2(tmp_path, capsys, script, message):
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--mock-script", _mock_script_file(tmp_path, script),
+                 "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_entropy_subset_line_that_is_not_an_object_exits_2(tmp_path, capsys):
     q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
     subset = tmp_path / "subset.jsonl"

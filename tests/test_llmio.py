@@ -702,6 +702,19 @@ def test_live_gives_up_after_bounded_attempts():
     assert len(session.posts) == 4
 
 
+@pytest.mark.parametrize("failure", [
+    FakeResponse(status_code=500),
+    FakeResponse(status_code=429),
+], ids=["server-error", "rate-limited"])
+def test_live_does_not_wait_after_its_last_attempt(failure):
+    session = FakeSession([failure] * 4)
+    backend, sleeps = _live(session)
+    with pytest.raises(NetworkError):
+        backend.complete(req(user_text="q"))
+    assert len(session.posts) == 4
+    assert sleeps == [0.5, 1.0, 2.0]
+
+
 def test_live_wire_format():
     session = FakeSession([FakeResponse(body=_ok_body(["ok"]))])
     backend, _ = _live(session)

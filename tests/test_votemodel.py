@@ -1,10 +1,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from breadth.votemodel import (
+    _SHARDS,
+    CurvePoint,
     PlaneModel,
+    PlaneSimResult,
+    _shard_sizes,
     analytic_majority,
     breadth_curve_csv,
     closed_form_depth,
@@ -15,6 +20,34 @@ from breadth.votemodel import (
 
 SIM_TRIALS = 1_000_000
 GRID_TRIALS = 300_000
+
+
+def _reference_simulate_plane(model, trials, seed):
+    """The straightforward kernel: fresh arrays per shard, an ``np.where``
+    path build, and a separate prefix sum for every budget k."""
+    n, m = model.n_contexts, model.m_per_context
+    total = n * m
+    shards = min(_SHARDS, trials)
+    correct_counts = np.zeros(total, dtype=np.int64)
+    for shard_seed, shard_trials in zip(
+            np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
+        rng = np.random.default_rng(shard_seed)
+        context = rng.random((shard_trials, n)) < model.p_correct
+        copy_mask = rng.random((shard_trials, n, m)) < model.rho
+        independent = rng.random((shard_trials, n, m)) < model.p_correct
+        paths = np.where(copy_mask, context[:, :, None], independent)
+        paths = paths.reshape(shard_trials, total).astype(np.int8)
+        for k in range(1, total + 1):
+            counts = paths[:, :k].sum(axis=1)
+            wins = counts * 2 > k
+            ties = counts * 2 == k
+            correct_counts[k - 1] += int((wins | (ties & paths[:, 0].astype(bool))).sum())
+    curve = []
+    for k in range(1, total + 1):
+        acc = correct_counts[k - 1] / trials
+        curve.append(CurvePoint(k=k, accuracy=acc, std_err=math.sqrt(acc * (1 - acc) / trials)))
+    return PlaneSimResult(model=model, trials=trials, breadth_acc=curve[-1].accuracy,
+                          breadth_se=curve[-1].std_err, per_k_curve=tuple(curve))
 
 
 def _enumerate_vote_accuracy(p, k):
@@ -100,6 +133,18 @@ def test_seed_determinism():
     assert first == second
     third = simulate_plane(model, trials=50_000, seed=12)
     assert third != first
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (2, 3), (3, 3), (5, 4)])
+def test_simulation_equals_the_reference_kernel(n, m, rho):
+    # Compared with the reference, not a stored digest, so a change in
+    # numpy's random stream cannot fail it. 1 and 7 trials leave fewer
+    # trials than shards; 9 and 50,001 split unevenly over them.
+    model = PlaneModel(p_correct=0.6, rho=rho, n_contexts=n, m_per_context=m)
+    for trials in (1, 7, 9, 50_001):
+        assert simulate_plane(model, trials, seed=19) == \
+            _reference_simulate_plane(model, trials, seed=19), trials
 
 
 def test_two_by_two_beats_one_by_four_under_correlation():
