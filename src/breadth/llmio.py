@@ -3,7 +3,8 @@ tests, and a content-addressed record/replay cache.
 
 The cache stores one JSON line per *sample* so a run recorded with batched
 sampling replays identically when samples are issued one by one (and vice
-versa). Corrupt trailing lines (truncated writes) are tolerated on load.
+versa). A torn last line (a write cut short) is dropped on load; a corrupt
+line anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import requests
@@ -129,6 +131,27 @@ class CompletionRequest:
                                  f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         return cls(**d)
 
+    @cached_property
+    def sample_payloads(self) -> Tuple[bytes, ...]:
+        """Each sample's own request in canonical JSON, in sample order.
+
+        That is the request itself when it has one sample, else the request
+        with ``n_samples`` 1 and ``sample_batch_id`` i, so batched and
+        sequential sampling share records. :func:`cache_key` digests these
+        bytes and the cache stores them, so a request is encoded once; the
+        samples' payloads differ only in the batch id.
+        """
+        fields = self.to_dict()
+        if self.n_samples == 1:
+            return (canonical_json(fields).encode("utf-8"),)
+        fields["n_samples"] = 1
+        fields["sample_batch_id"] = 0
+        # No JSON string holds this text (its quotes would be escaped), so the
+        # split finds the field itself.
+        head, tail = canonical_json(fields).encode("utf-8").split(b'"sample_batch_id":0,', 1)
+        return tuple(b'%s"sample_batch_id":%d,%s' % (head, i, tail)
+                     for i in range(self.n_samples))
+
 
 # The JSON types ``CompletionRequest.from_dict`` accepts for each field.
 _NULL = type(None)
@@ -155,24 +178,9 @@ class CompletionResponse:
 
 
 def cache_key(req: CompletionRequest) -> Tuple[str, ...]:
-    """The request's per-sample cache keys, in sample order.
-
-    Sample i's key is the SHA-256 of the canonical JSON of its own request:
-    the request itself when it has one sample, else the request with
-    ``n_samples`` 1 and ``sample_batch_id`` i. So batched and sequential
-    sampling share records. The request is encoded once; the samples'
-    payloads differ only in the batch id.
-    """
-    fields = req.to_dict()
-    if req.n_samples == 1:
-        return (hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest(),)
-    fields["n_samples"] = 1
-    fields["sample_batch_id"] = 0
-    # No JSON string holds this text (its quotes would be escaped), so the
-    # split finds the field itself.
-    head, tail = canonical_json(fields).encode("utf-8").split(b'"sample_batch_id":0,', 1)
-    return tuple(hashlib.sha256(b'%s"sample_batch_id":%d,%s' % (head, i, tail)).hexdigest()
-                 for i in range(req.n_samples))
+    """The request's per-sample cache keys, in sample order: the SHA-256 of
+    each of :attr:`CompletionRequest.sample_payloads`."""
+    return tuple(hashlib.sha256(payload).hexdigest() for payload in req.sample_payloads)
 
 
 class Backend:
@@ -458,17 +466,22 @@ def repair_tail(path: str, repair: Tuple[int, str]) -> str:
 
 
 def _replay_entry(record: dict) -> tuple:
-    """What the store keeps of a record: its key, and the ``texts`` and
-    ``usage`` that replay serves, as parsed."""
-    return record["key"], (record.get("texts"), record.get("usage", {}))
+    """What the store keeps of a record: its key, and the ``texts`` and the
+    two token counts that replay serves, as parsed. A ``usage`` that is not
+    an object keeps None for both counts, as a null count would read."""
+    usage = record.get("usage", {})
+    if not isinstance(usage, dict):
+        return record["key"], (record.get("texts"), None, None)
+    return record["key"], (record.get("texts"), usage.get("prompt_tokens", 0),
+                           usage.get("completion_tokens", 0))
 
 
 class ReplayStore:
     """Append-only JSON-lines store of per-sample responses keyed by digest.
 
-    In memory it keeps, per key, only the record's ``texts`` and ``usage``,
-    as parsed: never the ``request`` (``breadth cache`` reads full records
-    from the file itself). Opening streams the file through
+    In memory it keeps, per key, only the record's ``texts`` and its two
+    token counts, as parsed: never the ``request`` (``breadth cache`` reads
+    full records from the file itself). Opening streams the file through
     :func:`read_json_lines`, the last record for a key wins, and a record
     whose ``texts`` or ``usage`` cannot be used fails when it is served.
     Readers share the index; appends are serialized. A torn tail, or an
@@ -488,26 +501,40 @@ class ReplayStore:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def append(self, record: dict):
-        line = canonical_json(record) + "\n"
-        key, entry = _replay_entry(record)
+    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]):
+        """Store one response's records, ``(key, request, text, usage)`` each
+        with ``request`` in canonical JSON, as one line per record in one
+        write. A line is the canonical JSON of ``{"key", "request", "texts":
+        [text], "usage"}``: its keys are already in sorted order, and token
+        counts are ints, which ``%d`` writes as JSON does."""
+        data = b"".join(
+            b'{"key":%s,"request":%s,"texts":[%s],'
+            b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
+                canonical_json(key).encode("utf-8"), request,
+                canonical_json(text).encode("utf-8"),
+                usage.completion_tokens, usage.prompt_tokens)
+            for key, request, text, usage in records)
         with self._lock:
             prefix = "" if self._repair is None else repair_tail(self.path, self._repair)
             size = None
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    size = fh.tell()
-                    fh.write(prefix + line)
-                    fh.flush()
+                size = os.lseek(fd, 0, os.SEEK_END)
+                unwritten = memoryview(prefix.encode("utf-8") + data)
+                while unwritten:
+                    unwritten = unwritten[os.write(fd, unwritten):]
             except BaseException:
                 # A write cut short may leave part of a line: the next append
                 # cuts the file back, and still owes the prefix.
                 if size is not None:
                     self._repair = (size, prefix)
                 raise
-            # Only a written line changes what the store serves or repairs.
+            finally:
+                os.close(fd)
+            # Only written lines change what the store serves or repairs.
             self._repair = None
-            self._entries[key] = entry
+            for key, _, text, usage in records:
+                self._entries[key] = ([text], usage.prompt_tokens, usage.completion_tokens)
 
     def response(self, keys: Sequence[str],
                  backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
@@ -519,14 +546,17 @@ class ReplayStore:
             entry = self._entries.get(key)
             if entry is None:
                 raise CacheMissError(f"no recorded response for key {key}")
-            sample_texts, usage = entry
+            sample_texts, prompt, completion = entry
             if sample_texts is None:
                 raise KeyError("texts")
             texts.extend(sample_texts)
-            usage = Usage.from_dict(usage)
+            try:
+                prompt, completion = int(prompt), int(completion)
+            except TypeError:  # a null count, or a usage that is not an object
+                raise ValueError(f"record {key} has no usable token counts") from None
             if i == 0:
-                prompt_tokens = usage.prompt_tokens
-            completion_tokens += usage.completion_tokens
+                prompt_tokens = prompt
+            completion_tokens += completion
         return CompletionResponse(
             texts=tuple(texts),
             usage=Usage(prompt_tokens, completion_tokens),
@@ -580,20 +610,11 @@ class RecordingBackend(Backend):
                 return self.store.response(keys)
             response = self.inner.complete(req)
             shares = split_usage(response.usage, len(response.texts))
-            request = req.to_dict()
-            for i, (key, text, share) in enumerate(zip(keys, response.texts, shares)):
-                if req.n_samples > 1:  # the sample's own request, as cache_key digests it
-                    request = {**request, "n_samples": 1, "sample_batch_id": i}
-                # Every per-sample request carries the whole prompt.
-                usage = Usage(response.usage.prompt_tokens, share.completion_tokens)
-                self.store.append(
-                    {
-                        "key": key,
-                        "request": request,
-                        "texts": [text],
-                        "usage": usage.to_dict(),
-                    }
-                )
+            # Every per-sample request carries the whole prompt.
+            self.store.append([
+                (key, request, text, Usage(response.usage.prompt_tokens, share.completion_tokens))
+                for key, request, text, share in zip(keys, req.sample_payloads,
+                                                     response.texts, shares)])
             # Return the store's view so record and replay runs emit identical bytes.
             return self.store.response(keys, backend_tag=response.backend)
         finally:

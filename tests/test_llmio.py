@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -31,8 +32,10 @@ from breadth.llmio import (
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
+    canonical_json,
     read_json_lines,
     retry_delay,
+    split_usage,
 )
 from conftest import mc_question
 
@@ -234,20 +237,31 @@ def test_recording_splits_completion_tokens_evenly(tmp_path):
 
 def test_recording_and_replay_call_cache_key_once_per_request(tmp_path, monkeypatch):
     calls = []
+    appended = []
 
     def counting_cache_key(request):
         calls.append(request)
         return cache_key(request)
 
+    real_append = ReplayStore.append
+
+    def counting_append(self, records):
+        appended.append([key for key, *_ in records])
+        return real_append(self, records)
+
     monkeypatch.setattr(breadth.llmio, "cache_key", counting_cache_key)
+    monkeypatch.setattr(ReplayStore, "append", counting_append)
     store = ReplayStore(str(tmp_path / "cache.jsonl"))
     backend = RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"]}), store)
     three = req(user_text="q", n_samples=3)
     missed = backend.complete(three)
     assert calls == [three]  # on a miss
+    assert appended == [list(cache_key(three))]  # the whole response in one append
     calls.clear()
+    appended.clear()
     hit = backend.complete(three)
     assert calls == [three]  # on a hit
+    assert appended == []  # a hit records nothing
     calls.clear()
     replayed = ReplayBackend(store, model="m").complete(three)
     assert calls == [three]
@@ -264,6 +278,49 @@ def test_recorded_records_hold_each_samples_own_request(tmp_path):
     assert [r["request"] for r in records] == [s.to_dict() for s in singles]
     assert [r["key"] for r in records] == list(cache_key(three))
     assert all((r["key"],) == cache_key(s) for r, s in zip(records, singles))
+
+
+def test_recorded_lines_are_the_canonical_json_of_each_samples_record(tmp_path):
+    # The reference: the record dict of each sample, encoded on its own.
+    rng = random.Random(5)
+    alphabet = ['', 'a', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9',
+                '\u2028', '\U0001f600', '\ud800', '"sample_batch_id":0,']
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+    class Random(Backend):
+        model = "m"
+
+        def complete(self, request):
+            texts = tuple(text() for _ in range(request.n_samples))
+            return CompletionResponse(texts, Usage(rng.randint(0, 500), rng.randint(0, 50)))
+
+    path = tmp_path / "cache.jsonl"
+    backend = RecordingBackend(Random(), ReplayStore(str(path)))
+    written = 0
+    for _ in range(500):
+        request = CompletionRequest(
+            model=text() or "m", user_text=text(),
+            system_text=rng.choice([None, text()]),
+            temperature=rng.choice([0, 1, 2, 0.0, 0.5, rng.random() * 2]),
+            top_k=rng.choice([None, rng.randint(0, 100)]),
+            n_samples=rng.randint(1, 4),
+            max_tokens=rng.choice([None, rng.randint(1, 4096)]),
+            sample_batch_id=rng.choice([0, rng.randint(1, 9)]))
+        response = backend.complete(request)
+        shares = split_usage(response.usage, request.n_samples)
+        expected = "".join(
+            canonical_json({"key": key, "request": sample.to_dict(), "texts": [sample_text],
+                            "usage": Usage(response.usage.prompt_tokens,
+                                           share.completion_tokens).to_dict()}) + "\n"
+            for key, sample, sample_text, share in zip(
+                cache_key(request), _per_sample_requests(request), response.texts, shares))
+        with open(path, "rb") as fh:
+            fh.seek(written)
+            lines = fh.read()
+        assert lines == expected.encode("utf-8"), request
+        written += len(lines)
 
 
 def test_recording_sends_concurrent_equal_requests_once(tmp_path):
@@ -319,6 +376,11 @@ def _cache_line(key: str) -> str:
     return json.dumps({"key": key, "request": {}, "texts": ["t"], "usage": {}})
 
 
+def _record(key: str) -> tuple:
+    """One record as :meth:`ReplayStore.append` takes it."""
+    return key, b"{}", "t", Usage()
+
+
 def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     torn = _cache_line("k1") + "\n" + _cache_line("k2") + "\n" + _cache_line("k3")[:15]
@@ -326,11 +388,11 @@ def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
     store = ReplayStore(str(path))
     assert len(store) == 2 and "k3" not in store
     assert path.read_text(encoding="utf-8") == torn  # loading never writes
-    store.append(json.loads(_cache_line("k4")))
+    store.append([_record("k4")])
     store = ReplayStore(str(path))
     records, _ = read_json_lines(str(path))
     assert {"k1", "k2", "k4"} <= set(r["key"] for r in records)
-    store.append(json.loads(_cache_line("k5")))
+    store.append([_record("k5")])
     assert len(ReplayStore(str(path))) == 4
 
 
@@ -339,7 +401,7 @@ def test_store_append_terminates_an_intact_last_record(tmp_path):
     path.write_text(_cache_line("k1") + "\n" + _cache_line("k2"), encoding="utf-8")
     store = ReplayStore(str(path))
     assert len(store) == 2
-    store.append(json.loads(_cache_line("k3")))
+    store.append([_record("k3")])
     assert len(ReplayStore(str(path))) == 3
     assert path.read_text(encoding="utf-8").count("\n") == 3
 
@@ -384,36 +446,30 @@ def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
     def no_disk(*args, **kwargs):
         raise OSError("disk gone")
 
-    monkeypatch.setattr(breadth.llmio, "open", no_disk, raising=False)
+    monkeypatch.setattr(os, "write", no_disk)
     with pytest.raises(OSError):
-        store.append(json.loads(_cache_line("k3")))
+        store.append([_record("k3")])
     monkeypatch.undo()
     assert "k3" not in store and len(store) == 2
-    store.append(json.loads(_cache_line("k4")))
+    store.append([_record("k4")])
     reloaded = ReplayStore(str(path))
     assert len(reloaded) == 3 and "k4" in reloaded and "k3" not in reloaded
     assert path.read_text(encoding="utf-8").count("\n") == 3
 
 
-class _HalfWrite:
-    """A file whose writes stop halfway through their text, then fail."""
+class _DiskFills:
+    """``os.write`` on a disk that fills up: the first call writes half of
+    its bytes and says so, and every later call fails."""
 
-    def __init__(self, fh):
-        self._fh = fh
+    def __init__(self):
+        self._write = os.write
+        self._calls = 0
 
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def write(self, text):
-        self._fh.write(text[: len(text) // 2])
-        self._fh.flush()
-        raise OSError("no space left on device")
+    def __call__(self, fd, data):
+        self._calls += 1
+        if self._calls > 1:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self._write(fd, data[: len(data) // 2])
 
 
 @pytest.mark.parametrize("tail", ["\n", ""], ids=["whole", "unterminated"])
@@ -423,18 +479,55 @@ def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypa
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line("k1") + tail, encoding="utf-8")
     store = ReplayStore(str(path))
-    real_open = open
-    monkeypatch.setattr(breadth.llmio, "open",
-                        lambda *a, **kw: _HalfWrite(real_open(*a, **kw)), raising=False)
+    monkeypatch.setattr(os, "write", _DiskFills())
     with pytest.raises(OSError):
-        store.append(json.loads(_cache_line("k2")))
+        store.append([_record("k2")])
     monkeypatch.undo()
     assert "k2" not in store
-    store.append(json.loads(_cache_line("k3")))
-    store.append(json.loads(_cache_line("k4")))
+    store.append([_record("k3")])
+    store.append([_record("k4")])
     records, repair = read_json_lines(str(path))
     assert [r["key"] for r in records] == ["k1", "k3", "k4"] and repair is None
     assert len(ReplayStore(str(path))) == 3
+
+
+def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeypatch):
+    # A response's samples go out in one write: cut short, it leaves whole
+    # lines of some samples and part of another, and none may be served.
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    backend = RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"], "other": ["d"]}), store)
+    three = req(user_text="q", n_samples=3)
+    monkeypatch.setattr(os, "write", _DiskFills())
+    with pytest.raises(OSError):
+        backend.complete(three)
+    monkeypatch.undo()
+    written, repair = read_json_lines(str(path))
+    assert len(written) == 1 and repair is not None  # one whole line, then a torn one
+    assert not any(key in store for key in cache_key(three))
+    other = req(user_text="other")
+    assert backend.complete(other).texts == ("d",)
+    records, repair = read_json_lines(str(path))
+    assert [r["key"] for r in records] == list(cache_key(other)) and repair is None
+    assert len(ReplayStore(str(path))) == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+def test_store_append_leaves_no_descriptor_open_when_its_write_fails(tmp_path, monkeypatch):
+    # A raw descriptor raises no ResourceWarning when it leaks, so count them.
+    def no_disk(fd, data):
+        raise OSError("disk gone")
+
+    store = ReplayStore(str(tmp_path / "cache.jsonl"))
+    before = sorted(os.listdir("/proc/self/fd"))
+    for write in (no_disk, _DiskFills()):
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(OSError):
+            store.append([_record("k1")])
+        monkeypatch.undo()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+    store.append([_record("k2")])
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def _split_read_json_lines(path, string_field=None):
@@ -539,14 +632,23 @@ def test_store_keeps_less_than_the_request_in_memory(tmp_path):
 def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
     # The store opens; the record fails only when it is served.
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps({"key": "k1", "texts": ["t"], "usage": {"prompt_tokens": "x"}})
-                    + "\n" + json.dumps({"key": "k2", "usage": {}}) + "\n", encoding="utf-8")
+    records = [{"key": "k1", "texts": ["t"], "usage": {"prompt_tokens": "x"}},
+               {"key": "k2", "usage": {}},
+               {"key": "k3", "texts": ["t"], "usage": [5, 7]},
+               {"key": "k4", "texts": ["t"], "usage": "57"},
+               {"key": "k5", "texts": ["t"], "usage": {"completion_tokens": None}}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     store = ReplayStore(str(path))
-    assert len(store) == 2
+    assert len(store) == 5
     with pytest.raises(ValueError):
         store.response(["k1"])
     with pytest.raises(KeyError):
         store.response(["k2"])
+    # A usage that is not an object, or a null count: a ValueError, which
+    # the CLI reports as a runtime error (exit 2).
+    for key in ("k3", "k4", "k5"):
+        with pytest.raises(ValueError, match=f"record {key} has no usable token counts"):
+            store.response([key])
 
 
 @pytest.mark.parametrize("fields", [
