@@ -33,7 +33,7 @@ from .core import (
     Usage,
     canonical_answer,
 )
-from .llmio import MAX_IN_FLIGHT, Backend, canonical_json, read_json_lines, repair_tail
+from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
 from .strategy import (
     Reformulator,
     StrategyError,
@@ -429,7 +429,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 correct=False, rounds=0, trace_count=0, error=str(exc),
             ))
             return
-        lines = "".join(canonical_json(trace.to_dict()) + "\n" for trace in traces)
+        lines = "".join(trace.json_line() for trace in traces)
         if repair is not None:
             lines, repair = repair_tail(traces_path, repair) + lines, None
         trace_file.write(lines)

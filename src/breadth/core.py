@@ -2,12 +2,15 @@
 
 All types here are immutable value objects (frozen dataclasses) and are safe
 to share across threads. Persisted types serialize to a stable JSON schema via
-``to_dict`` / ``from_dict`` with the field names given in the dataclass.
+``to_dict`` / ``from_dict`` with the field names given in the dataclass; a
+trace, written once per path, has its own writer, ``json_line``.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
@@ -20,6 +23,17 @@ CANONICAL_COT_PROMPT = "Let's think step by step."
 
 # Benchmark choice labels run A..E; anything past E is accepted but flagged.
 _EXPECTED_LABELS = "ABCDE"
+
+# The one encoding of every cache key, cache record and trace line: sorted
+# keys, no spaces, non-ASCII escaped. ``json.dumps`` with these arguments
+# would build a new encoder on every call. The three per-record writers
+# (``CompletionRequest.sample_payloads``, ``ReplayStore.append`` and
+# ``ReasoningTrace.json_line``) place values encoded with it into fixed
+# layouts; ``test_cache_key_is_the_digest_of_each_samples_own_request``,
+# ``test_recorded_lines_are_the_canonical_json_of_each_samples_record`` and
+# ``test_trace_lines_are_the_canonical_json_of_each_trace`` pin each layout to
+# this encoding of the whole record.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class AnswerFormat(str, Enum):
@@ -297,19 +311,24 @@ class ReasoningTrace:
     def path_key(self) -> tuple:
         return (self.question_id, self.round, self.reformulation_index, self.sample_index)
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "round": self.round,
-            "reformulation_index": self.reformulation_index,
-            "sample_index": self.sample_index,
-            "assembled_input": self.assembled_input,
-            "reasoning_text": self.reasoning_text,
-            "raw_prediction_text": self.raw_prediction_text,
-            "parsed": self.parsed.to_dict(),
-            "usage": self.usage.to_dict(),
-            "latency_ms": self.latency_ms,
-        }
+    def json_line(self) -> str:
+        """The trace's line in ``traces.jsonl``: the canonical JSON of the
+        object ``from_dict`` reads, and a newline. The keys are written in
+        sorted order; indices, latency and token counts are ints, which
+        ``%d`` writes as JSON does."""
+        parsed, usage = self.parsed, self.usage
+        return (
+            '{"assembled_input":%s,"latency_ms":%d,'
+            '"parsed":{"abstain":%s,"kind":%s,"value":%s},'
+            '"question_id":%s,"raw_prediction_text":%s,"reasoning_text":%s,'
+            '"reformulation_index":%d,"round":%d,"sample_index":%d,'
+            '"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
+                canonical_json(self.assembled_input), self.latency_ms,
+                "true" if parsed.abstain else "false", canonical_json(parsed.kind.value),
+                canonical_json(parsed.value), canonical_json(self.question_id),
+                canonical_json(self.raw_prediction_text), canonical_json(self.reasoning_text),
+                self.reformulation_index, self.round, self.sample_index,
+                usage.completion_tokens, usage.prompt_tokens))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReasoningTrace":
@@ -350,8 +369,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.n_reformulations < 1 or self.m_samples < 1 or self.max_iterations < 1:
             raise ValueError("n_reformulations, m_samples, max_iterations must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # false for NaN too
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not self.canonical_prompt:
             raise ValueError("canonical_prompt must be non-empty")
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import requests
 
-from .core import Usage
+from .core import Usage, canonical_json
 
 logger = logging.getLogger(__name__)
 
@@ -44,12 +44,6 @@ MAX_ATTEMPTS = 4
 
 def retry_delay(attempt: int) -> float:
     return min(8.0, 0.5 * 2 ** attempt)
-
-
-# The one encoding of every cache key, cache record and trace line: sorted
-# keys, no spaces. ``json.dumps`` with these arguments would build a new
-# encoder on every call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class LlmIoError(Exception):
@@ -101,25 +95,15 @@ class CompletionRequest:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "system_text": self.system_text,
-            "user_text": self.user_text,
-            "temperature": self.temperature,
-            "top_k": self.top_k,
-            "n_samples": self.n_samples,
-            "max_tokens": self.max_tokens,
-            "sample_batch_id": self.sample_batch_id,
-        }
+        # False for NaN too. A finite float's repr is what the encoder writes.
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
-        """Inverse of ``to_dict``. Anything but an object with every field,
-        each of its JSON type, is a ``ValueError``."""
+        """The request whose fields ``d`` holds by name, as a cache record's
+        ``request`` does. Anything but an object with every field, each of
+        its JSON type, is a ``ValueError``."""
         if not isinstance(d, dict):
             raise ValueError(f"a request must be a JSON object, got {d!r}")
         if set(d) != set(_REQUEST_VALUE_TYPES):
@@ -138,19 +122,31 @@ class CompletionRequest:
         That is the request itself when it has one sample, else the request
         with ``n_samples`` 1 and ``sample_batch_id`` i, so batched and
         sequential sampling share records. :func:`cache_key` digests these
-        bytes and the cache stores them, so a request is encoded once; the
-        samples' payloads differ only in the batch id.
+        bytes and the cache stores them, so a request is encoded once. The
+        fields are written in sorted order: strings through
+        :func:`canonical_json`, None as ``null``, ints with ``%d`` and a
+        float temperature with ``float.__repr__``, as the encoder writes
+        them.
         """
-        fields = self.to_dict()
-        if self.n_samples == 1:
-            return (canonical_json(fields).encode("utf-8"),)
-        fields["n_samples"] = 1
-        fields["sample_batch_id"] = 0
-        # No JSON string holds this text (its quotes would be escaped), so the
-        # split finds the field itself.
-        head, tail = canonical_json(fields).encode("utf-8").split(b'"sample_batch_id":0,', 1)
-        return tuple(b'%s"sample_batch_id":%d,%s' % (head, i, tail)
-                     for i in range(self.n_samples))
+        temperature = self.temperature
+        head = '{"max_tokens":%s,"model":%s,"n_samples":1,"sample_batch_id":' % (
+            _optional_json(self.max_tokens), canonical_json(self.model))
+        tail = ',"system_text":%s,"temperature":%s,"top_k":%s,"user_text":%s}' % (
+            _optional_json(self.system_text),
+            float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature,
+            _optional_json(self.top_k), canonical_json(self.user_text))
+        ids = (self.sample_batch_id,) if self.n_samples == 1 else range(self.n_samples)
+        # canonical_json writes ASCII only.
+        head, tail = head.encode("ascii"), tail.encode("ascii")
+        return tuple(b"%s%d%s" % (head, i, tail) for i in ids)
+
+
+def _optional_json(value) -> str:
+    """An optional string or int field as the encoder writes it, without the
+    encoder's slow path for None."""
+    if value is None:
+        return "null"
+    return canonical_json(value) if isinstance(value, str) else "%d" % value
 
 
 # The JSON types ``CompletionRequest.from_dict`` accepts for each field.
@@ -549,7 +545,12 @@ class ReplayStore:
             sample_texts, prompt, completion = entry
             if sample_texts is None:
                 raise KeyError("texts")
-            texts.extend(sample_texts)
+            # A record serves one sample.
+            if not (isinstance(sample_texts, list) and len(sample_texts) == 1
+                    and isinstance(sample_texts[0], str)):
+                raise ValueError(f"record {key} has no usable texts: 'texts' must be "
+                                 f"a list of one string, got {sample_texts!r:.80}")
+            texts.append(sample_texts[0])
             try:
                 prompt, completion = int(prompt), int(completion)
             except TypeError:  # a null count, or a usage that is not an object

@@ -8,6 +8,45 @@ from breadth.extract import extract_answer
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# Characters that JSON escapes, or that a hand-written layout might get wrong:
+# quotes, backslash, control characters, DEL, non-ASCII, a line separator, an
+# astral character, a lone surrogate, and a field of the request layout.
+ADVERSARIAL_ALPHABET = ['', 'a', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9',
+                        '\u2028', '\U0001f600', '\ud800', '"sample_batch_id":0,']
+
+
+def request_dict(request) -> dict:
+    """A ``CompletionRequest`` as the object its canonical JSON encodes: the
+    reference for ``sample_payloads`` and for a cache record's ``request``."""
+    return {
+        "model": request.model,
+        "system_text": request.system_text,
+        "user_text": request.user_text,
+        "temperature": request.temperature,
+        "top_k": request.top_k,
+        "n_samples": request.n_samples,
+        "max_tokens": request.max_tokens,
+        "sample_batch_id": request.sample_batch_id,
+    }
+
+
+def trace_dict(trace) -> dict:
+    """A ``ReasoningTrace`` as the object its trace line encodes: the
+    reference for ``ReasoningTrace.json_line``."""
+    return {
+        "question_id": trace.question_id,
+        "round": trace.round,
+        "reformulation_index": trace.reformulation_index,
+        "sample_index": trace.sample_index,
+        "assembled_input": trace.assembled_input,
+        "reasoning_text": trace.reasoning_text,
+        "raw_prediction_text": trace.raw_prediction_text,
+        "parsed": trace.parsed.to_dict(),
+        "usage": trace.usage.to_dict(),
+        "latency_ms": trace.latency_ms,
+    }
+
+
 MC_TRIGGER = "Therefore, among A through E, the answer is"
 
 TOY_SHOP_TEXT = (

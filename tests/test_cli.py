@@ -421,6 +421,19 @@ def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys):
     assert "'m_samples' must be int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_non_finite_temperature_is_an_error(tmp_path, capsys, temperature):
+    # JSON has no NaN or Infinity, so such a run could write no valid summary.
+    script = {"step by step": ["reasoning about coins"], YES_TRIGGER: ["the answer is yes"]}
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--temperature", temperature,
+                 "--mock-script", _mock_script_file(tmp_path, script),
+                 "--runs-dir", str(tmp_path / "runs"), "--run-id", "hot"])
+    assert code == 2
+    assert "temperature must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "hot").exists()
+
+
 def test_readme_config_example_loads(tmp_path, capsys):
     (example,) = [b for b in _readme_blocks("json") if '"kind"' in b]
     config_path = tmp_path / "config.json"

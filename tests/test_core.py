@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -13,8 +14,10 @@ from breadth.core import (
     StrategyKind,
     Usage,
     canonical_answer,
+    canonical_json,
     default_config,
 )
+from conftest import ADVERSARIAL_ALPHABET, trace_dict
 
 
 def test_numeric_canonicalization():
@@ -157,8 +160,9 @@ def test_default_config_headline_knobs():
 def test_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(kind=StrategyKind.SC, m_samples=0)
-    with pytest.raises(ValueError):
-        StrategyConfig(kind=StrategyKind.COT, temperature=-0.1)
+    for temperature in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            StrategyConfig(kind=StrategyKind.COT, temperature=temperature)
     with pytest.raises(ValueError, match="answer_triggers"):
         StrategyConfig.from_dict({"kind": "cot", "answer_triggers": {}})
 
@@ -180,7 +184,7 @@ def test_serialization_round_trips(toy_shop_question):
         raw_prediction_text="p", parsed=Answer(AnswerFormat.MULTIPLE_CHOICE, "A"),
         usage=Usage(10, 20), latency_ms=5,
     )
-    assert ReasoningTrace.from_dict(trace.to_dict()) == trace
+    assert ReasoningTrace.from_dict(trace_dict(trace)) == trace
 
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
@@ -195,6 +199,32 @@ def test_serialization_round_trips(toy_shop_question):
                    {"text": "", "origin": {"kind": "canonical"}}):
         with pytest.raises(ValueError, match="canonical_prompt"):
             StrategyConfig.from_dict({**cfg.to_dict(), "canonical_prompt": prompt})
+
+
+def test_trace_lines_are_the_canonical_json_of_each_trace():
+    # The reference: the trace's whole object, encoded by the generic encoder.
+    rng = random.Random(7)
+
+    def text():
+        return "".join(rng.choice(ADVERSARIAL_ALPHABET) for _ in range(rng.randint(0, 6)))
+
+    def count():
+        return rng.choice([0, rng.randint(1, 999), rng.randint(2 ** 31, 2 ** 64), 10 ** 30])
+
+    seen = set()
+    for _ in range(500):
+        kind, abstain = rng.choice(list(AnswerFormat)), rng.random() < 0.5
+        seen.add((kind, abstain))
+        trace = ReasoningTrace(
+            question_id=text(), round=1 + count(), reformulation_index=count(),
+            sample_index=count(), assembled_input=text(), reasoning_text=text(),
+            raw_prediction_text=text(),
+            parsed=Answer(kind, "" if abstain else text(), abstain),
+            usage=Usage(count(), count()), latency_ms=count())
+        line = trace.json_line()
+        assert line == canonical_json(trace_dict(trace)) + "\n", trace
+        assert ReasoningTrace.from_dict(json.loads(line)) == trace
+    assert len(seen) == 2 * len(AnswerFormat)  # every format, abstaining or not
 
 
 def test_trace_validation():

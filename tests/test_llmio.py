@@ -37,7 +37,7 @@ from breadth.llmio import (
     retry_delay,
     split_usage,
 )
-from conftest import mc_question
+from conftest import ADVERSARIAL_ALPHABET, mc_question, request_dict
 
 
 def req(**kwargs) -> CompletionRequest:
@@ -154,7 +154,8 @@ def _random_request(rng: random.Random) -> CompletionRequest:
         model=text() or "m",
         user_text=text(),
         system_text=rng.choice([None, text()]),
-        temperature=rng.choice([0, 1, 2, 0.0, 0.7, 1.0, rng.random() * 2]),
+        temperature=rng.choice([0, 1, 2, 0.0, 0.7, 1.0, 1e-07, 1e+16, 0.1 + 0.2,
+                                rng.random() * 2]),
         top_k=rng.choice([None, 0, rng.randint(1, 100)]),
         n_samples=rng.choice([1, 1, 2, 3, 10, 11]),
         max_tokens=rng.choice([None, rng.randint(1, 4096)]),
@@ -164,14 +165,15 @@ def _random_request(rng: random.Random) -> CompletionRequest:
 
 def test_cache_key_is_the_digest_of_each_samples_own_request():
     # The reference: every sample's request built and encoded on its own.
+    # The cache stores the payloads themselves, so their bytes must match too.
     rng = random.Random(11)
     for _ in range(2000):
         request = _random_request(rng)
-        expected = tuple(
-            hashlib.sha256(json.dumps(s.to_dict(), sort_keys=True, separators=(",", ":"))
-                           .encode("utf-8")).hexdigest()
+        payloads = tuple(
+            json.dumps(request_dict(s), sort_keys=True, separators=(",", ":")).encode("utf-8")
             for s in _per_sample_requests(request))
-        assert cache_key(request) == expected, request
+        assert request.sample_payloads == payloads, request
+        assert cache_key(request) == tuple(hashlib.sha256(p).hexdigest() for p in payloads)
 
 
 # ---------------------------------------------------------------- replay
@@ -275,7 +277,7 @@ def test_recorded_records_hold_each_samples_own_request(tmp_path):
                      ReplayStore(str(path))).complete(three)
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     singles = _per_sample_requests(three)
-    assert [r["request"] for r in records] == [s.to_dict() for s in singles]
+    assert [r["request"] for r in records] == [request_dict(s) for s in singles]
     assert [r["key"] for r in records] == list(cache_key(three))
     assert all((r["key"],) == cache_key(s) for r, s in zip(records, singles))
 
@@ -283,11 +285,9 @@ def test_recorded_records_hold_each_samples_own_request(tmp_path):
 def test_recorded_lines_are_the_canonical_json_of_each_samples_record(tmp_path):
     # The reference: the record dict of each sample, encoded on its own.
     rng = random.Random(5)
-    alphabet = ['', 'a', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9',
-                '\u2028', '\U0001f600', '\ud800', '"sample_batch_id":0,']
 
     def text():
-        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        return "".join(rng.choice(ADVERSARIAL_ALPHABET) for _ in range(rng.randint(0, 6)))
 
     class Random(Backend):
         model = "m"
@@ -311,7 +311,7 @@ def test_recorded_lines_are_the_canonical_json_of_each_samples_record(tmp_path):
         response = backend.complete(request)
         shares = split_usage(response.usage, request.n_samples)
         expected = "".join(
-            canonical_json({"key": key, "request": sample.to_dict(), "texts": [sample_text],
+            canonical_json({"key": key, "request": request_dict(sample), "texts": [sample_text],
                             "usage": Usage(response.usage.prompt_tokens,
                                            share.completion_tokens).to_dict()}) + "\n"
             for key, sample, sample_text, share in zip(
@@ -613,7 +613,7 @@ def test_store_keeps_less_than_the_request_in_memory(tmp_path):
     text_length = 1000
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(2000):
-            request = req(user_text=f"{i:<{text_length}}").to_dict()
+            request = request_dict(req(user_text=f"{i:<{text_length}}"))
             fh.write(json.dumps({"key": f"{i:064x}", "request": request,
                                  "texts": [f"answer {i}"],
                                  "usage": {"prompt_tokens": 1, "completion_tokens": 2}}) + "\n")
@@ -636,10 +636,15 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
                {"key": "k2", "usage": {}},
                {"key": "k3", "texts": ["t"], "usage": [5, 7]},
                {"key": "k4", "texts": ["t"], "usage": "57"},
-               {"key": "k5", "texts": ["t"], "usage": {"completion_tokens": None}}]
+               {"key": "k5", "texts": ["t"], "usage": {"completion_tokens": None}},
+               {"key": "k6", "texts": "abc", "usage": {}},
+               {"key": "k7", "texts": 5, "usage": {}},
+               {"key": "k8", "texts": [1], "usage": {}},
+               {"key": "k9", "texts": [], "usage": {}},
+               {"key": "k10", "texts": ["a", "b"], "usage": {}}]
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     store = ReplayStore(str(path))
-    assert len(store) == 5
+    assert len(store) == 10
     with pytest.raises(ValueError):
         store.response(["k1"])
     with pytest.raises(KeyError):
@@ -649,17 +654,25 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
     for key in ("k3", "k4", "k5"):
         with pytest.raises(ValueError, match=f"record {key} has no usable token counts"):
             store.response([key])
+    # A record serves one sample: its texts must be a list of one string.
+    for key in ("k6", "k7", "k8", "k9", "k10"):
+        with pytest.raises(ValueError, match=f"record {key} has no usable texts"):
+            store.response([key])
 
 
 @pytest.mark.parametrize("fields", [
     {"model": "m", "user_text": "q", "bogus": 1},
     {"model": "m", "user_text": "q"},
-    {**req().to_dict(), "n_samples": "3"},
-    {**req().to_dict(), "user_text": 5},
-    {**req().to_dict(), "temperature": True},
-    {**req().to_dict(), "n_samples": 0},
+    {**request_dict(req()), "n_samples": "3"},
+    {**request_dict(req()), "user_text": 5},
+    {**request_dict(req()), "temperature": True},
+    {**request_dict(req()), "n_samples": 0},
     ["m", "q"],
     None,
+    # JSON has no NaN or Infinity, and the payload layout writes finite floats.
+    {**request_dict(req()), "temperature": float("nan")},
+    {**request_dict(req()), "temperature": float("inf")},
+    {**request_dict(req()), "temperature": -float("inf")},
 ])
 def test_request_from_dict_rejects_what_to_dict_never_writes(fields):
     with pytest.raises(ValueError):
@@ -670,7 +683,7 @@ def test_request_from_dict_inverts_to_dict():
     rng = random.Random(5)
     for _ in range(200):
         request = _random_request(rng)
-        assert CompletionRequest.from_dict(request.to_dict()) == request
+        assert CompletionRequest.from_dict(request_dict(request)) == request
 
 
 # ---------------------------------------------------------------- live HTTP
