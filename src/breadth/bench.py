@@ -32,14 +32,10 @@ from .core import (
     StrategyConfig,
     Usage,
     canonical_answer,
+    check_json_fields,
 )
 from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
-from .strategy import (
-    Reformulator,
-    StrategyError,
-    run_strategy,
-    vote_from_traces,
-)
+from .strategy import StrategyError, run_strategy, vote_from_traces
 
 logger = logging.getLogger(__name__)
 
@@ -311,6 +307,7 @@ class QuestionOutcome:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuestionOutcome":
+        check_json_fields(cls, d, "outcome")
         return cls(
             question_id=d["question_id"], final=Answer.from_dict(d["final"]),
             correct=d["correct"], rounds=d.get("rounds", 1),
@@ -345,6 +342,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        check_json_fields(cls, d, "run record")
         return cls(
             run_id=d["run_id"], dataset=d["dataset"], config=d["config"],
             outcomes=tuple(QuestionOutcome.from_dict(o) for o in d["outcomes"]),
@@ -362,10 +360,9 @@ def _run_dir(runs_dir: str, run_id: str) -> str:
 def _load_existing_traces(traces_path: str) -> tuple:
     """Traces by question id, and the repair the file's tail needs before the
     next append (see :func:`read_json_lines`)."""
-    records, repair = read_json_lines(traces_path)
+    traces, repair = read_json_lines(traces_path, keep=ReasoningTrace.from_dict)
     by_question: Dict[str, List[ReasoningTrace]] = {}
-    for record in records:
-        trace = ReasoningTrace.from_dict(record)
+    for trace in traces:
         by_question.setdefault(trace.question_id, []).append(trace)
     return by_question, repair
 
@@ -374,7 +371,6 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                    cfg: StrategyConfig, backend: Backend,
                    max_total_tokens: Optional[int] = None,
                    runs_dir: str = "runs", run_id: Optional[str] = None,
-                   reformulator: Optional[Reformulator] = None,
                    triggers: Optional[dict] = None,
                    effective_config: Optional[dict] = None) -> RunRecord:
     """Execute a strategy over every question, persisting traces as it goes.
@@ -454,7 +450,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                                run_id, max_total_tokens)
                 partial = True
                 break
-            task = (run_strategy, q, cfg, backend, reformulator, triggers)
+            task = (run_strategy, q, cfg, backend, triggers)
             if pool is None:
                 window.append((q, functools.partial(*task)))
                 write_oldest()
@@ -482,7 +478,10 @@ def load_run_record(runs_dir: str, run_id: str) -> RunRecord:
     if not os.path.exists(path):
         raise MissingFileError(f"no summary at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return RunRecord.from_dict(json.load(fh))
+        try:
+            return RunRecord.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:

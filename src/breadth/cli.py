@@ -189,10 +189,10 @@ def _cmd_reformulate(args) -> int:
 
 def _load_subset(path: str) -> List[Question]:
     with open(path, "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    if not all(isinstance(record, dict) for record in records):
-        raise ValueError(f"--subset {path}: every line must be a JSON object")
-    return [Question.from_dict(record) for record in records]
+        try:
+            return [Question.from_dict(json.loads(line)) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise ValueError(f"--subset {path}: {exc}") from exc
 
 
 def _cmd_entropy(args) -> int:

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Any, Optional
@@ -34,6 +34,34 @@ _EXPECTED_LABELS = "ABCDE"
 # ``test_trace_lines_are_the_canonical_json_of_each_trace`` pin each layout to
 # this encoding of the whole record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_NULL = type(None)
+
+# The JSON types a record's field may hold, by the field's annotation.
+_JSON_TYPES = {
+    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "dict": (dict,),
+    "tuple": (list,), "Optional[str]": (str, _NULL), "Optional[tuple]": (list, _NULL),
+    "Answer": (dict,), "Usage": (dict,),
+    "AnswerFormat": (str,), "StrategyKind": (str,), "StopRule": (str,),
+}
+
+
+def check_json_fields(cls, d: Any, what: str) -> None:
+    """Raise ``ValueError`` unless ``d`` is a JSON object that holds every
+    field of the dataclass ``cls`` that has no default, each field it holds
+    being of the JSON type of the field's annotation (a bool is not an
+    int). Every ``from_dict`` of a persisted record checks its input so."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r:.80}")
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{what} has no field {f.name!r}")
+            continue
+        value, allowed = d[f.name], _JSON_TYPES[f.type]
+        if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
+            names = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
+            raise ValueError(f"{what} field {f.name!r} must be {names}, got {value!r:.80}")
 
 
 class AnswerFormat(str, Enum):
@@ -108,7 +136,8 @@ class Usage:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Usage":
-        return cls(int(d.get("prompt_tokens", 0)), int(d.get("completion_tokens", 0)))
+        check_json_fields(cls, d, "usage")
+        return cls(d.get("prompt_tokens", 0), d.get("completion_tokens", 0))
 
 
 @dataclass(frozen=True)
@@ -134,7 +163,8 @@ class Answer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Answer":
-        return cls(AnswerFormat(d["kind"]), d.get("value", ""), bool(d.get("abstain", False)))
+        check_json_fields(cls, d, "answer")
+        return cls(AnswerFormat(d["kind"]), d.get("value", ""), d.get("abstain", False))
 
     @classmethod
     def abstained(cls, kind: AnswerFormat) -> "Answer":
@@ -270,7 +300,10 @@ class Question:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Question":
+        check_json_fields(cls, d, "question")
         choices = d.get("choices")
+        if choices and not all(isinstance(c, list) and len(c) == 2 for c in choices):
+            raise ValueError(f"question choices must be [label, text] pairs, got {choices!r:.80}")
         return cls(
             id=d["id"],
             text=d["text"],
@@ -332,6 +365,7 @@ class ReasoningTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReasoningTrace":
+        check_json_fields(cls, d, "trace")
         return cls(
             question_id=d["question_id"],
             round=d["round"],
@@ -394,15 +428,7 @@ class StrategyConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
-        for name, value in d.items():
-            types = _CONFIG_VALUE_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"strategy config {name!r} must be "
-                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         kwargs = dict(d)
-        kwargs["kind"] = StrategyKind.parse(kwargs["kind"])
-        if "stop_rule" in kwargs:
-            kwargs["stop_rule"] = StopRule.parse(kwargs["stop_rule"])
         prompt = kwargs.get("canonical_prompt")
         if isinstance(prompt, dict):
             if (set(prompt) - {"text", "origin"} or not isinstance(prompt.get("text"), str)
@@ -410,24 +436,15 @@ class StrategyConfig:
                 raise ValueError("strategy config 'canonical_prompt' must be text or "
                                  f"{{'text': ..., 'origin': {_CANONICAL_ORIGIN}}}, got {prompt!r}")
             kwargs["canonical_prompt"] = prompt["text"]
+        check_json_fields(cls, kwargs, "strategy config")
+        kwargs["kind"] = StrategyKind.parse(kwargs["kind"])
+        if "stop_rule" in kwargs:
+            kwargs["stop_rule"] = StopRule.parse(kwargs["stop_rule"])
         return cls(**kwargs)
 
 
 # How ``StrategyConfig.to_dict`` tags the prompt in run records.
 _CANONICAL_ORIGIN = {"kind": "canonical"}
-
-
-# The JSON types ``StrategyConfig.from_dict`` accepts for each key.
-_CONFIG_VALUE_TYPES = {
-    "kind": (str,),
-    "n_reformulations": (int,),
-    "m_samples": (int,),
-    "max_iterations": (int,),
-    "stop_rule": (str,),
-    "temperature": (int, float),
-    "canonical_prompt": (str, dict),
-    "iteration_guide": (str,),
-}
 
 
 # Sampling-based strategies default to the lower sampling temperature; plain

@@ -16,13 +16,13 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import requests
 
-from .core import Usage, canonical_json
+from .core import Usage, canonical_json, check_json_fields
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +85,8 @@ class CompletionRequest:
 
     model: str
     user_text: str
-    system_text: Optional[str] = None
     temperature: float = 1.0
-    top_k: Optional[int] = None
     n_samples: int = 1
-    max_tokens: Optional[int] = None
     sample_batch_id: int = 0  # a sample's index in its key; rewrite retries vary it
 
     def __post_init__(self):
@@ -102,18 +99,19 @@ class CompletionRequest:
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
         """The request whose fields ``d`` holds by name, as a cache record's
-        ``request`` does. Anything but an object with every field, each of
-        its JSON type, is a ``ValueError``."""
-        if not isinstance(d, dict):
-            raise ValueError(f"a request must be a JSON object, got {d!r}")
-        if set(d) != set(_REQUEST_VALUE_TYPES):
-            raise ValueError(f"request fields {sorted(d)} are not {sorted(_REQUEST_VALUE_TYPES)}")
-        for name, types in _REQUEST_VALUE_TYPES.items():
-            value = d[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"request field {name!r} must be "
-                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
-        return cls(**d)
+        ``request`` does. Anything but an object with the eight fields
+        :attr:`sample_payloads` writes, each of its JSON type, is a
+        ``ValueError``; the slots ``max_tokens``, ``system_text`` and
+        ``top_k`` must be null."""
+        check_json_fields(cls, d, "request")
+        names = [f.name for f in fields(cls)]
+        stored = sorted(names + list(_NULL_SLOTS))
+        if sorted(d) != stored:
+            raise ValueError(f"request fields {sorted(d)} are not {stored}")
+        for name in _NULL_SLOTS:
+            if d[name] is not None:
+                raise ValueError(f"request field {name!r} must be null, got {d[name]!r:.80}")
+        return cls(**{name: d[name] for name in names})
 
     @cached_property
     def sample_payloads(self) -> Tuple[bytes, ...]:
@@ -124,43 +122,27 @@ class CompletionRequest:
         sequential sampling share records. :func:`cache_key` digests these
         bytes and the cache stores them, so a request is encoded once. The
         fields are written in sorted order: strings through
-        :func:`canonical_json`, None as ``null``, ints with ``%d`` and a
-        float temperature with ``float.__repr__``, as the encoder writes
-        them.
+        :func:`canonical_json`, ints with ``%d`` and a float temperature
+        with ``float.__repr__``, as the encoder writes them. The layout
+        also holds ``max_tokens``, ``system_text`` and ``top_k``, always
+        ``null``: no request sets them, and keeping their slots keeps every
+        key and record this program has written.
         """
         temperature = self.temperature
-        head = '{"max_tokens":%s,"model":%s,"n_samples":1,"sample_batch_id":' % (
-            _optional_json(self.max_tokens), canonical_json(self.model))
-        tail = ',"system_text":%s,"temperature":%s,"top_k":%s,"user_text":%s}' % (
-            _optional_json(self.system_text),
+        head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % (
+            canonical_json(self.model))
+        tail = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":%s}' % (
             float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature,
-            _optional_json(self.top_k), canonical_json(self.user_text))
+            canonical_json(self.user_text))
         ids = (self.sample_batch_id,) if self.n_samples == 1 else range(self.n_samples)
         # canonical_json writes ASCII only.
         head, tail = head.encode("ascii"), tail.encode("ascii")
         return tuple(b"%s%d%s" % (head, i, tail) for i in ids)
 
 
-def _optional_json(value) -> str:
-    """An optional string or int field as the encoder writes it, without the
-    encoder's slow path for None."""
-    if value is None:
-        return "null"
-    return canonical_json(value) if isinstance(value, str) else "%d" % value
-
-
-# The JSON types ``CompletionRequest.from_dict`` accepts for each field.
-_NULL = type(None)
-_REQUEST_VALUE_TYPES = {
-    "model": (str,),
-    "system_text": (str, _NULL),
-    "user_text": (str,),
-    "temperature": (int, float),
-    "top_k": (int, _NULL),
-    "n_samples": (int,),
-    "max_tokens": (int, _NULL),
-    "sample_batch_id": (int,),
-}
+# The slots of the fields no request sets, which every stored request holds
+# as null; see ``CompletionRequest.sample_payloads``.
+_NULL_SLOTS = ("max_tokens", "system_text", "top_k")
 
 
 @dataclass(frozen=True)
@@ -191,6 +173,21 @@ class Backend:
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         raise NotImplementedError
+
+
+def call(backend: Backend, user_text: str, temperature: float, n_samples: int = 1,
+         sample_batch_id: int = 0) -> Tuple[CompletionResponse, int]:
+    """Send one request with the backend's model: the one place a request is
+    built and sent. Returns the response and the milliseconds
+    ``backend.complete`` took, which is 0 under a deterministic backend so
+    that its runs are byte-identical."""
+    request = CompletionRequest(model=backend.model, user_text=user_text,
+                                temperature=temperature, n_samples=n_samples,
+                                sample_batch_id=sample_batch_id)
+    started = time.monotonic()
+    response = backend.complete(request)
+    latency_ms = 0 if backend.deterministic else int((time.monotonic() - started) * 1000)
+    return response, latency_ms
 
 
 class TokenBucketLimiter:
@@ -236,7 +233,8 @@ class TokenBucketLimiter:
 
 class LiveBackend(Backend):
     """HTTP client for any endpoint speaking the common chat-completion JSON
-    schema (messages array with system/user roles, ``temperature``, ``n``).
+    schema (a messages array holding the user message, ``temperature``,
+    ``n``).
 
     Credentials come from the ``BREADTH_API_KEY`` env var unless passed
     explicitly. A multi-sample request goes out as one call with ``n``.
@@ -273,20 +271,12 @@ class LiveBackend(Backend):
         raise NetworkError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def _post(self, req: CompletionRequest) -> CompletionResponse:
-        messages = []
-        if req.system_text:
-            messages.append({"role": "system", "content": req.system_text})
-        messages.append({"role": "user", "content": req.user_text})
-        payload: dict = {
+        payload = {
             "model": req.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": req.user_text}],
             "temperature": req.temperature,
             "n": req.n_samples,
         }
-        if req.top_k is not None:
-            payload["top_k"] = req.top_k
-        if req.max_tokens is not None:
-            payload["max_tokens"] = req.max_tokens
         headers = {"Authorization": f"Bearer {self.api_key}"}
         try:
             resp = self.session.post(
@@ -423,7 +413,7 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
     line that does not parse (a write cut short by a crash) is dropped; a
     corrupt line anywhere else is an error. So is a record that is not a
     JSON object, or, with ``string_field``, one without a string under that
-    name, wherever it is. The repair is None for a whole tail, else
+    name, or one that ``keep`` rejects with a ``ValueError``, wherever it is. The repair is None for a whole tail, else
     ``(size, prefix)``: cut the file to ``size`` bytes and write ``prefix``
     first, so the next record gets a line of its own. Reading never writes
     the file.
@@ -447,7 +437,10 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
                 raise ValueError(f"{path}: record at line {lineno} is not a JSON object")
             if string_field is not None and not isinstance(record.get(string_field), str):
                 raise ValueError(f"{path}: record at line {lineno} has no string {string_field!r}")
-            records.append(record if keep is None else keep(record))
+            try:
+                records.append(record if keep is None else keep(record))
+            except ValueError as exc:
+                raise ValueError(f"{path}: record at line {lineno}: {exc}") from exc
         if line and not line.endswith("\n"):
             return records, (fh.buffer.tell(), "\n")
     return records, None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
-from .llmio import Backend, CompletionRequest
+from .llmio import Backend, call
 
 logger = logging.getLogger(__name__)
 
@@ -122,13 +122,9 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> List[st
     for index in range(needed):
         candidate = ""
         for attempt in range(_DEDUP_RETRIES + 1):
-            request = CompletionRequest(
-                model=backend.model,
-                user_text=prompt_text,
-                temperature=1.0,
-                sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt,
-            )
-            candidate = backend.complete(request).texts[0].strip()
+            response, _ = call(backend, prompt_text, 1.0,
+                               sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
+            candidate = response.texts[0].strip()
             if not candidate:
                 logger.warning("blank reformulation for variant %d, regenerating", index)
                 continue

@@ -20,7 +20,6 @@ earlier rounds' text is discarded.
 from __future__ import annotations
 
 import logging
-import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -36,7 +35,7 @@ from .core import (
     VoteResult,
 )
 from .extract import extract_answer, majority_vote
-from .llmio import Backend, CompletionRequest, LlmIoError, split_usage
+from .llmio import Backend, LlmIoError, call, split_usage
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 
 logger = logging.getLogger(__name__)
@@ -118,22 +117,12 @@ def expected_trace_count(cfg: StrategyConfig) -> int:
     return rounds * contexts * samples
 
 
-def _complete(backend: Backend, cfg: StrategyConfig, user_text: str,
-              n_samples: int = 1):
-    request = CompletionRequest(model=backend.model, user_text=user_text,
-                                temperature=cfg.temperature, n_samples=n_samples)
-    started = time.monotonic()
-    response = backend.complete(request)
-    elapsed_ms = 0 if backend.deterministic else int((time.monotonic() - started) * 1000)
-    return response, elapsed_ms
-
-
 def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
              prediction_input: str, reasoning: str, usage: Usage, latency_ms: int,
              round: int, ctx: int, sample: int) -> ReasoningTrace:
     """Predict, then trace the path; ``usage`` and ``latency_ms`` are what the
     path spent before predicting."""
-    response, ms = _complete(backend, cfg, prediction_input)
+    response, ms = call(backend, prediction_input, cfg.temperature)
     raw_prediction = response.texts[0]
     return ReasoningTrace(
         question_id=q.id, round=round, reformulation_index=ctx, sample_index=sample,
@@ -176,7 +165,7 @@ def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
                         prior.raw_prediction_text, cfg.iteration_guide or prompt_text)
                 else:
                     assembled = assemble_reasoning_input(q.text, prompt_text)
-                response, ms = _complete(backend, cfg, assembled)
+                response, ms = call(backend, assembled, cfg.temperature)
                 reasoning, usage = response.texts[0], response.usage
                 prediction_input = assemble_prediction_input(
                     q.text, prompt_text, reasoning, trigger)
@@ -236,7 +225,7 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: in
     for ctx_index, (question_text, prompt_text) in enumerate(contexts):
         reasoning_input = assemble_reasoning_input(question_text, prompt_text)
         try:
-            response, latency = _complete(backend, cfg, reasoning_input, m_samples)
+            response, latency = call(backend, reasoning_input, cfg.temperature, m_samples)
         except LlmIoError as exc:
             logger.error("question %s context %d reasoning failed (%s); "
                          "recording abstentions", q.id, ctx_index, exc)
@@ -295,14 +284,13 @@ def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
 
 
 def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
-                 reformulator: Optional[Reformulator] = None,
                  triggers: Optional[Mapping[AnswerFormat, str]] = None,
                  ) -> Tuple[ReasoningTrace, ...]:
     """Dispatch a question to the engine matching the config's kind."""
     if not q.text.strip():
         logger.warning("question %s has empty text", q.id)
     if cfg.kind in BREADTH_KINDS:
-        return run_breadth(q, cfg, backend, reformulator, triggers)
+        return run_breadth(q, cfg, backend, triggers=triggers)
     return run_chain(q, cfg, backend, triggers)
 
 

@@ -17,15 +17,16 @@ ADVERSARIAL_ALPHABET = ['', 'a', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x
 
 def request_dict(request) -> dict:
     """A ``CompletionRequest`` as the object its canonical JSON encodes: the
-    reference for ``sample_payloads`` and for a cache record's ``request``."""
+    reference for ``sample_payloads`` and for a cache record's ``request``.
+    The slots of the fields no request sets are always null."""
     return {
         "model": request.model,
-        "system_text": request.system_text,
+        "system_text": None,
         "user_text": request.user_text,
         "temperature": request.temperature,
-        "top_k": request.top_k,
+        "top_k": None,
         "n_samples": request.n_samples,
-        "max_tokens": request.max_tokens,
+        "max_tokens": None,
         "sample_batch_id": request.sample_batch_id,
     }
 

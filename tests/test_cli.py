@@ -19,7 +19,7 @@ from breadth.strategy import (
     assemble_prediction_input,
     assemble_reasoning_input,
 )
-from conftest import mc_question
+from conftest import mc_question, request_dict
 
 PROMPT = "Let's think step by step."
 YES_TRIGGER = "Therefore, the answer (Yes or No) is"
@@ -310,6 +310,10 @@ def test_cache_counts_and_verifies_the_last_record_of_a_duplicate_key(tmp_path, 
     {"model": "m", "user_text": "q", "bogus": 1},
     {"model": "m"},
     "not a request",
+    # A stored request's max_tokens, system_text and top_k slots must be null.
+    {**request_dict(CompletionRequest(model="m", user_text="q")), "system_text": "sys"},
+    {**request_dict(CompletionRequest(model="m", user_text="q")), "top_k": 10},
+    {**request_dict(CompletionRequest(model="m", user_text="q")), "max_tokens": 64},
 ])
 def test_cache_verify_counts_a_request_that_does_not_parse(tmp_path, capsys, request_fields):
     cache_path = tmp_path / "cache.jsonl"
@@ -496,6 +500,57 @@ def test_entropy_subset_line_that_is_not_an_object_exits_2(tmp_path, capsys):
                  "--mock-script", _mock_script_file(tmp_path, {})])
     assert code == 2
     assert str(subset) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("choices", [5, [5], [["A"]]], ids=["not-a-list", "int", "one-item"])
+def test_entropy_subset_line_with_malformed_choices_exits_2(tmp_path, capsys, choices):
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps({**q.to_dict(), "choices": choices}) + "\n", encoding="utf-8")
+    code = main(["entropy", "--factors", "sampling", "--subset", str(subset),
+                 "--mock-script", _mock_script_file(tmp_path, {})])
+    assert code == 2
+    assert str(subset) in capsys.readouterr().err
+
+
+def _cot_run(tmp_path):
+    """Run cot over one coinflip question; return the arguments that ran it."""
+    script = {"step by step": ["reasoning about coins"], YES_TRIGGER: ["the answer is yes"]}
+    argv = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+            "--mock-script", _mock_script_file(tmp_path, script),
+            "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
+    assert main(argv) == 0
+    return argv
+
+
+@pytest.mark.parametrize("mistyped", ['"round":"1"', '"round":1.0'])
+def test_resume_over_a_mistyped_trace_line_exits_2(tmp_path, capsys, mistyped):
+    argv = _cot_run(tmp_path)
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    line = traces.read_text(encoding="utf-8")
+    assert line.count('"round":1,') == 1
+    traces.write_text(line.replace('"round":1,', mistyped + ","), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{traces}: record at line 1" in err and "'round' must be int" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda summary: {**summary, "outcomes": 5},
+    lambda summary: {**summary, "outcomes": [{**summary["outcomes"][0], "final": "x"}]},
+], ids=["outcomes-not-a-list", "final-not-an-object"])
+def test_report_and_pilot_subset_over_a_malformed_summary_exit_2(tmp_path, capsys, edit):
+    _cot_run(tmp_path)
+    run_dir = tmp_path / "runs" / "r"
+    summary_path = run_dir / "summary.json"
+    summary_path.write_text(json.dumps(edit(json.loads(summary_path.read_text()))),
+                            encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["report", "--runs", str(run_dir)],
+                 ["pilot-subset", "--cot", str(run_dir), "--deep", str(run_dir)]):
+        assert main(argv) == 2
+        assert f"error: {summary_path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

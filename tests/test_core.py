@@ -237,6 +237,35 @@ def test_trace_validation():
         ReasoningTrace(question_id="q", round=1, reformulation_index=0,
                        sample_index=0, assembled_input="q", reasoning_text="",
                        raw_prediction_text="", parsed=parsed, latency_ms=-1)
+    # A trace line may leave out a field with a default, not one without.
+    trace = ReasoningTrace(question_id="q", round=1, reformulation_index=0, sample_index=0,
+                           assembled_input="q", reasoning_text="", raw_prediction_text="",
+                           parsed=parsed)
+    fields = trace_dict(trace)
+    assert ReasoningTrace.from_dict({k: v for k, v in fields.items()
+                                     if k not in ("usage", "latency_ms")}) == trace
+    with pytest.raises(ValueError, match="trace has no field 'round'"):
+        ReasoningTrace.from_dict({k: v for k, v in fields.items() if k != "round"})
+
+
+@pytest.mark.parametrize("fields", [
+    {"round": "1"},
+    {"round": 1.0},
+    {"round": True},
+    {"latency_ms": 2.5},
+    {"question_id": None},
+    {"parsed": "A"},
+    {"parsed": {"kind": "numeric", "value": 1}},
+    {"parsed": {"kind": "numeric", "abstain": 0}},
+    {"usage": {"prompt_tokens": None}},
+    {"usage": {"completion_tokens": "3"}},
+])
+def test_trace_from_dict_rejects_a_field_of_the_wrong_json_type(fields):
+    trace = ReasoningTrace(question_id="q", round=1, reformulation_index=0, sample_index=0,
+                           assembled_input="q", reasoning_text="r", raw_prediction_text="1",
+                           parsed=Answer(AnswerFormat.NUMERIC, "1"))
+    with pytest.raises(ValueError):
+        ReasoningTrace.from_dict({**trace_dict(trace), **fields})
 
 
 def test_vote_result_accounting_enforced():

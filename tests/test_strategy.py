@@ -395,7 +395,7 @@ def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
 def test_sc_budget_matches_hybrid_budget():
     q = mc_question("budget", "Probe. Answer Choices: (A) x (B) y", "A")
     for n, m in [(2, 2), (3, 2), (3, 3), (5, 1)]:
-        hybrid_traces = run_strategy(
+        hybrid_traces = run_breadth(
             q, default_config(StrategyKind.QUESTION_C_SC, n_reformulations=n, m_samples=m),
             _catch_all_backend(), reformulator=list_reformulator({}))
         matched_sc_traces = run_strategy(
