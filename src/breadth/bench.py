@@ -33,6 +33,7 @@ from .core import (
     Usage,
     canonical_answer,
     check_json_fields,
+    parse_json,
 )
 from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
 from .strategy import StrategyError, run_strategy, vote_from_traces
@@ -190,8 +191,9 @@ def _records_from_file(path: str, fmap: FieldMap, dataset: str) -> List[dict]:
         raise MissingFileError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         if fmap.container == "jsonl":
-            return [json.loads(line) for line in fh if line.strip()]
-        data = json.load(fh)
+            return [parse_json(line, path, lineno)
+                    for lineno, line in enumerate(fh, 1) if line.strip()]
+        data = parse_json(fh.read(), path)
     if fmap.container == "json_examples":
         data = data.get("examples", [])
     if not isinstance(data, list):

@@ -9,7 +9,6 @@ loads a scripted backend, and plain live mode needs ``BREADTH_API_KEY``.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,6 +22,7 @@ from .core import (
     StrategyConfig,
     StrategyKind,
     default_config,
+    parse_json,
 )
 from .llmio import (
     API_KEY_ENV,
@@ -78,7 +78,7 @@ def _build_backend(args) -> Backend:
         return ReplayBackend(ReplayStore(args.replay), model=args.model)
     if args.mock_script:
         with open(args.mock_script, "r", encoding="utf-8") as fh:
-            script = json.load(fh)
+            script = parse_json(fh.read(), f"--mock-script {args.mock_script}")
         if not isinstance(script, dict) and not (
                 isinstance(script, list) and all(isinstance(rule, dict) for rule in script)):
             raise ValueError(f"--mock-script {args.mock_script}: expected an object "
@@ -98,7 +98,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = parse_json(fh.read(), f"--config {path}")
     if not isinstance(config, dict):
         raise ValueError(f"--config {path}: expected a JSON object, got {config!r:.80}")
     return config
@@ -127,6 +127,8 @@ def _trigger_overrides(file_config: dict):
 def _cmd_run(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise UsageError("--limit must be at least 1")
+    if args.token_budget is not None and args.token_budget < 1:
+        raise UsageError("--token-budget must be at least 1")
     file_config = _load_config_file(args.config)
     cfg = _strategy_config(args, file_config)
     questions = bench.load_dataset(
@@ -188,11 +190,14 @@ def _cmd_reformulate(args) -> int:
 
 
 def _load_subset(path: str) -> List[Question]:
+    where = f"--subset {path}"
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return [Question.from_dict(json.loads(line)) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise ValueError(f"--subset {path}: {exc}") from exc
+        records = [parse_json(line, where, lineno)
+                   for lineno, line in enumerate(fh, 1) if line.strip()]
+    try:
+        return [Question.from_dict(record) for record in records]
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _cmd_entropy(args) -> int:

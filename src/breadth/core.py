@@ -35,6 +35,18 @@ _EXPECTED_LABELS = "ABCDE"
 # this encoding of the whole record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+
+def parse_json(text: str, where: str, lineno: int = 1) -> Any:
+    """``json.loads(text)``, with invalid JSON raised as a ``ValueError``
+    that names ``where`` and the line of the file, ``text`` starting on
+    line ``lineno`` of it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON at line {lineno + exc.lineno - 1} "
+                         f"column {exc.colno}: {exc.msg}") from None
+
+
 _NULL = type(None)
 
 # The JSON types a record's field may hold, by the field's annotation.

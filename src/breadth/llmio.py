@@ -18,11 +18,12 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Callable, List, Optional, Sequence, Tuple
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from .core import Usage, canonical_json, check_json_fields
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -250,7 +251,11 @@ class LiveBackend(Backend):
         self.model = model
         self.timeout = timeout
         self.limiter = limiter or TokenBucketLimiter()
-        self.session = session or requests.Session()
+        if session is None:
+            import requests  # here, not at the top: only live calls use requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
@@ -278,6 +283,8 @@ class LiveBackend(Backend):
             "n": req.n_samples,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
+        import requests
+
         try:
             resp = self.session.post(
                 f"{self.base_url}/chat/completions",

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 # Each shard draws from its own seed spawned from the master seed, so the
 # shard count is part of what a seed reproduces.
 _SHARDS = 8
@@ -102,6 +100,8 @@ def simulate_plane(model: PlaneModel, trials: int, seed: int) -> PlaneSimResult:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    import numpy as np  # here, not at the top: only the simulators use numpy
+
     n, m = model.n_contexts, model.m_per_context
     total = n * m
     shards = min(_SHARDS, trials)
@@ -173,6 +173,8 @@ def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int) -> Lis
         raise ValueError("t_max must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    import numpy as np
+
     shards = min(_SHARDS, trials)
     correct_counts = np.zeros(t_max, dtype=np.int64)
     for shard_seed, shard_trials in zip(

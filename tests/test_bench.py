@@ -177,6 +177,19 @@ def test_missing_file_and_schema_errors(tmp_path):
     assert "[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("name, filename, text, line", [
+    ("gsm8k", "test.jsonl", '{"question": "q?", "answer": "#### 3"}\n\n{bad\n', 3),
+    ("strategyqa", "task.json", '{"examples": [\n{bad}\n]}\n', 2),
+], ids=["jsonl", "json"])
+def test_invalid_json_dataset_names_the_file_and_line(tmp_path, name, filename, text, line):
+    path = tmp_path / filename
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_dataset(dataset_spec(name, path=str(path)))
+    assert str(err.value) == (f"{path}: invalid JSON at line {line} column 2: "
+                              "Expecting property name enclosed in double quotes")
+
+
 def test_directory_path_uses_default_filename(dataset_dir, tmp_path):
     target = tmp_path / "gsm8k"
     target.mkdir()

@@ -1,10 +1,12 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
-from breadth.bench import run_experiment
+from breadth.bench import generate_synthetic, run_experiment
 from breadth.cli import build_parser, main
 from breadth.core import AnswerFormat, StrategyKind, default_config
 from breadth.llmio import (
@@ -347,8 +349,6 @@ def test_cache_and_replay_reject_a_record_without_a_key(tmp_path, capsys, line, 
 def test_replay_flag_round_trip(tmp_path, capsys):
     # Seeded generator questions are reproducible, so a cache recorded through
     # the library replays through the CLI over the same dataset slice.
-    from breadth.bench import generate_synthetic
-
     questions = generate_synthetic("coinflip", 2, seed=5)
     trigger = answer_trigger(AnswerFormat.YES_NO)
     live = ScriptedBackend()
@@ -502,6 +502,18 @@ def test_entropy_subset_line_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert str(subset) in capsys.readouterr().err
 
 
+def test_entropy_subset_line_that_is_not_json_names_the_line(tmp_path, capsys):
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n{bad\n", encoding="utf-8")
+    code = main(["entropy", "--factors", "sampling", "--subset", str(subset),
+                 "--mock-script", _mock_script_file(tmp_path, {})])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: --subset {subset}: invalid JSON at line 2 column 2: "
+        "Expecting property name enclosed in double quotes")
+
+
 @pytest.mark.parametrize("choices", [5, [5], [["A"]]], ids=["not-a-list", "int", "one-item"])
 def test_entropy_subset_line_with_malformed_choices_exits_2(tmp_path, capsys, choices):
     q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
@@ -559,3 +571,85 @@ def test_limit_below_one_is_a_usage_error(limit, capsys):
                  "--strategy", "cot", "--dry-run"])
     assert code == 1
     assert "--limit must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_token_budget_below_one_is_a_usage_error(tmp_path, budget, capsys):
+    script = {"step by step": ["reasoning"], YES_TRIGGER: ["the answer is yes"]}
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--token-budget", budget, "--mock-script", _mock_script_file(tmp_path, script),
+                 "--runs-dir", str(tmp_path / "runs")])
+    assert code == 1
+    assert "--token-budget must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--mock-script"])
+def test_invalid_json_input_file_exits_2_naming_the_file(tmp_path, capsys, flag):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "cot",\n  bad\n}\n', encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 flag, str(path), "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: {flag} {path}: invalid JSON at line 2 column 3: "
+        "Expecting property name enclosed in double quotes")
+
+
+# Run in a fresh interpreter, so no module this test process imported counts.
+_OFFLINE_IMPORTS = """
+import sys
+from breadth.cli import main
+
+def assert_not_loaded(step):
+    loaded = [m for m in ("numpy", "requests") if m in sys.modules]
+    assert not loaded, f"{step} loaded {loaded}"
+
+mock_script, cache, runs = sys.argv[1:]
+assert_not_loaded("import breadth.cli")
+run = ["run", "--dataset", "coinflip", "--seed", "5", "--limit", "2", "--strategy", "sc",
+       "--m", "3", "--runs-dir", runs]
+assert main(run + ["--mock-script", mock_script, "--run-id", "mock"]) == 0
+assert_not_loaded("a --mock-script run")
+assert main(run + ["--replay", cache, "--run-id", "replay"]) == 0
+assert_not_loaded("a --replay run")
+assert main(["report", "--runs", runs + "/mock", runs + "/replay"]) == 0
+assert_not_loaded("report")
+
+assert main(["votemodel", "--p", "0.6", "--n", "2", "--m", "2", "--trials", "100"]) == 0
+assert "numpy" in sys.modules
+
+import requests
+from breadth.llmio import CompletionRequest, LiveBackend, NetworkError
+
+live = LiveBackend("https://example.test/v1", api_key="k")
+assert isinstance(live.session, requests.Session)
+def refuse(*args, **kwargs):
+    raise requests.ConnectionError("refused")
+live.session.post = refuse
+try:
+    live._post(CompletionRequest(model="m", user_text="q"))
+except NetworkError as exc:
+    assert "refused" in str(exc)
+else:
+    raise AssertionError("no NetworkError")
+"""
+
+
+def test_offline_commands_load_neither_numpy_nor_requests(tmp_path):
+    script = {"step by step": ["thinking"] * 6, YES_TRIGGER: ["the answer is yes"] * 6}
+    mock_script = _mock_script_file(tmp_path, script)
+    cache = str(tmp_path / "cache.jsonl")
+    run_experiment("coinflip", generate_synthetic("coinflip", 2, seed=5),
+                   default_config(StrategyKind.SC, m_samples=3),
+                   RecordingBackend(ScriptedBackend(script), ReplayStore(cache)),
+                   runs_dir=str(tmp_path / "record"), run_id="r0")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["breadth"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_IMPORTS, mock_script, cache, str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for run_id in ("mock", "replay"):
+        summary = json.loads((tmp_path / "runs" / run_id / "summary.json").read_text())
+        assert [o.get("error") for o in summary["outcomes"]] == [None, None]
