@@ -195,6 +195,8 @@ def _records_from_file(path: str, fmap: FieldMap, dataset: str) -> List[dict]:
                     for lineno, line in enumerate(fh, 1) if line.strip()]
         data = parse_json(fh.read(), path)
     if fmap.container == "json_examples":
+        if not isinstance(data, dict):
+            raise SchemaError(dataset, 0, "expected an object with an 'examples' list")
         data = data.get("examples", [])
     if not isinstance(data, list):
         raise SchemaError(dataset, 0, "expected a list of records")

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Sequence
 
-from .core import Answer, Question, StrategyConfig
+from .core import Answer, Question, StrategyConfig, StrategyKind
 from .extract import EmptyInputError
 from .llmio import Backend
-from .reformulate import ReformulationSpec, ReformulationTarget, prompt_bank, reformulate
-from .strategy import run_contexts
+from .reformulate import prompt_bank
+from .strategy import run_contexts, run_strategy
 
 SAMPLING_TEMPERATURE = 0.8
 REWORDING_TEMPERATURE = 1.0
@@ -104,29 +104,20 @@ class FactorStudyReport:
 
 def _factor_answers(q: Question, spec: FactorSpec, cfg: StrategyConfig,
                     backend: Backend) -> List[Answer]:
-    from dataclasses import replace
-
     k = spec.k_paths
-    prompt_text = cfg.canonical_prompt
     if spec.factor == Factor.QUESTION_REWORDING:
-        variants = reformulate(
-            q.text,
-            ReformulationSpec(ReformulationTarget.QUESTION, k, include_original=True),
-            backend,
-        )
-        contexts = [(v, prompt_text) for v in variants]
-        run_cfg = replace(cfg, temperature=REWORDING_TEMPERATURE)
-        traces = run_contexts(q, contexts, 1, run_cfg, backend)
+        traces = run_strategy(q, replace(cfg, kind=StrategyKind.QUESTION_C, n_reformulations=k,
+                                         temperature=REWORDING_TEMPERATURE), backend)
     elif spec.factor == Factor.PROMPT_REWORDING:
         bank = prompt_bank()
         if k > len(bank):
             raise ValueError(f"prompt factor supports at most {len(bank)} paths")
-        contexts = [(q.text, p) for p in bank[:k]]
-        run_cfg = replace(cfg, temperature=REWORDING_TEMPERATURE)
-        traces = run_contexts(q, contexts, 1, run_cfg, backend)
+        run_cfg = replace(cfg, kind=StrategyKind.PROMPT_C, n_reformulations=k,
+                          temperature=REWORDING_TEMPERATURE)
+        traces = run_contexts(q, [(q.text, p) for p in bank[:k]], run_cfg, backend)
     else:  # sampling; run_factor_study skips model perturbation
-        run_cfg = replace(cfg, temperature=SAMPLING_TEMPERATURE)
-        traces = run_contexts(q, [(q.text, prompt_text)], k, run_cfg, backend)
+        traces = run_strategy(q, replace(cfg, kind=StrategyKind.SC, m_samples=k,
+                                         temperature=SAMPLING_TEMPERATURE), backend)
     return [t.parsed for t in traces]
 
 

@@ -1,8 +1,11 @@
-"""Reasoning engines: :func:`run_chain` for zero-shot, chain-of-thought and deep
-iterative refinement (``cot`` is ``deep_cot`` with one round), and
-:func:`run_breadth` for the breadth family (self-consistency, question/prompt
-rewriting, hybrids). Every path ends in :func:`_predict`, the one prediction
-step, which builds the path's trace. An engine returns only the question's
+"""The reasoning engine: :func:`run_contexts` runs every path of every
+strategy kind over the path shape ``(rounds, contexts, samples)`` of
+:func:`path_shape`. Zero-shot, CoT and deep CoT are one context and one
+sample (``cot`` is ``deep_cot`` with one round); the breadth family
+(self-consistency, question/prompt rewriting, hybrids) is one round over
+its contexts and samples. :func:`run_strategy` builds a question's contexts
+and runs them. Every path ends in :func:`_predict`, the one prediction step,
+which builds the path's trace. The engine returns only the question's
 traces; :func:`vote_from_traces` is the one rule that turns them into a
 final answer.
 
@@ -110,7 +113,7 @@ def path_shape(cfg: StrategyConfig) -> Tuple[int, int, int]:
 def expected_trace_count(cfg: StrategyConfig) -> int:
     """How many traces a config must produce.
 
-    Depth runs may stop early under the stability rule, so for ``DeepCoT``
+    Deep CoT may stop early under the stability rule, so for ``deep_cot``
     this is the upper bound (exact under a fixed iteration count).
     """
     rounds, contexts, samples = path_shape(cfg)
@@ -131,49 +134,6 @@ def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
         parsed=extract_answer(raw_prediction, q.answer_format, q.choices),
         usage=usage + response.usage, latency_ms=latency_ms + ms,
     )
-
-
-def run_chain(q: Question, cfg: StrategyConfig, backend: Backend,
-              triggers: Optional[Mapping[AnswerFormat, str]] = None,
-              ) -> Tuple[ReasoningTrace, ...]:
-    """One path over :func:`path_shape`'s rounds: zero-shot, CoT or deep CoT.
-
-    Zero-shot is one prediction call. Otherwise round 1 reasons over the
-    question and prompt, and each later round refines the prior round's
-    reasoning and prediction; a prediction sees only its own round's
-    reasoning. Stops at the round cap, or one round after two consecutive
-    equal (non-abstain) predictions under the stability rule.
-    """
-    prompt_text = cfg.canonical_prompt
-    trigger = answer_trigger(q.answer_format, triggers)
-    rounds, _, _ = path_shape(cfg)
-    traces: List[ReasoningTrace] = []
-    try:
-        for round_index in range(1, rounds + 1):
-            if (cfg.stop_rule == StopRule.STABLE_STOP and len(traces) >= 2
-                    and not traces[-1].parsed.abstain
-                    and traces[-1].parsed == traces[-2].parsed):
-                break
-            if cfg.kind == StrategyKind.ZERO_SHOT:
-                assembled = prediction_input = assemble_zero_shot_input(q.text, trigger)
-                reasoning, usage, ms = "", Usage(), 0
-            else:
-                if traces:
-                    prior = traces[-1]
-                    assembled = assemble_iteration_input(
-                        q.text, prompt_text, prior.reasoning_text,
-                        prior.raw_prediction_text, cfg.iteration_guide or prompt_text)
-                else:
-                    assembled = assemble_reasoning_input(q.text, prompt_text)
-                response, ms = call(backend, assembled, cfg.temperature)
-                reasoning, usage = response.texts[0], response.usage
-                prediction_input = assemble_prediction_input(
-                    q.text, prompt_text, reasoning, trigger)
-            traces.append(_predict(q, cfg, backend, assembled, prediction_input,
-                                   reasoning, usage, ms, round_index, 0, 0))
-    except LlmIoError as exc:
-        raise StrategyError(q.id, exc) from exc
-    return tuple(traces)
 
 
 Reformulator = Callable[..., List[str]]
@@ -198,57 +158,81 @@ def _build_contexts(q: Question, cfg: StrategyConfig, backend: Backend,
     return [(q.text, v) for v in reformulator(prompt_text, spec, backend)]
 
 
-def _abstention(q: Question, ctx_index: int, sample_index: int, reasoning_input: str,
-                reasoning_text: str = "", usage: Usage = Usage(),
-                latency_ms: int = 0) -> ReasoningTrace:
+def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: int,
+                      ctx: int, sample: int, assembled: str, reasoning: str = "",
+                      usage: Usage = Usage(), latency_ms: int = 0) -> ReasoningTrace:
+    """The failure policy for a failed call, unretried here: in a breadth kind
+    the path abstains, so the vote proceeds over the survivors; in any other
+    kind the question fails."""
+    if cfg.kind not in BREADTH_KINDS:
+        raise StrategyError(q.id, exc) from exc
+    logger.error("question %s path (%d,%d) failed (%s); recording abstention",
+                 q.id, ctx, sample, exc)
     return ReasoningTrace(
-        question_id=q.id, round=1, reformulation_index=ctx_index,
-        sample_index=sample_index, assembled_input=reasoning_input,
-        reasoning_text=reasoning_text, raw_prediction_text="",
+        question_id=q.id, round=round, reformulation_index=ctx, sample_index=sample,
+        assembled_input=assembled, reasoning_text=reasoning, raw_prediction_text="",
         parsed=Answer.abstained(q.answer_format), usage=usage, latency_ms=latency_ms)
 
 
-def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], m_samples: int,
-                 cfg: StrategyConfig, backend: Backend,
-                 triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                 ) -> List[ReasoningTrace]:
-    """Run ``m_samples`` CoT paths per (question, prompt) context.
+def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: StrategyConfig,
+                 backend: Backend, triggers: Optional[Mapping[AnswerFormat, str]] = None,
+                 ) -> Tuple[ReasoningTrace, ...]:
+    """Run every path of one question, over :func:`path_shape`'s samples and
+    rounds for each (question, prompt) context.
 
-    Samples for one context come from a single multi-sample reasoning call
-    (the backend may batch or sequence it); sample 0 carries that call's
-    latency, as it carries its prompt tokens. A failing call is not retried
-    here; its paths are recorded as abstaining traces so the vote proceeds
-    over survivors.
+    A context's samples come from one multi-sample reasoning call (the
+    backend may batch or sequence it); sample 0 carries that call's latency,
+    as it carries its prompt tokens. Zero-shot makes no reasoning call: its
+    one call is the prediction. Deep CoT then refines each path for rounds
+    2..T over the prior round's reasoning and prediction; a prediction sees
+    only its own round's reasoning. Under the stability rule a path stops
+    as soon as two consecutive rounds predict the same non-abstaining answer.
     """
+    rounds, _, samples = path_shape(cfg)
     trigger = answer_trigger(q.answer_format, triggers)
     traces: List[ReasoningTrace] = []
-    for ctx_index, (question_text, prompt_text) in enumerate(contexts):
-        reasoning_input = assemble_reasoning_input(question_text, prompt_text)
-        try:
-            response, latency = call(backend, reasoning_input, cfg.temperature, m_samples)
-        except LlmIoError as exc:
-            logger.error("question %s context %d reasoning failed (%s); "
-                         "recording abstentions", q.id, ctx_index, exc)
-            traces.extend(_abstention(q, ctx_index, sample_index, reasoning_input)
-                          for sample_index in range(m_samples))
-            continue
-        usage_shares = split_usage(response.usage, len(response.texts))
-        for sample_index, reasoning_text in enumerate(response.texts):
-            usage = usage_shares[sample_index]
-            ms = latency if sample_index == 0 else 0
+    for ctx, (question_text, prompt_text) in enumerate(contexts):
+        if cfg.kind == StrategyKind.ZERO_SHOT:
+            assembled = assemble_zero_shot_input(question_text, trigger)
+            starts = [("", Usage(), 0)]
+        else:
+            assembled = assemble_reasoning_input(question_text, prompt_text)
             try:
-                trace = _predict(
-                    q, cfg, backend, reasoning_input,
-                    assemble_prediction_input(question_text, prompt_text,
-                                              reasoning_text, trigger),
-                    reasoning_text, usage, ms, 1, ctx_index, sample_index)
+                response, latency = call(backend, assembled, cfg.temperature, samples)
             except LlmIoError as exc:
-                logger.error("question %s path (%d,%d) failed (%s); recording abstention",
-                             q.id, ctx_index, sample_index, exc)
-                trace = _abstention(q, ctx_index, sample_index, reasoning_input,
-                                    reasoning_text, usage, ms)
-            traces.append(trace)
-    return traces
+                traces.extend(_abstain_or_raise(q, cfg, exc, 1, ctx, sample, assembled)
+                              for sample in range(samples))
+                continue
+            shares = split_usage(response.usage, len(response.texts))
+            starts = [(text, shares[i], latency if i == 0 else 0)
+                      for i, text in enumerate(response.texts)]
+        for sample, (reasoning, usage, ms) in enumerate(starts):
+            path_input = assembled
+            for round_index in range(1, rounds + 1):
+                try:
+                    if round_index > 1:
+                        prior = traces[-1]
+                        # From round 3 on, the last two traces are both this
+                        # path's rounds; earlier they may be another path's.
+                        if (round_index > 2 and cfg.stop_rule == StopRule.STABLE_STOP
+                                and not prior.parsed.abstain
+                                and prior.parsed == traces[-2].parsed):
+                            break
+                        path_input = assemble_iteration_input(
+                            question_text, prompt_text, prior.reasoning_text,
+                            prior.raw_prediction_text, cfg.iteration_guide or prompt_text)
+                        response, ms = call(backend, path_input, cfg.temperature)
+                        reasoning, usage = response.texts[0], response.usage
+                    prediction_input = (
+                        path_input if cfg.kind == StrategyKind.ZERO_SHOT else
+                        assemble_prediction_input(question_text, prompt_text, reasoning, trigger))
+                    trace = _predict(q, cfg, backend, path_input, prediction_input,
+                                     reasoning, usage, ms, round_index, ctx, sample)
+                except LlmIoError as exc:
+                    trace = _abstain_or_raise(q, cfg, exc, round_index, ctx, sample,
+                                              path_input, reasoning, usage, ms)
+                traces.append(trace)
+    return tuple(traces)
 
 
 def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
@@ -263,35 +247,19 @@ def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
     return majority_vote([t.parsed for t in ordered])
 
 
-def run_breadth(q: Question, cfg: StrategyConfig, backend: Backend,
-                reformulator: Optional[Reformulator] = None,
-                triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                ) -> Tuple[ReasoningTrace, ...]:
-    """The breadth family: diverse initial paths, voted by :func:`vote_from_traces`.
-
-    Context and per-context sample counts follow :func:`path_shape`.
-    """
-    if cfg.kind not in BREADTH_KINDS:
-        raise ValueError(f"not a breadth strategy: {cfg.kind}")
+def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
+                 triggers: Optional[Mapping[AnswerFormat, str]] = None,
+                 ) -> Tuple[ReasoningTrace, ...]:
+    """Build the question's contexts, then run its paths over them."""
+    if not q.text.strip():
+        logger.warning("question %s has empty text", q.id)
     try:
-        contexts = _build_contexts(q, cfg, backend, reformulator or reformulate)
+        contexts = _build_contexts(q, cfg, backend, reformulate)
     except (LlmIoError, ValueError) as exc:
         # A ValueError here is a text that cannot be rewritten, such as a
         # blank question: this question fails, the run goes on.
         raise StrategyError(q.id, exc) from exc
-    _, _, per_context = path_shape(cfg)
-    return tuple(run_contexts(q, contexts, per_context, cfg, backend, triggers))
-
-
-def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
-                 triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                 ) -> Tuple[ReasoningTrace, ...]:
-    """Dispatch a question to the engine matching the config's kind."""
-    if not q.text.strip():
-        logger.warning("question %s has empty text", q.id)
-    if cfg.kind in BREADTH_KINDS:
-        return run_breadth(q, cfg, backend, triggers=triggers)
-    return run_chain(q, cfg, backend, triggers)
+    return run_contexts(q, contexts, cfg, backend, triggers)
 
 
 def _placeholder_rewrites(text: str, spec: ReformulationSpec, backend) -> List[str]:

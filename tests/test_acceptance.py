@@ -20,12 +20,13 @@ from breadth.diversity import prediction_entropy
 from breadth.extract import majority_vote
 from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
 from breadth.strategy import (
+    _build_contexts,
     answer_trigger,
     assemble_iteration_input,
     assemble_prediction_input,
     assemble_reasoning_input,
     expected_trace_count,
-    run_breadth,
+    run_contexts,
     run_strategy,
     vote_from_traces,
 )
@@ -204,7 +205,8 @@ def test_criterion_06_scripted_demos():
         breadth_backend.add_rule(
             assemble_prediction_input(toy.text, prompt, reasoning, trigger),
             [votes[i]], exact=True)
-    breadth = run_breadth(toy, bcfg, breadth_backend, reformulator=reformulator)
+    contexts = _build_contexts(toy, bcfg, breadth_backend, reformulator)
+    breadth = run_contexts(toy, contexts, bcfg, breadth_backend)
     breadth_vote = vote_from_traces(breadth)
     counts = {a.value: c for a, c in breadth_vote.counts}
     breadth_ok = ([t.parsed.value for t in breadth] == ["C", "A", "A", "A"]

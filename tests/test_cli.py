@@ -457,6 +457,15 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert str(config_path) in capsys.readouterr().err
 
 
+def test_strategyqa_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    data_path = tmp_path / "task.json"
+    data_path.write_text("[1, 2]", encoding="utf-8")
+    code = main(["run", "--dataset", "strategyqa", "--data-path", str(data_path),
+                 "--strategy", "cot", "--dry-run"])
+    assert code == 2
+    assert "strategyqa[0]: expected an object with an 'examples' list" in capsys.readouterr().err
+
+
 def test_answer_triggers_that_are_not_an_object_exit_2(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"kind": "cot", "answer_triggers": ["So"]}),

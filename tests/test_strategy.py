@@ -7,6 +7,7 @@ import time
 import pytest
 
 from breadth.core import (
+    BREADTH_KINDS,
     AnswerFormat,
     StopRule,
     StrategyKind,
@@ -15,14 +16,17 @@ from breadth.core import (
 from breadth.llmio import ScriptedBackend
 from breadth.reformulate import QUESTION_INSTRUCTION
 from breadth.strategy import (
+    StrategyError,
+    _build_contexts,
     answer_trigger,
     assemble_iteration_input,
     assemble_prediction_input,
     assemble_reasoning_input,
     assemble_zero_shot_input,
     expected_trace_count,
+    path_shape,
     plan_paths,
-    run_breadth,
+    run_contexts,
     run_strategy,
     vote_from_traces,
 )
@@ -250,6 +254,11 @@ def list_reformulator(variants_by_text):
     return _reformulate
 
 
+def run_rewritten(q, cfg, backend, reformulator):
+    """Run a question over contexts rewritten by an injected reformulator."""
+    return run_contexts(q, _build_contexts(q, cfg, backend, reformulator), cfg, backend)
+
+
 def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
     q = toy_shop_question
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=2, m_samples=2)
@@ -269,7 +278,7 @@ def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
     backend.add_rule(assemble_prediction_input(variant, PROMPT, "RA3", trigger),
                      ["Therefore, the correct answer is (A) 15."], exact=True)
 
-    traces = run_breadth(q, cfg, backend, reformulator=reformulator)
+    traces = run_rewritten(q, cfg, backend, reformulator)
     vote = vote_from_traces(traces)
     assert [t.parsed.value for t in traces] == ["C", "A", "A", "A"]
     assert vote.winner.value == "A"
@@ -282,7 +291,7 @@ def test_hybrid_three_by_two_yields_six_traces():
     q = mc_question("q1", "Pick. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     backend = ScriptedBackend({"": ["the answer is (A)"] * 100})
-    traces = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
+    traces = run_rewritten(q, cfg, backend, list_reformulator({}))
     assert len(traces) == 6
     keys = {(t.reformulation_index, t.sample_index) for t in traces}
     assert keys == {(i, j) for i in range(3) for j in range(2)}
@@ -302,7 +311,7 @@ def test_sc_with_m1_reduces_to_cot(toy_shop_question):
         return backend
 
     cot_traces = run_strategy(q, cot_cfg, build())
-    sc_traces = run_breadth(q, sc_cfg, build())
+    sc_traces = run_strategy(q, sc_cfg, build())
     assert vote_from_traces(sc_traces).winner == vote_from_traces(cot_traces).winner
     assert len(sc_traces) == len(cot_traces) == 1
 
@@ -319,7 +328,7 @@ def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
         backend.add_rule(assemble_reasoning_input(q.text, prompt), [f"R{i}"], exact=True)
         backend.add_rule(assemble_prediction_input(q.text, prompt, f"R{i}", trigger),
                          [f"the answer is ({'CAB'[i]})"], exact=True)
-    traces = run_breadth(q, cfg, backend, reformulator=reformulator)
+    traces = run_rewritten(q, cfg, backend, reformulator)
     assert len(traces) == 3  # m forced to 1
     assert [t.parsed.value for t in traces] == ["C", "A", "B"]
 
@@ -334,7 +343,7 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
     # and the path abstains.
     backend.add_rule(assemble_prediction_input(q.text, PROMPT, "R0", trigger),
                      ["the answer is (B) 16"], exact=True)
-    traces = run_breadth(q, cfg, backend)
+    traces = run_strategy(q, cfg, backend)
     assert len(traces) == 2
     assert traces[0].parsed.value == "B"
     assert traces[1].parsed.abstain
@@ -345,12 +354,41 @@ def test_failed_path_becomes_abstention_and_vote_proceeds(toy_shop_question):
 
 
 def test_backend_error_carries_question_id():
-    from breadth.strategy import StrategyError
-
     q = mc_question("q-broken", "Pick. Answer Choices: (A) x (B) y", "A")
     with pytest.raises(StrategyError) as err:
         run_strategy(q, default_config(StrategyKind.COT), ScriptedBackend())
     assert "q-broken" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_failed_first_call_policy_for_every_kind(kind):
+    # No rules: each context's first call (reasoning, or zero-shot's one
+    # prediction) fails. Breadth paths abstain; other kinds fail the question.
+    q = mc_question("q-broken", "Pick. Answer Choices: (A) x (B) y", "A")
+    cfg = default_config(kind, n_reformulations=3, m_samples=2, max_iterations=3)
+    backend = ScriptedBackend()
+    if kind in BREADTH_KINDS:
+        traces = run_rewritten(q, cfg, backend, list_reformulator({}))
+        assert len(traces) == expected_trace_count(cfg)
+        assert all(t.parsed.abstain and t.raw_prediction_text == "" for t in traces)
+        assert len({t.path_key() for t in traces}) == len(traces)
+        _, contexts, _ = path_shape(cfg)
+        assert len(backend.calls) == contexts  # one reasoning call per context
+    else:
+        with pytest.raises(StrategyError) as err:
+            run_rewritten(q, cfg, backend, list_reformulator({}))
+        assert "q-broken" in str(err.value)
+        assert len(backend.calls) == 1
+
+
+def test_deep_failure_in_round_two_fails_the_question():
+    q = mc_question("q-deep", "Pick. Answer Choices: (A) x (B) y", "A")
+    cfg = default_config(StrategyKind.DEEP_COT, max_iterations=3)
+    backend = _deep_script(q, cfg, [("R1", "the answer is (A)")])  # no round-2 rule
+    with pytest.raises(StrategyError) as err:
+        run_strategy(q, cfg, backend)
+    assert "q-deep" in str(err.value)
+    assert len(backend.calls) == 3  # reasoning, prediction, failed iteration
 
 
 # -------------------------------------------------------- path-count law
@@ -371,9 +409,15 @@ def test_path_count_law_over_random_configs():
             n_reformulations=rng.randint(1, 5),
             m_samples=rng.randint(1, 5),
             max_iterations=rng.randint(1, 3),
+            stop_rule=rng.choice(list(StopRule)),
         )
         traces = run_strategy(q, cfg, _catch_all_backend())
-        assert len(traces) == expected_trace_count(cfg), cfg
+        if kind == StrategyKind.DEEP_COT and cfg.stop_rule == StopRule.STABLE_STOP:
+            # Every round agrees, so the path may stop early, but never
+            # before two rounds are done.
+            assert min(2, cfg.max_iterations) <= len(traces) <= expected_trace_count(cfg), cfg
+        else:
+            assert len(traces) == expected_trace_count(cfg), cfg
         unique = {t.path_key() for t in traces}
         assert len(unique) == len(traces)
 
@@ -384,7 +428,7 @@ def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
     backend = ScriptedBackend({
         "": ["the answer is (A)"] * 6 + ["the answer is (B)"] * 20,
     })
-    traces = run_breadth(q, cfg, backend, reformulator=list_reformulator({}))
+    traces = run_rewritten(q, cfg, backend, list_reformulator({}))
     rng = random.Random(9)
     for _ in range(20):
         shuffled = list(traces)
@@ -395,9 +439,9 @@ def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
 def test_sc_budget_matches_hybrid_budget():
     q = mc_question("budget", "Probe. Answer Choices: (A) x (B) y", "A")
     for n, m in [(2, 2), (3, 2), (3, 3), (5, 1)]:
-        hybrid_traces = run_breadth(
+        hybrid_traces = run_rewritten(
             q, default_config(StrategyKind.QUESTION_C_SC, n_reformulations=n, m_samples=m),
-            _catch_all_backend(), reformulator=list_reformulator({}))
+            _catch_all_backend(), list_reformulator({}))
         matched_sc_traces = run_strategy(
             q, default_config(StrategyKind.SC, m_samples=n * m), _catch_all_backend())
         assert len(hybrid_traces) == len(matched_sc_traces) == n * m
@@ -411,7 +455,7 @@ def test_question_rewriting_goes_through_backend(toy_shop_question):
     backend.add_rule(QUESTION_INSTRUCTION, ["Fresh wording of the toy question?"])
     backend.add_rule("step by step", ["R"] * 2)
     backend.add_rule(MC_TRIGGER, ["the answer is (A)", "the answer is (A)"])
-    traces = run_breadth(q, cfg, backend)
+    traces = run_strategy(q, cfg, backend)
     assert len(traces) == 2
     rewritten = traces[1].assembled_input
     assert rewritten.startswith("Fresh wording of the toy question?")
