@@ -109,14 +109,22 @@ DATASET_TABLE: Dict[str, tuple] = {
     "coinflip": (AnswerFormat.YES_NO, 500, "generator"),
 }
 
-def dataset_spec(name: str, path: Optional[str] = None, seed: int = 0) -> DatasetSpec:
-    """Build a spec from the built-in table; file datasets need a path."""
+def dataset_spec(name: str, path: Optional[str] = None,
+                 seed: Optional[int] = None) -> DatasetSpec:
+    """Build a spec from the built-in table. A file dataset needs a path and
+    takes no seed; a generated one takes a seed (default 0) and no path."""
     key = name.strip().lower()
     if key not in DATASET_TABLE:
         raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASET_TABLE)}")
     fmt, expected, default_file = DATASET_TABLE[key]
     if key not in ADAPTERS:
-        return DatasetSpec(key, fmt, expected, seed=seed)
+        if path is not None:
+            raise ValueError(f"dataset {key} is generated, not read from a file; "
+                             f"drop --data-path {path}")
+        return DatasetSpec(key, fmt, expected, seed=0 if seed is None else seed)
+    if seed is not None:
+        raise ValueError(f"dataset {key} is read from a file; --seed {seed} "
+                         "selects only a generated dataset")
     if path is None:
         raise MissingFileError(f"dataset {key} needs a source file (default name "
                                f"{default_file!r}); pass --data-path")

@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stop", choices=["fixed", "stable"], help="depth stop rule")
     run.add_argument("--temperature", type=float)
     run.add_argument("--token-budget", type=int, help="stop after this many tokens")
-    run.add_argument("--seed", type=int, default=0, help="generator dataset seed")
+    run.add_argument("--seed", type=int, help="generator dataset seed (default 0)")
     run.add_argument("--runs-dir", default="runs")
     run.add_argument("--run-id", help="explicit run id (default derived)")
     run.add_argument("--config", help="JSON config file (flags override it)")

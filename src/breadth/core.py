@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Any, Optional
@@ -392,6 +392,23 @@ class ReasoningTrace:
         )
 
 
+# The knobs each kind reads besides ``temperature``, with the kind's defaults:
+# the headline setup of three iterations deep or three paths wide (the
+# hybrids three rewrites at one sample each).
+_PROMPT = {"canonical_prompt": CANONICAL_COT_PROMPT}
+KIND_KNOBS = {
+    StrategyKind.ZERO_SHOT: {},
+    StrategyKind.COT: {**_PROMPT},
+    StrategyKind.DEEP_COT: {**_PROMPT, "max_iterations": 3, "stop_rule": StopRule.FIXED_T,
+                            "iteration_guide": ""},
+    StrategyKind.SC: {**_PROMPT, "m_samples": 3},
+    StrategyKind.QUESTION_C: {**_PROMPT, "n_reformulations": 3},
+    StrategyKind.PROMPT_C: {**_PROMPT, "n_reformulations": 3},
+    StrategyKind.QUESTION_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
+    StrategyKind.PROMPT_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
+}
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which pipeline to run and its knobs.
@@ -401,6 +418,10 @@ class StrategyConfig:
     ``iteration_guide`` the prompt that steers refinement rounds (empty
     string means: reuse the canonical prompt). ``canonical_prompt`` is the
     reasoning-trigger text every path starts from.
+
+    A knob the kind does not read (see :data:`KIND_KNOBS`) must keep its
+    field default, so ``(max_iterations, n_reformulations, m_samples)`` is
+    the shape that runs: rounds, contexts, and samples per context.
     """
 
     kind: StrategyKind
@@ -419,6 +440,12 @@ class StrategyConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not self.canonical_prompt:
             raise ValueError("canonical_prompt must be non-empty")
+        reads = {"kind", "temperature", *KIND_KNOBS[self.kind]}
+        ignored = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                   if f.name not in reads and getattr(self, f.name) != f.default]
+        if ignored:
+            raise ValueError(f"strategy {self.kind.value} ignores {', '.join(ignored)}; "
+                             f"it reads only {', '.join(sorted(reads - {'kind'}))}")
 
     def to_dict(self) -> dict:
         return {
@@ -467,24 +494,10 @@ _DEFAULT_TEMPERATURES = {
     StrategyKind.PROMPT_C_SC: 0.8,
 }
 
-# Headline comparison setup: three iterations for depth, three paths for
-# breadth (hybrids default to three rewrites at one sample each).
-_DEFAULT_KNOBS = {
-    StrategyKind.DEEP_COT: {"max_iterations": 3},
-    StrategyKind.SC: {"m_samples": 3},
-    StrategyKind.QUESTION_C: {"n_reformulations": 3},
-    StrategyKind.PROMPT_C: {"n_reformulations": 3},
-    StrategyKind.QUESTION_C_SC: {"n_reformulations": 3},
-    StrategyKind.PROMPT_C_SC: {"n_reformulations": 3},
-}
-
-
 def default_config(kind: StrategyKind, **overrides: Any) -> StrategyConfig:
-    """Build a config with per-kind defaults, then apply overrides."""
-    kwargs: dict = {"temperature": _DEFAULT_TEMPERATURES.get(kind, 1.0)}
-    kwargs.update(_DEFAULT_KNOBS.get(kind, {}))
-    base = StrategyConfig(kind=kind, **kwargs)
-    return replace(base, **overrides) if overrides else base
+    """Build a config with the kind's defaults, then apply overrides."""
+    return StrategyConfig(kind=kind, **{"temperature": _DEFAULT_TEMPERATURES.get(kind, 1.0),
+                                        **KIND_KNOBS[kind], **overrides})
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """The reasoning engine: :func:`run_contexts` runs every path of every
-strategy kind over the path shape ``(rounds, contexts, samples)`` of
-:func:`path_shape`. Zero-shot, CoT and deep CoT are one context and one
-sample (``cot`` is ``deep_cot`` with one round); the breadth family
-(self-consistency, question/prompt rewriting, hybrids) is one round over
-its contexts and samples. :func:`run_strategy` builds a question's contexts
-and runs them. Every path ends in :func:`_predict`, the one prediction step,
-which builds the path's trace. The engine returns only the question's
+strategy kind over the path shape ``(rounds, contexts, samples)``, the
+config's ``(max_iterations, n_reformulations, m_samples)``. Zero-shot, CoT
+and deep CoT are one context and one sample (``cot`` is ``deep_cot`` with
+one round); the breadth family (self-consistency, question/prompt
+rewriting, hybrids) is one round over its contexts and samples.
+:func:`run_strategy` builds a question's contexts and runs them, offline
+for a dry run in :func:`plan_paths`. Every path ends in :func:`_predict`,
+the one prediction step, which builds the path's trace. The engine returns only the question's
 traces; :func:`vote_from_traces` is the one rule that turns them into a
 final answer.
 
@@ -23,7 +24,9 @@ earlier rounds' text is discarded.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import re
+from dataclasses import replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     Answer,
@@ -38,8 +41,9 @@ from .core import (
     VoteResult,
 )
 from .extract import extract_answer, majority_vote
-from .llmio import Backend, LlmIoError, call, split_usage
-from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
+from .llmio import Backend, CompletionRequest, CompletionResponse, LlmIoError, call, split_usage
+from .reformulate import (PROMPT_INSTRUCTION, QUESTION_INSTRUCTION, ReformulationSpec,
+                          ReformulationTarget, reformulate)
 
 logger = logging.getLogger(__name__)
 
@@ -94,32 +98,6 @@ def assemble_zero_shot_input(question_text: str, trigger: str) -> str:
     return f"{question_text}{SEPARATOR}{trigger}"
 
 
-def path_shape(cfg: StrategyConfig) -> Tuple[int, int, int]:
-    """The path-count law as ``(rounds, contexts, samples_per_context)``.
-
-    Depth iterates one context; self-consistency samples one context;
-    rewriting strategies explore ``n_reformulations`` contexts, and the
-    hybrids sample each of them ``m_samples`` times.
-    """
-    kind = cfg.kind
-    rounds = cfg.max_iterations if kind == StrategyKind.DEEP_COT else 1
-    contexts = (cfg.n_reformulations
-                if kind in BREADTH_KINDS and kind != StrategyKind.SC else 1)
-    samples = cfg.m_samples if kind in (
-        StrategyKind.SC, StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC) else 1
-    return rounds, contexts, samples
-
-
-def expected_trace_count(cfg: StrategyConfig) -> int:
-    """How many traces a config must produce.
-
-    Deep CoT may stop early under the stability rule, so for ``deep_cot``
-    this is the upper bound (exact under a fixed iteration count).
-    """
-    rounds, contexts, samples = path_shape(cfg)
-    return rounds * contexts * samples
-
-
 def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
              prediction_input: str, reasoning: str, usage: Usage, latency_ms: int,
              round: int, ctx: int, sample: int) -> ReasoningTrace:
@@ -136,11 +114,8 @@ def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
     )
 
 
-Reformulator = Callable[..., List[str]]
-
-
-def _build_contexts(q: Question, cfg: StrategyConfig, backend: Backend,
-                    reformulator: Reformulator) -> List[Tuple[str, str]]:
+def _build_contexts(q: Question, cfg: StrategyConfig,
+                    backend: Backend) -> List[Tuple[str, str]]:
     """The (question_text, prompt_text) pairs a run will explore.
 
     Only rewriting strategies have more than the canonical context; they keep
@@ -150,12 +125,12 @@ def _build_contexts(q: Question, cfg: StrategyConfig, backend: Backend,
     kind = cfg.kind
     if kind == StrategyKind.SC or kind not in BREADTH_KINDS:
         return [(q.text, prompt_text)]
-    _, n_contexts, _ = path_shape(cfg)
+    n_contexts = cfg.n_reformulations
     if kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC):
         spec = ReformulationSpec(ReformulationTarget.QUESTION, n_contexts, include_original=True)
-        return [(v, prompt_text) for v in reformulator(q.text, spec, backend)]
+        return [(v, prompt_text) for v in reformulate(q.text, spec, backend)]
     spec = ReformulationSpec(ReformulationTarget.PROMPT, n_contexts, include_original=True)
-    return [(q.text, v) for v in reformulator(prompt_text, spec, backend)]
+    return [(q.text, v) for v in reformulate(prompt_text, spec, backend)]
 
 
 def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: int,
@@ -177,8 +152,8 @@ def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: 
 def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: StrategyConfig,
                  backend: Backend, triggers: Optional[Mapping[AnswerFormat, str]] = None,
                  ) -> Tuple[ReasoningTrace, ...]:
-    """Run every path of one question, over :func:`path_shape`'s samples and
-    rounds for each (question, prompt) context.
+    """Run every path of one question: ``m_samples`` samples of each
+    (question, prompt) context, each over ``max_iterations`` rounds.
 
     A context's samples come from one multi-sample reasoning call (the
     backend may batch or sequence it); sample 0 carries that call's latency,
@@ -188,7 +163,7 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: Strategy
     only its own round's reasoning. Under the stability rule a path stops
     as soon as two consecutive rounds predict the same non-abstaining answer.
     """
-    rounds, _, samples = path_shape(cfg)
+    rounds, samples = cfg.max_iterations, cfg.m_samples
     trigger = answer_trigger(q.answer_format, triggers)
     traces: List[ReasoningTrace] = []
     for ctx, (question_text, prompt_text) in enumerate(contexts):
@@ -254,7 +229,7 @@ def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
     if not q.text.strip():
         logger.warning("question %s has empty text", q.id)
     try:
-        contexts = _build_contexts(q, cfg, backend, reformulate)
+        contexts = _build_contexts(q, cfg, backend)
     except (LlmIoError, ValueError) as exc:
         # A ValueError here is a text that cannot be rewritten, such as a
         # blank question: this question fails, the run goes on.
@@ -262,34 +237,40 @@ def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
     return run_contexts(q, contexts, cfg, backend, triggers)
 
 
-def _placeholder_rewrites(text: str, spec: ReformulationSpec, backend) -> List[str]:
-    return [text] + [f"<{spec.target.value} rewrite #{i}>"
-                     for i in range(1, spec.n_variants)]
+class _PlaceholderBackend(Backend):
+    """Answers a dry run's calls offline: ``<question rewrite #i>`` (or
+    ``prompt``) for the i-th rewrite, ``<round r reasoning>`` and ``<round
+    r prediction>`` for round r, read from the placeholders in the input."""
+
+    deterministic = True
+
+    def __init__(self, trigger: str):
+        self.trigger = trigger
+        self.rewrites = 0
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        text = req.user_text
+        if text.startswith((QUESTION_INSTRUCTION, PROMPT_INSTRUCTION)):
+            self.rewrites += 1
+            target = "question" if text.startswith(QUESTION_INSTRUCTION) else "prompt"
+            return CompletionResponse([f"<{target} rewrite #{self.rewrites}>"])
+        if text.endswith(self.trigger):
+            reasoning = re.search(r"<round (\d+) reasoning>", text)
+            round = int(reasoning.group(1)) if reasoning else 1
+            return CompletionResponse([f"<round {round} prediction>"])
+        prior = re.search(r"<round (\d+) prediction>", text)
+        round = int(prior.group(1)) + 1 if prior else 1
+        return CompletionResponse([f"<round {round} reasoning>"] * req.n_samples)
 
 
 def plan_paths(q: Question, cfg: StrategyConfig,
                triggers: Optional[Mapping[AnswerFormat, str]] = None) -> List[dict]:
-    """Dry-run view: the paths a run would take, with assembled inputs.
+    """Dry-run view: the paths a run takes, each with its assembled input.
 
-    Rewritten contexts are shown with placeholder text since producing them
-    needs backend calls.
+    It is :func:`run_strategy` over :class:`_PlaceholderBackend`, which
+    makes no calls, with every round run to the cap.
     """
-    if cfg.kind == StrategyKind.ZERO_SHOT:
-        trigger = answer_trigger(q.answer_format, triggers)
-        return [{"round": 1, "reformulation_index": 0, "sample_index": 0,
-                 "input": assemble_zero_shot_input(q.text, trigger)}]
-    rounds, _, per_context = path_shape(cfg)
-    contexts = _build_contexts(q, cfg, None, _placeholder_rewrites)
-    plans = [{"round": 1, "reformulation_index": i, "sample_index": j,
-              "input": assemble_reasoning_input(qt, pt)}
-             for i, (qt, pt) in enumerate(contexts) for j in range(per_context)]
-    prompt_text = cfg.canonical_prompt
-    for r in range(2, rounds + 1):
-        plans.append({
-            "round": r, "reformulation_index": 0, "sample_index": 0,
-            "input": assemble_iteration_input(
-                q.text, prompt_text, f"<round {r - 1} reasoning>",
-                f"<round {r - 1} prediction>",
-                cfg.iteration_guide or prompt_text),
-        })
-    return plans
+    backend = _PlaceholderBackend(answer_trigger(q.answer_format, triggers))
+    traces = run_strategy(q, replace(cfg, stop_rule=StopRule.FIXED_T), backend, triggers)
+    return [{"round": t.round, "reformulation_index": t.reformulation_index,
+             "sample_index": t.sample_index, "input": t.assembled_input} for t in traces]

@@ -3,7 +3,16 @@ import os
 
 import pytest
 
-from breadth.core import Answer, AnswerFormat, Question, canonical_answer
+from breadth.core import (
+    KIND_KNOBS,
+    Answer,
+    AnswerFormat,
+    Question,
+    StopRule,
+    StrategyKind,
+    canonical_answer,
+    default_config,
+)
 from breadth.extract import extract_answer
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -72,6 +81,26 @@ def mc_question(qid: str, text: str, gold_label: str,
         id=qid, text=text, answer_format=AnswerFormat.MULTIPLE_CHOICE,
         gold=Answer(AnswerFormat.MULTIPLE_CHOICE, gold_label), choices=choices,
     )
+
+
+# A value other than the field default for each knob in ``KIND_KNOBS``.
+NON_DEFAULT_KNOBS = {"n_reformulations": 2, "m_samples": 2, "max_iterations": 2,
+                     "stop_rule": StopRule.STABLE_STOP, "canonical_prompt": "Reason it out.",
+                     "iteration_guide": "Check the last answer."}
+
+# Every (kind, knob) pair whose knob the kind does not read.
+IGNORED_KNOBS = [(kind, knob) for kind in StrategyKind for knob in NON_DEFAULT_KNOBS
+                 if knob not in KIND_KNOBS[kind]]
+
+
+def knob_id(value) -> str:
+    return getattr(value, "value", value)
+
+
+def kind_config(kind, **knobs):
+    """``default_config(kind)`` with those of ``knobs`` the kind reads: how a
+    test feeds one shape, such as N=M=T=3, to every kind."""
+    return default_config(kind, **{k: v for k, v in knobs.items() if k in KIND_KNOBS[kind]})
 
 
 @pytest.fixture

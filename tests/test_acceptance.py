@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from breadth import strategy
 from breadth.bench import (
     dataset_spec,
     generate_synthetic,
@@ -20,13 +21,10 @@ from breadth.diversity import prediction_entropy
 from breadth.extract import majority_vote
 from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
 from breadth.strategy import (
-    _build_contexts,
     answer_trigger,
     assemble_iteration_input,
     assemble_prediction_input,
     assemble_reasoning_input,
-    expected_trace_count,
-    run_contexts,
     run_strategy,
     vote_from_traces,
 )
@@ -41,6 +39,7 @@ from conftest import (
     SPHERE_TEXT,
     TOY_SHOP_TEXT,
     evaluate_corpus,
+    kind_config,
     load_corpus,
     mc_question,
     paper_reference_table,
@@ -112,7 +111,7 @@ def test_criterion_04_path_count_law():
     q = mc_question("law", "Probe. Answer Choices: (A) x (B) y", "A")
     ok = True
     for _ in range(200):
-        cfg = default_config(
+        cfg = kind_config(
             rng.choice(list(StrategyKind)),
             n_reformulations=rng.randint(1, 5),
             m_samples=rng.randint(1, 5),
@@ -120,7 +119,7 @@ def test_criterion_04_path_count_law():
         )
         backend = ScriptedBackend({"": ["the answer is (A)"] * 3000})
         traces = run_strategy(q, cfg, backend)
-        ok = ok and len(traces) == expected_trace_count(cfg)
+        ok = ok and len(traces) == cfg.max_iterations * cfg.n_reformulations * cfg.m_samples
     hybrid = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     six = run_strategy(q, hybrid, ScriptedBackend({"": ["the answer is (A)"] * 100}))
     ok = ok and len(six) == 6
@@ -158,7 +157,7 @@ def test_criterion_05_assembly_and_discard_rule():
     _gate(5, "assembly order and iteration discard rule", order_ok and discard_ok)
 
 
-def test_criterion_06_scripted_demos():
+def test_criterion_06_scripted_demos(monkeypatch):
     sphere = mc_question("sphere", SPHERE_TEXT, "B",
                          choices=(("A", "13.3542"), ("B", "15.8113"),
                                   ("C", "18.3451"), ("D", "19.5667"),
@@ -205,8 +204,8 @@ def test_criterion_06_scripted_demos():
         breadth_backend.add_rule(
             assemble_prediction_input(toy.text, prompt, reasoning, trigger),
             [votes[i]], exact=True)
-    contexts = _build_contexts(toy, bcfg, breadth_backend, reformulator)
-    breadth = run_contexts(toy, contexts, bcfg, breadth_backend)
+    monkeypatch.setattr(strategy, "reformulate", reformulator)
+    breadth = run_strategy(toy, bcfg, breadth_backend)
     breadth_vote = vote_from_traces(breadth)
     counts = {a.value: c for a, c in breadth_vote.counts}
     breadth_ok = ([t.parsed.value for t in breadth] == ["C", "A", "A", "A"]

@@ -8,6 +8,7 @@ import pytest
 
 from breadth.cli import main
 from breadth.core import (
+    KIND_KNOBS,
     Answer,
     AnswerFormat,
     StrategyConfig,
@@ -293,9 +294,10 @@ def test_rerun_of_finished_run_resumes_every_question(tmp_path):
     for kind, stop in [("cot", "stable"), ("deep_cot", "stable"), ("deep_cot", "fixed_t"),
                        ("sc", "stable"), ("questionc", "stable"), ("questionc_sc", "stable"),
                        ("promptc", "stable"), ("promptc_sc", "stable")]:
-        cfg = StrategyConfig.from_dict({"kind": kind, "n_reformulations": 3,
-                                        "m_samples": 3, "max_iterations": 3,
-                                        "stop_rule": stop})
+        knobs = {"kind": kind, "n_reformulations": 3, "m_samples": 3, "max_iterations": 3,
+                 "stop_rule": stop}
+        cfg = StrategyConfig.from_dict({k: v for k, v in knobs.items()
+                                        if k in ("kind", *KIND_KNOBS[StrategyKind(kind)])})
         first = run_experiment("coinflip", questions, cfg,
                                FakeBackend(questions, seed=1),
                                runs_dir=str(tmp_path), run_id=f"{kind}-{stop}")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from breadth import cli
 from breadth.bench import generate_synthetic, run_experiment
 from breadth.cli import build_parser, main
 from breadth.core import AnswerFormat, StrategyKind, default_config
@@ -21,7 +22,7 @@ from breadth.strategy import (
     assemble_prediction_input,
     assemble_reasoning_input,
 )
-from conftest import mc_question, request_dict
+from conftest import IGNORED_KNOBS, NON_DEFAULT_KNOBS, knob_id, mc_question, request_dict
 
 PROMPT = "Let's think step by step."
 YES_TRIGGER = "Therefore, the answer (Yes or No) is"
@@ -216,6 +217,42 @@ def test_entropy_reports_model_perturbation_as_unsupported(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["dataset,sampling,llms", "toy,0.0000,unsupported"]
+
+
+def test_entropy_prompt_k_above_the_bank_exits_2_before_any_call(tmp_path, capsys,
+                                                                monkeypatch):
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
+    backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
+    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    code = main(["entropy", "--factors", "question,prompt", "--k", "11",
+                 "--subset", str(subset)])
+    assert code == 2
+    assert "prompt factor supports at most 10 paths" in capsys.readouterr().err
+    assert backend.calls == []
+
+
+def test_entropy_leaves_a_failed_question_out_and_goes_on(tmp_path, capsys):
+    questions = [mc_question(f"s{i}", f"Pick {i}. Answer Choices: (A) x (B) y", "A")
+                 for i in range(2)]
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text("".join(json.dumps(q.to_dict()) + "\n" for q in questions),
+                      encoding="utf-8")
+    # Rewrites for the first question only: the second one's rewrite fails.
+    script = {
+        "rephrase the following question": ["Pick, reworded?", "Pick, again?"],
+        "step by step": ["r"] * 20,
+        "Therefore, among A through E, the answer is": ["the answer is (A)"] * 20,
+    }
+    code = main(["entropy", "--factors", "question,sampling", "--k", "3",
+                 "--subset", str(subset), "--dataset", "toy",
+                 "--mock-script", _mock_script_file(tmp_path, script)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["dataset,question,sampling", "toy,0.0000,0.0000"]
+    assert lines[-1] == "# question: 1 of 2 questions failed"
+    assert not any(line.startswith("# sampling:") for line in lines)
 
 
 def test_votemodel_subcommand(tmp_path, capsys):
@@ -446,6 +483,61 @@ def test_readme_config_example_loads(tmp_path, capsys):
                  "--config", str(config_path), "--dry-run"])
     assert code == 0
     assert "3 planned paths" in capsys.readouterr().out
+
+
+FLAGS = {"n_reformulations": "--n", "m_samples": "--m", "max_iterations": "--max-iter",
+         "stop_rule": "--stop"}
+
+
+@pytest.mark.parametrize("kind,knob", [p for p in IGNORED_KNOBS if p[1] in FLAGS], ids=knob_id)
+def test_run_flag_of_a_knob_the_kind_ignores_exits_2(kind, knob, capsys):
+    value = "stable" if knob == "stop_rule" else "2"
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", kind.value,
+                 FLAGS[knob], value, "--dry-run"])
+    assert code == 2
+    assert f"{kind.value} ignores {knob}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,knob", IGNORED_KNOBS, ids=knob_id)
+def test_config_key_of_a_knob_the_kind_ignores_exits_2(tmp_path, kind, knob, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": kind.value, knob: NON_DEFAULT_KNOBS[knob]}),
+                           encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 2
+    assert f"{kind.value} ignores {knob}=" in capsys.readouterr().err
+
+
+def test_report_loads_a_summary_that_echoes_knobs_its_kind_ignores(tmp_path, capsys):
+    # Summaries written before configs were checked echo every knob.
+    run_experiment("coinflip", generate_synthetic("coinflip", 1, seed=5),
+                   default_config(StrategyKind.COT),
+                   ScriptedBackend({"": ["r", "the answer is yes"]}),
+                   runs_dir=str(tmp_path), run_id="old")
+    path = tmp_path / "old" / "summary.json"
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    summary["config"].update(n_reformulations=3, m_samples=3, max_iterations=3)
+    path.write_text(json.dumps(summary), encoding="utf-8")
+    assert main(["report", "--runs", str(tmp_path / "old")]) == 0
+    assert "cot" in capsys.readouterr().out
+
+
+def test_data_path_for_a_generated_dataset_exits_2(tmp_path, capsys):
+    code = main(["run", "--dataset", "coinflip", "--data-path", str(tmp_path / "x.json"),
+                 "--strategy", "cot", "--dry-run"])
+    assert code == 2
+    assert "dataset coinflip is generated" in capsys.readouterr().err
+
+
+def test_seed_for_a_file_dataset_exits_2(tmp_path, capsys):
+    data_path = tmp_path / "test.jsonl"
+    data_path.write_text(json.dumps({"question": "1 + 1?", "answer": "#### 2"}) + "\n",
+                         encoding="utf-8")
+    code = main(["run", "--dataset", "gsm8k", "--data-path", str(data_path), "--seed", "3",
+                 "--strategy", "cot", "--dry-run"])
+    assert code == 2
+    assert "dataset gsm8k is read from a file; --seed 3" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import string
 import pytest
 
 from breadth.core import (
+    KIND_KNOBS,
     Answer,
     AnswerFormat,
     Question,
@@ -17,7 +18,13 @@ from breadth.core import (
     canonical_json,
     default_config,
 )
-from conftest import ADVERSARIAL_ALPHABET, trace_dict
+from conftest import (
+    ADVERSARIAL_ALPHABET,
+    IGNORED_KNOBS,
+    NON_DEFAULT_KNOBS,
+    knob_id,
+    trace_dict,
+)
 
 
 def test_numeric_canonicalization():
@@ -155,6 +162,26 @@ def test_default_config_headline_knobs():
     assert default_config(StrategyKind.PROMPT_C_SC).m_samples == 1
     assert default_config(StrategyKind.COT).max_iterations == 1
     assert default_config(StrategyKind.SC, m_samples=6).m_samples == 6
+
+
+@pytest.mark.parametrize("kind,knob", IGNORED_KNOBS, ids=knob_id)
+def test_config_rejects_a_knob_its_kind_does_not_read(kind, knob):
+    with pytest.raises(ValueError, match=f"{kind.value} ignores {knob}="):
+        StrategyConfig(kind, **{knob: NON_DEFAULT_KNOBS[knob]})
+    with pytest.raises(ValueError, match=f"{kind.value} ignores {knob}="):
+        default_config(kind, **{knob: NON_DEFAULT_KNOBS[knob]})
+    # At its field default the knob is neutral, and accepted.
+    StrategyConfig(kind, **{knob: getattr(StrategyConfig(StrategyKind.ZERO_SHOT), knob)})
+
+
+def test_each_kind_sets_the_knobs_it_reads():
+    settable = 0
+    for kind in StrategyKind:
+        for knob in [*KIND_KNOBS[kind], "temperature"]:
+            value = NON_DEFAULT_KNOBS.get(knob, 0.5)
+            assert getattr(default_config(kind, **{knob: value}), knob) == value
+            settable += 1
+    assert settable == 25
 
 
 def test_config_validation():

@@ -170,6 +170,26 @@ def test_mean_per_question_entropy_and_pooled_reported():
 # ---------------------------------------------------------------- reporting
 
 
+def test_prompt_factor_k_is_capped_by_the_bank():
+    assert FactorSpec(Factor.PROMPT_REWORDING, k_paths=10).k_paths == 10
+    with pytest.raises(ValueError, match="at most 10 paths, got 11"):
+        FactorSpec(Factor.PROMPT_REWORDING, k_paths=11)
+    assert FactorSpec(Factor.QUESTION_REWORDING, k_paths=11).k_paths == 11
+
+
+def test_factor_with_every_question_failed_renders_an_empty_cell():
+    q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
+    backend = ScriptedBackend()  # no rules: the rewrite call fails
+    report = run_factor_study("toy", [q], [FactorSpec(Factor.QUESTION_REWORDING, k_paths=3)],
+                              default_config(StrategyKind.COT), backend)
+    result = report.results[Factor.QUESTION_REWORDING]
+    assert result.failed == ("q0",) and result.per_question == {}
+    assert result.entropy_nats is None and result.pooled_entropy_nats is None
+    lines = report_to_csv([report], factors=[Factor.QUESTION_REWORDING]).splitlines()
+    assert lines[1] == "toy,"
+    assert lines[-1] == "# question: 1 of 1 questions failed"
+
+
 def test_reference_table_is_consistent_with_ten_paths():
     table = paper_reference_table()
     assert set(table) == {"AQuA", "AddSub", "Avg."}

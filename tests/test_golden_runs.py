@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from breadth.bench import generate_synthetic, run_experiment
-from breadth.core import StopRule, StrategyConfig, StrategyKind
+from breadth.core import KIND_KNOBS, StopRule, StrategyConfig, StrategyKind
 from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
 from breadth.strategy import plan_paths
 
@@ -36,8 +36,10 @@ BACKEND_SEED = 5
 
 
 def _configs():
-    shape = dict(n_reformulations=3, m_samples=3, max_iterations=3)
+    """N=M=T=3, each kind given the knobs of that shape it reads."""
     for kind in StrategyKind:
+        shape = {knob: 3 for knob in ("n_reformulations", "m_samples", "max_iterations")
+                 if knob in KIND_KNOBS[kind]}
         if kind == StrategyKind.DEEP_COT:
             for rule in StopRule:
                 yield f"{kind.value}-{rule.value}", StrategyConfig(kind, stop_rule=rule, **shape)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from breadth import strategy
 from breadth.core import (
     BREADTH_KINDS,
     AnswerFormat,
@@ -17,20 +18,16 @@ from breadth.llmio import ScriptedBackend
 from breadth.reformulate import QUESTION_INSTRUCTION
 from breadth.strategy import (
     StrategyError,
-    _build_contexts,
     answer_trigger,
     assemble_iteration_input,
     assemble_prediction_input,
     assemble_reasoning_input,
     assemble_zero_shot_input,
-    expected_trace_count,
-    path_shape,
     plan_paths,
-    run_contexts,
     run_strategy,
     vote_from_traces,
 )
-from conftest import MC_TRIGGER, mc_question
+from conftest import MC_TRIGGER, kind_config, mc_question
 
 PROMPT = "Let's think step by step."
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -254,12 +251,18 @@ def list_reformulator(variants_by_text):
     return _reformulate
 
 
-def run_rewritten(q, cfg, backend, reformulator):
+def run_rewritten(monkeypatch, q, cfg, backend, reformulator):
     """Run a question over contexts rewritten by an injected reformulator."""
-    return run_contexts(q, _build_contexts(q, cfg, backend, reformulator), cfg, backend)
+    monkeypatch.setattr(strategy, "reformulate", reformulator)
+    return run_strategy(q, cfg, backend)
 
 
-def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
+def shape(cfg):
+    """The path-count law: rounds x contexts x samples per context."""
+    return cfg.max_iterations * cfg.n_reformulations * cfg.m_samples
+
+
+def test_breadth_demo_votes_a_from_c_a_a_a(monkeypatch, toy_shop_question):
     q = toy_shop_question
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=2, m_samples=2)
     variant = "Reworded toy shop question.\nAnswer Choices: (A) 15 (B) 16 (C) 17 (D) 18 (E) 19"
@@ -278,7 +281,7 @@ def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
     backend.add_rule(assemble_prediction_input(variant, PROMPT, "RA3", trigger),
                      ["Therefore, the correct answer is (A) 15."], exact=True)
 
-    traces = run_rewritten(q, cfg, backend, reformulator)
+    traces = run_rewritten(monkeypatch, q, cfg, backend, reformulator)
     vote = vote_from_traces(traces)
     assert [t.parsed.value for t in traces] == ["C", "A", "A", "A"]
     assert vote.winner.value == "A"
@@ -287,11 +290,11 @@ def test_breadth_demo_votes_a_from_c_a_a_a(toy_shop_question):
     assert not vote.tie
 
 
-def test_hybrid_three_by_two_yields_six_traces():
+def test_hybrid_three_by_two_yields_six_traces(monkeypatch):
     q = mc_question("q1", "Pick. Answer Choices: (A) x (B) y", "A")
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     backend = ScriptedBackend({"": ["the answer is (A)"] * 100})
-    traces = run_rewritten(q, cfg, backend, list_reformulator({}))
+    traces = run_rewritten(monkeypatch, q, cfg, backend, list_reformulator({}))
     assert len(traces) == 6
     keys = {(t.reformulation_index, t.sample_index) for t in traces}
     assert keys == {(i, j) for i in range(3) for j in range(2)}
@@ -316,7 +319,7 @@ def test_sc_with_m1_reduces_to_cot(toy_shop_question):
     assert len(sc_traces) == len(cot_traces) == 1
 
 
-def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
+def test_prompt_rewriting_strategy_uses_prompt_variants(monkeypatch, toy_shop_question):
     q = toy_shop_question
     cfg = default_config(StrategyKind.PROMPT_C, n_reformulations=3)
     prompts = ["Let's approach this systematically, one step at a time.",
@@ -328,8 +331,8 @@ def test_prompt_rewriting_strategy_uses_prompt_variants(toy_shop_question):
         backend.add_rule(assemble_reasoning_input(q.text, prompt), [f"R{i}"], exact=True)
         backend.add_rule(assemble_prediction_input(q.text, prompt, f"R{i}", trigger),
                          [f"the answer is ({'CAB'[i]})"], exact=True)
-    traces = run_rewritten(q, cfg, backend, reformulator)
-    assert len(traces) == 3  # m forced to 1
+    traces = run_rewritten(monkeypatch, q, cfg, backend, reformulator)
+    assert len(traces) == 3  # one sample per prompt
     assert [t.parsed.value for t in traces] == ["C", "A", "B"]
 
 
@@ -361,22 +364,22 @@ def test_backend_error_carries_question_id():
 
 
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
-def test_failed_first_call_policy_for_every_kind(kind):
+def test_failed_first_call_policy_for_every_kind(monkeypatch, kind):
     # No rules: each context's first call (reasoning, or zero-shot's one
     # prediction) fails. Breadth paths abstain; other kinds fail the question.
     q = mc_question("q-broken", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(kind, n_reformulations=3, m_samples=2, max_iterations=3)
+    cfg = kind_config(kind, n_reformulations=3, m_samples=2, max_iterations=3)
     backend = ScriptedBackend()
     if kind in BREADTH_KINDS:
-        traces = run_rewritten(q, cfg, backend, list_reformulator({}))
-        assert len(traces) == expected_trace_count(cfg)
+        traces = run_rewritten(monkeypatch, q, cfg, backend, list_reformulator({}))
+        assert len(traces) == shape(cfg)
         assert all(t.parsed.abstain and t.raw_prediction_text == "" for t in traces)
         assert len({t.path_key() for t in traces}) == len(traces)
-        _, contexts, _ = path_shape(cfg)
-        assert len(backend.calls) == contexts  # one reasoning call per context
+        # one reasoning call per context
+        assert len(backend.calls) == cfg.n_reformulations
     else:
         with pytest.raises(StrategyError) as err:
-            run_rewritten(q, cfg, backend, list_reformulator({}))
+            run_rewritten(monkeypatch, q, cfg, backend, list_reformulator({}))
         assert "q-broken" in str(err.value)
         assert len(backend.calls) == 1
 
@@ -404,7 +407,7 @@ def test_path_count_law_over_random_configs():
     q = mc_question("law", "Probe. Answer Choices: (A) x (B) y", "A")
     for _ in range(200):
         kind = rng.choice(kinds)
-        cfg = default_config(
+        cfg = kind_config(
             kind,
             n_reformulations=rng.randint(1, 5),
             m_samples=rng.randint(1, 5),
@@ -415,20 +418,22 @@ def test_path_count_law_over_random_configs():
         if kind == StrategyKind.DEEP_COT and cfg.stop_rule == StopRule.STABLE_STOP:
             # Every round agrees, so the path may stop early, but never
             # before two rounds are done.
-            assert min(2, cfg.max_iterations) <= len(traces) <= expected_trace_count(cfg), cfg
+            assert min(2, cfg.max_iterations) <= len(traces) <= shape(cfg), cfg
         else:
-            assert len(traces) == expected_trace_count(cfg), cfg
+            assert len(traces) == shape(cfg), cfg
         unique = {t.path_key() for t in traces}
         assert len(unique) == len(traces)
+        # The dry run plans every round, under either stop rule.
+        assert len(plan_paths(q, cfg)) == shape(cfg), cfg
 
 
-def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
+def test_breadth_vote_is_arrival_order_invariant(monkeypatch, toy_shop_question):
     q = toy_shop_question
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     backend = ScriptedBackend({
         "": ["the answer is (A)"] * 6 + ["the answer is (B)"] * 20,
     })
-    traces = run_rewritten(q, cfg, backend, list_reformulator({}))
+    traces = run_rewritten(monkeypatch, q, cfg, backend, list_reformulator({}))
     rng = random.Random(9)
     for _ in range(20):
         shuffled = list(traces)
@@ -436,11 +441,11 @@ def test_breadth_vote_is_arrival_order_invariant(toy_shop_question):
         assert vote_from_traces(shuffled) == vote_from_traces(traces)
 
 
-def test_sc_budget_matches_hybrid_budget():
+def test_sc_budget_matches_hybrid_budget(monkeypatch):
     q = mc_question("budget", "Probe. Answer Choices: (A) x (B) y", "A")
     for n, m in [(2, 2), (3, 2), (3, 3), (5, 1)]:
         hybrid_traces = run_rewritten(
-            q, default_config(StrategyKind.QUESTION_C_SC, n_reformulations=n, m_samples=m),
+            monkeypatch, q, default_config(StrategyKind.QUESTION_C_SC, n_reformulations=n, m_samples=m),
             _catch_all_backend(), list_reformulator({}))
         matched_sc_traces = run_strategy(
             q, default_config(StrategyKind.SC, m_samples=n * m), _catch_all_backend())
@@ -503,7 +508,18 @@ def test_plan_paths_counts_match_the_law():
         (StrategyKind.PROMPT_C, 3, 5, 3),
         (StrategyKind.COT, 1, 1, 1),
     ]:
-        cfg = default_config(kind, n_reformulations=n, m_samples=m)
+        cfg = kind_config(kind, n_reformulations=n, m_samples=m)
         plans = plan_paths(q, cfg)
-        assert len(plans) == expect == expected_trace_count(cfg)
+        assert len(plans) == expect == shape(cfg)
         assert all(p["input"] for p in plans)
+
+
+def test_dry_run_keeps_the_choices_block_of_question_rewrites():
+    q = mc_question("plan", "Pick one. Answer Choices: (A) x (B) y", "A",
+                    choices=(("A", "x"), ("B", "y")))
+    plans = plan_paths(q, default_config(StrategyKind.QUESTION_C, n_reformulations=2))
+    assert [p["input"] for p in plans] == [
+        assemble_reasoning_input(q.text, PROMPT),
+        assemble_reasoning_input("<question rewrite #1>\nAnswer Choices: (A) x (B) y", PROMPT),
+    ]
+
