@@ -29,6 +29,7 @@ from .core import (
     AnswerFormat,
     Question,
     ReasoningTrace,
+    Record,
     StrategyConfig,
     Usage,
     canonical_answer,
@@ -297,7 +298,7 @@ def generate_synthetic(kind: str, n: int, seed: int = 0) -> List[Question]:
 
 
 @dataclass(frozen=True)
-class QuestionOutcome:
+class QuestionOutcome(Record):
     question_id: str
     final: Answer
     correct: bool
@@ -305,30 +306,9 @@ class QuestionOutcome:
     trace_count: int = 0
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "question_id": self.question_id,
-            "final": self.final.to_dict(),
-            "correct": self.correct,
-            "rounds": self.rounds,
-            "trace_count": self.trace_count,
-        }
-        if self.error is not None:
-            d["error"] = self.error
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuestionOutcome":
-        check_json_fields(cls, d, "outcome")
-        return cls(
-            question_id=d["question_id"], final=Answer.from_dict(d["final"]),
-            correct=d["correct"], rounds=d.get("rounds", 1),
-            trace_count=d.get("trace_count", 0), error=d.get("error"),
-        )
-
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Record):
     """One experiment run: config snapshot, per-question outcomes, totals."""
 
     run_id: str
@@ -340,27 +320,11 @@ class RunRecord:
     wall_time_s: float
     partial: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "dataset": self.dataset,
-            "config": self.config,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "accuracy": self.accuracy,
-            "usage": self.usage.to_dict(),
-            "wall_time_s": self.wall_time_s,
-            "partial": self.partial,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        check_json_fields(cls, d, "run record")
-        return cls(
-            run_id=d["run_id"], dataset=d["dataset"], config=d["config"],
-            outcomes=tuple(QuestionOutcome.from_dict(o) for o in d["outcomes"]),
-            accuracy=d["accuracy"], usage=Usage.from_dict(d["usage"]),
-            wall_time_s=d["wall_time_s"], partial=d.get("partial", False),
-        )
+        kwargs = check_json_fields(cls, d)
+        kwargs["outcomes"] = tuple(QuestionOutcome.from_dict(o) for o in kwargs["outcomes"])
+        return cls(**kwargs)
 
 
 def _run_dir(runs_dir: str, run_id: str) -> str:

@@ -35,6 +35,7 @@ from .llmio import (
     ReplayStore,
     ScriptedBackend,
     cache_key,
+    check_servable,
     CompletionRequest,
     read_json_lines,
 )
@@ -276,6 +277,12 @@ def _cmd_cache(args) -> int:
             if cache_key(request) != (record["key"],):
                 bad += 1
                 print(f"key mismatch: {record['key']}")
+                continue
+            try:
+                check_servable(record)
+            except ValueError as exc:
+                bad += 1
+                print(f"cannot serve: {exc}")
         if bad:
             raise RuntimeError(f"{bad} corrupt cache records")
         print("all keys verified")
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser("cache", help="inspect a record/replay cache file")
     cache.add_argument("--file", required=True)
     cache.add_argument("--verify", action="store_true",
-                       help="recompute and check every key digest")
+                       help="check every key digest, and that every record can be served")
     cache.set_defaults(func=_cmd_cache)
     return parser
 

@@ -1,9 +1,10 @@
 """Shared domain types and answer canonicalization.
 
 All types here are immutable value objects (frozen dataclasses) and are safe
-to share across threads. Persisted types serialize to a stable JSON schema via
-``to_dict`` / ``from_dict`` with the field names given in the dataclass; a
-trace, written once per path, has its own writer, ``json_line``.
+to share across threads. A persisted type is a :class:`Record`, whose JSON
+object holds its fields by name: a None field is left out, an absent one
+reads as its default, and an int is a count, never negative. A trace,
+written once per path, also has a fast writer, ``json_line``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
@@ -45,35 +47,6 @@ def parse_json(text: str, where: str, lineno: int = 1) -> Any:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: invalid JSON at line {lineno + exc.lineno - 1} "
                          f"column {exc.colno}: {exc.msg}") from None
-
-
-_NULL = type(None)
-
-# The JSON types a record's field may hold, by the field's annotation.
-_JSON_TYPES = {
-    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "dict": (dict,),
-    "tuple": (list,), "Optional[str]": (str, _NULL), "Optional[tuple]": (list, _NULL),
-    "Answer": (dict,), "Usage": (dict,),
-    "AnswerFormat": (str,), "StrategyKind": (str,), "StopRule": (str,),
-}
-
-
-def check_json_fields(cls, d: Any, what: str) -> None:
-    """Raise ``ValueError`` unless ``d`` is a JSON object that holds every
-    field of the dataclass ``cls`` that has no default, each field it holds
-    being of the JSON type of the field's annotation (a bool is not an
-    int). Every ``from_dict`` of a persisted record checks its input so."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r:.80}")
-    for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{what} has no field {f.name!r}")
-            continue
-        value, allowed = d[f.name], _JSON_TYPES[f.type]
-        if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
-            names = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
-            raise ValueError(f"{what} field {f.name!r} must be {names}, got {value!r:.80}")
 
 
 class AnswerFormat(str, Enum):
@@ -123,8 +96,97 @@ class StopRule(str, Enum):
         return cls(key)
 
 
+_NULL = type(None)
+
+
+def is_count(value: Any) -> bool:
+    """True for a JSON int >= 0 that is not a bool: what every persisted int
+    field holds, as a token count or an index."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _as_list(values: tuple) -> list:
+    return [v.to_dict() if isinstance(v, Record) else _as_list(v) if isinstance(v, tuple) else v
+            for v in values]
+
+
+# Each annotation a record field may have: the JSON types its value may take,
+# then how ``Record`` writes and reads the value (None: as it is).
+_FIELD_CODECS = {
+    "str": ((str,), None, None),
+    "int": ((int,), None, None),
+    "float": ((int, float), None, None),
+    "bool": ((bool,), None, None),
+    "dict": ((dict,), None, None),
+    "tuple": ((list,), _as_list, tuple),
+    "Optional[str]": ((str, _NULL), None, None),
+    "Optional[tuple]": ((list, _NULL), _as_list, tuple),
+    "Answer": ((dict,), operator.methodcaller("to_dict"), lambda d: Answer.from_dict(d)),
+    "Usage": ((dict,), operator.methodcaller("to_dict"), lambda d: Usage.from_dict(d)),
+    "AnswerFormat": ((str,), operator.attrgetter("_value_"), AnswerFormat),
+    "StrategyKind": ((str,), operator.attrgetter("_value_"), StrategyKind.parse),
+    "StopRule": ((str,), operator.attrgetter("_value_"), StopRule.parse),
+}
+
+
+def check_json_fields(cls, d: Any) -> dict:
+    """The fields of the dataclass ``cls`` that the JSON object ``d`` holds,
+    by name, each decoded as its annotation's entry in ``_FIELD_CODECS``
+    says. A ``ValueError`` unless ``d`` holds every field that has no
+    default, each of the JSON type of its annotation (a bool is not an int,
+    and an int is a count: see :func:`is_count`)."""
+    what = cls.__name__
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r:.80}")
+    decoded = {}
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{what} has no field {f.name!r}")
+            continue
+        value, (allowed, _, decode) = d[f.name], _FIELD_CODECS[f.type]
+        if not (is_count(value) if f.type == "int" else isinstance(value, allowed)
+                and (bool in allowed or not isinstance(value, bool))):
+            expected = "int >= 0" if f.type == "int" else " or ".join(
+                "null" if t is _NULL else t.__name__ for t in allowed)
+            raise ValueError(f"{what} field {f.name!r} must be {expected}, got {value!r:.80}")
+        decoded[f.name] = value if decode is None or value is None else decode(value)
+    return decoded
+
+
+class Record:
+    """A persisted dataclass. ``to_dict`` writes each field by name, as its
+    annotation's entry in ``_FIELD_CODECS`` says, and leaves out one that is
+    None; ``from_dict`` reads it back through :func:`check_json_fields`. A
+    record's fields are the annotations of its own class body, and they are
+    all its instance dict holds, which ``to_dict`` copies."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The fields that are not copied as they are: those with an encoder,
+        # and those that may be None.
+        codecs = ((name, _FIELD_CODECS[annotation])
+                  for name, annotation in cls.__annotations__.items())
+        cls._encoders = tuple((name, encode) for name, (types, encode, _) in codecs
+                              if encode is not None or _NULL in types)
+
+    def to_dict(self) -> dict:
+        d = self.__dict__.copy()
+        for name, encode in self._encoders:
+            value = d[name]
+            if value is None:
+                del d[name]
+            elif encode is not None:
+                d[name] = encode(value)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: Any):
+        return cls(**check_json_fields(cls, d))
+
+
 @dataclass(frozen=True)
-class Usage:
+class Usage(Record):
     """Token accounting for one or more generation calls."""
 
     prompt_tokens: int = 0
@@ -140,20 +202,9 @@ class Usage:
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Usage":
-        check_json_fields(cls, d, "usage")
-        return cls(d.get("prompt_tokens", 0), d.get("completion_tokens", 0))
-
 
 @dataclass(frozen=True)
-class Answer:
+class Answer(Record):
     """A canonicalized answer, or an abstention when nothing could be parsed.
 
     ``value`` is always the canonical string form for the given kind:
@@ -169,14 +220,6 @@ class Answer:
     def __post_init__(self):
         if self.abstain and self.value:
             raise ValueError("abstaining answers carry no value")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "value": self.value, "abstain": self.abstain}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Answer":
-        check_json_fields(cls, d, "answer")
-        return cls(AnswerFormat(d["kind"]), d.get("value", ""), d.get("abstain", False))
 
     @classmethod
     def abstained(cls, kind: AnswerFormat) -> "Answer":
@@ -263,7 +306,7 @@ def canonical_answer(raw: str, fmt: AnswerFormat) -> Answer:
 
 
 @dataclass(frozen=True)
-class Question:
+class Question(Record):
     """One benchmark item with its answer format, choices, and gold answer."""
 
     id: str
@@ -301,32 +344,17 @@ class Question:
         elif canonical_answer(gold.value, self.answer_format) != gold:
             raise ValueError(f"question {self.id}: gold {gold.value!r} is not canonical")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "answer_format": self.answer_format.value,
-            "choices": [list(c) for c in self.choices] if self.choices else None,
-            "gold": self.gold.to_dict(),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "Question":
-        check_json_fields(cls, d, "question")
-        choices = d.get("choices")
+    def from_dict(cls, d: Any) -> "Question":
+        kwargs = check_json_fields(cls, d)
+        choices = kwargs.get("choices")
         if choices and not all(isinstance(c, list) and len(c) == 2 for c in choices):
             raise ValueError(f"question choices must be [label, text] pairs, got {choices!r:.80}")
-        return cls(
-            id=d["id"],
-            text=d["text"],
-            answer_format=AnswerFormat(d["answer_format"]),
-            gold=Answer.from_dict(d["gold"]),
-            choices=tuple((c[0], c[1]) for c in choices) if choices else None,
-        )
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class ReasoningTrace:
+class ReasoningTrace(Record):
     """One reasoning path: assembled input, generated reasoning, prediction.
 
     ``(question_id, round, reformulation_index, sample_index)`` is unique
@@ -375,22 +403,6 @@ class ReasoningTrace:
                 self.reformulation_index, self.round, self.sample_index,
                 usage.completion_tokens, usage.prompt_tokens))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReasoningTrace":
-        check_json_fields(cls, d, "trace")
-        return cls(
-            question_id=d["question_id"],
-            round=d["round"],
-            reformulation_index=d["reformulation_index"],
-            sample_index=d["sample_index"],
-            assembled_input=d["assembled_input"],
-            reasoning_text=d["reasoning_text"],
-            raw_prediction_text=d["raw_prediction_text"],
-            parsed=Answer.from_dict(d["parsed"]),
-            usage=Usage.from_dict(d.get("usage", {})),
-            latency_ms=d.get("latency_ms", 0),
-        )
-
 
 # The knobs each kind reads besides ``temperature``, with the kind's defaults:
 # the headline setup of three iterations deep or three paths wide (the
@@ -410,7 +422,7 @@ KIND_KNOBS = {
 
 
 @dataclass(frozen=True)
-class StrategyConfig:
+class StrategyConfig(Record):
     """Which pipeline to run and its knobs.
 
     ``n_reformulations`` is the number of reworded contexts, ``m_samples``
@@ -448,38 +460,25 @@ class StrategyConfig:
                              f"it reads only {', '.join(sorted(reads - {'kind'}))}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n_reformulations": self.n_reformulations,
-            "m_samples": self.m_samples,
-            "max_iterations": self.max_iterations,
-            "stop_rule": self.stop_rule.value,
-            "temperature": self.temperature,
-            "canonical_prompt": {"text": self.canonical_prompt, "origin": dict(_CANONICAL_ORIGIN)},
-            "iteration_guide": self.iteration_guide,
-        }
+        return {**super().to_dict(), "canonical_prompt": {"text": self.canonical_prompt,
+                                                          "origin": dict(_CANONICAL_ORIGIN)}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyConfig":
         """Inverse of ``to_dict``; also takes ``canonical_prompt`` as plain
-        text and stop rules by their CLI names. Unknown keys, values of the
-        wrong type and a non-canonical prompt origin are a ``ValueError``."""
+        text, and kind and stop rule by their CLI names. Unknown keys, values
+        of the wrong type and a non-canonical origin are a ``ValueError``."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        prompt = kwargs.get("canonical_prompt")
+        prompt = d.get("canonical_prompt")
         if isinstance(prompt, dict):
             if (set(prompt) - {"text", "origin"} or not isinstance(prompt.get("text"), str)
                     or prompt.get("origin", _CANONICAL_ORIGIN) != _CANONICAL_ORIGIN):
                 raise ValueError("strategy config 'canonical_prompt' must be text or "
                                  f"{{'text': ..., 'origin': {_CANONICAL_ORIGIN}}}, got {prompt!r}")
-            kwargs["canonical_prompt"] = prompt["text"]
-        check_json_fields(cls, kwargs, "strategy config")
-        kwargs["kind"] = StrategyKind.parse(kwargs["kind"])
-        if "stop_rule" in kwargs:
-            kwargs["stop_rule"] = StopRule.parse(kwargs["stop_rule"])
-        return cls(**kwargs)
+            d = {**d, "canonical_prompt": prompt["text"]}
+        return super().from_dict(d)
 
 
 # How ``StrategyConfig.to_dict`` tags the prompt in run records.

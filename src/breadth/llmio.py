@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
-from .core import Usage, canonical_json, check_json_fields
+from .core import Usage, canonical_json, check_json_fields, is_count
 
 if TYPE_CHECKING:
     import requests
@@ -104,15 +104,14 @@ class CompletionRequest:
         :attr:`sample_payloads` writes, each of its JSON type, is a
         ``ValueError``; the slots ``max_tokens``, ``system_text`` and
         ``top_k`` must be null."""
-        check_json_fields(cls, d, "request")
-        names = [f.name for f in fields(cls)]
-        stored = sorted(names + list(_NULL_SLOTS))
+        kwargs = check_json_fields(cls, d)
+        stored = sorted([f.name for f in fields(cls)] + list(_NULL_SLOTS))
         if sorted(d) != stored:
             raise ValueError(f"request fields {sorted(d)} are not {stored}")
         for name in _NULL_SLOTS:
             if d[name] is not None:
                 raise ValueError(f"request field {name!r} must be null, got {d[name]!r:.80}")
-        return cls(**{name: d[name] for name in names})
+        return cls(**kwargs)
 
     @cached_property
     def sample_payloads(self) -> Tuple[bytes, ...]:
@@ -305,10 +304,9 @@ class LiveBackend(Backend):
             texts = tuple(c["message"]["content"] for c in choices)
             if not all(isinstance(text, str) for text in texts):
                 raise MalformedResponseError("a choice's content is not a string")
-            # An absent or null usage reads as zeros; any other non-mapping is malformed.
-            usage_data = {} if data.get("usage") is None else data["usage"]
-            usage = Usage(int(usage_data.get("prompt_tokens", 0)),
-                          int(usage_data.get("completion_tokens", 0)))
+            # An absent or null usage reads as zeros; a usage that is not an
+            # object of counts is malformed, so nothing recorded is unservable.
+            usage = Usage() if data.get("usage") is None else Usage.from_dict(data["usage"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedResponseError(f"unparseable response body: {exc}") from exc
         if len(texts) != req.n_samples:
@@ -463,13 +461,34 @@ def repair_tail(path: str, repair: Tuple[int, str]) -> str:
 
 def _replay_entry(record: dict) -> tuple:
     """What the store keeps of a record: its key, and the ``texts`` and the
-    two token counts that replay serves, as parsed. A ``usage`` that is not
-    an object keeps None for both counts, as a null count would read."""
+    two token counts that replay serves, as parsed, an absent count as its
+    ``Usage`` default. A ``usage`` that is not an object keeps None for both
+    counts, as a null count would read."""
     usage = record.get("usage", {})
     if not isinstance(usage, dict):
         return record["key"], (record.get("texts"), None, None)
-    return record["key"], (record.get("texts"), usage.get("prompt_tokens", 0),
-                           usage.get("completion_tokens", 0))
+    return record["key"], (record.get("texts"), usage.get("prompt_tokens", Usage.prompt_tokens),
+                           usage.get("completion_tokens", Usage.completion_tokens))
+
+
+def _served(key: str, entry: tuple) -> tuple:
+    """The text and the two token counts that the store's entry for ``key``
+    serves. A ``ValueError`` names the key unless its ``texts`` is a list of
+    one string, as a record serves one sample, and each count is a JSON int
+    >= 0."""
+    texts, prompt, completion = entry
+    if not (isinstance(texts, list) and len(texts) == 1 and isinstance(texts[0], str)):
+        raise ValueError(f"record {key} has no usable texts: 'texts' must be "
+                         f"a list of one string, got {texts!r:.80}")
+    if not (is_count(prompt) and is_count(completion)):
+        raise ValueError(f"record {key} has no usable token counts: each must be "
+                         f"an int >= 0, got {prompt!r:.40} and {completion!r:.40}")
+    return texts[0], prompt, completion
+
+
+def check_servable(record: dict) -> None:
+    """Raise the ``ValueError`` that serving ``record`` from a store would."""
+    _served(*_replay_entry(record))
 
 
 class ReplayStore:
@@ -542,19 +561,8 @@ class ReplayStore:
             entry = self._entries.get(key)
             if entry is None:
                 raise CacheMissError(f"no recorded response for key {key}")
-            sample_texts, prompt, completion = entry
-            if sample_texts is None:
-                raise KeyError("texts")
-            # A record serves one sample.
-            if not (isinstance(sample_texts, list) and len(sample_texts) == 1
-                    and isinstance(sample_texts[0], str)):
-                raise ValueError(f"record {key} has no usable texts: 'texts' must be "
-                                 f"a list of one string, got {sample_texts!r:.80}")
-            texts.append(sample_texts[0])
-            try:
-                prompt, completion = int(prompt), int(completion)
-            except TypeError:  # a null count, or a usage that is not an object
-                raise ValueError(f"record {key} has no usable token counts") from None
+            text, prompt, completion = _served(key, entry)
+            texts.append(text)
             if i == 0:
                 prompt_tokens = prompt
             completion_tokens += completion

@@ -367,6 +367,29 @@ def test_cache_verify_counts_a_request_that_does_not_parse(tmp_path, capsys, req
     assert "error: 1 corrupt cache records" in captured.err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda record: {**record, "texts": ["a", "b"]},
+    lambda record: {**record, "usage": {**record["usage"], "prompt_tokens": None}},
+    lambda record: {**record, "usage": {**record["usage"], "completion_tokens": "12"}},
+    lambda record: {**record, "usage": {**record["usage"], "prompt_tokens": -5}},
+    lambda record: {**record, "usage": 5},
+    lambda record: {k: v for k, v in record.items() if k != "texts"},
+], ids=["two-texts", "null-count", "string-count", "negative-count", "usage-5", "no-texts"])
+def test_cache_verify_counts_a_record_that_replay_cannot_serve(tmp_path, capsys, edit):
+    cache_path = tmp_path / "cache.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["resp1", "resp2"]}), ReplayStore(str(cache_path))
+                     ).complete(CompletionRequest(model="m", user_text="q", n_samples=2))
+    first, second = cache_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    cache_path.write_text(f"{first}\n{second}\n{json.dumps(edit(record))}\n", encoding="utf-8")
+    assert main(["cache", "--file", str(cache_path), "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert f"cannot serve: record {record['key']} has no usable" in captured.out
+    assert captured.err == "error: 1 corrupt cache records\n"
+    with pytest.raises(ValueError, match=f"record {record['key']} has no usable"):
+        ReplayStore(str(cache_path)).response([record["key"]])
+
+
 @pytest.mark.parametrize("line, reason", [
     ("[1,2]", "is not a JSON object"),
     ('{"request": {}, "texts": ["t"], "usage": {}}', "has no string 'key'"),
@@ -652,7 +675,8 @@ def test_resume_over_a_mistyped_trace_line_exits_2(tmp_path, capsys, mistyped):
 @pytest.mark.parametrize("edit", [
     lambda summary: {**summary, "outcomes": 5},
     lambda summary: {**summary, "outcomes": [{**summary["outcomes"][0], "final": "x"}]},
-], ids=["outcomes-not-a-list", "final-not-an-object"])
+    lambda summary: {**summary, "usage": {**summary["usage"], "prompt_tokens": -5}},
+], ids=["outcomes-not-a-list", "final-not-an-object", "negative-usage"])
 def test_report_and_pilot_subset_over_a_malformed_summary_exit_2(tmp_path, capsys, edit):
     _cot_run(tmp_path)
     run_dir = tmp_path / "runs" / "r"
@@ -664,6 +688,19 @@ def test_report_and_pilot_subset_over_a_malformed_summary_exit_2(tmp_path, capsy
                  ["pilot-subset", "--cot", str(run_dir), "--deep", str(run_dir)]):
         assert main(argv) == 2
         assert f"error: {summary_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
+def test_resume_over_a_negative_token_count_exits_2(tmp_path, capsys, field):
+    argv = _cot_run(tmp_path)
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    trace = json.loads(traces.read_text(encoding="utf-8"))
+    traces.write_text(json.dumps({**trace, "usage": {**trace["usage"], field: -5}}) + "\n",
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{traces}: record at line 1" in err and f"'{field}' must be int >= 0" in err
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

@@ -1,15 +1,18 @@
 import json
 import random
 import string
+from dataclasses import MISSING, fields
 
 import pytest
 
+from breadth.bench import QuestionOutcome, RunRecord
 from breadth.core import (
     KIND_KNOBS,
     Answer,
     AnswerFormat,
     Question,
     ReasoningTrace,
+    Record,
     StopRule,
     StrategyConfig,
     StrategyKind,
@@ -17,12 +20,14 @@ from breadth.core import (
     canonical_answer,
     canonical_json,
     default_config,
+    is_count,
 )
 from conftest import (
     ADVERSARIAL_ALPHABET,
     IGNORED_KNOBS,
     NON_DEFAULT_KNOBS,
     knob_id,
+    mc_question,
     trace_dict,
 )
 
@@ -271,7 +276,7 @@ def test_trace_validation():
     fields = trace_dict(trace)
     assert ReasoningTrace.from_dict({k: v for k, v in fields.items()
                                      if k not in ("usage", "latency_ms")}) == trace
-    with pytest.raises(ValueError, match="trace has no field 'round'"):
+    with pytest.raises(ValueError, match="ReasoningTrace has no field 'round'"):
         ReasoningTrace.from_dict({k: v for k, v in fields.items() if k != "round"})
 
 
@@ -293,6 +298,69 @@ def test_trace_from_dict_rejects_a_field_of_the_wrong_json_type(fields):
                            parsed=Answer(AnswerFormat.NUMERIC, "1"))
     with pytest.raises(ValueError):
         ReasoningTrace.from_dict({**trace_dict(trace), **fields})
+
+
+_YES = Answer(AnswerFormat.YES_NO, "yes")
+_TRACE = ReasoningTrace(question_id="q", round=2, reformulation_index=1, sample_index=3,
+                        assembled_input="q\nprompt", reasoning_text="r",
+                        raw_prediction_text="yes", parsed=_YES, usage=Usage(10, 20),
+                        latency_ms=5)
+_OUTCOMES = (QuestionOutcome("q0", _YES, True, rounds=2, trace_count=3),
+             QuestionOutcome("q1", Answer.abstained(AnswerFormat.YES_NO), False, rounds=0,
+                             error="backend failed"))
+
+# One record of each persisted type, with a field left None where it has one.
+RECORDS = [
+    Usage(3, 4),
+    _YES,
+    Answer.abstained(AnswerFormat.NUMERIC),
+    Question("q", "Is it?", AnswerFormat.YES_NO, _YES),
+    mc_question("m", "Pick one.", "B", choices=(("A", "x"), ("B", "y"))),
+    _TRACE,
+    *_OUTCOMES,
+    RunRecord("r", "coinflip", default_config(StrategyKind.SC).to_dict(), _OUTCOMES, 0.5,
+              Usage(7, 9), 1.25, partial=True),
+    default_config(StrategyKind.DEEP_COT, max_iterations=2, stop_rule=StopRule.STABLE_STOP),
+]
+
+
+def _record_id(record) -> str:
+    return type(record).__name__
+
+
+def test_every_record_type_has_an_example():
+    assert {type(r) for r in RECORDS} == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+def test_record_round_trips_through_json(record):
+    d = record.to_dict()
+    # Every field is written by name, except one that is None.
+    assert set(d) == {f.name for f in fields(record) if getattr(record, f.name) is not None}
+    assert type(record).from_dict(json.loads(json.dumps(d))) == record
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+def test_record_from_dict_rejects_a_missing_mistyped_or_negative_field(record):
+    cls, d = type(record), json.loads(json.dumps(record.to_dict()))
+    for f in fields(record):
+        if f.default is MISSING and f.default_factory is MISSING:
+            with pytest.raises(ValueError, match=f"{cls.__name__} has no field {f.name!r}"):
+                cls.from_dict({k: v for k, v in d.items() if k != f.name})
+        if f.name not in d:
+            continue
+        # No field that holds a number takes a string, and no other takes a number.
+        wrong = "x" if isinstance(d[f.name], (int, float)) else 5
+        with pytest.raises(ValueError, match=f"{cls.__name__} field {f.name!r}"):
+            cls.from_dict({**d, f.name: wrong})
+        if f.type == "int":
+            with pytest.raises(ValueError, match=f"{f.name!r} must be int >= 0, got -1"):
+                cls.from_dict({**d, f.name: -1})
+
+
+def test_is_count_takes_json_ints_at_or_above_zero():
+    assert all(is_count(v) for v in (0, 1, 12, 2 ** 64))
+    assert not any(is_count(v) for v in (-1, -5, True, False, 1.0, 1.9, "12", None, [1]))
 
 
 def test_vote_result_accounting_enforced():

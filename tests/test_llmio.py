@@ -634,23 +634,34 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
                {"key": "k7", "texts": 5, "usage": {}},
                {"key": "k8", "texts": [1], "usage": {}},
                {"key": "k9", "texts": [], "usage": {}},
-               {"key": "k10", "texts": ["a", "b"], "usage": {}}]
+               {"key": "k10", "texts": ["a", "b"], "usage": {}},
+               {"key": "k11", "texts": ["t"], "usage": {"prompt_tokens": "12"}},
+               {"key": "k12", "texts": ["t"], "usage": {"prompt_tokens": 1.9}},
+               {"key": "k13", "texts": ["t"], "usage": {"completion_tokens": True}},
+               {"key": "k14", "texts": ["t"], "usage": {"completion_tokens": -5}}]
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     store = ReplayStore(str(path))
-    assert len(store) == 10
+    assert len(store) == 14
     with pytest.raises(ValueError):
         store.response(["k1"])
-    with pytest.raises(KeyError):
-        store.response(["k2"])
-    # A usage that is not an object, or a null count: a ValueError, which
-    # the CLI reports as a runtime error (exit 2).
-    for key in ("k3", "k4", "k5"):
+    # A usage that is not an object, or a count that is not a JSON int >= 0:
+    # a ValueError, which the CLI reports as a runtime error (exit 2).
+    for key in ("k3", "k4", "k5", "k11", "k12", "k13", "k14"):
         with pytest.raises(ValueError, match=f"record {key} has no usable token counts"):
             store.response([key])
     # A record serves one sample: its texts must be a list of one string.
-    for key in ("k6", "k7", "k8", "k9", "k10"):
+    for key in ("k2", "k6", "k7", "k8", "k9", "k10"):
         with pytest.raises(ValueError, match=f"record {key} has no usable texts"):
             store.response([key])
+
+
+def test_store_serves_an_absent_count_as_zero(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"key": "k1", "texts": ["a"], "usage": {"completion_tokens": 4}},
+        {"key": "k2", "texts": ["b"]}]), encoding="utf-8")
+    response = ReplayStore(str(path)).response(["k1", "k2"])
+    assert response.texts == ("a", "b") and response.usage == Usage(0, 4)
 
 
 @pytest.mark.parametrize("fields", [
@@ -790,6 +801,12 @@ def test_live_reads_null_usage_as_zero():
     FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}),
     FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)),
     FakeResponse(status_code=200, body=_ok_body(["x", None])),
+    # Token counts must be JSON ints >= 0, or --record would store a record
+    # that replay refuses to serve.
+    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens="12")),
+    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=1.9)),
+    FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=True)),
+    FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=-5)),
 ])
 def test_live_never_retries_malformed(response):
     session = FakeSession([response, FakeResponse(body=_ok_body(["x", "y"]))])
