@@ -333,6 +333,38 @@ def _run_dir(runs_dir: str, run_id: str) -> str:
     return path
 
 
+# The config keys a resume may change: a larger ``limit`` extends a run, and
+# a run may be replayed from its own cache.
+_RESUMABLE_KEYS = ("limit", "backend_mode")
+
+
+def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
+    """Write the run's config to ``config.json`` in ``run_dir``. If the file
+    is already there, first raise a ``ValueError`` naming every key, other
+    than ``_RESUMABLE_KEYS``, whose value differs from ``config``: traces
+    made under another config are never resumed. A run directory with
+    traces but no ``config.json`` resumes unchecked, with a warning."""
+    path = os.path.join(run_dir, "config.json")
+    text = json.dumps(config, sort_keys=True, indent=2) + "\n"
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            stored = parse_json(fh.read(), path)
+        if not isinstance(stored, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {stored!r:.80}")
+        ours = json.loads(text)
+        changed = sorted(key for key in stored.keys() | ours.keys()
+                         if key not in _RESUMABLE_KEYS and stored.get(key) != ours.get(key))
+        if changed:
+            raise ValueError(f"run {run_id} was made under another config ({path}): "
+                             f"{', '.join(changed)} differ; resume it with its own "
+                             "config, or start a new run id")
+    elif resuming:
+        logger.warning("run %s: %s has traces but no config.json; resuming them "
+                       "without checking their config", run_id, run_dir)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_existing_traces(traces_path: str) -> tuple:
     """Traces by question id, and the repair the file's tail needs before the
     next append (see :func:`read_json_lines`)."""
@@ -352,9 +384,10 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     """Execute a strategy over every question, persisting traces as it goes.
 
     Completed questions found in an existing trace store are skipped, so
-    interrupted runs resume. Reaching ``max_total_tokens`` stops the run
-    gracefully with the record flagged partial; single-question failures are
-    recorded and skipped, never fatal.
+    interrupted runs resume; a resume under another config is a
+    ``ValueError`` before any call (see :func:`_claim_run_config`). Reaching
+    ``max_total_tokens`` stops the run gracefully with the record flagged
+    partial; single-question failures are recorded and skipped, never fatal.
 
     Under a non-deterministic backend up to ``MAX_IN_FLIGHT`` questions run
     at once on worker threads; a deterministic one runs them inline, one at
@@ -368,6 +401,8 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     run_dir = _run_dir(runs_dir, run_id)
     traces_path = os.path.join(run_dir, "traces.jsonl")
     existing, repair = _load_existing_traces(traces_path)
+    config = dict(effective_config or cfg.to_dict())
+    _claim_run_config(run_dir, run_id, config, resuming=bool(existing))
 
     started = time.monotonic()
     outcomes: List[QuestionOutcome] = []
@@ -439,7 +474,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     accuracy = sum(1 for o in outcomes if o.correct) / len(outcomes) if outcomes else 0.0
     record = RunRecord(
         run_id=run_id, dataset=dataset_name,
-        config=dict(effective_config or cfg.to_dict()),
+        config=config,
         outcomes=tuple(outcomes), accuracy=accuracy,
         usage=total_usage, wall_time_s=wall, partial=partial,
     )

@@ -9,6 +9,7 @@ written once per path, also has a fast writer, ``json_line``.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -129,28 +130,43 @@ _FIELD_CODECS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _field_readers(cls) -> tuple:
+    """How :func:`check_json_fields` reads each field of the dataclass
+    ``cls``, worked out once per class: its name, whether it is required,
+    whether it is a count, the JSON types it may take, whether a bool is
+    one of them, its decoder and the type its error message names."""
+    readers = []
+    for f in fields(cls):
+        allowed, _, decode = _FIELD_CODECS[f.type]
+        count = f.type == "int"
+        expected = "int >= 0" if count else " or ".join(
+            "null" if t is _NULL else t.__name__ for t in allowed)
+        readers.append((f.name, f.default is MISSING and f.default_factory is MISSING,
+                        count, allowed, bool in allowed, decode, expected))
+    return tuple(readers)
+
+
 def check_json_fields(cls, d: Any) -> dict:
     """The fields of the dataclass ``cls`` that the JSON object ``d`` holds,
     by name, each decoded as its annotation's entry in ``_FIELD_CODECS``
     says. A ``ValueError`` unless ``d`` holds every field that has no
     default, each of the JSON type of its annotation (a bool is not an int,
     and an int is a count: see :func:`is_count`)."""
-    what = cls.__name__
     if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r:.80}")
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r:.80}")
     decoded = {}
-    for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"{what} has no field {f.name!r}")
+    for name, required, count, allowed, bool_ok, decode, expected in _field_readers(cls):
+        if name not in d:
+            if required:
+                raise ValueError(f"{cls.__name__} has no field {name!r}")
             continue
-        value, (allowed, _, decode) = d[f.name], _FIELD_CODECS[f.type]
-        if not (is_count(value) if f.type == "int" else isinstance(value, allowed)
-                and (bool in allowed or not isinstance(value, bool))):
-            expected = "int >= 0" if f.type == "int" else " or ".join(
-                "null" if t is _NULL else t.__name__ for t in allowed)
-            raise ValueError(f"{what} field {f.name!r} must be {expected}, got {value!r:.80}")
-        decoded[f.name] = value if decode is None or value is None else decode(value)
+        value = d[name]
+        if not (is_count(value) if count else isinstance(value, allowed)
+                and (bool_ok or not isinstance(value, bool))):
+            raise ValueError(f"{cls.__name__} field {name!r} must be {expected}, "
+                             f"got {value!r:.80}")
+        decoded[name] = value if decode is None or value is None else decode(value)
     return decoded
 
 

@@ -4,7 +4,9 @@ tests, and a content-addressed record/replay cache.
 The cache stores one JSON line per *sample* so a run recorded with batched
 sampling replays identically when samples are issued one by one (and vice
 versa). A torn last line (a write cut short) is dropped on load; a corrupt
-line anywhere else is an error.
+line anywhere else is an error. Whether a record can be served is decided
+once, as it enters the store, and the store keeps only what replay serves
+of it: its text and token counts, or the error that serving it raises.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from .core import Usage, canonical_json, check_json_fields, is_count
 
@@ -459,46 +461,45 @@ def repair_tail(path: str, repair: Tuple[int, str]) -> str:
     return prefix
 
 
-def _replay_entry(record: dict) -> tuple:
-    """What the store keeps of a record: its key, and the ``texts`` and the
-    two token counts that replay serves, as parsed, an absent count as its
-    ``Usage`` default. A ``usage`` that is not an object keeps None for both
-    counts, as a null count would read."""
-    usage = record.get("usage", {})
-    if not isinstance(usage, dict):
-        return record["key"], (record.get("texts"), None, None)
-    return record["key"], (record.get("texts"), usage.get("prompt_tokens", Usage.prompt_tokens),
-                           usage.get("completion_tokens", Usage.completion_tokens))
-
-
-def _served(key: str, entry: tuple) -> tuple:
-    """The text and the two token counts that the store's entry for ``key``
-    serves. A ``ValueError`` names the key unless its ``texts`` is a list of
-    one string, as a record serves one sample, and each count is a JSON int
-    >= 0."""
-    texts, prompt, completion = entry
+def _replay_entry(record: dict) -> Union[Tuple[str, int, int], str]:
+    """What the store keeps of a cache record, and the one rule of what it
+    can serve: ``(text, prompt_tokens, completion_tokens)`` when the
+    record's ``texts`` is a list of one string, as a record serves one
+    sample, and each count is a JSON int >= 0 (an absent count or ``usage``
+    reads as 0); else the message of the ``ValueError`` that serving the
+    record's key raises."""
+    texts, usage = record.get("texts"), record.get("usage", {})
     if not (isinstance(texts, list) and len(texts) == 1 and isinstance(texts[0], str)):
-        raise ValueError(f"record {key} has no usable texts: 'texts' must be "
-                         f"a list of one string, got {texts!r:.80}")
+        return (f"record {record['key']} has no usable texts: 'texts' must be "
+                f"a list of one string, got {texts!r:.80}")
+    if isinstance(usage, dict):
+        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    else:  # read as null counts
+        prompt = completion = None
     if not (is_count(prompt) and is_count(completion)):
-        raise ValueError(f"record {key} has no usable token counts: each must be "
-                         f"an int >= 0, got {prompt!r:.40} and {completion!r:.40}")
+        return (f"record {record['key']} has no usable token counts: each must be "
+                f"an int >= 0, got {prompt!r:.40} and {completion!r:.40}")
     return texts[0], prompt, completion
 
 
 def check_servable(record: dict) -> None:
     """Raise the ``ValueError`` that serving ``record`` from a store would."""
-    _served(*_replay_entry(record))
+    entry = _replay_entry(record)
+    if isinstance(entry, str):
+        raise ValueError(entry)
 
 
 class ReplayStore:
     """Append-only JSON-lines store of per-sample responses keyed by digest.
 
-    In memory it keeps, per key, only the record's ``texts`` and its two
-    token counts, as parsed: never the ``request`` (``breadth cache`` reads
-    full records from the file itself). Opening streams the file through
-    :func:`read_json_lines`, the last record for a key wins, and a record
-    whose ``texts`` or ``usage`` cannot be used fails when it is served.
+    Each record is checked once, as it enters the store: when the store
+    opens, or when ``append`` writes it. In memory the store keeps, per key,
+    only what :func:`_replay_entry` makes of the record: its text and two
+    token counts, or the message of the error that serving it raises; never
+    the ``request`` (``breadth cache`` reads full records from the file
+    itself). Opening streams the file through :func:`read_json_lines`, the
+    last record for a key wins, and an unusable record fails only when it is
+    served.
     Readers share the index; appends are serialized. A torn tail, or an
     append cut short by a failed write, is repaired by the next append
     (:func:`repair_tail`), so a record appended after a crash is never lost.
@@ -507,7 +508,8 @@ class ReplayStore:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        entries, self._repair = read_json_lines(path, "key", keep=_replay_entry)
+        entries, self._repair = read_json_lines(
+            path, "key", keep=lambda record: (record["key"], _replay_entry(record)))
         self._entries = dict(entries)
 
     def __len__(self) -> int:
@@ -549,7 +551,10 @@ class ReplayStore:
             # Only written lines change what the store serves or repairs.
             self._repair = None
             for key, _, text, usage in records:
-                self._entries[key] = ([text], usage.prompt_tokens, usage.completion_tokens)
+                # The record as its line reads back: a usage's instance dict
+                # holds just its two counts.
+                self._entries[key] = _replay_entry(
+                    {"key": key, "texts": [text], "usage": vars(usage)})
 
     def response(self, keys: Sequence[str],
                  backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
@@ -561,7 +566,9 @@ class ReplayStore:
             entry = self._entries.get(key)
             if entry is None:
                 raise CacheMissError(f"no recorded response for key {key}")
-            text, prompt, completion = _served(key, entry)
+            if isinstance(entry, str):
+                raise ValueError(entry)
+            text, prompt, completion = entry
             texts.append(text)
             if i == 0:
                 prompt_tokens = prompt

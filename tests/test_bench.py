@@ -310,6 +310,54 @@ def test_rerun_of_finished_run_resumes_every_question(tmp_path):
         assert again.usage == first.usage
 
 
+def test_resume_under_a_foreign_config_is_refused_before_any_call(tmp_path):
+    # A cot run's traces must not be reused as an sc run's paths.
+    questions = generate_synthetic("coinflip", 6, seed=3)
+    run_experiment("coinflip", questions, default_config(StrategyKind.COT),
+                   FakeBackend(questions, seed=1), runs_dir=str(tmp_path), run_id="run")
+    summary = (tmp_path / "run" / "summary.json").read_bytes()
+    untouched = ScriptedBackend()
+    with pytest.raises(ValueError, match="kind, m_samples, temperature differ"):
+        run_experiment("coinflip", questions, default_config(StrategyKind.SC, m_samples=5),
+                       untouched, runs_dir=str(tmp_path), run_id="run")
+    assert untouched.calls == []
+    assert (tmp_path / "run" / "summary.json").read_bytes() == summary
+    config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    assert config == default_config(StrategyKind.COT).to_dict()
+
+
+def test_resume_may_change_only_the_limit_and_the_backend_mode(tmp_path):
+    questions = generate_synthetic("coinflip", 4, seed=3)
+    cfg = default_config(StrategyKind.COT)
+    effective = {**cfg.to_dict(), "backend_mode": "mock", "limit": 2, "model": "m"}
+    run_experiment("coinflip", questions[:2], cfg, FakeBackend(questions, seed=1),
+                   runs_dir=str(tmp_path), run_id="run", effective_config=effective)
+    extended = {**effective, "backend_mode": "replay", "limit": 4}
+    record = run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
+                            runs_dir=str(tmp_path), run_id="run", effective_config=extended)
+    assert len(record.outcomes) == 4
+    config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    assert config == extended
+    with pytest.raises(ValueError, match=r"\(.*config\.json\): model differ"):
+        run_experiment("coinflip", questions, cfg, ScriptedBackend(), runs_dir=str(tmp_path),
+                       run_id="run", effective_config={**extended, "model": "other"})
+
+
+def test_resume_without_a_config_file_warns_and_resumes(tmp_path, caplog):
+    # A run directory from before config.json was written keeps resuming.
+    questions = generate_synthetic("coinflip", 3, seed=3)
+    cfg = default_config(StrategyKind.COT)
+    first = run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
+                           runs_dir=str(tmp_path), run_id="old")
+    os.remove(tmp_path / "old" / "config.json")
+    untouched = ScriptedBackend()
+    again = run_experiment("coinflip", questions, cfg, untouched,
+                           runs_dir=str(tmp_path), run_id="old")
+    assert untouched.calls == [] and again.outcomes == first.outcomes
+    assert "has traces but no config.json" in caplog.text
+    assert (tmp_path / "old" / "config.json").exists()
+
+
 def test_token_budget_stops_gracefully_with_partial_flag(tmp_path):
     questions = _four_questions()
     backend = _scripted_for(questions, ["A", "A", "A", "A"])

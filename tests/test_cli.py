@@ -703,6 +703,20 @@ def test_resume_over_a_negative_token_count_exits_2(tmp_path, capsys, field):
     assert f"{traces}: record at line 1" in err and f"'{field}' must be int >= 0" in err
 
 
+def test_resume_under_another_strategy_exits_2_and_a_larger_limit_extends(tmp_path, capsys):
+    script = _mock_script_file(tmp_path, {"step by step": ["reasoning about coins"] * 9,
+                                          YES_TRIGGER: ["the answer is yes"] * 9})
+    run = ["run", "--dataset", "coinflip", "--mock-script", script,
+           "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
+    assert main(run + ["--limit", "3", "--strategy", "cot"]) == 0
+    capsys.readouterr()
+    assert main(run + ["--limit", "3", "--strategy", "sc", "--m", "3"]) == 2
+    assert "kind, m_samples, temperature differ" in capsys.readouterr().err
+    assert main(run + ["--limit", "4", "--strategy", "cot"]) == 0
+    summary = json.loads((tmp_path / "runs" / "r" / "summary.json").read_text())
+    assert summary["config"]["kind"] == "cot" and len(summary["outcomes"]) == 4
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_limit_below_one_is_a_usage_error(limit, capsys):
     code = main(["run", "--dataset", "coinflip", "--limit", limit,
