@@ -132,8 +132,8 @@ def _cmd_run(args) -> int:
         raise UsageError("--token-budget must be at least 1")
     file_config = _load_config_file(args.config)
     cfg = _strategy_config(args, file_config)
-    questions = bench.load_dataset(
-        bench.dataset_spec(args.dataset, path=args.data_path, seed=args.seed))[: args.limit]
+    spec = bench.dataset_spec(args.dataset, path=args.data_path, seed=args.seed)
+    questions = bench.load_dataset(spec)[: args.limit]
     if not questions:
         raise RuntimeError(f"dataset {args.dataset} produced no questions")
     triggers = _trigger_overrides(file_config)
@@ -153,6 +153,10 @@ def _cmd_run(args) -> int:
                          "record" if args.record else
                          "mock" if args.mock_script else "live"),
         "dataset": args.dataset,
+        # Questions keep their ids across seeds and files, so a resume under
+        # another seed or file would score old traces against new golds.
+        "seed": spec.seed,
+        "data_path": spec.path,
         "limit": args.limit,
     }
     if cfg.stop_rule == StopRule.STABLE_STOP:

@@ -7,21 +7,29 @@ versa). A torn last line (a write cut short) is dropped on load; a corrupt
 line anywhere else is an error. Whether a record can be served is decided
 once, as it enters the store, and the store keeps only what replay serves
 of it: its text and token counts, or the error that serving it raises.
+What a store kept of an unchanged cache is reopened from a digest-checked
+sidecar index instead of parsing the cache again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import logging
+import marshal
 import math
 import os
+import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
+from . import core
 from .core import Usage, canonical_json, check_json_fields, is_count
 
 if TYPE_CHECKING:
@@ -410,36 +418,43 @@ class ScriptedBackend(Backend):
 
 def read_json_lines(path: str, string_field: Optional[str] = None,
                     keep: Optional[Callable[[dict], Any]] = None,
+                    digest: Optional[Any] = None,
                     ) -> Tuple[list, Optional[Tuple[int, str]]]:
     """The records of an append-only JSON-lines file, and the repair its tail
     needs before the next append.
 
     The file is read one line at a time, so it is never held whole; with
     ``keep``, the list holds ``keep(record)`` in place of each record, and
-    the records themselves are not kept. Only ``"\\n"`` ends a line. A final
-    line that does not parse (a write cut short by a crash) is dropped; a
-    corrupt line anywhere else is an error. So is a record that is not a
-    JSON object, or, with ``string_field``, one without a string under that
-    name, or one that ``keep`` rejects with a ``ValueError``, wherever it is. The repair is None for a whole tail, else
-    ``(size, prefix)``: cut the file to ``size`` bytes and write ``prefix``
-    first, so the next record gets a line of its own. Reading never writes
-    the file.
+    the records themselves are not kept. Only ``"\\n"`` ends a line, and a
+    line must be UTF-8. A final line that does not parse (a write cut short
+    by a crash) is dropped; a corrupt line anywhere else is an error. So is
+    a record that is not a JSON object, or, with ``string_field``, one
+    without a string under that name, or one that ``keep`` rejects with a
+    ``ValueError``, wherever it is. The repair is None for a whole tail,
+    else ``(size, prefix)``: cut the file to ``size`` bytes and write
+    ``prefix`` first, so the next record gets a line of its own. With
+    ``digest``, a ``hashlib`` object, every byte read is fed to it, so
+    when a read returns, the digest is that of exactly the bytes it parsed:
+    the whole file as it was read. Reading never writes the file.
     """
     if not os.path.exists(path):
         return [], None
     records = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        line = ""
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        raw = b""
+        for lineno, raw in enumerate(fh, 1):
+            if digest is not None:
+                digest.update(raw)
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
             except ValueError:
                 if fh.readline():
                     raise ValueError(f"{path}: corrupt record at line {lineno}")
                 logger.warning("dropping corrupt trailing line in %s", path)
-                return records, (fh.buffer.tell() - len(line.encode("utf-8")), "")
+                return records, (fh.tell() - len(raw), "")
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: record at line {lineno} is not a JSON object")
             if string_field is not None and not isinstance(record.get(string_field), str):
@@ -448,8 +463,8 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
                 records.append(record if keep is None else keep(record))
             except ValueError as exc:
                 raise ValueError(f"{path}: record at line {lineno}: {exc}") from exc
-        if line and not line.endswith("\n"):
-            return records, (fh.buffer.tell(), "\n")
+        if raw and not raw.endswith(b"\n"):
+            return records, (fh.tell(), "\n")
     return records, None
 
 
@@ -489,6 +504,66 @@ def check_servable(record: dict) -> None:
         raise ValueError(entry)
 
 
+# The sidecar index a store writes beside its cache, ``<cache>.index``: a
+# fixed head, then frames, each the length and SHA-256 of its payload and
+# the payload, a marshal dump. The first frame holds the entry count and the
+# tail repair, each later one up to _INDEX_FRAME_ENTRIES entries, so neither
+# side holds more than one frame's bytes at a time.
+INDEX_SUFFIX = ".index"
+_INDEX_MAGIC = b"BRDTHIDX"
+_INDEX_FORMAT = 1
+# magic, format version, marshal version, program digest, cache digest
+_INDEX_HEAD = struct.Struct("<8sHH32s32s")
+_INDEX_FRAME = struct.Struct("<I32s")
+_INDEX_FRAME_ENTRIES = 256
+_HASH_CHUNK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _program_digest() -> bytes:
+    """SHA-256 of the interpreter's version and of the source of the two
+    modules whose code decides what a store keeps of a record, this one and
+    ``core``: an index written by other rules is never trusted, whether or
+    not a version constant was bumped."""
+    digest = hashlib.sha256(sys.version.encode("utf-8"))
+    for source in (__file__, core.__file__):
+        with open(source, "rb") as fh:
+            digest.update(fh.read())
+    return digest.digest()
+
+
+def _file_digest(path: str) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, _HASH_CHUNK), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _frame(value) -> bytes:
+    payload = marshal.dumps(value)
+    return _INDEX_FRAME.pack(len(payload), hashlib.sha256(payload).digest()) + payload
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    unwritten = memoryview(data)
+    while unwritten:
+        unwritten = unwritten[os.write(fd, unwritten):]
+
+
+def _read_frame(fh):
+    """The next frame's value; ``ValueError`` when it is cut short or its
+    payload does not match its digest."""
+    head = fh.read(_INDEX_FRAME.size)
+    if len(head) != _INDEX_FRAME.size:
+        raise ValueError("index frame cut short")
+    length, digest = _INDEX_FRAME.unpack(head)
+    payload = fh.read(length)
+    if len(payload) != length or hashlib.sha256(payload).digest() != digest:
+        raise ValueError("index frame does not match its digest")
+    return marshal.loads(payload)
+
+
 class ReplayStore:
     """Append-only JSON-lines store of per-sample responses keyed by digest.
 
@@ -500,7 +575,19 @@ class ReplayStore:
     itself). Opening streams the file through :func:`read_json_lines`, the
     last record for a key wins, and an unusable record fails only when it is
     served.
-    Readers share the index; appends are serialized. A torn tail, or an
+
+    After that parse the store writes what it kept, the entries and the
+    tail repair, to ``<cache>.index``, under a head holding the SHA-256 of
+    exactly the cache bytes parsed and a digest of the code of the rules
+    that made the entries. A later open loads the index in place of the
+    parse only when the head's versions and program digest match this
+    program's, the cache's bytes still have that SHA-256, and every frame
+    matches its own SHA-256; anything else parses the cache as above. So
+    the index only saves repeating a parse of identical bytes, and deleting
+    it is always safe. It is written to a temporary file and renamed into
+    place; a failure to read or write it falls back to the parse, and a
+    missing cache writes none. Opening never writes the cache itself.
+    Readers share the entries; appends are serialized. A torn tail, or an
     append cut short by a failed write, is repaired by the next append
     (:func:`repair_tail`), so a record appended after a crash is never lost.
     """
@@ -508,9 +595,67 @@ class ReplayStore:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._entries: dict = {}
+        self._repair: Optional[Tuple[int, str]] = None
+        if not os.path.exists(path) or self._load_index():
+            return
+        digest = hashlib.sha256()
         entries, self._repair = read_json_lines(
-            path, "key", keep=lambda record: (record["key"], _replay_entry(record)))
+            path, "key", keep=lambda record: (record["key"], _replay_entry(record)),
+            digest=digest)
         self._entries = dict(entries)
+        self._write_index(digest.digest())
+
+    def _load_index(self) -> bool:
+        """Load the entries and the tail repair from the index if it holds
+        what a parse of the cache's current bytes would give; else load
+        nothing and return False."""
+        try:
+            with open(self.path + INDEX_SUFFIX, "rb") as fh:
+                head = fh.read(_INDEX_HEAD.size)
+                if len(head) != _INDEX_HEAD.size:
+                    return False
+                *stamp, cache_digest = _INDEX_HEAD.unpack(head)
+                if stamp != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, _program_digest()]:
+                    return False
+                if cache_digest != _file_digest(self.path):
+                    return False
+                count, repair = _read_frame(fh)
+                entries: dict = {}
+                while len(entries) < count:
+                    entries.update(_read_frame(fh))
+                if len(entries) != count or fh.read(1):
+                    return False
+        except (OSError, ValueError, TypeError, EOFError) as exc:
+            logger.debug("not reading the index of %s: %s", self.path, exc)
+            return False
+        self._entries, self._repair = entries, repair
+        return True
+
+    def _write_index(self, cache_digest: bytes) -> None:
+        """Write the index of what the store kept from the cache bytes whose
+        SHA-256 is ``cache_digest``, or nothing if any step fails."""
+        index = self.path + INDEX_SUFFIX
+        temp = f"{index}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            head = _INDEX_HEAD.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
+                                    _program_digest(), cache_digest)
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write_all(fd, head + _frame((len(self._entries), self._repair)))
+                items = iter(self._entries.items())
+                while True:
+                    frame = dict(itertools.islice(items, _INDEX_FRAME_ENTRIES))
+                    if not frame:
+                        break
+                    _write_all(fd, _frame(frame))
+            finally:
+                os.close(fd)
+            os.replace(temp, index)
+        except OSError as exc:
+            logger.debug("not indexing %s: %s", self.path, exc)
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -522,8 +667,18 @@ class ReplayStore:
         """Store one response's records, ``(key, request, text, usage)`` each
         with ``request`` in canonical JSON, as one line per record in one
         write. A line is the canonical JSON of ``{"key", "request", "texts":
-        [text], "usage"}``: its keys are already in sorted order, and token
-        counts are ints, which ``%d`` writes as JSON does."""
+        [text], "usage"}``: its keys are already in sorted order. A record
+        that could not be served raises ``ValueError`` before anything is
+        written, so every count written is an int, which ``%d`` writes as
+        JSON does, and a line reads back as the entry the store keeps."""
+        entries = []
+        for key, _, text, usage in records:
+            # The record as its line reads back: a usage's instance dict
+            # holds just its two counts.
+            entry = _replay_entry({"key": key, "texts": [text], "usage": vars(usage)})
+            if isinstance(entry, str):
+                raise ValueError(entry)
+            entries.append((key, entry))
         data = b"".join(
             b'{"key":%s,"request":%s,"texts":[%s],'
             b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
@@ -537,9 +692,7 @@ class ReplayStore:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 size = os.lseek(fd, 0, os.SEEK_END)
-                unwritten = memoryview(prefix.encode("utf-8") + data)
-                while unwritten:
-                    unwritten = unwritten[os.write(fd, unwritten):]
+                _write_all(fd, prefix.encode("utf-8") + data)
             except BaseException:
                 # A write cut short may leave part of a line: the next append
                 # cuts the file back, and still owes the prefix.
@@ -550,11 +703,7 @@ class ReplayStore:
                 os.close(fd)
             # Only written lines change what the store serves or repairs.
             self._repair = None
-            for key, _, text, usage in records:
-                # The record as its line reads back: a usage's instance dict
-                # holds just its two counts.
-                self._entries[key] = _replay_entry(
-                    {"key": key, "texts": [text], "usage": vars(usage)})
+            self._entries.update(entries)
 
     def response(self, keys: Sequence[str],
                  backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:

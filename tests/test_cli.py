@@ -717,6 +717,30 @@ def test_resume_under_another_strategy_exits_2_and_a_larger_limit_extends(tmp_pa
     assert summary["config"]["kind"] == "cot" and len(summary["outcomes"]) == 4
 
 
+@pytest.mark.parametrize("key", ["seed", "data_path"])
+def test_resume_under_another_seed_or_data_path_exits_2(tmp_path, capsys, key):
+    # Generated questions keep their ids across seeds, and read ones across
+    # files, so the first run's traces would be scored against other golds.
+    script = _mock_script_file(tmp_path, {"": ["reasoning", "the answer is 2"]})
+    run = ["run", "--limit", "1", "--strategy", "cot", "--mock-script", script,
+           "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
+    if key == "seed":
+        first, second = (["--dataset", "coinflip", "--seed", seed] for seed in ("1", "2"))
+    else:
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path, gold in zip(paths, ("2", "3")):
+            path.write_text(json.dumps({"question": "1 + 1?", "answer": f"#### {gold}"}) + "\n",
+                            encoding="utf-8")
+        first, second = (["--dataset", "gsm8k", "--data-path", str(path)] for path in paths)
+    assert main(run + first) == 0
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    written = traces.read_bytes()
+    capsys.readouterr()
+    assert main(run + second) == 2
+    assert f"{key} differ" in capsys.readouterr().err
+    assert traces.read_bytes() == written
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_limit_below_one_is_a_usage_error(limit, capsys):
     code = main(["run", "--dataset", "coinflip", "--limit", limit,

@@ -670,19 +670,44 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
         assert messages(key).startswith(f"record {key} has no usable texts")
 
 
+def _refused_append(path, store: ReplayStore, records) -> str:
+    """Append ``records``, which must raise ``ValueError`` and change neither
+    the file nor the store; returns the error's message."""
+    before = path.read_bytes() if path.exists() else None
+    kept = dict(store._entries)
+    with pytest.raises(ValueError) as refused:
+        store.append(records)
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert store._entries == kept
+    return str(refused.value)
+
+
 def test_store_refuses_an_appended_text_that_is_not_a_string(tmp_path):
-    # The appended response is checked by the rule the loader applies, so
-    # it fails when served now and after the store reopens, with one message.
-    path = str(tmp_path / "cache.jsonl")
-    store = ReplayStore(path)
-    store.append([("k1", b"{}", 5, Usage(1, 2)), ("k2", b"{}", "fine", Usage(1, 2))])
-    with pytest.raises(ValueError) as now:
-        store.response(["k1"])
-    with pytest.raises(ValueError) as reopened:
-        ReplayStore(path).response(["k1"])
-    assert str(now.value) == str(reopened.value) == (
+    # The appended response is checked by the rule the loader applies before
+    # any of it is written, so no line is written that the store could not
+    # serve.
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    message = _refused_append(path, store, [("k1", b"{}", 5, Usage(1, 2)),
+                                            ("k2", b"{}", "fine", Usage(1, 2))])
+    assert message == (
         "record k1 has no usable texts: 'texts' must be a list of one string, got [5]")
-    assert ReplayStore(path).response(["k2"]).texts == ("fine",)
+    assert "k2" not in store and len(ReplayStore(str(path))) == 0
+    store.append([("k2", b"{}", "fine", Usage(1, 2))])
+    assert ReplayStore(str(path)).response(["k2"]).texts == ("fine",)
+
+
+def test_store_refuses_an_appended_count_that_is_not_an_int(tmp_path):
+    # ``%d`` would write 1.9 as 1, so the recording session and a reopened
+    # store would disagree about the same key.
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    store.append([_record("k0")])
+    for usage in (Usage(1.9, 2), Usage(1, -2), Usage(True, 2), Usage("3", 2)):
+        message = _refused_append(path, store, [_record("k1"), ("k2", b"{}", "t", usage)])
+        assert message.startswith("record k2 has no usable token counts")
+    assert "k1" not in store and "k2" not in store
+    assert len(ReplayStore(str(path))) == 1
 
 
 def test_store_serves_an_absent_count_as_zero(tmp_path):
@@ -692,6 +717,261 @@ def test_store_serves_an_absent_count_as_zero(tmp_path):
         {"key": "k2", "texts": ["b"]}]), encoding="utf-8")
     response = ReplayStore(str(path)).response(["k1", "k2"])
     assert response.texts == ("a", "b") and response.usage == Usage(0, 4)
+
+
+# ---------------------------------------------------------------- store index
+
+
+def _open_counting_parses(monkeypatch, path) -> tuple:
+    """Open the store at ``path``; returns it and how many times the open
+    parsed the cache (0 when it read the index)."""
+    parses = []
+
+    def counting(*args, **kwargs):
+        parses.append(args[0])
+        return read_json_lines(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(breadth.llmio, "read_json_lines", counting)
+        store = ReplayStore(str(path))
+    return store, len(parses)
+
+
+def _kept(store: ReplayStore) -> tuple:
+    return len(store), list(store._entries.items()), store._repair
+
+
+def _random_cache(rng: random.Random) -> str:
+    def chars():
+        return "".join(rng.choice(ADVERSARIAL_ALPHABET) for _ in range(rng.randrange(4)))
+
+    keys = [chars() for _ in range(3)]  # few keys, so later records replace earlier ones
+
+    def record():
+        fields = {"key": rng.choice(keys), "request": {}}
+        texts = rng.choice([[chars()]] * 4 + [[5], "abc", [], [chars(), chars()], None])
+        usage = rng.choice([{"prompt_tokens": rng.randrange(99), "completion_tokens": 3}] * 3 + [
+            {}, {"completion_tokens": 2 ** 70}, {"prompt_tokens": 1.9}, "57", None,
+            {"completion_tokens": -1}, {"prompt_tokens": True}])
+        fields.update((k, v) for k, v in (("texts", texts), ("usage", usage)) if v is not None)
+        line = json.dumps(fields, ensure_ascii=rng.random() < 0.5)
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+            line = json.dumps(fields)
+        return line
+
+    kinds = [record] * 6 + [lambda: "", lambda: " \t", lambda: "{broken"]
+    lines = [rng.choice(kinds)() for _ in range(rng.randrange(7))]
+    tail = rng.choice(["", "\n", "torn"]) if lines else ""
+    if tail == "torn":
+        last = record()
+        return "\n".join(lines + [last[:rng.randrange(1, len(last))]])
+    return "\n".join(lines) + tail
+
+
+def test_store_reopened_from_its_index_keeps_what_a_fresh_parse_keeps(tmp_path, monkeypatch):
+    rng = random.Random(19)
+    path = tmp_path / "cache.jsonl"
+    index = tmp_path / "cache.jsonl.index"
+    seen = set()
+    for _ in range(400):
+        if index.exists():
+            index.unlink()
+        path.write_bytes(_random_cache(rng).encode("utf-8"))
+        try:
+            parsed, parses = _open_counting_parses(monkeypatch, path)
+        except ValueError:
+            # A cache that does not open writes no index.
+            assert sorted(os.listdir(tmp_path)) == ["cache.jsonl"]
+            seen.add("error")
+            continue
+        assert parses == 1 and index.exists()
+        reopened, parses = _open_counting_parses(monkeypatch, path)
+        assert parses == 0 and _kept(reopened) == _kept(parsed), path.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.index"]
+        seen.add("empty" if not path.read_bytes() else
+                 "whole" if parsed._repair is None else f"repair {parsed._repair[1]!r}")
+        seen.update("unusable" for entry in parsed._entries.values() if isinstance(entry, str))
+    assert seen == {"error", "empty", "whole", "repair ''", "repair '\\n'", "unusable"}
+
+
+def _indexed_cache(tmp_path):
+    """A cache of three appended records with an intact unterminated last
+    line, opened once so that its index is written."""
+    path = tmp_path / "cache.jsonl"
+    ReplayStore(str(path)).append([("k1", b"{}", "one", Usage(1, 2)),
+                                   ("k2", b"{}", "two", Usage(3, 4))])
+    with open(path, "ab") as fh:
+        fh.write(b'{"key":"k3","texts":["three"]}')
+    store = ReplayStore(str(path))
+    assert (tmp_path / "cache.jsonl.index").exists() and store._repair is not None
+    return path, _kept(store)
+
+
+def _assert_parses_and_reindexes(monkeypatch, path, expected=None):
+    index = path.parent / (path.name + ".index")
+    store, parses = _open_counting_parses(monkeypatch, path)
+    assert parses == 1
+    if expected is not None:
+        assert _kept(store) == expected
+    # The parse wrote a good index again.
+    reopened, parses = _open_counting_parses(monkeypatch, path)
+    assert parses == 0 and _kept(reopened) == _kept(store) and index.exists()
+    return store
+
+
+def test_store_parses_when_any_byte_of_its_index_is_flipped(tmp_path, monkeypatch):
+    # The head is compared field by field and every frame checked against its
+    # digest, so no single changed byte goes unnoticed.
+    path, kept = _indexed_cache(tmp_path)
+    index = tmp_path / "cache.jsonl.index"
+    good = index.read_bytes()
+    for i in range(len(good)):
+        index.write_bytes(good[:i] + bytes([good[i] ^ 0x20]) + good[i + 1:])
+        _assert_parses_and_reindexes(monkeypatch, path, kept)
+        assert index.read_bytes() == good
+
+
+def test_store_parses_when_its_index_is_cut_short_or_extended(tmp_path, monkeypatch):
+    path, kept = _indexed_cache(tmp_path)
+    index = tmp_path / "cache.jsonl.index"
+    good = index.read_bytes()
+    for damaged in [good[:size] for size in range(len(good))] + [good + b"\0"]:
+        index.write_bytes(damaged)
+        _assert_parses_and_reindexes(monkeypatch, path, kept)
+        assert index.read_bytes() == good
+
+
+@pytest.mark.parametrize("stamp", [
+    {"magic": b"BRDTHIDY"},
+    {"format": breadth.llmio._INDEX_FORMAT + 1},
+    {"marshal": breadth.llmio.marshal.version + 1},
+    {"program": bytes(32)},
+], ids=["magic", "format-version", "marshal-version", "program-digest"])
+def test_store_parses_when_its_index_was_written_by_other_rules(tmp_path, monkeypatch, stamp):
+    # An index whose frames are intact but whose head names another format,
+    # marshal version or program is not trusted.
+    path, kept = _indexed_cache(tmp_path)
+    index = tmp_path / "cache.jsonl.index"
+    good = index.read_bytes()
+    head = breadth.llmio._INDEX_HEAD
+    magic, fmt, version, program, cache = head.unpack(good[:head.size])
+    fields = {"magic": magic, "format": fmt, "marshal": version, "program": program, **stamp}
+    index.write_bytes(head.pack(*fields.values(), cache) + good[head.size:])
+    _assert_parses_and_reindexes(monkeypatch, path, kept)
+    assert index.read_bytes() == good
+
+
+def test_program_digest_covers_the_source_of_the_entry_rules():
+    digest = hashlib.sha256(sys.version.encode("utf-8"))
+    for module in (breadth.llmio, breadth.core):
+        with open(module.__file__, "rb") as fh:
+            digest.update(fh.read())
+    assert breadth.llmio._program_digest() == digest.digest()
+
+
+def test_store_parses_a_cache_edited_in_place_at_the_same_size(tmp_path, monkeypatch):
+    path, _ = _indexed_cache(tmp_path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes().replace(b'"two"', b'"TWO"'))
+    assert path.stat().st_size == size
+    store = _assert_parses_and_reindexes(monkeypatch, path)
+    assert store.response(["k2"]).texts == ("TWO",)
+
+
+def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch):
+    path, _ = _indexed_cache(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b'\n{"key":"k4","texts":["four"]}\n')
+    store = _assert_parses_and_reindexes(monkeypatch, path)
+    assert len(store) == 4 and store._repair is None
+    assert store.response(["k3", "k4"]).texts == ("three", "four")
+
+
+def test_store_opened_from_its_index_repairs_the_tail_before_appending(tmp_path, monkeypatch):
+    path, kept = _indexed_cache(tmp_path)
+    store, parses = _open_counting_parses(monkeypatch, path)
+    assert parses == 0 and _kept(store) == kept
+    store.append([_record("k4")])
+    records, repair = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k1", "k2", "k3", "k4"] and repair is None
+
+
+def test_store_without_a_cache_writes_and_hashes_nothing(tmp_path, monkeypatch):
+    def no_hashing(path):
+        raise AssertionError(f"hashed {path}")
+
+    monkeypatch.setattr(breadth.llmio, "_file_digest", no_hashing)
+    monkeypatch.setattr(breadth.llmio, "read_json_lines", no_hashing)
+    assert len(ReplayStore(str(tmp_path / "cache.jsonl"))) == 0
+    assert os.listdir(tmp_path) == []
+
+
+def test_store_in_an_unwritable_directory_opens_and_writes_nothing(tmp_path, monkeypatch):
+    directory = tmp_path / "ro"
+    directory.mkdir()
+    path, kept = _indexed_cache(directory)
+    (directory / "cache.jsonl.index").unlink()
+    cache = path.read_bytes()
+    if os.geteuid() == 0:
+        # Permissions do not bind the superuser: refuse what the kernel would.
+        real_open = os.open
+
+        def refusing(name, flags, *args, **kwargs):
+            if flags & os.O_CREAT and os.path.dirname(name) == str(directory):
+                raise PermissionError(errno.EACCES, "permission denied", name)
+            return real_open(name, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+    directory.chmod(0o555)
+    try:
+        store, parses = _open_counting_parses(monkeypatch, path)
+        assert parses == 1 and _kept(store) == kept
+    finally:
+        directory.chmod(0o755)
+    assert os.listdir(directory) == ["cache.jsonl"] and path.read_bytes() == cache
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+def test_store_index_write_that_fills_the_disk_leaves_nothing_behind(tmp_path, monkeypatch):
+    path, kept = _indexed_cache(tmp_path)
+    index = tmp_path / "cache.jsonl.index"
+    cache = path.read_bytes()
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    index.unlink()
+    for write in (full_disk, _DiskFills()):
+        monkeypatch.setattr(os, "write", write)
+        store, parses = _open_counting_parses(monkeypatch, path)
+        monkeypatch.undo()
+        assert parses == 1 and _kept(store) == kept
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert os.listdir(tmp_path) == ["cache.jsonl"] and path.read_bytes() == cache
+    _assert_parses_and_reindexes(monkeypatch, path, kept)
+
+
+def test_stores_opened_at_once_by_many_threads_agree(tmp_path):
+    # Each writer writes its own temporary file and renames it into place.
+    path, kept = _indexed_cache(tmp_path)
+    (tmp_path / "cache.jsonl.index").unlink()
+    stores = []
+
+    def open_store():
+        stores.append(ReplayStore(str(path)))
+
+    threads = [threading.Thread(target=open_store) for _ in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert [_kept(store) for store in stores] == [kept] * 6
+    assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.index"]
+    assert _kept(ReplayStore(str(path))) == kept
 
 
 @pytest.mark.parametrize("fields", [
