@@ -91,7 +91,8 @@ def _build_backend(args) -> Backend:
             "or pass --replay/--mock-script for an offline backend")
     live = LiveBackend(args.base_url, model=args.model)
     if args.record:
-        return RecordingBackend(live, ReplayStore(args.record))
+        # Recording appends, which would leave a fresh index stale at once.
+        return RecordingBackend(live, ReplayStore(args.record, write_index=False))
     return live
 
 
@@ -154,9 +155,11 @@ def _cmd_run(args) -> int:
                          "mock" if args.mock_script else "live"),
         "dataset": args.dataset,
         # Questions keep their ids across seeds and files, so a resume under
-        # another seed or file would score old traces against new golds.
+        # another seed or file would score old traces against new golds. The
+        # path is absolute, so one file matches however it is named, and a
+        # relative name resumed from another directory does not.
         "seed": spec.seed,
-        "data_path": spec.path,
+        "data_path": os.path.abspath(spec.path) if spec.path else None,
         "limit": args.limit,
     }
     if cfg.stop_rule == StopRule.STABLE_STOP:

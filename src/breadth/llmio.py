@@ -26,7 +26,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from . import core
@@ -512,24 +512,34 @@ def check_servable(record: dict) -> None:
 INDEX_SUFFIX = ".index"
 _INDEX_MAGIC = b"BRDTHIDX"
 _INDEX_FORMAT = 1
-# magic, format version, marshal version, program digest, cache digest
-_INDEX_HEAD = struct.Struct("<8sHH32s32s")
+# magic, format version, marshal version, program digest, cache size, cache
+# digest. The size is the cache's after the parse: a cache whose size differs
+# is stale without hashing it, and only the digest can tell it is unchanged.
+_INDEX_HEAD = struct.Struct("<8sHH32sQ32s")
 _INDEX_FRAME = struct.Struct("<I32s")
 _INDEX_FRAME_ENTRIES = 256
 _HASH_CHUNK = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def _program_digest() -> bytes:
+def _source_digest() -> Optional[bytes]:
     """SHA-256 of the interpreter's version and of the source of the two
     modules whose code decides what a store keeps of a record, this one and
-    ``core``: an index written by other rules is never trusted, whether or
-    not a version constant was bumped."""
+    ``core``, or None when a source cannot be read (then no index is read
+    or written)."""
     digest = hashlib.sha256(sys.version.encode("utf-8"))
-    for source in (__file__, core.__file__):
-        with open(source, "rb") as fh:
-            digest.update(fh.read())
+    try:
+        for source in (__file__, core.__file__):
+            with open(source, "rb") as fh:
+                digest.update(fh.read())
+    except OSError:
+        return None
     return digest.digest()
+
+
+# Taken at import, as close as possible to the code that runs: an index
+# written by other rules is never trusted, whether or not a version constant
+# was bumped.
+_PROGRAM_DIGEST = _source_digest()
 
 
 def _file_digest(path: str) -> bytes:
@@ -581,30 +591,35 @@ class ReplayStore:
     exactly the cache bytes parsed and a digest of the code of the rules
     that made the entries. A later open loads the index in place of the
     parse only when the head's versions and program digest match this
-    program's, the cache's bytes still have that SHA-256, and every frame
-    matches its own SHA-256; anything else parses the cache as above. So
-    the index only saves repeating a parse of identical bytes, and deleting
-    it is always safe. It is written to a temporary file and renamed into
-    place; a failure to read or write it falls back to the parse, and a
-    missing cache writes none. Opening never writes the cache itself.
+    program's, the cache has the size and still the SHA-256 the head
+    records, and every frame matches its own SHA-256; anything else parses
+    the cache as above. So the index only saves repeating a parse of
+    identical bytes, and deleting it is always safe. It is written to a
+    temporary file and renamed into place; a failure to read or write it
+    falls back to the parse, and a missing cache writes none. A store
+    opened with ``write_index=False``, as one that records is, loads a
+    valid index but neither hashes the cache nor writes one: its first
+    append would leave the index stale. Opening never writes the cache
+    itself.
     Readers share the entries; appends are serialized. A torn tail, or an
     append cut short by a failed write, is repaired by the next append
     (:func:`repair_tail`), so a record appended after a crash is never lost.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, write_index: bool = True):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._repair: Optional[Tuple[int, str]] = None
         if not os.path.exists(path) or self._load_index():
             return
-        digest = hashlib.sha256()
+        digest = hashlib.sha256() if write_index and _PROGRAM_DIGEST else None
         entries, self._repair = read_json_lines(
             path, "key", keep=lambda record: (record["key"], _replay_entry(record)),
             digest=digest)
         self._entries = dict(entries)
-        self._write_index(digest.digest())
+        if digest is not None:
+            self._write_index(digest.digest())
 
     def _load_index(self) -> bool:
         """Load the entries and the tail repair from the index if it holds
@@ -615,10 +630,11 @@ class ReplayStore:
                 head = fh.read(_INDEX_HEAD.size)
                 if len(head) != _INDEX_HEAD.size:
                     return False
-                *stamp, cache_digest = _INDEX_HEAD.unpack(head)
-                if stamp != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, _program_digest()]:
+                *stamp, cache_size, cache_digest = _INDEX_HEAD.unpack(head)
+                if stamp != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, _PROGRAM_DIGEST]:
                     return False
-                if cache_digest != _file_digest(self.path):
+                if (cache_size != os.path.getsize(self.path)
+                        or cache_digest != _file_digest(self.path)):
                     return False
                 count, repair = _read_frame(fh)
                 entries: dict = {}
@@ -639,7 +655,7 @@ class ReplayStore:
         temp = f"{index}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             head = _INDEX_HEAD.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
-                                    _program_digest(), cache_digest)
+                                    _PROGRAM_DIGEST, os.path.getsize(self.path), cache_digest)
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
                 _write_all(fd, head + _frame((len(self._entries), self._repair)))

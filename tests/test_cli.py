@@ -431,6 +431,20 @@ def test_replay_flag_round_trip(tmp_path, capsys):
     assert summary["config"]["backend_mode"] == "replay"
 
 
+def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
+    # Its first append would leave an index stale. No request is sent: the
+    # backend is only built.
+    cache = tmp_path / "cache.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["a"]}), ReplayStore(str(cache))).complete(
+        CompletionRequest(model="m", user_text="q", temperature=0.0))
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    args = build_parser().parse_args(["run", "--dataset", "coinflip", "--strategy", "cot",
+                                      "--record", str(cache)])
+    backend = cli._build_backend(args)
+    assert isinstance(backend, RecordingBackend) and len(backend.store) == 1
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+
 # ---------------------------------------------------------------- README
 
 
@@ -738,6 +752,31 @@ def test_resume_under_another_seed_or_data_path_exits_2(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(run + second) == 2
     assert f"{key} differ" in capsys.readouterr().err
+    assert traces.read_bytes() == written
+
+
+def test_resume_names_a_data_file_by_its_absolute_path(tmp_path, monkeypatch, capsys):
+    # One file named two ways is the same file; one relative name resumed
+    # from another directory is another file.
+    script = _mock_script_file(tmp_path, {"": ["reasoning", "the answer is 2"]})
+    run = ["run", "--dataset", "gsm8k", "--limit", "1", "--strategy", "cot",
+           "--mock-script", script, "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
+    other = tmp_path / "other"
+    other.mkdir()
+    for directory, gold in ((tmp_path, "2"), (other, "3")):
+        (directory / "a.jsonl").write_text(
+            json.dumps({"question": "1 + 1?", "answer": f"#### {gold}"}) + "\n",
+            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(run + ["--data-path", "a.jsonl"]) == 0
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    written = traces.read_bytes()
+    for same in ("./a.jsonl", str(tmp_path / "a.jsonl")):
+        assert main(run + ["--data-path", same]) == 0
+    monkeypatch.chdir(other)
+    capsys.readouterr()
+    assert main(run + ["--data-path", "a.jsonl"]) == 2
+    assert "data_path differ" in capsys.readouterr().err
     assert traces.read_bytes() == written
 
 

@@ -722,9 +722,9 @@ def test_store_serves_an_absent_count_as_zero(tmp_path):
 # ---------------------------------------------------------------- store index
 
 
-def _open_counting_parses(monkeypatch, path) -> tuple:
-    """Open the store at ``path``; returns it and how many times the open
-    parsed the cache (0 when it read the index)."""
+def _open_counting_parses(monkeypatch, path, **options) -> tuple:
+    """Open the store at ``path`` with ``options``; returns it and how many
+    times the open parsed the cache (0 when it read the index)."""
     parses = []
 
     def counting(*args, **kwargs):
@@ -733,8 +733,12 @@ def _open_counting_parses(monkeypatch, path) -> tuple:
 
     with monkeypatch.context() as patched:
         patched.setattr(breadth.llmio, "read_json_lines", counting)
-        store = ReplayStore(str(path))
+        store = ReplayStore(str(path), **options)
     return store, len(parses)
+
+
+def _no_hashing(*args, **kwargs):
+    raise AssertionError(f"hashed {args}")
 
 
 def _kept(store: ReplayStore) -> tuple:
@@ -856,9 +860,9 @@ def test_store_parses_when_its_index_was_written_by_other_rules(tmp_path, monkey
     index = tmp_path / "cache.jsonl.index"
     good = index.read_bytes()
     head = breadth.llmio._INDEX_HEAD
-    magic, fmt, version, program, cache = head.unpack(good[:head.size])
+    magic, fmt, version, program, *cache = head.unpack(good[:head.size])
     fields = {"magic": magic, "format": fmt, "marshal": version, "program": program, **stamp}
-    index.write_bytes(head.pack(*fields.values(), cache) + good[head.size:])
+    index.write_bytes(head.pack(*fields.values(), *cache) + good[head.size:])
     _assert_parses_and_reindexes(monkeypatch, path, kept)
     assert index.read_bytes() == good
 
@@ -868,7 +872,7 @@ def test_program_digest_covers_the_source_of_the_entry_rules():
     for module in (breadth.llmio, breadth.core):
         with open(module.__file__, "rb") as fh:
             digest.update(fh.read())
-    assert breadth.llmio._program_digest() == digest.digest()
+    assert breadth.llmio._PROGRAM_DIGEST == digest.digest()
 
 
 def test_store_parses_a_cache_edited_in_place_at_the_same_size(tmp_path, monkeypatch):
@@ -884,6 +888,11 @@ def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch)
     path, _ = _indexed_cache(tmp_path)
     with open(path, "ab") as fh:
         fh.write(b'\n{"key":"k4","texts":["four"]}\n')
+    # The cache's size already tells the index is stale: no hashing before the parse.
+    with monkeypatch.context() as patched:
+        patched.setattr(breadth.llmio, "_file_digest", _no_hashing)
+        store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    assert parses == 1 and len(store) == 4
     store = _assert_parses_and_reindexes(monkeypatch, path)
     assert len(store) == 4 and store._repair is None
     assert store.response(["k3", "k4"]).texts == ("three", "four")
@@ -898,12 +907,30 @@ def test_store_opened_from_its_index_repairs_the_tail_before_appending(tmp_path,
     assert [r["key"] for r in records] == ["k1", "k2", "k3", "k4"] and repair is None
 
 
-def test_store_without_a_cache_writes_and_hashes_nothing(tmp_path, monkeypatch):
-    def no_hashing(path):
-        raise AssertionError(f"hashed {path}")
+def test_store_opened_to_record_loads_an_index_but_hashes_and_writes_none(
+        tmp_path, monkeypatch):
+    path, kept = _indexed_cache(tmp_path)
+    index = tmp_path / "cache.jsonl.index"
+    stale = index.read_bytes()
+    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    assert parses == 0 and _kept(store) == kept
+    store.append([_record("k4")])
+    # The append left the index stale: a recording store parses, hashing
+    # neither the cache nor the bytes it parses, and leaves the index be.
+    monkeypatch.setattr(breadth.llmio, "_file_digest", _no_hashing)
+    monkeypatch.setattr(breadth.llmio.hashlib, "sha256", _no_hashing)
+    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    assert parses == 1 and len(store) == 4 and store.response(["k4"]).texts == ("t",)
+    assert index.read_bytes() == stale
+    index.unlink()
+    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    assert parses == 1 and len(store) == 4
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
 
-    monkeypatch.setattr(breadth.llmio, "_file_digest", no_hashing)
-    monkeypatch.setattr(breadth.llmio, "read_json_lines", no_hashing)
+
+def test_store_without_a_cache_writes_and_hashes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(breadth.llmio, "_file_digest", _no_hashing)
+    monkeypatch.setattr(breadth.llmio, "read_json_lines", _no_hashing)
     assert len(ReplayStore(str(tmp_path / "cache.jsonl"))) == 0
     assert os.listdir(tmp_path) == []
 
