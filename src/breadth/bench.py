@@ -422,7 +422,11 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
             correct=(not final.abstain) and final == q.gold,
             rounds=max(t.round for t in traces), trace_count=len(traces),
         ))
-        total_usage = sum((t.usage for t in traces), total_usage)
+        prompt, completion = total_usage.prompt_tokens, total_usage.completion_tokens
+        for trace in traces:
+            prompt += trace.usage.prompt_tokens
+            completion += trace.usage.completion_tokens
+        total_usage = Usage(prompt, completion)
 
     def write_oldest():
         nonlocal repair

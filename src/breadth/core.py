@@ -31,12 +31,15 @@ _EXPECTED_LABELS = "ABCDE"
 # keys, no spaces, non-ASCII escaped. ``json.dumps`` with these arguments
 # would build a new encoder on every call. The three per-record writers
 # (``CompletionRequest.sample_payloads``, ``ReplayStore.append`` and
-# ``ReasoningTrace.json_line``) place values encoded with it into fixed
-# layouts; ``test_cache_key_is_the_digest_of_each_samples_own_request``,
+# ``ReasoningTrace.json_line``) write fixed layouts and escape each string
+# with ``json_string``, the C string encoder that ``canonical_json`` calls
+# for a str, without the encoder's Python-level dispatch;
+# ``test_cache_key_is_the_digest_of_each_samples_own_request``,
 # ``test_recorded_lines_are_the_canonical_json_of_each_samples_record`` and
 # ``test_trace_lines_are_the_canonical_json_of_each_trace`` pin each layout to
 # this encoding of the whole record.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+json_string = json.encoder.encode_basestring_ascii
 
 
 def parse_json(text: str, where: str, lineno: int = 1) -> Any:
@@ -412,12 +415,16 @@ class ReasoningTrace(Record):
             '"question_id":%s,"raw_prediction_text":%s,"reasoning_text":%s,'
             '"reformulation_index":%d,"round":%d,"sample_index":%d,'
             '"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
-                canonical_json(self.assembled_input), self.latency_ms,
-                "true" if parsed.abstain else "false", canonical_json(parsed.kind.value),
-                canonical_json(parsed.value), canonical_json(self.question_id),
-                canonical_json(self.raw_prediction_text), canonical_json(self.reasoning_text),
+                json_string(self.assembled_input), self.latency_ms,
+                "true" if parsed.abstain else "false", _FORMAT_JSON[parsed.kind],
+                json_string(parsed.value), json_string(self.question_id),
+                json_string(self.raw_prediction_text), json_string(self.reasoning_text),
                 self.reformulation_index, self.round, self.sample_index,
                 usage.completion_tokens, usage.prompt_tokens))
+
+
+# Each answer format's JSON string, as a trace line writes its parsed kind.
+_FORMAT_JSON = {fmt: json_string(fmt.value) for fmt in AnswerFormat}
 
 
 # The knobs each kind reads besides ``temperature``, with the kind's defaults:

@@ -26,11 +26,11 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from . import core
-from .core import Usage, canonical_json, check_json_fields, is_count
+from .core import Usage, check_json_fields, is_count, json_string
 
 if TYPE_CHECKING:
     import requests
@@ -90,6 +90,27 @@ class ScriptExhaustedError(LlmIoError):
     """A scripted rule's response list ran out."""
 
 
+class _computed_once:
+    """``functools.cached_property`` without the lock it takes on every first
+    read before Python 3.12: the first read computes the value and keeps it
+    in the instance dict, where later reads find it. The value is a pure
+    function of a frozen instance, so two threads that both compute it
+    store equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     """One generation request against a chat-completion backend."""
@@ -123,7 +144,7 @@ class CompletionRequest:
                 raise ValueError(f"request field {name!r} must be null, got {d[name]!r:.80}")
         return cls(**kwargs)
 
-    @cached_property
+    @_computed_once
     def sample_payloads(self) -> Tuple[bytes, ...]:
         """Each sample's own request in canonical JSON, in sample order.
 
@@ -132,22 +153,33 @@ class CompletionRequest:
         sequential sampling share records. :func:`cache_key` digests these
         bytes and the cache stores them, so a request is encoded once. The
         fields are written in sorted order: strings through
-        :func:`canonical_json`, ints with ``%d`` and a float temperature
-        with ``float.__repr__``, as the encoder writes them. The layout
-        also holds ``max_tokens``, ``system_text`` and ``top_k``, always
-        ``null``: no request sets them, and keeping their slots keeps every
-        key and record this program has written.
+        :func:`~breadth.core.json_string`, ints with ``%d`` and a float
+        temperature with ``float.__repr__``, as the encoder writes them. The
+        layout also holds ``max_tokens``, ``system_text`` and ``top_k``,
+        always ``null``: no request sets them, and keeping their slots keeps
+        every key and record this program has written. The bytes around the
+        batch id that only the model and temperature decide come from
+        :func:`_request_layout`.
         """
         temperature = self.temperature
-        head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % (
-            canonical_json(self.model))
-        tail = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":%s}' % (
-            float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature,
-            canonical_json(self.user_text))
-        ids = (self.sample_batch_id,) if self.n_samples == 1 else range(self.n_samples)
-        # canonical_json writes ASCII only.
-        head, tail = head.encode("ascii"), tail.encode("ascii")
-        return tuple(b"%s%d%s" % (head, i, tail) for i in ids)
+        # -0.0 == 0.0, so the sign is part of the memo's key.
+        head, middle = _request_layout(self.model, temperature, math.copysign(1.0, temperature))
+        # json_string writes ASCII only.
+        tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
+        if self.n_samples == 1:
+            return (b"%s%d%s" % (head, self.sample_batch_id, tail),)
+        return tuple([b"%s%d%s" % (head, i, tail) for i in range(self.n_samples)])
+
+
+@lru_cache(maxsize=64, typed=True)
+def _request_layout(model: str, temperature: float, sign: float) -> Tuple[bytes, bytes]:
+    """The constant bytes of a request's layout before and after its
+    ``sample_batch_id``, up to its ``user_text``. Memoized by type as well
+    as value: the int 1 writes ``1`` and the float 1.0 writes ``1.0``."""
+    head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % json_string(model)
+    middle = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":' % (
+        float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature)
+    return head.encode("ascii"), middle.encode("ascii")
 
 
 # The slots of the fields no request sets, which every stored request holds
@@ -162,13 +194,14 @@ class CompletionResponse:
     backend: str = BACKEND_MOCK
 
     def __post_init__(self):
-        object.__setattr__(self, "texts", tuple(self.texts))
+        if type(self.texts) is not tuple:
+            object.__setattr__(self, "texts", tuple(self.texts))
 
 
 def cache_key(req: CompletionRequest) -> Tuple[str, ...]:
     """The request's per-sample cache keys, in sample order: the SHA-256 of
     each of :attr:`CompletionRequest.sample_payloads`."""
-    return tuple(hashlib.sha256(payload).hexdigest() for payload in req.sample_payloads)
+    return tuple([hashlib.sha256(payload).hexdigest() for payload in req.sample_payloads])
 
 
 class Backend:
@@ -698,8 +731,8 @@ class ReplayStore:
         data = b"".join(
             b'{"key":%s,"request":%s,"texts":[%s],'
             b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
-                canonical_json(key).encode("utf-8"), request,
-                canonical_json(text).encode("utf-8"),
+                json_string(key).encode("ascii"), request,
+                json_string(text).encode("ascii"),
                 usage.completion_tokens, usage.prompt_tokens)
             for key, request, text, usage in records)
         with self._lock:
@@ -724,25 +757,23 @@ class ReplayStore:
     def response(self, keys: Sequence[str],
                  backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
         """One response from the per-sample entries under ``keys``, in order."""
-        texts: List[str] = []
-        prompt_tokens = 0
+        entries = self._entries
+        texts = []
+        prompt_tokens = None
         completion_tokens = 0
-        for i, key in enumerate(keys):
-            entry = self._entries.get(key)
-            if entry is None:
-                raise CacheMissError(f"no recorded response for key {key}")
-            if isinstance(entry, str):
+        for key in keys:
+            entry = entries.get(key)
+            if type(entry) is not tuple:
+                if entry is None:
+                    raise CacheMissError(f"no recorded response for key {key}")
                 raise ValueError(entry)
             text, prompt, completion = entry
             texts.append(text)
-            if i == 0:
+            if prompt_tokens is None:
                 prompt_tokens = prompt
             completion_tokens += completion
-        return CompletionResponse(
-            texts=tuple(texts),
-            usage=Usage(prompt_tokens, completion_tokens),
-            backend=backend_tag,
-        )
+        return CompletionResponse(tuple(texts), Usage(prompt_tokens or 0, completion_tokens),
+                                  backend_tag)
 
 
 def split_usage(usage: Usage, n_samples: int) -> List[Usage]:
@@ -750,8 +781,8 @@ def split_usage(usage: Usage, n_samples: int) -> List[Usage]:
     the first sample, completion tokens split evenly with the remainder on
     the first."""
     share, remainder = divmod(usage.completion_tokens, n_samples)
-    return [Usage(usage.prompt_tokens, share + remainder)] + [
-        Usage(0, share) for _ in range(n_samples - 1)]
+    # A Usage is immutable, so samples 1..n-1 share one.
+    return [Usage(usage.prompt_tokens, share + remainder)] + [Usage(0, share)] * (n_samples - 1)
 
 
 class ReplayBackend(Backend):

@@ -13,7 +13,7 @@ import pytest
 
 import breadth.llmio
 from breadth.bench import run_experiment
-from breadth.core import StrategyKind, Usage, default_config
+from breadth.core import StrategyKind, Usage, canonical_json, default_config
 from breadth.llmio import (
     BACKEND_MOCK,
     BACKEND_REPLAY_HIT,
@@ -32,7 +32,6 @@ from breadth.llmio import (
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
-    canonical_json,
     read_json_lines,
     retry_delay,
     split_usage,
@@ -161,8 +160,12 @@ def test_cache_key_is_the_digest_of_each_samples_own_request():
     # The reference: every sample's request built and encoded on its own.
     # The cache stores the payloads themselves, so their bytes must match too.
     rng = random.Random(11)
-    for _ in range(2000):
-        request = _random_request(rng)
+    requests = [_random_request(rng) for _ in range(2000)]
+    # Equal temperatures of another type or sign, one right after the other:
+    # a memo of the constant slots keyed by value alone serves the second the
+    # first one's "temperature" bytes.
+    requests += [CompletionRequest("memo", "q", t) for t in (1, 1.0, 0.0, 0, -0.0, 0.0)]
+    for request in requests:
         payloads = tuple(
             json.dumps(request_dict(s), sort_keys=True, separators=(",", ":")).encode("utf-8")
             for s in _per_sample_requests(request))
