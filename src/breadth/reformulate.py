@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
+from .core import Usage
 from .llmio import Backend, call
 
 logger = logging.getLogger(__name__)
@@ -69,6 +70,16 @@ class ReformulationSpec:
         return PROMPT_INSTRUCTION
 
 
+class Reformulations(list):
+    """What :func:`reformulate` returns: the variants, a list of strings,
+    and ``usage``, the tokens of every rewrite call that made them, retries
+    included."""
+
+    def __init__(self, variants=(), usage: Usage = Usage()):
+        super().__init__(variants)
+        self.usage = usage
+
+
 def prompt_bank() -> List[str]:
     """The ten fixed alternative prompts, order-stable across calls."""
     return list(PROMPT_BANK)
@@ -90,9 +101,10 @@ def _normalized(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> List[str]:
+def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformulations:
     """Generate ``spec.n_variants`` rewrites of ``text`` (element 0 is the
-    verbatim original when ``include_original`` is set).
+    verbatim original when ``include_original`` is set), with the usage of
+    the calls that made them.
 
     One backend call per variant, at temperature 1.0 with the backend's
     model; blank or normalized-duplicate outputs are regenerated up to a
@@ -107,14 +119,14 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> List[st
     else:
         stem = text
 
-    variants: List[str] = []
+    variants = Reformulations()
     seen = set()
     if spec.include_original:
         variants.append(text)
         seen.add(_normalized(text))
     needed = spec.n_variants - len(variants)
     if needed <= 0:
-        return variants[: spec.n_variants]
+        return variants
 
     instruction = spec.instruction()
     prompt_text = f"{instruction}\n{stem}"
@@ -124,6 +136,7 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> List[st
         for attempt in range(_DEDUP_RETRIES + 1):
             response, _ = call(backend, prompt_text, 1.0,
                                sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
+            variants.usage += response.usage
             candidate = response.texts[0].strip()
             if not candidate:
                 logger.warning("blank reformulation for variant %d, regenerating", index)

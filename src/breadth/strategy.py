@@ -115,22 +115,26 @@ def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
 
 
 def _build_contexts(q: Question, cfg: StrategyConfig,
-                    backend: Backend) -> List[Tuple[str, str]]:
-    """The (question_text, prompt_text) pairs a run will explore.
+                    backend: Backend) -> Tuple[List[Tuple[str, str]], Usage]:
+    """The (question_text, prompt_text) pairs a run will explore, and the
+    usage of the rewrite calls the question is charged for.
 
     Only rewriting strategies have more than the canonical context; they keep
-    the original as context 0 and rewrite the rest.
+    the original as context 0 and rewrite the rest. A question's rewrites
+    are its own cost. Prompt rewrites are not counted yet: they do not
+    depend on the question, and are to be drawn and counted once per run.
     """
     prompt_text = cfg.canonical_prompt
     kind = cfg.kind
     if kind == StrategyKind.SC or kind not in BREADTH_KINDS:
-        return [(q.text, prompt_text)]
+        return [(q.text, prompt_text)], Usage()
     n_contexts = cfg.n_reformulations
     if kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC):
         spec = ReformulationSpec(ReformulationTarget.QUESTION, n_contexts, include_original=True)
-        return [(v, prompt_text) for v in reformulate(q.text, spec, backend)]
+        variants = reformulate(q.text, spec, backend)
+        return [(v, prompt_text) for v in variants], variants.usage
     spec = ReformulationSpec(ReformulationTarget.PROMPT, n_contexts, include_original=True)
-    return [(q.text, v) for v in reformulate(prompt_text, spec, backend)]
+    return [(q.text, v) for v in reformulate(prompt_text, spec, backend)], Usage()
 
 
 def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: int,
@@ -225,16 +229,23 @@ def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
 def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
                  triggers: Optional[Mapping[AnswerFormat, str]] = None,
                  ) -> Tuple[ReasoningTrace, ...]:
-    """Build the question's contexts, then run its paths over them."""
+    """Build the question's contexts, then run its paths over them. The
+    first trace, sample 0 of context 0, also carries the usage of the
+    question's rewrite calls, as it carries a batched call's prompt tokens,
+    so the traces alone hold every token the question is charged for."""
     if not q.text.strip():
         logger.warning("question %s has empty text", q.id)
     try:
-        contexts = _build_contexts(q, cfg, backend)
+        contexts, rewrite_usage = _build_contexts(q, cfg, backend)
     except (LlmIoError, ValueError) as exc:
         # A ValueError here is a text that cannot be rewritten, such as a
         # blank question: this question fails, the run goes on.
         raise StrategyError(q.id, exc) from exc
-    return run_contexts(q, contexts, cfg, backend, triggers)
+    traces = run_contexts(q, contexts, cfg, backend, triggers)
+    if rewrite_usage.total_tokens:
+        first = traces[0]
+        traces = (replace(first, usage=first.usage + rewrite_usage),) + traces[1:]
+    return traces
 
 
 class _PlaceholderBackend(Backend):

@@ -48,7 +48,7 @@ from conftest import mc_question
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
-from fakebackend import FakeBackend, FakeParams  # noqa: E402
+from fakebackend import CountingBackend, FakeBackend, FakeParams  # noqa: E402
 
 PROMPT = "Let's think step by step."
 
@@ -308,6 +308,20 @@ def test_rerun_of_finished_run_resumes_every_question(tmp_path):
         assert again.outcomes == first.outcomes
         assert again.accuracy == first.accuracy
         assert again.usage == first.usage
+
+
+def test_a_question_rewriting_run_records_every_token_the_backend_served(tmp_path):
+    # Rewrite calls' tokens used to be dropped: this run recorded 2,708 of
+    # the 4,039 tokens served. They now sit on sample 0 of context 0.
+    questions = generate_synthetic("coinflip", 6, seed=3)
+    cfg = default_config(StrategyKind.QUESTION_C, n_reformulations=3)
+    backend = CountingBackend(FakeBackend(questions, seed=3))
+    record = run_experiment("coinflip", questions, cfg, backend,
+                            runs_dir=str(tmp_path), run_id="run")
+    assert backend.tokens == 4039
+    assert record.usage.total_tokens == backend.tokens
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    assert summary["usage"] == record.usage.to_dict()
 
 
 def test_resume_under_a_foreign_config_is_refused_before_any_call(tmp_path):

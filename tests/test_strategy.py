@@ -15,7 +15,7 @@ from breadth.core import (
     default_config,
 )
 from breadth.llmio import ScriptedBackend
-from breadth.reformulate import QUESTION_INSTRUCTION
+from breadth.reformulate import QUESTION_INSTRUCTION, Reformulations
 from breadth.strategy import (
     StrategyError,
     answer_trigger,
@@ -246,7 +246,7 @@ def list_reformulator(variants_by_text):
         while len(out) < spec.n_variants:
             out.append(pool[i] if i < len(pool) else f"{text} (rewrite {i})")
             i += 1
-        return out[: spec.n_variants]
+        return Reformulations(out[: spec.n_variants])
 
     return _reformulate
 
