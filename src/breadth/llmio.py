@@ -175,7 +175,8 @@ class CompletionRequest:
 def _request_layout(model: str, temperature: float, sign: float) -> Tuple[bytes, bytes]:
     """The constant bytes of a request's layout before and after its
     ``sample_batch_id``, up to its ``user_text``. Memoized by type as well
-    as value: the int 1 writes ``1`` and the float 1.0 writes ``1.0``."""
+    as value, since the int 1 writes ``1`` and the float 1.0 writes
+    ``1.0``; ``sign`` keeps 0.0 and -0.0 apart."""
     head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % json_string(model)
     middle = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":' % (
         float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature)
@@ -759,8 +760,7 @@ class ReplayStore:
         """One response from the per-sample entries under ``keys``, in order."""
         entries = self._entries
         texts = []
-        prompt_tokens = None
-        completion_tokens = 0
+        prompt_tokens = completion_tokens = 0
         for key in keys:
             entry = entries.get(key)
             if type(entry) is not tuple:
@@ -768,11 +768,11 @@ class ReplayStore:
                     raise CacheMissError(f"no recorded response for key {key}")
                 raise ValueError(entry)
             text, prompt, completion = entry
-            texts.append(text)
-            if prompt_tokens is None:
+            if not texts:
                 prompt_tokens = prompt
+            texts.append(text)
             completion_tokens += completion
-        return CompletionResponse(tuple(texts), Usage(prompt_tokens or 0, completion_tokens),
+        return CompletionResponse(tuple(texts), Usage(prompt_tokens, completion_tokens),
                                   backend_tag)
 
 

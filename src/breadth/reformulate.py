@@ -73,11 +73,10 @@ class ReformulationSpec:
 class Reformulations(list):
     """What :func:`reformulate` returns: the variants, a list of strings,
     and ``usage``, the tokens of every rewrite call that made them, retries
-    included."""
+    included. It is a list, so a caller that wants only the variants reads
+    it as one."""
 
-    def __init__(self, variants=(), usage: Usage = Usage()):
-        super().__init__(variants)
-        self.usage = usage
+    usage = Usage()
 
 
 def prompt_bank() -> List[str]:
