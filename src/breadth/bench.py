@@ -16,10 +16,11 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from importlib import resources
 from typing import Deque, Dict, List, Optional, Sequence
@@ -348,7 +349,8 @@ def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
     text = json.dumps(config, sort_keys=True, indent=2) + "\n"
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            stored = parse_json(fh.read(), path)
+            stored_text = fh.read()
+        stored = parse_json(stored_text, path)
         if not isinstance(stored, dict):
             raise ValueError(f"{path}: expected a JSON object, got {stored!r:.80}")
         ours = json.loads(text)
@@ -358,11 +360,29 @@ def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
             raise ValueError(f"run {run_id} was made under another config ({path}): "
                              f"{', '.join(changed)} differ; resume it with its own "
                              "config, or start a new run id")
+        if stored_text == text:
+            return
     elif resuming:
         logger.warning("run %s: %s has traces but no config.json; resuming them "
                        "without checking their config", run_id, run_dir)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replaced(path) as fh:
         fh.write(text)
+
+
+@contextmanager
+def _replaced(path: str):
+    """A text file to write in place of ``path``: written to a temporary
+    file, which ``os.replace`` moves over ``path`` once the block ends, so
+    that a crash leaves the old file or the new one, never a torn one."""
+    temp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temp)
+        raise
 
 
 def _load_existing_traces(traces_path: str) -> tuple:
@@ -482,7 +502,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         outcomes=tuple(outcomes), accuracy=accuracy,
         usage=total_usage, wall_time_s=wall, partial=partial,
     )
-    with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with _replaced(os.path.join(run_dir, "summary.json")) as fh:
         json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return record

@@ -76,6 +76,9 @@ def _build_backend(args) -> Backend:
     if len(modes) > 1:
         raise UsageError("choose one of --replay, --record, --mock-script")
     if args.replay:
+        # A store opened on a missing file is empty, and would fail every call.
+        if not os.path.isfile(args.replay):
+            raise RuntimeError(f"--replay: no cache file at {args.replay}")
         return ReplayBackend(ReplayStore(args.replay), model=args.model)
     if args.mock_script:
         with open(args.mock_script, "r", encoding="utf-8") as fh:

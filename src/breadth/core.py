@@ -305,11 +305,14 @@ def _canonical_free_form(raw: str) -> Optional[str]:
     return text or None
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def canonical_answer(raw: str, fmt: AnswerFormat) -> Answer:
     """Normalize a raw answer fragment into a canonical :class:`Answer`.
 
     Deterministic and total: unparseable input yields an abstaining answer,
-    never an exception. Idempotent on its own output.
+    never an exception. Idempotent on its own output. Memoized, so equal
+    answers share one :class:`Answer`; by type as well as value, since a
+    plain-``str`` ``fmt`` is kept as the answer's ``kind``.
     """
     if fmt == AnswerFormat.NUMERIC:
         value = _canonical_numeric(raw)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import breadth.bench as bench_module
 from breadth.cli import main
 from breadth.core import (
     KIND_KNOBS,
@@ -370,6 +371,61 @@ def test_resume_without_a_config_file_warns_and_resumes(tmp_path, caplog):
     assert untouched.calls == [] and again.outcomes == first.outcomes
     assert "has traces but no config.json" in caplog.text
     assert (tmp_path / "old" / "config.json").exists()
+
+
+def _crashing_open(name):
+    """An ``open`` for ``bench`` under which writing a file whose name starts
+    with ``name`` writes half of its first chunk and then raises, as a crash
+    would stop it."""
+    def crashing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith(name):
+            def write(data):
+                type(fh).write(fh, data[:len(data) // 2])
+                fh.flush()
+                raise OSError(f"crash while writing {path}")
+            fh.write = write
+        return fh
+    return crashing_open
+
+
+def test_a_crash_while_writing_the_run_files_leaves_each_one_whole(tmp_path, monkeypatch):
+    # config.json and summary.json used to be rewritten in place: a crash in
+    # either write left it torn, and a torn config.json failed every later
+    # start of the run id.
+    questions = generate_synthetic("coinflip", 3, seed=3)
+    cfg = default_config(StrategyKind.SC, m_samples=3)
+
+    def start(runs, limit):
+        return run_experiment("coinflip", questions[:limit], cfg, FakeBackend(questions, seed=1),
+                              runs_dir=str(tmp_path / runs), run_id="run",
+                              effective_config={**cfg.to_dict(), "limit": limit})
+
+    start("whole", 3)
+    whole = tmp_path / "whole" / "run"
+    run_dir = tmp_path / "runs" / "run"
+    start("runs", 2)
+    config, summary = (run_dir / "config.json").read_bytes(), (run_dir / "summary.json").read_bytes()
+
+    # A larger limit rewrites config.json at the start, before any call.
+    monkeypatch.setattr(bench_module, "open", _crashing_open("config.json"), raising=False)
+    with pytest.raises(OSError, match="crash while writing"):
+        start("runs", 3)
+    assert (run_dir / "config.json").read_bytes() == config
+    assert (run_dir / "summary.json").read_bytes() == summary
+
+    monkeypatch.setattr(bench_module, "open", _crashing_open("summary.json"), raising=False)
+    with pytest.raises(OSError, match="crash while writing"):
+        start("runs", 3)
+    assert (run_dir / "config.json").read_bytes() == (whole / "config.json").read_bytes()
+    assert (run_dir / "summary.json").read_bytes() == summary
+
+    # config.json already holds these bytes, so this start does not write it
+    # and never reaches the crash; it finishes the run from the traces.
+    monkeypatch.setattr(bench_module, "open", _crashing_open("config.json"), raising=False)
+    start("runs", 3)
+    assert (run_dir / "summary.json").read_bytes() == (whole / "summary.json").read_bytes()
+    assert sorted(os.listdir(run_dir)) == ["config.json", "summary.json", "traces.jsonl"]
 
 
 def test_token_budget_stops_gracefully_with_partial_flag(tmp_path):

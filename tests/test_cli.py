@@ -406,6 +406,17 @@ def test_cache_and_replay_reject_a_record_without_a_key(tmp_path, capsys, line, 
     assert capsys.readouterr().err.strip() == expected
 
 
+def test_replay_of_a_missing_cache_exits_2_before_the_run_starts(tmp_path, capsys):
+    # It used to run, fail every question as a cache miss and exit 0.
+    missing = tmp_path / "nope.jsonl"
+    runs = tmp_path / "runs"
+    code = main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "cot",
+                 "--replay", str(missing), "--runs-dir", str(runs), "--run-id", "r"])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not runs.exists() and not missing.exists()
+
+
 def test_replay_flag_round_trip(tmp_path, capsys):
     # Seeded generator questions are reproducible, so a cache recorded through
     # the library replays through the CLI over the same dataset slice.

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from breadth.core import Answer, AnswerFormat, canonical_answer
-from breadth.extract import EmptyInputError, extract_answer, majority_vote
+from breadth.extract import EmptyInputError, _raw_answer, extract_answer, majority_vote
 from conftest import evaluate_corpus, load_corpus
 
 MC = AnswerFormat.MULTIPLE_CHOICE
@@ -95,6 +95,90 @@ def test_trigger_lists_ship_as_data():
     phrases = json.loads(shipped.read_text(encoding="utf-8"))[MC.value]
     assert "the answer is" in phrases
     assert all(p == p.lower() for p in phrases)
+
+
+# ---------------------------------------------------------------- memo
+
+# Every case the tests above parse: (text, format, choices).
+EXTRACTION_CASES = [
+    ("Therefore, among A through E, the answer is (B) 15.8113.", MC, None),
+    ("The correct answer choice is (D) 65,000.", MC, None),
+    ("Number of bags = 120\nTherefore, the grocer sold **120 bags**", AnswerFormat.NUMERIC, None),
+    ("the answer is (C).\nWait, on reflection the answer is (A).", MC, None),
+    ("the answer is (A) 15", MC, (("A", "15"), ("B", "16"))),
+    ("the answer is (C)", MC, (("A", "x"), ("B", "y"))),
+    ("the answer is (B)", MC, (("A", "x"), ("B", "y"))),
+    ("Possibilities include (A) and (B), but mostly (D) appeals.", MC, None),
+    ("We compute 10 * 12 = 120.\nSo there are 120 apples in 4 boxes.",
+     AnswerFormat.NUMERIC, None),
+    ("All apples. None counted.", AnswerFormat.NUMERIC, None),
+    ("the answer is $3,000", AnswerFormat.NUMERIC, None),
+    ("the answer is approximately 15.8114", AnswerFormat.NUMERIC, None),
+    ("No wait. Considering the flips, the coin is heads up. So yes.", AnswerFormat.YES_NO, None),
+    ("Therefore, the answer (Yes or No) is No.", AnswerFormat.YES_NO, None),
+    ('the answer is "nkls".', AnswerFormat.FREE_FORM, None),
+    ("Concatenating gives **nkls** overall.", AnswerFormat.FREE_FORM, None),
+    ("Some reasoning.\nnkls", AnswerFormat.FREE_FORM, None),
+]
+OTHER_LABELS = (None, (("A", "x"), ("B", "y")), (("C", "x"), ("D", "y")))
+
+
+def _clear_memos():
+    _raw_answer.cache_clear()
+    canonical_answer.cache_clear()
+
+
+def test_a_text_parses_the_same_cold_warm_and_after_other_formats_and_labels():
+    cases = EXTRACTION_CASES + [(entry["text"], AnswerFormat(entry["format"]), None)
+                                for entry in load_corpus()]
+    for text, fmt, choices in cases:
+        _clear_memos()
+        cold = extract_answer(text, fmt, choices)
+        warm = extract_answer(text, fmt, choices)
+        for other_fmt, other_choices in itertools.product(AnswerFormat, OTHER_LABELS):
+            extract_answer(text, other_fmt, other_choices)
+        assert cold == warm == extract_answer(text, fmt, choices), (text, fmt, choices)
+        assert warm.kind is fmt
+    assert evaluate_corpus(load_corpus()) == []
+
+
+def test_a_text_parses_by_its_own_format_and_labels_whatever_came_before():
+    _clear_memos()
+    text = "So yes, the answer is (A) 3 apples."
+    expected = {AnswerFormat.NUMERIC: "3", MC: "A", AnswerFormat.YES_NO: "yes",
+                AnswerFormat.FREE_FORM: "(a) 3 apples"}
+    for _ in range(2):
+        for fmt, value in expected.items():
+            assert extract_answer(text, fmt) == Answer(fmt, value)
+    for _ in range(2):
+        assert extract_answer("the answer is (C)", MC) == mc("C")
+        assert extract_answer("the answer is (C)", MC, OTHER_LABELS[1]).abstain
+        assert extract_answer("the answer is (C)", MC, OTHER_LABELS[2]) == mc("C")
+
+
+def test_choices_given_as_lists_parse():
+    choices = [["A", "x"], ["B", "y"]]
+    assert extract_answer("the answer is (B)", MC, choices) == mc("B")
+    assert extract_answer("the answer is (C)", MC, choices).abstain
+
+
+def test_equal_answers_share_one_answer_and_the_memos_are_bounded():
+    text = "Therefore, among A through E, the answer is (B) 15.8113."
+    assert extract_answer(text, MC) is extract_answer(text, MC)
+    for i in range(300):
+        extract_answer(f"the answer is {i}", AnswerFormat.NUMERIC)
+    assert _raw_answer.cache_info().currsize <= 256
+    assert canonical_answer.cache_info().currsize <= 256
+
+
+def test_a_plain_string_format_never_shares_a_memo_entry_with_its_member():
+    for order in ("yes_no", AnswerFormat.YES_NO), (AnswerFormat.YES_NO, "yes_no"):
+        canonical_answer.cache_clear()
+        answers = {type(fmt): canonical_answer("yes", fmt) for fmt in order}
+        assert type(answers[str].kind) is str
+        assert answers[AnswerFormat].kind is AnswerFormat.YES_NO
+        assert answers[AnswerFormat].to_dict() == {"kind": "yes_no", "value": "yes",
+                                                   "abstain": False}
 
 
 # ---------------------------------------------------------------- voting
