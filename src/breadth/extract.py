@@ -143,7 +143,9 @@ def extract_answer(text: str, fmt: AnswerFormat,
     raw = _raw_answer(text, fmt, labels)
     if raw is None:
         # divergences from known output shapes are logged, never guessed
-        logger.debug("no %s answer found in prediction text: %.120r", fmt.value, text)
+        # AnswerFormat(fmt): a format given as its plain string has no .value
+        logger.debug("no %s answer found in prediction text: %.120r",
+                     AnswerFormat(fmt).value, text)
         return Answer.abstained(fmt)
     return canonical_answer(raw, fmt)
 

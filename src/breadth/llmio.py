@@ -25,6 +25,7 @@ import struct
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
@@ -510,25 +511,30 @@ def repair_tail(path: str, repair: Tuple[int, str]) -> str:
     return prefix
 
 
-def _replay_entry(record: dict) -> Union[Tuple[str, int, int], str]:
-    """What the store keeps of a cache record, and the one rule of what it
-    can serve: ``(text, prompt_tokens, completion_tokens)`` when the
-    record's ``texts`` is a list of one string, as a record serves one
-    sample, and each count is a JSON int >= 0 (an absent count or ``usage``
-    reads as 0); else the message of the ``ValueError`` that serving the
-    record's key raises."""
-    texts, usage = record.get("texts"), record.get("usage", {})
+def _entry(key: str, texts: Any, prompt: Any, completion: Any) -> Union[Tuple[str, int, int], str]:
+    """The one rule of what the store can serve of a record, given its
+    fields: ``(text, prompt, completion)`` when ``texts`` is a list of one
+    string, as a record serves one sample, and each count is a JSON int >= 0;
+    else the message of the ``ValueError`` that serving ``key`` raises."""
     if not (isinstance(texts, list) and len(texts) == 1 and isinstance(texts[0], str)):
-        return (f"record {record['key']} has no usable texts: 'texts' must be "
+        return (f"record {key} has no usable texts: 'texts' must be "
                 f"a list of one string, got {texts!r:.80}")
-    if isinstance(usage, dict):
-        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-    else:  # read as null counts
-        prompt = completion = None
     if not (is_count(prompt) and is_count(completion)):
-        return (f"record {record['key']} has no usable token counts: each must be "
+        return (f"record {key} has no usable token counts: each must be "
                 f"an int >= 0, got {prompt!r:.40} and {completion!r:.40}")
     return texts[0], prompt, completion
+
+
+def _replay_entry(record: dict) -> Union[Tuple[str, int, int], str]:
+    """What the store keeps of a parsed cache record: :func:`_entry` of its
+    fields, where an absent count or ``usage`` reads as 0 and a ``usage``
+    that is not an object as null counts."""
+    usage = record.get("usage", {})
+    if isinstance(usage, dict):
+        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    else:
+        prompt = completion = None
+    return _entry(record["key"], record.get("texts"), prompt, completion)
 
 
 def check_servable(record: dict) -> None:
@@ -638,6 +644,13 @@ class ReplayStore:
     Readers share the entries; appends are serialized. A torn tail, or an
     append cut short by a failed write, is repaired by the next append
     (:func:`repair_tail`), so a record appended after a crash is never lost.
+
+    The first append opens the cache with ``O_APPEND``, and the store keeps
+    that one descriptor until it is dropped; a store that only replays never
+    opens one. Each append reads the descriptor's file status once: its size
+    is where a write cut short is cut back to, and a file with no link left,
+    a cache deleted or replaced under the store, is closed and the cache
+    opened again at its path, so the record still lands at the path.
     """
 
     def __init__(self, path: str, write_index: bool = True):
@@ -645,6 +658,9 @@ class ReplayStore:
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._repair: Optional[Tuple[int, str]] = None
+        # The append descriptor, opened by the first append.
+        self._fd: Optional[int] = None
+        self._close_fd: Optional[weakref.finalize] = None
         if not os.path.exists(path) or self._load_index():
             return
         digest = hashlib.sha256() if write_index and _PROGRAM_DIGEST else None
@@ -713,47 +729,66 @@ class ReplayStore:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]):
+    def has(self, keys: Sequence[str]) -> bool:
+        """Whether every one of ``keys`` has an entry, served or not."""
+        entries = self._entries
+        for key in keys:
+            if key not in entries:
+                return False
+        return True
+
+    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]
+               ) -> List[Tuple[str, int, int]]:
         """Store one response's records, ``(key, request, text, usage)`` each
         with ``request`` in canonical JSON, as one line per record in one
-        write. A line is the canonical JSON of ``{"key", "request", "texts":
-        [text], "usage"}``: its keys are already in sorted order. A record
-        that could not be served raises ``ValueError`` before anything is
-        written, so every count written is an int, which ``%d`` writes as
-        JSON does, and a line reads back as the entry the store keeps."""
-        entries = []
-        for key, _, text, usage in records:
-            # The record as its line reads back: a usage's instance dict
-            # holds just its two counts.
-            entry = _replay_entry({"key": key, "texts": [text], "usage": vars(usage)})
-            if isinstance(entry, str):
+        write, and return the entries kept for them, in order. A record that
+        could not be served raises ``ValueError`` before anything is written.
+        A line is the canonical JSON of ``{"key", "request", "texts":
+        [text], "usage"}`` written from the entry kept, so its counts are
+        ints, which ``%d`` writes as JSON does, and it reads back as that
+        entry; its keys are already in sorted order."""
+        keys, kept, lines = [], [], []
+        for key, request, text, usage in records:
+            entry = _entry(key, [text], usage.prompt_tokens, usage.completion_tokens)
+            if type(entry) is not tuple:
                 raise ValueError(entry)
-            entries.append((key, entry))
-        data = b"".join(
-            b'{"key":%s,"request":%s,"texts":[%s],'
-            b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
-                json_string(key).encode("ascii"), request,
-                json_string(text).encode("ascii"),
-                usage.completion_tokens, usage.prompt_tokens)
-            for key, request, text, usage in records)
+            text, prompt, completion = entry
+            keys.append(key)
+            kept.append(entry)
+            lines.append(b'{"key":%s,"request":%s,"texts":[%s],'
+                         b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
+                             json_string(key).encode("ascii"), request,
+                             json_string(text).encode("ascii"), completion, prompt))
+        data = b"".join(lines)
         with self._lock:
             prefix = "" if self._repair is None else repair_tail(self.path, self._repair)
-            size = None
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            status = None if self._fd is None else os.fstat(self._fd)
+            if status is None or status.st_nlink == 0:
+                # The first append, or the cache was deleted or replaced
+                # under the store: the record belongs at the path.
+                status = self._open_for_append()
             try:
-                size = os.lseek(fd, 0, os.SEEK_END)
-                _write_all(fd, prefix.encode("utf-8") + data)
+                _write_all(self._fd, prefix.encode("utf-8") + data)
             except BaseException:
                 # A write cut short may leave part of a line: the next append
                 # cuts the file back, and still owes the prefix.
-                if size is not None:
-                    self._repair = (size, prefix)
+                self._repair = (status.st_size, prefix)
                 raise
-            finally:
-                os.close(fd)
             # Only written lines change what the store serves or repairs.
             self._repair = None
-            self._entries.update(entries)
+            self._entries.update(zip(keys, kept))
+        return kept
+
+    def _open_for_append(self) -> os.stat_result:
+        """Open the cache at its path for appending in place of any
+        descriptor held before, and return the file's status."""
+        if self._fd is not None:
+            self._fd = None
+            self._close_fd()
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self._fd = fd
+        self._close_fd = weakref.finalize(self, os.close, fd)
+        return os.fstat(fd)
 
     def response(self, keys: Sequence[str],
                  backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
@@ -780,8 +815,10 @@ def split_usage(usage: Usage, n_samples: int) -> List[Usage]:
     """Per-sample shares of one multi-sample call's usage: prompt tokens on
     the first sample, completion tokens split evenly with the remainder on
     the first."""
+    if n_samples == 1:  # a Usage is immutable, so a share may be the usage itself
+        return [usage]
     share, remainder = divmod(usage.completion_tokens, n_samples)
-    # A Usage is immutable, so samples 1..n-1 share one.
+    # Samples 1..n-1 share one Usage.
     return [Usage(usage.prompt_tokens, share + remainder)] + [Usage(0, share)] * (n_samples - 1)
 
 
@@ -802,7 +839,9 @@ class RecordingBackend(Backend):
     """Read-through cache around another backend.
 
     Fully cached requests are served as replay hits; anything else goes to
-    the inner backend and gets persisted per sample before returning.
+    the inner backend and gets persisted per sample before returning. A
+    response without one text per requested sample is a
+    :class:`MalformedResponseError`, and nothing of it is persisted.
     """
 
     def __init__(self, inner: Backend, store: ReplayStore):
@@ -818,17 +857,24 @@ class RecordingBackend(Backend):
         # then finds the first caller's records in the store.
         self._keys_in_flight.acquire(keys)
         try:
-            if all(key in self.store for key in keys):
+            if self.store.has(keys):
                 return self.store.response(keys)
             response = self.inner.complete(req)
-            shares = split_usage(response.usage, len(response.texts))
+            texts, usage = response.texts, response.usage
+            if len(texts) != req.n_samples:
+                raise MalformedResponseError(
+                    f"expected {req.n_samples} samples, got {len(texts)}")
             # Every per-sample request carries the whole prompt.
-            self.store.append([
-                (key, request, text, Usage(response.usage.prompt_tokens, share.completion_tokens))
-                for key, request, text, share in zip(keys, req.sample_payloads,
-                                                     response.texts, shares)])
-            # Return the store's view so record and replay runs emit identical bytes.
-            return self.store.response(keys, backend_tag=response.backend)
+            kept = self.store.append([
+                (key, request, text, Usage(usage.prompt_tokens, share.completion_tokens))
+                for key, request, text, share in zip(keys, req.sample_payloads, texts,
+                                                     split_usage(usage, req.n_samples))])
+            # What replay serves of the entries just kept, so record and
+            # replay runs emit identical bytes: their texts, and the first
+            # one's prompt tokens with every one's completion tokens, which
+            # is the usage that was split.
+            return CompletionResponse(tuple([text for text, _, _ in kept]), usage,
+                                      response.backend)
         finally:
             self._keys_in_flight.release(keys)
 

@@ -181,6 +181,17 @@ def test_a_plain_string_format_never_shares_a_memo_entry_with_its_member():
                                                    "abstain": False}
 
 
+@pytest.mark.parametrize("fmt", list(AnswerFormat), ids=lambda fmt: fmt.value)
+def test_a_plain_string_format_never_raises_even_when_it_abstains(fmt, caplog):
+    # The abstention's debug log must not read a .value the string lacks.
+    caplog.set_level("DEBUG", logger="breadth.extract")
+    for text in ("nothing here", "the answer is 4", "(B) yes", "  "):
+        assert extract_answer(text, fmt.value) == extract_answer(text, fmt)
+    if fmt is not AnswerFormat.FREE_FORM:  # free form answers any non-blank text
+        assert extract_answer("nothing here", fmt.value).abstain
+        assert f"no {fmt.value} answer found" in caplog.text
+
+
 # ---------------------------------------------------------------- voting
 
 

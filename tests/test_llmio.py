@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -232,6 +234,55 @@ def test_recording_splits_completion_tokens_evenly(tmp_path):
         records = [json.loads(line) for line in fh]
     assert [r["usage"]["completion_tokens"] for r in records] == [3, 2, 2]
     assert recorded.usage == Usage(5, 7)
+
+
+class _FixedTexts(Backend):
+    """Answers every request with the same texts and usage, whatever its
+    ``n_samples``."""
+
+    model = "m"
+
+    def __init__(self, texts, usage=Usage(5, 7), backend="fixed"):
+        self.response = CompletionResponse(tuple(texts), usage, backend)
+
+    def complete(self, request):
+        return self.response
+
+
+@pytest.mark.parametrize("n_texts", [1, 2, 4], ids=["short", "short-by-one", "long"])
+def test_recording_refuses_a_response_without_one_text_per_sample(tmp_path, n_texts):
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    backend = RecordingBackend(_FixedTexts(["t"] * n_texts), store)
+    three = req(user_text="q", n_samples=3)
+    with pytest.raises(MalformedResponseError, match="expected 3 samples, got %d" % n_texts):
+        backend.complete(three)
+    assert len(store) == 0 and not path.exists()  # nothing appended
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 4])
+def test_recorded_response_is_what_replay_serves_from_the_file(tmp_path, n_samples):
+    for completion in range(10):
+        path = tmp_path / f"cache-{n_samples}-{completion}.jsonl"
+        texts = [f"sample {i} of {completion}" for i in range(n_samples)]
+        request = req(user_text=f"q{completion}", n_samples=n_samples)
+        keys = cache_key(request)
+        store = ReplayStore(str(path))
+        recorded = RecordingBackend(_FixedTexts(texts, Usage(11, completion)),
+                                    store).complete(request)
+        replayed = ReplayStore(str(path)).response(keys)
+        assert recorded.texts == replayed.texts == tuple(texts)
+        assert recorded.usage == replayed.usage == Usage(11, completion)
+        assert (recorded.backend, replayed.backend) == ("fixed", BACKEND_REPLAY_HIT)
+        # The remainder of the split is on sample 0, the whole prompt on each.
+        share, remainder = divmod(completion, n_samples)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [r["usage"] for r in lines] == (
+            [{"completion_tokens": share + remainder, "prompt_tokens": 11}]
+            + [{"completion_tokens": share, "prompt_tokens": 11}] * (n_samples - 1))
+        # A hit through the recording store serves the same response.
+        hit = RecordingBackend(ScriptedBackend({}), store).complete(request)
+        assert hit == replace(recorded, backend=BACKEND_REPLAY_HIT) == replayed
 
 
 def test_recording_and_replay_call_cache_key_once_per_request(tmp_path, monkeypatch):
@@ -508,22 +559,71 @@ def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeyp
     assert len(ReplayStore(str(path))) == 1
 
 
+def _descriptors_linked_to(path) -> int:
+    """How many of this process's descriptors are open on ``path``; one on a
+    deleted file links to ``path (deleted)``."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor
+            count += os.readlink(f"/proc/self/fd/{fd}") in (str(path), f"{path} (deleted)")
+    return count
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
-def test_store_append_leaves_no_descriptor_open_when_its_write_fails(tmp_path, monkeypatch):
+def test_store_holds_one_append_descriptor_until_it_is_dropped(tmp_path, monkeypatch):
     # A raw descriptor raises no ResourceWarning when it leaks, so count them.
     def no_disk(fd, data):
         raise OSError("disk gone")
 
-    store = ReplayStore(str(tmp_path / "cache.jsonl"))
-    before = sorted(os.listdir("/proc/self/fd"))
+    def open_count():
+        return len(os.listdir("/proc/self/fd"))
+
+    path = tmp_path / "cache.jsonl"
+    before = open_count()
+    store = ReplayStore(str(path))
+    assert open_count() == before  # opening holds none
+    store.append([_record("k1")])
+    assert open_count() == before + 1 and _descriptors_linked_to(path) == 1
     for write in (no_disk, _DiskFills()):
         monkeypatch.setattr(os, "write", write)
         with pytest.raises(OSError):
-            store.append([_record("k1")])
+            store.append([_record("k2")])
         monkeypatch.undo()
-        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert open_count() == before + 1
+    store.append([_record("k3")])
+    assert open_count() == before + 1 and _descriptors_linked_to(path) == 1
+    replaying = ReplayStore(str(path))
+    assert replaying.response(["k1", "k3"]).texts == ("t", "t")
+    assert open_count() == before + 1  # a store that only replays opens none
+    del store, replaying
+    gc.collect()
+    assert open_count() == before and _descriptors_linked_to(path) == 0
+
+
+def test_store_appends_at_the_path_after_its_cache_is_deleted(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    store.append([_record("k1")])
+    path.unlink()
     store.append([_record("k2")])
-    assert sorted(os.listdir("/proc/self/fd")) == before
+    records, repair = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k2"] and repair is None
+    if sys.platform == "linux":
+        assert _descriptors_linked_to(path) == 1  # the deleted file's is closed
+
+
+def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    store.append([_record("k1")])
+    replacement = tmp_path / "replacement.jsonl"
+    replacement.write_text(_cache_line("k0") + "\n", encoding="utf-8")
+    os.replace(replacement, path)
+    store.append([_record("k2")])
+    records, repair = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k0", "k2"] and repair is None
+    if sys.platform == "linux":
+        assert _descriptors_linked_to(path) == 1
 
 
 def _split_read_json_lines(path, string_field=None):
