@@ -5,6 +5,7 @@ Subpackages by concern:
 
 - core:        shared domain types (questions, answers, traces, configs, votes)
 - llmio:       generation backends (live HTTP, scripted mock, record/replay)
+- store:       every persisted file: append-only logs, replaced files, replay store
 - reformulate: semantic-preserving rewrites of questions and prompts
 - strategy:    the reasoning engines (CoT, deep iteration, breadth family)
 - extract:     answer parsing and majority voting

@@ -16,11 +16,10 @@ import json
 import logging
 import os
 import random
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from typing import Deque, Dict, List, Optional, Sequence
@@ -37,7 +36,8 @@ from .core import (
     check_json_fields,
     parse_json,
 )
-from .llmio import MAX_IN_FLIGHT, Backend, read_json_lines, repair_tail
+from .llmio import MAX_IN_FLIGHT, Backend
+from .store import open_log, replaced
 from .strategy import StrategyError, run_strategy, vote_from_traces
 
 logger = logging.getLogger(__name__)
@@ -365,34 +365,8 @@ def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
     elif resuming:
         logger.warning("run %s: %s has traces but no config.json; resuming them "
                        "without checking their config", run_id, run_dir)
-    with _replaced(path) as fh:
+    with replaced(path) as fh:
         fh.write(text)
-
-
-@contextmanager
-def _replaced(path: str):
-    """A text file to write in place of ``path``: written to a temporary
-    file, which ``os.replace`` moves over ``path`` once the block ends, so
-    that a crash leaves the old file or the new one, never a torn one."""
-    temp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(temp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(temp)
-        raise
-
-
-def _load_existing_traces(traces_path: str) -> tuple:
-    """Traces by question id, and the repair the file's tail needs before the
-    next append (see :func:`read_json_lines`)."""
-    traces, repair = read_json_lines(traces_path, keep=ReasoningTrace.from_dict)
-    by_question: Dict[str, List[ReasoningTrace]] = {}
-    for trace in traces:
-        by_question.setdefault(trace.question_id, []).append(trace)
-    return by_question, repair
 
 
 def run_experiment(dataset_name: str, questions: Sequence[Question],
@@ -419,8 +393,10 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     if run_id is None:
         run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
     run_dir = _run_dir(runs_dir, run_id)
-    traces_path = os.path.join(run_dir, "traces.jsonl")
-    existing, repair = _load_existing_traces(traces_path)
+    traces, trace_log = open_log(os.path.join(run_dir, "traces.jsonl"), ReasoningTrace.from_dict)
+    existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
+    for trace in traces:
+        existing.setdefault(trace.question_id, []).append(trace)
     config = dict(effective_config or cfg.to_dict())
     _claim_run_config(run_dir, run_id, config, resuming=bool(existing))
 
@@ -449,7 +425,6 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         total_usage = Usage(prompt, completion)
 
     def write_oldest():
-        nonlocal repair
         q, result = window.popleft()
         try:
             traces = result()
@@ -460,18 +435,16 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 correct=False, rounds=0, trace_count=0, error=str(exc),
             ))
             return
-        lines = "".join(trace.json_line() for trace in traces)
-        if repair is not None:
-            lines, repair = repair_tail(traces_path, repair) + lines, None
-        trace_file.write(lines)
-        trace_file.flush()
+        trace_log.append("".join(trace.json_line() for trace in traces).encode("utf-8"))
         add_outcome(q, traces)
 
     # Deterministic backends answer in-process, so there is nothing to
     # overlap; scripted ones also hand out their responses in call order.
     workers = (nullcontext() if backend.deterministic else
                ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="breadth-question"))
-    with open(traces_path, "a", encoding="utf-8") as trace_file, workers as pool:
+    # Entering the log creates traces.jsonl, so a run that writes no trace
+    # still leaves one; leaving it, by a return or a raise, closes it.
+    with trace_log, workers as pool:
         for q in questions:
             if q.id in existing:
                 while window:
@@ -502,7 +475,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         outcomes=tuple(outcomes), accuracy=accuracy,
         usage=total_usage, wall_time_s=wall, partial=partial,
     )
-    with _replaced(os.path.join(run_dir, "summary.json")) as fh:
+    with replaced(os.path.join(run_dir, "summary.json")) as fh:
         json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return record

@@ -32,14 +32,12 @@ from .llmio import (
     LlmIoError,
     RecordingBackend,
     ReplayBackend,
-    ReplayStore,
     ScriptedBackend,
     cache_key,
-    check_servable,
     CompletionRequest,
-    read_json_lines,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
+from .store import ReplayStore, check_servable, read_json_lines
 from .strategy import plan_paths
 
 logger = logging.getLogger(__name__)

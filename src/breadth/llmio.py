@@ -1,37 +1,25 @@
 """Generation backends: live chat-completion HTTP client, scripted mock for
-tests, and a content-addressed record/replay cache.
+tests, and record/replay backends over a :class:`~breadth.store.ReplayStore`.
 
-The cache stores one JSON line per *sample* so a run recorded with batched
-sampling replays identically when samples are issued one by one (and vice
-versa). A torn last line (a write cut short) is dropped on load; a corrupt
-line anywhere else is an error. Whether a record can be served is decided
-once, as it enters the store, and the store keeps only what replay serves
-of it: its text and token counts, or the error that serving it raises.
-What a store kept of an unchanged cache is reopened from a digest-checked
-sidecar index instead of parsing the cache again.
+A replayed response is built here from the store's per-sample entries, the
+same way whether a replay backend or a recording one's hit serves it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
-import json
 import logging
-import marshal
 import math
 import os
-import struct
-import sys
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from . import core
-from .core import Usage, check_json_fields, is_count, json_string
+from .core import Usage, check_json_fields, json_string
+# Also importable as breadth.llmio.ReplayStore, the name perfbench/ wraps.
+from .store import ReplayStore
 
 if TYPE_CHECKING:
     import requests
@@ -451,364 +439,27 @@ class ScriptedBackend(Backend):
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_MOCK)
 
 
-def read_json_lines(path: str, string_field: Optional[str] = None,
-                    keep: Optional[Callable[[dict], Any]] = None,
-                    digest: Optional[Any] = None,
-                    ) -> Tuple[list, Optional[Tuple[int, str]]]:
-    """The records of an append-only JSON-lines file, and the repair its tail
-    needs before the next append.
-
-    The file is read one line at a time, so it is never held whole; with
-    ``keep``, the list holds ``keep(record)`` in place of each record, and
-    the records themselves are not kept. Only ``"\\n"`` ends a line, and a
-    line must be UTF-8. A final line that does not parse (a write cut short
-    by a crash) is dropped; a corrupt line anywhere else is an error. So is
-    a record that is not a JSON object, or, with ``string_field``, one
-    without a string under that name, or one that ``keep`` rejects with a
-    ``ValueError``, wherever it is. The repair is None for a whole tail,
-    else ``(size, prefix)``: cut the file to ``size`` bytes and write
-    ``prefix`` first, so the next record gets a line of its own. With
-    ``digest``, a ``hashlib`` object, every byte read is fed to it, so
-    when a read returns, the digest is that of exactly the bytes it parsed:
-    the whole file as it was read. Reading never writes the file.
-    """
-    if not os.path.exists(path):
-        return [], None
-    records = []
-    with open(path, "rb") as fh:
-        raw = b""
-        for lineno, raw in enumerate(fh, 1):
-            if digest is not None:
-                digest.update(raw)
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-            except ValueError:
-                if fh.readline():
-                    raise ValueError(f"{path}: corrupt record at line {lineno}")
-                logger.warning("dropping corrupt trailing line in %s", path)
-                return records, (fh.tell() - len(raw), "")
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: record at line {lineno} is not a JSON object")
-            if string_field is not None and not isinstance(record.get(string_field), str):
-                raise ValueError(f"{path}: record at line {lineno} has no string {string_field!r}")
-            try:
-                records.append(record if keep is None else keep(record))
-            except ValueError as exc:
-                raise ValueError(f"{path}: record at line {lineno}: {exc}") from exc
-        if raw and not raw.endswith(b"\n"):
-            return records, (fh.tell(), "\n")
-    return records, None
-
-
-def repair_tail(path: str, repair: Tuple[int, str]) -> str:
-    """Apply a repair from :func:`read_json_lines`: cut the file, and return
-    the text to write before the next record."""
-    size, prefix = repair
-    os.truncate(path, size)
-    return prefix
-
-
-def _entry(key: str, texts: Any, prompt: Any, completion: Any) -> Union[Tuple[str, int, int], str]:
-    """The one rule of what the store can serve of a record, given its
-    fields: ``(text, prompt, completion)`` when ``texts`` is a list of one
-    string, as a record serves one sample, and each count is a JSON int >= 0;
-    else the message of the ``ValueError`` that serving ``key`` raises."""
-    if not (isinstance(texts, list) and len(texts) == 1 and isinstance(texts[0], str)):
-        return (f"record {key} has no usable texts: 'texts' must be "
-                f"a list of one string, got {texts!r:.80}")
-    if not (is_count(prompt) and is_count(completion)):
-        return (f"record {key} has no usable token counts: each must be "
-                f"an int >= 0, got {prompt!r:.40} and {completion!r:.40}")
-    return texts[0], prompt, completion
-
-
-def _replay_entry(record: dict) -> Union[Tuple[str, int, int], str]:
-    """What the store keeps of a parsed cache record: :func:`_entry` of its
-    fields, where an absent count or ``usage`` reads as 0 and a ``usage``
-    that is not an object as null counts."""
-    usage = record.get("usage", {})
-    if isinstance(usage, dict):
-        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-    else:
-        prompt = completion = None
-    return _entry(record["key"], record.get("texts"), prompt, completion)
-
-
-def check_servable(record: dict) -> None:
-    """Raise the ``ValueError`` that serving ``record`` from a store would."""
-    entry = _replay_entry(record)
-    if isinstance(entry, str):
-        raise ValueError(entry)
-
-
-# The sidecar index a store writes beside its cache, ``<cache>.index``: a
-# fixed head, then frames, each the length and SHA-256 of its payload and
-# the payload, a marshal dump. The first frame holds the entry count and the
-# tail repair, each later one up to _INDEX_FRAME_ENTRIES entries, so neither
-# side holds more than one frame's bytes at a time.
-INDEX_SUFFIX = ".index"
-_INDEX_MAGIC = b"BRDTHIDX"
-_INDEX_FORMAT = 1
-# magic, format version, marshal version, program digest, cache size, cache
-# digest. The size is the cache's after the parse: a cache whose size differs
-# is stale without hashing it, and only the digest can tell it is unchanged.
-_INDEX_HEAD = struct.Struct("<8sHH32sQ32s")
-_INDEX_FRAME = struct.Struct("<I32s")
-_INDEX_FRAME_ENTRIES = 256
-_HASH_CHUNK = 1 << 16
-
-
-def _source_digest() -> Optional[bytes]:
-    """SHA-256 of the interpreter's version and of the source of the two
-    modules whose code decides what a store keeps of a record, this one and
-    ``core``, or None when a source cannot be read (then no index is read
-    or written)."""
-    digest = hashlib.sha256(sys.version.encode("utf-8"))
-    try:
-        for source in (__file__, core.__file__):
-            with open(source, "rb") as fh:
-                digest.update(fh.read())
-    except OSError:
-        return None
-    return digest.digest()
-
-
-# Taken at import, as close as possible to the code that runs: an index
-# written by other rules is never trusted, whether or not a version constant
-# was bumped.
-_PROGRAM_DIGEST = _source_digest()
-
-
-def _file_digest(path: str) -> bytes:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(partial(fh.read, _HASH_CHUNK), b""):
-            digest.update(block)
-    return digest.digest()
-
-
-def _frame(value) -> bytes:
-    payload = marshal.dumps(value)
-    return _INDEX_FRAME.pack(len(payload), hashlib.sha256(payload).digest()) + payload
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    unwritten = memoryview(data)
-    while unwritten:
-        unwritten = unwritten[os.write(fd, unwritten):]
-
-
-def _read_frame(fh):
-    """The next frame's value; ``ValueError`` when it is cut short or its
-    payload does not match its digest."""
-    head = fh.read(_INDEX_FRAME.size)
-    if len(head) != _INDEX_FRAME.size:
-        raise ValueError("index frame cut short")
-    length, digest = _INDEX_FRAME.unpack(head)
-    payload = fh.read(length)
-    if len(payload) != length or hashlib.sha256(payload).digest() != digest:
-        raise ValueError("index frame does not match its digest")
-    return marshal.loads(payload)
-
-
-class ReplayStore:
-    """Append-only JSON-lines store of per-sample responses keyed by digest.
-
-    Each record is checked once, as it enters the store: when the store
-    opens, or when ``append`` writes it. In memory the store keeps, per key,
-    only what :func:`_replay_entry` makes of the record: its text and two
-    token counts, or the message of the error that serving it raises; never
-    the ``request`` (``breadth cache`` reads full records from the file
-    itself). Opening streams the file through :func:`read_json_lines`, the
-    last record for a key wins, and an unusable record fails only when it is
-    served.
-
-    After that parse the store writes what it kept, the entries and the
-    tail repair, to ``<cache>.index``, under a head holding the SHA-256 of
-    exactly the cache bytes parsed and a digest of the code of the rules
-    that made the entries. A later open loads the index in place of the
-    parse only when the head's versions and program digest match this
-    program's, the cache has the size and still the SHA-256 the head
-    records, and every frame matches its own SHA-256; anything else parses
-    the cache as above. So the index only saves repeating a parse of
-    identical bytes, and deleting it is always safe. It is written to a
-    temporary file and renamed into place; a failure to read or write it
-    falls back to the parse, and a missing cache writes none. A store
-    opened with ``write_index=False``, as one that records is, loads a
-    valid index but neither hashes the cache nor writes one: its first
-    append would leave the index stale. Opening never writes the cache
-    itself.
-    Readers share the entries; appends are serialized. A torn tail, or an
-    append cut short by a failed write, is repaired by the next append
-    (:func:`repair_tail`), so a record appended after a crash is never lost.
-
-    The first append opens the cache with ``O_APPEND``, and the store keeps
-    that one descriptor until it is dropped; a store that only replays never
-    opens one. Each append reads the descriptor's file status once: its size
-    is where a write cut short is cut back to, and a file with no link left,
-    a cache deleted or replaced under the store, is closed and the cache
-    opened again at its path, so the record still lands at the path.
-    """
-
-    def __init__(self, path: str, write_index: bool = True):
-        self.path = path
-        self._lock = threading.Lock()
-        self._entries: dict = {}
-        self._repair: Optional[Tuple[int, str]] = None
-        # The append descriptor, opened by the first append.
-        self._fd: Optional[int] = None
-        self._close_fd: Optional[weakref.finalize] = None
-        if not os.path.exists(path) or self._load_index():
-            return
-        digest = hashlib.sha256() if write_index and _PROGRAM_DIGEST else None
-        entries, self._repair = read_json_lines(
-            path, "key", keep=lambda record: (record["key"], _replay_entry(record)),
-            digest=digest)
-        self._entries = dict(entries)
-        if digest is not None:
-            self._write_index(digest.digest())
-
-    def _load_index(self) -> bool:
-        """Load the entries and the tail repair from the index if it holds
-        what a parse of the cache's current bytes would give; else load
-        nothing and return False."""
-        try:
-            with open(self.path + INDEX_SUFFIX, "rb") as fh:
-                head = fh.read(_INDEX_HEAD.size)
-                if len(head) != _INDEX_HEAD.size:
-                    return False
-                *stamp, cache_size, cache_digest = _INDEX_HEAD.unpack(head)
-                if stamp != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, _PROGRAM_DIGEST]:
-                    return False
-                if (cache_size != os.path.getsize(self.path)
-                        or cache_digest != _file_digest(self.path)):
-                    return False
-                count, repair = _read_frame(fh)
-                entries: dict = {}
-                while len(entries) < count:
-                    entries.update(_read_frame(fh))
-                if len(entries) != count or fh.read(1):
-                    return False
-        except (OSError, ValueError, TypeError, EOFError) as exc:
-            logger.debug("not reading the index of %s: %s", self.path, exc)
-            return False
-        self._entries, self._repair = entries, repair
-        return True
-
-    def _write_index(self, cache_digest: bytes) -> None:
-        """Write the index of what the store kept from the cache bytes whose
-        SHA-256 is ``cache_digest``, or nothing if any step fails."""
-        index = self.path + INDEX_SUFFIX
-        temp = f"{index}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            head = _INDEX_HEAD.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
-                                    _PROGRAM_DIGEST, os.path.getsize(self.path), cache_digest)
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                _write_all(fd, head + _frame((len(self._entries), self._repair)))
-                items = iter(self._entries.items())
-                while True:
-                    frame = dict(itertools.islice(items, _INDEX_FRAME_ENTRIES))
-                    if not frame:
-                        break
-                    _write_all(fd, _frame(frame))
-            finally:
-                os.close(fd)
-            os.replace(temp, index)
-        except OSError as exc:
-            logger.debug("not indexing %s: %s", self.path, exc)
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def has(self, keys: Sequence[str]) -> bool:
-        """Whether every one of ``keys`` has an entry, served or not."""
-        entries = self._entries
-        for key in keys:
-            if key not in entries:
-                return False
-        return True
-
-    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]
-               ) -> List[Tuple[str, int, int]]:
-        """Store one response's records, ``(key, request, text, usage)`` each
-        with ``request`` in canonical JSON, as one line per record in one
-        write, and return the entries kept for them, in order. A record that
-        could not be served raises ``ValueError`` before anything is written.
-        A line is the canonical JSON of ``{"key", "request", "texts":
-        [text], "usage"}`` written from the entry kept, so its counts are
-        ints, which ``%d`` writes as JSON does, and it reads back as that
-        entry; its keys are already in sorted order."""
-        keys, kept, lines = [], [], []
-        for key, request, text, usage in records:
-            entry = _entry(key, [text], usage.prompt_tokens, usage.completion_tokens)
-            if type(entry) is not tuple:
-                raise ValueError(entry)
-            text, prompt, completion = entry
-            keys.append(key)
-            kept.append(entry)
-            lines.append(b'{"key":%s,"request":%s,"texts":[%s],'
-                         b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
-                             json_string(key).encode("ascii"), request,
-                             json_string(text).encode("ascii"), completion, prompt))
-        data = b"".join(lines)
-        with self._lock:
-            prefix = "" if self._repair is None else repair_tail(self.path, self._repair)
-            status = None if self._fd is None else os.fstat(self._fd)
-            if status is None or status.st_nlink == 0:
-                # The first append, or the cache was deleted or replaced
-                # under the store: the record belongs at the path.
-                status = self._open_for_append()
-            try:
-                _write_all(self._fd, prefix.encode("utf-8") + data)
-            except BaseException:
-                # A write cut short may leave part of a line: the next append
-                # cuts the file back, and still owes the prefix.
-                self._repair = (status.st_size, prefix)
-                raise
-            # Only written lines change what the store serves or repairs.
-            self._repair = None
-            self._entries.update(zip(keys, kept))
-        return kept
-
-    def _open_for_append(self) -> os.stat_result:
-        """Open the cache at its path for appending in place of any
-        descriptor held before, and return the file's status."""
-        if self._fd is not None:
-            self._fd = None
-            self._close_fd()
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        self._fd = fd
-        self._close_fd = weakref.finalize(self, os.close, fd)
-        return os.fstat(fd)
-
-    def response(self, keys: Sequence[str],
-                 backend_tag: str = BACKEND_REPLAY_HIT) -> CompletionResponse:
-        """One response from the per-sample entries under ``keys``, in order."""
-        entries = self._entries
-        texts = []
-        prompt_tokens = completion_tokens = 0
-        for key in keys:
-            entry = entries.get(key)
-            if type(entry) is not tuple:
-                if entry is None:
-                    raise CacheMissError(f"no recorded response for key {key}")
-                raise ValueError(entry)
-            text, prompt, completion = entry
-            if not texts:
-                prompt_tokens = prompt
-            texts.append(text)
-            completion_tokens += completion
-        return CompletionResponse(tuple(texts), Usage(prompt_tokens, completion_tokens),
-                                  backend_tag)
+def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionResponse:
+    """What replay serves: one response from the store's per-sample entries
+    under ``keys``, in order. A key with no entry is a
+    :class:`CacheMissError`; one whose record cannot be served raises its
+    ``ValueError``."""
+    entries = store.entries
+    texts = []
+    prompt_tokens = completion_tokens = 0
+    for key in keys:
+        entry = entries.get(key)
+        if type(entry) is not tuple:
+            if entry is None:
+                raise CacheMissError(f"no recorded response for key {key}")
+            raise ValueError(entry)
+        text, prompt, completion = entry
+        if not texts:
+            prompt_tokens = prompt
+        texts.append(text)
+        completion_tokens += completion
+    return CompletionResponse(tuple(texts), Usage(prompt_tokens, completion_tokens),
+                              BACKEND_REPLAY_HIT)
 
 
 def split_usage(usage: Usage, n_samples: int) -> List[Usage]:
@@ -832,7 +483,7 @@ class ReplayBackend(Backend):
         self.model = model
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        return self.store.response(cache_key(req))
+        return replay_response(self.store, cache_key(req))
 
 
 class RecordingBackend(Backend):
@@ -858,7 +509,7 @@ class RecordingBackend(Backend):
         self._keys_in_flight.acquire(keys)
         try:
             if self.store.has(keys):
-                return self.store.response(keys)
+                return replay_response(self.store, keys)
             response = self.inner.complete(req)
             texts, usage = response.texts, response.usage
             if len(texts) != req.n_samples:

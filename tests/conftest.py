@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import os
 
@@ -22,6 +24,31 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # astral character, a lone surrogate, and a field of the request layout.
 ADVERSARIAL_ALPHABET = ['', 'a', ' ', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', '\u00e9',
                         '\u2028', '\U0001f600', '\ud800', '"sample_batch_id":0,']
+
+
+class DiskFills:
+    """``os.write`` on a disk that fills up: the first call writes half of
+    its bytes and says so, and every later call fails."""
+
+    def __init__(self):
+        self._write = os.write
+        self._calls = 0
+
+    def __call__(self, fd, data):
+        self._calls += 1
+        if self._calls > 1:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self._write(fd, data[: len(data) // 2])
+
+
+def descriptors_linked_to(path) -> int:
+    """How many of this process's descriptors are open on ``path``; one on a
+    deleted file links to ``path (deleted)``."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor
+            count += os.readlink(f"/proc/self/fd/{fd}") in (str(path), f"{path} (deleted)")
+    return count
 
 
 def request_dict(request) -> dict:

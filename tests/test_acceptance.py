@@ -19,7 +19,8 @@ from breadth.bench import (
 from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
 from breadth.diversity import prediction_entropy
 from breadth.extract import majority_vote
-from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
+from breadth.llmio import RecordingBackend, ReplayBackend, ScriptedBackend
+from breadth.store import ReplayStore
 from breadth.strategy import (
     answer_trigger,
     assemble_iteration_input,

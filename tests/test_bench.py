@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-import breadth.bench as bench_module
+import breadth.store as store_module
 from breadth.cli import main
 from breadth.core import (
     KIND_KNOBS,
@@ -36,16 +36,16 @@ from breadth.llmio import (
     NetworkError,
     RecordingBackend,
     ReplayBackend,
-    ReplayStore,
     ScriptedBackend,
 )
 from breadth.reformulate import QUESTION_INSTRUCTION
+from breadth.store import ReplayStore
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
     assemble_reasoning_input,
 )
-from conftest import mc_question
+from conftest import DiskFills, descriptors_linked_to, mc_question
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -374,7 +374,7 @@ def test_resume_without_a_config_file_warns_and_resumes(tmp_path, caplog):
 
 
 def _crashing_open(name):
-    """An ``open`` for ``bench`` under which writing a file whose name starts
+    """An ``open`` for ``store`` under which writing a file whose name starts
     with ``name`` writes half of its first chunk and then raises, as a crash
     would stop it."""
     def crashing_open(path, mode="r", *args, **kwargs):
@@ -408,13 +408,13 @@ def test_a_crash_while_writing_the_run_files_leaves_each_one_whole(tmp_path, mon
     config, summary = (run_dir / "config.json").read_bytes(), (run_dir / "summary.json").read_bytes()
 
     # A larger limit rewrites config.json at the start, before any call.
-    monkeypatch.setattr(bench_module, "open", _crashing_open("config.json"), raising=False)
+    monkeypatch.setattr(store_module, "open", _crashing_open("config.json"), raising=False)
     with pytest.raises(OSError, match="crash while writing"):
         start("runs", 3)
     assert (run_dir / "config.json").read_bytes() == config
     assert (run_dir / "summary.json").read_bytes() == summary
 
-    monkeypatch.setattr(bench_module, "open", _crashing_open("summary.json"), raising=False)
+    monkeypatch.setattr(store_module, "open", _crashing_open("summary.json"), raising=False)
     with pytest.raises(OSError, match="crash while writing"):
         start("runs", 3)
     assert (run_dir / "config.json").read_bytes() == (whole / "config.json").read_bytes()
@@ -422,10 +422,41 @@ def test_a_crash_while_writing_the_run_files_leaves_each_one_whole(tmp_path, mon
 
     # config.json already holds these bytes, so this start does not write it
     # and never reaches the crash; it finishes the run from the traces.
-    monkeypatch.setattr(bench_module, "open", _crashing_open("config.json"), raising=False)
+    monkeypatch.setattr(store_module, "open", _crashing_open("config.json"), raising=False)
     start("runs", 3)
     assert (run_dir / "summary.json").read_bytes() == (whole / "summary.json").read_bytes()
     assert sorted(os.listdir(run_dir)) == ["config.json", "summary.json", "traces.jsonl"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+def test_a_trace_write_cut_short_resumes_to_the_uninterrupted_summary(tmp_path, monkeypatch):
+    # The disk fills halfway through the second question's trace line. One
+    # path per question: a resume takes a question with any whole trace line
+    # as finished, so a cut inside a question's lines is another matter.
+    questions = generate_synthetic("coinflip", 3, seed=3)
+    cfg = default_config(StrategyKind.COT)
+    backend = FakeBackend(questions, seed=1)
+
+    def start(runs, count=3):
+        return run_experiment("coinflip", questions[:count], cfg, backend,
+                              runs_dir=str(tmp_path / runs), run_id="run")
+
+    start("whole")
+    run_dir = tmp_path / "runs" / "run"
+    traces = run_dir / "traces.jsonl"
+    start("runs", count=1)
+    monkeypatch.setattr(os, "write", DiskFills())
+    with pytest.raises(OSError) as cut:
+        start("runs")
+    monkeypatch.undo()
+    # The traceback keeps run_experiment's frame, and its log, alive.
+    assert cut.traceback and descriptors_linked_to(traces) == 0
+    assert traces.read_bytes().count(b"\n") == 1 and not traces.read_bytes().endswith(b"\n")
+    start("runs")
+    assert descriptors_linked_to(traces) == 0
+    assert (run_dir / "summary.json").read_bytes() == (
+        tmp_path / "whole" / "run" / "summary.json").read_bytes()
+    assert traces.read_bytes() == (tmp_path / "whole" / "run" / "traces.jsonl").read_bytes()
 
 
 def test_token_budget_stops_gracefully_with_partial_flag(tmp_path):

@@ -14,9 +14,10 @@ from breadth.llmio import (
     API_KEY_ENV,
     CompletionRequest,
     RecordingBackend,
-    ReplayStore,
     ScriptedBackend,
+    replay_response,
 )
+from breadth.store import ReplayStore
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
@@ -387,7 +388,7 @@ def test_cache_verify_counts_a_record_that_replay_cannot_serve(tmp_path, capsys,
     assert f"cannot serve: record {record['key']} has no usable" in captured.out
     assert captured.err == "error: 1 corrupt cache records\n"
     with pytest.raises(ValueError, match=f"record {record['key']} has no usable"):
-        ReplayStore(str(cache_path)).response([record["key"]])
+        replay_response(ReplayStore(str(cache_path)), [record["key"]])
 
 
 @pytest.mark.parametrize("line, reason", [

@@ -21,7 +21,8 @@ import pytest
 
 from breadth.bench import generate_synthetic, run_experiment
 from breadth.core import KIND_KNOBS, StopRule, StrategyConfig, StrategyKind
-from breadth.llmio import RecordingBackend, ReplayBackend, ReplayStore, ScriptedBackend
+from breadth.llmio import RecordingBackend, ReplayBackend, ScriptedBackend
+from breadth.store import ReplayStore
 from breadth.strategy import plan_paths
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))

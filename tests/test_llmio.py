@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import gc
 import hashlib
@@ -14,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 import breadth.llmio
+import breadth.store
 from breadth.bench import run_experiment
 from breadth.core import StrategyKind, Usage, canonical_json, default_config
 from breadth.llmio import (
@@ -29,16 +29,22 @@ from breadth.llmio import (
     NoScriptMatchError,
     RecordingBackend,
     ReplayBackend,
-    ReplayStore,
     ScriptExhaustedError,
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
-    read_json_lines,
+    replay_response,
     retry_delay,
     split_usage,
 )
-from conftest import ADVERSARIAL_ALPHABET, mc_question, request_dict
+from breadth.store import ReplayStore, read_json_lines
+from conftest import (
+    ADVERSARIAL_ALPHABET,
+    DiskFills,
+    descriptors_linked_to,
+    mc_question,
+    request_dict,
+)
 
 
 def req(**kwargs) -> CompletionRequest:
@@ -270,7 +276,7 @@ def test_recorded_response_is_what_replay_serves_from_the_file(tmp_path, n_sampl
         store = ReplayStore(str(path))
         recorded = RecordingBackend(_FixedTexts(texts, Usage(11, completion)),
                                     store).complete(request)
-        replayed = ReplayStore(str(path)).response(keys)
+        replayed = replay_response(ReplayStore(str(path)), keys)
         assert recorded.texts == replayed.texts == tuple(texts)
         assert recorded.usage == replayed.usage == Usage(11, completion)
         assert (recorded.backend, replayed.backend) == ("fixed", BACKEND_REPLAY_HIT)
@@ -504,21 +510,6 @@ def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
     assert path.read_text(encoding="utf-8").count("\n") == 3
 
 
-class _DiskFills:
-    """``os.write`` on a disk that fills up: the first call writes half of
-    its bytes and says so, and every later call fails."""
-
-    def __init__(self):
-        self._write = os.write
-        self._calls = 0
-
-    def __call__(self, fd, data):
-        self._calls += 1
-        if self._calls > 1:
-            raise OSError(errno.ENOSPC, "no space left on device")
-        return self._write(fd, data[: len(data) // 2])
-
-
 @pytest.mark.parametrize("tail", ["\n", ""], ids=["whole", "unterminated"])
 def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypatch, tail):
     # Half a line stays on disk: the next record must not be glued onto it,
@@ -526,7 +517,7 @@ def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypa
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line("k1") + tail, encoding="utf-8")
     store = ReplayStore(str(path))
-    monkeypatch.setattr(os, "write", _DiskFills())
+    monkeypatch.setattr(os, "write", DiskFills())
     with pytest.raises(OSError):
         store.append([_record("k2")])
     monkeypatch.undo()
@@ -545,7 +536,7 @@ def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeyp
     store = ReplayStore(str(path))
     backend = RecordingBackend(ScriptedBackend({"q": ["a", "b", "c"], "other": ["d"]}), store)
     three = req(user_text="q", n_samples=3)
-    monkeypatch.setattr(os, "write", _DiskFills())
+    monkeypatch.setattr(os, "write", DiskFills())
     with pytest.raises(OSError):
         backend.complete(three)
     monkeypatch.undo()
@@ -557,16 +548,6 @@ def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeyp
     records, repair = read_json_lines(str(path))
     assert [r["key"] for r in records] == list(cache_key(other)) and repair is None
     assert len(ReplayStore(str(path))) == 1
-
-
-def _descriptors_linked_to(path) -> int:
-    """How many of this process's descriptors are open on ``path``; one on a
-    deleted file links to ``path (deleted)``."""
-    count = 0
-    for fd in os.listdir("/proc/self/fd"):
-        with contextlib.suppress(OSError):  # the listing's own descriptor
-            count += os.readlink(f"/proc/self/fd/{fd}") in (str(path), f"{path} (deleted)")
-    return count
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
@@ -583,39 +564,57 @@ def test_store_holds_one_append_descriptor_until_it_is_dropped(tmp_path, monkeyp
     store = ReplayStore(str(path))
     assert open_count() == before  # opening holds none
     store.append([_record("k1")])
-    assert open_count() == before + 1 and _descriptors_linked_to(path) == 1
-    for write in (no_disk, _DiskFills()):
+    assert open_count() == before + 1 and descriptors_linked_to(path) == 1
+    for write in (no_disk, DiskFills()):
         monkeypatch.setattr(os, "write", write)
         with pytest.raises(OSError):
             store.append([_record("k2")])
         monkeypatch.undo()
         assert open_count() == before + 1
     store.append([_record("k3")])
-    assert open_count() == before + 1 and _descriptors_linked_to(path) == 1
+    assert open_count() == before + 1 and descriptors_linked_to(path) == 1
     replaying = ReplayStore(str(path))
-    assert replaying.response(["k1", "k3"]).texts == ("t", "t")
+    assert replay_response(replaying, ["k1", "k3"]).texts == ("t", "t")
     assert open_count() == before + 1  # a store that only replays opens none
     del store, replaying
     gc.collect()
-    assert open_count() == before and _descriptors_linked_to(path) == 0
+    assert open_count() == before and descriptors_linked_to(path) == 0
 
 
-def test_store_appends_at_the_path_after_its_cache_is_deleted(tmp_path):
+def _store_holding(path, pending: bool) -> ReplayStore:
+    """A store on ``path`` with its append descriptor open, or, when
+    ``pending``, one whose cache ends in a record without its newline, with
+    that repair pending and no descriptor open yet."""
+    if pending:
+        path.write_text('{"key":"k1"}', encoding="utf-8")
+        assert read_json_lines(str(path))[1] == (12, "\n")
+        store = ReplayStore(str(path))
+    else:
+        store = ReplayStore(str(path))
+        store.append([_record("k1")])
+    return store
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["held", "repair-pending"])
+def test_store_appends_at_the_path_after_its_cache_is_deleted(tmp_path, pending):
+    # A repair pending for the deleted cache used to truncate the missing
+    # path, and every later append raised FileNotFoundError.
     path = tmp_path / "cache.jsonl"
-    store = ReplayStore(str(path))
-    store.append([_record("k1")])
+    store = _store_holding(path, pending)
     path.unlink()
     store.append([_record("k2")])
     records, repair = read_json_lines(str(path))
     assert [r["key"] for r in records] == ["k2"] and repair is None
     if sys.platform == "linux":
-        assert _descriptors_linked_to(path) == 1  # the deleted file's is closed
+        assert descriptors_linked_to(path) == 1  # the deleted file's is closed
 
 
-def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path):
+@pytest.mark.parametrize("pending", [False, True], ids=["held", "repair-pending"])
+def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path, pending):
+    # A repair pending for the replaced cache used to cut the replacement
+    # to the old cache's size, leaving it a corrupt first line.
     path = tmp_path / "cache.jsonl"
-    store = ReplayStore(str(path))
-    store.append([_record("k1")])
+    store = _store_holding(path, pending)
     replacement = tmp_path / "replacement.jsonl"
     replacement.write_text(_cache_line("k0") + "\n", encoding="utf-8")
     os.replace(replacement, path)
@@ -623,7 +622,7 @@ def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path):
     records, repair = read_json_lines(str(path))
     assert [r["key"] for r in records] == ["k0", "k2"] and repair is None
     if sys.platform == "linux":
-        assert _descriptors_linked_to(path) == 1
+        assert descriptors_linked_to(path) == 1
 
 
 def _split_read_json_lines(path, string_field=None):
@@ -728,7 +727,7 @@ def test_store_keeps_less_than_the_request_in_memory(tmp_path):
     allowance = 96
     assert len(store) == 2000
     assert retained < kept + 2000 * allowance
-    assert store.response([f"{7:064x}"]).texts == ("answer 7",)
+    assert replay_response(store, [f"{7:064x}"]).texts == ("answer 7",)
 
 
 def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
@@ -752,14 +751,14 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
     store = ReplayStore(str(path))
     assert len(store) == 14
     with pytest.raises(ValueError):
-        store.response(["k1"])
+        replay_response(store, ["k1"])
 
     def messages(key):
         # Each serve of an unusable key raises, with the same message.
         raised = []
         for _ in range(2):
             with pytest.raises(ValueError) as exc:
-                store.response([key])
+                replay_response(store, [key])
             raised.append(str(exc.value))
         assert raised[0] == raised[1]
         return raised[0]
@@ -777,11 +776,11 @@ def _refused_append(path, store: ReplayStore, records) -> str:
     """Append ``records``, which must raise ``ValueError`` and change neither
     the file nor the store; returns the error's message."""
     before = path.read_bytes() if path.exists() else None
-    kept = dict(store._entries)
+    kept = dict(store.entries)
     with pytest.raises(ValueError) as refused:
         store.append(records)
     assert (path.read_bytes() if path.exists() else None) == before
-    assert store._entries == kept
+    assert store.entries == kept
     return str(refused.value)
 
 
@@ -797,7 +796,7 @@ def test_store_refuses_an_appended_text_that_is_not_a_string(tmp_path):
         "record k1 has no usable texts: 'texts' must be a list of one string, got [5]")
     assert "k2" not in store and len(ReplayStore(str(path))) == 0
     store.append([("k2", b"{}", "fine", Usage(1, 2))])
-    assert ReplayStore(str(path)).response(["k2"]).texts == ("fine",)
+    assert replay_response(ReplayStore(str(path)), ["k2"]).texts == ("fine",)
 
 
 def test_store_refuses_an_appended_count_that_is_not_an_int(tmp_path):
@@ -818,7 +817,7 @@ def test_store_serves_an_absent_count_as_zero(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in [
         {"key": "k1", "texts": ["a"], "usage": {"completion_tokens": 4}},
         {"key": "k2", "texts": ["b"]}]), encoding="utf-8")
-    response = ReplayStore(str(path)).response(["k1", "k2"])
+    response = replay_response(ReplayStore(str(path)), ["k1", "k2"])
     assert response.texts == ("a", "b") and response.usage == Usage(0, 4)
 
 
@@ -835,7 +834,7 @@ def _open_counting_parses(monkeypatch, path, **options) -> tuple:
         return read_json_lines(*args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(breadth.llmio, "read_json_lines", counting)
+        patched.setattr(breadth.store, "read_json_lines", counting)
         store = ReplayStore(str(path), **options)
     return store, len(parses)
 
@@ -845,7 +844,7 @@ def _no_hashing(*args, **kwargs):
 
 
 def _kept(store: ReplayStore) -> tuple:
-    return len(store), list(store._entries.items()), store._repair
+    return len(store), list(store.entries.items()), store._log.repair
 
 
 def _random_cache(rng: random.Random) -> str:
@@ -898,8 +897,8 @@ def test_store_reopened_from_its_index_keeps_what_a_fresh_parse_keeps(tmp_path, 
         assert parses == 0 and _kept(reopened) == _kept(parsed), path.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.index"]
         seen.add("empty" if not path.read_bytes() else
-                 "whole" if parsed._repair is None else f"repair {parsed._repair[1]!r}")
-        seen.update("unusable" for entry in parsed._entries.values() if isinstance(entry, str))
+                 "whole" if parsed._log.repair is None else f"repair {parsed._log.repair[1]!r}")
+        seen.update("unusable" for entry in parsed.entries.values() if isinstance(entry, str))
     assert seen == {"error", "empty", "whole", "repair ''", "repair '\\n'", "unusable"}
 
 
@@ -912,7 +911,7 @@ def _indexed_cache(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b'{"key":"k3","texts":["three"]}')
     store = ReplayStore(str(path))
-    assert (tmp_path / "cache.jsonl.index").exists() and store._repair is not None
+    assert (tmp_path / "cache.jsonl.index").exists() and store._log.repair is not None
     return path, _kept(store)
 
 
@@ -952,8 +951,8 @@ def test_store_parses_when_its_index_is_cut_short_or_extended(tmp_path, monkeypa
 
 @pytest.mark.parametrize("stamp", [
     {"magic": b"BRDTHIDY"},
-    {"format": breadth.llmio._INDEX_FORMAT + 1},
-    {"marshal": breadth.llmio.marshal.version + 1},
+    {"format": breadth.store._INDEX_FORMAT + 1},
+    {"marshal": breadth.store.marshal.version + 1},
     {"program": bytes(32)},
 ], ids=["magic", "format-version", "marshal-version", "program-digest"])
 def test_store_parses_when_its_index_was_written_by_other_rules(tmp_path, monkeypatch, stamp):
@@ -962,7 +961,7 @@ def test_store_parses_when_its_index_was_written_by_other_rules(tmp_path, monkey
     path, kept = _indexed_cache(tmp_path)
     index = tmp_path / "cache.jsonl.index"
     good = index.read_bytes()
-    head = breadth.llmio._INDEX_HEAD
+    head = breadth.store._INDEX_HEAD
     magic, fmt, version, program, *cache = head.unpack(good[:head.size])
     fields = {"magic": magic, "format": fmt, "marshal": version, "program": program, **stamp}
     index.write_bytes(head.pack(*fields.values(), *cache) + good[head.size:])
@@ -972,10 +971,10 @@ def test_store_parses_when_its_index_was_written_by_other_rules(tmp_path, monkey
 
 def test_program_digest_covers_the_source_of_the_entry_rules():
     digest = hashlib.sha256(sys.version.encode("utf-8"))
-    for module in (breadth.llmio, breadth.core):
+    for module in (breadth.store, breadth.core):
         with open(module.__file__, "rb") as fh:
             digest.update(fh.read())
-    assert breadth.llmio._PROGRAM_DIGEST == digest.digest()
+    assert breadth.store._PROGRAM_DIGEST == digest.digest()
 
 
 def test_store_parses_a_cache_edited_in_place_at_the_same_size(tmp_path, monkeypatch):
@@ -984,7 +983,7 @@ def test_store_parses_a_cache_edited_in_place_at_the_same_size(tmp_path, monkeyp
     path.write_bytes(path.read_bytes().replace(b'"two"', b'"TWO"'))
     assert path.stat().st_size == size
     store = _assert_parses_and_reindexes(monkeypatch, path)
-    assert store.response(["k2"]).texts == ("TWO",)
+    assert replay_response(store, ["k2"]).texts == ("TWO",)
 
 
 def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch):
@@ -993,12 +992,12 @@ def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch)
         fh.write(b'\n{"key":"k4","texts":["four"]}\n')
     # The cache's size already tells the index is stale: no hashing before the parse.
     with monkeypatch.context() as patched:
-        patched.setattr(breadth.llmio, "_file_digest", _no_hashing)
+        patched.setattr(breadth.store, "_file_digest", _no_hashing)
         store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
     assert parses == 1 and len(store) == 4
     store = _assert_parses_and_reindexes(monkeypatch, path)
-    assert len(store) == 4 and store._repair is None
-    assert store.response(["k3", "k4"]).texts == ("three", "four")
+    assert len(store) == 4 and store._log.repair is None
+    assert replay_response(store, ["k3", "k4"]).texts == ("three", "four")
 
 
 def test_store_opened_from_its_index_repairs_the_tail_before_appending(tmp_path, monkeypatch):
@@ -1020,10 +1019,10 @@ def test_store_opened_to_record_loads_an_index_but_hashes_and_writes_none(
     store.append([_record("k4")])
     # The append left the index stale: a recording store parses, hashing
     # neither the cache nor the bytes it parses, and leaves the index be.
-    monkeypatch.setattr(breadth.llmio, "_file_digest", _no_hashing)
-    monkeypatch.setattr(breadth.llmio.hashlib, "sha256", _no_hashing)
+    monkeypatch.setattr(breadth.store, "_file_digest", _no_hashing)
+    monkeypatch.setattr(breadth.store.hashlib, "sha256", _no_hashing)
     store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
-    assert parses == 1 and len(store) == 4 and store.response(["k4"]).texts == ("t",)
+    assert parses == 1 and len(store) == 4 and replay_response(store, ["k4"]).texts == ("t",)
     assert index.read_bytes() == stale
     index.unlink()
     store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
@@ -1032,8 +1031,8 @@ def test_store_opened_to_record_loads_an_index_but_hashes_and_writes_none(
 
 
 def test_store_without_a_cache_writes_and_hashes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(breadth.llmio, "_file_digest", _no_hashing)
-    monkeypatch.setattr(breadth.llmio, "read_json_lines", _no_hashing)
+    monkeypatch.setattr(breadth.store, "_file_digest", _no_hashing)
+    monkeypatch.setattr(breadth.store, "read_json_lines", _no_hashing)
     assert len(ReplayStore(str(tmp_path / "cache.jsonl"))) == 0
     assert os.listdir(tmp_path) == []
 
@@ -1046,14 +1045,12 @@ def test_store_in_an_unwritable_directory_opens_and_writes_nothing(tmp_path, mon
     cache = path.read_bytes()
     if os.geteuid() == 0:
         # Permissions do not bind the superuser: refuse what the kernel would.
-        real_open = os.open
-
-        def refusing(name, flags, *args, **kwargs):
-            if flags & os.O_CREAT and os.path.dirname(name) == str(directory):
+        def refusing(name, mode="r", *args, **kwargs):
+            if "w" in mode and os.path.dirname(name) == str(directory):
                 raise PermissionError(errno.EACCES, "permission denied", name)
-            return real_open(name, flags, *args, **kwargs)
+            return open(name, mode, *args, **kwargs)
 
-        monkeypatch.setattr(os, "open", refusing)
+        monkeypatch.setattr(breadth.store, "open", refusing, raising=False)
     directory.chmod(0o555)
     try:
         store, parses = _open_counting_parses(monkeypatch, path)
@@ -1061,6 +1058,23 @@ def test_store_in_an_unwritable_directory_opens_and_writes_nothing(tmp_path, mon
     finally:
         directory.chmod(0o755)
     assert os.listdir(directory) == ["cache.jsonl"] and path.read_bytes() == cache
+
+
+def _writing_through(write):
+    """An ``open`` for ``breadth.store`` whose files opened for writing hand
+    their bytes to ``write(fd, data)``, as they would to ``os.write``, until
+    all are written or it raises."""
+    def opening(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            def write_all(data):
+                unwritten = memoryview(data)
+                while unwritten:
+                    unwritten = unwritten[write(fh.fileno(), unwritten):]
+                return len(data)
+            fh.write = write_all
+        return fh
+    return opening
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
@@ -1074,8 +1088,8 @@ def test_store_index_write_that_fills_the_disk_leaves_nothing_behind(tmp_path, m
 
     before = sorted(os.listdir("/proc/self/fd"))
     index.unlink()
-    for write in (full_disk, _DiskFills()):
-        monkeypatch.setattr(os, "write", write)
+    for write in (full_disk, DiskFills()):
+        monkeypatch.setattr(breadth.store, "open", _writing_through(write), raising=False)
         store, parses = _open_counting_parses(monkeypatch, path)
         monkeypatch.undo()
         assert parses == 1 and _kept(store) == kept
