@@ -37,7 +37,7 @@ from .core import (
     parse_json,
 )
 from .llmio import MAX_IN_FLIGHT, Backend
-from .store import open_log, replaced
+from .store import AppendLog, read_json_lines, replaced
 from .strategy import StrategyError, run_strategy, vote_from_traces
 
 logger = logging.getLogger(__name__)
@@ -328,12 +328,6 @@ class RunRecord(Record):
         return cls(**kwargs)
 
 
-def _run_dir(runs_dir: str, run_id: str) -> str:
-    path = os.path.join(runs_dir, run_id)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # The config keys a resume may change: a larger ``limit`` extends a run, and
 # a run may be replayed from its own cache.
 _RESUMABLE_KEYS = ("limit", "backend_mode")
@@ -392,8 +386,10 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     """
     if run_id is None:
         run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
-    run_dir = _run_dir(runs_dir, run_id)
-    traces, trace_log = open_log(os.path.join(run_dir, "traces.jsonl"), ReasoningTrace.from_dict)
+    run_dir = os.path.join(runs_dir, run_id)
+    os.makedirs(run_dir, exist_ok=True)
+    trace_log = AppendLog(os.path.join(run_dir, "traces.jsonl"))
+    traces = read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict)
     existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
     for trace in traces:
         existing.setdefault(trace.question_id, []).append(trace)
@@ -481,8 +477,8 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     return record
 
 
-def load_run_record(runs_dir: str, run_id: str) -> RunRecord:
-    path = os.path.join(runs_dir, run_id, "summary.json")
+def load_run_record(run_dir: str) -> RunRecord:
+    path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(path):
         raise MissingFileError(f"no summary at {path}")
     with open(path, "r", encoding="utf-8") as fh:

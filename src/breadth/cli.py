@@ -250,16 +250,15 @@ def _cmd_votemodel(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = [bench.load_run_record(*os.path.split(run.rstrip("/")))
-               for run in args.runs]
+    records = [bench.load_run_record(run) for run in args.runs]
     print(bench.emit_report(records, fmt=args.format,
                             baselines=args.baseline or ()), end="")
     return 0
 
 
 def _cmd_pilot_subset(args) -> int:
-    cot = bench.load_run_record(*os.path.split(args.cot.rstrip("/")))
-    deep = bench.load_run_record(*os.path.split(args.deep.rstrip("/")))
+    cot = bench.load_run_record(args.cot)
+    deep = bench.load_run_record(args.deep)
     for qid in bench.pilot_subset(cot, deep):
         print(qid)
     return 0
@@ -269,7 +268,7 @@ def _cmd_cache(args) -> int:
     if not os.path.exists(args.file):
         raise RuntimeError(f"no cache file at {args.file}")
     # The full records, the last one for each key: the ones replay serves.
-    records, _ = read_json_lines(args.file, "key")
+    records = read_json_lines(args.file, "key")
     last = {record["key"]: record for record in records}
     print(f"{len(last)} recorded responses in {args.file}")
     if args.verify:

@@ -6,16 +6,16 @@ replay store that keeps what a cache can serve.
 Each kind of file has one crash rule. An append-only file is read one line
 at a time; a torn last line (a write cut short) is dropped on load, and a
 corrupt line anywhere else is an error. It is appended to through one
-:class:`AppendLog`, which holds one ``O_APPEND`` descriptor on it. Before
-the next append the tail is repaired: a torn line, or what a failed write
-left, is cut off, and an intact last record that lacks its newline gets
-one. A repair belongs to the file it was taken for, by device and inode:
-if the path names another file by then, or the file is shorter than the
-cut, the repair is dropped. A file deleted or replaced under its log (no
-link left) is closed and the path opened again, so lines always land at
-the path. A replaced file is written to a temporary file and renamed over
-the old one, so a crash leaves the old file or the new one, never a torn
-one.
+:class:`AppendLog`, which holds one ``O_APPEND`` descriptor on it and
+repairs the tail it finds when it opens that descriptor: a last line the
+reader would drop is cut off, and an intact last record that lacks its
+newline gets one. A write that fails is cut back at once, through the same
+descriptor, to the size before it; if that cut fails too, the descriptor is
+closed, and the next append opens the file again and repairs its tail. A
+file deleted or replaced under its log (no link left) is closed and the
+path opened again, so lines always land at the path. A replaced file is
+written to a temporary file and renamed over the old one, so a crash leaves
+the old file or the new one, never a torn one.
 
 The cache stores one JSON line per *sample*, so a run recorded with
 batched sampling replays identically when samples are issued one by one
@@ -49,10 +49,8 @@ logger = logging.getLogger(__name__)
 
 def read_json_lines(path: str, string_field: Optional[str] = None,
                     keep: Optional[Callable[[dict], Any]] = None,
-                    digest: Optional[Any] = None,
-                    ) -> Tuple[list, Optional[Tuple[int, str]]]:
-    """The records of an append-only JSON-lines file, and the repair its tail
-    needs before the next append.
+                    digest: Optional[Any] = None) -> list:
+    """The records of an append-only JSON-lines file.
 
     The file is read one line at a time, so it is never held whole; with
     ``keep``, the list holds ``keep(record)`` in place of each record, and
@@ -61,18 +59,15 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
     by a crash) is dropped; a corrupt line anywhere else is an error. So is
     a record that is not a JSON object, or, with ``string_field``, one
     without a string under that name, or one that ``keep`` rejects with a
-    ``ValueError``, wherever it is. The repair is None for a whole tail,
-    else ``(size, prefix)``: cut the file to ``size`` bytes and write
-    ``prefix`` first, so the next record gets a line of its own. With
-    ``digest``, a ``hashlib`` object, every byte read is fed to it, so
-    when a read returns, the digest is that of exactly the bytes it parsed:
-    the whole file as it was read. Reading never writes the file.
+    ``ValueError``, wherever it is. With ``digest``, a ``hashlib`` object,
+    every byte read is fed to it, so when a read returns, the digest is
+    that of exactly the bytes it parsed: the whole file as it was read.
+    Reading never writes the file.
     """
     if not os.path.exists(path):
-        return [], None
+        return []
     records = []
     with open(path, "rb") as fh:
-        raw = b""
         for lineno, raw in enumerate(fh, 1):
             if digest is not None:
                 digest.update(raw)
@@ -85,7 +80,7 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
                 if fh.readline():
                     raise ValueError(f"{path}: corrupt record at line {lineno}")
                 logger.warning("dropping corrupt trailing line in %s", path)
-                return records, (fh.tell() - len(raw), "")
+                return records
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: record at line {lineno} is not a JSON object")
             if string_field is not None and not isinstance(record.get(string_field), str):
@@ -94,9 +89,7 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
                 records.append(record if keep is None else keep(record))
             except ValueError as exc:
                 raise ValueError(f"{path}: record at line {lineno}: {exc}") from exc
-        if raw and not raw.endswith(b"\n"):
-            return records, (fh.tell(), "\n")
-    return records, None
+    return records
 
 
 @contextmanager
@@ -117,27 +110,16 @@ def replaced(path: str, mode: str = "w"):
         raise
 
 
-def _status(path: str) -> Optional[os.stat_result]:
-    try:
-        return os.stat(path)
-    except OSError:
-        return None
-
-
 class AppendLog:
     """Appends whole lines to the JSON-lines file at ``path`` by the rule
-    above. ``repair`` is what :func:`read_json_lines` said the tail needs,
-    read from the file whose ``os.stat`` is ``status``; pending, a repair
-    is ``(size, prefix, (device, inode))``. The descriptor is opened at the
+    above. The descriptor is opened, and the tail it finds repaired, at the
     first append, or on entering the log as a context, which creates the
-    file, and held until the log is closed or dropped. Callers serialize
+    file; it is held until the log is closed or dropped. Callers serialize
     appends.
     """
 
-    def __init__(self, path: str, repair: Optional[Tuple[int, str]],
-                 status: Optional[os.stat_result]):
+    def __init__(self, path: str):
         self.path = path
-        self.repair = None if repair is None else (*repair, (status.st_dev, status.st_ino))
         self._fd: Optional[int] = None
         self._close_fd: Optional[weakref.finalize] = None
 
@@ -155,39 +137,66 @@ class AppendLog:
             self._close_fd()
 
     def append(self, data: bytes) -> None:
-        """Write ``data``, whole lines, in one write after the tail's repair."""
+        """Write ``data``, whole lines, in one write."""
         status = None if self._fd is None else os.fstat(self._fd)
         if status is None or status.st_nlink == 0:
             status = self._open()
-        size, prefix, file = status.st_size, "", (status.st_dev, status.st_ino)
-        if self.repair is not None and self.repair[2] == file and self.repair[0] <= size:
-            size, prefix, _ = self.repair
-            os.ftruncate(self._fd, size)
-        unwritten = memoryview(prefix.encode("utf-8") + data if prefix else data)
         try:
-            while unwritten:
-                unwritten = unwritten[os.write(self._fd, unwritten):]
+            _write_all(self._fd, data)
         except BaseException:
-            # Part of a line may be on disk: the next append cuts it off.
-            self.repair = size, prefix, file
+            # Part of a line may be on disk: cut it off now, or, if that
+            # fails too, when the next append opens the file again.
+            try:
+                os.ftruncate(self._fd, status.st_size)
+            except OSError:
+                self.close()
             raise
-        self.repair = None
 
     def _open(self) -> os.stat_result:
         """Open the path for appending in place of any descriptor held
-        before, and return the file's status."""
+        before, repair its tail, and return the file's status. A failed
+        repair leaves no descriptor held, so the next append repairs again."""
         self.close()
-        self._fd = fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self._fd = fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         self._close_fd = weakref.finalize(self, os.close, fd)
+        try:
+            _repair_tail(fd)
+        except BaseException:
+            self.close()
+            raise
         return os.fstat(fd)
 
 
-def open_log(path: str, keep: Callable[[dict], Any]) -> Tuple[list, AppendLog]:
-    """The records of the JSON-lines file at ``path``, read with ``keep`` as
-    :func:`read_json_lines` reads them, and the log that appends to it."""
-    status = _status(path)
-    records, repair = read_json_lines(path, keep=keep) if status is not None else ([], None)
-    return records, AppendLog(path, repair, status)
+def _repair_tail(fd: int) -> None:
+    """Judge the physically last line of the file open on ``fd``, the one
+    after the last newline that does not end the file, as
+    :func:`read_json_lines` judges a last line: one it drops is cut off, and
+    one it keeps ends in a newline, so the next record gets a line of its
+    own."""
+    start = os.fstat(fd).st_size
+    line = b""
+    while start and b"\n" not in line[:-1]:
+        # Each read at least doubles what is held: linear in a long line.
+        step = min(start, _READ_CHUNK + len(line))
+        start -= step
+        line = os.pread(fd, step, start) + line
+    cut = line.rfind(b"\n", 0, len(line) - 1) + 1
+    start, line = start + cut, line[cut:]
+    try:
+        text = line.decode("utf-8")
+        if text.strip():
+            json.loads(text)
+    except ValueError:
+        os.ftruncate(fd, start)
+    else:
+        if line and not line.endswith(b"\n"):
+            _write_all(fd, b"\n")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    unwritten = memoryview(data)
+    while unwritten:
+        unwritten = unwritten[os.write(fd, unwritten):]
 
 
 def _entry(key: str, texts: Any, prompt: Any, completion: Any) -> Union[Tuple[str, int, int], str]:
@@ -225,9 +234,9 @@ def check_servable(record: dict) -> None:
 
 # The sidecar index a store writes beside its cache, ``<cache>.index``: a
 # fixed head, then frames, each the length and SHA-256 of its payload and
-# the payload, a marshal dump. The first frame holds the entry count and the
-# tail repair, each later one up to _INDEX_FRAME_ENTRIES entries, so neither
-# side holds more than one frame's bytes at a time.
+# the payload, a marshal dump. The first frame holds the entry count, each
+# later one up to _INDEX_FRAME_ENTRIES entries, so neither side holds more
+# than one frame's bytes at a time.
 INDEX_SUFFIX = ".index"
 _INDEX_MAGIC = b"BRDTHIDX"
 _INDEX_FORMAT = 1
@@ -237,7 +246,7 @@ _INDEX_FORMAT = 1
 _INDEX_HEAD = struct.Struct("<8sHH32sQ32s")
 _INDEX_FRAME = struct.Struct("<I32s")
 _INDEX_FRAME_ENTRIES = 256
-_HASH_CHUNK = 1 << 16
+_READ_CHUNK = 1 << 16
 
 
 def _source_digest() -> Optional[bytes]:
@@ -264,7 +273,7 @@ _PROGRAM_DIGEST = _source_digest()
 def _file_digest(path: str) -> bytes:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(partial(fh.read, _HASH_CHUNK), b""):
+        for block in iter(partial(fh.read, _READ_CHUNK), b""):
             digest.update(block)
     return digest.digest()
 
@@ -298,10 +307,10 @@ class ReplayStore:
     itself). Opening streams the file through :func:`read_json_lines`, and
     an unusable record fails only when it is served.
 
-    After that parse the store writes what it kept, the entries and the
-    tail repair, to ``<cache>.index``, under a head holding the SHA-256 of
-    exactly the cache bytes parsed and a digest of the code of the rules
-    that made the entries. A later open loads the index in place of the
+    After that parse the store writes the entries it kept to
+    ``<cache>.index``, under a head holding the SHA-256 of exactly the
+    cache bytes parsed and a digest of the code of the rules that made
+    the entries. A later open loads the index in place of the
     parse only when the head's versions and program digest match this
     program's, the cache has the size and still the SHA-256 the head
     records, and every frame matches its own SHA-256; anything else parses
@@ -322,25 +331,21 @@ class ReplayStore:
         self.path = path
         self._lock = threading.Lock()
         self.entries: dict = {}
-        repair = None
-        status = _status(path)
-        loaded = None if status is None else self._load_index(status.st_size)
+        loaded = self._load_index()
         if loaded is not None:
-            self.entries, repair = loaded
-        elif status is not None:
+            self.entries = loaded
+        elif os.path.exists(path):
             digest = hashlib.sha256() if write_index and _PROGRAM_DIGEST else None
-            entries, repair = read_json_lines(
+            self.entries = dict(read_json_lines(
                 path, "key", keep=lambda record: (record["key"], _replay_entry(record)),
-                digest=digest)
-            self.entries = dict(entries)
+                digest=digest))
             if digest is not None:
-                self._write_index(repair, digest.digest())
-        self._log = AppendLog(path, repair, status)
+                self._write_index(digest.digest())
+        self._log = AppendLog(path)
 
-    def _load_index(self, cache_size: int) -> Optional[tuple]:
-        """The entries and the tail repair from the index, if it holds what a
-        parse of the cache's current ``cache_size`` bytes would give; else
-        None."""
+    def _load_index(self) -> Optional[dict]:
+        """The entries from the index, if it holds what a parse of the
+        cache's current bytes would give; else None."""
         try:
             with open(self.path + INDEX_SUFFIX, "rb") as fh:
                 head = fh.read(_INDEX_HEAD.size)
@@ -349,9 +354,9 @@ class ReplayStore:
                 *stamp, size, cache_digest = _INDEX_HEAD.unpack(head)
                 if stamp != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, _PROGRAM_DIGEST]:
                     return None
-                if size != cache_size or cache_digest != _file_digest(self.path):
+                if size != os.path.getsize(self.path) or cache_digest != _file_digest(self.path):
                     return None
-                count, repair = _read_frame(fh)
+                count = _read_frame(fh)
                 entries: dict = {}
                 while len(entries) < count:
                     entries.update(_read_frame(fh))
@@ -360,16 +365,16 @@ class ReplayStore:
         except (OSError, ValueError, TypeError, EOFError) as exc:
             logger.debug("not reading the index of %s: %s", self.path, exc)
             return None
-        return entries, repair
+        return entries
 
-    def _write_index(self, repair: Optional[Tuple[int, str]], cache_digest: bytes) -> None:
+    def _write_index(self, cache_digest: bytes) -> None:
         """Write the index of what the store kept from the cache bytes whose
         SHA-256 is ``cache_digest``, or nothing if any step fails."""
         try:
             head = _INDEX_HEAD.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version,
                                     _PROGRAM_DIGEST, os.path.getsize(self.path), cache_digest)
             with replaced(self.path + INDEX_SUFFIX, "wb") as fh:
-                fh.write(head + _frame((len(self.entries), repair)))
+                fh.write(head + _frame(len(self.entries)))
                 items = iter(self.entries.items())
                 for frame in iter(lambda: dict(itertools.islice(items, _INDEX_FRAME_ENTRIES)), {}):
                     fh.write(_frame(frame))

@@ -37,7 +37,7 @@ from breadth.llmio import (
     retry_delay,
     split_usage,
 )
-from breadth.store import ReplayStore, read_json_lines
+from breadth.store import AppendLog, ReplayStore, read_json_lines
 from conftest import (
     ADVERSARIAL_ALPHABET,
     DiskFills,
@@ -443,7 +443,7 @@ def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
     assert path.read_text(encoding="utf-8") == torn  # loading never writes
     store.append([_record("k4")])
     store = ReplayStore(str(path))
-    records, _ = read_json_lines(str(path))
+    records = read_json_lines(str(path))
     assert {"k1", "k2", "k4"} <= set(r["key"] for r in records)
     store.append([_record("k5")])
     assert len(ReplayStore(str(path))) == 4
@@ -512,8 +512,8 @@ def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("tail", ["\n", ""], ids=["whole", "unterminated"])
 def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypatch, tail):
-    # Half a line stays on disk: the next record must not be glued onto it,
-    # and a newline the first append owed must still be written.
+    # The disk fills during the first append: nothing of it may stay on
+    # disk, and a newline the file owed must still be written before k3.
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line("k1") + tail, encoding="utf-8")
     store = ReplayStore(str(path))
@@ -522,10 +522,12 @@ def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypa
         store.append([_record("k2")])
     monkeypatch.undo()
     assert "k2" not in store
+    assert path.read_text(encoding="utf-8") == _cache_line("k1") + tail
     store.append([_record("k3")])
     store.append([_record("k4")])
-    records, repair = read_json_lines(str(path))
-    assert [r["key"] for r in records] == ["k1", "k3", "k4"] and repair is None
+    records = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k1", "k3", "k4"]
+    assert path.read_bytes().endswith(b"\n")
     assert len(ReplayStore(str(path))) == 3
 
 
@@ -540,13 +542,15 @@ def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeyp
     with pytest.raises(OSError):
         backend.complete(three)
     monkeypatch.undo()
-    written, repair = read_json_lines(str(path))
-    assert len(written) == 1 and repair is not None  # one whole line, then a torn one
+    # The write left one whole line and part of another; both are cut back
+    # at once, to the empty file the append opened.
+    assert path.read_bytes() == b""
     assert not any(key in store for key in cache_key(three))
     other = req(user_text="other")
     assert backend.complete(other).texts == ("d",)
-    records, repair = read_json_lines(str(path))
-    assert [r["key"] for r in records] == list(cache_key(other)) and repair is None
+    records = read_json_lines(str(path))
+    assert [r["key"] for r in records] == list(cache_key(other))
+    assert path.read_bytes().endswith(b"\n")
     assert len(ReplayStore(str(path))) == 1
 
 
@@ -584,10 +588,10 @@ def test_store_holds_one_append_descriptor_until_it_is_dropped(tmp_path, monkeyp
 def _store_holding(path, pending: bool) -> ReplayStore:
     """A store on ``path`` with its append descriptor open, or, when
     ``pending``, one whose cache ends in a record without its newline, with
-    that repair pending and no descriptor open yet."""
+    no descriptor open yet to repair that tail."""
     if pending:
         path.write_text('{"key":"k1"}', encoding="utf-8")
-        assert read_json_lines(str(path))[1] == (12, "\n")
+        assert read_json_lines(str(path)) == [{"key": "k1"}]
         store = ReplayStore(str(path))
     else:
         store = ReplayStore(str(path))
@@ -603,8 +607,8 @@ def test_store_appends_at_the_path_after_its_cache_is_deleted(tmp_path, pending)
     store = _store_holding(path, pending)
     path.unlink()
     store.append([_record("k2")])
-    records, repair = read_json_lines(str(path))
-    assert [r["key"] for r in records] == ["k2"] and repair is None
+    records = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k2"]
     if sys.platform == "linux":
         assert descriptors_linked_to(path) == 1  # the deleted file's is closed
 
@@ -619,17 +623,54 @@ def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path, pending
     replacement.write_text(_cache_line("k0") + "\n", encoding="utf-8")
     os.replace(replacement, path)
     store.append([_record("k2")])
-    records, repair = read_json_lines(str(path))
-    assert [r["key"] for r in records] == ["k0", "k2"] and repair is None
+    records = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k0", "k2"]
     if sys.platform == "linux":
         assert descriptors_linked_to(path) == 1
+
+
+def test_stores_sharing_a_torn_cache_keep_each_others_records(tmp_path):
+    # Each store repairs the tail it finds when it opens its descriptor. A
+    # cut taken when store A opened used to be applied at A's first append,
+    # deleting what store B had appended since.
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line("k1") + "\n" + _cache_line("k2")[:15], encoding="utf-8")
+    a, b = ReplayStore(str(path)), ReplayStore(str(path))
+    b.append([_record("b1")])
+    b.append([_record("b2")])
+    a.append([_record("a1")])
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "b1", "b2", "a1"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+def test_store_append_whose_cut_fails_too_reopens_and_repairs_the_tail(tmp_path, monkeypatch):
+    # Half a line stays on disk when the cut back fails as well: the log lets
+    # go of its descriptor, so the next append opens the file and repairs it.
+    path = tmp_path / "cache.jsonl"
+    store = ReplayStore(str(path))
+    store.append([_record("k1")])
+
+    def no_cut(fd, length):
+        raise OSError(errno.EIO, "input/output error")
+
+    monkeypatch.setattr(os, "write", DiskFills())
+    monkeypatch.setattr(os, "ftruncate", no_cut)
+    with pytest.raises(OSError) as failed:
+        store.append([_record("k2")])
+    monkeypatch.undo()
+    assert failed.value.errno == errno.ENOSPC  # the write's error, not the cut's
+    assert descriptors_linked_to(path) == 0
+    assert not path.read_bytes().endswith(b"\n")
+    store.append([_record("k3")])
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "k3"]
+    assert path.read_bytes().endswith(b"\n") and descriptors_linked_to(path) == 1
 
 
 def _split_read_json_lines(path, string_field=None):
     """The loader as it was before it streamed: the whole file read, decoded
     and split at once. The reference for the streaming loader."""
     if not os.path.exists(path):
-        return [], None
+        return []
     with open(path, "rb") as fh:
         data = fh.read()
     lines = data.decode("utf-8").split("\n")
@@ -644,15 +685,13 @@ def _split_read_json_lines(path, string_field=None):
         except ValueError:
             if i < len(lines) - 1:
                 raise ValueError(f"{path}: corrupt record at line {i + 1}")
-            return records, (len(data) - len(line.encode("utf-8")) - data.endswith(b"\n"), "")
+            return records
         if not isinstance(record, dict):
             raise ValueError(f"{path}: record at line {i + 1} is not a JSON object")
         if string_field is not None and not isinstance(record.get(string_field), str):
             raise ValueError(f"{path}: record at line {i + 1} has no string {string_field!r}")
         records.append(record)
-    if data and not data.endswith(b"\n"):
-        return records, (len(data), "\n")
-    return records, None
+    return records
 
 
 def _random_lines_file(rng: random.Random) -> str:
@@ -681,26 +720,60 @@ def _random_lines_file(rng: random.Random) -> str:
 
 
 def test_streaming_loader_matches_the_whole_file_reference(tmp_path, caplog):
+    # And for each file the loader accepts, one append through a fresh log
+    # repairs the tail so that the file reads as those records and one more.
     rng = random.Random(7)
     path = tmp_path / "store.jsonl"
+    added = {"key": "added", "texts": ["t"]}
     outcomes = set()
     for _ in range(3000):
-        path.write_bytes(_random_lines_file(rng).encode("utf-8"))
-        for string_field in (None, "key"):
+        data = _random_lines_file(rng).encode("utf-8")
+        path.write_bytes(data)
+        for string_field in ("key", None):
             results = []
             for load in (_split_read_json_lines, read_json_lines):
                 try:
                     results.append(load(str(path), string_field))
                 except ValueError as exc:
                     results.append(str(exc))
-            assert results[0] == results[1], path.read_bytes()
-            outcomes.add(results[1] if isinstance(results[1], str) else results[1][1])
-    # Every outcome occurred: no repair, each repair kind, each error kind.
-    assert None in outcomes
-    assert any(isinstance(o, tuple) and o[1] == "" for o in outcomes)
-    assert any(isinstance(o, tuple) and o[1] == "\n" for o in outcomes)
+            assert results[0] == results[1], data
+            if isinstance(results[1], str):
+                outcomes.add(results[1])
+        records = results[1]
+        if isinstance(records, str):
+            continue
+        line = json.dumps(added).encode("utf-8") + b"\n"
+        with AppendLog(str(path)) as log:
+            log.append(line)
+        assert read_json_lines(str(path)) == records + [added], data
+        appended = path.read_bytes()
+        outcomes.add("torn" if not appended.startswith(data) else
+                     "whole" if appended == data + line else "unterminated")
+    # Every outcome occurred: each kind of tail, each error kind.
+    assert {"whole", "unterminated", "torn"} <= outcomes
     for reason in ("corrupt record", "is not a JSON object", "has no string 'key'"):
-        assert any(isinstance(o, str) and reason in o for o in outcomes)
+        assert any(reason in o for o in outcomes)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 7], ids=["whole", "unterminated", "torn"])
+@pytest.mark.parametrize("length", [-2, -1, 0, 1, 2 ** 17], ids=lambda n: f"chunk{n:+d}")
+def test_append_log_repairs_a_last_line_longer_than_one_read(tmp_path, length, cut):
+    # The repair reads back from the end in steps; the newline before the
+    # last line may fall on either side of a step's edge.
+    chunk = breadth.store._READ_CHUNK
+    path = tmp_path / "log.jsonl"
+    first = json.dumps({"key": "first"}) + "\n"
+    filler = "x" * (chunk + length - len('{"key": "last", "text": ""}\n'))
+    last = json.dumps({"key": "last", "text": filler}) + "\n"
+    assert len(last) == chunk + length
+    data = (first + last).encode("utf-8")
+    path.write_bytes(data[:len(data) - cut])
+    records = read_json_lines(str(path))
+    with AppendLog(str(path)) as log:
+        log.append(b'{"key": "added"}\n')
+    assert [r["key"] for r in read_json_lines(str(path))] == [
+        r["key"] for r in records] + ["added"]
+    assert len(records) == (1 if cut == 7 else 2)
 
 
 def test_store_keeps_less_than_the_request_in_memory(tmp_path):
@@ -844,7 +917,7 @@ def _no_hashing(*args, **kwargs):
 
 
 def _kept(store: ReplayStore) -> tuple:
-    return len(store), list(store.entries.items()), store._log.repair
+    return len(store), list(store.entries.items())
 
 
 def _random_cache(rng: random.Random) -> str:
@@ -896,10 +969,10 @@ def test_store_reopened_from_its_index_keeps_what_a_fresh_parse_keeps(tmp_path, 
         reopened, parses = _open_counting_parses(monkeypatch, path)
         assert parses == 0 and _kept(reopened) == _kept(parsed), path.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["cache.jsonl", "cache.jsonl.index"]
-        seen.add("empty" if not path.read_bytes() else
-                 "whole" if parsed._log.repair is None else f"repair {parsed._log.repair[1]!r}")
+        data = path.read_bytes()
+        seen.add("empty" if not data else "whole" if data.endswith(b"\n") else "unterminated")
         seen.update("unusable" for entry in parsed.entries.values() if isinstance(entry, str))
-    assert seen == {"error", "empty", "whole", "repair ''", "repair '\\n'", "unusable"}
+    assert seen == {"error", "empty", "whole", "unterminated", "unusable"}
 
 
 def _indexed_cache(tmp_path):
@@ -911,7 +984,7 @@ def _indexed_cache(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b'{"key":"k3","texts":["three"]}')
     store = ReplayStore(str(path))
-    assert (tmp_path / "cache.jsonl.index").exists() and store._log.repair is not None
+    assert (tmp_path / "cache.jsonl.index").exists()
     return path, _kept(store)
 
 
@@ -996,7 +1069,7 @@ def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch)
         store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
     assert parses == 1 and len(store) == 4
     store = _assert_parses_and_reindexes(monkeypatch, path)
-    assert len(store) == 4 and store._log.repair is None
+    assert len(store) == 4
     assert replay_response(store, ["k3", "k4"]).texts == ("three", "four")
 
 
@@ -1005,8 +1078,8 @@ def test_store_opened_from_its_index_repairs_the_tail_before_appending(tmp_path,
     store, parses = _open_counting_parses(monkeypatch, path)
     assert parses == 0 and _kept(store) == kept
     store.append([_record("k4")])
-    records, repair = read_json_lines(str(path))
-    assert [r["key"] for r in records] == ["k1", "k2", "k3", "k4"] and repair is None
+    records = read_json_lines(str(path))
+    assert [r["key"] for r in records] == ["k1", "k2", "k3", "k4"]
 
 
 def test_store_opened_to_record_loads_an_index_but_hashes_and_writes_none(
