@@ -37,7 +37,7 @@ from .llmio import (
     CompletionRequest,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
-from .store import ReplayStore, check_servable, read_json_lines
+from .store import ReplayStore, check_servable, read_json_lines, replaced
 from .strategy import plan_paths
 
 logger = logging.getLogger(__name__)
@@ -211,20 +211,12 @@ def _load_subset(path: str) -> List[Question]:
 
 def _cmd_entropy(args) -> int:
     questions = _load_subset(args.subset)
-    factors = [diversity.FactorSpec(diversity.Factor.parse(name), k_paths=args.k)
-               for name in args.factors.split(",") if name.strip()]
+    factors = [diversity.Factor.parse(name) for name in args.factors.split(",") if name.strip()]
     if not factors:
         raise UsageError("--factors must name at least one factor")
     backend = _build_backend(args)
-    cfg = default_config(StrategyKind.COT)
-    report = diversity.run_factor_study(args.dataset, questions, factors, cfg, backend)
-    csv_text = diversity.report_to_csv([report], factors=[f.factor for f in factors])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(args.out)
-    else:
-        print(csv_text, end="")
+    results = diversity.run_factor_study(questions, factors, args.k, backend)
+    _emit(diversity.report_to_csv({args.dataset: results}, factors), args.out)
     return 0
 
 
@@ -240,13 +232,18 @@ def _cmd_votemodel(args) -> int:
         points = votemodel.simulate_depth(model, t_max=args.t_max,
                                           trials=args.trials, seed=args.seed)
         output += votemodel.depth_curve_csv(points, model)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-        print(args.out)
-    else:
-        print(output, end="")
+    _emit(output, args.out)
     return 0
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """Print ``text``, or write it in place of the file ``out`` and print the path."""
+    if out:
+        with replaced(out) as fh:
+            fh.write(text)
+        print(out)
+    else:
+        print(text, end="")
 
 
 def _cmd_report(args) -> int:

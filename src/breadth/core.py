@@ -103,6 +103,12 @@ class StopRule(str, Enum):
 _NULL = type(None)
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ``ValueError`` unless ``temperature`` is finite and >= 0."""
+    if not 0 <= temperature < math.inf:  # false for NaN too
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+
+
 def is_count(value: Any) -> bool:
     """True for a JSON int >= 0 that is not a bool: what every persisted int
     field holds, as a token count or an index."""
@@ -474,8 +480,7 @@ class StrategyConfig(Record):
     def __post_init__(self):
         if self.n_reformulations < 1 or self.m_samples < 1 or self.max_iterations < 1:
             raise ValueError("n_reformulations, m_samples, max_iterations must be >= 1")
-        if not 0 <= self.temperature < math.inf:  # false for NaN too
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        check_temperature(self.temperature)
         if not self.canonical_prompt:
             raise ValueError("canonical_prompt must be non-empty")
         reads = {"kind", "temperature", *KIND_KNOBS[self.kind]}

@@ -14,20 +14,17 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from .core import Answer, Question, StrategyConfig, StrategyKind
+from .core import Answer, Question, StrategyConfig, StrategyKind, default_config
 from .extract import EmptyInputError
 from .llmio import Backend
-from .reformulate import PROMPT_BANK, prompt_bank
-from .strategy import StrategyError, run_contexts, run_strategy
+from .reformulate import PROMPT_BANK
+from .strategy import StrategyError, run_strategy
 
 logger = logging.getLogger(__name__)
-
-SAMPLING_TEMPERATURE = 0.8
-REWORDING_TEMPERATURE = 1.0
 
 UNSUPPORTED_FACTOR_NOTE = (
     "model_perturbation requires replacing the final linear layer with a noisy "
@@ -43,35 +40,12 @@ class Factor(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Factor":
-        aliases = {
-            "question": cls.QUESTION_REWORDING,
-            "question_rewording": cls.QUESTION_REWORDING,
-            "prompt": cls.PROMPT_REWORDING,
-            "prompt_rewording": cls.PROMPT_REWORDING,
-            "llms": cls.MODEL_PERTURBATION,
-            "model": cls.MODEL_PERTURBATION,
-            "model_perturbation": cls.MODEL_PERTURBATION,
-            "sampling": cls.SAMPLING,
-        }
+        aliases = {**{f.value: f for f in cls}, **{f.name.lower(): f for f in cls},
+                   "model": cls.MODEL_PERTURBATION}
         key = name.strip().lower().replace("-", "_")
         if key not in aliases:
             raise ValueError(f"unknown factor {name!r}")
         return aliases[key]
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    """One diversity factor and the number of paths it should generate."""
-
-    factor: Factor
-    k_paths: int = 10
-
-    def __post_init__(self):
-        if self.k_paths < 1:
-            raise ValueError("k_paths must be >= 1")
-        if self.factor == Factor.PROMPT_REWORDING and self.k_paths > len(PROMPT_BANK):
-            raise ValueError(f"prompt factor supports at most {len(PROMPT_BANK)} paths, "
-                             f"got {self.k_paths}")
 
 
 def prediction_entropy(answers: Sequence[Answer]) -> float:
@@ -98,83 +72,84 @@ class FactorResult:
     failed is in ``failed``, not in ``per_question``; with none left, both
     entropies are None."""
 
-    factor: Factor
     entropy_nats: Optional[float]  # mean of per-question entropies
     pooled_entropy_nats: Optional[float]  # entropy of all predictions pooled
     per_question: Dict[str, List[Answer]] = field(default_factory=dict)
     failed: tuple = ()  # ids of the questions whose run failed
 
 
-@dataclass(frozen=True)
-class FactorStudyReport:
-    dataset: str
-    results: Dict[Factor, FactorResult]
+def factor_configs(factor: Factor, k: int) -> List[StrategyConfig]:
+    """The configs whose paths, pooled per question, are the factor's ``k``
+    predictions, each at its kind's defaults. Model perturbation has none."""
+    if factor == Factor.QUESTION_REWORDING:
+        return [default_config(StrategyKind.QUESTION_C, n_reformulations=k)]
+    if factor == Factor.SAMPLING:
+        return [default_config(StrategyKind.SC, m_samples=k)]
+    if factor == Factor.PROMPT_REWORDING:
+        # One single-sample path per prompt, at a promptc context's temperature.
+        temperature = default_config(StrategyKind.PROMPT_C).temperature
+        return [default_config(StrategyKind.SC, m_samples=1, canonical_prompt=prompt,
+                               temperature=temperature) for prompt in PROMPT_BANK[:k]]
+    return []
 
 
-def _factor_answers(q: Question, spec: FactorSpec, cfg: StrategyConfig,
-                    backend: Backend) -> List[Answer]:
-    k = spec.k_paths
-    if spec.factor == Factor.QUESTION_REWORDING:
-        traces = run_strategy(q, replace(cfg, kind=StrategyKind.QUESTION_C, n_reformulations=k,
-                                         temperature=REWORDING_TEMPERATURE), backend)
-    elif spec.factor == Factor.PROMPT_REWORDING:
-        run_cfg = replace(cfg, kind=StrategyKind.PROMPT_C, n_reformulations=k,
-                          temperature=REWORDING_TEMPERATURE)
-        traces = run_contexts(q, [(q.text, p) for p in prompt_bank()[:k]], run_cfg, backend)
-    else:  # sampling; run_factor_study skips model perturbation
-        traces = run_strategy(q, replace(cfg, kind=StrategyKind.SC, m_samples=k,
-                                         temperature=SAMPLING_TEMPERATURE), backend)
-    return [t.parsed for t in traces]
-
-
-def run_factor_study(dataset: str, questions: Sequence[Question],
-                     factors: Sequence[FactorSpec], cfg: StrategyConfig,
-                     backend: Backend) -> FactorStudyReport:
-    """Generate per-factor prediction multisets over a question subset and
-    report mean per-question entropy (plus pooled entropy for audit). A
-    question whose run fails is left out of its factor's entropies and
-    counted in ``failed``; the study goes on.
+def run_factor_study(questions: Sequence[Question], factors: Sequence[Factor], k: int,
+                     backend: Backend) -> Dict[Factor, FactorResult]:
+    """Generate each factor's ``k`` predictions per question, through
+    :func:`run_strategy` over :func:`factor_configs`, and report mean
+    per-question entropy (plus pooled entropy for audit). A failed path
+    abstains; a question whose run fails, as when its rewrite does, is left
+    out of its factor's entropies and counted in ``failed``, and the study
+    goes on. ``k`` is checked before any factor runs.
 
     Model perturbation cannot run through an API client: it is skipped, with
     no calls, and :func:`report_to_csv` tags it ``unsupported``.
     """
     if not questions:
         raise EmptyInputError("factor study needs at least one question")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if Factor.PROMPT_REWORDING in factors and k > len(PROMPT_BANK):
+        raise ValueError(f"prompt factor supports at most {len(PROMPT_BANK)} paths, got {k}")
     results: Dict[Factor, FactorResult] = {}
-    for spec in factors:
-        if spec.factor == Factor.MODEL_PERTURBATION:
+    for factor in factors:
+        configs = factor_configs(factor, k)
+        if not configs:
             continue
         per_question: Dict[str, List[Answer]] = {}
         failed: List[str] = []
         for q in questions:
             try:
-                per_question[q.id] = _factor_answers(q, spec, cfg, backend)
+                per_question[q.id] = [trace.parsed for cfg in configs
+                                      for trace in run_strategy(q, cfg, backend)]
             except StrategyError as exc:
-                logger.error("%s factor: %s; leaving the question out", spec.factor.value, exc)
+                logger.error("%s factor: %s; leaving the question out", factor.value, exc)
                 failed.append(q.id)
         entropies = [prediction_entropy(a) for a in per_question.values()]
         pooled = [a for answers in per_question.values() for a in answers]
-        results[spec.factor] = FactorResult(
-            factor=spec.factor,
+        results[factor] = FactorResult(
             entropy_nats=sum(entropies) / len(entropies) if entropies else None,
             pooled_entropy_nats=prediction_entropy(pooled) if pooled else None,
             per_question=per_question,
             failed=tuple(failed),
         )
-    return FactorStudyReport(dataset=dataset, results=results)
+    return results
 
 
-def report_to_csv(reports: Sequence[FactorStudyReport], factors: Sequence[Factor]) -> str:
-    """Rows are datasets, columns are ``factors``; unsupported factors render
-    as a tag, and a factor with no result or no surviving question as an
-    empty cell. A footer documents the out-of-scope perturbation setup and,
-    for each factor with failed questions, how many failed."""
+def report_to_csv(reports: Mapping[str, Dict[Factor, FactorResult]],
+                  factors: Sequence[Factor]) -> str:
+    """Rows are datasets, the keys of ``reports`` each mapped to its
+    :func:`run_factor_study` results; columns are ``factors``. Unsupported
+    factors render as a tag, and a factor with no result or no surviving
+    question as an empty cell. A footer documents the out-of-scope
+    perturbation setup and, for each factor with failed questions, how many
+    failed."""
     lines = ["dataset," + ",".join(f.value for f in factors)]
     failures = []
-    for report in reports:
-        cells = [report.dataset]
+    for dataset, results in reports.items():
+        cells = [dataset]
         for f in factors:
-            result = report.results.get(f)
+            result = results.get(f)
             if f == Factor.MODEL_PERTURBATION and result is None:
                 cells.append("unsupported")
             elif result is not None and result.entropy_nats is not None:

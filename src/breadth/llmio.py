@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .core import Usage, check_json_fields, json_string
+from .core import Usage, check_json_fields, check_temperature, json_string
 # Also importable as breadth.llmio.ReplayStore, the name perfbench/ wraps.
 from .store import ReplayStore
 
@@ -113,9 +113,7 @@ class CompletionRequest:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        # False for NaN too. A finite float's repr is what the encoder writes.
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        check_temperature(self.temperature)  # a finite float's repr is what the encoder writes
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":

@@ -8,9 +8,8 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
 
-from .core import Usage
+from .core import CANONICAL_COT_PROMPT, Usage
 from .llmio import Backend, call
 
 logger = logging.getLogger(__name__)
@@ -36,7 +35,7 @@ PROMPT_BANK = (
     "Let's take a thoughtful approach.",
     "In a systematic approach, let's work through the following stages.",
     "In a systematic manner, let us consider each detail.",
-    "Let's think step by step.",
+    CANONICAL_COT_PROMPT,
 )
 
 _DEDUP_RETRIES = 2
@@ -77,11 +76,6 @@ class Reformulations(list):
     it as one."""
 
     usage = Usage()
-
-
-def prompt_bank() -> List[str]:
-    """The ten fixed alternative prompts, order-stable across calls."""
-    return list(PROMPT_BANK)
 
 
 def split_choice_block(text: str) -> tuple:

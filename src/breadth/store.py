@@ -10,12 +10,13 @@ corrupt line anywhere else is an error. It is appended to through one
 repairs the tail it finds when it opens that descriptor: a last line the
 reader would drop is cut off, and an intact last record that lacks its
 newline gets one. A write that fails is cut back at once, through the same
-descriptor, to the size before it; if that cut fails too, the descriptor is
-closed, and the next append opens the file again and repairs its tail. A
-file deleted or replaced under its log (no link left) is closed and the
-path opened again, so lines always land at the path. A replaced file is
-written to a temporary file and renamed over the old one, so a crash leaves
-the old file or the new one, never a torn one.
+descriptor, to the size before it, when the file holds nothing past what
+that write put there; if another writer has appended since, or the cut
+fails, the descriptor is closed, and the next append opens the file again
+and repairs its tail. A file deleted or replaced under its log (no link
+left) is closed and the path opened again, so lines always land at the
+path. A replaced file is written to a temporary file and renamed over the
+old one, so a crash leaves the old file or the new one, never a torn one.
 
 The cache stores one JSON line per *sample*, so a run recorded with
 batched sampling replays identically when samples are issued one by one
@@ -47,6 +48,18 @@ from .core import Usage, is_count, json_string
 logger = logging.getLogger(__name__)
 
 
+_BLANK = object()  # a blank line's value; one holding ``null`` has a JSON value
+_decode_json = json.JSONDecoder().decode  # json.loads without its argument checks
+
+
+def _parse_line(raw: bytes) -> Any:
+    """The JSON value on one line of an append-only file, or ``_BLANK``; a
+    ``ValueError`` if the line is not UTF-8 or not JSON. The one rule by
+    which a line is both read and repaired."""
+    line = raw.decode("utf-8")
+    return _decode_json(line) if line.strip() else _BLANK
+
+
 def read_json_lines(path: str, string_field: Optional[str] = None,
                     keep: Optional[Callable[[dict], Any]] = None,
                     digest: Optional[Any] = None) -> list:
@@ -72,10 +85,9 @@ def read_json_lines(path: str, string_field: Optional[str] = None,
             if digest is not None:
                 digest.update(raw)
             try:
-                line = raw.decode("utf-8")
-                if not line.strip():
+                record = _parse_line(raw)
+                if record is _BLANK:
                     continue
-                record = json.loads(line)
             except ValueError:
                 if fh.readline():
                     raise ValueError(f"{path}: corrupt record at line {lineno}")
@@ -141,13 +153,19 @@ class AppendLog:
         status = None if self._fd is None else os.fstat(self._fd)
         if status is None or status.st_nlink == 0:
             status = self._open()
+        unwritten = memoryview(data)
         try:
-            _write_all(self._fd, data)
+            while unwritten:
+                unwritten = unwritten[os.write(self._fd, unwritten):]
         except BaseException:
-            # Part of a line may be on disk: cut it off now, or, if that
-            # fails too, when the next append opens the file again.
+            # Part of a line may be on disk: cut it off now, unless another
+            # writer has appended since (the cut would delete its lines); else,
+            # or if the cut fails, the next append reopens and repairs the tail.
             try:
-                os.ftruncate(self._fd, status.st_size)
+                if os.fstat(self._fd).st_size == status.st_size + len(data) - len(unwritten):
+                    os.ftruncate(self._fd, status.st_size)
+                else:
+                    self.close()
             except OSError:
                 self.close()
             raise
@@ -160,19 +178,20 @@ class AppendLog:
         self._fd = fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         self._close_fd = weakref.finalize(self, os.close, fd)
         try:
-            _repair_tail(fd)
+            if _repair_tail(fd):
+                self.append(b"\n")
         except BaseException:
             self.close()
             raise
         return os.fstat(fd)
 
 
-def _repair_tail(fd: int) -> None:
+def _repair_tail(fd: int) -> bool:
     """Judge the physically last line of the file open on ``fd``, the one
     after the last newline that does not end the file, as
-    :func:`read_json_lines` judges a last line: one it drops is cut off, and
-    one it keeps ends in a newline, so the next record gets a line of its
-    own."""
+    :func:`read_json_lines` judges a last line: one it drops is cut off.
+    Return whether one it keeps lacks its newline, which the caller appends
+    so that the next record gets a line of its own."""
     start = os.fstat(fd).st_size
     line = b""
     while start and b"\n" not in line[:-1]:
@@ -183,20 +202,11 @@ def _repair_tail(fd: int) -> None:
     cut = line.rfind(b"\n", 0, len(line) - 1) + 1
     start, line = start + cut, line[cut:]
     try:
-        text = line.decode("utf-8")
-        if text.strip():
-            json.loads(text)
+        _parse_line(line)
     except ValueError:
         os.ftruncate(fd, start)
-    else:
-        if line and not line.endswith(b"\n"):
-            _write_all(fd, b"\n")
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    unwritten = memoryview(data)
-    while unwritten:
-        unwritten = unwritten[os.write(fd, unwritten):]
+        return False
+    return bool(line) and not line.endswith(b"\n")
 
 
 def _entry(key: str, texts: Any, prompt: Any, completion: Any) -> Union[Tuple[str, int, int], str]:

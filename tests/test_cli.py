@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shlex
@@ -23,7 +24,9 @@ from breadth.strategy import (
     assemble_prediction_input,
     assemble_reasoning_input,
 )
-from conftest import IGNORED_KNOBS, NON_DEFAULT_KNOBS, knob_id, mc_question, request_dict
+from breadth.reformulate import PROMPT_BANK, QUESTION_INSTRUCTION
+from conftest import (IGNORED_KNOBS, MC_TRIGGER, NON_DEFAULT_KNOBS, knob_id, mc_question,
+                      request_dict)
 
 PROMPT = "Let's think step by step."
 YES_TRIGGER = "Therefore, the answer (Yes or No) is"
@@ -256,7 +259,61 @@ def test_entropy_leaves_a_failed_question_out_and_goes_on(tmp_path, capsys):
     assert not any(line.startswith("# sampling:") for line in lines)
 
 
-def test_votemodel_subcommand(tmp_path, capsys):
+def test_entropy_study_sends_the_pinned_requests_and_writes_the_pinned_csv(tmp_path, capsys,
+                                                                           monkeypatch):
+    # Pins the study end to end: each factor's requests, in order, as
+    # (user_text, temperature, n_samples, sample_batch_id), and the CSV bytes.
+    questions = [mc_question(f"s{i}", f"Pick {i}. Answer Choices: (A) x (B) y (C) z", "A")
+                 for i in range(2)]
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text("".join(json.dumps(q.to_dict()) + "\n" for q in questions),
+                      encoding="utf-8")
+    rewrites = ["Pick 0, reworded?", "Pick 0, again?", "Pick 1, reworded?", "Pick 1, again?"]
+    labels = "ABC" "AAB" "AAA" "ABB" "ABA" "CCC"  # question, prompt, sampling; s0 then s1
+    backend = ScriptedBackend({
+        "rephrase the following question": rewrites,
+        "": [f"reasoning {i}" for i in range(20)],
+        MC_TRIGGER: [f"the answer is ({label})" for label in labels],
+    })
+    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    out = tmp_path / "study.csv"
+    code = main(["entropy", "--factors", "question,prompt,sampling", "--k", "3",
+                 "--subset", str(subset), "--dataset", "toy", "--out", str(out)])
+    assert code == 0
+
+    reasonings = iter(f"reasoning {i}" for i in range(20))
+    expected = []
+
+    def paths(question, prompt, temperature, samples=1):
+        reasoning_input = assemble_reasoning_input(question, prompt)
+        expected.append((reasoning_input, temperature, samples, 0))
+        for reasoning in [next(reasonings) for _ in range(samples)]:
+            expected.append((assemble_prediction_input(question, prompt, reasoning, MC_TRIGGER),
+                             temperature, 1, 0))
+
+    for q, (first, second) in zip(questions, [rewrites[:2], rewrites[2:]]):
+        stem = q.text[:len("Pick 0. ")]
+        choices = q.text[len(stem):]
+        for batch_id in (0, 3):
+            expected.append((f"{QUESTION_INSTRUCTION}\n{stem}", 1.0, 1, batch_id))
+        for text in (q.text, f"{first}\n{choices}", f"{second}\n{choices}"):
+            paths(text, PROMPT, 1.0)
+    for q in questions:
+        for prompt in PROMPT_BANK[:3]:
+            paths(q.text, prompt, 1.0)
+    for q in questions:
+        paths(q.text, PROMPT, 0.8, samples=3)
+    sent = [(c.user_text, c.temperature, c.n_samples, c.sample_batch_id) for c in backend.calls]
+    assert sent == expected
+    assert out.read_bytes() == (
+        b"dataset,question,prompt,sampling\n"
+        b"toy,0.8676,0.3183,0.3183\n"
+        b"# model_perturbation requires replacing the final linear layer with a noisy one "
+        b"(std 0.010-0.020, step 0.001) on open weights; unsupported here\n")
+    assert capsys.readouterr().out == f"{out}\n"
+
+
+def test_votemodel_subcommand(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "curve.csv"
     code = main(["votemodel", "--p", "0.6", "--rho", "0.8", "--n", "3", "--m", "2",
                  "--trials", "20000", "--seed", "7", "--out", str(out_path)])
@@ -264,6 +321,19 @@ def test_votemodel_subcommand(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "k,accuracy,std_err,analytic_iid"
     assert len(lines) == 7  # header + k=1..6
+    # The file is replaced whole: a write that fails keeps the old file and
+    # leaves no temporary file beside it.
+    before = out_path.read_bytes()
+
+    def no_rename(src, dst):
+        raise OSError(errno.EIO, "input/output error")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    code = main(["votemodel", "--p", "0.7", "--n", "2", "--trials", "100",
+                 "--out", str(out_path)])
+    assert code == 2 and "input/output error" in capsys.readouterr().err
+    assert out_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
 def test_report_and_pilot_subset_subcommands(tmp_path, capsys):

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
+from breadth.core import Answer, AnswerFormat
 from breadth.diversity import (
     Factor,
-    FactorSpec,
     prediction_entropy,
     report_to_csv,
     run_factor_study,
@@ -79,17 +78,23 @@ def test_merging_two_classes_never_increases_entropy():
 def test_factor_parse_aliases():
     assert Factor.parse("question") == Factor.QUESTION_REWORDING
     assert Factor.parse("model-perturbation") == Factor.MODEL_PERTURBATION
+    spellings = {
+        "question": Factor.QUESTION_REWORDING, "question_rewording": Factor.QUESTION_REWORDING,
+        "prompt": Factor.PROMPT_REWORDING, "prompt_rewording": Factor.PROMPT_REWORDING,
+        "llms": Factor.MODEL_PERTURBATION, "model": Factor.MODEL_PERTURBATION,
+        "model_perturbation": Factor.MODEL_PERTURBATION, "sampling": Factor.SAMPLING,
+    }
+    for name, factor in spellings.items():
+        assert Factor.parse(name) == Factor.parse(f" {name.upper().replace('_', '-')} ") == factor
     with pytest.raises(ValueError):
         Factor.parse("nonsense")
 
 
 def test_model_perturbation_constructible_but_not_runnable():
-    spec = FactorSpec(Factor.MODEL_PERTURBATION)  # nameable in reports
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(StrategyKind.COT)
     backend = ScriptedBackend()  # no rules: any call would fail
-    report = run_factor_study("toy", [q], [spec], cfg, backend)
-    assert report.results == {} and backend.calls == []
+    results = run_factor_study([q], [Factor.MODEL_PERTURBATION], 10, backend)
+    assert results == {} and backend.calls == []
 
 
 def _uniform_backend(answer_texts):
@@ -103,14 +108,12 @@ def _uniform_backend(answer_texts):
 
 def test_all_identical_answers_give_zero_entropy_per_factor():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(StrategyKind.COT)
-    factors = [FactorSpec(Factor.QUESTION_REWORDING), FactorSpec(Factor.PROMPT_REWORDING),
-               FactorSpec(Factor.SAMPLING)]
+    factors = [Factor.QUESTION_REWORDING, Factor.PROMPT_REWORDING, Factor.SAMPLING]
     backend = _uniform_backend(["the answer is (A)"] * 30)
-    report = run_factor_study("toy", [q], factors, cfg, backend)
-    for factor in (Factor.QUESTION_REWORDING, Factor.PROMPT_REWORDING, Factor.SAMPLING):
-        assert report.results[factor].entropy_nats == pytest.approx(0.0, abs=1e-12)
-        assert len(report.results[factor].per_question["q0"]) == 10
+    results = run_factor_study([q], factors, 10, backend)
+    for factor in factors:
+        assert results[factor].entropy_nats == pytest.approx(0.0, abs=1e-12)
+        assert len(results[factor].per_question["q0"]) == 10
 
 
 def test_ten_distinct_answers_give_ln_ten_per_factor():
@@ -118,38 +121,33 @@ def test_ten_distinct_answers_give_ln_ten_per_factor():
 
     q = Question(id="q0", text="How many?", answer_format=AnswerFormat.NUMERIC,
                  gold=Answer(AnswerFormat.NUMERIC, "1"))
-    cfg = default_config(StrategyKind.COT)
-    factors = [FactorSpec(Factor.QUESTION_REWORDING), FactorSpec(Factor.PROMPT_REWORDING),
-               FactorSpec(Factor.SAMPLING)]
+    factors = [Factor.QUESTION_REWORDING, Factor.PROMPT_REWORDING, Factor.SAMPLING]
     backend = ScriptedBackend()
     backend.add_rule(QUESTION_INSTRUCTION, [f"Variant wording {i}?" for i in range(40)])
     backend.add_rule("", ["reasoning text"] * 200)
     backend.add_rule("Therefore, the answer (arabic numerals) is",
                      [f"the answer is {i}" for i in range(1, 11)] * 3)
-    report = run_factor_study("toy", [q], factors, cfg, backend)
-    for factor in (Factor.QUESTION_REWORDING, Factor.PROMPT_REWORDING, Factor.SAMPLING):
-        assert report.results[factor].entropy_nats == pytest.approx(math.log(10), abs=1e-9)
+    results = run_factor_study([q], factors, 10, backend)
+    for factor in factors:
+        assert results[factor].entropy_nats == pytest.approx(math.log(10), abs=1e-9)
 
 
 def test_sampling_factor_samples_at_low_temperature():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(StrategyKind.COT)
     backend = _uniform_backend(["the answer is (A)"] * 10)
-    run_factor_study("toy", [q], [FactorSpec(Factor.SAMPLING)], cfg, backend)
+    run_factor_study([q], [Factor.SAMPLING], 10, backend)
     sampling_calls = [c for c in backend.calls if c.n_samples == 10]
     assert sampling_calls and all(c.temperature == 0.8 for c in sampling_calls)
 
 
 def test_question_factor_includes_original_as_first_context():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(StrategyKind.COT)
     backend = _uniform_backend(["the answer is (A)"] * 10)
-    report = run_factor_study("toy", [q], [FactorSpec(Factor.QUESTION_REWORDING)],
-                              cfg, backend)
+    results = run_factor_study([q], [Factor.QUESTION_REWORDING], 10, backend)
     reasoning_calls = [c.user_text for c in backend.calls
                        if c.user_text.endswith("Let's think step by step.")]
     assert reasoning_calls[0].startswith("Pick. ")
-    assert len(report.results[Factor.QUESTION_REWORDING].per_question["q0"]) == 10
+    assert len(results[Factor.QUESTION_REWORDING].per_question["q0"]) == 10
 
 
 def test_mean_per_question_entropy_and_pooled_reported():
@@ -159,10 +157,7 @@ def test_mean_per_question_entropy_and_pooled_reported():
     backend.add_rule("", ["reasoning"] * 50)
     backend.add_rule(MC_TRIGGER,
                      ["the answer is (A)"] * 10 + ["the answer is (B)"] * 10)
-    cfg = default_config(StrategyKind.COT)
-    report = run_factor_study("toy", [q1, q2], [FactorSpec(Factor.SAMPLING)],
-                              cfg, backend)
-    result = report.results[Factor.SAMPLING]
+    result = run_factor_study([q1, q2], [Factor.SAMPLING], 10, backend)[Factor.SAMPLING]
     assert result.entropy_nats == pytest.approx(0.0, abs=1e-12)  # each question pure
     assert result.pooled_entropy_nats == pytest.approx(math.log(2), abs=1e-12)
 
@@ -171,21 +166,28 @@ def test_mean_per_question_entropy_and_pooled_reported():
 
 
 def test_prompt_factor_k_is_capped_by_the_bank():
-    assert FactorSpec(Factor.PROMPT_REWORDING, k_paths=10).k_paths == 10
+    # k is checked before any factor runs, so no factor makes a call.
+    q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
+    backend = _uniform_backend(["the answer is (A)"] * 30)
     with pytest.raises(ValueError, match="at most 10 paths, got 11"):
-        FactorSpec(Factor.PROMPT_REWORDING, k_paths=11)
-    assert FactorSpec(Factor.QUESTION_REWORDING, k_paths=11).k_paths == 11
+        run_factor_study([q], [Factor.SAMPLING, Factor.PROMPT_REWORDING], 11, backend)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run_factor_study([q], [Factor.SAMPLING], 0, backend)
+    assert backend.calls == []
+    results = run_factor_study([q], [Factor.PROMPT_REWORDING], 10, backend)
+    assert len(results[Factor.PROMPT_REWORDING].per_question["q0"]) == 10
+    results = run_factor_study([q], [Factor.SAMPLING], 11, backend)
+    assert len(results[Factor.SAMPLING].per_question["q0"]) == 11
 
 
 def test_factor_with_every_question_failed_renders_an_empty_cell():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
     backend = ScriptedBackend()  # no rules: the rewrite call fails
-    report = run_factor_study("toy", [q], [FactorSpec(Factor.QUESTION_REWORDING, k_paths=3)],
-                              default_config(StrategyKind.COT), backend)
-    result = report.results[Factor.QUESTION_REWORDING]
+    results = run_factor_study([q], [Factor.QUESTION_REWORDING], 3, backend)
+    result = results[Factor.QUESTION_REWORDING]
     assert result.failed == ("q0",) and result.per_question == {}
     assert result.entropy_nats is None and result.pooled_entropy_nats is None
-    lines = report_to_csv([report], factors=[Factor.QUESTION_REWORDING]).splitlines()
+    lines = report_to_csv({"toy": results}, factors=[Factor.QUESTION_REWORDING]).splitlines()
     assert lines[1] == "toy,"
     assert lines[-1] == "# question: 1 of 1 questions failed"
 
@@ -203,11 +205,10 @@ def test_reference_table_is_consistent_with_ten_paths():
 
 def test_csv_layout_rows_datasets_columns_factors():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
-    cfg = default_config(StrategyKind.COT)
     backend = _uniform_backend(["the answer is (A)"] * 10)
-    report = run_factor_study("aqua-subset", [q], [FactorSpec(Factor.SAMPLING)],
-                              cfg, backend)
-    csv_text = report_to_csv([report], factors=[Factor.SAMPLING, Factor.MODEL_PERTURBATION])
+    results = run_factor_study([q], [Factor.SAMPLING], 10, backend)
+    csv_text = report_to_csv({"aqua-subset": results},
+                             factors=[Factor.SAMPLING, Factor.MODEL_PERTURBATION])
     lines = csv_text.strip().splitlines()
     assert lines[0] == "dataset,sampling,llms"
     assert lines[1].startswith("aqua-subset,0.0000,unsupported")

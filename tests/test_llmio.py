@@ -666,6 +666,31 @@ def test_store_append_whose_cut_fails_too_reopens_and_repairs_the_tail(tmp_path,
     assert path.read_bytes().endswith(b"\n") and descriptors_linked_to(path) == 1
 
 
+def test_store_append_that_fails_keeps_the_lines_another_writer_appended_meanwhile(
+        tmp_path, monkeypatch):
+    # Store A's write fails after store B appended a line: cutting the file
+    # back to the size A read before writing would delete B's line.
+    path = tmp_path / "cache.jsonl"
+    a, b = ReplayStore(str(path)), ReplayStore(str(path))
+    a.append([_record("k1")])
+    b.append([_record("k2")])
+    write = os.write
+
+    def b_appends_then_disk_fills(fd, data):
+        monkeypatch.setattr(os, "write", write)
+        b.append([_record("b1")])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(os, "write", b_appends_then_disk_fills)
+    with pytest.raises(OSError):
+        a.append([_record("a1")])
+    monkeypatch.undo()
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "k2", "b1"]
+    a.append([_record("a2")])
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "k2", "b1", "a2"]
+    assert path.read_bytes().endswith(b"\n")
+
+
 def _split_read_json_lines(path, string_field=None):
     """The loader as it was before it streamed: the whole file read, decoded
     and split at once. The reference for the streaming loader."""

@@ -1,5 +1,6 @@
 import pytest
 
+from breadth.core import CANONICAL_COT_PROMPT
 from breadth.llmio import ScriptedBackend
 from breadth.reformulate import (
     PROMPT_BANK,
@@ -7,26 +8,16 @@ from breadth.reformulate import (
     QUESTION_INSTRUCTION,
     ReformulationSpec,
     ReformulationTarget,
-    prompt_bank,
     reformulate,
     split_choice_block,
 )
 
 
 def test_prompt_bank_contents_and_order():
-    bank = prompt_bank()
-    assert len(bank) == 10
-    assert bank[0] == "Here are the steps we can follow to achieve our goal."
-    assert bank[5] == "Let's take it one step at a time."
-    assert bank[9] == "Let's think step by step."
-    assert prompt_bank() == bank  # order-stable across calls
-
-
-def test_prompt_bank_returns_copy():
-    bank = prompt_bank()
-    bank[0] = "mutated"
-    assert prompt_bank()[0] != "mutated"
-    assert tuple(prompt_bank()) == PROMPT_BANK
+    assert isinstance(PROMPT_BANK, tuple) and len(PROMPT_BANK) == 10
+    assert PROMPT_BANK[0] == "Here are the steps we can follow to achieve our goal."
+    assert PROMPT_BANK[5] == "Let's take it one step at a time."
+    assert PROMPT_BANK[9] == "Let's think step by step." == CANONICAL_COT_PROMPT
 
 
 def test_default_instructions_per_target():
