@@ -372,8 +372,9 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     """Execute a strategy over every question, persisting traces as it goes.
 
     Completed questions found in an existing trace store are skipped, so
-    interrupted runs resume; a resume under another config is a
-    ``ValueError`` before any call (see :func:`_claim_run_config`). Reaching
+    interrupted runs resume. A run id whose traces another log holds is an
+    ``OSError``, and a resume under another config a ``ValueError`` (see
+    :func:`_claim_run_config`), each before any call. Reaching
     ``max_total_tokens`` stops the run gracefully with the record flagged
     partial; single-question failures are recorded and skipped, never fatal.
 
@@ -389,14 +390,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     run_dir = os.path.join(runs_dir, run_id)
     os.makedirs(run_dir, exist_ok=True)
     trace_log = AppendLog(os.path.join(run_dir, "traces.jsonl"))
-    traces = read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict)
-    existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
-    for trace in traces:
-        existing.setdefault(trace.question_id, []).append(trace)
     config = dict(effective_config or cfg.to_dict())
-    _claim_run_config(run_dir, run_id, config, resuming=bool(existing))
-
-    started = time.monotonic()
     outcomes: List[QuestionOutcome] = []
     total_usage = Usage()
     partial = False
@@ -438,9 +432,15 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     # overlap; scripted ones also hand out their responses in call order.
     workers = (nullcontext() if backend.deterministic else
                ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="breadth-question"))
-    # Entering the log creates traces.jsonl, so a run that writes no trace
-    # still leaves one; leaving it, by a return or a raise, closes it.
+    # Entering the log creates and locks traces.jsonl before it is read or
+    # config.json written, so a second writer of this run id changes nothing,
+    # and a run that writes no trace still leaves one; leaving it closes it.
     with trace_log, workers as pool:
+        existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
+        for trace in read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict):
+            existing.setdefault(trace.question_id, []).append(trace)
+        _claim_run_config(run_dir, run_id, config, resuming=bool(existing))
+        started = time.monotonic()
         for q in questions:
             if q.id in existing:
                 while window:

@@ -93,7 +93,9 @@ def _build_backend(args) -> Backend:
     live = LiveBackend(args.base_url, model=args.model)
     if args.record:
         # Recording appends, which would leave a fresh index stale at once.
-        return RecordingBackend(live, ReplayStore(args.record, write_index=False))
+        store = ReplayStore(args.record, write_index=False)
+        store.append([])  # locks the cache before any call: a second writer exits 2
+        return RecordingBackend(live, store)
     return live
 
 
@@ -214,6 +216,9 @@ def _cmd_entropy(args) -> int:
     factors = [diversity.Factor.parse(name) for name in args.factors.split(",") if name.strip()]
     if not factors:
         raise UsageError("--factors must name at least one factor")
+    repeated = sorted({f.value for f in factors if factors.count(f) > 1})
+    if repeated:
+        raise UsageError(f"--factors names {', '.join(repeated)} more than once")
     backend = _build_backend(args)
     results = diversity.run_factor_study(questions, factors, args.k, backend)
     _emit(diversity.report_to_csv({args.dataset: results}, factors), args.out)

@@ -63,8 +63,8 @@ class RateLimitedError(LlmIoError):
         self.retry_after = retry_after
 
 
-class MalformedResponseError(LlmIoError):
-    """Unusable response body; never retried."""
+class MalformedResponseError(LlmIoError, ValueError):
+    """Unusable response body or cache record; never retried."""
 
 
 class CacheMissError(LlmIoError):
@@ -333,13 +333,13 @@ class LiveBackend(Backend):
             data = resp.json()
             choices = sorted(data["choices"], key=lambda c: c.get("index", 0))
             texts = tuple(c["message"]["content"] for c in choices)
-            if not all(isinstance(text, str) for text in texts):
-                raise MalformedResponseError("a choice's content is not a string")
             # An absent or null usage reads as zeros; a usage that is not an
             # object of counts is malformed, so nothing recorded is unservable.
             usage = Usage() if data.get("usage") is None else Usage.from_dict(data["usage"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedResponseError(f"unparseable response body: {exc}") from exc
+        if not all(isinstance(text, str) for text in texts):
+            raise MalformedResponseError("a choice's content is not a string")
         if len(texts) != req.n_samples:
             raise MalformedResponseError(
                 f"expected {req.n_samples} samples, got {len(texts)}"
@@ -440,8 +440,8 @@ class ScriptedBackend(Backend):
 def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionResponse:
     """What replay serves: one response from the store's per-sample entries
     under ``keys``, in order. A key with no entry is a
-    :class:`CacheMissError`; one whose record cannot be served raises its
-    ``ValueError``."""
+    :class:`CacheMissError`; one whose record cannot be served, a
+    :class:`MalformedResponseError`, failing its path as a failed call does."""
     entries = store.entries
     texts = []
     prompt_tokens = completion_tokens = 0
@@ -450,7 +450,7 @@ def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionRespon
         if type(entry) is not tuple:
             if entry is None:
                 raise CacheMissError(f"no recorded response for key {key}")
-            raise ValueError(entry)
+            raise MalformedResponseError(entry)
         text, prompt, completion = entry
         if not texts:
             prompt_tokens = prompt

@@ -9,14 +9,15 @@ corrupt line anywhere else is an error. It is appended to through one
 :class:`AppendLog`, which holds one ``O_APPEND`` descriptor on it and
 repairs the tail it finds when it opens that descriptor: a last line the
 reader would drop is cut off, and an intact last record that lacks its
-newline gets one. A write that fails is cut back at once, through the same
-descriptor, to the size before it, when the file holds nothing past what
-that write put there; if another writer has appended since, or the cut
-fails, the descriptor is closed, and the next append opens the file again
-and repairs its tail. A file deleted or replaced under its log (no link
-left) is closed and the path opened again, so lines always land at the
-path. A replaced file is written to a temporary file and renamed over the
-old one, so a crash leaves the old file or the new one, never a torn one.
+newline gets one. Each file has one writer: the log takes an exclusive
+``flock`` on the descriptor it opens, and a file held by another is an
+``OSError`` naming the path. A write that fails is cut back at once,
+through the same descriptor, to the size before it; if the cut fails, the
+descriptor is closed, and the next append opens the file again and repairs
+its tail. A file deleted or replaced under its log (no link left) is closed
+and the path opened again, so lines always land at the path. A replaced
+file is written to a temporary file and renamed over the old one, so a
+crash leaves the old file or the new one, never a torn one.
 
 The cache stores one JSON line per *sample*, so a run recorded with
 batched sampling replays identically when samples are issued one by one
@@ -28,6 +29,7 @@ instead of parsing the cache again.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
@@ -124,10 +126,10 @@ def replaced(path: str, mode: str = "w"):
 
 class AppendLog:
     """Appends whole lines to the JSON-lines file at ``path`` by the rule
-    above. The descriptor is opened, and the tail it finds repaired, at the
-    first append, or on entering the log as a context, which creates the
-    file; it is held until the log is closed or dropped. Callers serialize
-    appends.
+    above. The descriptor is opened and locked, and the tail it finds
+    repaired, at the first append, or on entering the log as a context,
+    which creates the file; it is held until the log is closed or dropped,
+    and a process that dies lets go of it. Callers serialize appends.
     """
 
     def __init__(self, path: str):
@@ -158,26 +160,26 @@ class AppendLog:
             while unwritten:
                 unwritten = unwritten[os.write(self._fd, unwritten):]
         except BaseException:
-            # Part of a line may be on disk: cut it off now, unless another
-            # writer has appended since (the cut would delete its lines); else,
-            # or if the cut fails, the next append reopens and repairs the tail.
+            # Part of a line may be on disk: cut it off now; if the cut fails,
+            # the next append reopens and repairs the tail.
             try:
-                if os.fstat(self._fd).st_size == status.st_size + len(data) - len(unwritten):
-                    os.ftruncate(self._fd, status.st_size)
-                else:
-                    self.close()
+                os.ftruncate(self._fd, status.st_size)
             except OSError:
                 self.close()
             raise
 
     def _open(self) -> os.stat_result:
         """Open the path for appending in place of any descriptor held
-        before, repair its tail, and return the file's status. A failed
-        repair leaves no descriptor held, so the next append repairs again."""
+        before, lock it, repair its tail, and return the file's status. A
+        failed lock or repair leaves no descriptor held."""
         self.close()
         self._fd = fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         self._close_fd = weakref.finalize(self, os.close, fd)
         try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError as exc:
+                raise OSError(exc.errno, "held by another writer", self.path) from None
             if _repair_tail(fd):
                 self.append(b"\n")
         except BaseException:
@@ -334,7 +336,7 @@ class ReplayStore:
 
     Readers share the entries; appends are serialized, and go through one
     :class:`AppendLog`, so a store that only replays never opens the cache
-    for writing.
+    for writing, and reads a cache that a recording store holds.
     """
 
     def __init__(self, path: str, write_index: bool = True):

@@ -341,6 +341,48 @@ def test_resume_under_a_foreign_config_is_refused_before_any_call(tmp_path):
     assert config == default_config(StrategyKind.COT).to_dict()
 
 
+def test_a_run_on_a_run_id_another_run_holds_is_refused_before_it_changes_anything(
+        tmp_path):
+    # Two runs that overlapped on one run id both wrote every question they
+    # found unwritten, and the resume voted over the paths of both.
+    questions = generate_synthetic("coinflip", 3, seed=3)
+    cfg = default_config(StrategyKind.SC, m_samples=3)
+    run_dir = tmp_path / "overlap" / "run"
+    second = CountingBackend(FakeBackend(questions, seed=1))
+    overlap = {}
+
+    class Overlapping(FakeBackend):
+        """Starts a second run on the run id once the first has written a
+        question."""
+
+        def complete(self, req):
+            if not overlap and (run_dir / "traces.jsonl").stat().st_size:
+                overlap["before"] = [(run_dir / name).read_bytes()
+                                     for name in ("config.json", "traces.jsonl")]
+                try:
+                    run_experiment("coinflip", questions, cfg, second,
+                                   runs_dir=str(tmp_path / "overlap"), run_id="run")
+                except OSError as exc:
+                    overlap["error"] = str(exc)
+                overlap["after"] = [(run_dir / name).read_bytes()
+                                    for name in ("config.json", "traces.jsonl")]
+            return super().complete(req)
+
+    run_experiment("coinflip", questions, cfg, Overlapping(questions, seed=1),
+                   runs_dir=str(tmp_path / "overlap"), run_id="run")
+    assert str(run_dir / "traces.jsonl") in overlap.get("error", "")
+    assert second.calls == 0 and overlap["after"] == overlap["before"]
+    untouched = ScriptedBackend()
+    resumed = run_experiment("coinflip", questions, cfg, untouched,
+                             runs_dir=str(tmp_path / "overlap"), run_id="run")
+    assert untouched.calls == []
+    assert [o.trace_count for o in resumed.outcomes] == [3, 3, 3]
+    run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
+                   runs_dir=str(tmp_path / "plain"), run_id="run")
+    assert ((run_dir / "summary.json").read_bytes()
+            == (tmp_path / "plain" / "run" / "summary.json").read_bytes())
+
+
 def test_resume_may_change_only_the_limit_and_the_backend_mode(tmp_path):
     questions = generate_synthetic("coinflip", 4, seed=3)
     cfg = default_config(StrategyKind.COT)

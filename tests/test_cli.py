@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import os
 import shlex
@@ -14,11 +15,12 @@ from breadth.core import AnswerFormat, StrategyKind, default_config
 from breadth.llmio import (
     API_KEY_ENV,
     CompletionRequest,
+    LiveBackend,
     RecordingBackend,
     ScriptedBackend,
     replay_response,
 )
-from breadth.store import ReplayStore
+from breadth.store import AppendLog, ReplayStore
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
@@ -235,6 +237,25 @@ def test_entropy_prompt_k_above_the_bank_exits_2_before_any_call(tmp_path, capsy
     assert code == 2
     assert "prompt factor supports at most 10 paths" in capsys.readouterr().err
     assert backend.calls == []
+
+
+
+@pytest.mark.parametrize("factors, named", [("sampling,sampling", "sampling"),
+                                            ("question,question_rewording", "question")])
+def test_entropy_refuses_a_factor_named_twice_before_any_call(tmp_path, capsys, monkeypatch,
+                                                              factors, named):
+    # A factor named twice used to run twice: its column twice, its calls doubled.
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
+    backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
+    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    entropy = ["entropy", "--k", "3", "--subset", str(subset), "--factors"]
+    assert main(entropy + [factors]) == 1
+    assert f"--factors names {named} more than once" in capsys.readouterr().err
+    assert backend.calls == []
+    assert main(entropy + ["sampling"]) == 0
+    assert len(backend.calls) == 4
 
 
 def test_entropy_leaves_a_failed_question_out_and_goes_on(tmp_path, capsys):
@@ -477,6 +498,37 @@ def test_cache_and_replay_reject_a_record_without_a_key(tmp_path, capsys, line, 
     assert capsys.readouterr().err.strip() == expected
 
 
+
+def test_replay_of_a_record_it_cannot_serve_abstains_that_path_and_finishes(tmp_path,
+                                                                           caplog):
+    # Such a record's ValueError used to end the whole run: exit 2 and no
+    # summary.json.
+    script = {"step by step": ["reasoning about coins"] * 9,
+              YES_TRIGGER: ["the answer is yes"] * 9}
+    cache = tmp_path / "cache.jsonl"
+    run_experiment("coinflip", generate_synthetic("coinflip", 3, seed=5),
+                   default_config(StrategyKind.SC, m_samples=3),
+                   RecordingBackend(ScriptedBackend(script), ReplayStore(str(cache))),
+                   runs_dir=str(tmp_path / "recorded"), run_id="r")
+    # The sixth line is a sample of the second question's reasoning call, so
+    # that call fails and its three paths abstain; the other questions run.
+    unservable = {**json.loads(cache.read_text(encoding="utf-8").splitlines()[5]), "usage": 5}
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(unservable) + "\n")
+    code = main(["run", "--dataset", "coinflip", "--seed", "5", "--limit", "3",
+                 "--strategy", "sc", "--m", "3", "--replay", str(cache),
+                 "--runs-dir", str(tmp_path / "replayed"), "--run-id", "r"])
+    assert code == 0
+    run_dir = tmp_path / "replayed" / "r"
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    assert [o["trace_count"] for o in summary["outcomes"]] == [3, 3, 3]
+    traces = [json.loads(line) for line in
+              (run_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(t["question_id"], t["sample_index"]) for t in traces
+            if t["parsed"]["abstain"]] == [("coinflip-1", sample) for sample in range(3)]
+    assert f"record {unservable['key']} has no usable token counts" in caplog.text
+
+
 def test_replay_of_a_missing_cache_exits_2_before_the_run_starts(tmp_path, capsys):
     # It used to run, fail every question as a cache miss and exit 0.
     missing = tmp_path / "nope.jsonl"
@@ -525,6 +577,40 @@ def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
     backend = cli._build_backend(args)
     assert isinstance(backend, RecordingBackend) and len(backend.store) == 1
     assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+
+
+class _SessionThatFails:
+    def post(self, *args, **kwargs):
+        pytest.fail("a refused run sent a request")
+
+
+def test_record_onto_a_cache_another_writer_holds_exits_2_before_any_call(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache.jsonl"
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, session=_SessionThatFails()))
+    with AppendLog(str(cache)):
+        code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                     "--record", str(cache), "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert f"held by another writer: '{cache}'" in capsys.readouterr().err
+    assert cache.read_bytes() == b"" and not (tmp_path / "runs").exists()
+
+
+def test_run_on_a_run_id_another_writer_holds_exits_2_before_any_call(tmp_path, capsys):
+    traces = tmp_path / "runs" / "held" / "traces.jsonl"
+    traces.parent.mkdir(parents=True)
+    script = _mock_script_file(tmp_path, {"step by step": ["r"],
+                                          YES_TRIGGER: ["the answer is yes"]})
+    run = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+           "--mock-script", script, "--runs-dir", str(tmp_path / "runs"), "--run-id", "held"]
+    with AppendLog(str(traces)):
+        assert main(run) == 2
+    assert f"held by another writer: '{traces}'" in capsys.readouterr().err
+    assert os.listdir(traces.parent) == ["traces.jsonl"] and traces.read_bytes() == b""
+    assert main(run) == 0  # the log closed, so the run id is free
 
 
 # ---------------------------------------------------------------- README

@@ -629,17 +629,23 @@ def test_store_appends_at_the_path_after_its_cache_is_replaced(tmp_path, pending
         assert descriptors_linked_to(path) == 1
 
 
-def test_stores_sharing_a_torn_cache_keep_each_others_records(tmp_path):
-    # Each store repairs the tail it finds when it opens its descriptor. A
-    # cut taken when store A opened used to be applied at A's first append,
-    # deleting what store B had appended since.
+def test_a_second_store_cannot_append_to_a_cache_a_recording_store_holds(tmp_path):
+    # Two stores used to append to one cache side by side, and could leave
+    # it unloadable. The first to append holds the cache until it is dropped;
+    # a store that only replays still reads it.
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line("k1") + "\n" + _cache_line("k2")[:15], encoding="utf-8")
     a, b = ReplayStore(str(path)), ReplayStore(str(path))
     b.append([_record("b1")])
-    b.append([_record("b2")])
+    held = path.read_bytes()
+    with pytest.raises(OSError, match=f"held by another writer: '{path}'"):
+        a.append([_record("a1")])
+    assert path.read_bytes() == held and "a1" not in a
+    assert replay_response(ReplayStore(str(path)), ["k1", "b1"]).texts == ("t", "t")
+    del b
+    gc.collect()
     a.append([_record("a1")])
-    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "b1", "b2", "a1"]
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "b1", "a1"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
@@ -666,28 +672,34 @@ def test_store_append_whose_cut_fails_too_reopens_and_repairs_the_tail(tmp_path,
     assert path.read_bytes().endswith(b"\n") and descriptors_linked_to(path) == 1
 
 
-def test_store_append_that_fails_keeps_the_lines_another_writer_appended_meanwhile(
+def test_store_append_that_fails_is_cut_back_while_a_second_writer_is_refused(
         tmp_path, monkeypatch):
-    # Store A's write fails after store B appended a line: cutting the file
-    # back to the size A read before writing would delete B's line.
+    # Store B could append while store A's write was failing, so A made no
+    # cut, to spare B's line. Now B is refused, and A cuts its half line off.
     path = tmp_path / "cache.jsonl"
     a, b = ReplayStore(str(path)), ReplayStore(str(path))
     a.append([_record("k1")])
-    b.append([_record("k2")])
+    before = path.read_bytes()
     write = os.write
+    refused = []
 
     def b_appends_then_disk_fills(fd, data):
         monkeypatch.setattr(os, "write", write)
-        b.append([_record("b1")])
+        write(fd, data[: len(data) // 2])
+        try:
+            b.append([_record("b1")])
+        except OSError as exc:
+            refused.append(str(exc))
         raise OSError(errno.ENOSPC, "no space left on device")
 
     monkeypatch.setattr(os, "write", b_appends_then_disk_fills)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="no space left"):
         a.append([_record("a1")])
     monkeypatch.undo()
-    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "k2", "b1"]
+    assert refused == [f"[Errno {errno.EAGAIN}] held by another writer: '{path}'"]
+    assert path.read_bytes() == before
     a.append([_record("a2")])
-    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "k2", "b1", "a2"]
+    assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "a2"]
     assert path.read_bytes().endswith(b"\n")
 
 
