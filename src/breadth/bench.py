@@ -367,9 +367,11 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                    cfg: StrategyConfig, backend: Backend,
                    max_total_tokens: Optional[int] = None,
                    runs_dir: str = "runs", run_id: Optional[str] = None,
-                   triggers: Optional[dict] = None,
-                   effective_config: Optional[dict] = None) -> RunRecord:
+                   run_keys: Optional[dict] = None) -> RunRecord:
     """Execute a strategy over every question, persisting traces as it goes.
+
+    The run's config, in ``config.json`` and ``summary.json``, is the
+    caller's provenance ``run_keys`` (model, dataset, ...) and ``cfg``.
 
     Completed questions found in an existing trace store are skipped, so
     interrupted runs resume. A run id whose traces another log holds is an
@@ -390,7 +392,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     run_dir = os.path.join(runs_dir, run_id)
     os.makedirs(run_dir, exist_ok=True)
     trace_log = AppendLog(os.path.join(run_dir, "traces.jsonl"))
-    config = dict(effective_config or cfg.to_dict())
+    config = {**(run_keys or {}), **cfg.to_dict()}
     outcomes: List[QuestionOutcome] = []
     total_usage = Usage()
     partial = False
@@ -454,7 +456,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                                run_id, max_total_tokens)
                 partial = True
                 break
-            task = (run_strategy, q, cfg, backend, triggers)
+            task = (run_strategy, q, cfg, backend)
             if pool is None:
                 window.append((q, functools.partial(*task)))
                 write_oldest()

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 from . import bench, diversity, votemodel
 from .core import (
-    AnswerFormat,
     Question,
     StopRule,
     StrategyConfig,
@@ -111,22 +110,14 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 def _strategy_config(args, file_config: dict) -> StrategyConfig:
     """CLI flags beat the config file, which beats the kind's defaults."""
-    values = {k: v for k, v in file_config.items() if k != "answer_triggers"}
     flags = {"kind": args.strategy, "n_reformulations": args.n, "m_samples": args.m,
              "max_iterations": args.max_iter, "stop_rule": args.stop,
              "temperature": args.temperature}
-    values.update((k, v) for k, v in flags.items() if v is not None)
+    values = {**file_config, **{k: v for k, v in flags.items() if v is not None}}
     if not values.get("kind"):
         raise UsageError("--strategy is required (or 'kind' in --config)")
     defaults = default_config(StrategyKind.parse(str(values["kind"]))).to_dict()
     return StrategyConfig.from_dict({**defaults, **values})
-
-
-def _trigger_overrides(file_config: dict):
-    raw = file_config.get("answer_triggers", {})
-    if not isinstance(raw, dict):
-        raise ValueError(f"config key 'answer_triggers' must be an object, got {raw!r:.80}")
-    return {AnswerFormat(k): str(v) for k, v in raw.items()}
 
 
 def _cmd_run(args) -> int:
@@ -134,15 +125,13 @@ def _cmd_run(args) -> int:
         raise UsageError("--limit must be at least 1")
     if args.token_budget is not None and args.token_budget < 1:
         raise UsageError("--token-budget must be at least 1")
-    file_config = _load_config_file(args.config)
-    cfg = _strategy_config(args, file_config)
+    cfg = _strategy_config(args, _load_config_file(args.config))
     spec = bench.dataset_spec(args.dataset, path=args.data_path, seed=args.seed)
     questions = bench.load_dataset(spec)[: args.limit]
     if not questions:
         raise RuntimeError(f"dataset {args.dataset} produced no questions")
-    triggers = _trigger_overrides(file_config)
     if args.dry_run:
-        plans = plan_paths(questions[0], cfg, triggers)
+        plans = plan_paths(questions[0], cfg)
         print(f"{len(plans)} planned paths for question {questions[0].id}:")
         for plan in plans:
             print(f"--- round={plan['round']} reformulation={plan['reformulation_index']} "
@@ -150,8 +139,7 @@ def _cmd_run(args) -> int:
             print(plan["input"])
         return 0
     backend = _build_backend(args)
-    effective = {
-        **cfg.to_dict(),
+    run_keys = {
         "model": args.model,
         "backend_mode": ("replay" if args.replay else
                          "record" if args.record else
@@ -166,15 +154,13 @@ def _cmd_run(args) -> int:
         "limit": args.limit,
     }
     if cfg.stop_rule == StopRule.STABLE_STOP:
-        effective["stop_rule_note"] = (
+        run_keys["stop_rule_note"] = (
             "stability stop (two consecutive equal predictions); a stand-in "
             "for adaptive iteration stopping")
-    if triggers:
-        effective["answer_triggers"] = {k.value: v for k, v in triggers.items()}
     record = bench.run_experiment(
         args.dataset, questions, cfg, backend,
         max_total_tokens=args.token_budget, runs_dir=args.runs_dir, run_id=args.run_id,
-        triggers=triggers, effective_config=effective,
+        run_keys=run_keys,
     )
     print(f"run {record.run_id}: accuracy {record.accuracy:.3f} over "
           f"{len(record.outcomes)} questions"

@@ -128,6 +128,7 @@ _FIELD_CODECS = {
     "float": ((int, float), None, None),
     "bool": ((bool,), None, None),
     "dict": ((dict,), None, None),
+    "Optional[dict]": ((dict, _NULL), dict, None),
     "tuple": ((list,), _as_list, tuple),
     "Optional[str]": ((str, _NULL), None, None),
     "Optional[tuple]": ((list, _NULL), _as_list, tuple),
@@ -436,9 +437,9 @@ class ReasoningTrace(Record):
 _FORMAT_JSON = {fmt: json_string(fmt.value) for fmt in AnswerFormat}
 
 
-# The knobs each kind reads besides ``temperature``, with the kind's defaults:
-# the headline setup of three iterations deep or three paths wide (the
-# hybrids three rewrites at one sample each).
+# The knobs each kind reads besides ``temperature`` and ``answer_triggers``,
+# with the kind's defaults: the headline setup of three iterations deep or
+# three paths wide (the hybrids three rewrites at one sample each).
 _PROMPT = {"canonical_prompt": CANONICAL_COT_PROMPT}
 KIND_KNOBS = {
     StrategyKind.ZERO_SHOT: {},
@@ -461,7 +462,8 @@ class StrategyConfig(Record):
     the samples drawn per context, ``max_iterations`` the depth cap, and
     ``iteration_guide`` the prompt that steers refinement rounds (empty
     string means: reuse the canonical prompt). ``canonical_prompt`` is the
-    reasoning-trigger text every path starts from.
+    reasoning-trigger text every path starts from. ``answer_triggers`` maps a
+    format name to its prediction trigger (None: ``strategy.DEFAULT_TRIGGERS``).
 
     A knob the kind does not read (see :data:`KIND_KNOBS`) must keep its
     field default, so ``(max_iterations, n_reformulations, m_samples)`` is
@@ -476,6 +478,7 @@ class StrategyConfig(Record):
     temperature: float = 1.0
     canonical_prompt: str = CANONICAL_COT_PROMPT
     iteration_guide: str = ""
+    answer_triggers: Optional[dict] = field(default=None, hash=False)  # a dict has no hash
 
     def __post_init__(self):
         if self.n_reformulations < 1 or self.m_samples < 1 or self.max_iterations < 1:
@@ -483,7 +486,8 @@ class StrategyConfig(Record):
         check_temperature(self.temperature)
         if not self.canonical_prompt:
             raise ValueError("canonical_prompt must be non-empty")
-        reads = {"kind", "temperature", *KIND_KNOBS[self.kind]}
+        object.__setattr__(self, "answer_triggers", _format_triggers(self.answer_triggers))
+        reads = {"kind", "temperature", "answer_triggers", *KIND_KNOBS[self.kind]}
         ignored = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
                    if f.name not in reads and getattr(self, f.name) != f.default]
         if ignored:
@@ -510,6 +514,19 @@ class StrategyConfig(Record):
                                  f"{{'text': ..., 'origin': {_CANONICAL_ORIGIN}}}, got {prompt!r}")
             d = {**d, "canonical_prompt": prompt["text"]}
         return super().from_dict(d)
+
+
+def _format_triggers(triggers: Any) -> Optional[dict]:
+    """``answer_triggers`` keyed by format name, with ``{}`` as None; a
+    ``ValueError`` unless it maps answer formats to non-empty text."""
+    if triggers is None:
+        return None
+    if not (isinstance(triggers, dict) and set(triggers) <= set(AnswerFormat)
+            and all(isinstance(text, str) and text for text in triggers.values())):
+        raise ValueError("answer_triggers must map answer formats "
+                         f"({', '.join(f.value for f in AnswerFormat)}) to non-empty text, "
+                         f"got {triggers!r:.80}")
+    return {AnswerFormat(fmt).value: text for fmt, text in triggers.items()} or None
 
 
 # How ``StrategyConfig.to_dict`` tags the prompt in run records.

@@ -50,7 +50,8 @@ logger = logging.getLogger(__name__)
 SEPARATOR = "\n"
 
 # Per-format phrases appended before the prediction call to elicit a
-# parseable final answer. Overridable via run config.
+# parseable final answer. A config's ``answer_triggers`` overrides them by
+# format name.
 DEFAULT_TRIGGERS: Dict[AnswerFormat, str] = {
     AnswerFormat.MULTIPLE_CHOICE: "Therefore, among A through E, the answer is",
     AnswerFormat.NUMERIC: "Therefore, the answer (arabic numerals) is",
@@ -59,16 +60,12 @@ DEFAULT_TRIGGERS: Dict[AnswerFormat, str] = {
 }
 
 class StrategyError(LlmIoError):
-    """A backend failure surfaced from a strategy run, tagged with the question."""
-
-    def __init__(self, question_id: str, cause: Exception):
-        super().__init__(f"question {question_id}: {cause}")
-        self.question_id = question_id
-        self.cause = cause
+    """A backend failure surfaced from a strategy run, tagged with the question:
+    ``question <id>: <cause>``, raised from the cause."""
 
 
-def answer_trigger(fmt: AnswerFormat,
-                   triggers: Optional[Mapping[AnswerFormat, str]] = None) -> str:
+def answer_trigger(fmt: AnswerFormat, triggers: Optional[Mapping[str, str]] = None) -> str:
+    """``fmt``'s trigger in ``triggers``, keyed by format or by value, else the default."""
     if triggers and fmt in triggers:
         return triggers[fmt]
     return DEFAULT_TRIGGERS[fmt]
@@ -144,7 +141,7 @@ def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: 
     the path abstains, so the vote proceeds over the survivors; in any other
     kind the question fails."""
     if cfg.kind not in BREADTH_KINDS:
-        raise StrategyError(q.id, exc) from exc
+        raise StrategyError(f"question {q.id}: {exc}") from exc
     logger.error("question %s path (%d,%d) failed (%s); recording abstention",
                  q.id, ctx, sample, exc)
     return ReasoningTrace(
@@ -154,8 +151,7 @@ def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: 
 
 
 def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: StrategyConfig,
-                 backend: Backend, triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                 ) -> Tuple[ReasoningTrace, ...]:
+                 backend: Backend) -> Tuple[ReasoningTrace, ...]:
     """Run every path of one question: ``m_samples`` samples of each
     (question, prompt) context, each over ``max_iterations`` rounds.
 
@@ -168,7 +164,7 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: Strategy
     as soon as two consecutive rounds predict the same non-abstaining answer.
     """
     rounds, samples = cfg.max_iterations, cfg.m_samples
-    trigger = answer_trigger(q.answer_format, triggers)
+    trigger = answer_trigger(q.answer_format, cfg.answer_triggers)
     traces: List[ReasoningTrace] = []
     for ctx, (question_text, prompt_text) in enumerate(contexts):
         if cfg.kind == StrategyKind.ZERO_SHOT:
@@ -226,9 +222,8 @@ def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
     return majority_vote([t.parsed for t in ordered])
 
 
-def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
-                 triggers: Optional[Mapping[AnswerFormat, str]] = None,
-                 ) -> Tuple[ReasoningTrace, ...]:
+def run_strategy(q: Question, cfg: StrategyConfig,
+                 backend: Backend) -> Tuple[ReasoningTrace, ...]:
     """Build the question's contexts, then run its paths over them. The
     first trace, sample 0 of context 0, also carries the usage of the
     question's rewrite calls, as it carries a batched call's prompt tokens,
@@ -240,8 +235,8 @@ def run_strategy(q: Question, cfg: StrategyConfig, backend: Backend,
     except (LlmIoError, ValueError) as exc:
         # A ValueError here is a text that cannot be rewritten, such as a
         # blank question: this question fails, the run goes on.
-        raise StrategyError(q.id, exc) from exc
-    traces = run_contexts(q, contexts, cfg, backend, triggers)
+        raise StrategyError(f"question {q.id}: {exc}") from exc
+    traces = run_contexts(q, contexts, cfg, backend)
     if rewrite_usage.total_tokens:
         first = traces[0]
         traces = (replace(first, usage=first.usage + rewrite_usage),) + traces[1:]
@@ -274,14 +269,13 @@ class _PlaceholderBackend(Backend):
         return CompletionResponse([f"<round {round} reasoning>"] * req.n_samples)
 
 
-def plan_paths(q: Question, cfg: StrategyConfig,
-               triggers: Optional[Mapping[AnswerFormat, str]] = None) -> List[dict]:
+def plan_paths(q: Question, cfg: StrategyConfig) -> List[dict]:
     """Dry-run view: the paths a run takes, each with its assembled input.
 
     It is :func:`run_strategy` over :class:`_PlaceholderBackend`, which
     makes no calls, with every round run to the cap.
     """
-    backend = _PlaceholderBackend(answer_trigger(q.answer_format, triggers))
-    traces = run_strategy(q, replace(cfg, stop_rule=StopRule.FIXED_T), backend, triggers)
+    backend = _PlaceholderBackend(answer_trigger(q.answer_format, cfg.answer_triggers))
+    traces = run_strategy(q, replace(cfg, stop_rule=StopRule.FIXED_T), backend)
     return [{"round": t.round, "reformulation_index": t.reformulation_index,
              "sample_index": t.sample_index, "input": t.assembled_input} for t in traces]

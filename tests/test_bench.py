@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 
@@ -388,16 +389,43 @@ def test_resume_may_change_only_the_limit_and_the_backend_mode(tmp_path):
     cfg = default_config(StrategyKind.COT)
     effective = {**cfg.to_dict(), "backend_mode": "mock", "limit": 2, "model": "m"}
     run_experiment("coinflip", questions[:2], cfg, FakeBackend(questions, seed=1),
-                   runs_dir=str(tmp_path), run_id="run", effective_config=effective)
+                   runs_dir=str(tmp_path), run_id="run", run_keys=effective)
     extended = {**effective, "backend_mode": "replay", "limit": 4}
     record = run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
-                            runs_dir=str(tmp_path), run_id="run", effective_config=extended)
+                            runs_dir=str(tmp_path), run_id="run", run_keys=extended)
     assert len(record.outcomes) == 4
     config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
     assert config == extended
     with pytest.raises(ValueError, match=r"\(.*config\.json\): model differ"):
         run_experiment("coinflip", questions, cfg, ScriptedBackend(), runs_dir=str(tmp_path),
-                       run_id="run", effective_config={**extended, "model": "other"})
+                       run_id="run", run_keys={**extended, "model": "other"})
+
+
+def test_a_resume_under_other_answer_triggers_is_refused_before_any_call(tmp_path):
+    questions = generate_synthetic("coinflip", 2, seed=3)
+    cfg = default_config(StrategyKind.COT, answer_triggers={AnswerFormat.YES_NO: "TRIGGER A"})
+    script = ScriptedBackend({"step by step": ["reasoning"] * 2, "TRIGGER A": ["yes"] * 2})
+    run_experiment("coinflip", questions, cfg, script, runs_dir=str(tmp_path), run_id="run")
+    config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    assert config["answer_triggers"] == {"yes_no": "TRIGGER A"}
+    for other in ({AnswerFormat.YES_NO: "TRIGGER B"}, None):
+        untouched = ScriptedBackend()
+        with pytest.raises(ValueError, match=": answer_triggers differ"):
+            run_experiment("coinflip", questions, replace(cfg, answer_triggers=other),
+                           untouched, runs_dir=str(tmp_path), run_id="run")
+        assert untouched.calls == []
+
+
+def test_a_run_records_the_strategy_it_runs_beside_the_callers_keys(tmp_path):
+    questions = generate_synthetic("coinflip", 3, seed=3)
+    cfg = default_config(StrategyKind.SC, m_samples=3)
+    record = run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
+                            runs_dir=str(tmp_path), run_id="run", run_keys={"model": "m"})
+    config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    assert config == record.config == {**cfg.to_dict(), "model": "m"}
+    assert {f.name for f in fields(StrategyConfig)} - set(config) == {"answer_triggers"}
+    report = emit_report([load_run_record(str(tmp_path / "run"))])
+    assert report.splitlines()[1].split()[0] == "sc"
 
 
 def test_resume_without_a_config_file_warns_and_resumes(tmp_path, caplog):
@@ -441,7 +469,7 @@ def test_a_crash_while_writing_the_run_files_leaves_each_one_whole(tmp_path, mon
     def start(runs, limit):
         return run_experiment("coinflip", questions[:limit], cfg, FakeBackend(questions, seed=1),
                               runs_dir=str(tmp_path / runs), run_id="run",
-                              effective_config={**cfg.to_dict(), "limit": limit})
+                              run_keys={**cfg.to_dict(), "limit": limit})
 
     start("whole", 3)
     whole = tmp_path / "whole" / "run"

@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import json
 import os
 import shlex
@@ -160,6 +161,43 @@ def test_dry_run_shows_the_answer_trigger_from_the_config_file(tmp_path, capsys)
     out = capsys.readouterr().out
     assert out.rstrip("\n").endswith(custom_trigger)
     assert YES_TRIGGER not in out
+
+
+def test_a_trigger_override_is_recorded_in_the_bytes_config_json_always_had(tmp_path):
+    def config_bytes(triggers, run_id):
+        config_path = tmp_path / f"{run_id}.json"
+        config_path.write_text(json.dumps({"kind": "cot", "answer_triggers": triggers}),
+                               encoding="utf-8")
+        script = {"step by step": ["reasoning"], "So the verdict is": ["yes"], YES_TRIGGER: ["yes"]}
+        assert main(["run", "--dataset", "coinflip", "--limit", "1", "--config", str(config_path),
+                     "--mock-script", _mock_script_file(tmp_path, script),
+                     "--runs-dir", str(tmp_path / "runs"), "--run-id", run_id]) == 0
+        return (tmp_path / "runs" / run_id / "config.json").read_bytes()
+
+    pinned = config_bytes({"yes_no": "So the verdict is"}, "t")
+    assert (hashlib.sha256(pinned).hexdigest()
+            == "9738b66074e99afea43c68e1f54887fb1b9770ff333e748d7f3afd88d9d35596")
+    assert "answer_triggers" not in json.loads(config_bytes({}, "empty"))
+
+
+@pytest.mark.parametrize("triggers", [{"yes_no": None}, {"yes_no": 3}, {"yes_no": ""},
+                                      {"yesno": "So"}], ids=str)
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_malformed_answer_triggers_exit_2_before_any_call_or_run_directory(
+        tmp_path, capsys, triggers, dry_run):
+    # A null or number trigger used to run as the text "None" or "3", and an
+    # empty one planned 1 path of sc's 2: every input ends in "".
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": "sc", "m_samples": 2, "answer_triggers": triggers}),
+                           encoding="utf-8")
+    script = _mock_script_file(tmp_path, {"": ["the answer is yes"] * 4})
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--config", str(config_path),
+                 "--mock-script", script, "--runs-dir", str(tmp_path / "runs")]
+                + ["--dry-run"] * dry_run)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "answer_triggers" in captured.err and captured.out == ""
+    assert not (tmp_path / "runs").exists()
 
 
 def test_reformulate_subcommand(tmp_path, capsys):
@@ -770,7 +808,7 @@ def test_answer_triggers_that_are_not_an_object_exit_2(tmp_path, capsys):
     code = main(["run", "--dataset", "coinflip", "--limit", "1",
                  "--config", str(config_path), "--dry-run"])
     assert code == 2
-    assert "'answer_triggers' must be an object" in capsys.readouterr().err
+    assert "'answer_triggers' must be dict or null" in capsys.readouterr().err
 
 
 def test_mock_script_rule_that_is_not_an_object_exits_2(tmp_path, capsys):

@@ -195,8 +195,27 @@ def test_config_validation():
     for temperature in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
             StrategyConfig(kind=StrategyKind.COT, temperature=temperature)
+    with pytest.raises(ValueError, match=r"unknown strategy config keys: \['answer_trigger'\]"):
+        StrategyConfig.from_dict({"kind": "cot", "answer_trigger": {}})
+
+
+def test_answer_triggers_are_keyed_by_format_name_and_empty_means_the_defaults():
+    cfg = default_config(StrategyKind.SC, answer_triggers={AnswerFormat.YES_NO: "So"})
+    assert [type(key) for key in cfg.answer_triggers] == [str]
+    assert cfg.to_dict()["answer_triggers"] == {"yes_no": "So"}
+    assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
+    assert hash(cfg) == hash(default_config(StrategyKind.SC))
+    for empty in ({}, None):
+        plain = default_config(StrategyKind.SC, answer_triggers=empty)
+        assert plain == default_config(StrategyKind.SC) and plain.answer_triggers is None
+        assert "answer_triggers" not in plain.to_dict()
+
+
+@pytest.mark.parametrize("triggers", [{"yes_no": None}, {"yes_no": 3}, {"yes_no": ""},
+                                      {"yes/no": "So"}, ["So"]], ids=str)
+def test_malformed_answer_triggers_are_a_value_error_naming_them(triggers):
     with pytest.raises(ValueError, match="answer_triggers"):
-        StrategyConfig.from_dict({"kind": "cot", "answer_triggers": {}})
+        default_config(StrategyKind.COT, answer_triggers=triggers)
 
 
 def test_canonical_prompt_default_text():
