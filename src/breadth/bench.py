@@ -333,12 +333,12 @@ class RunRecord(Record):
 _RESUMABLE_KEYS = ("limit", "backend_mode")
 
 
-def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
+def _claim_run_config(run_dir: str, run_id: str, config: dict):
     """Write the run's config to ``config.json`` in ``run_dir``. If the file
     is already there, first raise a ``ValueError`` naming every key, other
     than ``_RESUMABLE_KEYS``, whose value differs from ``config``: traces
-    made under another config are never resumed. A run directory with
-    traces but no ``config.json`` resumes unchecked, with a warning."""
+    made under another config are never resumed. Nor is a ``traces.jsonl``
+    with no ``config.json`` beside it, whose config is unknown."""
     path = os.path.join(run_dir, "config.json")
     text = json.dumps(config, sort_keys=True, indent=2) + "\n"
     if os.path.exists(path):
@@ -356,9 +356,9 @@ def _claim_run_config(run_dir: str, run_id: str, config: dict, resuming: bool):
                              "config, or start a new run id")
         if stored_text == text:
             return
-    elif resuming:
-        logger.warning("run %s: %s has traces but no config.json; resuming them "
-                       "without checking their config", run_id, run_dir)
+    elif os.path.getsize(os.path.join(run_dir, "traces.jsonl")):
+        raise ValueError(f"run {run_id} has traces but no config.json ({path}), so "
+                         "their config is unknown; start a new run id")
     with replaced(path) as fh:
         fh.write(text)
 
@@ -441,7 +441,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
         for trace in read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict):
             existing.setdefault(trace.question_id, []).append(trace)
-        _claim_run_config(run_dir, run_id, config, resuming=bool(existing))
+        _claim_run_config(run_dir, run_id, config)
         started = time.monotonic()
         for q in questions:
             if q.id in existing:
@@ -494,9 +494,11 @@ def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:
     """Question ids the plain CoT run got wrong but the deep run got right."""
     cot = {o.question_id: o for o in cot_record.outcomes}
     deep = {o.question_id: o for o in deep_record.outcomes}
-    if set(cot) != set(deep):
+    if cot.keys() != deep.keys():
         raise MismatchedQuestionSetsError(
-            f"runs cover different questions: {len(cot)} vs {len(deep)}")
+            "runs cover different questions: only the CoT run has "
+            f"{sorted(cot.keys() - deep.keys())}; only the deep run has "
+            f"{sorted(deep.keys() - cot.keys())}")
     return [qid for qid in cot if not cot[qid].correct and deep[qid].correct]
 
 

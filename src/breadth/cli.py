@@ -37,7 +37,7 @@ from .llmio import (
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 from .store import ReplayStore, check_servable, read_json_lines, replaced
-from .strategy import plan_paths
+from .strategy import plan_calls
 
 logger = logging.getLogger(__name__)
 
@@ -131,12 +131,12 @@ def _cmd_run(args) -> int:
     if not questions:
         raise RuntimeError(f"dataset {args.dataset} produced no questions")
     if args.dry_run:
-        plans = plan_paths(questions[0], cfg)
-        print(f"{len(plans)} planned paths for question {questions[0].id}:")
-        for plan in plans:
-            print(f"--- round={plan['round']} reformulation={plan['reformulation_index']} "
-                  f"sample={plan['sample_index']}")
-            print(plan["input"])
+        requests, paths = plan_calls(questions[0], cfg)
+        print(f"{len(requests)} planned calls over {paths} paths "
+              f"for question {questions[0].id}:")
+        for k, req in enumerate(requests, 1):
+            print(f"--- call {k}: n_samples={req.n_samples} temperature={req.temperature}")
+            print(req.user_text)
         return 0
     backend = _build_backend(args)
     run_keys = {
@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of {sorted(bench.DATASET_TABLE)}")
     run.add_argument("--data-path", help="dataset file or directory")
     run.add_argument("--limit", type=int, help="cap on question count")
-    run.add_argument("--strategy", help="zero-shot|cot|deep-cot|sc|questionc|"
-                                        "promptc|questionc-sc|promptc-sc")
+    run.add_argument("--strategy",
+                     help="|".join(kind.value.replace("_", "-") for kind in StrategyKind))
     run.add_argument("--n", type=int, help="number of reformulations")
     run.add_argument("--m", type=int, help="samples per reformulation")
     run.add_argument("--max-iter", type=int, help="depth iteration cap")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-id", help="explicit run id (default derived)")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--dry-run", action="store_true",
-                     help="print assembled inputs for the first question, no calls")
+                     help="print the calls a run of the first question sends, sending none")
     _add_backend_flags(run)
     run.set_defaults(func=_cmd_run)
 

@@ -5,7 +5,7 @@ and deep CoT are one context and one sample (``cot`` is ``deep_cot`` with
 one round); the breadth family (self-consistency, question/prompt
 rewriting, hybrids) is one round over its contexts and samples.
 :func:`run_strategy` builds a question's contexts and runs them, offline
-for a dry run in :func:`plan_paths`. Every path ends in :func:`_predict`,
+for a dry run in :func:`plan_calls`. Every path ends in :func:`_predict`,
 the one prediction step, which builds the path's trace. The engine returns only the question's
 traces; :func:`vote_from_traces` is the one rule that turns them into a
 final answer.
@@ -24,7 +24,6 @@ earlier rounds' text is discarded.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,8 +41,7 @@ from .core import (
 )
 from .extract import extract_answer, majority_vote
 from .llmio import Backend, CompletionRequest, CompletionResponse, LlmIoError, call, split_usage
-from .reformulate import (PROMPT_INSTRUCTION, QUESTION_INSTRUCTION, ReformulationSpec,
-                          ReformulationTarget, reformulate)
+from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 
 logger = logging.getLogger(__name__)
 
@@ -244,38 +242,27 @@ def run_strategy(q: Question, cfg: StrategyConfig,
 
 
 class _PlaceholderBackend(Backend):
-    """Answers a dry run's calls offline: ``<question rewrite #i>`` (or
-    ``prompt``) for the i-th rewrite, ``<round r reasoning>`` and ``<round
-    r prediction>`` for round r, read from the placeholders in the input."""
+    """Answers a dry run's calls offline, whatever their stage: sample i of the
+    k-th call is ``<response k.i>``. It keeps every request, in call order."""
 
     deterministic = True
 
-    def __init__(self, trigger: str):
-        self.trigger = trigger
-        self.rewrites = 0
+    def __init__(self):
+        self.requests: List[CompletionRequest] = []
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        text = req.user_text
-        if text.startswith((QUESTION_INSTRUCTION, PROMPT_INSTRUCTION)):
-            self.rewrites += 1
-            target = "question" if text.startswith(QUESTION_INSTRUCTION) else "prompt"
-            return CompletionResponse([f"<{target} rewrite #{self.rewrites}>"])
-        if text.endswith(self.trigger):
-            reasoning = re.search(r"<round (\d+) reasoning>", text)
-            round = int(reasoning.group(1)) if reasoning else 1
-            return CompletionResponse([f"<round {round} prediction>"])
-        prior = re.search(r"<round (\d+) prediction>", text)
-        round = int(prior.group(1)) + 1 if prior else 1
-        return CompletionResponse([f"<round {round} reasoning>"] * req.n_samples)
+        self.requests.append(req)
+        k = len(self.requests)
+        return CompletionResponse([f"<response {k}.{i}>" for i in range(req.n_samples)])
 
 
-def plan_paths(q: Question, cfg: StrategyConfig) -> List[dict]:
-    """Dry-run view: the paths a run takes, each with its assembled input.
+def plan_calls(q: Question, cfg: StrategyConfig) -> Tuple[List[CompletionRequest], int]:
+    """Dry-run view: the requests a run of ``q`` sends, in call order, and
+    its path count.
 
     It is :func:`run_strategy` over :class:`_PlaceholderBackend`, which
     makes no calls, with every round run to the cap.
     """
-    backend = _PlaceholderBackend(answer_trigger(q.answer_format, cfg.answer_triggers))
+    backend = _PlaceholderBackend()
     traces = run_strategy(q, replace(cfg, stop_rule=StopRule.FIXED_T), backend)
-    return [{"round": t.round, "reformulation_index": t.reformulation_index,
-             "sample_index": t.sample_index, "input": t.assembled_input} for t in traces]
+    return backend.requests, len(traces)

@@ -428,19 +428,21 @@ def test_a_run_records_the_strategy_it_runs_beside_the_callers_keys(tmp_path):
     assert report.splitlines()[1].split()[0] == "sc"
 
 
-def test_resume_without_a_config_file_warns_and_resumes(tmp_path, caplog):
-    # A run directory from before config.json was written keeps resuming.
+def test_resume_without_a_config_file_is_refused_before_any_call(tmp_path):
+    # Traces whose config.json is gone were made under an unknown config.
     questions = generate_synthetic("coinflip", 3, seed=3)
     cfg = default_config(StrategyKind.COT)
-    first = run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
-                           runs_dir=str(tmp_path), run_id="old")
+    run_experiment("coinflip", questions, cfg, FakeBackend(questions, seed=1),
+                   runs_dir=str(tmp_path), run_id="old")
     os.remove(tmp_path / "old" / "config.json")
+    traces = (tmp_path / "old" / "traces.jsonl").read_bytes()
     untouched = ScriptedBackend()
-    again = run_experiment("coinflip", questions, cfg, untouched,
-                           runs_dir=str(tmp_path), run_id="old")
-    assert untouched.calls == [] and again.outcomes == first.outcomes
-    assert "has traces but no config.json" in caplog.text
-    assert (tmp_path / "old" / "config.json").exists()
+    with pytest.raises(ValueError, match=r"run old has traces but no config\.json"):
+        run_experiment("coinflip", questions, cfg, untouched,
+                       runs_dir=str(tmp_path), run_id="old")
+    assert untouched.calls == []
+    assert sorted(os.listdir(tmp_path / "old")) == ["summary.json", "traces.jsonl"]
+    assert (tmp_path / "old" / "traces.jsonl").read_bytes() == traces
 
 
 def _crashing_open(name):
@@ -818,6 +820,15 @@ def test_pilot_subset_rejects_mismatched_sets():
     cot = _record_with({"q0": True})
     deep = _record_with({"q0": True, "q1": True})
     with pytest.raises(MismatchedQuestionSetsError):
+        pilot_subset(cot, deep)
+
+
+def test_pilot_subset_mismatch_names_the_ids_of_one_run_only():
+    # Equal counts used to read "2 vs 2".
+    cot = _record_with({"q0": True, "q1": True})
+    deep = _record_with({"q0": True, "q2": True})
+    with pytest.raises(MismatchedQuestionSetsError,
+                       match=r"only the CoT run has \['q1'\]; only the deep run has \['q2'\]"):
         pilot_subset(cot, deep)
 
 

@@ -85,8 +85,19 @@ def test_dry_run_prints_six_planned_paths(capsys):
                  "--dry-run"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "6 planned paths" in out
-    assert out.count("--- round=") == 6
+    # 2 rewrites, a reasoning call per context and a prediction per path.
+    assert out.startswith("11 planned calls over 6 paths for question coinflip-0:\n")
+    assert out.count("\n--- call ") == 11
+    assert "--- call 3: n_samples=2 temperature=0.8\n" in out
+
+
+def test_strategy_help_lists_every_kind(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    assert main(["run", "--help"]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.lstrip().startswith("--strategy")]
+    assert line.split() == ["--strategy", "STRATEGY",
+                            "zero-shot|cot|deep-cot|sc|questionc|promptc|questionc-sc|promptc-sc"]
 
 
 def test_run_with_mock_script(tmp_path, capsys):
@@ -161,6 +172,34 @@ def test_dry_run_shows_the_answer_trigger_from_the_config_file(tmp_path, capsys)
     out = capsys.readouterr().out
     assert out.rstrip("\n").endswith(custom_trigger)
     assert YES_TRIGGER not in out
+
+
+def test_dry_run_of_cot_ends_in_the_answer_trigger_from_the_config_file(tmp_path, capsys):
+    # The dry run lists the prediction request, so the override shows in
+    # every kind, not only in zero-shot's one input.
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"answer_triggers": {"yes_no": "So the verdict is"}}),
+                           encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--strategy", "cot", "--config", str(config_path), "--dry-run"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("2 planned calls over 1 paths")
+    assert out.rstrip("\n").endswith("\nSo the verdict is")
+    assert YES_TRIGGER not in out
+
+
+def test_dry_run_plans_every_sample_when_the_trigger_ends_the_reasoning_input(
+        tmp_path, capsys):
+    # The canonical prompt ends in ".", so a placeholder that told a
+    # prediction by its trigger answered the reasoning call as one.
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"kind": "sc", "m_samples": 2,
+                                       "answer_triggers": {"yes_no": "."}}), encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("3 planned calls over 2 paths")
 
 
 def test_a_trigger_override_is_recorded_in_the_bytes_config_json_always_had(tmp_path):
@@ -725,7 +764,8 @@ def test_readme_config_example_loads(tmp_path, capsys):
     code = main(["run", "--dataset", "coinflip", "--limit", "1",
                  "--config", str(config_path), "--dry-run"])
     assert code == 0
-    assert "3 planned paths" in capsys.readouterr().out
+    # 2 prompt rewrites, 3 reasoning calls and 3 predictions.
+    assert "8 planned calls over 3 paths" in capsys.readouterr().out
 
 
 FLAGS = {"n_reformulations": "--n", "m_samples": "--m", "max_iterations": "--max-iter",

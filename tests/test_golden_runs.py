@@ -3,7 +3,7 @@
 Each case records a small fixed question set through a deterministic
 backend, replays it from the recorded cache, and compares sha256 digests of
 both runs' ``traces.jsonl`` and ``summary.json``, of the cache file and of
-the ``plan_paths`` output with ``tests/data/run_golden.json``. A refactor
+the requests ``plan_calls`` lists with ``tests/data/run_golden.json``. A refactor
 that keeps behaviour keeps every digest.
 
 To regenerate the golden file after a deliberate output change:
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import pytest
 
@@ -23,7 +24,7 @@ from breadth.bench import generate_synthetic, run_experiment
 from breadth.core import KIND_KNOBS, StopRule, StrategyConfig, StrategyKind
 from breadth.llmio import RecordingBackend, ReplayBackend, ScriptedBackend
 from breadth.store import ReplayStore
-from breadth.strategy import plan_paths
+from breadth.strategy import plan_calls
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -88,8 +89,9 @@ def run_case(dataset: str, label: str) -> dict:
             for name in ("traces.jsonl", "summary.json"):
                 digests[f"{run_id}/{name}"] = _file_digest(os.path.join(tmp, run_id, name))
         digests["cache.jsonl"] = _file_digest(cache_path)
-    plans = [plan_paths(q, cfg) for q in questions]
-    digests["plan_paths"] = _digest(json.dumps(plans, sort_keys=True).encode("utf-8"))
+    plans = [plan_calls(q, cfg) for q in questions]
+    digests["plan_calls"] = _digest(
+        json.dumps(plans, sort_keys=True, default=asdict).encode("utf-8"))
     return digests
 
 

@@ -23,7 +23,7 @@ from breadth.strategy import (
     assemble_prediction_input,
     assemble_reasoning_input,
     assemble_zero_shot_input,
-    plan_paths,
+    plan_calls,
     run_strategy,
     vote_from_traces,
 )
@@ -262,6 +262,17 @@ def shape(cfg):
     return cfg.max_iterations * cfg.n_reformulations * cfg.m_samples
 
 
+def call_count(cfg):
+    """The call-count law under the fixed stop rule: a rewrite per context
+    but the original, a reasoning call per context (none in zero-shot),
+    a prediction per path and an iteration call per path past round 1."""
+    if cfg.kind == StrategyKind.ZERO_SHOT:
+        return 1
+    n, m, t = cfg.n_reformulations, cfg.m_samples, cfg.max_iterations
+    rewrites = n - 1 if cfg.kind in BREADTH_KINDS - {StrategyKind.SC} else 0
+    return rewrites + n + n * m * (2 * t - 1)
+
+
 def test_breadth_demo_votes_a_from_c_a_a_a(monkeypatch, toy_shop_question):
     q = toy_shop_question
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=2, m_samples=2)
@@ -424,7 +435,8 @@ def test_path_count_law_over_random_configs():
         unique = {t.path_key() for t in traces}
         assert len(unique) == len(traces)
         # The dry run plans every round, under either stop rule.
-        assert len(plan_paths(q, cfg)) == shape(cfg), cfg
+        requests, paths = plan_calls(q, cfg)
+        assert (len(requests), paths) == (call_count(cfg), shape(cfg)), cfg
 
 
 def test_breadth_vote_is_arrival_order_invariant(monkeypatch, toy_shop_question):
@@ -500,26 +512,38 @@ def test_blank_question_text_warns_upstream(caplog):
     assert any("empty text" in r.message for r in caplog.records)
 
 
-def test_plan_paths_counts_match_the_law():
+def test_plan_calls_counts_match_the_law():
     q = mc_question("plan", "Probe. Answer Choices: (A) x (B) y", "A")
-    for kind, n, m, expect in [
-        (StrategyKind.QUESTION_C_SC, 3, 2, 6),
-        (StrategyKind.SC, 1, 4, 4),
-        (StrategyKind.PROMPT_C, 3, 5, 3),
-        (StrategyKind.COT, 1, 1, 1),
+    for kind, n, m, calls, paths in [
+        (StrategyKind.QUESTION_C_SC, 3, 2, 11, 6),
+        (StrategyKind.SC, 1, 4, 5, 4),
+        (StrategyKind.PROMPT_C, 3, 5, 8, 3),
+        (StrategyKind.COT, 1, 1, 2, 1),
     ]:
         cfg = kind_config(kind, n_reformulations=n, m_samples=m)
-        plans = plan_paths(q, cfg)
-        assert len(plans) == expect == shape(cfg)
-        assert all(p["input"] for p in plans)
+        requests, planned = plan_calls(q, cfg)
+        assert (len(requests), planned) == (calls, paths) == (call_count(cfg), shape(cfg))
+        assert all(req.user_text for req in requests)
+
+
+def test_plan_calls_answers_call_k_with_its_numbered_placeholders():
+    q = mc_question("plan", "Probe. Answer Choices: (A) x (B) y", "A")
+    requests, _ = plan_calls(q, default_config(StrategyKind.SC, m_samples=2))
+    trigger = answer_trigger(q.answer_format)
+    assert [(req.n_samples, req.temperature, req.user_text) for req in requests] == [
+        (2, 0.8, assemble_reasoning_input(q.text, PROMPT)),
+        (1, 0.8, assemble_prediction_input(q.text, PROMPT, "<response 1.0>", trigger)),
+        (1, 0.8, assemble_prediction_input(q.text, PROMPT, "<response 1.1>", trigger)),
+    ]
 
 
 def test_dry_run_keeps_the_choices_block_of_question_rewrites():
     q = mc_question("plan", "Pick one. Answer Choices: (A) x (B) y", "A",
                     choices=(("A", "x"), ("B", "y")))
-    plans = plan_paths(q, default_config(StrategyKind.QUESTION_C, n_reformulations=2))
-    assert [p["input"] for p in plans] == [
+    requests, _ = plan_calls(q, default_config(StrategyKind.QUESTION_C, n_reformulations=2))
+    assert requests[0].user_text.startswith(QUESTION_INSTRUCTION)
+    reasoning = [req.user_text for req in requests if req.user_text.endswith(PROMPT)]
+    assert reasoning == [
         assemble_reasoning_input(q.text, PROMPT),
-        assemble_reasoning_input("<question rewrite #1>\nAnswer Choices: (A) x (B) y", PROMPT),
+        assemble_reasoning_input("<response 1.0>\nAnswer Choices: (A) x (B) y", PROMPT),
     ]
-
