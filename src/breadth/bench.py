@@ -59,6 +59,10 @@ class MismatchedQuestionSetsError(ValueError):
     pass
 
 
+class UnknownBaselineError(ValueError):
+    """A report baseline that is no run's method."""
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Read from ``path`` with ``ADAPTERS[name]``, or generated from ``seed``
@@ -407,7 +411,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         final = vote_from_traces(traces).winner
         outcomes.append(QuestionOutcome(
             question_id=q.id, final=final,
-            correct=(not final.abstain) and final == q.gold,
+            correct=final == q.gold,
             rounds=max(t.round for t in traces), trace_count=len(traces),
         ))
         prompt, completion = total_usage.prompt_tokens, total_usage.completion_tokens
@@ -511,24 +515,30 @@ def emit_report(records: Sequence[RunRecord], fmt: str = "table",
     """Methods as rows, datasets plus overall average as columns.
 
     With ``baselines``, each non-baseline method row is followed by one
-    parenthesized signed-diff row per baseline, Table-style.
+    parenthesized signed-diff row per baseline, Table-style. A baseline that
+    is no run's method raises :class:`UnknownBaselineError`; two runs of one
+    method on one dataset, which would share a cell, raise a ``ValueError``.
     """
+    methods = list(dict.fromkeys(_method_label(r) for r in records))
+    unknown = [b for b in baselines if b not in methods]
+    if unknown:
+        raise UnknownBaselineError(f"no run has method {', '.join(unknown)}; "
+                                   f"the runs have {', '.join(methods)}")
     if fmt == "json":
         return json.dumps({"records": [r.to_dict() for r in records]},
                           sort_keys=True, indent=2) + "\n"
-    datasets: List[str] = []
-    methods: List[str] = []
-    cells: Dict[str, Dict[str, float]] = {}
+    datasets = list(dict.fromkeys(r.dataset for r in records))
+    cells: Dict[str, Dict[str, RunRecord]] = {}  # method -> dataset -> run
     for record in records:
         method = _method_label(record)
-        if record.dataset not in datasets:
-            datasets.append(record.dataset)
-        if method not in methods:
-            methods.append(method)
-        cells.setdefault(method, {})[record.dataset] = record.accuracy * 100.0
+        other = cells.setdefault(method, {}).setdefault(record.dataset, record)
+        if other is not record:
+            raise ValueError(f"runs {other.run_id} and {record.run_id} both give method "
+                             f"{method} on dataset {record.dataset}; report one of them")
 
     def row_values(method: str) -> List[Optional[float]]:
-        values = [cells[method].get(d) for d in datasets]
+        values = [cells[method][d].accuracy * 100.0 if d in cells[method] else None
+                  for d in datasets]
         present = [v for v in values if v is not None]
         avg = sum(present) / len(present) if present else None
         return values + [avg]
@@ -539,7 +549,7 @@ def emit_report(records: Sequence[RunRecord], fmt: str = "table",
         values = row_values(method)
         rows.append([method] + [f"{v:.1f}" if v is not None else "-" for v in values])
         for baseline in baselines:
-            if baseline not in cells or method == baseline:
+            if method == baseline:
                 continue
             base_values = row_values(baseline)
             delta_cells = []

@@ -239,8 +239,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_report(args) -> int:
     records = [bench.load_run_record(run) for run in args.runs]
-    print(bench.emit_report(records, fmt=args.format,
-                            baselines=args.baseline or ()), end="")
+    try:
+        report = bench.emit_report(records, fmt=args.format, baselines=args.baseline or ())
+    except bench.UnknownBaselineError as exc:
+        raise UsageError(f"--baseline: {exc}") from None
+    print(report, end="")
     return 0
 
 

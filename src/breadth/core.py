@@ -24,8 +24,8 @@ logger = logging.getLogger(__name__)
 
 CANONICAL_COT_PROMPT = "Let's think step by step."
 
-# Benchmark choice labels run A..E; anything past E is accepted but flagged.
-_EXPECTED_LABELS = "ABCDE"
+# Benchmark choice labels: extraction's default, and the only ones not flagged.
+CHOICE_LABELS = ("A", "B", "C", "D", "E")
 
 # The one encoding of every cache key, cache record and trace line: sorted
 # keys, no spaces, non-ASCII escaped. ``json.dumps`` with these arguments
@@ -356,7 +356,7 @@ class Question(Record):
             labels = [l for l, _ in choices]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"question {self.id}: duplicate choice labels")
-            if any(l not in _EXPECTED_LABELS for l in labels):
+            if any(l not in CHOICE_LABELS for l in labels):
                 logger.warning("question %s: choice labels beyond A-E: %s", self.id, labels)
         elif choices:
             raise ValueError(f"question {self.id}: choices only valid for multiple choice")
@@ -557,11 +557,9 @@ class VoteResult:
 
     winner: Answer
     counts: tuple  # ordered (Answer, count) pairs
-    total_paths: int
     abstained: int
     tie: bool
 
-    def __post_init__(self):
-        counted = sum(c for _, c in self.counts)
-        if counted + self.abstained != self.total_paths:
-            raise ValueError("counts plus abstentions must cover every path")
+    @property
+    def total_paths(self) -> int:
+        return sum(c for _, c in self.counts) + self.abstained

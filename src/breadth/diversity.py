@@ -49,19 +49,15 @@ class Factor(str, Enum):
 
 
 def prediction_entropy(answers: Sequence[Answer]) -> float:
-    """Shannon entropy in nats over canonical-answer frequencies.
+    """Shannon entropy in nats over the frequencies of equal answers.
 
     Abstentions are one shared outcome class. Bounded by ln(len(answers)).
     """
     if not answers:
         raise EmptyInputError("prediction_entropy needs at least one answer")
-    classes = Counter(
-        ("abstain",) if a.abstain else (a.kind.value, a.value) for a in answers
-    )
-    total = sum(classes.values())
     entropy = 0.0
-    for count in classes.values():
-        p = count / total
+    for count in Counter(None if a.abstain else a for a in answers).values():
+        p = count / len(answers)
         entropy -= p * math.log(p)
     return entropy
 

@@ -13,12 +13,14 @@ import functools
 import json
 import logging
 import re
+from collections import Counter
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .core import (
     _NUMBER_TOKEN,
     _PAREN_LABEL,
+    CHOICE_LABELS,
     Answer,
     AnswerFormat,
     VoteResult,
@@ -31,8 +33,6 @@ logger = logging.getLogger(__name__)
 class EmptyInputError(ValueError):
     """An aggregate was asked for over zero items."""
 
-
-_DEFAULT_LABELS = ("A", "B", "C", "D", "E")
 
 _YES_NO_TOKEN = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _QUOTED_SPAN = re.compile(r"\"([^\"]+)\"")
@@ -139,7 +139,7 @@ def extract_answer(text: str, fmt: AnswerFormat,
     """
     if not text or not text.strip():
         return Answer.abstained(fmt)
-    labels = tuple([l for l, _ in choices]) if choices else _DEFAULT_LABELS
+    labels = tuple([l for l, _ in choices]) if choices else CHOICE_LABELS
     raw = _raw_answer(text, fmt, labels)
     if raw is None:
         # divergences from known output shapes are logged, never guessed
@@ -167,41 +167,17 @@ def _raw_answer(text: str, fmt: AnswerFormat, labels: Tuple[str, ...]) -> Option
 
 
 def majority_vote(answers: Sequence[Answer]) -> VoteResult:
-    """Most-frequent canonical answer, abstentions excluded.
+    """Most-frequent answer, abstentions excluded: two paths agree when their
+    canonical answers are equal.
 
     Ties break to the answer whose first occurrence comes earliest in list
-    order (and set the ``tie`` flag); an all-abstain list wins an abstain.
+    order, which a ``Counter`` keeps, and set the ``tie`` flag; an
+    all-abstain list wins an abstain.
     """
     if not answers:
         raise EmptyInputError("majority_vote needs at least one answer")
-    counted: dict = {}
-    order: List[Answer] = []
-    abstained = 0
-    for answer in answers:
-        if answer.abstain:
-            abstained += 1
-            continue
-        key = (answer.kind, answer.value)
-        if key not in counted:
-            counted[key] = [answer, 0]
-            order.append(answer)
-        counted[key][1] += 1
-    if not order:
-        return VoteResult(
-            winner=Answer.abstained(answers[0].kind),
-            counts=(),
-            total_paths=len(answers),
-            abstained=abstained,
-            tie=False,
-        )
-    counts = tuple((a, counted[(a.kind, a.value)][1]) for a in order)
-    top = max(c for _, c in counts)
-    winner = next(a for a, c in counts if c == top)
-    tie = sum(1 for _, c in counts if c == top) >= 2
-    return VoteResult(
-        winner=winner,
-        counts=counts,
-        total_paths=len(answers),
-        abstained=abstained,
-        tie=tie,
-    )
+    counts = Counter(a for a in answers if not a.abstain)
+    top = counts.most_common(2) or [(Answer.abstained(answers[0].kind), 0)]
+    return VoteResult(winner=top[0][0], counts=tuple(counts.items()),
+                      abstained=len(answers) - sum(counts.values()),
+                      tie=len(top) == 2 and top[1][1] == top[0][1])

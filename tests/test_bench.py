@@ -22,6 +22,7 @@ from breadth.bench import (
     MissingFileError,
     RunRecord,
     SchemaError,
+    UnknownBaselineError,
     dataset_spec,
     emit_report,
     generate_synthetic,
@@ -928,6 +929,24 @@ def test_emit_report_delta_rows_against_baseline():
     delta = [l for l in lines if "vs sc" in l]
     assert len(delta) == 1
     assert "(+50.0)" in delta[0]
+
+
+def test_emit_report_refuses_two_runs_of_one_method_on_one_dataset():
+    records = [_record_with({"q0": False, "q1": True}, run_id="sc-m3", dataset="coinflip"),
+               _record_with({"q0": True, "q1": True}, run_id="sc-m10", dataset="coinflip")]
+    with pytest.raises(ValueError, match="runs sc-m3 and sc-m10 both give method cot "
+                                         "on dataset coinflip"):
+        emit_report(records, fmt="table")
+    # JSON lists every run, so nothing would be lost there.
+    assert len(json.loads(emit_report(records, fmt="json"))["records"]) == 2
+
+
+def test_emit_report_refuses_a_baseline_that_is_no_runs_method():
+    record = _record_with({"q0": True}, run_id="a", dataset="aqua")
+    for fmt in ("table", "csv", "json"):
+        with pytest.raises(UnknownBaselineError,
+                           match="no run has method nope; the runs have cot"):
+            emit_report([record], fmt=fmt, baselines=["cot", "nope"])
 
 
 def test_emit_report_json_round_trips():

@@ -468,6 +468,24 @@ def test_report_and_pilot_subset_subcommands(tmp_path, capsys):
     assert any("vs cot" in line and "(+50.0)" in line for line in out.splitlines())
 
 
+def test_report_refuses_two_runs_of_one_method_and_an_unknown_baseline(tmp_path, capsys):
+    script = _mock_script_file(tmp_path, {"": ["the answer is yes"] * 40})
+    runs = tmp_path / "runs"
+    for m in ("3", "2"):
+        assert main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "sc",
+                     "--m", m, "--mock-script", script, "--runs-dir", str(runs),
+                     "--run-id", f"sc-m{m}"]) == 0
+    capsys.readouterr()
+
+    assert main(["report", "--runs", str(runs / "sc-m3"), str(runs / "sc-m2")]) == 2
+    err = capsys.readouterr().err
+    assert "runs sc-m3 and sc-m2 both give method sc on dataset coinflip" in err
+
+    assert main(["report", "--runs", str(runs / "sc-m3"), "--baseline", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --baseline: no run has method nope; the runs have sc")
+
+
 def test_cache_subcommand_counts_and_verifies(tmp_path, capsys):
     cache_path = str(tmp_path / "cache.jsonl")
     inner = ScriptedBackend({"q": ["resp1", "resp2"]})
@@ -1074,7 +1092,9 @@ assert main(run + ["--mock-script", mock_script, "--run-id", "mock"]) == 0
 assert_not_loaded("a --mock-script run")
 assert main(run + ["--replay", cache, "--run-id", "replay"]) == 0
 assert_not_loaded("a --replay run")
-assert main(["report", "--runs", runs + "/mock", runs + "/replay"]) == 0
+assert main(["report", "--runs", runs + "/mock"]) == 0
+# One method's two runs on one dataset share no table; JSON lists both.
+assert main(["report", "--runs", runs + "/mock", runs + "/replay", "--format", "json"]) == 0
 assert_not_loaded("report")
 
 assert main(["votemodel", "--p", "0.6", "--n", "2", "--m", "2", "--trials", "100"]) == 0

@@ -136,6 +136,15 @@ def test_labels_beyond_e_accepted_but_flagged(caplog):
     assert any("beyond A-E" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("label", ["CD", ""])
+def test_a_label_that_is_no_single_letter_of_a_to_e_is_flagged(caplog, label):
+    with caplog.at_level("WARNING"):
+        Question(id="odd", text="t", answer_format=AnswerFormat.MULTIPLE_CHOICE,
+                 gold=Answer(AnswerFormat.MULTIPLE_CHOICE, "A"),
+                 choices=(("A", "x"), (label, "y")))
+    assert any("beyond A-E" in r.message for r in caplog.records)
+
+
 def test_question_gold_must_parse_under_format():
     with pytest.raises(ValueError):
         Question(id="q", text="t", answer_format=AnswerFormat.NUMERIC,
@@ -382,9 +391,8 @@ def test_is_count_takes_json_ints_at_or_above_zero():
     assert not any(is_count(v) for v in (-1, -5, True, False, 1.0, 1.9, "12", None, [1]))
 
 
-def test_vote_result_accounting_enforced():
+def test_vote_result_total_paths_is_counts_plus_abstentions():
     from breadth.core import VoteResult
-    answer = Answer(AnswerFormat.NUMERIC, "1")
-    with pytest.raises(ValueError):
-        VoteResult(winner=answer, counts=((answer, 1),), total_paths=3,
-                   abstained=1, tie=False)
+    one, two = Answer(AnswerFormat.NUMERIC, "1"), Answer(AnswerFormat.NUMERIC, "2")
+    result = VoteResult(winner=one, counts=((one, 3), (two, 2)), abstained=4, tie=False)
+    assert result.total_paths == sum(c for _, c in result.counts) + result.abstained == 9

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from breadth.core import Answer, AnswerFormat
+from breadth.core import Answer, AnswerFormat, canonical_answer
 from breadth.diversity import (
     Factor,
     prediction_entropy,
@@ -48,6 +48,14 @@ def test_abstentions_form_one_outcome_class():
     answers = [Answer.abstained(MC), Answer.abstained(MC), mc("A"), mc("A")]
     # two classes, 50/50
     assert prediction_entropy(answers) == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_answers_of_a_plain_string_kind_are_counted_like_any_other():
+    answers = [canonical_answer("yes", "yes_no"), canonical_answer("no", "yes_no")]
+    assert prediction_entropy(answers) == pytest.approx(math.log(2), abs=1e-12)
+    # Equal answers are one class, whatever type their kind is given as.
+    assert prediction_entropy([canonical_answer("yes", "yes_no"),
+                               Answer(AnswerFormat.YES_NO, "yes")]) == 0.0
 
 
 def test_entropy_bounded_and_permutation_invariant():
@@ -130,6 +138,15 @@ def test_ten_distinct_answers_give_ln_ten_per_factor():
     results = run_factor_study([q], factors, 10, backend)
     for factor in factors:
         assert results[factor].entropy_nats == pytest.approx(math.log(10), abs=1e-9)
+
+
+def test_a_factor_of_zero_entropy_prints_an_unsigned_zero():
+    questions = [mc_question(f"q{i}", "Pick. Answer Choices: (A) x (B) y", "A")
+                 for i in range(3)]
+    results = run_factor_study(questions, [Factor.SAMPLING], 4,
+                               _uniform_backend(["the answer is (B)"] * 12))
+    assert math.copysign(1.0, results[Factor.SAMPLING].entropy_nats) == 1.0
+    assert report_to_csv({"toy": results}, [Factor.SAMPLING]).splitlines()[1] == "toy,0.0000"
 
 
 def test_sampling_factor_samples_at_low_temperature():

@@ -205,6 +205,14 @@ def test_majority_vote_simple_and_tie():
     assert tie.tie
 
 
+def test_majority_vote_counts_equal_answers_as_one_whatever_their_kind_type():
+    plain = canonical_answer("yes", "yes_no")  # kind kept as a plain str
+    result = majority_vote([Answer(AnswerFormat.YES_NO, "no"), plain,
+                            Answer(AnswerFormat.YES_NO, "yes")])
+    assert result.winner == plain and result.winner is plain
+    assert [c for _, c in result.counts] == [1, 2] and not result.tie
+
+
 def test_majority_vote_breadth_demo_counts():
     result = majority_vote([mc("C"), mc("A"), mc("A"), mc("A")])
     assert result.winner == mc("A")
