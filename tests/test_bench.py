@@ -181,6 +181,47 @@ def test_missing_file_and_schema_errors(tmp_path):
     assert "[0]" in str(err.value)
 
 
+# Each reader's refusal: a file whose second record (or, for a file that is
+# not of its dataset's shape, the file itself) breaks the dataset's layout.
+SOLUTION = {"sQuestion": "How many?", "lSolutions": [3]}
+AQUA = {"question": "Which?", "options": ["A)1", "B)2"], "correct": "A"}
+CSQA = {"question": {"stem": "Where?", "choices": [{"label": "A", "text": "here"},
+                                                   {"label": "B", "text": "there"}]},
+        "answerKey": "A"}
+STRATEGY = {"input": "Is it?", "target_scores": {"Yes": 1, "No": 0}}
+SVAMP = {"Body": "Two birds.", "Question": "How many?", "Answer": 2}
+
+
+@pytest.mark.parametrize("name, filename, payload, where, message", [
+    ("singleeq", "questions.json", [SOLUTION, {**SOLUTION, "lSolutions": []}],
+     "singleeq[1]", "empty solution list"),
+    ("strategyqa", "task.json", {"examples": [STRATEGY, {**STRATEGY, "target_scores": "Yes"}]},
+     "strategyqa[1]", "target_scores must be a mapping"),
+    ("aqua", "test.jsonl", [AQUA, {**AQUA, "options": ["A)1", ")2"]}],
+     "aqua[1]", "unparseable option ')2'"),
+    ("svamp", "SVAMP.json", [SVAMP, {**SVAMP, "Answer": "many"}],
+     "svamp[1]", "gold value 'many' unparseable as numeric"),
+    ("commonsenseqa", "dev_rand_split.jsonl", [CSQA, {**CSQA, "answerKey": "?"}],
+     "commonsenseqa[1]", "gold value '?' unparseable as multiple_choice"),
+    ("strategyqa", "task.json", [STRATEGY],
+     "strategyqa[0]", "expected an object with an 'examples' list"),
+    ("addsub", "AddSub.json", {"examples": [SOLUTION]},
+     "addsub[0]", "expected a list of records"),
+], ids=["empty-solutions", "target-scores-not-object", "aqua-option-without-label",
+        "numeric-gold-unparseable", "label-gold-unparseable", "strategyqa-not-object",
+        "list-dataset-given-object"])
+def test_each_reader_refuses_a_record_off_its_layout(tmp_path, name, filename, payload,
+                                                     where, message):
+    path = tmp_path / filename
+    if filename.endswith(".jsonl"):
+        _write_jsonl(path, payload)
+    else:
+        _write_json(path, payload)
+    with pytest.raises(SchemaError) as err:
+        load_dataset(dataset_spec(name, path=str(path)))
+    assert str(err.value) == f"{where}: {message}"
+
+
 @pytest.mark.parametrize("name, filename, text, line", [
     ("gsm8k", "test.jsonl", '{"question": "q?", "answer": "#### 3"}\n\n{bad\n', 3),
     ("strategyqa", "task.json", '{"examples": [\n{bad}\n]}\n', 2),
