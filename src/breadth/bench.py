@@ -1,12 +1,12 @@
 """Benchmark ingestion, synthetic generators, the experiment runner, pilot
 subset filtering, and report emission.
 
-Upstream dataset schemas vary, so each loader is a small data-driven field
-map in ``ADAPTERS``. Runs persist every trace to
-``runs/<run_id>/traces.jsonl`` plus a ``summary.json`` whose outcomes are
-derived from those traces alone, are resumable (completed questions are
-skipped on restart), and are byte-reproducible under a deterministic
-backend.
+Upstream dataset schemas vary, so each dataset is one row of ``DATASETS``:
+its format, size, default file and where a record keeps each field. Runs
+persist every trace to ``runs/<run_id>/traces.jsonl`` plus a
+``summary.json`` whose outcomes are derived from those traces alone, are
+resumable (completed questions are skipped on restart), and are
+byte-reproducible under a deterministic backend.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from .core import (
     Answer,
@@ -48,7 +48,7 @@ class MissingFileError(FileNotFoundError):
 
 
 class SchemaError(ValueError):
-    """A dataset record did not match its adapter's field map."""
+    """A dataset record did not match its row of ``DATASETS``."""
 
     def __init__(self, dataset: str, index: int, message: str):
         super().__init__(f"{dataset}[{index}]: {message}")
@@ -65,8 +65,8 @@ class UnknownBaselineError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Read from ``path`` with ``ADAPTERS[name]``, or generated from ``seed``
-    when ``path`` is None."""
+    """Read from ``path`` as ``DATASETS[name]`` says, or generated from
+    ``seed`` when ``path`` is None."""
 
     name: str
     answer_format: AnswerFormat
@@ -75,68 +75,107 @@ class DatasetSpec:
     seed: int = 0
 
 
+# Readers of a record's gold or choices field: each takes the field's value
+# and raises ``ValueError`` on one it cannot read.
+
+def _first_solution(raw) -> str:
+    if not raw:
+        raise ValueError("empty solution list")
+    return str(raw[0])
+
+
+def _after_hash_marker(raw) -> str:
+    _, sep, tail = str(raw).rpartition("####")
+    if not sep:
+        raise ValueError("missing #### answer marker")
+    return tail.strip()
+
+
+def _best_target(raw) -> str:
+    if not isinstance(raw, dict):
+        raise ValueError("target_scores must be a mapping")
+    return str(max(raw.items(), key=lambda kv: kv[1])[0])
+
+
+def _label_paren_options(raw) -> tuple:
+    """Entries like ``"A)24"`` or ``"(A) 24"``."""
+    choices = []
+    for entry in raw:
+        label, _, text = str(entry).partition(")")
+        label = label.strip().strip("(").upper()
+        if not label:
+            raise ValueError(f"unparseable option {entry!r}")
+        choices.append((label, text.strip()))
+    return tuple(choices)
+
+
+def _label_text_pairs(raw) -> tuple:
+    return tuple((str(entry["label"]).upper(), str(entry["text"])) for entry in raw)
+
+
 @dataclass(frozen=True)
-class FieldMap:
-    """Where to find the question text, gold answer, and choices in a record."""
+class Dataset:
+    """One benchmark: its answer format, its documented size and, for a file
+    dataset, its default file name and where a record keeps its question
+    text (dotted paths, joined by a space), gold and choices. A ``.jsonl``
+    file holds one record per line, any other a JSON list of records, or an
+    object with an ``examples`` list when ``examples`` is set. A dataset with
+    no file is generated."""
 
-    container: str  # json_list | jsonl | json_examples
-    question_fields: tuple
-    gold_field: str
-    gold_kind: str  # number | number_list | gsm8k_hash | label | target_scores
+    answer_format: AnswerFormat
+    expected_count: int
+    default_file: Optional[str] = None
+    question_fields: tuple = ()
+    gold_field: str = ""
+    gold: Callable[[Any], str] = str
     choices_field: str = ""
-    choices_layout: str = ""  # label_paren_text | label_text_pairs
+    choices: Optional[Callable[[Any], tuple]] = None
+    examples: bool = False
 
 
-ADAPTERS: Dict[str, FieldMap] = {
-    "singleeq": FieldMap("json_list", ("sQuestion",), "lSolutions", "number_list"),
-    "addsub": FieldMap("json_list", ("sQuestion",), "lSolutions", "number_list"),
-    "multiarith": FieldMap("json_list", ("sQuestion",), "lSolutions", "number_list"),
-    "gsm8k": FieldMap("jsonl", ("question",), "answer", "gsm8k_hash"),
-    "aqua": FieldMap("jsonl", ("question",), "correct", "label",
-                     choices_field="options", choices_layout="label_paren_text"),
-    "svamp": FieldMap("json_list", ("Body", "Question"), "Answer", "number"),
-    "commonsenseqa": FieldMap("jsonl", ("question.stem",), "answerKey", "label",
-                              choices_field="question.choices",
-                              choices_layout="label_text_pairs"),
-    "strategyqa": FieldMap("json_examples", ("input",), "target_scores", "target_scores"),
+_SOLUTIONS = (("sQuestion",), "lSolutions", _first_solution)  # singleeq, addsub, multiarith
+DATASETS: Dict[str, Dataset] = {
+    "singleeq": Dataset(AnswerFormat.NUMERIC, 508, "questions.json", *_SOLUTIONS),
+    "addsub": Dataset(AnswerFormat.NUMERIC, 395, "AddSub.json", *_SOLUTIONS),
+    "multiarith": Dataset(AnswerFormat.NUMERIC, 600, "MultiArith.json", *_SOLUTIONS),
+    "gsm8k": Dataset(AnswerFormat.NUMERIC, 1319, "test.jsonl", ("question",), "answer",
+                     _after_hash_marker),
+    "aqua": Dataset(AnswerFormat.MULTIPLE_CHOICE, 254, "test.jsonl", ("question",), "correct",
+                    choices_field="options", choices=_label_paren_options),
+    "svamp": Dataset(AnswerFormat.NUMERIC, 1000, "SVAMP.json", ("Body", "Question"), "Answer"),
+    "commonsenseqa": Dataset(AnswerFormat.MULTIPLE_CHOICE, 1221, "dev_rand_split.jsonl",
+                             ("question.stem",), "answerKey", choices_field="question.choices",
+                             choices=_label_text_pairs),
+    "strategyqa": Dataset(AnswerFormat.YES_NO, 2290, "task.json", ("input",), "target_scores",
+                          _best_target, examples=True),
+    "lastletters": Dataset(AnswerFormat.FREE_FORM, 500),
+    "coinflip": Dataset(AnswerFormat.YES_NO, 500),
 }
 
-# name -> (answer format, expected count, default filename or generator kind)
-DATASET_TABLE: Dict[str, tuple] = {
-    "singleeq": (AnswerFormat.NUMERIC, 508, "questions.json"),
-    "addsub": (AnswerFormat.NUMERIC, 395, "AddSub.json"),
-    "multiarith": (AnswerFormat.NUMERIC, 600, "MultiArith.json"),
-    "gsm8k": (AnswerFormat.NUMERIC, 1319, "test.jsonl"),
-    "aqua": (AnswerFormat.MULTIPLE_CHOICE, 254, "test.jsonl"),
-    "svamp": (AnswerFormat.NUMERIC, 1000, "SVAMP.json"),
-    "commonsenseqa": (AnswerFormat.MULTIPLE_CHOICE, 1221, "dev_rand_split.jsonl"),
-    "strategyqa": (AnswerFormat.YES_NO, 2290, "task.json"),
-    "lastletters": (AnswerFormat.FREE_FORM, 500, "generator"),
-    "coinflip": (AnswerFormat.YES_NO, 500, "generator"),
-}
 
 def dataset_spec(name: str, path: Optional[str] = None,
                  seed: Optional[int] = None) -> DatasetSpec:
     """Build a spec from the built-in table. A file dataset needs a path and
     takes no seed; a generated one takes a seed (default 0) and no path."""
     key = name.strip().lower()
-    if key not in DATASET_TABLE:
-        raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASET_TABLE)}")
-    fmt, expected, default_file = DATASET_TABLE[key]
-    if key not in ADAPTERS:
+    if key not in DATASETS:
+        raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASETS)}")
+    row = DATASETS[key]
+    if row.default_file is None:
         if path is not None:
             raise ValueError(f"dataset {key} is generated, not read from a file; "
                              f"drop --data-path {path}")
-        return DatasetSpec(key, fmt, expected, seed=0 if seed is None else seed)
+        return DatasetSpec(key, row.answer_format, row.expected_count,
+                           seed=0 if seed is None else seed)
     if seed is not None:
         raise ValueError(f"dataset {key} is read from a file; --seed {seed} "
                          "selects only a generated dataset")
     if path is None:
         raise MissingFileError(f"dataset {key} needs a source file (default name "
-                               f"{default_file!r}); pass --data-path")
+                               f"{row.default_file!r}); pass --data-path")
     if os.path.isdir(path):
-        path = os.path.join(path, default_file)
-    return DatasetSpec(key, fmt, expected, path=path)
+        path = os.path.join(path, row.default_file)
+    return DatasetSpec(key, row.answer_format, row.expected_count, path=path)
 
 
 def _dig(record: dict, dotted: str):
@@ -148,67 +187,15 @@ def _dig(record: dict, dotted: str):
     return value
 
 
-def _parse_choices(record: dict, fmap: FieldMap, dataset: str, index: int) -> tuple:
-    raw = _dig(record, fmap.choices_field)
-    choices = []
-    if fmap.choices_layout == "label_paren_text":
-        # entries like "A)24" or "A) 24"
-        for entry in raw:
-            label, _, text = str(entry).partition(")")
-            label = label.strip().strip("(").upper()
-            if not label:
-                raise SchemaError(dataset, index, f"unparseable option {entry!r}")
-            choices.append((label, text.strip()))
-    elif fmap.choices_layout == "label_text_pairs":
-        for entry in raw:
-            choices.append((str(entry["label"]).upper(), str(entry["text"])))
-    else:
-        raise SchemaError(dataset, index, f"unknown choices layout {fmap.choices_layout!r}")
-    return tuple(choices)
-
-
-def _format_choices_block(choices: Sequence[tuple]) -> str:
-    rendered = " ".join(f"({label}) {text}" for label, text in choices)
-    return f"Answer Choices: {rendered}"
-
-
-def _parse_gold(record: dict, fmap: FieldMap, fmt: AnswerFormat,
-                dataset: str, index: int) -> Answer:
-    raw = _dig(record, fmap.gold_field)
-    if fmap.gold_kind == "number":
-        gold = canonical_answer(str(raw), AnswerFormat.NUMERIC)
-    elif fmap.gold_kind == "number_list":
-        if not raw:
-            raise SchemaError(dataset, index, "empty solution list")
-        gold = canonical_answer(str(raw[0]), AnswerFormat.NUMERIC)
-    elif fmap.gold_kind == "gsm8k_hash":
-        _, sep, tail = str(raw).rpartition("####")
-        if not sep:
-            raise SchemaError(dataset, index, "missing #### answer marker")
-        gold = canonical_answer(tail.strip(), AnswerFormat.NUMERIC)
-    elif fmap.gold_kind == "label":
-        gold = canonical_answer(str(raw), AnswerFormat.MULTIPLE_CHOICE)
-    elif fmap.gold_kind == "target_scores":
-        if not isinstance(raw, dict):
-            raise SchemaError(dataset, index, "target_scores must be a mapping")
-        best = max(raw.items(), key=lambda kv: kv[1])[0]
-        gold = canonical_answer(str(best), AnswerFormat.YES_NO)
-    else:
-        raise SchemaError(dataset, index, f"unknown gold kind {fmap.gold_kind!r}")
-    if gold.abstain:
-        raise SchemaError(dataset, index, f"gold value {raw!r} unparseable as {fmt.value}")
-    return gold
-
-
-def _records_from_file(path: str, fmap: FieldMap, dataset: str) -> List[dict]:
+def _records_from_file(path: str, row: Dataset, dataset: str) -> List[dict]:
     if not os.path.exists(path):
         raise MissingFileError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        if fmap.container == "jsonl":
+        if row.default_file.endswith(".jsonl"):
             return [parse_json(line, path, lineno)
                     for lineno, line in enumerate(fh, 1) if line.strip()]
         data = parse_json(fh.read(), path)
-    if fmap.container == "json_examples":
+    if row.examples:
         if not isinstance(data, dict):
             raise SchemaError(dataset, 0, "expected an object with an 'examples' list")
         data = data.get("examples", [])
@@ -223,24 +210,25 @@ def load_dataset(spec: DatasetSpec) -> List[Question]:
     if spec.path is None:
         questions = generate_synthetic(spec.name, spec.expected_count, spec.seed)
     else:
-        fmap = ADAPTERS[spec.name]
-        records = _records_from_file(spec.path, fmap, spec.name)
+        row = DATASETS[spec.name]
         questions = []
-        for index, record in enumerate(records):
+        for index, record in enumerate(_records_from_file(spec.path, row, spec.name)):
             try:
-                parts = [str(_dig(record, f)).strip() for f in fmap.question_fields]
+                parts = [str(_dig(record, f)).strip() for f in row.question_fields]
                 text = " ".join(p for p in parts if p)
                 choices = None
-                if fmap.choices_field:
-                    choices = _parse_choices(record, fmap, spec.name, index)
-                    text = f"{text}\n{_format_choices_block(choices)}"
-                gold = _parse_gold(record, fmap, spec.answer_format, spec.name, index)
+                if row.choices is not None:
+                    choices = row.choices(_dig(record, row.choices_field))
+                    text += "\nAnswer Choices: " + " ".join(f"({l}) {t}" for l, t in choices)
+                raw = _dig(record, row.gold_field)
+                gold = canonical_answer(row.gold(raw), spec.answer_format)
+                if gold.abstain:
+                    raise ValueError(f"gold value {raw!r} unparseable as "
+                                     f"{spec.answer_format.value}")
                 questions.append(Question(
                     id=f"{spec.name}-{index}", text=text,
                     answer_format=spec.answer_format, gold=gold, choices=choices,
                 ))
-            except SchemaError:
-                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(spec.name, index, str(exc)) from exc
     if len(questions) != spec.expected_count:

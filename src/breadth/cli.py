@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a strategy over a dataset")
     run.add_argument("--dataset", required=True,
-                     help=f"one of {sorted(bench.DATASET_TABLE)}")
+                     help=f"one of {sorted(bench.DATASETS)}")
     run.add_argument("--data-path", help="dataset file or directory")
     run.add_argument("--limit", type=int, help="cap on question count")
     run.add_argument("--strategy",

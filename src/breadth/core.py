@@ -76,17 +76,6 @@ class StrategyKind(str, Enum):
         return cls(name.strip().lower().replace("-", "_"))
 
 
-BREADTH_KINDS = frozenset(
-    {
-        StrategyKind.SC,
-        StrategyKind.QUESTION_C,
-        StrategyKind.PROMPT_C,
-        StrategyKind.QUESTION_C_SC,
-        StrategyKind.PROMPT_C_SC,
-    }
-)
-
-
 class StopRule(str, Enum):
     FIXED_T = "fixed_t"
     STABLE_STOP = "stable_stop"
@@ -255,7 +244,7 @@ class Answer(Record):
 _NUMBER_TOKEN = re.compile(r"[-+]?(?:\d[\d,]*\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _PAREN_LABEL = re.compile(r"\(([A-Za-z])\)")
 _STANDALONE_UPPER = re.compile(r"(?<![A-Za-z0-9])([A-Z])(?![A-Za-z0-9])")
-_YES_NO = re.compile(r"\b(yes|no)\b")
+_YES_NO = re.compile(r"\b(yes|no)\b")  # over lowercased text
 _TERMINAL_PUNCT = ".,;:!?"
 
 
@@ -356,6 +345,9 @@ class Question(Record):
             labels = [l for l, _ in choices]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"question {self.id}: duplicate choice labels")
+            if not all(re.fullmatch("[A-Z]", l) for l in labels):
+                raise ValueError(f"question {self.id}: a choice label must be one letter "
+                                 f"A-Z, got {labels}")
             if any(l not in CHOICE_LABELS for l in labels):
                 logger.warning("question %s: choice labels beyond A-E: %s", self.id, labels)
         elif choices:
@@ -452,6 +444,11 @@ KIND_KNOBS = {
     StrategyKind.QUESTION_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
     StrategyKind.PROMPT_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
 }
+
+# The kinds that run several paths in one round: those that read a rewrite or
+# a sample count.
+BREADTH_KINDS = frozenset(kind for kind, knobs in KIND_KNOBS.items()
+                          if {"n_reformulations", "m_samples"} & knobs.keys())
 
 
 @dataclass(frozen=True)

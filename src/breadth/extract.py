@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 from .core import (
     _NUMBER_TOKEN,
     _PAREN_LABEL,
+    _YES_NO,
     CHOICE_LABELS,
     Answer,
     AnswerFormat,
@@ -34,7 +35,6 @@ class EmptyInputError(ValueError):
     """An aggregate was asked for over zero items."""
 
 
-_YES_NO_TOKEN = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _QUOTED_SPAN = re.compile(r"\"([^\"]+)\"")
 _BOLD_SPAN = re.compile(r"\*\*([^*]+)\*\*")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -100,7 +100,7 @@ def _parse_fragment(fragment: str, fmt: AnswerFormat, labels: Sequence[str]) -> 
         match = _NUMBER_TOKEN.search(fragment)
         return match.group(0) if match else None
     if fmt == AnswerFormat.YES_NO:
-        match = _YES_NO_TOKEN.search(fragment)
+        match = _YES_NO.search(fragment.lower())
         return match.group(1) if match else None
     span = _last_span(fragment)
     if span:
@@ -119,7 +119,7 @@ def _fallback(text: str, fmt: AnswerFormat, labels: Sequence[str]) -> Optional[s
         numbers = _NUMBER_TOKEN.findall(_final_sentence(text))
         return numbers[-1] if numbers else None
     if fmt == AnswerFormat.YES_NO:
-        tokens = _YES_NO_TOKEN.findall(text)
+        tokens = _YES_NO.findall(text.lower())
         return tokens[-1] if tokens else None
     span = _last_span(text)
     if span:

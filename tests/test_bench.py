@@ -203,12 +203,18 @@ SVAMP = {"Body": "Two birds.", "Question": "How many?", "Answer": 2}
      "svamp[1]", "gold value 'many' unparseable as numeric"),
     ("commonsenseqa", "dev_rand_split.jsonl", [CSQA, {**CSQA, "answerKey": "?"}],
      "commonsenseqa[1]", "gold value '?' unparseable as multiple_choice"),
+    ("commonsenseqa", "dev_rand_split.jsonl",
+     [CSQA, {**CSQA, "question": {**CSQA["question"], "choices": [
+         {"label": "A", "text": "here"}, {"label": "CD", "text": "there"}]}}],
+     "commonsenseqa[1]", "question commonsenseqa-1: a choice label must be one letter A-Z, "
+     "got ['A', 'CD']"),
     ("strategyqa", "task.json", [STRATEGY],
      "strategyqa[0]", "expected an object with an 'examples' list"),
     ("addsub", "AddSub.json", {"examples": [SOLUTION]},
      "addsub[0]", "expected a list of records"),
 ], ids=["empty-solutions", "target-scores-not-object", "aqua-option-without-label",
-        "numeric-gold-unparseable", "label-gold-unparseable", "strategyqa-not-object",
+        "numeric-gold-unparseable", "label-gold-unparseable", "multi-letter-label",
+        "strategyqa-not-object",
         "list-dataset-given-object"])
 def test_each_reader_refuses_a_record_off_its_layout(tmp_path, name, filename, payload,
                                                      where, message):

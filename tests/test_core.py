@@ -136,13 +136,14 @@ def test_labels_beyond_e_accepted_but_flagged(caplog):
     assert any("beyond A-E" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("label", ["CD", ""])
-def test_a_label_that_is_no_single_letter_of_a_to_e_is_flagged(caplog, label):
-    with caplog.at_level("WARNING"):
+@pytest.mark.parametrize("label", ["CD", "", "b", "1"])
+def test_a_label_that_is_no_single_letter_of_a_to_z_is_refused(label):
+    with pytest.raises(ValueError) as err:
         Question(id="odd", text="t", answer_format=AnswerFormat.MULTIPLE_CHOICE,
                  gold=Answer(AnswerFormat.MULTIPLE_CHOICE, "A"),
                  choices=(("A", "x"), (label, "y")))
-    assert any("beyond A-E" in r.message for r in caplog.records)
+    assert str(err.value) == ("question odd: a choice label must be one letter A-Z, "
+                              f"got ['A', {label!r}]")
 
 
 def test_question_gold_must_parse_under_format():
