@@ -94,7 +94,13 @@ def _after_hash_marker(raw) -> str:
 def _best_target(raw) -> str:
     if not isinstance(raw, dict):
         raise ValueError("target_scores must be a mapping")
-    return str(max(raw.items(), key=lambda kv: kv[1])[0])
+    if not raw:
+        raise ValueError("target_scores is empty")
+    top = max(raw.values())
+    best = [label for label, score in raw.items() if score == top]
+    if len(best) > 1:
+        raise ValueError(f"target_scores ties its top score between {best}")
+    return str(best[0])
 
 
 def _label_paren_options(raw) -> tuple:

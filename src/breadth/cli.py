@@ -91,10 +91,8 @@ def _build_backend(args) -> Backend:
             "or pass --replay/--mock-script for an offline backend")
     live = LiveBackend(args.base_url, model=args.model)
     if args.record:
-        # Recording appends, which would leave a fresh index stale at once.
-        store = ReplayStore(args.record, write_index=False)
-        store.append([])  # locks the cache before any call: a second writer exits 2
-        return RecordingBackend(live, store)
+        # Locked before it is read and before any call: a second writer exits 2.
+        return RecordingBackend(live, ReplayStore(args.record, record=True))
     return live
 
 

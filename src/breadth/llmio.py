@@ -79,30 +79,24 @@ class ScriptExhaustedError(LlmIoError):
     """A scripted rule's response list ran out."""
 
 
-class _computed_once:
-    """``functools.cached_property`` without the lock it takes on every first
-    read before Python 3.12: the first read computes the value and keeps it
-    in the instance dict, where later reads find it. The value is a pure
-    function of a frozen instance, so two threads that both compute it
-    store equal values."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One generation request against a chat-completion backend."""
+    """One generation request against a chat-completion backend.
+
+    Its bytes are made when it is built: ``sample_payloads``, a plain
+    attribute and not a field, holds each sample's own request in canonical
+    JSON, in sample order. That is the request itself when it has one
+    sample, else the request with ``n_samples`` 1 and ``sample_batch_id`` i,
+    so batched and sequential sampling share records. :func:`cache_key`
+    digests these bytes and the cache stores them, so a request is encoded
+    once. The fields are written in sorted order: strings through
+    :func:`~breadth.core.json_string`, ints with ``%d`` and a float
+    temperature with ``float.__repr__``, as the encoder writes them. The
+    layout also holds ``max_tokens``, ``system_text`` and ``top_k``, always
+    ``null``: no request sets them, and keeping their slots keeps every key
+    and record this program has written. The bytes around the batch id that
+    only the model and temperature decide come from :func:`_request_layout`.
+    """
 
     model: str
     user_text: str
@@ -113,7 +107,17 @@ class CompletionRequest:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        check_temperature(self.temperature)  # a finite float's repr is what the encoder writes
+        temperature = self.temperature
+        check_temperature(temperature)  # a finite float's repr is what the encoder writes
+        # -0.0 == 0.0, so the sign is part of the memo's key.
+        head, middle = _request_layout(self.model, temperature, math.copysign(1.0, temperature))
+        # json_string writes ASCII only.
+        tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
+        if self.n_samples == 1:
+            payloads = (b"%s%d%s" % (head, self.sample_batch_id, tail),)
+        else:
+            payloads = tuple([b"%s%d%s" % (head, i, tail) for i in range(self.n_samples)])
+        object.__setattr__(self, "sample_payloads", payloads)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompletionRequest":
@@ -130,32 +134,6 @@ class CompletionRequest:
             if d[name] is not None:
                 raise ValueError(f"request field {name!r} must be null, got {d[name]!r:.80}")
         return cls(**kwargs)
-
-    @_computed_once
-    def sample_payloads(self) -> Tuple[bytes, ...]:
-        """Each sample's own request in canonical JSON, in sample order.
-
-        That is the request itself when it has one sample, else the request
-        with ``n_samples`` 1 and ``sample_batch_id`` i, so batched and
-        sequential sampling share records. :func:`cache_key` digests these
-        bytes and the cache stores them, so a request is encoded once. The
-        fields are written in sorted order: strings through
-        :func:`~breadth.core.json_string`, ints with ``%d`` and a float
-        temperature with ``float.__repr__``, as the encoder writes them. The
-        layout also holds ``max_tokens``, ``system_text`` and ``top_k``,
-        always ``null``: no request sets them, and keeping their slots keeps
-        every key and record this program has written. The bytes around the
-        batch id that only the model and temperature decide come from
-        :func:`_request_layout`.
-        """
-        temperature = self.temperature
-        # -0.0 == 0.0, so the sign is part of the memo's key.
-        head, middle = _request_layout(self.model, temperature, math.copysign(1.0, temperature))
-        # json_string writes ASCII only.
-        tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
-        if self.n_samples == 1:
-            return (b"%s%d%s" % (head, self.sample_batch_id, tail),)
-        return tuple([b"%s%d%s" % (head, i, tail) for i in range(self.n_samples)])
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -209,15 +187,15 @@ class Backend:
 def call(backend: Backend, user_text: str, temperature: float, n_samples: int = 1,
          sample_batch_id: int = 0) -> Tuple[CompletionResponse, int]:
     """Send one request with the backend's model: the one place a request is
-    built and sent. Returns the response and the milliseconds
-    ``backend.complete`` took, which is 0 under a deterministic backend so
-    that its runs are byte-identical."""
+    built and sent. Returns the response and the whole milliseconds
+    ``backend.complete`` took, rounded to the nearest, which is 0 under a
+    deterministic backend so that its runs are byte-identical."""
     request = CompletionRequest(model=backend.model, user_text=user_text,
                                 temperature=temperature, n_samples=n_samples,
                                 sample_batch_id=sample_batch_id)
     started = time.monotonic()
     response = backend.complete(request)
-    latency_ms = 0 if backend.deterministic else int((time.monotonic() - started) * 1000)
+    latency_ms = 0 if backend.deterministic else round((time.monotonic() - started) * 1000)
     return response, latency_ms
 
 

@@ -71,11 +71,12 @@ class ReformulationSpec:
 
 class Reformulations(list):
     """What :func:`reformulate` returns: the variants, a list of strings,
-    and ``usage``, the tokens of every rewrite call that made them, retries
-    included. It is a list, so a caller that wants only the variants reads
-    it as one."""
+    with ``usage`` and ``latency_ms``, the tokens and milliseconds of every
+    rewrite call that made them, retries included. It is a list, so a caller
+    that wants only the variants reads it as one."""
 
     usage = Usage()
+    latency_ms = 0
 
 
 def split_choice_block(text: str) -> tuple:
@@ -97,7 +98,7 @@ def _normalized(text: str) -> str:
 def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformulations:
     """Generate ``spec.n_variants`` rewrites of ``text`` (element 0 is the
     verbatim original when ``include_original`` is set), with the usage of
-    the calls that made them.
+    the calls that made them and the milliseconds they took.
 
     One backend call per variant, at temperature 1.0 with the backend's
     model; blank or normalized-duplicate outputs are regenerated up to a
@@ -127,9 +128,10 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformu
     for index in range(needed):
         candidate = ""
         for attempt in range(_DEDUP_RETRIES + 1):
-            response, _ = call(backend, prompt_text, 1.0,
-                               sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
+            response, ms = call(backend, prompt_text, 1.0,
+                                sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
             variants.usage += response.usage
+            variants.latency_ms += ms
             candidate = response.texts[0].strip()
             if not candidate:
                 logger.warning("blank reformulation for variant %d, regenerating", index)

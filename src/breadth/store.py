@@ -330,30 +330,35 @@ class ReplayStore:
     identical bytes, and deleting it is always safe. It is written through
     :func:`replaced`; a failure to read or write it falls back to the
     parse, and a missing cache writes none. A store opened with
-    ``write_index=False``, as one that records is, loads a valid index but
-    neither hashes the cache nor writes one: its first append would leave
-    the index stale. Opening never writes the cache itself.
+    ``record=True`` first opens and locks its :class:`AppendLog`, so a
+    cache held by another writer is an ``OSError`` before a line of it is
+    read; it then loads a valid index but neither hashes the cache nor
+    writes one: its first append would leave the index stale. Opening
+    writes the cache only then, when the lock creates it or repairs its
+    tail.
 
     Readers share the entries; appends are serialized, and go through one
     :class:`AppendLog`, so a store that only replays never opens the cache
     for writing, and reads a cache that a recording store holds.
     """
 
-    def __init__(self, path: str, write_index: bool = True):
+    def __init__(self, path: str, record: bool = False):
         self.path = path
         self._lock = threading.Lock()
+        self._log = AppendLog(path)
+        if record:
+            self._log.append(b"")  # opens and locks the cache before it is read
         self.entries: dict = {}
         loaded = self._load_index()
         if loaded is not None:
             self.entries = loaded
         elif os.path.exists(path):
-            digest = hashlib.sha256() if write_index and _PROGRAM_DIGEST else None
+            digest = None if record or not _PROGRAM_DIGEST else hashlib.sha256()
             self.entries = dict(read_json_lines(
-                path, "key", keep=lambda record: (record["key"], _replay_entry(record)),
+                path, "key", keep=lambda rec: (rec["key"], _replay_entry(rec)),
                 digest=digest))
             if digest is not None:
                 self._write_index(digest.digest())
-        self._log = AppendLog(path)
 
     def _load_index(self) -> Optional[dict]:
         """The entries from the index, if it holds what a parse of the

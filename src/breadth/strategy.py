@@ -41,7 +41,7 @@ from .core import (
 )
 from .extract import extract_answer, majority_vote
 from .llmio import Backend, CompletionRequest, CompletionResponse, LlmIoError, call, split_usage
-from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
+from .reformulate import ReformulationSpec, ReformulationTarget, Reformulations, reformulate
 
 logger = logging.getLogger(__name__)
 
@@ -89,10 +89,6 @@ def assemble_iteration_input(question_text: str, prompt_text: str,
     )
 
 
-def assemble_zero_shot_input(question_text: str, trigger: str) -> str:
-    return f"{question_text}{SEPARATOR}{trigger}"
-
-
 def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
              prediction_input: str, reasoning: str, usage: Usage, latency_ms: int,
              round: int, ctx: int, sample: int) -> ReasoningTrace:
@@ -110,26 +106,24 @@ def _predict(q: Question, cfg: StrategyConfig, backend: Backend, assembled: str,
 
 
 def _build_contexts(q: Question, cfg: StrategyConfig,
-                    backend: Backend) -> Tuple[List[Tuple[str, str]], Usage]:
+                    backend: Backend) -> Tuple[List[Tuple[str, str]], Reformulations]:
     """The (question_text, prompt_text) pairs a run will explore, and the
-    usage of the rewrite calls the question is charged for.
+    rewrites that made them, whose tokens and milliseconds the question is
+    charged for.
 
     Only rewriting strategies have more than the canonical context; they keep
-    the original as context 0 and rewrite the rest. A question's rewrites
-    are its own cost. Prompt rewrites are not counted yet: they do not
-    depend on the question, and are to be drawn and counted once per run.
+    the original as context 0 and rewrite the rest, of the question or of
+    the prompt. A question's rewrites of either target are its own cost.
     """
     prompt_text = cfg.canonical_prompt
     kind = cfg.kind
     if kind == StrategyKind.SC or kind not in BREADTH_KINDS:
-        return [(q.text, prompt_text)], Usage()
-    n_contexts = cfg.n_reformulations
-    if kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC):
-        spec = ReformulationSpec(ReformulationTarget.QUESTION, n_contexts, include_original=True)
-        variants = reformulate(q.text, spec, backend)
-        return [(v, prompt_text) for v in variants], variants.usage
-    spec = ReformulationSpec(ReformulationTarget.PROMPT, n_contexts, include_original=True)
-    return [(q.text, v) for v in reformulate(prompt_text, spec, backend)], Usage()
+        return [(q.text, prompt_text)], Reformulations()
+    question = kind in (StrategyKind.QUESTION_C, StrategyKind.QUESTION_C_SC)
+    target = ReformulationTarget.QUESTION if question else ReformulationTarget.PROMPT
+    spec = ReformulationSpec(target, cfg.n_reformulations, include_original=True)
+    variants = reformulate(q.text if question else prompt_text, spec, backend)
+    return [(v, prompt_text) if question else (q.text, v) for v in variants], variants
 
 
 def _abstain_or_raise(q: Question, cfg: StrategyConfig, exc: LlmIoError, round: int,
@@ -166,7 +160,7 @@ def run_contexts(q: Question, contexts: Sequence[Tuple[str, str]], cfg: Strategy
     traces: List[ReasoningTrace] = []
     for ctx, (question_text, prompt_text) in enumerate(contexts):
         if cfg.kind == StrategyKind.ZERO_SHOT:
-            assembled = assemble_zero_shot_input(question_text, trigger)
+            assembled = assemble_reasoning_input(question_text, trigger)
             starts = [("", Usage(), 0)]
         else:
             assembled = assemble_reasoning_input(question_text, prompt_text)
@@ -223,21 +217,23 @@ def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
 def run_strategy(q: Question, cfg: StrategyConfig,
                  backend: Backend) -> Tuple[ReasoningTrace, ...]:
     """Build the question's contexts, then run its paths over them. The
-    first trace, sample 0 of context 0, also carries the usage of the
-    question's rewrite calls, as it carries a batched call's prompt tokens,
-    so the traces alone hold every token the question is charged for."""
+    first trace, sample 0 of context 0, also carries the usage and the
+    milliseconds of the question's rewrite calls, as it carries a batched
+    call's prompt tokens, so the traces alone hold every token and
+    millisecond the question is charged for."""
     if not q.text.strip():
         logger.warning("question %s has empty text", q.id)
     try:
-        contexts, rewrite_usage = _build_contexts(q, cfg, backend)
+        contexts, rewrites = _build_contexts(q, cfg, backend)
     except (LlmIoError, ValueError) as exc:
         # A ValueError here is a text that cannot be rewritten, such as a
         # blank question: this question fails, the run goes on.
         raise StrategyError(f"question {q.id}: {exc}") from exc
     traces = run_contexts(q, contexts, cfg, backend)
-    if rewrite_usage.total_tokens:
+    if rewrites.usage.total_tokens or rewrites.latency_ms:
         first = traces[0]
-        traces = (replace(first, usage=first.usage + rewrite_usage),) + traces[1:]
+        traces = (replace(first, usage=first.usage + rewrites.usage,
+                          latency_ms=first.latency_ms + rewrites.latency_ms),) + traces[1:]
     return traces
 
 

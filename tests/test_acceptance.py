@@ -20,6 +20,7 @@ from breadth.core import Answer, AnswerFormat, StrategyKind, default_config
 from breadth.diversity import prediction_entropy
 from breadth.extract import majority_vote
 from breadth.llmio import RecordingBackend, ReplayBackend, ScriptedBackend
+from breadth.reformulate import Reformulations
 from breadth.store import ReplayStore
 from breadth.strategy import (
     answer_trigger,
@@ -189,7 +190,7 @@ def test_criterion_06_scripted_demos(monkeypatch):
     prompts = [PROMPT, "Let's break it down systematically."]
 
     def reformulator(text, spec, backend_, **kwargs):
-        return prompts[: spec.n_variants]
+        return Reformulations(prompts[: spec.n_variants])
 
     votes = ["Therefore, among A through E, the answer is (C) 17.",
              "The correct answer choice is (A) 15.",

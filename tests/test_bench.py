@@ -2,12 +2,14 @@ import json
 import os
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 
 import breadth.store as store_module
+from breadth import bench
 from breadth.cli import main
 from breadth.core import (
     KIND_KNOBS,
@@ -46,6 +48,7 @@ from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
     assemble_reasoning_input,
+    run_strategy,
 )
 from conftest import DiskFills, descriptors_linked_to, mc_question
 
@@ -197,6 +200,11 @@ SVAMP = {"Body": "Two birds.", "Question": "How many?", "Answer": 2}
      "singleeq[1]", "empty solution list"),
     ("strategyqa", "task.json", {"examples": [STRATEGY, {**STRATEGY, "target_scores": "Yes"}]},
      "strategyqa[1]", "target_scores must be a mapping"),
+    ("strategyqa", "task.json", {"examples": [STRATEGY, {**STRATEGY, "target_scores": {}}]},
+     "strategyqa[1]", "target_scores is empty"),
+    ("strategyqa", "task.json",
+     {"examples": [STRATEGY, {**STRATEGY, "target_scores": {"Yes": 1, "No": 1}}]},
+     "strategyqa[1]", "target_scores ties its top score between ['Yes', 'No']"),
     ("aqua", "test.jsonl", [AQUA, {**AQUA, "options": ["A)1", ")2"]}],
      "aqua[1]", "unparseable option ')2'"),
     ("svamp", "SVAMP.json", [SVAMP, {**SVAMP, "Answer": "many"}],
@@ -212,7 +220,8 @@ SVAMP = {"Body": "Two birds.", "Question": "How many?", "Answer": 2}
      "strategyqa[0]", "expected an object with an 'examples' list"),
     ("addsub", "AddSub.json", {"examples": [SOLUTION]},
      "addsub[0]", "expected a list of records"),
-], ids=["empty-solutions", "target-scores-not-object", "aqua-option-without-label",
+], ids=["empty-solutions", "target-scores-not-object", "target-scores-empty",
+        "target-scores-tied", "aqua-option-without-label",
         "numeric-gold-unparseable", "label-gold-unparseable", "multi-letter-label",
         "strategyqa-not-object",
         "list-dataset-given-object"])
@@ -372,6 +381,75 @@ def test_a_question_rewriting_run_records_every_token_the_backend_served(tmp_pat
     assert record.usage.total_tokens == backend.tokens
     summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
     assert summary["usage"] == record.usage.to_dict()
+
+
+def _trace_tokens(run_dir) -> int:
+    return sum(t["usage"]["prompt_tokens"] + t["usage"]["completion_tokens"]
+               for t in _trace_lines(run_dir))
+
+
+@pytest.mark.parametrize("kind", [k for k in StrategyKind if k != StrategyKind.ZERO_SHOT],
+                         ids=lambda k: k.value)
+def test_every_token_the_backend_returns_is_on_the_traces_and_in_the_summary(tmp_path, kind):
+    # Prompt rewrites were charged nowhere: a promptc run's summary held
+    # 13% fewer tokens than the backend returned.
+    questions = generate_synthetic("coinflip", 8, seed=11)
+    backend = CountingBackend(FakeBackend(questions, seed=11))
+    run_experiment("coinflip", questions, default_config(kind), backend,
+                   runs_dir=str(tmp_path), run_id="run")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    usage = summary["usage"]
+    assert usage["prompt_tokens"] + usage["completion_tokens"] == backend.tokens > 0
+    assert _trace_tokens(tmp_path / "run") == backend.tokens
+
+
+def test_a_prompt_rewriting_run_starts_no_question_once_the_backend_reached_the_budget(
+        tmp_path, monkeypatch):
+    questions = generate_synthetic("coinflip", 8, seed=11)
+    cfg = default_config(StrategyKind.PROMPT_C)
+    started = []  # the backend's token count as each question starts
+
+    def run(run_id, budget=None):
+        backend = CountingBackend(FakeBackend(questions, seed=11))
+        started.clear()
+
+        def counting_start(q, cfg, backend_):
+            started.append(backend.tokens)
+            return run_strategy(q, cfg, backend_)
+
+        monkeypatch.setattr(bench, "run_strategy", counting_start)
+        return run_experiment("coinflip", questions, cfg, backend, max_total_tokens=budget,
+                              runs_dir=str(tmp_path), run_id=run_id)
+
+    run("full")
+    budget = started[3]  # what the first three questions cost at the backend
+    record = run("budget", budget)
+    assert record.partial and len(record.outcomes) == 3
+    assert max(started) < budget
+
+
+class _Sleepy(CountingBackend):
+    """Counts calls over a non-deterministic backend whose calls sleep 2 ms."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.deterministic = False
+
+    def complete(self, req):
+        time.sleep(0.002)
+        return super().complete(req)
+
+
+@pytest.mark.parametrize("kind", [StrategyKind.QUESTION_C, StrategyKind.PROMPT_C],
+                         ids=lambda k: k.value)
+def test_the_traces_hold_the_milliseconds_of_every_call_rewrites_included(tmp_path, kind):
+    # Rewrite calls' milliseconds were charged nowhere.
+    questions = generate_synthetic("coinflip", 4, seed=11)
+    backend = _Sleepy(FakeBackend(questions, seed=11))
+    run_experiment("coinflip", questions, default_config(kind), backend,
+                   runs_dir=str(tmp_path), run_id="run")
+    traces = (tmp_path / "run" / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    assert sum(json.loads(line)["latency_ms"] for line in traces) >= 2 * backend.calls
 
 
 def test_resume_under_a_foreign_config_is_refused_before_any_call(tmp_path):

@@ -33,6 +33,7 @@ from breadth.llmio import (
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
+    call,
     replay_response,
     retry_delay,
     split_usage,
@@ -253,6 +254,15 @@ class _FixedTexts(Backend):
 
     def complete(self, request):
         return self.response
+
+
+def test_call_rounds_its_latency_to_the_nearest_millisecond(monkeypatch):
+    # A call of 2.6 ms used to read 2: the milliseconds were truncated.
+    clock = iter([10.0, 10.0026])
+    with monkeypatch.context() as patched:
+        patched.setattr(breadth.llmio.time, "monotonic", lambda: next(clock))
+        response, latency_ms = call(_FixedTexts(["t"]), "q", 1.0)
+    assert response.texts == ("t",) and latency_ms == 3
 
 
 @pytest.mark.parametrize("n_texts", [1, 2, 4], ids=["short", "short-by-one", "long"])
@@ -646,6 +656,18 @@ def test_a_second_store_cannot_append_to_a_cache_a_recording_store_holds(tmp_pat
     gc.collect()
     a.append([_record("a1")])
     assert [r["key"] for r in read_json_lines(str(path))] == ["k1", "b1", "a1"]
+
+
+def test_store_opened_to_record_refuses_a_held_cache_before_reading_it(tmp_path, monkeypatch):
+    # A refused recording store used to parse the whole cache first.
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line("k1") + "\n" + _cache_line("k2") + "\n", encoding="utf-8")
+    parsed = []
+    with AppendLog(str(path)):
+        monkeypatch.setattr(breadth.store, "_parse_line", parsed.append)
+        with pytest.raises(OSError, match=f"held by another writer: '{path}'"):
+            ReplayStore(str(path), record=True)
+    assert parsed == []
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
@@ -1103,7 +1125,7 @@ def test_store_parses_a_cache_appended_to_after_its_index(tmp_path, monkeypatch)
     # The cache's size already tells the index is stale: no hashing before the parse.
     with monkeypatch.context() as patched:
         patched.setattr(breadth.store, "_file_digest", _no_hashing)
-        store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+        store, parses = _open_counting_parses(monkeypatch, path, record=True)
     assert parses == 1 and len(store) == 4
     store = _assert_parses_and_reindexes(monkeypatch, path)
     assert len(store) == 4
@@ -1122,20 +1144,29 @@ def test_store_opened_from_its_index_repairs_the_tail_before_appending(tmp_path,
 def test_store_opened_to_record_loads_an_index_but_hashes_and_writes_none(
         tmp_path, monkeypatch):
     path, kept = _indexed_cache(tmp_path)
+    # The lock taken before the load ends the cache's unterminated last
+    # line, so the index no longer matches; a store that only replays
+    # indexes the repaired cache again.
+    store, parses = _open_counting_parses(monkeypatch, path, record=True)
+    assert parses == 1 and _kept(store) == kept and path.read_bytes().endswith(b"\n")
+    del store
+    ReplayStore(str(path))
     index = tmp_path / "cache.jsonl.index"
     stale = index.read_bytes()
-    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    store, parses = _open_counting_parses(monkeypatch, path, record=True)
     assert parses == 0 and _kept(store) == kept
     store.append([_record("k4")])
+    del store
     # The append left the index stale: a recording store parses, hashing
     # neither the cache nor the bytes it parses, and leaves the index be.
     monkeypatch.setattr(breadth.store, "_file_digest", _no_hashing)
     monkeypatch.setattr(breadth.store.hashlib, "sha256", _no_hashing)
-    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    store, parses = _open_counting_parses(monkeypatch, path, record=True)
     assert parses == 1 and len(store) == 4 and replay_response(store, ["k4"]).texts == ("t",)
     assert index.read_bytes() == stale
     index.unlink()
-    store, parses = _open_counting_parses(monkeypatch, path, write_index=False)
+    del store
+    store, parses = _open_counting_parses(monkeypatch, path, record=True)
     assert parses == 1 and len(store) == 4
     assert os.listdir(tmp_path) == ["cache.jsonl"]
 

@@ -22,7 +22,6 @@ from breadth.strategy import (
     assemble_iteration_input,
     assemble_prediction_input,
     assemble_reasoning_input,
-    assemble_zero_shot_input,
     plan_calls,
     run_strategy,
     vote_from_traces,
@@ -108,7 +107,7 @@ def test_zero_shot_single_call_without_prompt():
     traces = run_strategy(q, cfg, backend)
     assert len(backend.calls) == 1
     assert PROMPT not in backend.calls[0].user_text
-    assert backend.calls[0].user_text == assemble_zero_shot_input(
+    assert backend.calls[0].user_text == assemble_reasoning_input(
         q.text, answer_trigger(q.answer_format))
     assert vote_from_traces(traces).winner.value == "B"
     assert traces[0].reasoning_text == ""
