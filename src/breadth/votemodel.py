@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from math import comb, sqrt
 from typing import List, Optional, Sequence
 
-# Each shard draws from its own seed spawned from the master seed, so the
-# shard count is part of what a seed reproduces.
-_SHARDS = 8
-
 
 @dataclass(frozen=True)
 class PlaneModel:
@@ -83,62 +79,51 @@ class PlaneSimResult:
     per_k_curve: tuple  # CurvePoint per k = 1..total_paths
 
 
-def _shard_sizes(trials: int, shards: int) -> List[int]:
-    base, remainder = divmod(trials, shards)
-    return [base + (1 if i < remainder else 0) for i in range(shards)]
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def simulate_plane(model: PlaneModel, trials: int, seed: int) -> PlaneSimResult:
     """Seeded Monte-Carlo estimate of vote accuracy for every prefix budget
     k = 1..n*m (paths ordered context-major).
 
-    Trials run in shards with seeds spawned from the master seed and reduce
-    in shard order, so results are identical however the shards execute.
+    Trials are counted in groups by their state after each path: whether
+    the first path was correct, how many paths were correct, and whether
+    the context drew the correct plane. Each path splits every group
+    binomially, so the cost is O((n*m)^2) draws whatever ``trials`` is,
+    and the counts have the same joint law as drawing each trial alone.
     A k-path vote is correct when ``2 * correct + first > k``: a majority,
-    or an even split with the first path correct. One pass over the paths
-    keeps that score for every prefix k.
+    or an even split with the first path correct.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     import numpy as np  # here, not at the top: only the simulators use numpy
 
     n, m = model.n_contexts, model.m_per_context
     total = n * m
-    shards = min(_SHARDS, trials)
-    sizes = _shard_sizes(trials, shards)
-    # Buffers for the largest shard, reused by every shard. Each draw fills
-    # the front of ``draws`` in the order a fresh array would, so a seed
-    # gives the same paths as allocating per shard.
-    draws = np.empty(sizes[0] * total)
-    context_buf = np.empty(sizes[0] * n, dtype=bool)
-    copy_buf = np.empty(sizes[0] * total, dtype=bool)
-    paths_buf = np.empty(sizes[0] * total, dtype=bool)
-    score_buf = np.empty(sizes[0], dtype=np.min_scalar_type(2 * total + 1))
-    vote_buf = np.empty(sizes[0], dtype=bool)
+    p, rho = model.p_correct, model.rho
+    rng = np.random.default_rng(seed)
+    # P(path correct) given the context drew the wrong or the right plane
+    right = np.array([(1 - rho) * p, rho + (1 - rho) * p])
+    groups = np.zeros((2, total + 1, 2), dtype=np.int64)  # [first, correct, draw]
+    groups[0, 0, 0] = trials
+    first, correct = np.indices((2, total + 1))
+    score = 2 * correct + first
     correct_counts = np.zeros(total, dtype=np.int64)
-    for shard_seed, shard_trials in zip(np.random.SeedSequence(seed).spawn(shards), sizes):
-        rng = np.random.default_rng(shard_seed)
-        size = shard_trials * total
-        context = np.less(rng.random(out=draws[:shard_trials * n]), model.p_correct,
-                          out=context_buf[:shard_trials * n])
-        copy = np.less(rng.random(out=draws[:size]), model.rho, out=copy_buf[:size])
-        paths = np.less(rng.random(out=draws[:size]), model.p_correct, out=paths_buf[:size])
-        # A copying path takes its context's draw: flip it where they differ.
-        flip = np.repeat(context, m)
-        flip ^= paths
-        flip &= copy
-        paths ^= flip
-        del flip  # before the next shard allocates its own
-        # Path k of every trial, contiguous, in the copy mask's spent buffer.
-        columns = copy.reshape(total, shard_trials)
-        np.copyto(columns, paths.reshape(shard_trials, total).T)
-        # score = 2 * (correct paths among the first k) + first path's bit
-        score, vote = score_buf[:shard_trials], vote_buf[:shard_trials]
-        np.copyto(score, columns[0])
-        for k, column in enumerate(columns, 1):
-            score += column
-            score += column
-            correct_counts[k - 1] += np.count_nonzero(np.greater(score, k, out=vote))
+    for k in range(1, total + 1):
+        if (k - 1) % m == 0:  # a new context draws its plane
+            pooled = groups.sum(axis=2)
+            groups[..., 1] = rng.binomial(pooled, p)
+            groups[..., 0] = pooled - groups[..., 1]
+        hits = rng.binomial(groups, right)
+        groups -= hits
+        if k == 1:  # the first path's hits also set ``first``
+            groups[1, 1:] += hits[0, :-1]
+        else:
+            groups[:, 1:] += hits[:, :-1]
+        correct_counts[k - 1] = groups.sum(axis=2)[score > k].sum()
     curve = []
     for k in range(1, total + 1):
         acc = correct_counts[k - 1] / trials
@@ -168,25 +153,22 @@ def closed_form_depth(p_correct: float, q_advance: float, rounds: int) -> float:
 def simulate_depth(model: PlaneModel, t_max: int, trials: int, seed: int) -> List[DepthPoint]:
     """Markov-chain refinement: start correct w.p. ``p_correct``; each later
     round advances incorrect paths w.p. ``q_advance`` and regresses correct
-    ones w.p. ``q_regress``. Returns accuracy after rounds 1..t_max."""
+    ones w.p. ``q_regress``. Returns accuracy after rounds 1..t_max.
+
+    Only the count of correct trials is kept: each round draws how many
+    correct ones stay and how many incorrect ones advance, so the cost does
+    not grow with ``trials``."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     import numpy as np
 
-    shards = min(_SHARDS, trials)
-    correct_counts = np.zeros(t_max, dtype=np.int64)
-    for shard_seed, shard_trials in zip(
-            np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
-        rng = np.random.default_rng(shard_seed)
-        state = rng.random(shard_trials) < model.p_correct
-        correct_counts[0] += int(state.sum())
-        for t in range(2, t_max + 1):
-            advance = rng.random(shard_trials) < model.q_advance
-            regress = rng.random(shard_trials) < model.q_regress
-            state = np.where(state, ~regress, advance)
-            correct_counts[t - 1] += int(state.sum())
+    rng = np.random.default_rng(seed)
+    correct_counts = [int(rng.binomial(trials, model.p_correct))]
+    for _ in range(2, t_max + 1):
+        stay = rng.binomial(correct_counts[-1], 1 - model.q_regress)
+        advance = rng.binomial(trials - correct_counts[-1], model.q_advance)
+        correct_counts.append(int(stay + advance))
     points = []
     for t in range(1, t_max + 1):
         acc = correct_counts[t - 1] / trials

@@ -434,6 +434,12 @@ def test_votemodel_subcommand(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
+def test_votemodel_refuses_a_negative_seed(capsys):
+    code = main(["votemodel", "--p", "0.6", "--trials", "10", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_report_and_pilot_subset_subcommands(tmp_path, capsys):
     questions = [mc_question(f"q{i}", f"Probe {i}. Answer Choices: (A) x (B) y", "A")
                  for i in range(2)]

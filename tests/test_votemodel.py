@@ -1,15 +1,14 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from breadth.votemodel import (
-    _SHARDS,
     CurvePoint,
     PlaneModel,
     PlaneSimResult,
-    _shard_sizes,
     analytic_majority,
     breadth_curve_csv,
     closed_form_depth,
@@ -23,31 +22,51 @@ GRID_TRIALS = 300_000
 
 
 def _reference_simulate_plane(model, trials, seed):
-    """The straightforward kernel: fresh arrays per shard, an ``np.where``
-    path build, and a separate prefix sum for every budget k."""
+    """The straightforward kernel: every trial's context draws, copy masks
+    and independent draws, and a separate prefix sum for every budget k."""
     n, m = model.n_contexts, model.m_per_context
     total = n * m
-    shards = min(_SHARDS, trials)
-    correct_counts = np.zeros(total, dtype=np.int64)
-    for shard_seed, shard_trials in zip(
-            np.random.SeedSequence(seed).spawn(shards), _shard_sizes(trials, shards)):
-        rng = np.random.default_rng(shard_seed)
-        context = rng.random((shard_trials, n)) < model.p_correct
-        copy_mask = rng.random((shard_trials, n, m)) < model.rho
-        independent = rng.random((shard_trials, n, m)) < model.p_correct
-        paths = np.where(copy_mask, context[:, :, None], independent)
-        paths = paths.reshape(shard_trials, total).astype(np.int8)
-        for k in range(1, total + 1):
-            counts = paths[:, :k].sum(axis=1)
-            wins = counts * 2 > k
-            ties = counts * 2 == k
-            correct_counts[k - 1] += int((wins | (ties & paths[:, 0].astype(bool))).sum())
+    rng = np.random.default_rng(seed)
+    context = rng.random((trials, n)) < model.p_correct
+    copy_mask = rng.random((trials, n, m)) < model.rho
+    independent = rng.random((trials, n, m)) < model.p_correct
+    paths = np.where(copy_mask, context[:, :, None], independent)
+    paths = paths.reshape(trials, total).astype(np.int8)
     curve = []
     for k in range(1, total + 1):
-        acc = correct_counts[k - 1] / trials
+        counts = paths[:, :k].sum(axis=1)
+        wins = counts * 2 > k
+        ties = counts * 2 == k
+        acc = int((wins | (ties & paths[:, 0].astype(bool))).sum()) / trials
         curve.append(CurvePoint(k=k, accuracy=acc, std_err=math.sqrt(acc * (1 - acc) / trials)))
     return PlaneSimResult(model=model, trials=trials, breadth_acc=curve[-1].accuracy,
                           breadth_se=curve[-1].std_err, per_k_curve=tuple(curve))
+
+
+def _enumerate_plane(p, rho, n, m):
+    """Exact joint vote accuracy by enumerating every context draw and every
+    path bit: ``both[i][j]`` is the probability that the (i+1)-path and the
+    (j+1)-path votes are both correct, so ``both[k-1][k-1]`` is the k-path
+    vote's accuracy. Even splits go to the first path's side."""
+    total = n * m
+    right = ((1 - rho) * p, rho + (1 - rho) * p)  # given a wrong or right draw
+    both = [[0.0] * total for _ in range(total)]
+    for draws in itertools.product((0, 1), repeat=n):
+        draw_prob = math.prod(p if d else 1 - p for d in draws)
+        for bits in itertools.product((0, 1), repeat=total):
+            prob = draw_prob
+            for i, bit in enumerate(bits):
+                chance = right[draws[i // m]]
+                prob *= chance if bit else 1 - chance
+            won = []
+            for k in range(1, total + 1):
+                correct = sum(bits[:k])
+                if 2 * correct > k or (2 * correct == k and bits[0]):
+                    won.append(k - 1)
+            for i in won:
+                for j in won:
+                    both[i][j] += prob
+    return both
 
 
 def _enumerate_vote_accuracy(p, k):
@@ -135,16 +154,60 @@ def test_seed_determinism():
     assert third != first
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2),
+                                 (2, 3), (3, 2), (3, 3), (1, 8), (4, 2)])
+def test_simulation_matches_enumeration(n, m):
+    trials = 400_000
+    for seed, (p, rho) in enumerate(itertools.product((0.3, 0.6, 0.85), (0.0, 0.4, 0.8, 1.0))):
+        both = _enumerate_plane(p, rho, n, m)
+        result = simulate_plane(PlaneModel(p_correct=p, rho=rho, n_contexts=n,
+                                           m_per_context=m), trials, seed)
+        for point in result.per_k_curve:
+            exact = both[point.k - 1][point.k - 1]
+            se = math.sqrt(exact * (1 - exact) / trials)
+            assert abs(point.accuracy - exact) <= 4 * se, (p, rho, point.k)
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (2, 3), (3, 3), (5, 4)])
 def test_simulation_equals_the_reference_kernel(n, m, rho):
-    # Compared with the reference, not a stored digest, so a change in
-    # numpy's random stream cannot fail it. 1 and 7 trials leave fewer
-    # trials than shards; 9 and 50,001 split unevenly over them.
+    # The kernel draws other numbers than the per-trial reference, so the
+    # two agree in distribution: every k within 4 standard errors of the
+    # difference. (5, 4) is past what the enumeration oracle can reach.
     model = PlaneModel(p_correct=0.6, rho=rho, n_contexts=n, m_per_context=m)
-    for trials in (1, 7, 9, 50_001):
-        assert simulate_plane(model, trials, seed=19) == \
-            _reference_simulate_plane(model, trials, seed=19), trials
+    result = simulate_plane(model, 1_000_000, seed=19)
+    reference = _reference_simulate_plane(model, 50_000, seed=19)
+    for point, ref in zip(result.per_k_curve, reference.per_k_curve):
+        margin = 4 * max(math.hypot(point.std_err, ref.std_err), 1e-9)
+        assert abs(point.accuracy - ref.accuracy) <= margin, point.k
+
+
+def test_simulation_spread_matches_the_binomial_law():
+    # Over many seeds, each k's count spreads as a binomial one, and two
+    # budgets' counts correlate as the enumerated joint law says: the
+    # kernel keeps the trials' joint distribution, not only the means.
+    p, rho, n, m, trials, seeds = 0.6, 0.8, 3, 3, 1_000, 2_000
+    both = _enumerate_plane(p, rho, n, m)
+    model = PlaneModel(p_correct=p, rho=rho, n_contexts=n, m_per_context=m)
+    runs = np.array([[point.accuracy for point in simulate_plane(model, trials, seed).per_k_curve]
+                     for seed in range(seeds)])
+    exact = np.diag(both)
+    sd = np.sqrt(exact * (1 - exact))  # of one trial's vote
+    ratio = runs.std(axis=0, ddof=1) / (sd / math.sqrt(trials))
+    assert np.all(np.abs(ratio - 1) < 0.1), ratio
+    exact_corr = (np.array(both) - np.outer(exact, exact)) / np.outer(sd, sd)
+    assert np.abs(np.corrcoef(runs, rowvar=False) - exact_corr).max() < 0.1
+
+
+def test_simulation_cost_does_not_grow_with_trials():
+    model = PlaneModel(p_correct=0.6, rho=0.4, n_contexts=3, m_per_context=3)
+    exact = np.diag(_enumerate_plane(0.6, 0.4, 3, 3))
+    started = time.monotonic()
+    result = simulate_plane(model, trials=10 ** 12, seed=23)
+    assert time.monotonic() - started < 2.0
+    for point in result.per_k_curve:
+        se = math.sqrt(exact[point.k - 1] * (1 - exact[point.k - 1]) / 10 ** 12)
+        assert abs(point.accuracy - exact[point.k - 1]) <= 4 * se + 1e-12, point.k
 
 
 def test_two_by_two_beats_one_by_four_under_correlation():
@@ -179,6 +242,8 @@ def test_simulation_rejects_bad_arguments():
     model = PlaneModel(p_correct=0.5)
     with pytest.raises(ValueError):
         simulate_plane(model, trials=0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_plane(model, trials=10, seed=-1)
     with pytest.raises(ValueError):
         PlaneModel(p_correct=1.2)
     with pytest.raises(ValueError):
@@ -209,6 +274,17 @@ def test_depth_simulation_matches_closed_form():
     assert points[-1].accuracy == pytest.approx(0.85, abs=0.002)
 
 
+def test_depth_with_regression_matches_the_recurrence():
+    p, q_advance, q_regress, trials = 0.9, 0.2, 0.3, 1_000_000
+    model = PlaneModel(p_correct=p, q_advance=q_advance, q_regress=q_regress)
+    points = simulate_depth(model, t_max=6, trials=trials, seed=29)
+    exact = p
+    for point in points:
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(point.accuracy - exact) <= 4 * se, point.round
+        exact = exact * (1 - q_regress) + (1 - exact) * q_advance
+
+
 def test_depth_with_regression_can_fall():
     model = PlaneModel(p_correct=0.9, q_advance=0.0, q_regress=0.5)
     points = simulate_depth(model, t_max=3, trials=100_000, seed=17)
@@ -219,6 +295,8 @@ def test_depth_rejects_bad_arguments():
     model = PlaneModel(p_correct=0.5)
     with pytest.raises(ValueError):
         simulate_depth(model, t_max=0, trials=10, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_depth(model, t_max=3, trials=10, seed=-1)
     with pytest.raises(ValueError):
         closed_form_depth(0.5, 0.5, 0)
 
