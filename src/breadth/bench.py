@@ -69,8 +69,6 @@ class DatasetSpec:
     ``seed`` when ``path`` is None."""
 
     name: str
-    answer_format: AnswerFormat
-    expected_count: int
     path: Optional[str] = None
     seed: int = 0
 
@@ -171,8 +169,7 @@ def dataset_spec(name: str, path: Optional[str] = None,
         if path is not None:
             raise ValueError(f"dataset {key} is generated, not read from a file; "
                              f"drop --data-path {path}")
-        return DatasetSpec(key, row.answer_format, row.expected_count,
-                           seed=0 if seed is None else seed)
+        return DatasetSpec(key, seed=0 if seed is None else seed)
     if seed is not None:
         raise ValueError(f"dataset {key} is read from a file; --seed {seed} "
                          "selects only a generated dataset")
@@ -181,7 +178,7 @@ def dataset_spec(name: str, path: Optional[str] = None,
                                f"{row.default_file!r}); pass --data-path")
     if os.path.isdir(path):
         path = os.path.join(path, row.default_file)
-    return DatasetSpec(key, row.answer_format, row.expected_count, path=path)
+    return DatasetSpec(key, path=path)
 
 
 def _dig(record: dict, dotted: str):
@@ -211,12 +208,12 @@ def _records_from_file(path: str, row: Dataset, dataset: str) -> List[dict]:
 
 
 def load_dataset(spec: DatasetSpec) -> List[Question]:
-    """Normalize a dataset into Questions; warns (not errors) on a count
-    mismatch against the built-in table."""
+    """Normalize a dataset into Questions, in the format its row of
+    ``DATASETS`` gives; warns (not errors) on a count mismatch against it."""
+    row = DATASETS[spec.name]
     if spec.path is None:
-        questions = generate_synthetic(spec.name, spec.expected_count, spec.seed)
+        questions = generate_synthetic(spec.name, row.expected_count, spec.seed)
     else:
-        row = DATASETS[spec.name]
         questions = []
         for index, record in enumerate(_records_from_file(spec.path, row, spec.name)):
             try:
@@ -227,19 +224,19 @@ def load_dataset(spec: DatasetSpec) -> List[Question]:
                     choices = row.choices(_dig(record, row.choices_field))
                     text += "\nAnswer Choices: " + " ".join(f"({l}) {t}" for l, t in choices)
                 raw = _dig(record, row.gold_field)
-                gold = canonical_answer(row.gold(raw), spec.answer_format)
+                gold = canonical_answer(row.gold(raw), row.answer_format)
                 if gold.abstain:
                     raise ValueError(f"gold value {raw!r} unparseable as "
-                                     f"{spec.answer_format.value}")
+                                     f"{row.answer_format.value}")
                 questions.append(Question(
                     id=f"{spec.name}-{index}", text=text,
-                    answer_format=spec.answer_format, gold=gold, choices=choices,
+                    answer_format=row.answer_format, gold=gold, choices=choices,
                 ))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(spec.name, index, str(exc)) from exc
-    if len(questions) != spec.expected_count:
+    if len(questions) != row.expected_count:
         logger.warning("dataset %s: loaded %d questions, expected %d",
-                       spec.name, len(questions), spec.expected_count)
+                       spec.name, len(questions), row.expected_count)
     return questions
 
 

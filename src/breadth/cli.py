@@ -80,11 +80,10 @@ def _build_backend(args) -> Backend:
     if args.mock_script:
         with open(args.mock_script, "r", encoding="utf-8") as fh:
             script = parse_json(fh.read(), f"--mock-script {args.mock_script}")
-        if not isinstance(script, dict) and not (
-                isinstance(script, list) and all(isinstance(rule, dict) for rule in script)):
-            raise ValueError(f"--mock-script {args.mock_script}: expected an object "
-                             "or a list of rule objects")
-        return ScriptedBackend(script, model=args.model)
+        try:
+            return ScriptedBackend(script, model=args.model)
+        except ValueError as exc:
+            raise ValueError(f"--mock-script {args.mock_script}: {exc}") from None
     if not os.environ.get(API_KEY_ENV):
         raise RuntimeError(
             f"live mode needs the {API_KEY_ENV} environment variable; set it, "
@@ -196,6 +195,9 @@ def _load_subset(path: str) -> List[Question]:
 
 
 def _cmd_entropy(args) -> int:
+    if any(c in args.dataset for c in ',"\r\n'):  # the label is a raw CSV cell
+        raise UsageError(f"--dataset {args.dataset!r}: a label may not hold a comma, "
+                         "a double quote or a line break")
     questions = _load_subset(args.subset)
     factors = [diversity.Factor.parse(name) for name in args.factors.split(",") if name.strip()]
     if not factors:
@@ -205,7 +207,7 @@ def _cmd_entropy(args) -> int:
         raise UsageError(f"--factors names {', '.join(repeated)} more than once")
     backend = _build_backend(args)
     results = diversity.run_factor_study(questions, factors, args.k, backend)
-    _emit(diversity.report_to_csv({args.dataset: results}, factors), args.out)
+    _emit(diversity.report_to_csv(args.dataset, results, factors), args.out)
     return 0
 
 

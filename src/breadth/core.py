@@ -336,6 +336,10 @@ class Question(Record):
     def __post_init__(self):
         choices = self.choices
         if choices is not None:
+            if not (isinstance(choices, (list, tuple))
+                    and all(isinstance(c, (list, tuple)) and len(c) == 2 for c in choices)):
+                raise ValueError(f"question choices must be [label, text] pairs, "
+                                 f"got {choices!r:.80}")
             choices = tuple((str(l), str(t)) for l, t in choices)
             object.__setattr__(self, "choices", choices)
         is_mc = self.answer_format == AnswerFormat.MULTIPLE_CHOICE
@@ -364,14 +368,6 @@ class Question(Record):
                 raise ValueError(f"question {self.id}: gold label {gold.value!r} not in choices")
         elif canonical_answer(gold.value, self.answer_format) != gold:
             raise ValueError(f"question {self.id}: gold {gold.value!r} is not canonical")
-
-    @classmethod
-    def from_dict(cls, d: Any) -> "Question":
-        kwargs = check_json_fields(cls, d)
-        choices = kwargs.get("choices")
-        if choices and not all(isinstance(c, list) and len(c) == 2 for c in choices):
-            raise ValueError(f"question choices must be [label, text] pairs, got {choices!r:.80}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .core import Answer, Question, StrategyConfig, StrategyKind, default_config
 from .extract import EmptyInputError
@@ -65,11 +65,10 @@ def prediction_entropy(answers: Sequence[Answer]) -> float:
 @dataclass(frozen=True)
 class FactorResult:
     """Per-factor outcome over a question subset. A question whose run
-    failed is in ``failed``, not in ``per_question``; with none left, both
-    entropies are None."""
+    failed is in ``failed``, not in ``per_question``; with none left, the
+    entropy is None."""
 
     entropy_nats: Optional[float]  # mean of per-question entropies
-    pooled_entropy_nats: Optional[float]  # entropy of all predictions pooled
     per_question: Dict[str, List[Answer]] = field(default_factory=dict)
     failed: tuple = ()  # ids of the questions whose run failed
 
@@ -93,10 +92,10 @@ def run_factor_study(questions: Sequence[Question], factors: Sequence[Factor], k
                      backend: Backend) -> Dict[Factor, FactorResult]:
     """Generate each factor's ``k`` predictions per question, through
     :func:`run_strategy` over :func:`factor_configs`, and report mean
-    per-question entropy (plus pooled entropy for audit). A failed path
-    abstains; a question whose run fails, as when its rewrite does, is left
-    out of its factor's entropies and counted in ``failed``, and the study
-    goes on. ``k`` is checked before any factor runs.
+    per-question entropy. A failed path abstains; a question whose run
+    fails, as when its rewrite does, is left out of its factor's entropy and
+    counted in ``failed``, and the study goes on. ``k`` is checked before
+    any factor runs.
 
     Model perturbation cannot run through an API client: it is skipped, with
     no calls, and :func:`report_to_csv` tags it ``unsupported``.
@@ -122,39 +121,33 @@ def run_factor_study(questions: Sequence[Question], factors: Sequence[Factor], k
                 logger.error("%s factor: %s; leaving the question out", factor.value, exc)
                 failed.append(q.id)
         entropies = [prediction_entropy(a) for a in per_question.values()]
-        pooled = [a for answers in per_question.values() for a in answers]
         results[factor] = FactorResult(
             entropy_nats=sum(entropies) / len(entropies) if entropies else None,
-            pooled_entropy_nats=prediction_entropy(pooled) if pooled else None,
             per_question=per_question,
             failed=tuple(failed),
         )
     return results
 
 
-def report_to_csv(reports: Mapping[str, Dict[Factor, FactorResult]],
+def report_to_csv(dataset: str, results: Dict[Factor, FactorResult],
                   factors: Sequence[Factor]) -> str:
-    """Rows are datasets, the keys of ``reports`` each mapped to its
-    :func:`run_factor_study` results; columns are ``factors``. Unsupported
-    factors render as a tag, and a factor with no result or no surviving
-    question as an empty cell. A footer documents the out-of-scope
-    perturbation setup and, for each factor with failed questions, how many
-    failed."""
-    lines = ["dataset," + ",".join(f.value for f in factors)]
-    failures = []
-    for dataset, results in reports.items():
-        cells = [dataset]
-        for f in factors:
-            result = results.get(f)
-            if f == Factor.MODEL_PERTURBATION and result is None:
-                cells.append("unsupported")
-            elif result is not None and result.entropy_nats is not None:
-                cells.append(f"{result.entropy_nats:.4f}")
-            else:
-                cells.append("")
-            if result is not None and result.failed:
-                total = len(result.failed) + len(result.per_question)
-                failures.append(f"# {f.value}: {len(result.failed)} of {total} questions failed")
-        lines.append(",".join(cells))
-    lines.append(f"# {UNSUPPORTED_FACTOR_NOTE}")
-    return "\n".join(lines + failures) + "\n"
+    """One row, labelled ``dataset``, of the :func:`run_factor_study`
+    ``results``, whose columns are ``factors``; the label is written as it
+    is. Unsupported factors render as a tag, and a factor with no result or
+    no surviving question as an empty cell. A footer documents the
+    out-of-scope perturbation setup and, for each factor with failed
+    questions, how many failed."""
+    cells, failures = [dataset], []
+    for f in factors:
+        result = results.get(f)
+        if f == Factor.MODEL_PERTURBATION and result is None:
+            cells.append("unsupported")
+        elif result is not None and result.entropy_nats is not None:
+            cells.append(f"{result.entropy_nats:.4f}")
+        else:
+            cells.append("")
+        if result is not None and result.failed:
+            total = len(result.failed) + len(result.per_question)
+            failures.append(f"# {f.value}: {len(result.failed)} of {total} questions failed")
+    return "\n".join(["dataset," + ",".join(f.value for f in factors), ",".join(cells),
+                      f"# {UNSUPPORTED_FACTOR_NOTE}", *failures]) + "\n"

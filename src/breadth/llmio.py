@@ -353,27 +353,35 @@ class ScriptedBackend(Backend):
 
     A script is either ``{pattern: responses}`` (substring rules) or a list
     of ``{"match": pattern, "responses": [...], "exact": bool}`` rules, the
-    two shapes a ``--mock-script`` file may hold. Rule priority: exact match
-    beats substring; among substring matches the longest pattern wins, then
-    declaration order. Each matched rule consumes its response list in order
-    (``n_samples`` entries per call); running out raises
+    two shapes a ``--mock-script`` file may hold (``exact`` is optional);
+    any other is a ``ValueError`` naming the bad rule. Rule priority: exact
+    match beats substring; among substring matches the longest pattern
+    wins, then declaration order. Each matched rule consumes its response
+    list in order (``n_samples`` entries per call); running out raises
     :class:`ScriptExhaustedError`. All calls are logged in ``calls``.
     """
 
     deterministic = True
 
-    def __init__(self, script=None, model: str = DEFAULT_MODEL):
+    def __init__(self, script=(), model: str = DEFAULT_MODEL):
         self.rules: List[ScriptRule] = []
         self.calls: List[CompletionRequest] = []
         self.model = model
         self._lock = threading.Lock()
         if isinstance(script, dict):
-            for pattern, responses in script.items():
-                self.add_rule(pattern, responses)
-        else:
-            for rule in script or ():
-                self.add_rule(rule["match"], rule["responses"],
-                              exact=bool(rule.get("exact", False)))
+            script = [{"match": pattern, "responses": r} for pattern, r in script.items()]
+        elif not isinstance(script, (list, tuple)):
+            raise ValueError(f"expected an object or a list of rule objects, got {script!r:.80}")
+        for index, rule in enumerate(script):
+            try:
+                if not (isinstance(rule, dict) and {"match", "responses"} <= set(rule)
+                        <= {"match", "responses", "exact"}
+                        and isinstance(rule.get("exact", False), bool)):
+                    raise ValueError("expected an object of 'match', 'responses' and an "
+                                     f"optional boolean 'exact', got {rule!r:.80}")
+                self.add_rule(rule["match"], rule["responses"], exact=rule.get("exact", False))
+            except ValueError as exc:
+                raise ValueError(f"rule {index}: {exc}") from None
 
     def add_rule(self, pattern: str, responses, exact: bool = False) -> "ScriptedBackend":
         if not isinstance(pattern, str):
@@ -466,8 +474,9 @@ class RecordingBackend(Backend):
     """Read-through cache around another backend.
 
     Fully cached requests are served as replay hits; anything else goes to
-    the inner backend and gets persisted per sample before returning. A
-    response without one text per requested sample is a
+    the inner backend and gets persisted per sample before it is returned,
+    as replay serves it: the same texts, and the usage :func:`split_usage`
+    split. A response without one text per requested sample is a
     :class:`MalformedResponseError`, and nothing of it is persisted.
     """
 
@@ -492,16 +501,11 @@ class RecordingBackend(Backend):
                 raise MalformedResponseError(
                     f"expected {req.n_samples} samples, got {len(texts)}")
             # Every per-sample request carries the whole prompt.
-            kept = self.store.append([
+            self.store.append([
                 (key, request, text, Usage(usage.prompt_tokens, share.completion_tokens))
                 for key, request, text, share in zip(keys, req.sample_payloads, texts,
                                                      split_usage(usage, req.n_samples))])
-            # What replay serves of the entries just kept, so record and
-            # replay runs emit identical bytes: their texts, and the first
-            # one's prompt tokens with every one's completion tokens, which
-            # is the usage that was split.
-            return CompletionResponse(tuple([text for text, _, _ in kept]), usage,
-                                      response.backend)
+            return response
         finally:
             self._keys_in_flight.release(keys)
 

@@ -42,7 +42,7 @@ import threading
 import weakref
 from contextlib import contextmanager, suppress
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 from . import core
 from .core import Usage, is_count, json_string
@@ -412,24 +412,21 @@ class ReplayStore:
                 return False
         return True
 
-    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]
-               ) -> List[Tuple[str, int, int]]:
+    def append(self, records: Sequence[Tuple[str, bytes, str, Usage]]) -> None:
         """Store one response's records, ``(key, request, text, usage)`` each
         with ``request`` in canonical JSON, as one line per record in one
-        write, and return the entries kept for them, in order. A record that
-        could not be served raises ``ValueError`` before anything is written.
-        A line is the canonical JSON of ``{"key", "request", "texts":
-        [text], "usage"}`` written from the entry kept, so its counts are
-        ints, which ``%d`` writes as JSON does, and it reads back as that
-        entry; its keys are already in sorted order."""
-        keys, kept, lines = [], [], []
+        write; one that could not be served raises ``ValueError`` before
+        anything is written. A line is the canonical JSON of ``{"key",
+        "request", "texts": [text], "usage"}`` written from the entry kept,
+        so its counts are ints, which ``%d`` writes as JSON does, and it
+        reads back as that entry; its keys are already in sorted order."""
+        kept, lines = {}, []
         for key, request, text, usage in records:
             entry = _entry(key, [text], usage.prompt_tokens, usage.completion_tokens)
             if type(entry) is not tuple:
                 raise ValueError(entry)
             text, prompt, completion = entry
-            keys.append(key)
-            kept.append(entry)
+            kept[key] = entry
             lines.append(b'{"key":%s,"request":%s,"texts":[%s],'
                          b'"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
                              json_string(key).encode("ascii"), request,
@@ -438,5 +435,4 @@ class ReplayStore:
         with self._lock:
             self._log.append(data)
             # Only written lines change what the store serves.
-            self.entries.update(zip(keys, kept))
-        return kept
+            self.entries.update(kept)

@@ -142,7 +142,7 @@ LOADER_CASES = [
 def test_loader_counts_match_table(dataset_dir, name, filename, expected, fmt):
     spec = dataset_spec(name, path=str(dataset_dir / filename))
     questions = load_dataset(spec)
-    assert len(questions) == expected == spec.expected_count
+    assert len(questions) == expected == bench.DATASETS[name].expected_count
     assert all(q.answer_format == fmt for q in questions)
     assert all(not q.gold.abstain for q in questions)
 
@@ -270,7 +270,7 @@ def test_generators_emit_exactly_500_each():
     assert len(generate_synthetic("coinflip", 500, seed=1)) == 500
     assert len(generate_synthetic("lastletters", 500, seed=1)) == 500
     spec = dataset_spec("coinflip", seed=1)
-    assert len(load_dataset(spec)) == spec.expected_count == 500
+    assert len(load_dataset(spec)) == bench.DATASETS["coinflip"].expected_count == 500
 
 
 def test_generator_determinism():

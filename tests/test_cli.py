@@ -335,6 +335,23 @@ def test_entropy_refuses_a_factor_named_twice_before_any_call(tmp_path, capsys, 
     assert len(backend.calls) == 4
 
 
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"],
+                         ids=["comma", "quote", "cr", "lf"])
+def test_entropy_refuses_a_label_that_would_break_its_csv_row(tmp_path, capsys, monkeypatch,
+                                                              label):
+    # Written as a raw cell, "a,b" made the row "a,b,0.5000" under "dataset,sampling".
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
+    backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
+    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    out = tmp_path / "study.csv"
+    assert main(["entropy", "--factors", "sampling", "--k", "3", "--subset", str(subset),
+                 "--dataset", label, "--out", str(out)]) == 1
+    assert f"--dataset {label!r}: a label may not hold" in capsys.readouterr().err
+    assert backend.calls == [] and not out.exists()
+
+
 def test_entropy_leaves_a_failed_question_out_and_goes_on(tmp_path, capsys):
     questions = [mc_question(f"s{i}", f"Pick {i}. Answer Choices: (A) x (B) y", "A")
                  for i in range(2)]
@@ -881,6 +898,23 @@ def test_mock_script_rule_that_is_not_an_object_exits_2(tmp_path, capsys):
                  "--mock-script", script, "--runs-dir", str(tmp_path / "runs")])
     assert code == 2
     assert script in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", [
+    {"responses": ["r"]},
+    {"match": "step by step"},
+    {"match": "step by step", "responses": ["r"], "exact": "no"},
+    {"match": "step by step", "responses": ["r"], "exact": False, "weight": 2},
+], ids=["no-match", "no-responses", "non-boolean-exact", "unknown-key"])
+def test_mock_script_rule_of_the_wrong_shape_exits_2_naming_the_file_and_rule(tmp_path, capsys,
+                                                                              rule):
+    # A rule with no match used to print "error: 'match'"; "exact": "no" made an exact rule.
+    script = _mock_script_file(tmp_path, [{"match": "step", "responses": ["r"]}, rule])
+    code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                 "--mock-script", script, "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert f"error: --mock-script {script}: rule 1: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 _NOT_STRINGS = "script rule 'step by step': responses must be a string or a list of strings"

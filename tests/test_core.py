@@ -116,6 +116,16 @@ def test_question_requires_choices_iff_multiple_choice():
                  gold=Answer(AnswerFormat.NUMERIC, "3"), choices=(("A", "x"),))
 
 
+@pytest.mark.parametrize("choice", [("B", "x", "y"), 5, "Bx"],
+                         ids=["three-items", "not-a-sequence", "a-string"])
+def test_question_choices_must_be_label_text_pairs(choice):
+    # Only JSON input was checked; built in code, these raised an unpacking
+    # ValueError or a TypeError, or passed as the pair ("B", "x").
+    with pytest.raises(ValueError, match=r"question choices must be \[label, text\] pairs"):
+        Question(id="q", text="t", answer_format=AnswerFormat.MULTIPLE_CHOICE,
+                 gold=Answer(AnswerFormat.MULTIPLE_CHOICE, "A"), choices=(("A", "x"), choice))
+
+
 def test_question_rejects_duplicate_labels_and_foreign_gold():
     gold = Answer(AnswerFormat.MULTIPLE_CHOICE, "A")
     with pytest.raises(ValueError):

@@ -146,7 +146,7 @@ def test_a_factor_of_zero_entropy_prints_an_unsigned_zero():
     results = run_factor_study(questions, [Factor.SAMPLING], 4,
                                _uniform_backend(["the answer is (B)"] * 12))
     assert math.copysign(1.0, results[Factor.SAMPLING].entropy_nats) == 1.0
-    assert report_to_csv({"toy": results}, [Factor.SAMPLING]).splitlines()[1] == "toy,0.0000"
+    assert report_to_csv("toy", results, [Factor.SAMPLING]).splitlines()[1] == "toy,0.0000"
 
 
 def test_sampling_factor_samples_at_low_temperature():
@@ -176,7 +176,6 @@ def test_mean_per_question_entropy_and_pooled_reported():
                      ["the answer is (A)"] * 10 + ["the answer is (B)"] * 10)
     result = run_factor_study([q1, q2], [Factor.SAMPLING], 10, backend)[Factor.SAMPLING]
     assert result.entropy_nats == pytest.approx(0.0, abs=1e-12)  # each question pure
-    assert result.pooled_entropy_nats == pytest.approx(math.log(2), abs=1e-12)
 
 
 # ---------------------------------------------------------------- reporting
@@ -203,8 +202,8 @@ def test_factor_with_every_question_failed_renders_an_empty_cell():
     results = run_factor_study([q], [Factor.QUESTION_REWORDING], 3, backend)
     result = results[Factor.QUESTION_REWORDING]
     assert result.failed == ("q0",) and result.per_question == {}
-    assert result.entropy_nats is None and result.pooled_entropy_nats is None
-    lines = report_to_csv({"toy": results}, factors=[Factor.QUESTION_REWORDING]).splitlines()
+    assert result.entropy_nats is None
+    lines = report_to_csv("toy", results, factors=[Factor.QUESTION_REWORDING]).splitlines()
     assert lines[1] == "toy,"
     assert lines[-1] == "# question: 1 of 1 questions failed"
 
@@ -224,7 +223,7 @@ def test_csv_layout_rows_datasets_columns_factors():
     q = mc_question("q0", "Pick. Answer Choices: (A) x (B) y", "A")
     backend = _uniform_backend(["the answer is (A)"] * 10)
     results = run_factor_study([q], [Factor.SAMPLING], 10, backend)
-    csv_text = report_to_csv({"aqua-subset": results},
+    csv_text = report_to_csv("aqua-subset", results,
                              factors=[Factor.SAMPLING, Factor.MODEL_PERTURBATION])
     lines = csv_text.strip().splitlines()
     assert lines[0] == "dataset,sampling,llms"
