@@ -20,7 +20,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
@@ -34,6 +34,7 @@ from .core import (
     Usage,
     canonical_answer,
     check_json_fields,
+    json_string,
     parse_json,
 )
 from .llmio import MAX_IN_FLIGHT, Backend
@@ -323,6 +324,30 @@ class RunRecord(Record):
         return cls(**kwargs)
 
 
+# One outcome in ``summary.json``, as ``json.dumps(..., sort_keys=True,
+# indent=2)`` writes it in the top-level outcomes list. The second slot is
+# the ``error`` line, empty when the question did not fail.
+_OUTCOME_BLOCK = ('    {\n      "correct": %s,\n%s      "final": {\n        "abstain": %s,\n'
+                  '        "kind": %s,\n        "value": %s\n      },\n'
+                  '      "question_id": %s,\n      "rounds": %d,\n      "trace_count": %d\n    }')
+
+
+def summary_json(record: RunRecord) -> str:
+    """``json.dumps(record.to_dict(), sort_keys=True, indent=2)`` and a
+    newline, with the outcomes written from ``_OUTCOME_BLOCK`` into the one
+    ``"outcomes"`` key at two spaces' indent."""
+    text = json.dumps(replace(record, outcomes=()).to_dict(), sort_keys=True, indent=2) + "\n"
+    if not record.outcomes:
+        return text
+    blocks = ",\n".join([_OUTCOME_BLOCK % (
+        "true" if o.correct else "false",
+        "" if o.error is None else '      "error": %s,\n' % json_string(o.error),
+        "true" if o.final.abstain else "false", json_string(o.final.kind),
+        json_string(o.final.value), json_string(o.question_id), o.rounds, o.trace_count)
+        for o in record.outcomes])
+    return text.replace('\n  "outcomes": [],', '\n  "outcomes": [\n%s\n  ],' % blocks, 1)
+
+
 # The config keys a resume may change: a larger ``limit`` extends a run, and
 # a run may be replayed from its own cache.
 _RESUMABLE_KEYS = ("limit", "backend_mode")
@@ -469,8 +494,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         usage=total_usage, wall_time_s=wall, partial=partial,
     )
     with replaced(os.path.join(run_dir, "summary.json")) as fh:
-        json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(summary_json(record))
     return record
 
 

@@ -29,15 +29,15 @@ CHOICE_LABELS = ("A", "B", "C", "D", "E")
 
 # The one encoding of every cache key, cache record and trace line: sorted
 # keys, no spaces, non-ASCII escaped. ``json.dumps`` with these arguments
-# would build a new encoder on every call. The three per-record writers
-# (``CompletionRequest.sample_payloads``, ``ReplayStore.append`` and
-# ``ReasoningTrace.json_line``) write fixed layouts and escape each string
-# with ``json_string``, the C string encoder that ``canonical_json`` calls
-# for a str, without the encoder's Python-level dispatch;
-# ``test_cache_key_is_the_digest_of_each_samples_own_request``,
-# ``test_recorded_lines_are_the_canonical_json_of_each_samples_record`` and
-# ``test_trace_lines_are_the_canonical_json_of_each_trace`` pin each layout to
-# this encoding of the whole record.
+# would build a new encoder on every call. The four per-record writers
+# (``CompletionRequest.sample_payloads``, ``ReplayStore.append``,
+# ``ReasoningTrace.json_line`` and ``bench.summary_json``, which indents as
+# ``json.dumps(..., indent=2)`` does) write fixed layouts and escape each
+# string with ``json_string``, the C string encoder that ``json`` calls for a
+# str; ``test_cache_key_is_the_digest_of_each_samples_own_request``,
+# ``test_recorded_lines_are_the_canonical_json_of_each_samples_record``,
+# ``test_trace_lines_are_the_canonical_json_of_each_trace`` and
+# ``test_summary_json_is_json_dumps_of_its_record`` pin each to the encoder.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 json_string = json.encoder.encode_basestring_ascii
 
@@ -413,13 +413,16 @@ class ReasoningTrace(Record):
             '"question_id":%s,"raw_prediction_text":%s,"reasoning_text":%s,'
             '"reformulation_index":%d,"round":%d,"sample_index":%d,'
             '"usage":{"completion_tokens":%d,"prompt_tokens":%d}}\n' % (
-                json_string(self.assembled_input), self.latency_ms,
+                _input_json(self.assembled_input), self.latency_ms,
                 "true" if parsed.abstain else "false", _FORMAT_JSON[parsed.kind],
                 json_string(parsed.value), json_string(self.question_id),
                 json_string(self.raw_prediction_text), json_string(self.reasoning_text),
                 self.reformulation_index, self.round, self.sample_index,
                 usage.completion_tokens, usage.prompt_tokens))
 
+
+# A context's paths share its input, so a trace line escapes each input once.
+_input_json = functools.lru_cache(maxsize=64)(json_string)
 
 # Each answer format's JSON string, as a trace line writes its parsed kind.
 _FORMAT_JSON = {fmt: json_string(fmt.value) for fmt in AnswerFormat}

@@ -108,7 +108,6 @@ class CompletionRequest:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         temperature = self.temperature
-        check_temperature(temperature)  # a finite float's repr is what the encoder writes
         # -0.0 == 0.0, so the sign is part of the memo's key.
         head, middle = _request_layout(self.model, temperature, math.copysign(1.0, temperature))
         # json_string writes ASCII only.
@@ -141,7 +140,9 @@ def _request_layout(model: str, temperature: float, sign: float) -> Tuple[bytes,
     """The constant bytes of a request's layout before and after its
     ``sample_batch_id``, up to its ``user_text``. Memoized by type as well
     as value, since the int 1 writes ``1`` and the float 1.0 writes
-    ``1.0``; ``sign`` keeps 0.0 and -0.0 apart."""
+    ``1.0``; ``sign`` keeps 0.0 and -0.0 apart. A refused temperature
+    raises before it is memoized, so each one is checked."""
+    check_temperature(temperature)  # a finite float's repr is what the encoder writes
     head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % json_string(model)
     middle = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":' % (
         float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature)
@@ -188,15 +189,16 @@ def call(backend: Backend, user_text: str, temperature: float, n_samples: int = 
          sample_batch_id: int = 0) -> Tuple[CompletionResponse, int]:
     """Send one request with the backend's model: the one place a request is
     built and sent. Returns the response and the whole milliseconds
-    ``backend.complete`` took, rounded to the nearest, which is 0 under a
-    deterministic backend so that its runs are byte-identical."""
+    ``backend.complete`` took, rounded to the nearest: 0, with no clock read,
+    under a deterministic backend, so that its runs are byte-identical."""
     request = CompletionRequest(model=backend.model, user_text=user_text,
                                 temperature=temperature, n_samples=n_samples,
                                 sample_batch_id=sample_batch_id)
+    if backend.deterministic:
+        return backend.complete(request), 0
     started = time.monotonic()
     response = backend.complete(request)
-    latency_ms = 0 if backend.deterministic else round((time.monotonic() - started) * 1000)
-    return response, latency_ms
+    return response, round((time.monotonic() - started) * 1000)
 
 
 class TokenBucketLimiter:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import sys
 import threading
 import time
@@ -17,11 +18,13 @@ from breadth.core import (
     AnswerFormat,
     StrategyConfig,
     StrategyKind,
+    Usage,
     default_config,
 )
 from breadth.bench import (
     MismatchedQuestionSetsError,
     MissingFileError,
+    QuestionOutcome,
     RunRecord,
     SchemaError,
     UnknownBaselineError,
@@ -33,6 +36,7 @@ from breadth.bench import (
     load_run_record,
     pilot_subset,
     run_experiment,
+    summary_json,
 )
 from breadth.llmio import (
     MAX_IN_FLIGHT,
@@ -50,7 +54,7 @@ from breadth.strategy import (
     assemble_reasoning_input,
     run_strategy,
 )
-from conftest import DiskFills, descriptors_linked_to, mc_question
+from conftest import ADVERSARIAL_ALPHABET, DiskFills, descriptors_linked_to, mc_question
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -343,6 +347,47 @@ def test_run_experiment_accuracy_and_persistence(tmp_path):
     summary = json.loads((tmp_path / "toy-run" / "summary.json").read_text())
     assert summary["accuracy"] == pytest.approx(0.75)
     assert RunRecord.from_dict(summary) == record
+
+
+def test_summary_json_is_json_dumps_of_its_record(tmp_path):
+    # The reference: the whole record through the encoder, as summary.json
+    # was written before its outcomes had a fixed layout.
+    rng = random.Random(13)
+
+    def text():
+        return "".join(rng.choice(ADVERSARIAL_ALPHABET) for _ in range(rng.randint(0, 6)))
+
+    def count():
+        return rng.choice([0, rng.randint(1, 999), rng.randint(2 ** 31, 2 ** 64)])
+
+    def value():
+        return rng.choice([text(), count(), rng.random(), True, None, {text(): text()}, []])
+
+    def outcome():
+        kind, abstain = rng.choice(list(AnswerFormat)), rng.random() < 0.3
+        seen.add((kind, abstain))
+        return QuestionOutcome(
+            question_id=text(), final=Answer(kind, "" if abstain else text() or "v", abstain),
+            correct=rng.random() < 0.5, rounds=count(), trace_count=count(),
+            error=rng.choice([None, text()]))
+
+    seen = set()
+    for i in range(300):
+        outcomes = tuple(outcome() for _ in range(rng.choice([0, 1, rng.randint(2, 8)])))
+        record = RunRecord(
+            run_id=text(), dataset=text(), config={text(): value() for _ in range(4)},
+            outcomes=outcomes, accuracy=rng.choice([0.0, 1.0, rng.random()]),
+            usage=Usage(count(), count()), wall_time_s=rng.choice([0.0, rng.random() * 99]),
+            partial=rng.random() < 0.5)
+        seen.update((("outcomes", len(outcomes)), ("partial", record.partial)))
+        text_written = summary_json(record)
+        assert text_written == json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(text_written, encoding="utf-8")
+        assert load_run_record(str(run_dir)) == record
+    assert {(kind, abstain) for kind in AnswerFormat for abstain in (False, True)} <= seen
+    assert {("outcomes", 0), ("partial", False), ("partial", True)} <= seen
 
 
 def test_rerun_of_finished_run_resumes_every_question(tmp_path):

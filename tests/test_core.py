@@ -22,6 +22,7 @@ from breadth.core import (
     default_config,
     is_count,
 )
+from breadth.llmio import CompletionRequest, _request_layout
 from conftest import (
     ADVERSARIAL_ALPHABET,
     IGNORED_KNOBS,
@@ -212,9 +213,18 @@ def test_each_kind_sets_the_knobs_it_reads():
 def test_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(kind=StrategyKind.SC, m_samples=0)
-    for temperature in (-0.1, float("nan"), float("inf")):
+    # A request checks its temperature when the request layout's memo
+    # misses, and a refused one is never memoized, so it is refused again.
+    _request_layout.cache_clear()
+    CompletionRequest("m", "q", 0.8)
+    warm = _request_layout.cache_info().currsize
+    for temperature in (-0.1, -1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
             StrategyConfig(kind=StrategyKind.COT, temperature=temperature)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+                CompletionRequest("m", "q", temperature)
+            assert _request_layout.cache_info().currsize == warm
     with pytest.raises(ValueError, match=r"unknown strategy config keys: \['answer_trigger'\]"):
         StrategyConfig.from_dict({"kind": "cot", "answer_trigger": {}})
 

@@ -265,6 +265,17 @@ def test_call_rounds_its_latency_to_the_nearest_millisecond(monkeypatch):
     assert response.texts == ("t",) and latency_ms == 3
 
 
+def test_call_under_a_deterministic_backend_reads_no_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("a deterministic call read the clock")
+
+    backend = _FixedTexts(["t"])
+    backend.deterministic = True
+    monkeypatch.setattr(breadth.llmio.time, "monotonic", no_clock)
+    response, latency_ms = call(backend, "q", 1.0)
+    assert response.texts == ("t",) and latency_ms == 0
+
+
 @pytest.mark.parametrize("n_texts", [1, 2, 4], ids=["short", "short-by-one", "long"])
 def test_recording_refuses_a_response_without_one_text_per_sample(tmp_path, n_texts):
     path = tmp_path / "cache.jsonl"
