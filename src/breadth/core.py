@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import math
 import operator
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -93,8 +93,8 @@ _NULL = type(None)
 
 
 def check_temperature(temperature: float) -> None:
-    """Raise ``ValueError`` unless ``temperature`` is finite and >= 0."""
-    if not 0 <= temperature < math.inf:  # false for NaN too
+    """Raise ``ValueError`` unless ``temperature`` is >= 0 and a finite float holds it."""
+    if not 0 <= temperature <= sys.float_info.max:  # false for NaN too
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
 
 
@@ -129,23 +129,6 @@ _FIELD_CODECS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _field_readers(cls) -> tuple:
-    """How :func:`check_json_fields` reads each field of the dataclass
-    ``cls``, worked out once per class: its name, whether it is required,
-    whether it is a count, the JSON types it may take, whether a bool is
-    one of them, its decoder and the type its error message names."""
-    readers = []
-    for f in fields(cls):
-        allowed, _, decode = _FIELD_CODECS[f.type]
-        count = f.type == "int"
-        expected = "int >= 0" if count else " or ".join(
-            "null" if t is _NULL else t.__name__ for t in allowed)
-        readers.append((f.name, f.default is MISSING and f.default_factory is MISSING,
-                        count, allowed, bool in allowed, decode, expected))
-    return tuple(readers)
-
-
 def check_json_fields(cls, d: Any) -> dict:
     """The fields of the dataclass ``cls`` that the JSON object ``d`` holds,
     by name, each decoded as its annotation's entry in ``_FIELD_CODECS``
@@ -155,14 +138,19 @@ def check_json_fields(cls, d: Any) -> dict:
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r:.80}")
     decoded = {}
-    for name, required, count, allowed, bool_ok, decode, expected in _field_readers(cls):
+    for f in fields(cls):
+        name = f.name
         if name not in d:
-            if required:
+            if f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{cls.__name__} has no field {name!r}")
             continue
         value = d[name]
+        allowed, _, decode = _FIELD_CODECS[f.type]
+        count = f.type == "int"
         if not (is_count(value) if count else isinstance(value, allowed)
-                and (bool_ok or not isinstance(value, bool))):
+                and (bool in allowed or not isinstance(value, bool))):
+            expected = "int >= 0" if count else " or ".join(
+                "null" if t is _NULL else t.__name__ for t in allowed)
             raise ValueError(f"{cls.__name__} field {name!r} must be {expected}, "
                              f"got {value!r:.80}")
         decoded[name] = value if decode is None or value is None else decode(value)
@@ -172,27 +160,15 @@ def check_json_fields(cls, d: Any) -> dict:
 class Record:
     """A persisted dataclass. ``to_dict`` writes each field by name, as its
     annotation's entry in ``_FIELD_CODECS`` says, and leaves out one that is
-    None; ``from_dict`` reads it back through :func:`check_json_fields`. A
-    record's fields are the annotations of its own class body, and they are
-    all its instance dict holds, which ``to_dict`` copies."""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # The fields that are not copied as they are: those with an encoder,
-        # and those that may be None.
-        codecs = ((name, _FIELD_CODECS[annotation])
-                  for name, annotation in cls.__annotations__.items())
-        cls._encoders = tuple((name, encode) for name, (types, encode, _) in codecs
-                              if encode is not None or _NULL in types)
+    None; ``from_dict`` reads it back through :func:`check_json_fields`."""
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        for name, encode in self._encoders:
-            value = d[name]
-            if value is None:
-                del d[name]
-            elif encode is not None:
-                d[name] = encode(value)
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                encode = _FIELD_CODECS[f.type][1]
+                d[f.name] = value if encode is None else encode(value)
         return d
 
     @classmethod
@@ -428,20 +404,23 @@ _input_json = functools.lru_cache(maxsize=64)(json_string)
 _FORMAT_JSON = {fmt: json_string(fmt.value) for fmt in AnswerFormat}
 
 
-# The knobs each kind reads besides ``temperature`` and ``answer_triggers``,
-# with the kind's defaults: the headline setup of three iterations deep or
-# three paths wide (the hybrids three rewrites at one sample each).
-_PROMPT = {"canonical_prompt": CANONICAL_COT_PROMPT}
+# The knobs each kind reads besides ``answer_triggers``, with the kind's
+# defaults: the headline setup of three iterations deep or three paths wide
+# (the hybrids three rewrites at one sample each). The kinds that sample
+# several answers per context run at the lower temperature 0.8; plain CoT,
+# depth rounds and single-sample context rewrites at 1.0.
+_COT = {"canonical_prompt": CANONICAL_COT_PROMPT, "temperature": 1.0}
+_SAMPLING = {**_COT, "temperature": 0.8}
 KIND_KNOBS = {
-    StrategyKind.ZERO_SHOT: {},
-    StrategyKind.COT: {**_PROMPT},
-    StrategyKind.DEEP_COT: {**_PROMPT, "max_iterations": 3, "stop_rule": StopRule.FIXED_T,
+    StrategyKind.ZERO_SHOT: {"temperature": 1.0},
+    StrategyKind.COT: {**_COT},
+    StrategyKind.DEEP_COT: {**_COT, "max_iterations": 3, "stop_rule": StopRule.FIXED_T,
                             "iteration_guide": ""},
-    StrategyKind.SC: {**_PROMPT, "m_samples": 3},
-    StrategyKind.QUESTION_C: {**_PROMPT, "n_reformulations": 3},
-    StrategyKind.PROMPT_C: {**_PROMPT, "n_reformulations": 3},
-    StrategyKind.QUESTION_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
-    StrategyKind.PROMPT_C_SC: {**_PROMPT, "n_reformulations": 3, "m_samples": 1},
+    StrategyKind.SC: {**_SAMPLING, "m_samples": 3},
+    StrategyKind.QUESTION_C: {**_COT, "n_reformulations": 3},
+    StrategyKind.PROMPT_C: {**_COT, "n_reformulations": 3},
+    StrategyKind.QUESTION_C_SC: {**_SAMPLING, "n_reformulations": 3, "m_samples": 1},
+    StrategyKind.PROMPT_C_SC: {**_SAMPLING, "n_reformulations": 3, "m_samples": 1},
 }
 
 # The kinds that run several paths in one round: those that read a rewrite or
@@ -483,7 +462,7 @@ class StrategyConfig(Record):
         if not self.canonical_prompt:
             raise ValueError("canonical_prompt must be non-empty")
         object.__setattr__(self, "answer_triggers", _format_triggers(self.answer_triggers))
-        reads = {"kind", "temperature", "answer_triggers", *KIND_KNOBS[self.kind]}
+        reads = {"kind", "answer_triggers", *KIND_KNOBS[self.kind]}
         ignored = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
                    if f.name not in reads and getattr(self, f.name) != f.default]
         if ignored:
@@ -529,18 +508,9 @@ def _format_triggers(triggers: Any) -> Optional[dict]:
 _CANONICAL_ORIGIN = {"kind": "canonical"}
 
 
-# Sampling-based strategies default to the lower sampling temperature; plain
-# CoT, depth rounds, and single-sample context rewrites run at 1.0.
-_DEFAULT_TEMPERATURES = {
-    StrategyKind.SC: 0.8,
-    StrategyKind.QUESTION_C_SC: 0.8,
-    StrategyKind.PROMPT_C_SC: 0.8,
-}
-
 def default_config(kind: StrategyKind, **overrides: Any) -> StrategyConfig:
     """Build a config with the kind's defaults, then apply overrides."""
-    return StrategyConfig(kind=kind, **{"temperature": _DEFAULT_TEMPERATURES.get(kind, 1.0),
-                                        **KIND_KNOBS[kind], **overrides})
+    return StrategyConfig(kind=kind, **{**KIND_KNOBS[kind], **overrides})
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,13 @@ class CompletionRequest:
     so batched and sequential sampling share records. :func:`cache_key`
     digests these bytes and the cache stores them, so a request is encoded
     once. The fields are written in sorted order: strings through
-    :func:`~breadth.core.json_string`, ints with ``%d`` and a float
-    temperature with ``float.__repr__``, as the encoder writes them. The
-    layout also holds ``max_tokens``, ``system_text`` and ``top_k``, always
-    ``null``: no request sets them, and keeping their slots keeps every key
-    and record this program has written. The bytes around the batch id that
-    only the model and temperature decide come from :func:`_request_layout`.
+    :func:`~breadth.core.json_string`, ints with ``%d`` and the temperature,
+    stored as the float of its value (``0``, ``0.0`` and ``-0.0`` are one
+    request), with ``float.__repr__``. The layout also holds ``max_tokens``,
+    ``system_text`` and ``top_k``, always ``null``: no request sets them,
+    and keeping their slots keeps every key and record this program has
+    written. The bytes around the batch id that only the model and
+    temperature decide come from :func:`_request_layout`.
     """
 
     model: str
@@ -107,9 +108,8 @@ class CompletionRequest:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        temperature = self.temperature
-        # -0.0 == 0.0, so the sign is part of the memo's key.
-        head, middle = _request_layout(self.model, temperature, math.copysign(1.0, temperature))
+        head, middle, temperature = _request_layout(self.model, self.temperature)
+        object.__setattr__(self, "temperature", temperature)
         # json_string writes ASCII only.
         tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
         if self.n_samples == 1:
@@ -135,18 +135,17 @@ class CompletionRequest:
         return cls(**kwargs)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _request_layout(model: str, temperature: float, sign: float) -> Tuple[bytes, bytes]:
+@lru_cache(maxsize=64)
+def _request_layout(model: str, temperature: float) -> Tuple[bytes, bytes, float]:
     """The constant bytes of a request's layout before and after its
-    ``sample_batch_id``, up to its ``user_text``. Memoized by type as well
-    as value, since the int 1 writes ``1`` and the float 1.0 writes
-    ``1.0``; ``sign`` keeps 0.0 and -0.0 apart. A refused temperature
-    raises before it is memoized, so each one is checked."""
-    check_temperature(temperature)  # a finite float's repr is what the encoder writes
+    ``sample_batch_id``, up to its ``user_text``, and the temperature it
+    stores: the float of the value. Memoized by value, so ``0``, ``0.0``
+    and ``-0.0`` share an entry; a refused one raises before it is kept."""
+    check_temperature(temperature)  # a str raises TypeError
+    temperature = float(temperature) + 0.0  # -0.0 + 0.0 is 0.0
     head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % json_string(model)
-    middle = ',"system_text":null,"temperature":%s,"top_k":null,"user_text":' % (
-        float.__repr__(temperature) if isinstance(temperature, float) else "%d" % temperature)
-    return head.encode("ascii"), middle.encode("ascii")
+    middle = ',"system_text":null,"temperature":%r,"top_k":null,"user_text":' % temperature
+    return head.encode("ascii"), middle.encode("ascii"), temperature
 
 
 # The slots of the fields no request sets, which every stored request holds

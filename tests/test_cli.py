@@ -683,6 +683,29 @@ def test_replay_flag_round_trip(tmp_path, capsys):
     assert summary["config"]["backend_mode"] == "replay"
 
 
+def test_a_cache_recorded_at_int_temperature_0_replays_under_temperature_flag_0(tmp_path,
+                                                                                capsys):
+    # The library records under the int 0 and the flag parses the float 0.0:
+    # one temperature, so every replayed call hits.
+    script = {"step by step": ["reasoning about coins"] * 9,
+              YES_TRIGGER: ["the answer is yes"] * 9}
+    questions = generate_synthetic("coinflip", 3, seed=5)
+    cache = str(tmp_path / "cache.jsonl")
+    run_experiment("coinflip", questions,
+                   default_config(StrategyKind.SC, m_samples=3, temperature=0),
+                   RecordingBackend(ScriptedBackend(script), ReplayStore(cache)),
+                   runs_dir=str(tmp_path / "runs"), run_id="recorded")
+    code = main(["run", "--dataset", "coinflip", "--seed", "5", "--limit", "3",
+                 "--strategy", "sc", "--m", "3", "--temperature", "0", "--replay", cache,
+                 "--runs-dir", str(tmp_path / "runs"), "--run-id", "replayed"])
+    assert code == 0, capsys.readouterr().err
+    recorded, replayed = ((tmp_path / "runs" / run / "traces.jsonl").read_bytes()
+                          for run in ("recorded", "replayed"))
+    assert replayed == recorded
+    traces = [json.loads(line) for line in replayed.splitlines()]
+    assert len(traces) == 9 and not any(t["parsed"]["abstain"] for t in traces)
+
+
 def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
     # Its first append would leave an index stale. No request is sent: the
     # backend is only built.

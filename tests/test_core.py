@@ -203,11 +203,14 @@ def test_config_rejects_a_knob_its_kind_does_not_read(kind, knob):
 def test_each_kind_sets_the_knobs_it_reads():
     settable = 0
     for kind in StrategyKind:
-        for knob in [*KIND_KNOBS[kind], "temperature"]:
+        for knob in KIND_KNOBS[kind]:
             value = NON_DEFAULT_KNOBS.get(knob, 0.5)
             assert getattr(default_config(kind, **{knob: value}), knob) == value
             settable += 1
+        assert default_config(kind).temperature == KIND_KNOBS[kind]["temperature"]
     assert settable == 25
+    sampling = {kind for kind in StrategyKind if KIND_KNOBS[kind]["temperature"] == 0.8}
+    assert sampling == {StrategyKind.SC, StrategyKind.QUESTION_C_SC, StrategyKind.PROMPT_C_SC}
 
 
 def test_config_validation():
@@ -218,7 +221,7 @@ def test_config_validation():
     _request_layout.cache_clear()
     CompletionRequest("m", "q", 0.8)
     warm = _request_layout.cache_info().currsize
-    for temperature in (-0.1, -1, float("nan"), float("inf"), -float("inf")):
+    for temperature in (-0.1, -1, -1.0, 10 ** 400, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
             StrategyConfig(kind=StrategyKind.COT, temperature=temperature)
         for _ in range(2):

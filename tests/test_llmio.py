@@ -2,6 +2,7 @@ import errno
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -171,8 +172,7 @@ def test_cache_key_is_the_digest_of_each_samples_own_request():
     rng = random.Random(11)
     requests = [_random_request(rng) for _ in range(2000)]
     # Equal temperatures of another type or sign, one right after the other:
-    # a memo of the constant slots keyed by value alone serves the second the
-    # first one's "temperature" bytes.
+    # each is written as the float of its value, whichever came first.
     requests += [CompletionRequest("memo", "q", t) for t in (1, 1.0, 0.0, 0, -0.0, 0.0)]
     for request in requests:
         payloads = tuple(
@@ -180,6 +180,18 @@ def test_cache_key_is_the_digest_of_each_samples_own_request():
             for s in _per_sample_requests(request))
         assert request.sample_payloads == payloads, request
         assert cache_key(request) == tuple(hashlib.sha256(p).hexdigest() for p in payloads)
+
+
+@pytest.mark.parametrize("spellings", [(0, 0.0, -0.0), (1, 1.0)], ids=["zero", "one"])
+def test_a_requests_temperature_is_keyed_by_its_value(spellings):
+    requests = [CompletionRequest("m", "q", t, n_samples=2) for t in spellings]
+    for request in requests:
+        assert type(request.temperature) is float
+        assert math.copysign(1.0, request.temperature) == 1.0
+    assert len({request.sample_payloads for request in requests}) == 1
+    assert len({cache_key(request) for request in requests}) == 1
+    with pytest.raises(TypeError):
+        CompletionRequest("m", "q", str(spellings[0]))
 
 
 # ---------------------------------------------------------------- replay
