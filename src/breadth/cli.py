@@ -172,13 +172,12 @@ def _cmd_reformulate(args) -> int:
         text = sys.stdin.read().strip()
     if not text:
         raise UsageError("no text given (use --text or pipe via stdin)")
-    backend = _build_backend(args)
     spec = ReformulationSpec(
         target=ReformulationTarget(args.target),
         n_variants=args.n,
         include_original=args.include_original,
     )
-    for variant in reformulate(text, spec, backend):
+    for variant in reformulate(text, spec, _build_backend(args)):
         print(variant.replace("\n", " "))
     return 0
 
@@ -205,8 +204,8 @@ def _cmd_entropy(args) -> int:
     repeated = sorted({f.value for f in factors if factors.count(f) > 1})
     if repeated:
         raise UsageError(f"--factors names {', '.join(repeated)} more than once")
-    backend = _build_backend(args)
-    results = diversity.run_factor_study(questions, factors, args.k, backend)
+    diversity.check_study(questions, factors, args.k)
+    results = diversity.run_factor_study(questions, factors, args.k, _build_backend(args))
     _emit(diversity.report_to_csv(args.dataset, results, factors), args.out)
     return 0
 

@@ -525,7 +525,3 @@ class VoteResult:
     counts: tuple  # ordered (Answer, count) pairs
     abstained: int
     tie: bool
-
-    @property
-    def total_paths(self) -> int:
-        return sum(c for _, c in self.counts) + self.abstained

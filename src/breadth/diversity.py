@@ -88,24 +88,30 @@ def factor_configs(factor: Factor, k: int) -> List[StrategyConfig]:
     return []
 
 
-def run_factor_study(questions: Sequence[Question], factors: Sequence[Factor], k: int,
-                     backend: Backend) -> Dict[Factor, FactorResult]:
-    """Generate each factor's ``k`` predictions per question, through
-    :func:`run_strategy` over :func:`factor_configs`, and report mean
-    per-question entropy. A failed path abstains; a question whose run
-    fails, as when its rewrite does, is left out of its factor's entropy and
-    counted in ``failed``, and the study goes on. ``k`` is checked before
-    any factor runs.
-
-    Model perturbation cannot run through an API client: it is skipped, with
-    no calls, and :func:`report_to_csv` tags it ``unsupported``.
-    """
+def check_study(questions: Sequence[Question], factors: Sequence[Factor], k: int) -> None:
+    """Refuse a study that cannot run: no questions, ``k`` below 1, or a
+    prompt factor with more paths than the prompt bank holds."""
     if not questions:
         raise EmptyInputError("factor study needs at least one question")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if Factor.PROMPT_REWORDING in factors and k > len(PROMPT_BANK):
         raise ValueError(f"prompt factor supports at most {len(PROMPT_BANK)} paths, got {k}")
+
+
+def run_factor_study(questions: Sequence[Question], factors: Sequence[Factor], k: int,
+                     backend: Backend) -> Dict[Factor, FactorResult]:
+    """Generate each factor's ``k`` predictions per question, through
+    :func:`run_strategy` over :func:`factor_configs`, and report mean
+    per-question entropy. A failed path abstains; a question whose run
+    fails, as when its rewrite does, is left out of its factor's entropy and
+    counted in ``failed``, and the study goes on. :func:`check_study` runs
+    before any factor does.
+
+    Model perturbation cannot run through an API client: it is skipped, with
+    no calls, and :func:`report_to_csv` tags it ``unsupported``.
+    """
+    check_study(questions, factors, k)
     results: Dict[Factor, FactorResult] = {}
     for factor in factors:
         configs = factor_configs(factor, k)

@@ -39,10 +39,6 @@ class PlaneModel:
         if self.n_contexts < 1 or self.m_per_context < 1:
             raise ValueError("n_contexts and m_per_context must be >= 1")
 
-    @property
-    def total_paths(self) -> int:
-        return self.n_contexts * self.m_per_context
-
 
 def analytic_majority(p: float, k: int) -> float:
     """Exact probability a k-path iid majority vote is correct.
@@ -76,7 +72,7 @@ class PlaneSimResult:
     trials: int
     breadth_acc: float
     breadth_se: float
-    per_k_curve: tuple  # CurvePoint per k = 1..total_paths
+    per_k_curve: tuple  # CurvePoint per k = 1..n_contexts * m_per_context
 
 
 def _check_run(trials: int, seed: int) -> None:

@@ -46,7 +46,12 @@ from breadth.llmio import (
     ReplayBackend,
     ScriptedBackend,
 )
-from breadth.reformulate import QUESTION_INSTRUCTION
+from breadth.reformulate import (
+    QUESTION_INSTRUCTION,
+    ReformulationSpec,
+    ReformulationTarget,
+    reformulate,
+)
 from breadth.store import ReplayStore
 from breadth.strategy import (
     answer_trigger,
@@ -751,6 +756,34 @@ def test_failed_rewrite_is_recorded_not_fatal(tmp_path):
     assert all(o.error for o in record.outcomes)
     assert all(o.question_id in o.error for o in record.outcomes)
     assert record.accuracy == 0.0
+
+
+def test_a_failed_first_context_abstains_and_still_carries_the_rewrite_cost(tmp_path):
+    # Context 0's reasoning call matches no rule and fails; context 1's succeeds.
+    q = mc_question("q0", "Probe 0. Answer Choices: (A) x (B) y", "A")
+    rewrite = {QUESTION_INSTRUCTION: ["Probe, restated."]}
+    rewritten = "Probe, restated.\nAnswer Choices: (A) x (B) y"
+    backend = ScriptedBackend(rewrite)
+    backend.add_rule(assemble_reasoning_input(rewritten, PROMPT), ["R0", "R1"], exact=True)
+    backend.add_rule(answer_trigger(AnswerFormat.MULTIPLE_CHOICE), ["the answer is (A)"] * 2)
+    cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=2, m_samples=2)
+    record = run_experiment("toy", [q], cfg, backend, runs_dir=str(tmp_path), run_id="run")
+    rewrites = reformulate(q.text, ReformulationSpec(ReformulationTarget.QUESTION, 2,
+                                                     include_original=True),
+                           ScriptedBackend(rewrite)).usage
+    assert rewrites.total_tokens > 0
+    traces = _trace_lines(tmp_path / "run")
+    assert [(t["reformulation_index"], t["sample_index"]) for t in traces] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [t["parsed"]["abstain"] for t in traces] == [True, True, False, False]
+    assert [Usage.from_dict(t["usage"]) for t in traces[:2]] == [rewrites, Usage()]
+    assert traces[2]["assembled_input"] == assemble_reasoning_input(rewritten, PROMPT)
+    (outcome,) = record.outcomes
+    assert outcome.error is None and outcome.correct and outcome.trace_count == 4
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))
+    spent = sum((Usage.from_dict(t["usage"]) for t in traces), Usage())
+    assert summary["usage"] == spent.to_dict()
+    assert spent.total_tokens > rewrites.total_tokens
 
 
 def test_blank_question_under_rewriting_is_recorded_not_fatal(tmp_path):

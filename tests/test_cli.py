@@ -740,6 +740,39 @@ def test_record_onto_a_cache_another_writer_holds_exits_2_before_any_call(
     assert cache.read_bytes() == b"" and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("refused, message", [
+    (["reformulate", "--target", "question", "--text", "Is it?", "--n", "0"],
+     "n_variants must be >= 1"),
+    (["entropy", "--factors", "question", "--k", "0"], "k must be >= 1, got 0"),
+    (["entropy", "--factors", "prompt", "--k", "11"], "prompt factor supports at most 10"),
+], ids=["reformulate-n0", "entropy-k0", "entropy-prompt-k11"])
+def test_a_refused_command_opens_no_record_cache(tmp_path, monkeypatch, capsys, refused,
+                                                 message):
+    # Each one created the cache, and cut the torn tail off an existing one,
+    # before it checked its arguments and exited 2.
+    q = mc_question("s0", "Pick one. Answer Choices: (A) x (B) y", "A")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
+    if refused[0] == "entropy":
+        refused = refused + ["--subset", str(subset)]
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, session=_SessionThatFails()))
+    fresh = tmp_path / "fresh.jsonl"
+    assert main(refused + ["--record", str(fresh)]) == 2
+    assert message in capsys.readouterr().err
+    assert not fresh.exists()
+    torn = tmp_path / "torn.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["a"]}), ReplayStore(str(torn))).complete(
+        CompletionRequest(model="m", user_text="q"))
+    with open(torn, "ab") as fh:
+        fh.write(b'{"key": "ab')
+    before = torn.read_bytes()
+    assert main(refused + ["--record", str(torn)]) == 2
+    assert torn.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["subset.jsonl", "torn.jsonl"]
+
+
 def test_run_on_a_run_id_another_writer_holds_exits_2_before_any_call(tmp_path, capsys):
     traces = tmp_path / "runs" / "held" / "traces.jsonl"
     traces.parent.mkdir(parents=True)

@@ -413,10 +413,3 @@ def test_record_from_dict_rejects_a_missing_mistyped_or_negative_field(record):
 def test_is_count_takes_json_ints_at_or_above_zero():
     assert all(is_count(v) for v in (0, 1, 12, 2 ** 64))
     assert not any(is_count(v) for v in (-1, -5, True, False, 1.0, 1.9, "12", None, [1]))
-
-
-def test_vote_result_total_paths_is_counts_plus_abstentions():
-    from breadth.core import VoteResult
-    one, two = Answer(AnswerFormat.NUMERIC, "1"), Answer(AnswerFormat.NUMERIC, "2")
-    result = VoteResult(winner=one, counts=((one, 3), (two, 2)), abstained=4, tie=False)
-    assert result.total_paths == sum(c for _, c in result.counts) + result.abstained == 9

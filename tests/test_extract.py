@@ -217,7 +217,6 @@ def test_majority_vote_breadth_demo_counts():
     result = majority_vote([mc("C"), mc("A"), mc("A"), mc("A")])
     assert result.winner == mc("A")
     assert dict((a.value, c) for a, c in result.counts) == {"A": 3, "C": 1}
-    assert result.total_paths == 4
     assert result.abstained == 0
 
 
