@@ -44,22 +44,6 @@ from .strategy import StrategyError, run_strategy, vote_from_traces
 logger = logging.getLogger(__name__)
 
 
-class MissingFileError(FileNotFoundError):
-    pass
-
-
-class SchemaError(ValueError):
-    """A dataset record did not match its row of ``DATASETS``."""
-
-    def __init__(self, dataset: str, index: int, message: str):
-        super().__init__(f"{dataset}[{index}]: {message}")
-        self.index = index
-
-
-class MismatchedQuestionSetsError(ValueError):
-    pass
-
-
 class UnknownBaselineError(ValueError):
     """A report baseline that is no run's method."""
 
@@ -175,8 +159,8 @@ def dataset_spec(name: str, path: Optional[str] = None,
         raise ValueError(f"dataset {key} is read from a file; --seed {seed} "
                          "selects only a generated dataset")
     if path is None:
-        raise MissingFileError(f"dataset {key} needs a source file (default name "
-                               f"{row.default_file!r}); pass --data-path")
+        raise FileNotFoundError(f"dataset {key} needs a source file (default name "
+                                f"{row.default_file!r}); pass --data-path")
     if os.path.isdir(path):
         path = os.path.join(path, row.default_file)
     return DatasetSpec(key, path=path)
@@ -193,7 +177,7 @@ def _dig(record: dict, dotted: str):
 
 def _records_from_file(path: str, row: Dataset, dataset: str) -> List[dict]:
     if not os.path.exists(path):
-        raise MissingFileError(f"dataset file not found: {path}")
+        raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         if row.default_file.endswith(".jsonl"):
             return [parse_json(line, path, lineno)
@@ -201,10 +185,10 @@ def _records_from_file(path: str, row: Dataset, dataset: str) -> List[dict]:
         data = parse_json(fh.read(), path)
     if row.examples:
         if not isinstance(data, dict):
-            raise SchemaError(dataset, 0, "expected an object with an 'examples' list")
+            raise ValueError(f"{dataset}[0]: expected an object with an 'examples' list")
         data = data.get("examples", [])
     if not isinstance(data, list):
-        raise SchemaError(dataset, 0, "expected a list of records")
+        raise ValueError(f"{dataset}[0]: expected a list of records")
     return data
 
 
@@ -234,7 +218,7 @@ def load_dataset(spec: DatasetSpec) -> List[Question]:
                     answer_format=row.answer_format, gold=gold, choices=choices,
                 ))
             except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(spec.name, index, str(exc)) from exc
+                raise ValueError(f"{spec.name}[{index}]: {exc}") from exc
     if len(questions) != row.expected_count:
         logger.warning("dataset %s: loaded %d questions, expected %d",
                        spec.name, len(questions), row.expected_count)
@@ -353,13 +337,14 @@ def summary_json(record: RunRecord) -> str:
 _RESUMABLE_KEYS = ("limit", "backend_mode")
 
 
-def _claim_run_config(run_dir: str, run_id: str, config: dict):
-    """Write the run's config to ``config.json`` in ``run_dir``. If the file
-    is already there, first raise a ``ValueError`` naming every key, other
-    than ``_RESUMABLE_KEYS``, whose value differs from ``config``: traces
-    made under another config are never resumed. Nor is a ``traces.jsonl``
-    with no ``config.json`` beside it, whose config is unknown."""
-    path = os.path.join(run_dir, "config.json")
+def check_run_config(run_dir: str, run_id: str, config: dict) -> Optional[str]:
+    """The text of ``config.json`` to write in ``run_dir`` for a run under
+    ``config``, or None when the file already holds it. If the file is there,
+    first raise a ``ValueError`` naming every key, other than
+    ``_RESUMABLE_KEYS``, whose value differs from ``config``: traces made
+    under another config are never resumed. Nor is a ``traces.jsonl`` with
+    no ``config.json`` beside it, whose config is unknown."""
+    path, traces = (os.path.join(run_dir, name) for name in ("config.json", "traces.jsonl"))
     text = json.dumps(config, sort_keys=True, indent=2) + "\n"
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
@@ -375,12 +360,11 @@ def _claim_run_config(run_dir: str, run_id: str, config: dict):
                              f"{', '.join(changed)} differ; resume it with its own "
                              "config, or start a new run id")
         if stored_text == text:
-            return
-    elif os.path.getsize(os.path.join(run_dir, "traces.jsonl")):
+            return None
+    elif os.path.exists(traces) and os.path.getsize(traces):
         raise ValueError(f"run {run_id} has traces but no config.json ({path}), so "
                          "their config is unknown; start a new run id")
-    with replaced(path) as fh:
-        fh.write(text)
+    return text
 
 
 def run_experiment(dataset_name: str, questions: Sequence[Question],
@@ -396,16 +380,16 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     Completed questions found in an existing trace store are skipped, so
     interrupted runs resume. A run id whose traces another log holds is an
     ``OSError``, and a resume under another config a ``ValueError`` (see
-    :func:`_claim_run_config`), each before any call. Reaching
+    :func:`check_run_config`), each before any call. Reaching
     ``max_total_tokens`` stops the run gracefully with the record flagged
     partial; single-question failures are recorded and skipped, never fatal.
 
     Under a non-deterministic backend up to ``MAX_IN_FLIGHT`` questions run
-    at once on worker threads; a deterministic one runs them inline, one at
-    a time. Either way each question's traces, outcome and usage are written
-    in question order, and the budget is checked before each question
-    starts, against the questions written so far, so a run may overshoot it
-    by the cost of the questions in flight.
+    at once on worker threads; a deterministic one runs each inline when it
+    is written, one at a time. Either way each question's traces, outcome
+    and usage are written in question order, and the budget is checked
+    before each question starts, against the questions written so far, so a
+    run may overshoot it by the cost of the questions in flight.
     """
     if run_id is None:
         run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
@@ -450,10 +434,11 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         trace_log.append("".join(trace.json_line() for trace in traces).encode("utf-8"))
         add_outcome(q, traces)
 
-    # Deterministic backends answer in-process, so there is nothing to
-    # overlap; scripted ones also hand out their responses in call order.
+    # A deterministic backend answers in-process, so nothing overlaps, and a
+    # scripted one answers in call order: its window holds one question.
+    depth = 1 if backend.deterministic else MAX_IN_FLIGHT
     workers = (nullcontext() if backend.deterministic else
-               ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="breadth-question"))
+               ThreadPoolExecutor(depth, thread_name_prefix="breadth-question"))
     # Entering the log creates and locks traces.jsonl before it is read or
     # config.json written, so a second writer of this run id changes nothing,
     # and a run that writes no trace still leaves one; leaving it closes it.
@@ -461,7 +446,10 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
         for trace in read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict):
             existing.setdefault(trace.question_id, []).append(trace)
-        _claim_run_config(run_dir, run_id, config)
+        config_text = check_run_config(run_dir, run_id, config)
+        if config_text is not None:
+            with replaced(os.path.join(run_dir, "config.json")) as fh:
+                fh.write(config_text)
         started = time.monotonic()
         for q in questions:
             if q.id in existing:
@@ -469,7 +457,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                     write_oldest()
                 add_outcome(q, existing[q.id])
                 continue
-            if len(window) == MAX_IN_FLIGHT:
+            if len(window) == depth:
                 write_oldest()
             if max_total_tokens is not None and total_usage.total_tokens >= max_total_tokens:
                 logger.warning("run %s: token budget %d exhausted, stopping early",
@@ -477,11 +465,8 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 partial = True
                 break
             task = (run_strategy, q, cfg, backend)
-            if pool is None:
-                window.append((q, functools.partial(*task)))
-                write_oldest()
-            else:
-                window.append((q, pool.submit(*task).result))
+            window.append((q, functools.partial(*task) if pool is None else
+                           pool.submit(*task).result))
         while window:
             write_oldest()
 
@@ -501,7 +486,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
 def load_run_record(run_dir: str) -> RunRecord:
     path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(path):
-        raise MissingFileError(f"no summary at {path}")
+        raise FileNotFoundError(f"no summary at {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return RunRecord.from_dict(json.load(fh))
@@ -514,7 +499,7 @@ def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:
     cot = {o.question_id: o for o in cot_record.outcomes}
     deep = {o.question_id: o for o in deep_record.outcomes}
     if cot.keys() != deep.keys():
-        raise MismatchedQuestionSetsError(
+        raise ValueError(
             "runs cover different questions: only the CoT run has "
             f"{sorted(cot.keys() - deep.keys())}; only the deep run has "
             f"{sorted(deep.keys() - cot.keys())}")

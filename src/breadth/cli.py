@@ -68,16 +68,23 @@ def _add_backend_flags(parser: argparse.ArgumentParser):
                        help="scripted backend rules (JSON) instead of live calls")
 
 
-def _build_backend(args) -> Backend:
-    modes = [m for m in (args.replay, args.record, args.mock_script) if m]
+def _backend_mode(args) -> str:
+    """The one backend flag given: ``replay``, ``record`` or ``mock``; else ``live``."""
+    modes = [mode for mode, flag in (("replay", args.replay), ("record", args.record),
+                                     ("mock", args.mock_script)) if flag]
     if len(modes) > 1:
         raise UsageError("choose one of --replay, --record, --mock-script")
-    if args.replay:
+    return modes[0] if modes else "live"
+
+
+def _build_backend(args) -> Backend:
+    mode = _backend_mode(args)
+    if mode == "replay":
         # A store opened on a missing file is empty, and would fail every call.
         if not os.path.isfile(args.replay):
             raise RuntimeError(f"--replay: no cache file at {args.replay}")
         return ReplayBackend(ReplayStore(args.replay), model=args.model)
-    if args.mock_script:
+    if mode == "mock":
         with open(args.mock_script, "r", encoding="utf-8") as fh:
             script = parse_json(fh.read(), f"--mock-script {args.mock_script}")
         try:
@@ -89,7 +96,7 @@ def _build_backend(args) -> Backend:
             f"live mode needs the {API_KEY_ENV} environment variable; set it, "
             "or pass --replay/--mock-script for an offline backend")
     live = LiveBackend(args.base_url, model=args.model)
-    if args.record:
+    if mode == "record":
         # Locked before it is read and before any call: a second writer exits 2.
         return RecordingBackend(live, ReplayStore(args.record, record=True))
     return live
@@ -135,12 +142,9 @@ def _cmd_run(args) -> int:
             print(f"--- call {k}: n_samples={req.n_samples} temperature={req.temperature}")
             print(req.user_text)
         return 0
-    backend = _build_backend(args)
     run_keys = {
         "model": args.model,
-        "backend_mode": ("replay" if args.replay else
-                         "record" if args.record else
-                         "mock" if args.mock_script else "live"),
+        "backend_mode": _backend_mode(args),
         "dataset": args.dataset,
         # Questions keep their ids across seeds and files, so a resume under
         # another seed or file would score old traces against new golds. The
@@ -154,6 +158,10 @@ def _cmd_run(args) -> int:
         run_keys["stop_rule_note"] = (
             "stability stop (two consecutive equal predictions); a stand-in "
             "for adaptive iteration stopping")
+    if args.run_id is not None:  # a refused resume opens no cache
+        bench.check_run_config(os.path.join(args.runs_dir, args.run_id), args.run_id,
+                               {**run_keys, **cfg.to_dict()})
+    backend = _build_backend(args)
     record = bench.run_experiment(
         args.dataset, questions, cfg, backend,
         max_total_tokens=args.token_budget, runs_dir=args.runs_dir, run_id=args.run_id,

@@ -518,10 +518,9 @@ class VoteResult:
     """Aggregated majority vote over parsed answers.
 
     ``counts`` lists (answer, count) pairs in first-occurrence order;
-    abstentions are excluded from counting but tallied in ``abstained``.
+    abstentions are excluded from counting.
     """
 
     winner: Answer
     counts: tuple  # ordered (Answer, count) pairs
-    abstained: int
     tie: bool

@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
 from .core import Answer, Question, StrategyConfig, StrategyKind, default_config
-from .extract import EmptyInputError
 from .llmio import Backend
 from .reformulate import PROMPT_BANK
 from .strategy import StrategyError, run_strategy
@@ -54,7 +53,7 @@ def prediction_entropy(answers: Sequence[Answer]) -> float:
     Abstentions are one shared outcome class. Bounded by ln(len(answers)).
     """
     if not answers:
-        raise EmptyInputError("prediction_entropy needs at least one answer")
+        raise ValueError("prediction_entropy needs at least one answer")
     entropy = 0.0
     for count in Counter(None if a.abstain else a for a in answers).values():
         p = count / len(answers)
@@ -92,7 +91,7 @@ def check_study(questions: Sequence[Question], factors: Sequence[Factor], k: int
     """Refuse a study that cannot run: no questions, ``k`` below 1, or a
     prompt factor with more paths than the prompt bank holds."""
     if not questions:
-        raise EmptyInputError("factor study needs at least one question")
+        raise ValueError("factor study needs at least one question")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if Factor.PROMPT_REWORDING in factors and k > len(PROMPT_BANK):

@@ -31,10 +31,6 @@ from .core import (
 logger = logging.getLogger(__name__)
 
 
-class EmptyInputError(ValueError):
-    """An aggregate was asked for over zero items."""
-
-
 _QUOTED_SPAN = re.compile(r"\"([^\"]+)\"")
 _BOLD_SPAN = re.compile(r"\*\*([^*]+)\*\*")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -175,9 +171,8 @@ def majority_vote(answers: Sequence[Answer]) -> VoteResult:
     all-abstain list wins an abstain.
     """
     if not answers:
-        raise EmptyInputError("majority_vote needs at least one answer")
+        raise ValueError("majority_vote needs at least one answer")
     counts = Counter(a for a in answers if not a.abstain)
     top = counts.most_common(2) or [(Answer.abstained(answers[0].kind), 0)]
     return VoteResult(winner=top[0][0], counts=tuple(counts.items()),
-                      abstained=len(answers) - sum(counts.values()),
                       tie=len(top) == 2 and top[1][1] == top[0][1])

@@ -47,7 +47,9 @@ def retry_delay(attempt: int) -> float:
 
 
 class LlmIoError(Exception):
-    """Base class for backend failures."""
+    """A failed backend call, its message naming the cause: a malformed
+    response, a replay cache miss, a script with no rule or response left.
+    Only its two subclasses are retried, by :class:`LiveBackend`."""
 
 
 class NetworkError(LlmIoError):
@@ -61,22 +63,6 @@ class RateLimitedError(LlmIoError):
     def __init__(self, message: str, retry_after: Optional[float] = None):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class MalformedResponseError(LlmIoError, ValueError):
-    """Unusable response body or cache record; never retried."""
-
-
-class CacheMissError(LlmIoError):
-    """Replay-only mode saw a request that was never recorded."""
-
-
-class NoScriptMatchError(LlmIoError):
-    """No scripted rule matches the request input."""
-
-
-class ScriptExhaustedError(LlmIoError):
-    """A scripted rule's response list ran out."""
 
 
 @dataclass(frozen=True)
@@ -307,7 +293,7 @@ class LiveBackend(Backend):
         if resp.status_code >= 500:
             raise NetworkError(f"server error {resp.status_code}")
         if resp.status_code != 200:
-            raise MalformedResponseError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            raise LlmIoError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
             data = resp.json()
             choices = sorted(data["choices"], key=lambda c: c.get("index", 0))
@@ -316,13 +302,11 @@ class LiveBackend(Backend):
             # object of counts is malformed, so nothing recorded is unservable.
             usage = Usage() if data.get("usage") is None else Usage.from_dict(data["usage"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise MalformedResponseError(f"unparseable response body: {exc}") from exc
+            raise LlmIoError(f"unparseable response body: {exc}") from exc
         if not all(isinstance(text, str) for text in texts):
-            raise MalformedResponseError("a choice's content is not a string")
+            raise LlmIoError("a choice's content is not a string")
         if len(texts) != req.n_samples:
-            raise MalformedResponseError(
-                f"expected {req.n_samples} samples, got {len(texts)}"
-            )
+            raise LlmIoError(f"expected {req.n_samples} samples, got {len(texts)}")
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_LIVE)
 
 
@@ -358,8 +342,9 @@ class ScriptedBackend(Backend):
     any other is a ``ValueError`` naming the bad rule. Rule priority: exact
     match beats substring; among substring matches the longest pattern
     wins, then declaration order. Each matched rule consumes its response
-    list in order (``n_samples`` entries per call); running out raises
-    :class:`ScriptExhaustedError`. All calls are logged in ``calls``.
+    list in order (``n_samples`` entries per call); running out, or an
+    input no rule matches, raises :class:`LlmIoError`. All calls are logged
+    in ``calls``.
     """
 
     deterministic = True
@@ -406,7 +391,7 @@ class ScriptedBackend(Backend):
             if best is None or len(rule.pattern) > len(best.pattern):
                 best = rule
         if best is None:
-            raise NoScriptMatchError(f"no rule matches input: {text[:120]!r}")
+            raise LlmIoError(f"no rule matches input: {text[:120]!r}")
         return best
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
@@ -414,7 +399,7 @@ class ScriptedBackend(Backend):
             self.calls.append(req)
             rule = self._match(req.user_text)
             if len(rule.responses) < req.n_samples:
-                raise ScriptExhaustedError(
+                raise LlmIoError(
                     f"rule {rule.pattern!r} has {len(rule.responses)} responses left, "
                     f"needs {req.n_samples}"
                 )
@@ -426,9 +411,9 @@ class ScriptedBackend(Backend):
 
 def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionResponse:
     """What replay serves: one response from the store's per-sample entries
-    under ``keys``, in order. A key with no entry is a
-    :class:`CacheMissError`; one whose record cannot be served, a
-    :class:`MalformedResponseError`, failing its path as a failed call does."""
+    under ``keys``, in order. A key with no entry, or one whose record
+    cannot be served, is an :class:`LlmIoError` naming it, failing its path
+    as a failed call does."""
     entries = store.entries
     texts = []
     prompt_tokens = completion_tokens = 0
@@ -436,8 +421,8 @@ def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionRespon
         entry = entries.get(key)
         if type(entry) is not tuple:
             if entry is None:
-                raise CacheMissError(f"no recorded response for key {key}")
-            raise MalformedResponseError(entry)
+                raise LlmIoError(f"no recorded response for key {key}")
+            raise LlmIoError(entry)
         text, prompt, completion = entry
         if not texts:
             prompt_tokens = prompt
@@ -477,8 +462,8 @@ class RecordingBackend(Backend):
     Fully cached requests are served as replay hits; anything else goes to
     the inner backend and gets persisted per sample before it is returned,
     as replay serves it: the same texts, and the usage :func:`split_usage`
-    split. A response without one text per requested sample is a
-    :class:`MalformedResponseError`, and nothing of it is persisted.
+    split. A response without one text per requested sample is an
+    :class:`LlmIoError`, and nothing of it is persisted.
     """
 
     def __init__(self, inner: Backend, store: ReplayStore):
@@ -499,8 +484,7 @@ class RecordingBackend(Backend):
             response = self.inner.complete(req)
             texts, usage = response.texts, response.usage
             if len(texts) != req.n_samples:
-                raise MalformedResponseError(
-                    f"expected {req.n_samples} samples, got {len(texts)}")
+                raise LlmIoError(f"expected {req.n_samples} samples, got {len(texts)}")
             # Every per-sample request carries the whole prompt.
             self.store.append([
                 (key, request, text, Usage(usage.prompt_tokens, share.completion_tokens))

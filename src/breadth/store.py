@@ -401,9 +401,6 @@ class ReplayStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
     def has(self, keys: Sequence[str]) -> bool:
         """Whether every one of ``keys`` has an entry, served or not."""
         entries = self.entries

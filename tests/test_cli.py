@@ -17,6 +17,7 @@ from breadth.llmio import (
     API_KEY_ENV,
     CompletionRequest,
     LiveBackend,
+    LlmIoError,
     RecordingBackend,
     ScriptedBackend,
     replay_response,
@@ -596,7 +597,7 @@ def test_cache_verify_counts_a_record_that_replay_cannot_serve(tmp_path, capsys,
     captured = capsys.readouterr()
     assert f"cannot serve: record {record['key']} has no usable" in captured.out
     assert captured.err == "error: 1 corrupt cache records\n"
-    with pytest.raises(ValueError, match=f"record {record['key']} has no usable"):
+    with pytest.raises(LlmIoError, match=f"^record {record['key']} has no usable"):
         replay_response(ReplayStore(str(cache_path)), [record["key"]])
 
 
@@ -1089,6 +1090,39 @@ def test_resume_under_another_strategy_exits_2_and_a_larger_limit_extends(tmp_pa
     assert main(run + ["--limit", "4", "--strategy", "cot"]) == 0
     summary = json.loads((tmp_path / "runs" / "r" / "summary.json").read_text())
     assert summary["config"]["kind"] == "cot" and len(summary["outcomes"]) == 4
+
+
+@pytest.mark.parametrize("cause", ["another-config", "no-config-json"])
+def test_a_refused_run_opens_no_record_cache_and_writes_no_replay_index(
+        tmp_path, monkeypatch, capsys, cause):
+    # The resume is refused before the backend is built, so a --record cache
+    # is neither created nor has its torn tail cut, and a --replay cache is
+    # not parsed into an index.
+    _cot_run(tmp_path)
+    if cause == "another-config":
+        strategy, message = ["sc", "--m", "3"], "made under another config"
+    else:
+        os.remove(tmp_path / "runs" / "r" / "config.json")
+        strategy, message = ["cot"], "has traces but no config.json"
+    refused = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", *strategy,
+               "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, session=_SessionThatFails()))
+    fresh, torn, replay = (tmp_path / f"{name}.jsonl" for name in ("fresh", "torn", "replay"))
+    for cache in (torn, replay):
+        RecordingBackend(ScriptedBackend({"q": ["a"]}), ReplayStore(str(cache))).complete(
+            CompletionRequest(model="m", user_text="q"))
+    with open(torn, "ab") as fh:
+        fh.write(b'{"key": "ab')
+    before = {cache: cache.read_bytes() for cache in (torn, replay)}
+    capsys.readouterr()
+    for flag, cache in (("--record", fresh), ("--record", torn), ("--replay", replay)):
+        assert main(refused + [flag, str(cache)]) == 2
+        assert message in capsys.readouterr().err
+    assert not fresh.exists()
+    assert {cache: cache.read_bytes() for cache in (torn, replay)} == before
+    assert not os.path.exists(f"{replay}.index")
 
 
 @pytest.mark.parametrize("key", ["seed", "data_path"])

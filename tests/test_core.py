@@ -1,4 +1,7 @@
+import ast
+import builtins
 import json
+import os
 import random
 import string
 from dataclasses import MISSING, fields
@@ -413,3 +416,39 @@ def test_record_from_dict_rejects_a_missing_mistyped_or_negative_field(record):
 def test_is_count_takes_json_ints_at_or_above_zero():
     assert all(is_count(v) for v in (0, 1, 12, 2 ** 64))
     assert not any(is_count(v) for v in (-1, -5, True, False, 1.0, 1.9, "12", None, [1]))
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "breadth")
+
+
+def _name(node) -> str:
+    """``X`` of an expression ``X`` or ``module.X``; else empty."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_every_exception_class_is_caught_by_name_somewhere():
+    # A class no code catches by name is a concept no caller acts on: its
+    # raise sites raise the base, with the same message, instead.
+    bases, caught = {}, set()
+    for filename in sorted(os.listdir(SRC)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_name(base) for base in node.bases]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(_name(t) for t in types)
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    defined = [name for name in sorted(bases) if is_exception(name)]
+    assert "LlmIoError" in defined
+    uncaught = [name for name in defined if name not in caught]
+    assert not uncaught, f"no except clause names {uncaught}"

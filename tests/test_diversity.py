@@ -10,7 +10,6 @@ from breadth.diversity import (
     report_to_csv,
     run_factor_study,
 )
-from breadth.extract import EmptyInputError
 from breadth.llmio import ScriptedBackend
 from breadth.reformulate import QUESTION_INSTRUCTION
 from conftest import MC_TRIGGER, mc_question, paper_reference_table
@@ -40,7 +39,7 @@ def test_entropy_five_three_two_matches_hand_value():
 
 
 def test_entropy_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="^prediction_entropy needs at least one answer$"):
         prediction_entropy([])
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -21,16 +22,13 @@ from breadth.llmio import (
     BACKEND_MOCK,
     BACKEND_REPLAY_HIT,
     Backend,
-    CacheMissError,
     CompletionRequest,
     CompletionResponse,
     LiveBackend,
-    MalformedResponseError,
+    LlmIoError,
     NetworkError,
-    NoScriptMatchError,
     RecordingBackend,
     ReplayBackend,
-    ScriptExhaustedError,
     ScriptedBackend,
     TokenBucketLimiter,
     cache_key,
@@ -74,13 +72,13 @@ def test_scripted_ordered_consumption():
     second = backend.complete(req(user_text="about the toy shop"))
     assert first.texts == ("path A text",)
     assert second.texts == ("path B text",)
-    with pytest.raises(ScriptExhaustedError):
+    with pytest.raises(LlmIoError, match="rule 'toy shop' has 0 responses left, needs 1"):
         backend.complete(req(user_text="about the toy shop"))
 
 
 def test_scripted_no_match():
     backend = ScriptedBackend({"toy shop": ["x"]})
-    with pytest.raises(NoScriptMatchError):
+    with pytest.raises(LlmIoError, match="no rule matches input: 'something else'"):
         backend.complete(req(user_text="something else"))
 
 
@@ -220,7 +218,7 @@ def test_replay_backend_is_byte_identical_and_misses_error(tmp_path):
     assert replayed.texts == recorded.texts
     assert replayed.usage == recorded.usage
     assert replayed.backend == BACKEND_REPLAY_HIT
-    with pytest.raises(CacheMissError):
+    with pytest.raises(LlmIoError, match="no recorded response for key "):
         replayer.complete(req(user_text="never recorded"))
 
 
@@ -294,7 +292,7 @@ def test_recording_refuses_a_response_without_one_text_per_sample(tmp_path, n_te
     store = ReplayStore(str(path))
     backend = RecordingBackend(_FixedTexts(["t"] * n_texts), store)
     three = req(user_text="q", n_samples=3)
-    with pytest.raises(MalformedResponseError, match="expected 3 samples, got %d" % n_texts):
+    with pytest.raises(LlmIoError, match="expected 3 samples, got %d" % n_texts):
         backend.complete(three)
     assert len(store) == 0 and not path.exists()  # nothing appended
 
@@ -392,7 +390,7 @@ def test_recorded_lines_are_the_canonical_json_of_each_samples_record(tmp_path):
             temperature=rng.choice([0, 1, 2, 0.0, 0.5, rng.random() * 2]),
             n_samples=rng.randint(1, 4),
             sample_batch_id=rng.choice([0, rng.randint(1, 9)]))
-        if all(key in backend.store for key in cache_key(request)):
+        if backend.store.has(cache_key(request)):
             continue  # a repeated request is a hit, which records nothing
         response = backend.complete(request)
         shares = split_usage(response.usage, request.n_samples)
@@ -472,7 +470,7 @@ def test_store_append_after_torn_tail_starts_a_new_line(tmp_path):
     torn = _cache_line("k1") + "\n" + _cache_line("k2") + "\n" + _cache_line("k3")[:15]
     path.write_text(torn, encoding="utf-8")
     store = ReplayStore(str(path))
-    assert len(store) == 2 and "k3" not in store
+    assert len(store) == 2 and "k3" not in store.entries
     assert path.read_text(encoding="utf-8") == torn  # loading never writes
     store.append([_record("k4")])
     store = ReplayStore(str(path))
@@ -497,7 +495,7 @@ def test_store_tolerates_corrupt_trailing_line_only(tmp_path):
     record = {"key": "k1", "request": {}, "texts": ["t"], "usage": {}}
     path.write_text(json.dumps(record) + "\n{truncated", encoding="utf-8")
     store = ReplayStore(str(path))
-    assert len(store) == 1 and "k1" in store
+    assert len(store) == 1 and "k1" in store.entries
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n" + json.dumps(record) + "\n", encoding="utf-8")
@@ -536,10 +534,10 @@ def test_store_failed_append_changes_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         store.append([_record("k3")])
     monkeypatch.undo()
-    assert "k3" not in store and len(store) == 2
+    assert "k3" not in store.entries and len(store) == 2
     store.append([_record("k4")])
     reloaded = ReplayStore(str(path))
-    assert len(reloaded) == 3 and "k4" in reloaded and "k3" not in reloaded
+    assert len(reloaded) == 3 and reloaded.has(["k4"]) and not reloaded.has(["k3"])
     assert path.read_text(encoding="utf-8").count("\n") == 3
 
 
@@ -554,7 +552,7 @@ def test_store_append_cut_short_is_cut_off_by_the_next_append(tmp_path, monkeypa
     with pytest.raises(OSError):
         store.append([_record("k2")])
     monkeypatch.undo()
-    assert "k2" not in store
+    assert "k2" not in store.entries
     assert path.read_text(encoding="utf-8") == _cache_line("k1") + tail
     store.append([_record("k3")])
     store.append([_record("k4")])
@@ -578,7 +576,7 @@ def test_recording_cut_short_serves_none_of_the_responses_keys(tmp_path, monkeyp
     # The write left one whole line and part of another; both are cut back
     # at once, to the empty file the append opened.
     assert path.read_bytes() == b""
-    assert not any(key in store for key in cache_key(three))
+    assert not any(key in store.entries for key in cache_key(three))
     other = req(user_text="other")
     assert backend.complete(other).texts == ("d",)
     records = read_json_lines(str(path))
@@ -673,7 +671,7 @@ def test_a_second_store_cannot_append_to_a_cache_a_recording_store_holds(tmp_pat
     held = path.read_bytes()
     with pytest.raises(OSError, match=f"held by another writer: '{path}'"):
         a.append([_record("a1")])
-    assert path.read_bytes() == held and "a1" not in a
+    assert path.read_bytes() == held and not a.has(["a1"])
     assert replay_response(ReplayStore(str(path)), ["k1", "b1"]).texts == ("t", "t")
     del b
     gc.collect()
@@ -905,21 +903,21 @@ def test_store_opens_with_unusable_records_and_fails_serving_them(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     store = ReplayStore(str(path))
     assert len(store) == 14
-    with pytest.raises(ValueError):
+    with pytest.raises(LlmIoError, match="^record k1 has no usable token counts: "):
         replay_response(store, ["k1"])
 
     def messages(key):
         # Each serve of an unusable key raises, with the same message.
         raised = []
         for _ in range(2):
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(LlmIoError) as exc:
                 replay_response(store, [key])
             raised.append(str(exc.value))
         assert raised[0] == raised[1]
         return raised[0]
 
     # A usage that is not an object, or a count that is not a JSON int >= 0:
-    # a ValueError, which the CLI reports as a runtime error (exit 2).
+    # an LlmIoError, which fails its path as a failed call does.
     for key in ("k3", "k4", "k5", "k11", "k12", "k13", "k14"):
         assert messages(key).startswith(f"record {key} has no usable token counts")
     # A record serves one sample: its texts must be a list of one string.
@@ -949,7 +947,7 @@ def test_store_refuses_an_appended_text_that_is_not_a_string(tmp_path):
                                             ("k2", b"{}", "fine", Usage(1, 2))])
     assert message == (
         "record k1 has no usable texts: 'texts' must be a list of one string, got [5]")
-    assert "k2" not in store and len(ReplayStore(str(path))) == 0
+    assert "k2" not in store.entries and len(ReplayStore(str(path))) == 0
     store.append([("k2", b"{}", "fine", Usage(1, 2))])
     assert replay_response(ReplayStore(str(path)), ["k2"]).texts == ("fine",)
 
@@ -963,7 +961,7 @@ def test_store_refuses_an_appended_count_that_is_not_an_int(tmp_path):
     for usage in (Usage(1.9, 2), Usage(1, -2), Usage(True, 2), Usage("3", 2)):
         message = _refused_append(path, store, [_record("k1"), ("k2", b"{}", "t", usage)])
         assert message.startswith("record k2 has no usable token counts")
-    assert "k1" not in store and "k2" not in store
+    assert "k1" not in store.entries and "k2" not in store.entries
     assert len(ReplayStore(str(path))) == 1
 
 
@@ -1412,24 +1410,30 @@ def test_live_reads_null_usage_as_zero():
     assert response.usage == Usage()
 
 
-@pytest.mark.parametrize("response", [
-    FakeResponse(status_code=400, raw_text="bad request"),
-    FakeResponse(status_code=200, body=None, raw_text="not json"),
-    FakeResponse(status_code=200, body=_ok_body(["only one"])),
-    FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}),
-    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)),
-    FakeResponse(status_code=200, body=_ok_body(["x", None])),
+_UNPARSEABLE = "unparseable response body: "
+
+
+@pytest.mark.parametrize("response, message", [
+    (FakeResponse(status_code=400, raw_text="bad request"), "HTTP 400: bad request"),
+    (FakeResponse(status_code=200, body=None, raw_text="not json"), _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["only one"])), "expected 2 samples, got 1"),
+    (FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}), _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)), _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["x", None])),
+     "a choice's content is not a string"),
     # Token counts must be JSON ints >= 0, or --record would store a record
     # that replay refuses to serve.
-    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens="12")),
-    FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=1.9)),
-    FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=True)),
-    FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=-5)),
-])
-def test_live_never_retries_malformed(response):
+    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens="12")), _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=1.9)), _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=True)),
+     _UNPARSEABLE),
+    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=-5)),
+     _UNPARSEABLE),
+], ids=[f"response{i}" for i in range(10)])
+def test_live_never_retries_malformed(response, message):
     session = FakeSession([response, FakeResponse(body=_ok_body(["x", "y"]))])
     backend, _ = _live(session)
-    with pytest.raises(MalformedResponseError):
+    with pytest.raises(LlmIoError, match=re.escape(message)):
         backend.complete(req(user_text="q", n_samples=2))
     assert len(session.posts) == 1
 

@@ -30,7 +30,7 @@ def test_default_instructions_per_target():
 
 
 def test_identity_case_makes_no_backend_calls():
-    backend = ScriptedBackend()  # would raise NoScriptMatch if called
+    backend = ScriptedBackend()  # would raise LlmIoError if called
     spec = ReformulationSpec(ReformulationTarget.QUESTION, 1, include_original=True)
     assert reformulate("original text", spec, backend) == ["original text"]
     assert backend.calls == []
