@@ -36,7 +36,7 @@ from .llmio import (
     CompletionRequest,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
-from .store import ReplayStore, check_servable, read_json_lines, replaced
+from .store import AppendLog, ReplayStore, check_servable, read_json_lines, replaced
 from .strategy import plan_calls
 
 logger = logging.getLogger(__name__)
@@ -158,9 +158,13 @@ def _cmd_run(args) -> int:
         run_keys["stop_rule_note"] = (
             "stability stop (two consecutive equal predictions); a stand-in "
             "for adaptive iteration stopping")
-    if args.run_id is not None:  # a refused resume opens no cache
-        bench.check_run_config(os.path.join(args.runs_dir, args.run_id), args.run_id,
-                               {**run_keys, **cfg.to_dict()})
+    if args.run_id is not None:  # a refused resume or a held run id opens no cache
+        run_dir = os.path.join(args.runs_dir, args.run_id)
+        bench.check_run_config(run_dir, args.run_id, {**run_keys, **cfg.to_dict()})
+        traces = os.path.join(run_dir, "traces.jsonl")
+        if os.path.exists(traces):
+            with AppendLog(traces):  # raises while another writer holds it
+                pass
     backend = _build_backend(args)
     record = bench.run_experiment(
         args.dataset, questions, cfg, backend,

@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 _QUOTED_SPAN = re.compile(r"\"([^\"]+)\"")
 _BOLD_SPAN = re.compile(r"\*\*([^*]+)\*\*")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+_OPENING_LABEL = re.compile(r"\s*([A-Z])(?:[.):]|\s*\Z)")
 
 
 def _load_triggers() -> dict:
@@ -110,7 +111,12 @@ def _fallback(text: str, fmt: AnswerFormat, labels: Sequence[str]) -> Optional[s
         label_set = {l.upper() for l in labels}
         found = [m.group(1).upper() for m in _PAREN_LABEL.finditer(text)
                  if m.group(1).upper() in label_set]
-        return found[-1] if found else None
+        if found:
+            return found[-1]
+        # The request ends with the trigger, so a reply that opens with a
+        # bare label ("B.", "B) 16", "C: 42" or "B" alone) is that label.
+        match = _OPENING_LABEL.match(text)
+        return match.group(1) if match and match.group(1) in label_set else None
     if fmt == AnswerFormat.NUMERIC:
         numbers = _NUMBER_TOKEN.findall(_final_sentence(text))
         return numbers[-1] if numbers else None

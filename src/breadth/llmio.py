@@ -7,6 +7,7 @@ same way whether a replay backend or a recording one's hit serves it.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import logging
 import math
@@ -15,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Usage, check_json_fields, check_temperature, json_string
 # Also importable as breadth.llmio.ReplayStore, the name perfbench/ wraps.
@@ -141,13 +142,11 @@ _NULL_SLOTS = ("max_tokens", "system_text", "top_k")
 
 @dataclass(frozen=True)
 class CompletionResponse:
+    """One call's answer: ``texts`` is a tuple, a text per sample in order."""
+
     texts: tuple
     usage: Usage = field(default_factory=Usage)
     backend: str = BACKEND_MOCK
-
-    def __post_init__(self):
-        if type(self.texts) is not tuple:
-            object.__setattr__(self, "texts", tuple(self.texts))
 
 
 def cache_key(req: CompletionRequest) -> Tuple[str, ...]:
@@ -320,37 +319,27 @@ def _delay_seconds(header: Optional[str]) -> Optional[float]:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _word_count(text: str) -> int:
-    return len(text.split())
-
-
-@dataclass
-class ScriptRule:
-    """One scripted response source: exact or substring match on the input."""
-
-    pattern: str
-    responses: List[str]
-    exact: bool = False
-
-
 class ScriptedBackend(Backend):
     """Deterministic test backend answering from match rules.
 
     A script is either ``{pattern: responses}`` (substring rules) or a list
     of ``{"match": pattern, "responses": [...], "exact": bool}`` rules, the
     two shapes a ``--mock-script`` file may hold (``exact`` is optional);
-    any other is a ``ValueError`` naming the bad rule. Rule priority: exact
-    match beats substring; among substring matches the longest pattern
-    wins, then declaration order. Each matched rule consumes its response
-    list in order (``n_samples`` entries per call); running out, or an
-    input no rule matches, raises :class:`LlmIoError`. All calls are logged
-    in ``calls``.
+    any other is a ``ValueError`` naming the bad rule. Rules are kept in
+    match order as they are added: an exact match beats a substring one,
+    and the first exact rule for a text is the one it matches; substring
+    rules are kept longest first, then in declaration order. Each matched
+    rule consumes its response list in order (``n_samples`` entries per
+    call); running out, or an input no rule matches, raises
+    :class:`LlmIoError`. All calls are logged in ``calls``.
     """
 
     deterministic = True
 
     def __init__(self, script=(), model: str = DEFAULT_MODEL):
-        self.rules: List[ScriptRule] = []
+        # Each rule is its (pattern, remaining responses).
+        self._exact: Dict[str, Tuple[str, List[str]]] = {}
+        self._substrings: List[Tuple[str, List[str]]] = []
         self.calls: List[CompletionRequest] = []
         self.model = model
         self._lock = threading.Lock()
@@ -377,35 +366,28 @@ class ScriptedBackend(Backend):
         if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
             raise ValueError(f"script rule {pattern!r}: responses must be a string or "
                              f"a list of strings, got {responses!r:.80}")
-        self.rules.append(ScriptRule(pattern, list(responses), exact=exact))
+        rule = (pattern, list(responses))
+        if exact:
+            self._exact.setdefault(pattern, rule)
+        else:  # after every rule at least as long
+            bisect.insort(self._substrings, rule, key=lambda r: -len(r[0]))
         return self
 
-    def _match(self, text: str) -> ScriptRule:
-        exact = [r for r in self.rules if r.exact and r.pattern == text]
-        if exact:
-            return exact[0]
-        best: Optional[ScriptRule] = None
-        for rule in self.rules:
-            if rule.exact or rule.pattern not in text:
-                continue
-            if best is None or len(rule.pattern) > len(best.pattern):
-                best = rule
-        if best is None:
-            raise LlmIoError(f"no rule matches input: {text[:120]!r}")
-        return best
-
     def complete(self, req: CompletionRequest) -> CompletionResponse:
+        text = req.user_text
         with self._lock:
             self.calls.append(req)
-            rule = self._match(req.user_text)
-            if len(rule.responses) < req.n_samples:
-                raise LlmIoError(
-                    f"rule {rule.pattern!r} has {len(rule.responses)} responses left, "
-                    f"needs {req.n_samples}"
-                )
-            texts = tuple(rule.responses[: req.n_samples])
-            del rule.responses[: req.n_samples]
-        usage = Usage(_word_count(req.user_text), sum(_word_count(t) for t in texts))
+            rule = self._exact.get(text) or next(
+                (r for r in self._substrings if r[0] in text), None)
+            if rule is None:
+                raise LlmIoError(f"no rule matches input: {text[:120]!r}")
+            pattern, responses = rule
+            if len(responses) < req.n_samples:
+                raise LlmIoError(f"rule {pattern!r} has {len(responses)} responses left, "
+                                 f"needs {req.n_samples}")
+            texts = tuple(responses[: req.n_samples])
+            del responses[: req.n_samples]
+        usage = Usage(len(text.split()), sum([len(t.split()) for t in texts]))
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_MOCK)
 
 

@@ -117,7 +117,7 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformu
     seen = set()
     if spec.include_original:
         variants.append(text)
-        seen.add(_normalized(text))
+        seen.add(_normalized(stem))  # rewrites are of the stem alone
     needed = spec.n_variants - len(variants)
     if needed <= 0:
         return variants

@@ -215,7 +215,7 @@ class _PlaceholderBackend(Backend):
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         self.requests.append(req)
         k = len(self.requests)
-        return CompletionResponse([f"<response {k}.{i}>" for i in range(req.n_samples)])
+        return CompletionResponse(tuple([f"<response {k}.{i}>" for i in range(req.n_samples)]))
 
 
 def plan_calls(q: Question, cfg: StrategyConfig) -> Tuple[List[CompletionRequest], int]:

@@ -1092,18 +1092,23 @@ def test_resume_under_another_strategy_exits_2_and_a_larger_limit_extends(tmp_pa
     assert summary["config"]["kind"] == "cot" and len(summary["outcomes"]) == 4
 
 
-@pytest.mark.parametrize("cause", ["another-config", "no-config-json"])
+@pytest.mark.parametrize("cause", ["another-config", "no-config-json", "held"])
 def test_a_refused_run_opens_no_record_cache_and_writes_no_replay_index(
         tmp_path, monkeypatch, capsys, cause):
     # The resume is refused before the backend is built, so a --record cache
     # is neither created nor has its torn tail cut, and a --replay cache is
     # not parsed into an index.
     _cot_run(tmp_path)
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    held = AppendLog(str(traces))
     if cause == "another-config":
         strategy, message = ["sc", "--m", "3"], "made under another config"
-    else:
+    elif cause == "no-config-json":
         os.remove(tmp_path / "runs" / "r" / "config.json")
         strategy, message = ["cot"], "has traces but no config.json"
+    else:  # another writer holds the run's trace log
+        strategy, message = ["cot"], f"held by another writer: '{traces}'"
+        held.__enter__()
     refused = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", *strategy,
                "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
     monkeypatch.setenv(API_KEY_ENV, "k")
@@ -1120,6 +1125,7 @@ def test_a_refused_run_opens_no_record_cache_and_writes_no_replay_index(
     for flag, cache in (("--record", fresh), ("--record", torn), ("--replay", replay)):
         assert main(refused + [flag, str(cache)]) == 2
         assert message in capsys.readouterr().err
+    held.close()
     assert not fresh.exists()
     assert {cache: cache.read_bytes() for cache in (torn, replay)} == before
     assert not os.path.exists(f"{replay}.index")

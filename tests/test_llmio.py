@@ -96,6 +96,16 @@ def test_exact_rule_shadows_substring():
     assert listed.complete(req(user_text="xabcx")).texts == ("substring answer",)
     # non-exact input falls back to the substring rule
     assert backend.complete(req(user_text="xx abc yy")).texts == ("substring answer",)
+    # of two exact rules for one text, the first answers
+    twice = ScriptedBackend()
+    twice.add_rule("abc", ["first"], exact=True)
+    twice.add_rule("abc", ["second"], exact=True)
+    assert twice.complete(req(user_text="abc")).texts == ("first",)
+    # an exact rule with no responses left still shadows the substring rule
+    twice.add_rule("ab", ["substring answer"])
+    with pytest.raises(LlmIoError, match="rule 'abc' has 0 responses left, needs 1"):
+        twice.complete(req(user_text="abc"))
+    assert twice.complete(req(user_text="abcd")).texts == ("substring answer",)
 
 
 def test_longest_substring_wins_then_declaration_order():
@@ -107,6 +117,13 @@ def test_longest_substring_wins_then_declaration_order():
     tie.add_rule("ab", ["first"])
     tie.add_rule("cd", ["second"])
     assert tie.complete(req(user_text="abcd")).texts == ("first",)
+    # rules added after a call keep their place: a longer one wins, an
+    # equally long one comes after the earlier rules
+    tie.add_rule("bc", ["third"])
+    tie.add_rule("abc", ["longest"])
+    assert tie.complete(req(user_text="abcd")).texts == ("longest",)
+    assert tie.complete(req(user_text="bcd")).texts == ("second",)
+    assert tie.complete(req(user_text="xbc")).texts == ("third",)
 
 
 def test_multi_sample_request_yields_n_texts():

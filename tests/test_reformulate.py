@@ -75,6 +75,19 @@ def test_exhausted_retry_budget_keeps_flagged_duplicate():
     assert result == ["dup", "dup"]
 
 
+def test_a_rewrite_echoing_a_choice_questions_stem_is_regenerated():
+    # The original is kept whole, choices block included; a rewrite of its
+    # stem that echoes the stem is a duplicate of it all the same.
+    text = "How many legs has a cat?\nAnswer Choices: (A) 2 (B) 4"
+    backend = ScriptedBackend({
+        QUESTION_INSTRUCTION: ["How many legs has a cat?", "A cat has how many legs?"],
+    })
+    spec = ReformulationSpec(ReformulationTarget.QUESTION, 2, include_original=True)
+    result = reformulate(text, spec, backend)
+    assert result == [text, "A cat has how many legs?\nAnswer Choices: (A) 2 (B) 4"]
+    assert len(backend.calls) == 2
+
+
 def test_blank_variants_are_regenerated():
     backend = ScriptedBackend({
         QUESTION_INSTRUCTION: ["", "   ", "Usable rewording"],
