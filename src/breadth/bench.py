@@ -12,6 +12,7 @@ byte-reproducible under a deterministic backend.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
@@ -99,7 +100,7 @@ def _label_paren_options(raw) -> tuple:
 
 
 def _label_text_pairs(raw) -> tuple:
-    return tuple((str(entry["label"]).upper(), str(entry["text"])) for entry in raw)
+    return tuple((str(_dig(entry, "label")).upper(), str(_dig(entry, "text"))) for entry in raw)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def _dig(record: dict, dotted: str):
     value = record
     for part in dotted.split("."):
         if not isinstance(value, dict) or part not in value:
-            raise KeyError(dotted)
+            raise ValueError(f"no field {dotted!r}")
         value = value[part]
     return value
 
@@ -378,7 +379,8 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     caller's provenance ``run_keys`` (model, dataset, ...) and ``cfg``.
 
     Completed questions found in an existing trace store are skipped, so
-    interrupted runs resume. A run id whose traces another log holds is an
+    interrupted runs resume; a run with no ``run_id`` is a new one, in a
+    directory it makes. A run id whose traces another log holds is an
     ``OSError``, and a resume under another config a ``ValueError`` (see
     :func:`check_run_config`), each before any call. Reaching
     ``max_total_tokens`` stops the run gracefully with the record flagged
@@ -391,8 +393,12 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     before each question starts, against the questions written so far, so a
     run may overshoot it by the cost of the questions in flight.
     """
-    if run_id is None:
-        run_id = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
+    if run_id is None:  # suffixed when another run took this second's id
+        stem = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
+        for run_id in itertools.chain([stem], (f"{stem}-{i}" for i in itertools.count(1))):
+            with suppress(FileExistsError):
+                os.makedirs(os.path.join(runs_dir, run_id))
+                break
     run_dir = os.path.join(runs_dir, run_id)
     os.makedirs(run_dir, exist_ok=True)
     trace_log = AppendLog(os.path.join(run_dir, "traces.jsonl"))

@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--token-budget", type=int, help="stop after this many tokens")
     run.add_argument("--seed", type=int, help="generator dataset seed (default 0)")
     run.add_argument("--runs-dir", default="runs")
-    run.add_argument("--run-id", help="explicit run id (default derived)")
+    run.add_argument("--run-id", help="run id to start or resume (default: a new run)")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--dry-run", action="store_true",
                      help="print the calls a run of the first question sends, sending none")

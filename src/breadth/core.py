@@ -230,7 +230,8 @@ def _canonical_decimal(token: str) -> Optional[str]:
         value = Decimal(token)
     except InvalidOperation:
         return None
-    if not value.is_finite():
+    # Past 10**±1000 the plain form would run to that many digits: abstain.
+    if not value.is_finite() or abs(value.adjusted()) > 1000:
         return None
     text = format(value, "f")
     if "." in text:
@@ -241,16 +242,10 @@ def _canonical_decimal(token: str) -> Optional[str]:
 
 
 def _canonical_numeric(raw: str) -> Optional[str]:
-    # Tolerate currency signs, percent, thousands separators, and "≈" prefixes.
-    cleaned = raw.strip()
-    for junk in ("approximately", "about", "around"):
-        if cleaned.lower().startswith(junk):
-            cleaned = cleaned[len(junk):].strip()
-    cleaned = cleaned.lstrip("≈~").replace("$", "").replace("%", "").strip()
-    match = _NUMBER_TOKEN.search(cleaned)
-    if not match:
-        return None
-    return _canonical_decimal(match.group(0))
+    # The first number token, read across currency and percent signs (so
+    # "-$5" is -5); the search skips any prefix such as "about" or "≈".
+    match = _NUMBER_TOKEN.search(raw.replace("$", "").replace("%", ""))
+    return None if match is None else _canonical_decimal(match.group(0))
 
 
 def _canonical_choice(raw: str) -> Optional[str]:

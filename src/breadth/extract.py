@@ -74,11 +74,9 @@ def _label_in(fragment: str, labels: Sequence[str]) -> Optional[str]:
 
 
 def _final_sentence(text: str) -> str:
+    # Its one caller passes a text that is not blank.
     lines = [line for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        return ""
-    parts = _SENTENCE_SPLIT.split(lines[-1].strip())
-    return parts[-1] if parts else lines[-1]
+    return _SENTENCE_SPLIT.split(lines[-1].strip())[-1]
 
 
 def _last_span(text: str) -> Optional[str]:

@@ -72,9 +72,9 @@ class CompletionRequest:
 
     Its bytes are made when it is built: ``sample_payloads``, a plain
     attribute and not a field, holds each sample's own request in canonical
-    JSON, in sample order. That is the request itself when it has one
-    sample, else the request with ``n_samples`` 1 and ``sample_batch_id`` i,
-    so batched and sequential sampling share records. :func:`cache_key`
+    JSON, in sample order: sample i's is the request with ``n_samples`` 1
+    and ``sample_batch_id`` ``sample_batch_id + i``, so batched and
+    sequential sampling share records. :func:`cache_key`
     digests these bytes and the cache stores them, so a request is encoded
     once. The fields are written in sorted order: strings through
     :func:`~breadth.core.json_string`, ints with ``%d`` and the temperature,
@@ -90,7 +90,7 @@ class CompletionRequest:
     user_text: str
     temperature: float = 1.0
     n_samples: int = 1
-    sample_batch_id: int = 0  # a sample's index in its key; rewrite retries vary it
+    sample_batch_id: int = 0  # sample 0's index in its key; rewrite retries vary it
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -99,10 +99,11 @@ class CompletionRequest:
         object.__setattr__(self, "temperature", temperature)
         # json_string writes ASCII only.
         tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
-        if self.n_samples == 1:
-            payloads = (b"%s%d%s" % (head, self.sample_batch_id, tail),)
+        first, n = self.sample_batch_id, self.n_samples
+        if n == 1:
+            payloads = (b"%s%d%s" % (head, first, tail),)
         else:
-            payloads = tuple([b"%s%d%s" % (head, i, tail) for i in range(self.n_samples)])
+            payloads = tuple([b"%s%d%s" % (head, i, tail) for i in range(first, first + n)])
         object.__setattr__(self, "sample_payloads", payloads)
 
     @classmethod
@@ -170,19 +171,27 @@ class Backend:
 
 
 def call(backend: Backend, user_text: str, temperature: float, n_samples: int = 1,
-         sample_batch_id: int = 0) -> Tuple[CompletionResponse, int]:
+         sample_batch_id: int = 0) -> List[Tuple[str, Usage, int]]:
     """Send one request with the backend's model: the one place a request is
-    built and sent. Returns the response and the whole milliseconds
-    ``backend.complete`` took, rounded to the nearest: 0, with no clock read,
-    under a deterministic backend, so that its runs are byte-identical."""
+    built, sent, timed and charged. Returns each sample's ``(text, usage,
+    ms)``: its share of the tokens by :func:`split_usage`, and on sample 0
+    the whole milliseconds ``backend.complete`` took, rounded to the
+    nearest: 0, with no clock read, under a deterministic backend, so that
+    its runs are byte-identical. A response without one text per sample is
+    an :class:`LlmIoError`."""
     request = CompletionRequest(model=backend.model, user_text=user_text,
                                 temperature=temperature, n_samples=n_samples,
                                 sample_batch_id=sample_batch_id)
-    if backend.deterministic:
-        return backend.complete(request), 0
-    started = time.monotonic()
+    started = None if backend.deterministic else time.monotonic()
     response = backend.complete(request)
-    return response, round((time.monotonic() - started) * 1000)
+    ms = 0 if started is None else round((time.monotonic() - started) * 1000)
+    texts = response.texts
+    if len(texts) != n_samples:
+        raise LlmIoError(f"expected {n_samples} samples, got {len(texts)}")
+    if n_samples == 1:
+        return [(texts[0], response.usage, ms)]
+    shares = split_usage(response.usage, n_samples)
+    return [(text, shares[i], ms if i == 0 else 0) for i, text in enumerate(texts)]
 
 
 class TokenBucketLimiter:

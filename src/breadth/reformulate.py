@@ -107,32 +107,25 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformu
     """
     if not text:
         raise ValueError("cannot reformulate empty text")
-    stem, choices_block = ("", "")
+    stem, choices_block = text, ""
     if spec.target == ReformulationTarget.QUESTION:
         stem, choices_block = split_choice_block(text)
-    else:
-        stem = text
 
     variants = Reformulations()
     seen = set()
     if spec.include_original:
         variants.append(text)
         seen.add(_normalized(stem))  # rewrites are of the stem alone
-    needed = spec.n_variants - len(variants)
-    if needed <= 0:
-        return variants
 
-    instruction = spec.instruction()
-    prompt_text = f"{instruction}\n{stem}"
-
-    for index in range(needed):
+    prompt_text = f"{spec.instruction()}\n{stem}"
+    for index in range(spec.n_variants - len(variants)):
         candidate = ""
         for attempt in range(_DEDUP_RETRIES + 1):
-            response, ms = call(backend, prompt_text, 1.0,
-                                sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
-            variants.usage += response.usage
+            [(candidate, usage, ms)] = call(
+                backend, prompt_text, 1.0, sample_batch_id=index * (_DEDUP_RETRIES + 1) + attempt)
+            variants.usage += usage
             variants.latency_ms += ms
-            candidate = response.texts[0].strip()
+            candidate = candidate.strip()
             if not candidate:
                 logger.warning("blank reformulation for variant %d, regenerating", index)
                 continue

@@ -16,8 +16,9 @@ samples)``, the config's ``(max_iterations, n_reformulations, m_samples)``.
   rewrite fails, the question fails with :class:`StrategyError`.
 - Stable stop: under ``StopRule.STABLE_STOP`` a path stops as soon as two
   of its consecutive rounds predict the same non-abstaining answer.
-- Cost: sample 0 of a context carries its reasoning call's latency, as it
-  carries the call's prompt tokens, and sample 0 of context 0 also carries
+- Cost: each path starts from its sample's share of the reasoning call,
+  as :func:`~breadth.llmio.call` splits it (sample 0 carries the call's
+  prompt tokens and milliseconds), and sample 0 of context 0 also carries
   the tokens and milliseconds of the question's rewrites. So the traces
   alone hold everything the question is charged for.
 
@@ -55,7 +56,7 @@ from .core import (
     VoteResult,
 )
 from .extract import extract_answer, majority_vote
-from .llmio import Backend, CompletionRequest, CompletionResponse, LlmIoError, call, split_usage
+from .llmio import Backend, CompletionRequest, CompletionResponse, LlmIoError, call
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 
 logger = logging.getLogger(__name__)
@@ -144,21 +145,15 @@ def run_strategy(q: Question, cfg: StrategyConfig,
     for ctx, (question_text, prompt_text) in enumerate(contexts):
         assembled = assemble_reasoning_input(question_text, trigger if zero_shot else prompt_text)
         failure: Optional[LlmIoError] = None
-        # Each path starts from its reasoning and what it cost: one call draws
-        # all of a context's samples, and sample 0 carries the call's latency
-        # as it carries its prompt tokens.
+        # Each path starts from its sample of the context's one reasoning call.
         if zero_shot:
             starts = [("", Usage(), 0)]
         else:
             try:
-                response, latency = call(backend, assembled, temperature, samples)
+                starts = call(backend, assembled, temperature, samples)
             except LlmIoError as exc:
                 failure = exc
                 starts = [("", Usage(), 0)] * samples
-            else:
-                shares = split_usage(response.usage, len(response.texts))
-                starts = [(text, shares[i], latency if i == 0 else 0)
-                          for i, text in enumerate(response.texts)]
         if ctx == 0 and rewrites is not None:
             reasoning, usage, ms = starts[0]
             starts[0] = (reasoning, usage + rewrites.usage, ms + rewrites.latency_ms)
@@ -172,18 +167,16 @@ def run_strategy(q: Question, cfg: StrategyConfig,
                             path_input = assemble_iteration_input(
                                 question_text, prompt_text, prior.reasoning_text,
                                 prior.raw_prediction_text, cfg.iteration_guide or prompt_text)
-                            response, ms = call(backend, path_input, temperature)
-                            reasoning, usage = response.texts[0], response.usage
-                        response, predict_ms = call(
+                            [(reasoning, usage, ms)] = call(backend, path_input, temperature)
+                        [(raw, predict_usage, predict_ms)] = call(
                             backend, path_input if zero_shot else
                             assemble_prediction_input(question_text, prompt_text, reasoning, trigger),
                             temperature)
                     except LlmIoError as exc:
                         error = exc
                     else:
-                        raw = response.texts[0]
                         parsed = extract_answer(raw, q.answer_format, q.choices)
-                        usage, ms = usage + response.usage, ms + predict_ms
+                        usage, ms = usage + predict_usage, ms + predict_ms
                 if error is not None:  # the failure policy
                     if kind not in BREADTH_KINDS:
                         raise StrategyError(f"question {q.id}: {error}") from error

@@ -244,6 +244,28 @@ def test_each_reader_refuses_a_record_off_its_layout(tmp_path, name, filename, p
         load_dataset(dataset_spec(name, path=str(path)))
 
 
+@pytest.mark.parametrize("name, filename, record, field", [
+    ("gsm8k", "test.jsonl", {"question": "q?"}, "answer"),
+    ("commonsenseqa", "dev_rand_split.jsonl",
+     {**CSQA, "question": {"choices": CSQA["question"]["choices"]}}, "question.stem"),
+    ("commonsenseqa", "dev_rand_split.jsonl", {**CSQA, "question": "Where?"}, "question.stem"),
+    ("commonsenseqa", "dev_rand_split.jsonl",
+     {**CSQA, "question": {**CSQA["question"], "choices": [{"label": "A"}]}}, "text"),
+], ids=["top-level", "nested", "parent-not-an-object", "choice-without-text"])
+def test_a_record_without_a_field_is_refused_naming_the_field(tmp_path, name, filename,
+                                                             record, field):
+    path = tmp_path / filename
+    _write_jsonl(path, [record])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name}[0]: no field {field!r}')}$"):
+        load_dataset(dataset_spec(name, path=str(path)))
+
+
+def test_a_file_dataset_with_no_path_names_its_default_file():
+    with pytest.raises(FileNotFoundError, match=r"^dataset gsm8k needs a source file "
+                                                r"\(default name 'test.jsonl'\); pass --data-path$"):
+        dataset_spec("gsm8k")
+
+
 @pytest.mark.parametrize("name, filename, text, line", [
     ("gsm8k", "test.jsonl", '{"question": "q?", "answer": "#### 3"}\n\n{bad\n', 3),
     ("strategyqa", "task.json", '{"examples": [\n{bad}\n]}\n', 2),
@@ -1155,6 +1177,12 @@ def test_emit_report_json_round_trips():
     record = _record_with({"q0": True, "q1": False}, run_id="x", dataset="aqua")
     payload = json.loads(emit_report([record], fmt="json"))
     assert RunRecord.from_dict(payload["records"][0]) == record
+
+
+def test_load_run_record_of_a_directory_without_a_summary_names_the_path(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(FileNotFoundError, match=f"^no summary at {re.escape(str(path))}$"):
+        load_run_record(str(tmp_path))
 
 
 def test_load_run_record_round_trip(tmp_path):

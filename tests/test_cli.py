@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from breadth import cli
+from breadth import bench, cli
 from breadth.bench import generate_synthetic, run_experiment
 from breadth.cli import build_parser, main
 from breadth.core import AnswerFormat, StrategyKind, default_config
@@ -786,6 +786,28 @@ def test_run_on_a_run_id_another_writer_holds_exits_2_before_any_call(tmp_path, 
     assert f"held by another writer: '{traces}'" in capsys.readouterr().err
     assert os.listdir(traces.parent) == ["traces.jsonl"] and traces.read_bytes() == b""
     assert main(run) == 0  # the log closed, so the run id is free
+
+
+def test_runs_with_no_run_id_started_in_one_second_each_make_their_own(
+        tmp_path, capsys, monkeypatch):
+    # Each run would take the id coinflip-cot-<second>; a later one used to
+    # resume the first (or be refused by it under another config).
+    monkeypatch.setattr(bench.time, "time", lambda: 1792488703.25)
+    runs = tmp_path / "runs"
+    gold = bench.load_dataset(bench.dataset_spec("coinflip"))[0].gold.value
+    wrong = "no" if gold == "yes" else "yes"
+    for answer, flags in ((wrong, []), (gold, []), (gold, ["--temperature", "0.5"])):
+        script = _mock_script_file(tmp_path, {"step by step": ["r"],
+                                              YES_TRIGGER: [f"the answer is {answer}"]})
+        assert main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+                     "--mock-script", script, "--runs-dir", str(runs), *flags]) == 0
+    ids = ["coinflip-cot-1792488703", "coinflip-cot-1792488703-1", "coinflip-cot-1792488703-2"]
+    assert sorted(os.listdir(runs)) == ids
+    summaries = [json.loads((runs / run_id / "summary.json").read_text()) for run_id in ids]
+    assert [s["accuracy"] for s in summaries] == [0.0, 1.0, 1.0]
+    assert [s["config"]["temperature"] for s in summaries] == [1.0, 1.0, 0.5]
+    out = capsys.readouterr().out
+    assert all(f"run {run_id}: accuracy" in out for run_id in ids)
 
 
 # ---------------------------------------------------------------- README

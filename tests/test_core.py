@@ -25,6 +25,7 @@ from breadth.core import (
     default_config,
     is_count,
 )
+from breadth.extract import extract_answer
 from breadth.llmio import CompletionRequest, _request_layout
 from conftest import (
     ADVERSARIAL_ALPHABET,
@@ -46,6 +47,28 @@ def test_numeric_canonicalization():
     assert canonical_answer("-0.0", AnswerFormat.NUMERIC).value == "0"
     assert canonical_answer("1e3", AnswerFormat.NUMERIC).value == "1000"
     assert canonical_answer("no numbers here", AnswerFormat.NUMERIC).abstain
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("about 5", "5"), ("Around 1,200", "1200"), ("approximately  7.50", "7.5"),
+    ("≈ 2", "2"), ("~-4", "-4"), ("about $3", "3"),
+    # Currency and percent signs are read across, not stopped at.
+    ("-$5", "-5"), ("-%9", "-9"), ("3.5%1", "3.51"), ("$-2", "-2"),
+])
+def test_a_numeric_answer_is_its_first_number_read_across_dollar_and_percent(raw, value):
+    assert canonical_answer(raw, AnswerFormat.NUMERIC) == Answer(AnswerFormat.NUMERIC, value)
+
+
+@pytest.mark.parametrize("raw", ["1e5000", "1e-5000", "1e999999", "-1e1001", "0e-1001"])
+def test_a_numeric_answer_past_ten_to_the_1000_either_way_abstains(raw):
+    # Its plain form, 5 KB, 5 KB and 1 MB for the first three, was built whole.
+    assert canonical_answer(raw, AnswerFormat.NUMERIC).abstain
+    assert extract_answer(f"So the total is {raw}.", AnswerFormat.NUMERIC).abstain
+
+
+def test_a_numeric_answer_up_to_ten_to_the_1000_either_way_is_read_in_full():
+    assert canonical_answer("1e1000", AnswerFormat.NUMERIC).value == "1" + "0" * 1000
+    assert canonical_answer("-1e-1000", AnswerFormat.NUMERIC).value == "-0." + "0" * 999 + "1"
 
 
 def test_choice_label_extraction():

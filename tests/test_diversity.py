@@ -6,6 +6,7 @@ import pytest
 from breadth.core import Answer, AnswerFormat, canonical_answer
 from breadth.diversity import (
     Factor,
+    check_study,
     prediction_entropy,
     report_to_csv,
     run_factor_study,
@@ -229,3 +230,8 @@ def test_csv_layout_rows_datasets_columns_factors():
     assert lines[1].startswith("aqua-subset,0.0000,unsupported")
     assert lines[-1].startswith("#")  # unsupported-factor footnote
     assert "0.010-0.020" in lines[-1]
+
+
+def test_a_study_of_no_questions_is_refused():
+    with pytest.raises(ValueError, match="^factor study needs at least one question$"):
+        check_study([], [Factor.SAMPLING], 3)

@@ -54,12 +54,10 @@ def req(**kwargs) -> CompletionRequest:
 
 
 def _per_sample_requests(request: CompletionRequest):
-    """Each sample's own request, as :func:`cache_key` digests it: the request
-    itself with one sample, else one copy per sample with ``n_samples`` 1 and
-    the sample's index as ``sample_batch_id``."""
-    if request.n_samples == 1:
-        return [request]
-    return [replace(request, n_samples=1, sample_batch_id=i)
+    """Each sample's own request, as :func:`cache_key` digests it: sample i's
+    is a copy with ``n_samples`` 1 and ``sample_batch_id`` the request's
+    plus i (the request itself when it has one sample)."""
+    return [replace(request, n_samples=1, sample_batch_id=request.sample_batch_id + i)
             for i in range(request.n_samples)]
 
 
@@ -124,6 +122,20 @@ def test_longest_substring_wins_then_declaration_order():
     assert tie.complete(req(user_text="abcd")).texts == ("longest",)
     assert tie.complete(req(user_text="bcd")).texts == ("second",)
     assert tie.complete(req(user_text="xbc")).texts == ("third",)
+
+
+@pytest.mark.parametrize("script", ["rules", 3, None], ids=["string", "number", "null"])
+def test_a_script_neither_an_object_nor_a_list_is_refused(script):
+    with pytest.raises(ValueError, match="^expected an object or a list of rule objects, got "):
+        ScriptedBackend(script)
+
+
+def test_a_rule_whose_responses_is_one_string_answers_with_that_string():
+    for backend in (ScriptedBackend({"q": "only"}),
+                    ScriptedBackend([{"match": "q", "responses": "only"}])):
+        assert backend.complete(req(user_text="q")).texts == ("only",)
+        with pytest.raises(LlmIoError, match="rule 'q' has 0 responses left, needs 1"):
+            backend.complete(req(user_text="q"))
 
 
 def test_multi_sample_request_yields_n_texts():
@@ -288,8 +300,8 @@ def test_call_rounds_its_latency_to_the_nearest_millisecond(monkeypatch):
     clock = iter([10.0, 10.0026])
     with monkeypatch.context() as patched:
         patched.setattr(breadth.llmio.time, "monotonic", lambda: next(clock))
-        response, latency_ms = call(_FixedTexts(["t"]), "q", 1.0)
-    assert response.texts == ("t",) and latency_ms == 3
+        [(text, usage, latency_ms)] = call(_FixedTexts(["t"]), "q", 1.0)
+    assert (text, usage, latency_ms) == ("t", Usage(5, 7), 3)
 
 
 def test_call_under_a_deterministic_backend_reads_no_clock(monkeypatch):
@@ -299,8 +311,22 @@ def test_call_under_a_deterministic_backend_reads_no_clock(monkeypatch):
     backend = _FixedTexts(["t"])
     backend.deterministic = True
     monkeypatch.setattr(breadth.llmio.time, "monotonic", no_clock)
-    response, latency_ms = call(backend, "q", 1.0)
-    assert response.texts == ("t",) and latency_ms == 0
+    [(text, usage, latency_ms)] = call(backend, "q", 1.0)
+    assert (text, usage, latency_ms) == ("t", Usage(5, 7), 0)
+
+
+def test_call_charges_each_sample_its_share_and_sample_0_the_milliseconds(monkeypatch):
+    clock = iter([10.0, 10.004])
+    monkeypatch.setattr(breadth.llmio.time, "monotonic", lambda: next(clock))
+    samples = call(_FixedTexts(["a", "b", "c"], usage=Usage(5, 7)), "q", 1.0, n_samples=3)
+    assert samples == [("a", Usage(5, 3), 4), ("b", Usage(0, 2), 0), ("c", Usage(0, 2), 0)]
+
+
+@pytest.mark.parametrize("n_texts", [0, 2], ids=["none", "one-too-many"])
+def test_call_refuses_a_response_without_one_text_per_sample(n_texts):
+    backend = _FixedTexts(["t"] * n_texts)
+    with pytest.raises(LlmIoError, match=f"expected 1 samples, got {n_texts}"):
+        call(backend, "q", 1.0)
 
 
 @pytest.mark.parametrize("n_texts", [1, 2, 4], ids=["short", "short-by-one", "long"])

@@ -96,6 +96,15 @@ def test_blank_variants_are_regenerated():
     assert reformulate("anything", spec, backend) == ["Usable rewording"]
 
 
+def test_a_variant_blank_after_every_retry_is_the_stem_with_its_choices():
+    # Three blank rewrites use the whole retry budget of one variant.
+    text = "How many legs has a cat?\nAnswer Choices: (A) 2 (B) 4"
+    backend = ScriptedBackend({QUESTION_INSTRUCTION: ["", " ", "\n"]})
+    spec = ReformulationSpec(ReformulationTarget.QUESTION, 1)
+    assert reformulate(text, spec, backend) == [text]
+    assert len(backend.calls) == 3
+
+
 def test_choice_block_is_never_rewritten():
     text = ("How many toys? Answer Choices: (A) 15 (B) 16 (C) 17")
     stem, block = split_choice_block(text)
