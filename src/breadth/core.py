@@ -18,7 +18,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Collection, List, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -241,35 +241,30 @@ def _canonical_decimal(token: str) -> Optional[str]:
     return text
 
 
-def _canonical_numeric(raw: str) -> Optional[str]:
-    # The first number token, read across currency and percent signs (so
-    # "-$5" is -5); the search skips any prefix such as "about" or "≈".
-    match = _NUMBER_TOKEN.search(raw.replace("$", "").replace("%", ""))
-    return None if match is None else _canonical_decimal(match.group(0))
+def number_tokens(text: str) -> List[str]:
+    """The number tokens of ``text`` in order, read across currency and
+    percent signs (so "-$5" is -5), skipping any prefix such as "about"."""
+    return _NUMBER_TOKEN.findall(text.replace("$", "").replace("%", ""))
 
 
-def _canonical_choice(raw: str) -> Optional[str]:
-    text = raw.strip().strip(_TERMINAL_PUNCT).strip()
-    if len(text) == 1 and text.isalpha():
-        return text.upper()
-    match = _PAREN_LABEL.search(text)
-    if match:
-        return match.group(1).upper()
-    match = _STANDALONE_UPPER.search(text)
-    if match:
-        return match.group(1)
-    return None
+def yes_no_tokens(text: str) -> List[str]:
+    """The words ``yes`` and ``no`` in ``text`` in order, lower-cased."""
+    return _YES_NO.findall(text.lower())
 
 
-def _canonical_yes_no(raw: str) -> Optional[str]:
-    match = _YES_NO.search(raw.lower())
-    return match.group(1) if match else None
+def paren_labels(text: str, labels: Optional[Collection[str]] = None) -> List[str]:
+    """The parenthesized letters of ``text`` in order, upper-cased; with
+    ``labels`` (upper-case letters), only those among them."""
+    return [l for l in map(str.upper, _PAREN_LABEL.findall(text))
+            if labels is None or l in labels]
 
 
-def _canonical_free_form(raw: str) -> Optional[str]:
-    text = " ".join(raw.split()).strip().strip('"').strip()
-    text = text.rstrip(_TERMINAL_PUNCT).strip().lower()
-    return text or None
+def choice_label(text: str, labels: Optional[Collection[str]] = None) -> Optional[str]:
+    """The first parenthesized letter of ``text``, else its first standalone
+    capital; with ``labels`` (upper-case letters), the first among them."""
+    found = paren_labels(text, labels) or [
+        l for l in _STANDALONE_UPPER.findall(text) if labels is None or l in labels]
+    return found[0] if found else None
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -282,13 +277,16 @@ def canonical_answer(raw: str, fmt: AnswerFormat) -> Answer:
     plain-``str`` ``fmt`` is kept as the answer's ``kind``.
     """
     if fmt == AnswerFormat.NUMERIC:
-        value = _canonical_numeric(raw)
+        tokens = number_tokens(raw)
+        value = _canonical_decimal(tokens[0]) if tokens else None
     elif fmt == AnswerFormat.MULTIPLE_CHOICE:
-        value = _canonical_choice(raw)
+        text = raw.strip().strip(_TERMINAL_PUNCT).strip()
+        value = text.upper() if len(text) == 1 and text.isalpha() else choice_label(text)
     elif fmt == AnswerFormat.YES_NO:
-        value = _canonical_yes_no(raw)
+        value = (yes_no_tokens(raw) or [None])[0]
     else:
-        value = _canonical_free_form(raw)
+        text = " ".join(raw.split()).strip().strip('"').strip()
+        value = text.rstrip(_TERMINAL_PUNCT).strip().lower() or None
     if value is None:
         return Answer.abstained(fmt)
     return Answer(kind=fmt, value=value)

@@ -1,10 +1,13 @@
 """Answer extraction from raw prediction text, and majority voting.
 
-Extraction is a deterministic cascade: (1) parse what follows the last
-answer-trigger phrase, (2) per-format positional fallbacks, (3) abstain.
-Trigger phrases ship as data (``data/answer_triggers.json``) so they can be
-extended without code changes; within a text the last occurrence wins, since
-models often restate their answer.
+Extraction decides only where to look and which token to take; ``core``
+says what a token is (a number, yes/no, a choice label), by the same
+readers that ``canonical_answer`` uses. It is a deterministic cascade: (1)
+the first token after the last answer-trigger phrase, (2) per-format
+positional fallbacks, mostly the last token, (3) abstain. Trigger phrases
+ship as data (``data/answer_triggers.json``) so they can be extended without
+code changes; within a text the last occurrence wins, since models often
+restate their answer.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 from .core import (
-    _NUMBER_TOKEN,
-    _PAREN_LABEL,
-    _YES_NO,
     CHOICE_LABELS,
     Answer,
     AnswerFormat,
     VoteResult,
     canonical_answer,
+    choice_label,
+    number_tokens,
+    paren_labels,
+    yes_no_tokens,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,20 +63,6 @@ def _after_last_trigger(text: str, fmt: AnswerFormat) -> Optional[str]:
     return text[best_end:]
 
 
-def _label_in(fragment: str, labels: Sequence[str]) -> Optional[str]:
-    label_set = {l.upper() for l in labels}
-    for match in _PAREN_LABEL.finditer(fragment):
-        if match.group(1).upper() in label_set:
-            return match.group(1).upper()
-    standalone = re.compile(
-        r"(?<![A-Za-z0-9])([%s])(?![A-Za-z0-9])" % "".join(sorted(label_set))
-    )
-    match = standalone.search(fragment)
-    if match:
-        return match.group(1)
-    return None
-
-
 def _final_sentence(text: str) -> str:
     # Its one caller passes a text that is not blank.
     lines = [line for line in text.strip().splitlines() if line.strip()]
@@ -89,14 +79,13 @@ def _last_span(text: str) -> Optional[str]:
 
 
 def _parse_fragment(fragment: str, fmt: AnswerFormat, labels: Sequence[str]) -> Optional[str]:
+    # The first answer token after the trigger.
     if fmt == AnswerFormat.MULTIPLE_CHOICE:
-        return _label_in(fragment, labels)
+        return choice_label(fragment, labels)
     if fmt == AnswerFormat.NUMERIC:
-        match = _NUMBER_TOKEN.search(fragment)
-        return match.group(0) if match else None
+        return (number_tokens(fragment) or [None])[0]
     if fmt == AnswerFormat.YES_NO:
-        match = _YES_NO.search(fragment.lower())
-        return match.group(1) if match else None
+        return (yes_no_tokens(fragment) or [None])[0]
     span = _last_span(fragment)
     if span:
         return span
@@ -105,22 +94,19 @@ def _parse_fragment(fragment: str, fmt: AnswerFormat, labels: Sequence[str]) -> 
 
 
 def _fallback(text: str, fmt: AnswerFormat, labels: Sequence[str]) -> Optional[str]:
+    # No trigger, or nothing after the last one: mostly the reply's last token.
     if fmt == AnswerFormat.MULTIPLE_CHOICE:
-        label_set = {l.upper() for l in labels}
-        found = [m.group(1).upper() for m in _PAREN_LABEL.finditer(text)
-                 if m.group(1).upper() in label_set]
+        found = paren_labels(text, labels)
         if found:
             return found[-1]
         # The request ends with the trigger, so a reply that opens with a
         # bare label ("B.", "B) 16", "C: 42" or "B" alone) is that label.
         match = _OPENING_LABEL.match(text)
-        return match.group(1) if match and match.group(1) in label_set else None
+        return match.group(1) if match and match.group(1) in labels else None
     if fmt == AnswerFormat.NUMERIC:
-        numbers = _NUMBER_TOKEN.findall(_final_sentence(text))
-        return numbers[-1] if numbers else None
+        return (number_tokens(_final_sentence(text)) or [None])[-1]
     if fmt == AnswerFormat.YES_NO:
-        tokens = _YES_NO.findall(text.lower())
-        return tokens[-1] if tokens else None
+        return (yes_no_tokens(text) or [None])[-1]
     span = _last_span(text)
     if span:
         return span

@@ -76,6 +76,34 @@ def test_numeric_accepts_separators_and_approx():
                           AnswerFormat.NUMERIC).value == "15.8114"
 
 
+def test_numeric_reads_a_number_across_currency_and_percent_signs():
+    # After a trigger the first number, in the fallback the final sentence's
+    # last one, each read as canonical_answer reads it.
+    text = "Therefore, the answer (arabic numerals) is -$5."
+    assert extract_answer(text, AnswerFormat.NUMERIC).value == "-5"
+    assert extract_answer("So she is down -$12.", AnswerFormat.NUMERIC).value == "-12"
+    assert extract_answer("the answer is 50%", AnswerFormat.NUMERIC).value == "50"
+    assert extract_answer("So the discount is 50%.", AnswerFormat.NUMERIC).value == "50"
+
+
+def test_a_trigger_fragment_reads_as_canonical_answer_reads_it():
+    # Random texts of numbers, signs, separators and yes/no, with no trigger
+    # phrase: what follows a trigger parses to the text's canonical answer.
+    rng = random.Random(40)
+    pieces = ["-", "+", "$", "%", ",", ".", " ", "0", "7", "12", "3.5", "yes", "no", "Yes", "NO"]
+    triggers = {AnswerFormat.NUMERIC: "Therefore, the answer (arabic numerals) is",
+                AnswerFormat.YES_NO: "Therefore, the answer (Yes or No) is"}
+    checked = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 10)))
+        for fmt, trigger in triggers.items():
+            expected = canonical_answer(text, fmt)
+            if not expected.abstain:
+                checked += 1
+                assert extract_answer(trigger + " " + text, fmt) == expected, (text, fmt)
+    assert checked > 3000
+
+
 def test_yes_no_last_token():
     text = "No wait. Considering the flips, the coin is heads up. So yes."
     assert extract_answer(text, AnswerFormat.YES_NO).value == "yes"
@@ -114,6 +142,10 @@ EXTRACTION_CASES = [
     ("All apples. None counted.", AnswerFormat.NUMERIC, None),
     ("the answer is $3,000", AnswerFormat.NUMERIC, None),
     ("the answer is approximately 15.8114", AnswerFormat.NUMERIC, None),
+    ("Therefore, the answer (arabic numerals) is -$5.", AnswerFormat.NUMERIC, None),
+    ("So she is down -$12.", AnswerFormat.NUMERIC, None),
+    ("the answer is 50%", AnswerFormat.NUMERIC, None),
+    ("So the discount is 50%.", AnswerFormat.NUMERIC, None),
     ("No wait. Considering the flips, the coin is heads up. So yes.", AnswerFormat.YES_NO, None),
     ("Therefore, the answer (Yes or No) is No.", AnswerFormat.YES_NO, None),
     ('the answer is "nkls".', AnswerFormat.FREE_FORM, None),

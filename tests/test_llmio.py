@@ -638,6 +638,7 @@ def test_store_holds_one_append_descriptor_until_it_is_dropped(tmp_path, monkeyp
         return len(os.listdir("/proc/self/fd"))
 
     path = tmp_path / "cache.jsonl"
+    gc.collect()  # so a store an earlier test left in a garbage cycle is not counted
     before = open_count()
     store = ReplayStore(str(path))
     assert open_count() == before  # opening holds none
