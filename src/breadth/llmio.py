@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import logging
 import math
 import os
@@ -16,14 +17,12 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from .core import Usage, check_json_fields, check_temperature, json_string
 # Also importable as breadth.llmio.ReplayStore, the name perfbench/ wraps.
 from .store import ReplayStore
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +38,10 @@ BACKEND_REPLAY_HIT = "replay_hit"
 MAX_IN_FLIGHT = 4
 
 # The live backend's one retry policy, for transient failures only: up to
-# four attempts, backing off 0.5 s and doubling per attempt to at most 8 s.
+# four attempts, backing off 0.5 s and doubling per attempt to at most 8 s,
+# or waiting out a 429's Retry-After up to 60 s.
 MAX_ATTEMPTS = 4
+MAX_RETRY_AFTER = 60.0
 
 
 def retry_delay(attempt: int) -> float:
@@ -50,16 +51,13 @@ def retry_delay(attempt: int) -> float:
 class LlmIoError(Exception):
     """A failed backend call, its message naming the cause: a malformed
     response, a replay cache miss, a script with no rule or response left.
-    Only its two subclasses are retried, by :class:`LiveBackend`."""
+    Only a :class:`NetworkError` is retried, by :class:`LiveBackend`."""
 
 
 class NetworkError(LlmIoError):
-    """Transport-level failure; retryable with backoff."""
-
-
-class RateLimitedError(LlmIoError):
-    """HTTP 429; ``retry_after`` is the server's delay in seconds, or None
-    when it gave none that parses."""
+    """A transient failure, retried with backoff: the transport failed, the
+    server erred (5xx) or it rate-limited the call (429). ``retry_after`` is
+    a 429's delay in seconds, or None when it gave none that parses."""
 
     def __init__(self, message: str, retry_after: Optional[float] = None):
         super().__init__(message)
@@ -235,48 +233,111 @@ class TokenBucketLimiter:
         return False
 
 
+# A transport posts a body to a URL and returns the reply's status, headers
+# and body; the default one is an :class:`HttpTransport`.
+Transport = Callable[[str, bytes, Mapping[str, str], float],
+                     Tuple[int, Mapping[str, str], bytes]]
+
+
+class _KeptConnection:
+    """A thread's keep-alive connection and the origin it was opened to,
+    closed when another origin's replaces it or its thread ends."""
+
+    def __init__(self, origin: tuple, conn):
+        self.origin = origin
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
+class HttpTransport:
+    """The default transport: an HTTP/1.1 POST over the calling thread's
+    keep-alive connection to the URL's origin, an ``https`` one verified by
+    the default TLS context. A failed exchange closes the connection and is
+    a :class:`NetworkError`, except on a kept connection the server closed:
+    one whose close arrived while it idled is reopened before the request
+    is sent, and one whose close crossed the request sends it again."""
+
+    def __init__(self):
+        self._kept = threading.local()  # the thread's _KeptConnection, as ``connection``
+
+    def __call__(self, url: str, body: bytes, headers: Mapping[str, str],
+                 timeout: float) -> Tuple[int, Mapping[str, str], bytes]:
+        import http.client  # here, not at the top: only live calls speak HTTP
+        import select
+
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.hostname, parts.port, timeout)
+        kept = getattr(self._kept, "connection", None)
+        if kept is None or kept.origin != origin:
+            opener = (http.client.HTTPSConnection if parts.scheme == "https"
+                      else http.client.HTTPConnection)
+            kept = self._kept.connection = _KeptConnection(
+                origin, opener(parts.hostname, parts.port, timeout=timeout))
+        conn = kept.conn
+        # No reply comes unasked, so a kept socket that polls readable holds
+        # the server's close. A closed connection reconnects on its next request.
+        reused = conn.sock is not None and not select.select([conn.sock], [], [], 0)[0]
+        if not reused:
+            conn.close()
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        while True:
+            try:
+                conn.request("POST", target, body, headers)
+                reply = conn.getresponse()
+                return reply.status, reply.headers, reply.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                # A close that crossed the request on a kept connection:
+                # resend once on a new one, at no attempt's cost.
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise NetworkError(f"{type(exc).__name__}: {exc}") from exc
+                reused = False
+
+
 class LiveBackend(Backend):
     """HTTP client for any endpoint speaking the common chat-completion JSON
     schema (a messages array holding the user message, ``temperature``,
-    ``n``).
+    ``n``), posting through ``transport``, a new :class:`HttpTransport`
+    unless one is given.
 
     Credentials come from the ``BREADTH_API_KEY`` env var unless passed
-    explicitly. A multi-sample request goes out as one call with ``n``.
+    explicitly. A multi-sample request goes out as one call with ``n``. A
+    base URL that is not ``http`` or ``https`` naming a host, or whose port
+    is not a number from 1 to 65535, is a ``ValueError``.
     """
 
     def __init__(self, base_url: str, api_key: Optional[str] = None,
                  model: str = DEFAULT_MODEL, timeout: float = 60.0,
                  limiter: Optional[TokenBucketLimiter] = None,
-                 session: Optional[requests.Session] = None,
+                 transport: Optional[Transport] = None,
                  sleep: Callable[[float], None] = time.sleep):
-        self.base_url = base_url.rstrip("/")
+        parts = urlsplit(base_url)
+        # A port that is not a number reads as a ValueError of its own.
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+            raise ValueError(f"base URL {base_url!r} is not an http:// or https:// URL "
+                             "naming a host")
+        self.url = f"{base_url.rstrip('/')}/chat/completions"
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.model = model
         self.timeout = timeout
         self.limiter = limiter or TokenBucketLimiter()
-        if session is None:
-            import requests  # here, not at the top: only live calls use requests
-
-            session = requests.Session()
-        self.session = session
+        self.transport = transport or HttpTransport()
         self._sleep = sleep
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        last_error: Optional[Exception] = None
         for attempt in range(MAX_ATTEMPTS):
             try:
                 with self.limiter:
                     return self._post(req)
-            except RateLimitedError as exc:
-                last_error = exc
-                delay = retry_delay(attempt) if exc.retry_after is None else exc.retry_after
             except NetworkError as exc:
-                last_error = exc
-                delay = retry_delay(attempt)
+                error = exc
             if attempt + 1 < MAX_ATTEMPTS:  # no wait once no attempt is left
-                logger.warning("%s, retrying in %.1fs", last_error, delay)
+                delay = retry_delay(attempt) if error.retry_after is None else error.retry_after
+                logger.warning("%s, retrying in %.1fs", error, delay)
                 self._sleep(delay)
-        raise NetworkError(f"gave up after {MAX_ATTEMPTS} attempts: {last_error}")
+        raise NetworkError(f"gave up after {MAX_ATTEMPTS} attempts: {error}")
 
     def _post(self, req: CompletionRequest) -> CompletionResponse:
         payload = {
@@ -285,25 +346,19 @@ class LiveBackend(Backend):
             "temperature": req.temperature,
             "n": req.n_samples,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        import requests
-
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        headers = {"Authorization": f"Bearer {self.api_key}",
+                   "Content-Type": "application/json"}
+        status, reply_headers, content = self.transport(self.url, body, headers, self.timeout)
+        if status == 429:
+            raise NetworkError("rate limited by server",
+                               retry_after=_delay_seconds(reply_headers.get("Retry-After")))
+        if status >= 500:
+            raise NetworkError(f"server error {status}")
+        if status != 200:
+            raise LlmIoError(f"HTTP {status}: {content.decode('utf-8', 'replace')[:200]}")
         try:
-            resp = self.session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload, headers=headers, timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise NetworkError(str(exc)) from exc
-        if resp.status_code == 429:
-            raise RateLimitedError("rate limited by server",
-                                   retry_after=_delay_seconds(resp.headers.get("Retry-After")))
-        if resp.status_code >= 500:
-            raise NetworkError(f"server error {resp.status_code}")
-        if resp.status_code != 200:
-            raise LlmIoError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            data = resp.json()
+            data = json.loads(content)
             choices = sorted(data["choices"], key=lambda c: c.get("index", 0))
             texts = tuple(c["message"]["content"] for c in choices)
             # An absent or null usage reads as zeros; a usage that is not an
@@ -313,19 +368,18 @@ class LiveBackend(Backend):
             raise LlmIoError(f"unparseable response body: {exc}") from exc
         if not all(isinstance(text, str) for text in texts):
             raise LlmIoError("a choice's content is not a string")
-        if len(texts) != req.n_samples:
-            raise LlmIoError(f"expected {req.n_samples} samples, got {len(texts)}")
         return CompletionResponse(texts=texts, usage=usage, backend=BACKEND_LIVE)
 
 
 def _delay_seconds(header: Optional[str]) -> Optional[float]:
-    """A Retry-After header's delay in seconds, or None when it is absent or
-    not a non-negative number (RFC 9110 also allows an HTTP-date)."""
+    """A Retry-After header's delay in seconds, at most ``MAX_RETRY_AFTER``,
+    or None when it is absent or not a non-negative number (RFC 9110 also
+    allows an HTTP-date)."""
     try:
         seconds = float(header)
     except (TypeError, ValueError):
         return None
-    return seconds if math.isfinite(seconds) and seconds >= 0 else None
+    return min(seconds, MAX_RETRY_AFTER) if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class ScriptedBackend(Backend):

@@ -722,9 +722,8 @@ def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
 
 
 
-class _SessionThatFails:
-    def post(self, *args, **kwargs):
-        pytest.fail("a refused run sent a request")
+def _transport_that_fails(url, body, headers, timeout):
+    pytest.fail("a refused run sent a request")
 
 
 def test_record_onto_a_cache_another_writer_holds_exits_2_before_any_call(
@@ -732,13 +731,26 @@ def test_record_onto_a_cache_another_writer_holds_exits_2_before_any_call(
     cache = tmp_path / "cache.jsonl"
     monkeypatch.setenv(API_KEY_ENV, "k")
     monkeypatch.setattr(cli, "LiveBackend",
-                        functools.partial(LiveBackend, session=_SessionThatFails()))
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
     with AppendLog(str(cache)):
         code = main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
                      "--record", str(cache), "--runs-dir", str(tmp_path / "runs")])
     assert code == 2
     assert f"held by another writer: '{cache}'" in capsys.readouterr().err
     assert cache.read_bytes() == b"" and not (tmp_path / "runs").exists()
+
+
+def test_a_base_url_with_no_scheme_exits_2_before_any_call(tmp_path, monkeypatch, capsys):
+    # Each call once failed 4 times, waiting 3.5 s, and the run exited 0.
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
+    code = main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "cot",
+                 "--base-url", "example.test/v1", "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert ("base URL 'example.test/v1' is not an http:// or https:// URL naming a host"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("refused, message", [
@@ -758,7 +770,7 @@ def test_a_refused_command_opens_no_record_cache(tmp_path, monkeypatch, capsys, 
         refused = refused + ["--subset", str(subset)]
     monkeypatch.setenv(API_KEY_ENV, "k")
     monkeypatch.setattr(cli, "LiveBackend",
-                        functools.partial(LiveBackend, session=_SessionThatFails()))
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
     fresh = tmp_path / "fresh.jsonl"
     assert main(refused + ["--record", str(fresh)]) == 2
     assert message in capsys.readouterr().err
@@ -1135,7 +1147,7 @@ def test_a_refused_run_opens_no_record_cache_and_writes_no_replay_index(
                "--runs-dir", str(tmp_path / "runs"), "--run-id", "r"]
     monkeypatch.setenv(API_KEY_ENV, "k")
     monkeypatch.setattr(cli, "LiveBackend",
-                        functools.partial(LiveBackend, session=_SessionThatFails()))
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
     fresh, torn, replay = (tmp_path / f"{name}.jsonl" for name in ("fresh", "torn", "replay"))
     for cache in (torn, replay):
         RecordingBackend(ScriptedBackend({"q": ["a"]}), ReplayStore(str(cache))).complete(
@@ -1235,11 +1247,11 @@ def test_invalid_json_input_file_exits_2_naming_the_file(tmp_path, capsys, flag)
 
 # Run in a fresh interpreter, so no module this test process imported counts.
 _OFFLINE_IMPORTS = """
-import sys
+import socket, sys
 from breadth.cli import main
 
 def assert_not_loaded(step):
-    loaded = [m for m in ("numpy", "requests") if m in sys.modules]
+    loaded = [m for m in ("numpy", "requests", "http.client", "ssl") if m in sys.modules]
     assert not loaded, f"{step} loaded {loaded}"
 
 mock_script, cache, runs = sys.argv[1:]
@@ -1258,20 +1270,19 @@ assert_not_loaded("report")
 assert main(["votemodel", "--p", "0.6", "--n", "2", "--m", "2", "--trials", "100"]) == 0
 assert "numpy" in sys.modules
 
-import requests
 from breadth.llmio import CompletionRequest, LiveBackend, NetworkError
 
-live = LiveBackend("https://example.test/v1", api_key="k")
-assert isinstance(live.session, requests.Session)
-def refuse(*args, **kwargs):
-    raise requests.ConnectionError("refused")
-live.session.post = refuse
+with socket.socket() as probe:  # a loopback port nothing listens on
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+live = LiveBackend(f"http://127.0.0.1:{port}/v1", api_key="k")
 try:
     live._post(CompletionRequest(model="m", user_text="q"))
 except NetworkError as exc:
     assert "refused" in str(exc)
 else:
     raise AssertionError("no NetworkError")
+assert "requests" not in sys.modules and "http.client" in sys.modules
 """
 
 
@@ -1292,3 +1303,25 @@ def test_offline_commands_load_neither_numpy_nor_requests(tmp_path):
     for run_id in ("mock", "replay"):
         summary = json.loads((tmp_path / "runs" / run_id / "summary.json").read_text())
         assert [o.get("error") for o in summary["outcomes"]] == [None, None]
+
+
+# Imports every module of the package in a fresh interpreter, and prints
+# the top-level names of the modules that loaded.
+_PACKAGE_IMPORTS = """
+import pkgutil, sys
+before = set(sys.modules)
+import breadth
+for module in pkgutil.iter_modules(breadth.__path__):
+    __import__(f"breadth.{module.name}")
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_every_breadth_module_imports_only_the_standard_library():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["breadth"].__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_IMPORTS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"breadth"}, loaded

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import hashlib
@@ -6,11 +7,13 @@ import math
 import os
 import random
 import re
+import socket
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -24,8 +27,11 @@ from breadth.llmio import (
     Backend,
     CompletionRequest,
     CompletionResponse,
+    HttpTransport,
     LiveBackend,
     LlmIoError,
+    MAX_ATTEMPTS,
+    MAX_RETRY_AFTER,
     NetworkError,
     RecordingBackend,
     ReplayBackend,
@@ -1369,27 +1375,19 @@ def test_requests_are_built_and_sent_only_in_llmio():
 # ---------------------------------------------------------------- live HTTP
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, body=None, headers=None, raw_text=""):
-        self.status_code = status_code
-        self._body = body
-        self.headers = headers or {}
-        self.text = raw_text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("not json")
-        return self._body
+def _reply(status=200, body=None, headers=None, raw_text=""):
+    """A transport's answer: ``body`` as JSON, else ``raw_text``."""
+    return status, headers or {}, (raw_text if body is None else json.dumps(body)).encode()
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
+class FakeTransport:
+    def __init__(self, replies):
+        self.replies = list(replies)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers})
-        item = self.responses.pop(0)
+    def __call__(self, url, body, headers, timeout):
+        self.posts.append({"url": url, "json": json.loads(body), "headers": headers})
+        item = self.replies.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
@@ -1402,10 +1400,10 @@ def _ok_body(texts, prompt_tokens=7, completion_tokens=9):
     }
 
 
-def _live(session):
+def _live(transport, base_url="https://example.test/v1"):
     sleeps = []
     backend = LiveBackend(
-        "https://example.test/v1", api_key="k", session=session,
+        base_url, api_key="k", transport=transport,
         limiter=TokenBucketLimiter(max_concurrent=2, requests_per_minute=6000),
         sleep=sleeps.append,
     )
@@ -1413,42 +1411,53 @@ def _live(session):
 
 
 def test_live_retries_server_errors_then_succeeds():
-    session = FakeSession([
-        FakeResponse(status_code=500),
-        FakeResponse(status_code=503),
-        FakeResponse(body=_ok_body(["done"])),
+    transport = FakeTransport([
+        _reply(500),
+        _reply(503),
+        _reply(body=_ok_body(["done"])),
     ])
-    backend, sleeps = _live(session)
+    backend, sleeps = _live(transport)
     response = backend.complete(req(user_text="q"))
     assert response.texts == ("done",)
-    assert len(session.posts) == 3
+    assert len(transport.posts) == 3
     assert len(sleeps) == 2
 
 
 def test_live_honors_retry_after_on_429():
-    session = FakeSession([
-        FakeResponse(status_code=429, headers={"Retry-After": "2.5"}),
-        FakeResponse(body=_ok_body(["done"])),
+    transport = FakeTransport([
+        _reply(429, headers={"Retry-After": "2.5"}),
+        _reply(body=_ok_body(["done"])),
     ])
-    backend, sleeps = _live(session)
+    backend, sleeps = _live(transport)
     assert backend.complete(req(user_text="q")).texts == ("done",)
     assert sleeps == [2.5]
 
 
+def test_live_waits_at_most_max_retry_after_on_429():
+    # time.sleep(1e10) raises OverflowError, which no failure policy catches.
+    transport = FakeTransport([
+        _reply(429, headers={"Retry-After": "1e10"}),
+        _reply(body=_ok_body(["done"])),
+    ])
+    backend, sleeps = _live(transport)
+    assert backend.complete(req(user_text="q")).texts == ("done",)
+    assert sleeps == [60.0] == [MAX_RETRY_AFTER]
+
+
 def test_live_falls_back_to_policy_delay_when_retry_after_is_a_date():
     # RFC 9110 allows an HTTP-date in place of a number of seconds.
-    session = FakeSession([
-        FakeResponse(status_code=429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
-        FakeResponse(body=_ok_body(["done"])),
+    transport = FakeTransport([
+        _reply(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        _reply(body=_ok_body(["done"])),
     ])
-    backend, sleeps = _live(session)
+    backend, sleeps = _live(transport)
     assert backend.complete(req(user_text="q")).texts == ("done",)
     assert sleeps == [retry_delay(0)]
 
 
 def test_live_reads_null_usage_as_zero():
     body = {**_ok_body(["done"]), "usage": None}
-    backend, _ = _live(FakeSession([FakeResponse(body=body)]))
+    backend, _ = _live(FakeTransport([_reply(body=body)]))
     response = backend.complete(req(user_text="q"))
     assert response.texts == ("done",)
     assert response.usage == Usage()
@@ -1458,42 +1467,43 @@ _UNPARSEABLE = "unparseable response body: "
 
 
 @pytest.mark.parametrize("response, message", [
-    (FakeResponse(status_code=400, raw_text="bad request"), "HTTP 400: bad request"),
-    (FakeResponse(status_code=200, body=None, raw_text="not json"), _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["only one"])), "expected 2 samples, got 1"),
-    (FakeResponse(status_code=200, body={**_ok_body(["x", "y"]), "usage": "n/a"}), _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=None)), _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["x", None])),
+    (_reply(400, raw_text="bad request"), "HTTP 400: bad request"),
+    (_reply(200, body=None, raw_text="not json"), _UNPARSEABLE),
+    (_reply(200, body={**_ok_body(["x", "y"]), "usage": "n/a"}), _UNPARSEABLE),
+    (_reply(200, body=_ok_body(["x", "y"], prompt_tokens=None)), _UNPARSEABLE),
+    (_reply(200, body=_ok_body(["x", None])),
      "a choice's content is not a string"),
     # Token counts must be JSON ints >= 0, or --record would store a record
     # that replay refuses to serve.
-    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens="12")), _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], prompt_tokens=1.9)), _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=True)),
+    (_reply(200, body=_ok_body(["x", "y"], prompt_tokens="12")), _UNPARSEABLE),
+    (_reply(200, body=_ok_body(["x", "y"], prompt_tokens=1.9)), _UNPARSEABLE),
+    (_reply(200, body=_ok_body(["x", "y"], completion_tokens=True)),
      _UNPARSEABLE),
-    (FakeResponse(status_code=200, body=_ok_body(["x", "y"], completion_tokens=-5)),
+    (_reply(200, body=_ok_body(["x", "y"], completion_tokens=-5)),
      _UNPARSEABLE),
-], ids=[f"response{i}" for i in range(10)])
+    # A response of too few samples (response2 once) is refused by ``call``
+    # and by RecordingBackend, not here.
+], ids=[f"response{i}" for i in range(10) if i != 2])
 def test_live_never_retries_malformed(response, message):
-    session = FakeSession([response, FakeResponse(body=_ok_body(["x", "y"]))])
-    backend, _ = _live(session)
+    transport = FakeTransport([response, _reply(body=_ok_body(["x", "y"]))])
+    backend, _ = _live(transport)
     with pytest.raises(LlmIoError, match=re.escape(message)):
         backend.complete(req(user_text="q", n_samples=2))
-    assert len(session.posts) == 1
+    assert len(transport.posts) == 1
 
 
 def test_live_null_content_fails_only_its_question(tmp_path):
     # A choice whose content is null must be a malformed response, which the
     # run records as that question's failure.
-    class ByText:
-        def post(self, url, json=None, headers=None, timeout=None):
-            user_text = json["messages"][-1]["content"]
-            content = None if user_text.startswith("Probe 0.") else "the answer is (A)"
-            return FakeResponse(body=_ok_body([content] * json["n"]))
+    def by_text(url, body, headers, timeout):
+        request = json.loads(body)
+        user_text = request["messages"][-1]["content"]
+        content = None if user_text.startswith("Probe 0.") else "the answer is (A)"
+        return _reply(body=_ok_body([content] * request["n"]))
 
     questions = [mc_question(f"q{i}", f"Probe {i}. Answer Choices: (A) x (B) y", "A")
                  for i in range(2)]
-    backend, _ = _live(ByText())
+    backend, _ = _live(by_text)
     record = run_experiment("toy", questions, default_config(StrategyKind.COT), backend,
                             runs_dir=str(tmp_path), run_id="null-content")
     failed, answered = record.outcomes
@@ -1502,31 +1512,31 @@ def test_live_null_content_fails_only_its_question(tmp_path):
 
 
 def test_live_gives_up_after_bounded_attempts():
-    session = FakeSession([FakeResponse(status_code=500)] * 5)
-    backend, _ = _live(session)
+    transport = FakeTransport([_reply(500)] * 5)
+    backend, _ = _live(transport)
     with pytest.raises(NetworkError):
         backend.complete(req(user_text="q"))
-    assert len(session.posts) == 4
+    assert len(transport.posts) == 4
 
 
 @pytest.mark.parametrize("failure", [
-    FakeResponse(status_code=500),
-    FakeResponse(status_code=429),
+    _reply(500),
+    _reply(429),
 ], ids=["server-error", "rate-limited"])
 def test_live_does_not_wait_after_its_last_attempt(failure):
-    session = FakeSession([failure] * 4)
-    backend, sleeps = _live(session)
+    transport = FakeTransport([failure] * 4)
+    backend, sleeps = _live(transport)
     with pytest.raises(NetworkError):
         backend.complete(req(user_text="q"))
-    assert len(session.posts) == 4
+    assert len(transport.posts) == 4
     assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_live_wire_format():
-    session = FakeSession([FakeResponse(body=_ok_body(["ok"]))])
-    backend, _ = _live(session)
+    transport = FakeTransport([_reply(body=_ok_body(["ok"]))])
+    backend, _ = _live(transport)
     backend.complete(req(user_text="question", temperature=0.8))
-    post = session.posts[0]
+    post = transport.posts[0]
     assert post["url"].endswith("/chat/completions")
     assert post["headers"]["Authorization"] == "Bearer k"
     # The user message alone: no system message is sent.
@@ -1534,6 +1544,121 @@ def test_live_wire_format():
     assert post["json"]["temperature"] == 0.8
     assert post["json"]["n"] == 1
     assert set(post["json"]) == {"model", "messages", "temperature", "n"}
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless the server drops
+    disable_nagle_algorithm = True  # its reply's head and body are two writes
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.changed:
+            self.server.posts.append((self.path, dict(self.headers), body))
+        reply = json.dumps(_ok_body(["ok"] * json.loads(body)["n"])).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+        self.close_connection = self.server.drop  # with no Connection: close
+
+    def log_message(self, *args):
+        pass
+
+
+class _ChatServer(ThreadingHTTPServer):
+    """A loopback chat-completion server answering each POST with an "ok"
+    per sample. It keeps each request's path, headers and body, and counts
+    the connections it opened and closed; ``drop`` closes each one after
+    its reply. Leaving it closes every connection and joins its threads."""
+
+    def __init__(self, drop=False):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.drop = drop
+        self.posts, self.sockets = [], []
+        self.closed = 0
+        self.changed = threading.Condition()
+        self.thread = threading.Thread(target=self.serve_forever, args=(0.01,))
+        self.thread.start()
+
+    @property
+    def base_url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def process_request(self, request, client_address):
+        with self.changed:
+            self.sockets.append(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.changed:
+            self.closed += 1
+            self.changed.notify_all()
+
+    def wait_closed(self, count):
+        with self.changed:
+            assert self.changed.wait_for(lambda: self.closed >= count, timeout=10)
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self.thread.join()
+        for sock in self.sockets:  # wakes each handler still reading
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        super().__exit__(*exc)
+
+
+def test_each_thread_posts_over_one_kept_connection():
+    with _ChatServer() as server:
+        backend, sleeps = _live(HttpTransport(), server.base_url)
+        texts = []
+
+        def post_25():
+            texts.extend(backend.complete(req(user_text=f"q{i}")).texts for i in range(25))
+
+        threads = [threading.Thread(target=post_25) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert texts == [("ok",)] * 100 and sleeps == []
+        assert len(server.posts) == 100 and len(server.sockets) == 4
+
+
+@pytest.mark.parametrize("wait", [True, False], ids=["while-idle", "crossing-the-request"])
+def test_a_connection_the_server_closed_is_reopened_at_no_cost(wait):
+    # Waiting, each close reaches the idle connection before the next
+    # request; not waiting, the two may cross.
+    with _ChatServer(drop=True) as server:
+        backend, sleeps = _live(HttpTransport(), server.base_url)
+        for i in range(10):
+            assert backend.complete(req(user_text=f"q{i}")).texts == ("ok",)
+            if wait:
+                server.wait_closed(i + 1)
+        assert sleeps == [] and len(server.posts) == len(server.sockets) == 10
+
+
+def test_a_refused_connection_is_retried_then_given_up():
+    with socket.socket() as probe:  # a loopback port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    backend, sleeps = _live(HttpTransport(), f"http://127.0.0.1:{port}/v1")
+    with pytest.raises(NetworkError, match=f"gave up after {MAX_ATTEMPTS} attempts: "
+                                           "ConnectionRefusedError"):
+        backend.complete(req(user_text="q"))
+    assert sleeps == [0.5, 1.0, 2.0]
+
+
+def test_live_wire_format_on_the_loopback():
+    with _ChatServer() as server:
+        backend, _ = _live(HttpTransport(), server.base_url)
+        backend.complete(req(user_text="question", temperature=0.8))
+    [(path, headers, body)] = server.posts
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert set(json.loads(body)) == {"model", "messages", "temperature", "n"}
 
 
 def test_rate_limiter_waits_when_budget_exhausted():
