@@ -241,7 +241,8 @@ Transport = Callable[[str, bytes, Mapping[str, str], float],
 
 class _KeptConnection:
     """A thread's keep-alive connection and the origin it was opened to,
-    closed when another origin's replaces it or its thread ends."""
+    closed when another origin's replaces it, or its thread or transport
+    ends."""
 
     def __init__(self, origin: tuple, conn):
         self.origin = origin
