@@ -9,6 +9,7 @@ loads a scripted backend, and plain live mode needs ``BREADTH_API_KEY``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
@@ -20,6 +21,7 @@ from .core import (
     StopRule,
     StrategyConfig,
     StrategyKind,
+    canonical_json,
     default_config,
     parse_json,
 )
@@ -32,8 +34,6 @@ from .llmio import (
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
-    cache_key,
-    CompletionRequest,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
 from .store import AppendLog, ReplayStore, check_servable, read_json_lines, replaced
@@ -266,34 +266,35 @@ def _cmd_pilot_subset(args) -> int:
     return 0
 
 
+def _cache_verdict(record: dict) -> Optional[str]:
+    """What ``--verify`` says of a cache record: ``key mismatch`` unless its
+    key is the SHA-256 of its request's canonical JSON, else ``cannot
+    serve`` if a store could not serve it, else None."""
+    request = canonical_json(record.get("request")).encode("ascii")
+    if hashlib.sha256(request).hexdigest() != record["key"]:
+        return f"key mismatch: {record['key']}"
+    try:
+        check_servable(record)
+    except ValueError as exc:
+        return f"cannot serve: {exc}"
+    return None
+
+
 def _cmd_cache(args) -> int:
     if not os.path.exists(args.file):
         raise RuntimeError(f"no cache file at {args.file}")
-    # The full records, the last one for each key: the ones replay serves.
-    records = read_json_lines(args.file, "key")
-    last = {record["key"]: record for record in records}
+    # One pass, keeping per key only what --verify says of its last record:
+    # the one replay serves.
+    verdict = _cache_verdict if args.verify else lambda record: None
+    last = dict(read_json_lines(args.file, "key",
+                                keep=lambda record: (record["key"], verdict(record))))
     print(f"{len(last)} recorded responses in {args.file}")
     if args.verify:
-        bad = 0
-        for record in last.values():
-            try:
-                request = CompletionRequest.from_dict(record.get("request"))
-            except ValueError as exc:
-                bad += 1
-                print(f"bad request: {record['key']}: {exc}")
-                continue
-            # A stored request is one sample's, so it has exactly one key.
-            if cache_key(request) != (record["key"],):
-                bad += 1
-                print(f"key mismatch: {record['key']}")
-                continue
-            try:
-                check_servable(record)
-            except ValueError as exc:
-                bad += 1
-                print(f"cannot serve: {exc}")
+        bad = [message for message in last.values() if message is not None]
+        for message in bad:
+            print(message)
         if bad:
-            raise RuntimeError(f"{bad} corrupt cache records")
+            raise RuntimeError(f"{len(bad)} corrupt cache records")
         print("all keys verified")
     return 0
 

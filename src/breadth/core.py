@@ -38,6 +38,8 @@ CHOICE_LABELS = ("A", "B", "C", "D", "E")
 # ``test_recorded_lines_are_the_canonical_json_of_each_samples_record``,
 # ``test_trace_lines_are_the_canonical_json_of_each_trace`` and
 # ``test_summary_json_is_json_dumps_of_its_record`` pin each to the encoder.
+# ``breadth cache --verify`` checks a stored request by this encoding alone:
+# its key must be the SHA-256 of the request's canonical JSON.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 json_string = json.encoder.encode_basestring_ascii
 

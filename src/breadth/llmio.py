@@ -15,12 +15,12 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
-from .core import Usage, check_json_fields, check_temperature, json_string
+from .core import Usage, check_temperature, json_string
 # Also importable as breadth.llmio.ReplayStore, the name perfbench/ wraps.
 from .store import ReplayStore
 
@@ -104,22 +104,6 @@ class CompletionRequest:
             payloads = tuple([b"%s%d%s" % (head, i, tail) for i in range(first, first + n)])
         object.__setattr__(self, "sample_payloads", payloads)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CompletionRequest":
-        """The request whose fields ``d`` holds by name, as a cache record's
-        ``request`` does. Anything but an object with the eight fields
-        :attr:`sample_payloads` writes, each of its JSON type, is a
-        ``ValueError``; the slots ``max_tokens``, ``system_text`` and
-        ``top_k`` must be null."""
-        kwargs = check_json_fields(cls, d)
-        stored = sorted([f.name for f in fields(cls)] + list(_NULL_SLOTS))
-        if sorted(d) != stored:
-            raise ValueError(f"request fields {sorted(d)} are not {stored}")
-        for name in _NULL_SLOTS:
-            if d[name] is not None:
-                raise ValueError(f"request field {name!r} must be null, got {d[name]!r:.80}")
-        return cls(**kwargs)
-
 
 @lru_cache(maxsize=64)
 def _request_layout(model: str, temperature: float) -> Tuple[bytes, bytes, float]:
@@ -132,11 +116,6 @@ def _request_layout(model: str, temperature: float) -> Tuple[bytes, bytes, float
     head = '{"max_tokens":null,"model":%s,"n_samples":1,"sample_batch_id":' % json_string(model)
     middle = ',"system_text":null,"temperature":%r,"top_k":null,"user_text":' % temperature
     return head.encode("ascii"), middle.encode("ascii"), temperature
-
-
-# The slots of the fields no request sets, which every stored request holds
-# as null; see ``CompletionRequest.sample_payloads``.
-_NULL_SLOTS = ("max_tokens", "system_text", "top_k")
 
 
 @dataclass(frozen=True)
@@ -277,9 +256,15 @@ class HttpTransport:
             kept = self._kept.connection = _KeptConnection(
                 origin, opener(parts.hostname, parts.port, timeout=timeout))
         conn = kept.conn
-        # No reply comes unasked, so a kept socket that polls readable holds
-        # the server's close. A closed connection reconnects on its next request.
-        reused = conn.sock is not None and not select.select([conn.sock], [], [], 0)[0]
+        # No reply comes unasked, so a kept socket that polls readable (or
+        # hung up) holds the server's close. ``poll`` takes any descriptor,
+        # where ``select`` refuses one above 1023. A closed connection
+        # reconnects on its next request.
+        reused = conn.sock is not None
+        if reused:
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            reused = not poller.poll(0)
         if not reused:
             conn.close()
         target = parts.path + (f"?{parts.query}" if parts.query else "")
@@ -306,7 +291,8 @@ class LiveBackend(Backend):
     Credentials come from the ``BREADTH_API_KEY`` env var unless passed
     explicitly. A multi-sample request goes out as one call with ``n``. A
     base URL that is not ``http`` or ``https`` naming a host, or whose port
-    is not a number from 1 to 65535, is a ``ValueError``.
+    is not a number from 1 to 65535, is a ``ValueError``; so is a key no
+    header can carry.
     """
 
     def __init__(self, base_url: str, api_key: Optional[str] = None,
@@ -320,7 +306,12 @@ class LiveBackend(Backend):
             raise ValueError(f"base URL {base_url!r} is not an http:// or https:// URL "
                              "naming a host")
         self.url = f"{base_url.rstrip('/')}/chat/completions"
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        self.api_key = key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+        # A header value is Latin-1 without line breaks; the message never
+        # holds the key.
+        if "\r" in key or "\n" in key or max(key, default="") > "\xff":
+            raise ValueError(f"the API key ({API_KEY_ENV}) holds a line break or a "
+                             "character outside Latin-1, so no HTTP header can carry it")
         self.model = model
         self.timeout = timeout
         self.limiter = limiter or TokenBucketLimiter()

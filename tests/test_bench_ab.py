@@ -1,0 +1,76 @@
+"""``tools/bench_ab.py`` over canned ``perfbench/run.py`` output: no
+benchmark is run here."""
+
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import bench_ab  # noqa: E402
+
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    DECLARED = json.load(_fh)["end_to_end"]
+
+
+def _canned_output(rate, correct=True):
+    """What ``run.py --workload replay-sc`` prints: report lines, then its result."""
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in DECLARED}
+    metrics["questions_per_s"]["value"] = rate
+    result = {"correct": correct, "attempted": 600, "failed": 0, "metrics": metrics}
+    return ("replay-sc: seed 11; 40 untraced rounds of 100 questions\n"
+            f"  questions_per_s                      {rate:>14.6g} 1/s\n"
+            + json.dumps(result) + "\n")
+
+
+def test_a_run_reads_as_its_last_json_line():
+    result = bench_ab.parse_result(_canned_output(4700.5))
+    assert result["metrics"]["questions_per_s"] == {"value": 4700.5, "unit": "1/s"}
+
+
+@pytest.mark.parametrize("stdout", [
+    _canned_output(4700.5, correct=False),
+    "replay-sc: seed 11\n  CHECK FAILED: round 0: calls 10 != 11\n",
+    "",
+], ids=["not-correct", "no-json", "empty"])
+def test_a_run_that_is_not_correct_fails_the_script(stdout):
+    with pytest.raises(RuntimeError):
+        bench_ab.parse_result(stdout)
+
+
+def test_seeds_are_a_range():
+    assert bench_ab.parse_seeds("11-16") == [11, 12, 13, 14, 15, 16]
+    assert bench_ab.parse_seeds("7") == [7]
+
+
+def test_medians_quartiles_and_pairs_won():
+    assert bench_ab.summarize([6, 1, 5, 2, 4, 3]) == {
+        "median": 3.5, "q1": 1.75, "q3": 5.25, "count": 6}
+    assert bench_ab.summarize([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "count": 1}
+    parent, change = [10, 10, 10, 10], [11, 9, 10, 12]
+    assert bench_ab.pairs_won(parent, change, "higher") == 2
+    assert bench_ab.pairs_won(parent, change, "lower") == 1
+
+
+def test_write_appends_one_entry_per_side_with_every_declared_metric(tmp_path):
+    runs = {side: [bench_ab.parse_result(_canned_output(rate)) for rate in rates]
+            for side, rates in (("parent", [4600, 4700, 4650]), ("change", [4800, 4750, 4700]))}
+    path = str(tmp_path / "BENCH_replay-sc.json")
+    for _ in range(2):
+        bench_ab.append_entries(path, [
+            bench_ab.entry(f"{side}-commit", "tree", [11, 12, 13], 5.0, "3.11.7", runs[side],
+                           DECLARED) for side in ("parent", "change")])
+    with open(path, encoding="utf-8") as fh:
+        history = json.load(fh)["history"]
+    assert [e["commit"] for e in history] == ["parent-commit", "change-commit"] * 2
+    change = history[1]
+    assert change["seeds"] == [11, 12, 13] and change["harness"] == "tree"
+    assert change["metrics"]["questions_per_s"] == {
+        "median": 4750, "q1": 4700, "q3": 4800, "count": 3, "unit": "1/s"}
+    assert {name: m["unit"] for name, m in change["metrics"].items()} == {
+        m["name"]: m["unit"] for m in DECLARED}
+    report = bench_ab.report("replay-sc", runs, DECLARED)
+    assert "questions_per_s" in report and "change better in 3/3" in report

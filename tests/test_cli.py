@@ -6,10 +6,11 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from breadth import bench, cli
+from breadth import bench, cli, llmio
 from breadth.bench import generate_synthetic, run_experiment
 from breadth.cli import build_parser, main
 from breadth.core import AnswerFormat, StrategyKind, default_config
@@ -560,7 +561,7 @@ def test_cache_counts_and_verifies_the_last_record_of_a_duplicate_key(tmp_path, 
     {"model": "m", "user_text": "q", "bogus": 1},
     {"model": "m"},
     "not a request",
-    # A stored request's max_tokens, system_text and top_k slots must be null.
+    # No request the program builds sets max_tokens, system_text or top_k.
     {**request_dict(CompletionRequest(model="m", user_text="q")), "system_text": "sys"},
     {**request_dict(CompletionRequest(model="m", user_text="q")), "top_k": 10},
     {**request_dict(CompletionRequest(model="m", user_text="q")), "max_tokens": 64},
@@ -572,10 +573,47 @@ def test_cache_verify_counts_a_request_that_does_not_parse(tmp_path, capsys, req
     with open(cache_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"key": "k3", "request": request_fields,
                              "texts": ["t"], "usage": {}}) + "\n")
+    # Whatever the request holds, "k3" is not its digest.
     assert main(["cache", "--file", str(cache_path), "--verify"]) == 2
     captured = capsys.readouterr()
-    assert "bad request: k3" in captured.out
+    assert "key mismatch: k3" in captured.out
     assert "error: 1 corrupt cache records" in captured.err
+
+
+def _record_calls(cache_path, calls, text="resp"):
+    """Record each ``(user_text, temperature, n_samples)`` call into the cache."""
+    recorder = RecordingBackend(ScriptedBackend({"": [text] * 10**4}),
+                                ReplayStore(str(cache_path)))
+    for user_text, temperature, n_samples in calls:
+        llmio.call(recorder, user_text, temperature, n_samples)
+
+
+def test_cache_verify_passes_every_request_the_program_records(tmp_path, capsys):
+    # Non-ASCII and lone-surrogate texts are stored escaped, and a temperature
+    # given as 1 or 0 is stored as 1.0 or 0.0: each request still digests to
+    # its key when re-encoded.
+    cache_path = tmp_path / "cache.jsonl"
+    _record_calls(cache_path, [("café ☕ 日本", 1, 2), ("lone \ud800 \udfff", 0, 1),
+                               ("tab\tquote\"back\\slash\u2028", 0.7, 1)])
+    assert main(["cache", "--file", str(cache_path), "--verify"]) == 0
+    assert capsys.readouterr().out == (f"4 recorded responses in {cache_path}\n"
+                                       "all keys verified\n")
+
+
+def test_cache_verify_holds_less_than_the_cache_file_in_memory(tmp_path, capsys):
+    # It held every full record at once: about three times the file's size.
+    cache_path = tmp_path / "cache.jsonl"
+    _record_calls(cache_path, [(f"question {i}: " + "why? " * 100, 0.7, 1) for i in range(1000)],
+                  text="because " * 50)
+    size = cache_path.stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(["cache", "--file", str(cache_path), "--verify"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "1000 recorded responses" in capsys.readouterr().out
+    assert peak < size, (peak, size)
 
 
 @pytest.mark.parametrize("edit", [
@@ -750,6 +788,21 @@ def test_a_base_url_with_no_scheme_exits_2_before_any_call(tmp_path, monkeypatch
     assert code == 2
     assert ("base URL 'example.test/v1' is not an http:// or https:// URL naming a host"
             in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_api_key_no_header_can_carry_exits_2_before_any_call(tmp_path, monkeypatch,
+                                                                capsys):
+    # Its first call raised http.client's ValueError, echoing the key, after
+    # the run directory was written.
+    monkeypatch.setenv(API_KEY_ENV, "sk-secret\n")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
+    code = main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "cot",
+                 "--base-url", "http://127.0.0.1:9/v1", "--runs-dir", str(tmp_path / "runs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert API_KEY_ENV in err and "secret" not in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import resource
 import socket
 import sys
 import threading
@@ -22,6 +23,7 @@ import breadth.store
 from breadth.bench import run_experiment
 from breadth.core import StrategyKind, Usage, canonical_json, default_config
 from breadth.llmio import (
+    API_KEY_ENV,
     BACKEND_MOCK,
     BACKEND_REPLAY_HIT,
     Backend,
@@ -1330,36 +1332,6 @@ def test_stores_opened_at_once_by_many_threads_agree(tmp_path):
     assert _kept(ReplayStore(str(path))) == kept
 
 
-@pytest.mark.parametrize("fields", [
-    {"model": "m", "user_text": "q", "bogus": 1},
-    {"model": "m", "user_text": "q"},
-    {**request_dict(req()), "n_samples": "3"},
-    {**request_dict(req()), "user_text": 5},
-    {**request_dict(req()), "temperature": True},
-    {**request_dict(req()), "n_samples": 0},
-    ["m", "q"],
-    None,
-    # JSON has no NaN or Infinity, and the payload layout writes finite floats.
-    {**request_dict(req()), "temperature": float("nan")},
-    {**request_dict(req()), "temperature": float("inf")},
-    {**request_dict(req()), "temperature": -float("inf")},
-    # The slots of the fields no request sets must be null.
-    {**request_dict(req()), "system_text": "sys"},
-    {**request_dict(req()), "top_k": 10},
-    {**request_dict(req()), "max_tokens": 64},
-])
-def test_request_from_dict_rejects_what_to_dict_never_writes(fields):
-    with pytest.raises(ValueError):
-        CompletionRequest.from_dict(fields)
-
-
-def test_request_from_dict_inverts_to_dict():
-    rng = random.Random(5)
-    for _ in range(200):
-        request = _random_request(rng)
-        assert CompletionRequest.from_dict(request_dict(request)) == request
-
-
 def test_requests_are_built_and_sent_only_in_llmio():
     # llmio.call is the one place a request is built, sent and timed; the
     # backends' own delegation lives in llmio too.
@@ -1648,6 +1620,39 @@ def test_a_refused_connection_is_retried_then_given_up():
                                            "ConnectionRefusedError"):
         backend.complete(req(user_text="q"))
     assert sleeps == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.skipif(0 <= resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200,
+                    reason="needs 1,200 open descriptors")
+def test_a_kept_connection_on_a_descriptor_above_1023_is_reused():
+    # select.select refused the kept socket's descriptor, so the second
+    # call raised ValueError, which is no NetworkError, and ended the run.
+    held = []
+    try:
+        held += [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+        with _ChatServer() as server:
+            backend, sleeps = _live(HttpTransport(), server.base_url)
+            for i in range(2):
+                assert backend.complete(req(user_text=f"q{i}")).texts == ("ok",)
+        assert sleeps == [] and len(server.posts) == 2 and len(server.sockets) == 1
+    finally:
+        for fd in held:
+            os.close(fd)
+
+
+@pytest.mark.parametrize("key", ["sk-secret\n", "sk-secret\r\n", "sk-\rsecret", "sk-secret\u20ac"],
+                         ids=["lf", "crlf", "cr", "not-latin-1"])
+def test_live_refuses_a_key_no_header_can_carry_without_naming_it(key):
+    # http.client refused it at the first call, echoing the key.
+    with pytest.raises(ValueError, match=API_KEY_ENV) as refused:
+        LiveBackend("http://127.0.0.1:9/v1", api_key=key, transport=_no_transport)
+    assert "secret" not in str(refused.value)
+    assert LiveBackend("http://127.0.0.1:9/v1", api_key="sk-\xe9",
+                       transport=_no_transport).api_key == "sk-\xe9"
+
+
+def _no_transport(url, body, headers, timeout):
+    pytest.fail("a request was sent")
 
 
 def test_live_wire_format_on_the_loopback():

@@ -2,6 +2,8 @@
 one, or hiding one behind a memo, must fail here, not only in a traced
 benchmark run."""
 
+import glob
+import json
 import os
 import sys
 
@@ -43,3 +45,18 @@ def test_a_warm_traced_round_still_extracts_and_canonicalizes_every_path(tmp_pat
     # A path abstains before canonicalizing, or because canonicalizing did.
     parsed = paths - tracer.counters.get("extract.abstains", 0)
     assert 0 < parsed <= stats["core.canonical_answer"]["count"] <= paths
+
+
+def test_each_committed_bench_file_holds_every_end_to_end_metric_with_its_unit():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        units = {m["name"]: m["unit"] for m in json.load(fh)["end_to_end"]}
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            history = json.load(fh)["history"]
+        assert history, path
+        for entry in history:
+            assert entry["commit"] and entry["harness"] and entry["seeds"], path
+            assert {name: m["unit"] for name, m in entry["metrics"].items()} == units, path

@@ -1,0 +1,179 @@
+"""Measure two commits under one benchmark harness, and publish the readings.
+
+Run from anywhere inside the repository:
+
+    python3 tools/bench_ab.py --parent HEAD~1 --workload replay-sc --seeds 11-16 --seconds 5
+    python3 tools/bench_ab.py --parent HEAD~1 --change HEAD --workload all --write
+
+Each revision is exported with ``git archive`` under ``.perfbench_work/``,
+so ``.git`` is never written, and the change's ``perfbench/run.py`` runs in
+each export: the program under test comes from the export, the harness from
+the change. Parent and change alternate which runs first from one seed to
+the next. Each run's last stdout line is the harness's JSON result; a run
+that exits non-zero or is not ``correct`` stops the script with exit 1.
+
+For each end-to-end metric of the change's ``BENCHMARK.json`` the script
+prints both sides' medians and quartiles and the pairs (one per seed) in
+which the change is better. With ``--write`` it appends one entry per side
+to ``BENCH_<workload>.json`` at the repository root: the commit, the
+harness's tree hash (``git rev-parse REV:perfbench``), the seeds, the
+seconds per run, ``nproc``, the Python version and, per metric, its median,
+quartiles, unit and count of runs. Entries made under different harness
+hashes measure different things and are not a trajectory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+from contextlib import suppress
+from typing import Dict, List, Sequence
+
+WORKLOADS = ("breadth-latency", "replay-sc", "record-deep")
+
+
+def _git(root: str, *args: str) -> str:
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def parse_seeds(text: str) -> List[int]:
+    """The seeds of a range ``"11-16"``, or of one seed ``"11"``."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def parse_result(stdout: str) -> dict:
+    """The harness's result, the JSON object on the last line of its output;
+    a ``RuntimeError`` unless it is there and ``correct``."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError("the run printed no JSON result line") from None
+    if not (isinstance(result, dict) and result.get("correct") is True):
+        raise RuntimeError(f"the run is not correct: {lines[-1]:.300}")
+    return result
+
+
+def summarize(values: Sequence[float]) -> dict:
+    """Median, quartiles and count of one metric's readings."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else list(values) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "count": len(values)}
+
+
+def pairs_won(parent: Sequence[float], change: Sequence[float], better: str) -> int:
+    """The seeds on which the change reads strictly better than the parent."""
+    sign = 1 if better == "higher" else -1
+    return sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+
+
+def entry(commit: str, harness: str, seeds: Sequence[int], seconds: float, python: str,
+          runs: Sequence[dict], declared: Sequence[dict]) -> dict:
+    """One side's ``BENCH_*.json`` entry from its harness results, in seed order."""
+    metrics = {}
+    for metric in declared:
+        values = [run["metrics"][metric["name"]]["value"] for run in runs]
+        metrics[metric["name"]] = {**summarize(values), "unit": metric["unit"]}
+    return {"commit": commit, "harness": harness, "seeds": list(seeds), "seconds": seconds,
+            "nproc": os.cpu_count(), "python": python, "metrics": metrics}
+
+
+def append_entries(path: str, entries: Sequence[dict]) -> None:
+    history = []
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            history = json.load(fh)["history"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"history": history + list(entries)}, fh, indent=2)
+        fh.write("\n")
+
+
+def report(workload: str, sides: Dict[str, List[dict]], declared: Sequence[dict]) -> str:
+    lines = [f"{workload}: {len(sides['parent'])} pairs; median [q1, q3] parent -> change"]
+    for metric in declared:
+        name = metric["name"]
+        values = {side: [run["metrics"][name]["value"] for run in runs]
+                  for side, runs in sides.items()}
+        p, c = summarize(values["parent"]), summarize(values["change"])
+        won = pairs_won(values["parent"], values["change"], metric["better"])
+        lines.append(f"  {name:<20} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
+                     f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {metric['unit']}; "
+                     f"change better in {won}/{len(values['parent'])}")
+    return "\n".join(lines)
+
+
+def _export(root: str, commit: str, where: str) -> None:
+    shutil.rmtree(where, ignore_errors=True)
+    os.makedirs(where)
+    archive = subprocess.Popen(["git", "-C", root, "archive", commit], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", where], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {commit} failed")
+
+
+def _run(export: str, harness: str, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([sys.executable, harness, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds)], cwd=export, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        raise RuntimeError(f"{workload} seed {seed} in {export} exited {proc.returncode}")
+    return parse_result(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the revision to measure against")
+    parser.add_argument("--change", default="HEAD", help="the revision measured (HEAD)")
+    parser.add_argument("--workload", required=True, help=f"all, or one of {WORKLOADS}")
+    parser.add_argument("--seeds", default="11-16", help="a range of seeds, as 11-16")
+    parser.add_argument("--seconds", type=float, default=5.0, help="seconds per run")
+    parser.add_argument("--write", action="store_true",
+                        help="append both sides' entries to BENCH_<workload>.json")
+    args = parser.parse_args(argv)
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    seeds = parse_seeds(args.seeds)
+    root = _git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
+    commits = {side: _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+               for side, rev in (("parent", args.parent), ("change", args.change))}
+    harness_tree = _git(root, "rev-parse", f"{commits['change']}:perfbench")
+    work = os.path.join(root, ".perfbench_work")
+    exports = {side: os.path.join(work, f"ab-{side}-{commit[:12]}")
+               for side, commit in commits.items()}
+    try:
+        for side, commit in commits.items():
+            _export(root, commit, exports[side])
+        harness = os.path.join(exports["change"], "perfbench", "run.py")
+        with open(os.path.join(exports["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+            declared = json.load(fh)["end_to_end"]
+        for workload in workloads:
+            sides: Dict[str, List[dict]] = {"parent": [], "change": []}
+            for i, seed in enumerate(seeds):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    sides[side].append(_run(exports[side], harness, workload, seed, args.seconds))
+            print(report(workload, sides, declared), flush=True)
+            if args.write:
+                append_entries(os.path.join(root, f"BENCH_{workload}.json"), [
+                    entry(commits[side], harness_tree, seeds, args.seconds,
+                          platform.python_version(), sides[side], declared)
+                    for side in ("parent", "change")])
+    except (RuntimeError, subprocess.CalledProcessError) as exc:
+        print(f"bench_ab: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        for export in exports.values():
+            shutil.rmtree(export, ignore_errors=True)
+        with suppress(OSError):
+            os.rmdir(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
