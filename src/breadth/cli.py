@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 from . import bench, diversity, votemodel
 from .core import (
     Question,
-    StopRule,
     StrategyConfig,
     StrategyKind,
     canonical_json,
@@ -154,10 +153,6 @@ def _cmd_run(args) -> int:
         "data_path": os.path.abspath(spec.path) if spec.path else None,
         "limit": args.limit,
     }
-    if cfg.stop_rule == StopRule.STABLE_STOP:
-        run_keys["stop_rule_note"] = (
-            "stability stop (two consecutive equal predictions); a stand-in "
-            "for adaptive iteration stopping")
     if args.run_id is not None:  # a refused resume or a held run id opens no cache
         run_dir = os.path.join(args.runs_dir, args.run_id)
         bench.check_run_config(run_dir, args.run_id, {**run_keys, **cfg.to_dict()})

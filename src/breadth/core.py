@@ -464,25 +464,13 @@ class StrategyConfig(Record):
             raise ValueError(f"strategy {self.kind.value} ignores {', '.join(ignored)}; "
                              f"it reads only {', '.join(sorted(reads - {'kind'}))}")
 
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "canonical_prompt": {"text": self.canonical_prompt,
-                                                          "origin": dict(_CANONICAL_ORIGIN)}}
-
     @classmethod
     def from_dict(cls, d: dict) -> "StrategyConfig":
-        """Inverse of ``to_dict``; also takes ``canonical_prompt`` as plain
-        text, and kind and stop rule by their CLI names. Unknown keys, values
-        of the wrong type and a non-canonical origin are a ``ValueError``."""
+        """Inverse of ``to_dict``; also takes kind and stop rule by their CLI
+        names. Unknown keys and values of the wrong type are a ``ValueError``."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown strategy config keys: {sorted(unknown)}")
-        prompt = d.get("canonical_prompt")
-        if isinstance(prompt, dict):
-            if (set(prompt) - {"text", "origin"} or not isinstance(prompt.get("text"), str)
-                    or prompt.get("origin", _CANONICAL_ORIGIN) != _CANONICAL_ORIGIN):
-                raise ValueError("strategy config 'canonical_prompt' must be text or "
-                                 f"{{'text': ..., 'origin': {_CANONICAL_ORIGIN}}}, got {prompt!r}")
-            d = {**d, "canonical_prompt": prompt["text"]}
         return super().from_dict(d)
 
 
@@ -497,10 +485,6 @@ def _format_triggers(triggers: Any) -> Optional[dict]:
                          f"({', '.join(f.value for f in AnswerFormat)}) to non-empty text, "
                          f"got {triggers!r:.80}")
     return {AnswerFormat(fmt).value: text for fmt, text in triggers.items()} or None
-
-
-# How ``StrategyConfig.to_dict`` tags the prompt in run records.
-_CANONICAL_ORIGIN = {"kind": "canonical"}
 
 
 def default_config(kind: StrategyKind, **overrides: Any) -> StrategyConfig:

@@ -74,3 +74,36 @@ def test_write_appends_one_entry_per_side_with_every_declared_metric(tmp_path):
         m["name"]: m["unit"] for m in DECLARED}
     report = bench_ab.report("replay-sc", runs, DECLARED)
     assert "questions_per_s" in report and "change better in 3/3" in report
+
+
+def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
+    # git, the exports and every child process are stand-ins: main only
+    # decides which commands run, in which directory and in which order.
+    def fake_git(root, *args):
+        if args[-1] == "--show-toplevel":
+            return str(tmp_path)
+        return args[-1].split("^")[0]
+
+    def fake_export(root, commit, where):
+        os.makedirs(where)
+        with open(os.path.join(where, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
+            json.dump({"end_to_end": DECLARED}, fh)
+
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((os.path.basename(cwd), cmd[1:3]))
+        stdout = "" if "compileall" in cmd else _canned_output(4700.5)
+        return bench_ab.subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_ab, "_git", fake_git)
+    monkeypatch.setattr(bench_ab, "_export", fake_export)
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    assert bench_ab.main(["--parent", "p", "--change", "c", "--workload", "replay-sc",
+                          "--seeds", "11-12", "--seconds", "1"]) == 0
+    harness = os.path.join(str(tmp_path), ".perfbench_work", "ab-change-c", "perfbench", "run.py")
+    compile_, run = ["-m", "compileall"], [harness, "--workload"]
+    assert calls == [("ab-parent-p", compile_), ("ab-change-c", compile_),
+                     ("ab-parent-p", run), ("ab-change-c", run),
+                     ("ab-change-c", run), ("ab-parent-p", run)]
+    assert not os.path.exists(tmp_path / ".perfbench_work")

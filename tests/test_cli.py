@@ -216,8 +216,9 @@ def test_a_trigger_override_is_recorded_in_the_bytes_config_json_always_had(tmp_
         return (tmp_path / "runs" / run_id / "config.json").read_bytes()
 
     pinned = config_bytes({"yes_no": "So the verdict is"}, "t")
+    assert json.loads(pinned)["canonical_prompt"] == PROMPT
     assert (hashlib.sha256(pinned).hexdigest()
-            == "9738b66074e99afea43c68e1f54887fb1b9770ff333e748d7f3afd88d9d35596")
+            == "524113df352bc2c0d93f6dcb2c4735999518de5d9cfe81a8f33dc6a9f51e8d8a")
     assert "answer_triggers" not in json.loads(config_bytes({}, "empty"))
 
 
@@ -1177,6 +1178,47 @@ def test_resume_under_another_strategy_exits_2_and_a_larger_limit_extends(tmp_pa
     assert main(run + ["--limit", "4", "--strategy", "cot"]) == 0
     summary = json.loads((tmp_path / "runs" / "r" / "summary.json").read_text())
     assert summary["config"]["kind"] == "cot" and len(summary["outcomes"]) == 4
+
+
+# How run records wrote the prompt, and a stable-stop run's prose note, before
+# a config was written as its own fields.
+OLD_PROMPT = {"text": PROMPT, "origin": {"kind": "canonical"}}
+OLD_STOP_NOTE = ("stability stop (two consecutive equal predictions); a stand-in "
+                 "for adaptive iteration stopping")
+
+
+def test_a_run_directory_with_the_old_prompt_object_is_refused_and_still_reported(
+        tmp_path, capsys):
+    script = _mock_script_file(tmp_path, {"": ["reasoning", "the answer is yes"] * 4})
+    run = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "deep-cot",
+           "--stop", "stable", "--mock-script", script,
+           "--runs-dir", str(tmp_path / "runs"), "--run-id", "old"]
+    assert main(run) == 0
+    run_dir = tmp_path / "runs" / "old"
+    config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+    assert config["canonical_prompt"] == PROMPT and "stop_rule_note" not in config
+    old = {**config, "canonical_prompt": OLD_PROMPT, "stop_rule_note": OLD_STOP_NOTE}
+    (run_dir / "config.json").write_text(json.dumps(old, sort_keys=True, indent=2) + "\n",
+                                         encoding="utf-8")
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    summary["config"].update(canonical_prompt=OLD_PROMPT, stop_rule_note=OLD_STOP_NOTE)
+    (run_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
+                                          encoding="utf-8")
+    capsys.readouterr()
+    assert main(run + ["--limit", "2"]) == 2
+    assert "canonical_prompt, stop_rule_note differ" in capsys.readouterr().err
+    assert main(["report", "--runs", str(run_dir)]) == 0
+    assert "deep_cot" in capsys.readouterr().out
+
+
+def test_a_config_file_with_the_old_prompt_object_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"kind": "cot", "canonical_prompt": OLD_PROMPT}),
+                           encoding="utf-8")
+    code = main(["run", "--dataset", "coinflip", "--limit", "1",
+                 "--config", str(config_path), "--dry-run"])
+    assert code == 2
+    assert "'canonical_prompt' must be str" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cause", ["another-config", "no-config-json", "held"])

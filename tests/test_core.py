@@ -280,8 +280,7 @@ def test_malformed_answer_triggers_are_a_value_error_naming_them(triggers):
 def test_canonical_prompt_default_text():
     cfg = default_config(StrategyKind.COT)
     assert cfg.canonical_prompt == "Let's think step by step."
-    assert cfg.to_dict()["canonical_prompt"] == {"text": "Let's think step by step.",
-                                                 "origin": {"kind": "canonical"}}
+    assert cfg.to_dict()["canonical_prompt"] == "Let's think step by step."
 
 
 def test_serialization_round_trips(toy_shop_question):
@@ -298,15 +297,11 @@ def test_serialization_round_trips(toy_shop_question):
 
     cfg = default_config(StrategyKind.QUESTION_C_SC, n_reformulations=3, m_samples=2)
     assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
-    # a config file may give the prompt as plain text and the stop rule by its CLI name
-    text_form = {**cfg.to_dict(), "canonical_prompt": "Let's think step by step.",
-                 "stop_rule": "fixed"}
-    assert StrategyConfig.from_dict(text_form) == cfg
-    # the prompt object's origin may be left out, but only a canonical one is accepted
-    assert StrategyConfig.from_dict(
-        {**cfg.to_dict(), "canonical_prompt": {"text": "Let's think step by step."}}) == cfg
-    for prompt in ({"text": "alt", "origin": {"kind": "bank", "bank_index": 3}}, "",
-                   {"text": "", "origin": {"kind": "canonical"}}):
+    # a config file may give the stop rule by its CLI name
+    assert StrategyConfig.from_dict({**cfg.to_dict(), "stop_rule": "fixed"}) == cfg
+    # the prompt is text and nothing else: the object form run records once held is refused
+    for prompt in ({"text": "Let's think step by step.", "origin": {"kind": "canonical"}},
+                   {"text": "Let's think step by step."}, "", None, ["Reason."]):
         with pytest.raises(ValueError, match="canonical_prompt"):
             StrategyConfig.from_dict({**cfg.to_dict(), "canonical_prompt": prompt})
 

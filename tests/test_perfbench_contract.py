@@ -59,4 +59,8 @@ def test_each_committed_bench_file_holds_every_end_to_end_metric_with_its_unit()
         assert history, path
         for entry in history:
             assert entry["commit"] and entry["harness"] and entry["seeds"], path
+            assert entry["seconds"] > 0 and entry["nproc"] >= 1 and entry["python"], path
             assert {name: m["unit"] for name, m in entry["metrics"].items()} == units, path
+            for name, m in entry["metrics"].items():
+                assert m["q1"] <= m["median"] <= m["q3"], (path, entry["commit"], name)
+                assert m["count"] == len(entry["seeds"]), (path, entry["commit"], name)

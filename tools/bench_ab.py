@@ -8,9 +8,12 @@ Run from anywhere inside the repository:
 Each revision is exported with ``git archive`` under ``.perfbench_work/``,
 so ``.git`` is never written, and the change's ``perfbench/run.py`` runs in
 each export: the program under test comes from the export, the harness from
-the change. Parent and change alternate which runs first from one seed to
-the next. Each run's last stdout line is the harness's JSON result; a run
-that exits non-zero or is not ``correct`` stops the script with exit 1.
+the change. Each export's ``src`` and ``perfbench`` are compiled to
+``__pycache__`` first, so that where ``PYTHONDONTWRITEBYTECODE`` is set no
+run compiles them again inside its ``setup_s`` and ``peak_rss_mb``. Parent
+and change alternate which runs first from one seed to the next. Each run's
+last stdout line is the harness's JSON result; a run that exits non-zero or
+is not ``correct`` stops the script with exit 1.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` the script
 prints both sides' medians and quartiles and the pairs (one per seed) in
@@ -119,6 +122,11 @@ def _export(root: str, commit: str, where: str) -> None:
         raise RuntimeError(f"git archive {commit} failed")
 
 
+def _compile(export: str) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=export, check=True, capture_output=True, text=True)
+
+
 def _run(export: str, harness: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, harness, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=export, capture_output=True, text=True)
@@ -150,6 +158,7 @@ def main(argv=None) -> int:
     try:
         for side, commit in commits.items():
             _export(root, commit, exports[side])
+            _compile(exports[side])
         harness = os.path.join(exports["change"], "perfbench", "run.py")
         with open(os.path.join(exports["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             declared = json.load(fh)["end_to_end"]
