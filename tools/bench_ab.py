@@ -122,11 +122,6 @@ def _export(root: str, commit: str, where: str) -> None:
         raise RuntimeError(f"git archive {commit} failed")
 
 
-def _compile(export: str) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=export, check=True, capture_output=True, text=True)
-
-
 def _run(export: str, harness: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, harness, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=export, capture_output=True, text=True)
@@ -158,7 +153,8 @@ def main(argv=None) -> int:
     try:
         for side, commit in commits.items():
             _export(root, commit, exports[side])
-            _compile(exports[side])
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                           cwd=exports[side], check=True, capture_output=True)
         harness = os.path.join(exports["change"], "perfbench", "run.py")
         with open(os.path.join(exports["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             declared = json.load(fh)["end_to_end"]
