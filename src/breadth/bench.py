@@ -28,10 +28,13 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 from .core import (
     Answer,
     AnswerFormat,
+    KIND_KNOBS,
     Question,
     ReasoningTrace,
     Record,
+    StopRule,
     StrategyConfig,
+    StrategyKind,
     Usage,
     canonical_answer,
     check_json_fields,
@@ -512,8 +515,29 @@ def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:
     return [qid for qid in cot if not cot[qid].correct and deep[qid].correct]
 
 
+# The shape knobs a report label names, each as the word that prefixes its value.
+_SHAPE_WORDS = (("n_reformulations", "n="), ("m_samples", "m="), ("max_iterations", "T="))
+
+
 def _method_label(record: RunRecord) -> str:
-    return str(record.config.get("kind", "unknown"))
+    """The run's kind and the shape its config records, as far as the kind
+    reads it: ``n=``, ``m=`` and ``T=``, ``stable`` for a stable-stop chain,
+    and ``t=`` for a temperature other than the kind's default by value; for
+    example ``sc m=3`` or ``questionc_sc n=3 m=3``."""
+    config = record.config
+    kind = str(config.get("kind", "unknown"))
+    try:
+        knobs = KIND_KNOBS[StrategyKind(kind)]
+    except ValueError:
+        return kind
+    words = [kind] + [f"{word}{config[knob]}" for knob, word in _SHAPE_WORDS
+                      if knob in knobs and knob in config]
+    if "stop_rule" in knobs and config.get("stop_rule") == StopRule.STABLE_STOP.value:
+        words.append("stable")
+    temperature = config.get("temperature", knobs["temperature"])
+    if temperature != knobs["temperature"]:
+        words.append(f"t={float(temperature)!r}")
+    return " ".join(words)
 
 
 def emit_report(records: Sequence[RunRecord], fmt: str = "table",

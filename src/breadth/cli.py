@@ -223,12 +223,15 @@ def _cmd_votemodel(args) -> int:
         n_contexts=args.n, m_per_context=args.m,
         q_advance=args.q_advance or 0.0,
     )
-    result = votemodel.simulate_plane(model, trials=args.trials, seed=args.seed)
-    output = votemodel.breadth_curve_csv(result)
-    if args.q_advance is not None:
-        points = votemodel.simulate_depth(model, t_max=args.t_max,
-                                          trials=args.trials, seed=args.seed)
-        output += votemodel.depth_curve_csv(points, model)
+    try:
+        result = votemodel.simulate_plane(model, trials=args.trials, seed=args.seed)
+        output = votemodel.breadth_curve_csv(result)
+        if args.q_advance is not None:
+            points = votemodel.simulate_depth(model, t_max=args.t_max,
+                                              trials=args.trials, seed=args.seed)
+            output += votemodel.depth_curve_csv(points, model)
+    except ImportError as exc:  # only the simulators import numpy
+        raise RuntimeError(f"votemodel needs numpy: {exc}") from None
     _emit(output, args.out)
     return 0
 

@@ -88,10 +88,14 @@ def factor_configs(factor: Factor, k: int) -> List[StrategyConfig]:
 
 
 def check_study(questions: Sequence[Question], factors: Sequence[Factor], k: int) -> None:
-    """Refuse a study that cannot run: no questions, ``k`` below 1, or a
-    prompt factor with more paths than the prompt bank holds."""
+    """Refuse a study that cannot run: no questions, a question id given
+    twice (predictions are kept by id), ``k`` below 1, or a prompt factor
+    with more paths than the prompt bank holds."""
     if not questions:
         raise ValueError("factor study needs at least one question")
+    repeated = sorted(qid for qid, n in Counter(q.id for q in questions).items() if n > 1)
+    if repeated:
+        raise ValueError(f"question id {', '.join(repeated)} is given more than once")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if Factor.PROMPT_REWORDING in factors and k > len(PROMPT_BANK):

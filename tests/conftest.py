@@ -2,6 +2,9 @@ import contextlib
 import errno
 import json
 import os
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -49,6 +52,75 @@ def descriptors_linked_to(path) -> int:
         with contextlib.suppress(OSError):  # the listing's own descriptor
             count += os.readlink(f"/proc/self/fd/{fd}") in (str(path), f"{path} (deleted)")
     return count
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless the server drops
+    disable_nagle_algorithm = True  # its reply's head and body are two writes
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.changed:
+            self.server.posts.append((self.path, dict(self.headers), body))
+            texts = self.server.answer(json.loads(body))
+        reply = json.dumps({
+            "choices": [{"index": i, "message": {"content": t}} for i, t in enumerate(texts)],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 9},
+        }).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+        self.close_connection = self.server.drop  # with no Connection: close
+
+    def log_message(self, *args):
+        pass
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A loopback chat-completion server answering each POST with the texts
+    ``answer`` gives for its request body, by default an "ok" per sample;
+    ``answer`` is called under a lock, one request at a time. It keeps each
+    request's path, headers and body, and counts the connections it opened
+    and closed; ``drop`` closes each one after its reply. Leaving it closes
+    every connection and joins its threads."""
+
+    def __init__(self, drop=False, answer=lambda request: ["ok"] * request["n"]):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.drop = drop
+        self.answer = answer
+        self.posts, self.sockets = [], []
+        self.closed = 0
+        self.changed = threading.Condition()
+        self.thread = threading.Thread(target=self.serve_forever, args=(0.01,))
+        self.thread.start()
+
+    @property
+    def base_url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def process_request(self, request, client_address):
+        with self.changed:
+            self.sockets.append(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.changed:
+            self.closed += 1
+            self.changed.notify_all()
+
+    def wait_closed(self, count):
+        with self.changed:
+            assert self.changed.wait_for(lambda: self.closed >= count, timeout=10)
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self.thread.join()
+        for sock in self.sockets:  # wakes each handler still reading
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        super().__exit__(*exc)
 
 
 def request_dict(request) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -887,6 +888,39 @@ def test_replay_run_twice_is_byte_identical(tmp_path):
         ))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists descriptors in /proc/self/fd")
+def test_recording_a_recorded_run_again_is_all_hits_and_a_torn_cache_is_repaired(tmp_path):
+    script = {"step by step": ["reasoning about coins"] * 9,
+              "Therefore, the answer (Yes or No) is": ["the answer is yes"] * 9}
+    questions = generate_synthetic("coinflip", 3, seed=0)
+    cfg = default_config(StrategyKind.SC, m_samples=3)
+    cache = tmp_path / "cache.jsonl"
+
+    def record(inner, run_id):
+        backend = RecordingBackend(inner, ReplayStore(str(cache), record=True))
+        run_experiment("coinflip", questions, cfg, backend, runs_dir=str(tmp_path),
+                       run_id=run_id)
+        return (tmp_path / run_id / "traces.jsonl").read_bytes()
+
+    recorded = record(ScriptedBackend(script), "recorded")
+    written = cache.read_bytes()
+    # An empty script fails any call that reaches it: every call is served
+    # from the cache, which gains no line.
+    empty = ScriptedBackend({})
+    assert record(empty, "rerecorded") == recorded
+    assert empty.calls == [] and cache.read_bytes() == written
+    gc.collect()
+    # Neither the dropped store nor the finished run holds a descriptor.
+    assert descriptors_linked_to(cache) == 0
+    assert descriptors_linked_to(tmp_path / "rerecorded" / "traces.jsonl") == 0
+    # A crash tore the last record: the recording store cuts it off as it
+    # locks the cache, asks for it again, and the cache still verifies.
+    cache.write_bytes(written[:-7])
+    assert record(ScriptedBackend(script), "recorded-after-tear") == recorded
+    assert main(["cache", "--file", str(cache), "--verify"]) == 0
+    assert cache.read_bytes().count(b"\n") == written.count(b"\n")
 
 
 # ---------------------------------------------------------------- fan-out

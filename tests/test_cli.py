@@ -1,8 +1,10 @@
 import errno
 import functools
 import hashlib
+import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+import breadth.store
 from breadth import bench, cli, llmio
 from breadth.bench import generate_synthetic, run_experiment
 from breadth.cli import build_parser, main
@@ -23,15 +26,15 @@ from breadth.llmio import (
     ScriptedBackend,
     replay_response,
 )
-from breadth.store import AppendLog, ReplayStore
+from breadth.store import AppendLog, ReplayStore, read_json_lines
 from breadth.strategy import (
     answer_trigger,
     assemble_prediction_input,
     assemble_reasoning_input,
 )
 from breadth.reformulate import PROMPT_BANK, QUESTION_INSTRUCTION
-from conftest import (IGNORED_KNOBS, MC_TRIGGER, NON_DEFAULT_KNOBS, knob_id, mc_question,
-                      request_dict)
+from conftest import (IGNORED_KNOBS, MC_TRIGGER, NON_DEFAULT_KNOBS, ChatServer, knob_id,
+                      mc_question, request_dict)
 
 PROMPT = "Let's think step by step."
 YES_TRIGGER = "Therefore, the answer (Yes or No) is"
@@ -355,6 +358,19 @@ def test_entropy_refuses_a_label_that_would_break_its_csv_row(tmp_path, capsys, 
     assert backend.calls == [] and not out.exists()
 
 
+def test_entropy_refuses_a_subset_whose_question_ids_repeat_before_any_backend(
+        tmp_path, capsys, monkeypatch):
+    # Predictions are kept by question id: the second s0 replaced the first,
+    # and the study exited 0 with the entropy of one question.
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text("".join(
+        json.dumps(mc_question("s0", f"Pick {i}. Answer Choices: (A) x (B) y", "A").to_dict())
+        + "\n" for i in range(2)), encoding="utf-8")
+    monkeypatch.setattr(cli, "_build_backend", lambda args: pytest.fail("a backend was built"))
+    assert main(["entropy", "--factors", "sampling", "--k", "2", "--subset", str(subset)]) == 2
+    assert capsys.readouterr().err == "error: question id s0 is given more than once\n"
+
+
 def test_entropy_leaves_a_failed_question_out_and_goes_on(tmp_path, capsys):
     questions = [mc_question(f"s{i}", f"Pick {i}. Answer Choices: (A) x (B) y", "A")
                  for i in range(2)]
@@ -429,6 +445,8 @@ def test_entropy_study_sends_the_pinned_requests_and_writes_the_pinned_csv(tmp_p
         b"# model_perturbation requires replacing the final linear layer with a noisy one "
         b"(std 0.010-0.020, step 0.001) on open weights; unsupported here\n")
     assert capsys.readouterr().out == f"{out}\n"
+    # The CSV replaced its file whole, and left no temporary file beside it.
+    assert sorted(os.listdir(tmp_path)) == ["study.csv", "subset.jsonl"]
 
 
 def test_votemodel_subcommand(tmp_path, capsys, monkeypatch):
@@ -497,19 +515,39 @@ def test_report_and_pilot_subset_subcommands(tmp_path, capsys):
 def test_report_refuses_two_runs_of_one_method_and_an_unknown_baseline(tmp_path, capsys):
     script = _mock_script_file(tmp_path, {"": ["the answer is yes"] * 40})
     runs = tmp_path / "runs"
-    for m in ("3", "2"):
+    for run_id in ("sc-a", "sc-b"):
         assert main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", "sc",
-                     "--m", m, "--mock-script", script, "--runs-dir", str(runs),
-                     "--run-id", f"sc-m{m}"]) == 0
+                     "--m", "3", "--mock-script", script, "--runs-dir", str(runs),
+                     "--run-id", run_id]) == 0
     capsys.readouterr()
 
-    assert main(["report", "--runs", str(runs / "sc-m3"), str(runs / "sc-m2")]) == 2
+    assert main(["report", "--runs", str(runs / "sc-a"), str(runs / "sc-b")]) == 2
     err = capsys.readouterr().err
-    assert "runs sc-m3 and sc-m2 both give method sc on dataset coinflip" in err
+    assert "runs sc-a and sc-b both give method sc m=3 on dataset coinflip" in err
 
-    assert main(["report", "--runs", str(runs / "sc-m3"), "--baseline", "nope"]) == 1
+    assert main(["report", "--runs", str(runs / "sc-a"), "--baseline", "nope"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: --baseline: no run has method nope; the runs have sc")
+    assert err.startswith("usage error: --baseline: no run has method nope; the runs have sc m=3")
+
+
+def test_report_gives_each_shape_of_one_kind_a_row_of_its_own(tmp_path, capsys):
+    # Every sc run was labelled "sc", so two sample counts on one dataset
+    # were refused as one method, and a sweep had no table.
+    script = _mock_script_file(tmp_path, {"": ["the answer is yes"] * 80})
+    runs = tmp_path / "runs"
+    shapes = {"sc-m3": ["sc", "--m", "3"], "sc-m2": ["sc", "--m", "2"],
+              "sc-m2-t05": ["sc", "--m", "2", "--temperature", "0.5"],
+              "qcsc": ["questionc-sc", "--n", "3", "--m", "3"],
+              "deep": ["deep-cot", "--stop", "stable"]}
+    for run_id, flags in shapes.items():
+        assert main(["run", "--dataset", "coinflip", "--limit", "2", "--strategy", *flags,
+                     "--mock-script", script, "--runs-dir", str(runs), "--run-id", run_id]) == 0
+    capsys.readouterr()
+    assert main(["report", "--format", "csv", "--baseline", "sc m=3",
+                 "--runs", *(str(runs / run_id) for run_id in shapes)]) == 0
+    rows = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()]
+    assert rows == ["method", "sc m=3", "sc m=2", "  vs sc m=3", "sc m=2 t=0.5", "  vs sc m=3",
+                    "questionc_sc n=3 m=3", "  vs sc m=3", "deep_cot T=3 stable", "  vs sc m=3"]
 
 
 def test_cache_subcommand_counts_and_verifies(tmp_path, capsys):
@@ -744,6 +782,67 @@ def test_a_cache_recorded_at_int_temperature_0_replays_under_temperature_flag_0(
     assert replayed == recorded
     traces = [json.loads(line) for line in replayed.splitlines()]
     assert len(traces) == 9 and not any(t["parsed"]["abstain"] for t in traces)
+
+
+def test_a_replay_writes_the_cache_index_and_replays_byte_for_byte_from_it(tmp_path,
+                                                                          monkeypatch):
+    # The first replay parses the cache and writes its index; the second
+    # reads the index; an index cut short is not trusted, so the third
+    # parses the cache again.
+    script = {"step by step": ["reasoning about coins"] * 9,
+              YES_TRIGGER: ["the answer is yes"] * 9}
+    cache = tmp_path / "cache.jsonl"
+    run_experiment("coinflip", generate_synthetic("coinflip", 3, seed=5),
+                   default_config(StrategyKind.SC, m_samples=3),
+                   RecordingBackend(ScriptedBackend(script), ReplayStore(str(cache))),
+                   runs_dir=str(tmp_path / "runs"), run_id="recorded")
+    recorded = (tmp_path / "runs" / "recorded" / "traces.jsonl").read_bytes()
+    index = tmp_path / "cache.jsonl.index"
+    parses = []
+
+    def counting(*args, **kwargs):
+        parses.append(args[0])
+        return read_json_lines(*args, **kwargs)
+
+    monkeypatch.setattr(breadth.store, "read_json_lines", counting)
+    replay = ["run", "--dataset", "coinflip", "--seed", "5", "--limit", "3", "--strategy", "sc",
+              "--m", "3", "--replay", str(cache), "--runs-dir", str(tmp_path / "runs")]
+    for run_id, parsed in (("parsed", 1), ("indexed", 0), ("cut", 1)):
+        if run_id == "cut":
+            index.write_bytes(index.read_bytes()[:-1])
+        parses.clear()
+        assert main(replay + ["--run-id", run_id]) == 0
+        assert parses.count(str(cache)) == parsed, run_id
+        assert index.stat().st_size > 0
+        assert (tmp_path / "runs" / run_id / "traces.jsonl").read_bytes() == recorded
+
+
+def test_a_live_run_records_its_12_posts_and_replays_them_byte_for_byte(tmp_path, monkeypatch):
+    # Over the loopback and the standard library's HTTP: sc m=3 sends per
+    # question one reasoning call of n=3 and 3 prediction calls. Each
+    # reasoning text is new, so no prediction request repeats.
+    paths = itertools.count()
+
+    def answer(request):
+        if request["messages"][-1]["content"].endswith(YES_TRIGGER):
+            return ["the answer is yes"] * request["n"]
+        return [f"Reasoning path {next(paths)} about the coin." for _ in range(request["n"])]
+
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    cache = str(tmp_path / "live.jsonl")
+    run = ["run", "--dataset", "coinflip", "--limit", "3", "--strategy", "sc", "--m", "3",
+           "--runs-dir", str(tmp_path / "runs")]
+    with ChatServer(answer=answer) as server:
+        assert main(run + ["--base-url", server.base_url, "--record", cache,
+                           "--run-id", "live"]) == 0
+    assert [path for path, _, _ in server.posts] == ["/v1/chat/completions"] * 12
+    assert main(run + ["--replay", cache, "--run-id", "live-replayed"]) == 0
+    assert main(["cache", "--file", cache, "--verify"]) == 0
+    live, replayed = ((tmp_path / "runs" / run_id / "traces.jsonl").read_bytes()
+                      for run_id in ("live", "live-replayed"))
+    # Replay writes latency_ms 0 where the live run timed its calls.
+    assert re.sub(rb'"latency_ms":[0-9]+,', b'"latency_ms":0,', live) == replayed
+    assert replayed.count(b"\n") == 9
 
 
 def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
@@ -1007,6 +1106,40 @@ def test_seed_for_a_file_dataset_exits_2(tmp_path, capsys):
                  "--strategy", "cot", "--dry-run"])
     assert code == 2
     assert "dataset gsm8k is read from a file; --seed 3" in capsys.readouterr().err
+
+
+def test_file_datasets_run_through_the_cli_and_one_with_no_file_exits_2(tmp_path, capsys):
+    # A two-record gsm8k JSONL and a strategyqa task.json, each read through
+    # its dataset's row of bench.DATASETS.
+    gsm8k, strategyqa = tmp_path / "test.jsonl", tmp_path / "task.json"
+    gsm8k.write_text("".join(json.dumps({"question": f"Sam buys {i} pens. How many pens?",
+                                         "answer": f"He buys them.\n#### {i}"}) + "\n"
+                             for i in (1, 2)), encoding="utf-8")
+    strategyqa.write_text(json.dumps({"examples": [{"input": "Is water wet?",
+                                                    "target_scores": {"Yes": 1, "No": 0}}]}),
+                          encoding="utf-8")
+    for dataset, path in (("gsm8k", gsm8k), ("strategyqa", strategyqa)):
+        assert main(["run", "--dataset", dataset, "--data-path", str(path), "--strategy", "cot",
+                     "--limit", "1", "--dry-run"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"2 planned calls over 1 paths for question {dataset}-0:"
+    assert main(["run", "--dataset", "gsm8k", "--strategy", "cot", "--limit", "1",
+                 "--dry-run"]) == 2
+    assert "dataset gsm8k needs a source file" in capsys.readouterr().err
+
+
+def test_a_numeric_answer_is_read_across_a_currency_sign_against_a_negative_gold(tmp_path,
+                                                                                 capsys):
+    svamp = tmp_path / "SVAMP.json"
+    svamp.write_text(json.dumps([{"Body": "Her balance was 20 dollars. She spent 25 dollars.",
+                                  "Question": "What is her balance now?", "Answer": -5}]),
+                     encoding="utf-8")
+    script = {"step by step": ["She spent 5 dollars more than she had."],
+              "Therefore, the answer (arabic numerals) is": ["Her balance is -$5."]}
+    assert main(["run", "--dataset", "svamp", "--data-path", str(svamp), "--strategy", "cot",
+                 "--mock-script", _mock_script_file(tmp_path, script),
+                 "--runs-dir", str(tmp_path / "runs"), "--run-id", "neg"]) == 0
+    assert "accuracy 1.000" in capsys.readouterr().out
 
 
 def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
@@ -1340,7 +1473,15 @@ def test_invalid_json_input_file_exits_2_naming_the_file(tmp_path, capsys, flag)
         "Expecting property name enclosed in double quotes")
 
 
-# Run in a fresh interpreter, so no module this test process imported counts.
+def _run_fresh(script, *args):
+    """Run the Python ``script`` with ``args`` in a fresh interpreter that
+    imports this checkout's breadth, so no module this process loaded counts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["breadth"].__file__)))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
 _OFFLINE_IMPORTS = """
 import socket, sys
 from breadth.cli import main
@@ -1349,7 +1490,7 @@ def assert_not_loaded(step):
     loaded = [m for m in ("numpy", "requests", "http.client", "ssl") if m in sys.modules]
     assert not loaded, f"{step} loaded {loaded}"
 
-mock_script, cache, runs = sys.argv[1:]
+mock_script, study_script, subset, cache, runs = sys.argv[1:]
 assert_not_loaded("import breadth.cli")
 run = ["run", "--dataset", "coinflip", "--seed", "5", "--limit", "2", "--strategy", "sc",
        "--m", "3", "--runs-dir", runs]
@@ -1357,10 +1498,23 @@ assert main(run + ["--mock-script", mock_script, "--run-id", "mock"]) == 0
 assert_not_loaded("a --mock-script run")
 assert main(run + ["--replay", cache, "--run-id", "replay"]) == 0
 assert_not_loaded("a --replay run")
+assert main(["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "questionc-sc",
+             "--n", "3", "--m", "3", "--dry-run"]) == 0
+assert_not_loaded("a dry run")
+assert main(["cache", "--file", cache, "--verify"]) == 0
+assert_not_loaded("cache --verify")
 assert main(["report", "--runs", runs + "/mock"]) == 0
 # One method's two runs on one dataset share no table; JSON lists both.
 assert main(["report", "--runs", runs + "/mock", runs + "/replay", "--format", "json"]) == 0
 assert_not_loaded("report")
+assert main(["pilot-subset", "--cot", runs + "/mock", "--deep", runs + "/replay"]) == 0
+assert_not_loaded("pilot-subset")
+assert main(["entropy", "--factors", "question,prompt,sampling", "--k", "3",
+             "--subset", subset, "--mock-script", study_script]) == 0
+assert_not_loaded("entropy")
+assert main(["reformulate", "--target", "prompt", "--n", "2", "--text", "Let's think.",
+             "--mock-script", study_script]) == 0
+assert_not_loaded("reformulate")
 
 assert main(["votemodel", "--p", "0.6", "--n", "2", "--m", "2", "--trials", "100"]) == 0
 assert "numpy" in sys.modules
@@ -1384,20 +1538,48 @@ assert "requests" not in sys.modules and "http.client" in sys.modules
 def test_offline_commands_load_neither_numpy_nor_requests(tmp_path):
     script = {"step by step": ["thinking"] * 6, YES_TRIGGER: ["the answer is yes"] * 6}
     mock_script = _mock_script_file(tmp_path, script)
+    study_script = _mock_script_file(tmp_path, {
+        "rephrase the following question": ["After Ann flips it, is the coin heads up?",
+                                            "Ann flips a heads-up coin. Is it still heads up?"],
+        "Rephrase the following sentence": ["Let us reason one step at a time.",
+                                            "Work through it step by step."],
+        "": ["reasoning about coins"] * 9,
+        YES_TRIGGER: ["the answer is no"] * 9,
+    }, name="study.json")
+    subset = tmp_path / "subset.jsonl"
+    subset.write_text(json.dumps({
+        "id": "s0", "text": "A coin is heads up. Ann flips the coin. Is the coin still heads up?",
+        "answer_format": "yes_no", "gold": {"kind": "yes_no", "value": "no"}}) + "\n",
+        encoding="utf-8")
     cache = str(tmp_path / "cache.jsonl")
     run_experiment("coinflip", generate_synthetic("coinflip", 2, seed=5),
                    default_config(StrategyKind.SC, m_samples=3),
                    RecordingBackend(ScriptedBackend(script), ReplayStore(cache)),
                    runs_dir=str(tmp_path / "record"), run_id="r0")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["breadth"].__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _OFFLINE_IMPORTS, mock_script, cache, str(tmp_path / "runs")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_fresh(_OFFLINE_IMPORTS, mock_script, study_script, str(subset), cache,
+                      str(tmp_path / "runs"))
     assert proc.returncode == 0, proc.stderr
     for run_id in ("mock", "replay"):
         summary = json.loads((tmp_path / "runs" / run_id / "summary.json").read_text())
         assert [o.get("error") for o in summary["outcomes"]] == [None, None]
+    assert "dataset,question,prompt,sampling\nsubset,0.0000,0.0000,0.0000\n" in proc.stdout
+
+
+_VOTEMODEL_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # as if numpy were not installed
+from breadth.cli import main
+sys.exit(main(["votemodel", "--p", "0.6", "--trials", "10"]))
+"""
+
+
+def test_votemodel_without_numpy_exits_2_naming_it():
+    # ModuleNotFoundError escaped main with a traceback and exit 1, the code
+    # of a usage error.
+    proc = _run_fresh(_VOTEMODEL_WITHOUT_NUMPY)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: votemodel needs numpy: ")
+    assert proc.stderr.count("\n") == 1
 
 
 # Imports every module of the package in a fresh interpreter, and prints
@@ -1413,10 +1595,7 @@ print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before}
 
 
 def test_every_breadth_module_imports_only_the_standard_library():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["breadth"].__file__)))
-    proc = subprocess.run([sys.executable, "-c", _PACKAGE_IMPORTS],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_fresh(_PACKAGE_IMPORTS)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"breadth"}, loaded

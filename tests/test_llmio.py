@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import gc
 import hashlib
@@ -14,7 +13,6 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -48,6 +46,7 @@ from breadth.llmio import (
 from breadth.store import AppendLog, ReplayStore, read_json_lines
 from conftest import (
     ADVERSARIAL_ALPHABET,
+    ChatServer,
     DiskFills,
     descriptors_linked_to,
     mc_question,
@@ -1518,70 +1517,8 @@ def test_live_wire_format():
     assert set(post["json"]) == {"model", "messages", "temperature", "n"}
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive unless the server drops
-    disable_nagle_algorithm = True  # its reply's head and body are two writes
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        with self.server.changed:
-            self.server.posts.append((self.path, dict(self.headers), body))
-        reply = json.dumps(_ok_body(["ok"] * json.loads(body)["n"])).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-        self.close_connection = self.server.drop  # with no Connection: close
-
-    def log_message(self, *args):
-        pass
-
-
-class _ChatServer(ThreadingHTTPServer):
-    """A loopback chat-completion server answering each POST with an "ok"
-    per sample. It keeps each request's path, headers and body, and counts
-    the connections it opened and closed; ``drop`` closes each one after
-    its reply. Leaving it closes every connection and joins its threads."""
-
-    def __init__(self, drop=False):
-        super().__init__(("127.0.0.1", 0), _ChatHandler)
-        self.drop = drop
-        self.posts, self.sockets = [], []
-        self.closed = 0
-        self.changed = threading.Condition()
-        self.thread = threading.Thread(target=self.serve_forever, args=(0.01,))
-        self.thread.start()
-
-    @property
-    def base_url(self):
-        return f"http://127.0.0.1:{self.server_address[1]}/v1"
-
-    def process_request(self, request, client_address):
-        with self.changed:
-            self.sockets.append(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        super().shutdown_request(request)
-        with self.changed:
-            self.closed += 1
-            self.changed.notify_all()
-
-    def wait_closed(self, count):
-        with self.changed:
-            assert self.changed.wait_for(lambda: self.closed >= count, timeout=10)
-
-    def __exit__(self, *exc):
-        self.shutdown()
-        self.thread.join()
-        for sock in self.sockets:  # wakes each handler still reading
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
-        super().__exit__(*exc)
-
-
 def test_each_thread_posts_over_one_kept_connection():
-    with _ChatServer() as server:
+    with ChatServer() as server:
         backend, sleeps = _live(HttpTransport(), server.base_url)
         texts = []
 
@@ -1602,7 +1539,7 @@ def test_each_thread_posts_over_one_kept_connection():
 def test_a_connection_the_server_closed_is_reopened_at_no_cost(wait):
     # Waiting, each close reaches the idle connection before the next
     # request; not waiting, the two may cross.
-    with _ChatServer(drop=True) as server:
+    with ChatServer(drop=True) as server:
         backend, sleeps = _live(HttpTransport(), server.base_url)
         for i in range(10):
             assert backend.complete(req(user_text=f"q{i}")).texts == ("ok",)
@@ -1630,7 +1567,7 @@ def test_a_kept_connection_on_a_descriptor_above_1023_is_reused():
     held = []
     try:
         held += [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
-        with _ChatServer() as server:
+        with ChatServer() as server:
             backend, sleeps = _live(HttpTransport(), server.base_url)
             for i in range(2):
                 assert backend.complete(req(user_text=f"q{i}")).texts == ("ok",)
@@ -1656,7 +1593,7 @@ def _no_transport(url, body, headers, timeout):
 
 
 def test_live_wire_format_on_the_loopback():
-    with _ChatServer() as server:
+    with ChatServer() as server:
         backend, _ = _live(HttpTransport(), server.base_url)
         backend.complete(req(user_text="question", temperature=0.8))
     [(path, headers, body)] = server.posts
