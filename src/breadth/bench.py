@@ -20,7 +20,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
@@ -183,7 +183,7 @@ def _records_from_file(path: str, row: Dataset, dataset: str) -> List[dict]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        if row.default_file.endswith(".jsonl"):
+        if path.endswith(".jsonl"):
             return [parse_json(line, path, lineno)
                     for lineno, line in enumerate(fh, 1) if line.strip()]
         data = parse_json(fh.read(), path)
@@ -341,7 +341,7 @@ def summary_json(record: RunRecord) -> str:
 _RESUMABLE_KEYS = ("limit", "backend_mode")
 
 
-def check_run_config(run_dir: str, run_id: str, config: dict) -> Optional[str]:
+def _check_run_config(run_dir: str, run_id: str, config: dict) -> Optional[str]:
     """The text of ``config.json`` to write in ``run_dir`` for a run under
     ``config``, or None when the file already holds it. If the file is there,
     first raise a ``ValueError`` naming every key, other than
@@ -372,7 +372,7 @@ def check_run_config(run_dir: str, run_id: str, config: dict) -> Optional[str]:
 
 
 def run_experiment(dataset_name: str, questions: Sequence[Question],
-                   cfg: StrategyConfig, backend: Backend,
+                   cfg: StrategyConfig, backend: Backend | Callable[[], Backend],
                    max_total_tokens: Optional[int] = None,
                    runs_dir: str = "runs", run_id: Optional[str] = None,
                    run_keys: Optional[dict] = None) -> RunRecord:
@@ -380,12 +380,14 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
 
     The run's config, in ``config.json`` and ``summary.json``, is the
     caller's provenance ``run_keys`` (model, dataset, ...) and ``cfg``.
+    ``backend`` is a built ``Backend`` or a function that opens one.
 
     Completed questions found in an existing trace store are skipped, so
     interrupted runs resume; a run with no ``run_id`` is a new one, in a
-    directory it makes. A run id whose traces another log holds is an
-    ``OSError``, and a resume under another config a ``ValueError`` (see
-    :func:`check_run_config`), each before any call. Reaching
+    directory it makes once its backend is open. A run id whose traces
+    another log holds is an ``OSError``, and a resume under another config
+    a ``ValueError`` (see :func:`_check_run_config`), each before the
+    backend opens; the log stays locked to the end of the run. Reaching
     ``max_total_tokens`` stops the run gracefully with the record flagged
     partial; single-question failures are recorded and skipped, never fatal.
 
@@ -397,6 +399,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
     run may overshoot it by the cost of the questions in flight.
     """
     if run_id is None:  # suffixed when another run took this second's id
+        backend = backend if isinstance(backend, Backend) else backend()
         stem = f"{dataset_name}-{cfg.kind.value}-{int(time.time())}"
         for run_id in itertools.chain([stem], (f"{stem}-{i}" for i in itertools.count(1))):
             with suppress(FileExistsError):
@@ -443,22 +446,23 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         trace_log.append("".join(trace.json_line() for trace in traces).encode("utf-8"))
         add_outcome(q, traces)
 
-    # A deterministic backend answers in-process, so nothing overlaps, and a
-    # scripted one answers in call order: its window holds one question.
-    depth = 1 if backend.deterministic else MAX_IN_FLIGHT
-    workers = (nullcontext() if backend.deterministic else
-               ThreadPoolExecutor(depth, thread_name_prefix="breadth-question"))
-    # Entering the log creates and locks traces.jsonl before it is read or
-    # config.json written, so a second writer of this run id changes nothing,
-    # and a run that writes no trace still leaves one; leaving it closes it.
-    with trace_log, workers as pool:
+    # Entering the log creates and locks traces.jsonl before it is read, the
+    # backend opened or config.json written, so a second writer of this run
+    # id changes nothing, and a run that writes no trace still leaves one;
+    # leaving it closes it. An idle pool starts no thread.
+    with trace_log, ThreadPoolExecutor(MAX_IN_FLIGHT,
+                                       thread_name_prefix="breadth-question") as pool:
         existing: Dict[str, List[ReasoningTrace]] = {}  # traces by question id
         for trace in read_json_lines(trace_log.path, keep=ReasoningTrace.from_dict):
             existing.setdefault(trace.question_id, []).append(trace)
-        config_text = check_run_config(run_dir, run_id, config)
+        config_text = _check_run_config(run_dir, run_id, config)
+        backend = backend if isinstance(backend, Backend) else backend()
         if config_text is not None:
             with replaced(os.path.join(run_dir, "config.json")) as fh:
                 fh.write(config_text)
+        # A deterministic backend answers in-process, so nothing overlaps, and
+        # a scripted one answers in call order: its window holds one question.
+        depth = 1 if backend.deterministic else MAX_IN_FLIGHT
         started = time.monotonic()
         for q in questions:
             if q.id in existing:
@@ -474,7 +478,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 partial = True
                 break
             task = (run_strategy, q, cfg, backend)
-            window.append((q, functools.partial(*task) if pool is None else
+            window.append((q, functools.partial(*task) if backend.deterministic else
                            pool.submit(*task).result))
         while window:
             write_oldest()
@@ -497,10 +501,11 @@ def load_run_record(run_dir: str) -> RunRecord:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no summary at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return RunRecord.from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        data = parse_json(fh.read(), path)
+    try:
+        return RunRecord.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def pilot_subset(cot_record: RunRecord, deep_record: RunRecord) -> List[str]:

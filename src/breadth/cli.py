@@ -13,7 +13,7 @@ import hashlib
 import logging
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import bench, diversity, votemodel
 from .core import (
@@ -35,7 +35,7 @@ from .llmio import (
     ScriptedBackend,
 )
 from .reformulate import ReformulationSpec, ReformulationTarget, reformulate
-from .store import AppendLog, ReplayStore, check_servable, read_json_lines, replaced
+from .store import ReplayStore, check_servable, read_json_lines, replaced
 from .strategy import plan_calls
 
 logger = logging.getLogger(__name__)
@@ -76,20 +76,22 @@ def _backend_mode(args) -> str:
     return modes[0] if modes else "live"
 
 
-def _build_backend(args) -> Backend:
+def _build_backend(args) -> Callable[[], Backend]:
+    """Check every backend flag; return a function that opens the backend."""
     mode = _backend_mode(args)
     if mode == "replay":
         # A store opened on a missing file is empty, and would fail every call.
         if not os.path.isfile(args.replay):
             raise RuntimeError(f"--replay: no cache file at {args.replay}")
-        return ReplayBackend(ReplayStore(args.replay), model=args.model)
+        return lambda: ReplayBackend(ReplayStore(args.replay), model=args.model)
     if mode == "mock":
         with open(args.mock_script, "r", encoding="utf-8") as fh:
             script = parse_json(fh.read(), f"--mock-script {args.mock_script}")
         try:
-            return ScriptedBackend(script, model=args.model)
+            scripted = ScriptedBackend(script, model=args.model)
         except ValueError as exc:
             raise ValueError(f"--mock-script {args.mock_script}: {exc}") from None
+        return lambda: scripted
     if not os.environ.get(API_KEY_ENV):
         raise RuntimeError(
             f"live mode needs the {API_KEY_ENV} environment variable; set it, "
@@ -97,8 +99,8 @@ def _build_backend(args) -> Backend:
     live = LiveBackend(args.base_url, model=args.model)
     if mode == "record":
         # Locked before it is read and before any call: a second writer exits 2.
-        return RecordingBackend(live, ReplayStore(args.record, record=True))
-    return live
+        return lambda: RecordingBackend(live, ReplayStore(args.record, record=True))
+    return lambda: live
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -153,16 +155,8 @@ def _cmd_run(args) -> int:
         "data_path": os.path.abspath(spec.path) if spec.path else None,
         "limit": args.limit,
     }
-    if args.run_id is not None:  # a refused resume or a held run id opens no cache
-        run_dir = os.path.join(args.runs_dir, args.run_id)
-        bench.check_run_config(run_dir, args.run_id, {**run_keys, **cfg.to_dict()})
-        traces = os.path.join(run_dir, "traces.jsonl")
-        if os.path.exists(traces):
-            with AppendLog(traces):  # raises while another writer holds it
-                pass
-    backend = _build_backend(args)
     record = bench.run_experiment(
-        args.dataset, questions, cfg, backend,
+        args.dataset, questions, cfg, _build_backend(args),
         max_total_tokens=args.token_budget, runs_dir=args.runs_dir, run_id=args.run_id,
         run_keys=run_keys,
     )
@@ -184,7 +178,7 @@ def _cmd_reformulate(args) -> int:
         n_variants=args.n,
         include_original=args.include_original,
     )
-    for variant in reformulate(text, spec, _build_backend(args)):
+    for variant in reformulate(text, spec, _build_backend(args)()):
         print(variant.replace("\n", " "))
     return 0
 
@@ -212,7 +206,7 @@ def _cmd_entropy(args) -> int:
     if repeated:
         raise UsageError(f"--factors names {', '.join(repeated)} more than once")
     diversity.check_study(questions, factors, args.k)
-    results = diversity.run_factor_study(questions, factors, args.k, _build_backend(args))
+    results = diversity.run_factor_study(questions, factors, args.k, _build_backend(args)())
     _emit(diversity.report_to_csv(args.dataset, results, factors), args.out)
     return 0
 

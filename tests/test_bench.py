@@ -288,6 +288,21 @@ def test_directory_path_uses_default_filename(dataset_dir, tmp_path):
     assert len(questions) == 1319
 
 
+def test_a_dataset_file_is_read_by_its_own_suffix(tmp_path):
+    # The row's default file chose the layout: a gsm8k JSON list was read as
+    # JSON lines, and a singleeq .jsonl file as one JSON document.
+    items = (("1 + 1?", 2), ("2 + 2?", 4))
+    gsm = tmp_path / "gsm.json"
+    gsm.write_text(json.dumps([{"question": q, "answer": f"#### {a}"} for q, a in items]),
+                   encoding="utf-8")
+    singleeq = tmp_path / "sq.jsonl"
+    singleeq.write_text("".join(json.dumps({"sQuestion": q, "lSolutions": [a]}) + "\n"
+                                for q, a in items), encoding="utf-8")
+    for name, path in (("gsm8k", gsm), ("singleeq", singleeq)):
+        questions = load_dataset(dataset_spec(name, path=str(path)))
+        assert [(q.text, q.gold.value) for q in questions] == [("1 + 1?", "2"), ("2 + 2?", "4")]
+
+
 def test_unknown_dataset_rejected():
     with pytest.raises(KeyError):
         dataset_spec("mystery")
@@ -1216,6 +1231,15 @@ def test_emit_report_json_round_trips():
 def test_load_run_record_of_a_directory_without_a_summary_names_the_path(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(FileNotFoundError, match=f"^no summary at {re.escape(str(path))}$"):
+        load_run_record(str(tmp_path))
+
+
+def test_load_run_record_of_a_summary_that_is_not_json_names_the_place(tmp_path):
+    # It read as json's own message, with no word that the file was not JSON.
+    path = tmp_path / "summary.json"
+    path.write_text("{bad", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON at line 1 "
+                                         "column 2: Expecting property name"):
         load_run_record(str(tmp_path))
 
 

@@ -76,6 +76,25 @@ def test_write_appends_one_entry_per_side_with_every_declared_metric(tmp_path):
     assert "questions_per_s" in report and "change better in 3/3" in report
 
 
+def test_a_write_interrupted_midway_leaves_the_history_byte_identical(tmp_path, monkeypatch):
+    # The file was rewritten in place, so a failure during json.dump cut it short.
+    runs = [bench_ab.parse_result(_canned_output(4700))]
+    path = tmp_path / "BENCH_replay-sc.json"
+    entries = [bench_ab.entry("parent-commit", "tree", [11], 5.0, "3.11.7", runs, DECLARED)]
+    bench_ab.append_entries(str(path), entries)
+    before = path.read_bytes()
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench_ab.json, "dump", dump_half)
+    with pytest.raises(KeyboardInterrupt):
+        bench_ab.append_entries(str(path), entries)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["BENCH_replay-sc.json"]
+
+
 def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
     # git, the exports and every child process are stand-ins: main only
     # decides which commands run, in which directory and in which order.

@@ -314,7 +314,7 @@ def test_entropy_prompt_k_above_the_bank_exits_2_before_any_call(tmp_path, capsy
     subset = tmp_path / "subset.jsonl"
     subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
     backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
-    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    monkeypatch.setattr(cli, "_build_backend", lambda args: lambda: backend)
     code = main(["entropy", "--factors", "question,prompt", "--k", "11",
                  "--subset", str(subset)])
     assert code == 2
@@ -332,7 +332,7 @@ def test_entropy_refuses_a_factor_named_twice_before_any_call(tmp_path, capsys, 
     subset = tmp_path / "subset.jsonl"
     subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
     backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
-    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    monkeypatch.setattr(cli, "_build_backend", lambda args: lambda: backend)
     entropy = ["entropy", "--k", "3", "--subset", str(subset), "--factors"]
     assert main(entropy + [factors]) == 1
     assert f"--factors names {named} more than once" in capsys.readouterr().err
@@ -350,7 +350,7 @@ def test_entropy_refuses_a_label_that_would_break_its_csv_row(tmp_path, capsys, 
     subset = tmp_path / "subset.jsonl"
     subset.write_text(json.dumps(q.to_dict()) + "\n", encoding="utf-8")
     backend = ScriptedBackend({"": [f"text {i}" for i in range(500)]})
-    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    monkeypatch.setattr(cli, "_build_backend", lambda args: lambda: backend)
     out = tmp_path / "study.csv"
     assert main(["entropy", "--factors", "sampling", "--k", "3", "--subset", str(subset),
                  "--dataset", label, "--out", str(out)]) == 1
@@ -409,7 +409,7 @@ def test_entropy_study_sends_the_pinned_requests_and_writes_the_pinned_csv(tmp_p
         "": [f"reasoning {i}" for i in range(20)],
         MC_TRIGGER: [f"the answer is ({label})" for label in labels],
     })
-    monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+    monkeypatch.setattr(cli, "_build_backend", lambda args: lambda: backend)
     out = tmp_path / "study.csv"
     code = main(["entropy", "--factors", "question,prompt,sampling", "--k", "3",
                  "--subset", str(subset), "--dataset", "toy", "--out", str(out)])
@@ -854,7 +854,7 @@ def test_record_flag_opens_a_store_that_writes_no_index(tmp_path, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "k")
     args = build_parser().parse_args(["run", "--dataset", "coinflip", "--strategy", "cot",
                                       "--record", str(cache)])
-    backend = cli._build_backend(args)
+    backend = cli._build_backend(args)()
     assert isinstance(backend, RecordingBackend) and len(backend.store) == 1
     assert os.listdir(tmp_path) == ["cache.jsonl"]
 
@@ -951,6 +951,57 @@ def test_run_on_a_run_id_another_writer_holds_exits_2_before_any_call(tmp_path, 
     assert f"held by another writer: '{traces}'" in capsys.readouterr().err
     assert os.listdir(traces.parent) == ["traces.jsonl"] and traces.read_bytes() == b""
     assert main(run) == 0  # the log closed, so the run id is free
+
+
+@pytest.mark.parametrize("flag", ["--replay", "--record"])
+def test_a_resumed_run_holds_its_trace_log_while_it_opens_its_cache(tmp_path, monkeypatch,
+                                                                   capsys, flag):
+    # The run took and let go of the trace log's lock before it opened the
+    # cache, so another writer could take the run id in between.
+    argv = _cot_run(tmp_path)
+    argv = argv[:argv.index("--mock-script")] + argv[argv.index("--runs-dir"):]
+    traces = tmp_path / "runs" / "r" / "traces.jsonl"
+    cache = tmp_path / "cache.jsonl"
+    RecordingBackend(ScriptedBackend({"q": ["a"]}), ReplayStore(str(cache))).complete(
+        CompletionRequest(model="m", user_text="q"))
+    refusals = []
+
+    def opening(path, **kwargs):
+        try:
+            with AppendLog(str(traces)):
+                refusals.append(None)
+        except OSError as exc:
+            refusals.append(str(exc))
+        return ReplayStore(path, **kwargs)
+
+    monkeypatch.setattr(cli, "ReplayStore", opening)
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
+    assert main(argv + [flag, str(cache)]) == 0
+    assert refusals == [f"[Errno {errno.EAGAIN}] held by another writer: '{traces}'"]
+
+
+def test_a_new_run_id_whose_cache_cannot_open_is_started_fresh_next_time(tmp_path, monkeypatch,
+                                                                       capsys):
+    # The run id is claimed before the cache opens: the refused start leaves
+    # an empty trace log and no config.json, which the next start takes as new.
+    cache = tmp_path / "cache.jsonl"
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr(cli, "LiveBackend",
+                        functools.partial(LiveBackend, transport=_transport_that_fails))
+    run = ["run", "--dataset", "coinflip", "--limit", "1", "--strategy", "cot",
+           "--runs-dir", str(tmp_path / "runs"), "--run-id", "new"]
+    with AppendLog(str(cache)):
+        assert main(run + ["--record", str(cache)]) == 2
+    assert f"held by another writer: '{cache}'" in capsys.readouterr().err
+    run_dir = tmp_path / "runs" / "new"
+    assert os.listdir(run_dir) == ["traces.jsonl"]
+    assert (run_dir / "traces.jsonl").read_bytes() == cache.read_bytes() == b""
+    script = _mock_script_file(tmp_path, {"step by step": ["r"],
+                                          YES_TRIGGER: ["the answer is yes"]})
+    assert main(run + ["--mock-script", script]) == 0
+    assert sorted(os.listdir(run_dir)) == ["config.json", "summary.json", "traces.jsonl"]
 
 
 def test_runs_with_no_run_id_started_in_one_second_each_make_their_own(

@@ -89,13 +89,22 @@ def entry(commit: str, harness: str, seeds: Sequence[int], seconds: float, pytho
 
 
 def append_entries(path: str, entries: Sequence[dict]) -> None:
+    """Add ``entries`` to the history in ``path``. The file is written to a
+    temporary file beside it and moved over it, so a write that fails or is
+    interrupted leaves the old history whole."""
     history = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             history = json.load(fh)["history"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"history": history + list(entries)}, fh, indent=2)
-        fh.write("\n")
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            json.dump({"history": history + list(entries)}, fh, indent=2)
+            fh.write("\n")
+        os.replace(temp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
 
 
 def report(workload: str, sides: Dict[str, List[dict]], declared: Sequence[dict]) -> str:
