@@ -1,10 +1,14 @@
 """Shared domain types and answer canonicalization.
 
 All types here are immutable value objects (frozen dataclasses) and are safe
-to share across threads. A persisted type is a :class:`Record`, whose JSON
-object holds its fields by name: a None field is left out, an absent one
-reads as its default, and an int is a count, never negative. A trace,
-written once per path, also has a fast writer, ``json_line``.
+to share across threads. :class:`Usage`, :class:`ReasoningTrace` and
+``llmio``'s request and response, built per call or path and so as many times
+as breadth has paths, each keep a written ``__init__`` that checks and fills
+the instance in one ``__dict__.update``, not one ``object.__setattr__`` per
+field as a generated one does. A persisted type is a :class:`Record`, whose
+JSON object holds its fields by name: a None field is left out, an absent one
+reads as its default, and an int is a count, never negative. A trace, written
+once per path, also has a fast writer, ``json_line``.
 """
 
 from __future__ import annotations
@@ -185,6 +189,9 @@ class Usage(Record):
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
+    def __init__(self, prompt_tokens: int = 0, completion_tokens: int = 0):
+        self.__dict__.update(prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
+
     def __add__(self, other: "Usage") -> "Usage":
         return Usage(
             self.prompt_tokens + other.prompt_tokens,
@@ -361,13 +368,20 @@ class ReasoningTrace(Record):
     usage: Usage = field(default_factory=Usage)
     latency_ms: int = 0
 
-    def __post_init__(self):
-        if self.round < 1:
+    def __init__(self, question_id: str, round: int, reformulation_index: int, sample_index: int,
+                 assembled_input: str, reasoning_text: str, raw_prediction_text: str,
+                 parsed: Answer, usage: Usage = Usage(), latency_ms: int = 0):
+        if round < 1:
             raise ValueError("round starts at 1")
-        if self.reformulation_index < 0 or self.sample_index < 0:
+        if reformulation_index < 0 or sample_index < 0:
             raise ValueError("path indices are non-negative")
-        if self.latency_ms < 0:
+        if latency_ms < 0:
             raise ValueError("latency_ms is non-negative")
+        self.__dict__.update(
+            question_id=question_id, round=round, reformulation_index=reformulation_index,
+            sample_index=sample_index, assembled_input=assembled_input,
+            reasoning_text=reasoning_text, raw_prediction_text=raw_prediction_text,
+            parsed=parsed, usage=usage, latency_ms=latency_ms)
 
     def path_key(self) -> tuple:
         return (self.question_id, self.round, self.reformulation_index, self.sample_index)

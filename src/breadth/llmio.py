@@ -68,20 +68,21 @@ class NetworkError(LlmIoError):
 class CompletionRequest:
     """One generation request against a chat-completion backend.
 
-    Its bytes are made when it is built: ``sample_payloads``, a plain
-    attribute and not a field, holds each sample's own request in canonical
-    JSON, in sample order: sample i's is the request with ``n_samples`` 1
-    and ``sample_batch_id`` ``sample_batch_id + i``, so batched and
-    sequential sampling share records. :func:`cache_key`
-    digests these bytes and the cache stores them, so a request is encoded
-    once. The fields are written in sorted order: strings through
-    :func:`~breadth.core.json_string`, ints with ``%d`` and the temperature,
-    stored as the float of its value (``0``, ``0.0`` and ``-0.0`` are one
-    request), with ``float.__repr__``. The layout also holds ``max_tokens``,
-    ``system_text`` and ``top_k``, always ``null``: no request sets them,
-    and keeping their slots keeps every key and record this program has
-    written. The bytes around the batch id that only the model and
-    temperature decide come from :func:`_request_layout`.
+    Its bytes are made when it is built, in one step with its fields (see
+    :mod:`breadth.core`): ``sample_payloads``, a plain attribute and not a
+    field, holds each sample's own request in canonical JSON, in sample
+    order: sample i's is the request with ``n_samples`` 1 and
+    ``sample_batch_id`` ``sample_batch_id + i``, so batched and sequential
+    sampling share records. :func:`cache_key` digests these bytes and the
+    cache stores them, so a request is encoded once. The fields are written
+    in sorted order: strings through :func:`~breadth.core.json_string`, ints
+    with ``%d`` and the temperature, stored as the float of its value
+    (``0``, ``0.0`` and ``-0.0`` are one request), with ``float.__repr__``.
+    The layout also holds ``max_tokens``, ``system_text`` and ``top_k``,
+    always ``null``: no request sets them, and keeping their slots keeps
+    every key and record this program has written. The bytes around the
+    batch id that only the model and temperature decide come from
+    :func:`_request_layout`.
     """
 
     model: str
@@ -90,19 +91,21 @@ class CompletionRequest:
     n_samples: int = 1
     sample_batch_id: int = 0  # sample 0's index in its key; rewrite retries vary it
 
-    def __post_init__(self):
-        if self.n_samples < 1:
+    def __init__(self, model: str, user_text: str, temperature: float = 1.0,
+                 n_samples: int = 1, sample_batch_id: int = 0):
+        if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        head, middle, temperature = _request_layout(self.model, self.temperature)
-        object.__setattr__(self, "temperature", temperature)
+        head, middle, temperature = _request_layout(model, temperature)
         # json_string writes ASCII only.
-        tail = b"%s%s}" % (middle, json_string(self.user_text).encode("ascii"))
-        first, n = self.sample_batch_id, self.n_samples
-        if n == 1:
-            payloads = (b"%s%d%s" % (head, first, tail),)
+        tail = b"%s%s}" % (middle, json_string(user_text).encode("ascii"))
+        if n_samples == 1:
+            payloads = (b"%s%d%s" % (head, sample_batch_id, tail),)
         else:
-            payloads = tuple([b"%s%d%s" % (head, i, tail) for i in range(first, first + n)])
-        object.__setattr__(self, "sample_payloads", payloads)
+            payloads = tuple([b"%s%d%s" % (head, i, tail)
+                              for i in range(sample_batch_id, sample_batch_id + n_samples)])
+        self.__dict__.update(model=model, user_text=user_text, temperature=temperature,
+                             n_samples=n_samples, sample_batch_id=sample_batch_id,
+                             sample_payloads=payloads)
 
 
 @lru_cache(maxsize=64)
@@ -125,6 +128,9 @@ class CompletionResponse:
     texts: tuple
     usage: Usage = field(default_factory=Usage)
     backend: str = BACKEND_MOCK
+
+    def __init__(self, texts: tuple, usage: Usage = Usage(), backend: str = BACKEND_MOCK):
+        self.__dict__.update(texts=texts, usage=usage, backend=backend)
 
 
 def cache_key(req: CompletionRequest) -> Tuple[str, ...]:

@@ -1,6 +1,7 @@
 """``tools/bench_ab.py`` over canned ``perfbench/run.py`` output: no
 benchmark is run here."""
 
+import argparse
 import json
 import os
 import sys
@@ -44,6 +45,22 @@ def test_a_run_that_is_not_correct_fails_the_script(stdout):
 def test_seeds_are_a_range():
     assert bench_ab.parse_seeds("11-16") == [11, 12, 13, 14, 15, 16]
     assert bench_ab.parse_seeds("7") == [7]
+    for empty in ("16-11", "11-x", "x", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_ab.parse_seeds(empty)
+
+
+@pytest.mark.parametrize("seeds", ["16-11", "11-x"])
+def test_a_seed_range_that_names_no_seed_is_a_usage_error_before_any_export(
+        seeds, monkeypatch, capsys):
+    def no_git(*args):
+        raise AssertionError("git was called")
+
+    monkeypatch.setattr(bench_ab, "_git", no_git)
+    with pytest.raises(SystemExit) as exc:
+        bench_ab.main(["--parent", "p", "--workload", "replay-sc", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"--seeds: expected a range of seeds as 11-16, got {seeds!r}" in capsys.readouterr().err
 
 
 def test_medians_quartiles_and_pairs_won():

@@ -1,10 +1,11 @@
 import ast
 import builtins
+import inspect
 import json
 import os
 import random
 import string
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from breadth.core import (
     is_count,
 )
 from breadth.extract import extract_answer
-from breadth.llmio import CompletionRequest, _request_layout
+from breadth.llmio import CompletionRequest, CompletionResponse, _request_layout
 from conftest import (
     ADVERSARIAL_ALPHABET,
     IGNORED_KNOBS,
@@ -242,6 +243,8 @@ def test_each_kind_sets_the_knobs_it_reads():
 def test_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(kind=StrategyKind.SC, m_samples=0)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        CompletionRequest("m", "q", n_samples=0)
     # A request checks its temperature when the request layout's memo
     # misses, and a refused one is never memoized, so it is refused again.
     _request_layout.cache_clear()
@@ -351,6 +354,42 @@ def test_trace_validation():
                                      if k not in ("usage", "latency_ms")}) == trace
     with pytest.raises(ValueError, match="ReasoningTrace has no field 'round'"):
         ReasoningTrace.from_dict({k: v for k, v in fields.items() if k != "round"})
+
+
+# The types that write their own ``__init__``, each with arguments that differ
+# from every default, in field order.
+_OWN_INITS = {
+    Usage: {"prompt_tokens": 3, "completion_tokens": 4},
+    ReasoningTrace: {"question_id": "q", "round": 2, "reformulation_index": 1,
+                     "sample_index": 3, "assembled_input": "q\nprompt", "reasoning_text": "r",
+                     "raw_prediction_text": "(A)",
+                     "parsed": Answer(AnswerFormat.MULTIPLE_CHOICE, "A"),
+                     "usage": Usage(10, 20), "latency_ms": 5},
+    CompletionRequest: {"model": "m", "user_text": "q", "temperature": 0.8, "n_samples": 3,
+                        "sample_batch_id": 2},
+    CompletionResponse: {"texts": ("a", "b"), "usage": Usage(1, 2), "backend": "replay_hit"},
+}
+
+
+@pytest.mark.parametrize("cls", list(_OWN_INITS), ids=lambda cls: cls.__name__)
+def test_a_written_init_is_the_one_its_dataclass_would_generate(cls):
+    assert "__post_init__" not in vars(cls)
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fields(cls)]
+    for param, f in zip(params, fields(cls)):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        assert param.default == (inspect.Parameter.empty if default is MISSING else default)
+    args = _OWN_INITS[cls]
+    value = cls(**args)
+    assert {f.name: getattr(value, f.name) for f in fields(cls)} == args
+    for name, arg in args.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, arg)
+    twin = cls(*args.values())
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert vars(replace(value)) == vars(value)
+    if issubclass(cls, Record):
+        assert cls.from_dict(value.to_dict()) == value
 
 
 @pytest.mark.parametrize("fields", [

@@ -47,9 +47,17 @@ def _git(root: str, *args: str) -> str:
 
 
 def parse_seeds(text: str) -> List[int]:
-    """The seeds of a range ``"11-16"``, or of one seed ``"11"``."""
+    """The seeds of a range ``"11-16"``, or of one seed ``"11"``: the
+    ``--seeds`` type, so that an empty, reversed or non-numeric range is a
+    usage error before any export."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected a range of seeds as 11-16, got {text!r}")
+    return seeds
 
 
 def parse_result(stdout: str) -> dict:
@@ -145,13 +153,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the revision to measure against")
     parser.add_argument("--change", default="HEAD", help="the revision measured (HEAD)")
     parser.add_argument("--workload", required=True, help=f"all, or one of {WORKLOADS}")
-    parser.add_argument("--seeds", default="11-16", help="a range of seeds, as 11-16")
+    parser.add_argument("--seeds", type=parse_seeds, default="11-16",
+                        help="a range of seeds, as 11-16")
     parser.add_argument("--seconds", type=float, default=5.0, help="seconds per run")
     parser.add_argument("--write", action="store_true",
                         help="append both sides' entries to BENCH_<workload>.json")
     args = parser.parse_args(argv)
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     root = _git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
     commits = {side: _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in (("parent", args.parent), ("change", args.change))}
