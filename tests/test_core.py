@@ -372,7 +372,7 @@ _OWN_INITS = {
 
 
 @pytest.mark.parametrize("cls", list(_OWN_INITS), ids=lambda cls: cls.__name__)
-def test_a_written_init_is_the_one_its_dataclass_would_generate(cls):
+def test_a_written_init_matches_its_dataclass_and_keeps_it_frozen(cls):
     assert "__post_init__" not in vars(cls)
     params = list(inspect.signature(cls).parameters.values())
     assert [p.name for p in params] == [f.name for f in fields(cls)]

@@ -160,7 +160,6 @@ def main(argv=None) -> int:
                         help="append both sides' entries to BENCH_<workload>.json")
     args = parser.parse_args(argv)
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
-    seeds = args.seeds
     root = _git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
     commits = {side: _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -178,13 +177,13 @@ def main(argv=None) -> int:
             declared = json.load(fh)["end_to_end"]
         for workload in workloads:
             sides: Dict[str, List[dict]] = {"parent": [], "change": []}
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(args.seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     sides[side].append(_run(exports[side], harness, workload, seed, args.seconds))
             print(report(workload, sides, declared), flush=True)
             if args.write:
                 append_entries(os.path.join(root, f"BENCH_{workload}.json"), [
-                    entry(commits[side], harness_tree, seeds, args.seconds,
+                    entry(commits[side], harness_tree, args.seeds, args.seconds,
                           platform.python_version(), sides[side], declared)
                     for side in ("parent", "change")])
     except (RuntimeError, subprocess.CalledProcessError) as exc:
