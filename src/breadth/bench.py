@@ -421,11 +421,8 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
         it ran now or was resumed."""
         nonlocal total_usage
         final = vote_from_traces(traces).winner
-        outcomes.append(QuestionOutcome(
-            question_id=q.id, final=final,
-            correct=final == q.gold,
-            rounds=max(t.round for t in traces), trace_count=len(traces),
-        ))
+        outcomes.append(QuestionOutcome(q.id, final, final == q.gold,
+                                        max([t.round for t in traces]), len(traces)))
         prompt, completion = total_usage.prompt_tokens, total_usage.completion_tokens
         for trace in traces:
             prompt += trace.usage.prompt_tokens
@@ -443,7 +440,7 @@ def run_experiment(dataset_name: str, questions: Sequence[Question],
                 correct=False, rounds=0, trace_count=0, error=str(exc),
             ))
             return
-        trace_log.append("".join(trace.json_line() for trace in traces).encode("utf-8"))
+        trace_log.append("".join([trace.json_line() for trace in traces]).encode("utf-8"))
         add_outcome(q, traces)
 
     # Entering the log creates and locks traces.jsonl before it is read, the

@@ -162,7 +162,7 @@ def majority_vote(answers: Sequence[Answer]) -> VoteResult:
     """
     if not answers:
         raise ValueError("majority_vote needs at least one answer")
-    counts = Counter(a for a in answers if not a.abstain)
+    counts = Counter([a for a in answers if not a.abstain])
     top = counts.most_common(2) or [(Answer.abstained(answers[0].kind), 0)]
-    return VoteResult(winner=top[0][0], counts=tuple(counts.items()),
-                      tie=len(top) == 2 and top[1][1] == top[0][1])
+    return VoteResult(top[0][0], tuple(counts.items()),
+                      len(top) == 2 and top[1][1] == top[0][1])

@@ -136,7 +136,10 @@ class CompletionResponse:
 def cache_key(req: CompletionRequest) -> Tuple[str, ...]:
     """The request's per-sample cache keys, in sample order: the SHA-256 of
     each of :attr:`CompletionRequest.sample_payloads`."""
-    return tuple([hashlib.sha256(payload).hexdigest() for payload in req.sample_payloads])
+    payloads = req.sample_payloads
+    if len(payloads) == 1:
+        return (hashlib.sha256(payloads[0]).hexdigest(),)
+    return tuple([hashlib.sha256(payload).hexdigest() for payload in payloads])
 
 
 class Backend:
@@ -162,9 +165,8 @@ def call(backend: Backend, user_text: str, temperature: float, n_samples: int = 
     nearest: 0, with no clock read, under a deterministic backend, so that
     its runs are byte-identical. A response without one text per sample is
     an :class:`LlmIoError`."""
-    request = CompletionRequest(model=backend.model, user_text=user_text,
-                                temperature=temperature, n_samples=n_samples,
-                                sample_batch_id=sample_batch_id)
+    request = CompletionRequest(backend.model, user_text, temperature, n_samples,
+                                sample_batch_id)
     started = None if backend.deterministic else time.monotonic()
     response = backend.complete(request)
     ms = 0 if started is None else round((time.monotonic() - started) * 1000)
@@ -458,6 +460,12 @@ def replay_response(store: ReplayStore, keys: Sequence[str]) -> CompletionRespon
     cannot be served, is an :class:`LlmIoError` naming it, failing its path
     as a failed call does."""
     entries = store.entries
+    if len(keys) == 1:  # one sample: its entry is the response
+        entry = entries.get(keys[0])
+        if type(entry) is tuple:
+            text, prompt_tokens, completion_tokens = entry
+            return CompletionResponse((text,), Usage(prompt_tokens, completion_tokens),
+                                      BACKEND_REPLAY_HIT)
     texts = []
     prompt_tokens = completion_tokens = 0
     for key in keys:

@@ -102,8 +102,8 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformu
 
     One backend call per variant, at temperature 1.0 with the backend's
     model; blank or normalized-duplicate outputs are regenerated up to a
-    small retry budget and then kept with a logged flag. Never returns fewer
-    than ``n_variants`` strings.
+    small retry budget (logged at INFO) and then kept with a WARNING. Never
+    returns fewer than ``n_variants`` strings.
     """
     if not text:
         raise ValueError("cannot reformulate empty text")
@@ -126,13 +126,11 @@ def reformulate(text: str, spec: ReformulationSpec, backend: Backend) -> Reformu
             variants.usage += usage
             variants.latency_ms += ms
             candidate = candidate.strip()
-            if not candidate:
-                logger.warning("blank reformulation for variant %d, regenerating", index)
-                continue
-            if _normalized(candidate) in seen:
-                logger.warning("duplicate reformulation for variant %d, regenerating", index)
-                continue
-            break
+            if candidate and _normalized(candidate) not in seen:
+                break
+            if attempt < _DEDUP_RETRIES:  # a retry is routine; keeping a bad one is not
+                logger.info("%s reformulation for variant %d, regenerating",
+                            "duplicate" if candidate else "blank", index)
         if not candidate:
             logger.warning("variant %d stayed blank after retries, keeping original", index)
             candidate = stem

@@ -112,8 +112,8 @@ def vote_from_traces(traces: Sequence[ReasoningTrace]) -> VoteResult:
     the vote gives that path's answer. Paths vote in path-key order, not
     arrival order, so concurrent completion never changes the result.
     """
-    last = max(t.round for t in traces)
-    ordered = sorted((t for t in traces if t.round == last), key=ReasoningTrace.path_key)
+    last = max([t.round for t in traces])
+    ordered = sorted([t for t in traces if t.round == last], key=ReasoningTrace.path_key)
     return majority_vote([t.parsed for t in ordered])
 
 
@@ -183,10 +183,8 @@ def run_strategy(q: Question, cfg: StrategyConfig,
                     logger.error("question %s path (%d,%d) failed (%s); recording abstention",
                                  q.id, ctx, sample, error)
                     parsed = Answer.abstained(q.answer_format)
-                trace = ReasoningTrace(
-                    question_id=q.id, round=round_index, reformulation_index=ctx,
-                    sample_index=sample, assembled_input=path_input, reasoning_text=reasoning,
-                    raw_prediction_text=raw, parsed=parsed, usage=usage, latency_ms=ms)
+                trace = ReasoningTrace(q.id, round_index, ctx, sample, path_input, reasoning,
+                                       raw, parsed, usage, ms)
                 traces.append(trace)
                 # The stable stop: this round predicts what the path's previous one did.
                 if (stable and prior is not None and not parsed.abstain

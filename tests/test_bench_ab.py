@@ -4,6 +4,7 @@ benchmark is run here."""
 import argparse
 import json
 import os
+import statistics
 import sys
 
 import pytest
@@ -112,9 +113,46 @@ def test_a_write_interrupted_midway_leaves_the_history_byte_identical(tmp_path, 
     assert os.listdir(tmp_path) == ["BENCH_replay-sc.json"]
 
 
-def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
-    # git, the exports and every child process are stand-ins: main only
-    # decides which commands run, in which directory and in which order.
+_METRIC = {m["name"]: m for m in DECLARED}
+_PARENT = [5300, 5310, 5320, 5330, 5340, 5350, 5360, 5370, 5380, 5390]  # spread 52.5
+
+
+@pytest.mark.parametrize("name, parent, change, expected", [
+    ("questions_per_s", _PARENT, [r + 200 for r in _PARENT], "gain"),
+    # Better in 8 of 10 pairs only.
+    ("questions_per_s", _PARENT, [r + 200 for r in _PARENT[:8]] + [5000, 5000], "within bound"),
+    # Better in every pair, but by less than the parent's quartile spread.
+    ("questions_per_s", _PARENT, [r + 10 for r in _PARENT], "within bound"),
+    ("questions_per_s", _PARENT, [r * 0.8 for r in _PARENT], "within bound"),
+    ("questions_per_s", _PARENT, [r * 0.7 for r in _PARENT], "worse than bound"),
+    ("questions_per_s", [40, 160] * 5, [28] * 10, "unresolved"),
+    ("calls_per_question", [11.0] * 10, [11.0] * 10, "within bound"),
+    ("calls_per_question", [11.0] * 10, [10.0] * 10, "gain"),
+    ("calls_per_question", [11.0] * 10, [12.0] * 10, "worse than bound"),
+], ids=["gain", "8-of-10", "inside-spread", "within", "worse", "unresolved",
+        "lower-equal", "lower-gain", "lower-worse"])
+def test_each_metric_gets_a_verdict_against_its_declared_bound(name, parent, change, expected):
+    relative, judged = bench_ab.verdict(parent, change, _METRIC[name])
+    assert judged == expected
+    assert relative == pytest.approx(statistics.median(change) / statistics.median(parent) - 1)
+
+
+def test_the_report_prints_each_metrics_change_bound_and_verdict():
+    runs = {side: [bench_ab.parse_result(_canned_output(rate)) for rate in rates]
+            for side, rates in (("parent", _PARENT), ("change", [r * 0.7 for r in _PARENT]))}
+    lines = bench_ab.report("replay-sc", runs, DECLARED).splitlines()
+    assert lines[1].startswith("  questions_per_s ")
+    assert lines[1].endswith("change better in 0/10; -30.0% (higher is better, bound 25%): "
+                             "worse than bound")
+    assert lines[2].endswith("change better in 0/10; +0.0% (lower is better, bound 5%): "
+                             "within bound")
+    assert bench_ab.worse_than_bound(runs, DECLARED) == ["questions_per_s"]
+
+
+def _fake_ab(tmp_path, monkeypatch, rates):
+    """Stand in for git, the exports and every child process; a run in the
+    ``side`` export reads ``rates[side]``. Returns the list of (export,
+    command) pairs that main runs."""
     def fake_git(root, *args):
         if args[-1] == "--show-toplevel":
             return str(tmp_path)
@@ -129,12 +167,19 @@ def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
 
     def fake_run(cmd, cwd, **kwargs):
         calls.append((os.path.basename(cwd), cmd[1:3]))
-        stdout = "" if "compileall" in cmd else _canned_output(4700.5)
+        side = os.path.basename(cwd).split("-")[1]
+        stdout = "" if "compileall" in cmd else _canned_output(rates[side])
         return bench_ab.subprocess.CompletedProcess(cmd, 0, stdout, "")
 
     monkeypatch.setattr(bench_ab, "_git", fake_git)
     monkeypatch.setattr(bench_ab, "_export", fake_export)
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    return calls
+
+
+def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
+    # main only decides which commands run, in which directory and in which order.
+    calls = _fake_ab(tmp_path, monkeypatch, {"parent": 4700.5, "change": 4700.5})
     assert bench_ab.main(["--parent", "p", "--change", "c", "--workload", "replay-sc",
                           "--seeds", "11-12", "--seconds", "1"]) == 0
     harness = os.path.join(str(tmp_path), ".perfbench_work", "ab-change-c", "perfbench", "run.py")
@@ -143,3 +188,15 @@ def test_each_export_is_compiled_before_any_run(tmp_path, monkeypatch):
                      ("ab-parent-p", run), ("ab-change-c", run),
                      ("ab-change-c", run), ("ab-parent-p", run)]
     assert not os.path.exists(tmp_path / ".perfbench_work")
+
+
+def test_a_metric_worse_than_its_bound_exits_1_after_the_entries_are_written(
+        tmp_path, monkeypatch, capsys):
+    _fake_ab(tmp_path, monkeypatch, {"parent": 4700.5, "change": 3000.0})
+    assert bench_ab.main(["--parent", "p", "--change", "c", "--workload", "replay-sc",
+                          "--seeds", "11-12", "--seconds", "1", "--write"]) == 1
+    out, err = capsys.readouterr()
+    assert "-36.2% (higher is better, bound 25%): worse than bound" in out
+    assert "bench_ab: worse than its bound: replay-sc questions_per_s" in err
+    with open(tmp_path / "BENCH_replay-sc.json", encoding="utf-8") as fh:
+        assert [e["commit"] for e in json.load(fh)["history"]] == ["p", "c"]

@@ -21,6 +21,7 @@ from breadth.core import (
     StrategyConfig,
     StrategyKind,
     Usage,
+    VoteResult,
     canonical_answer,
     canonical_json,
     default_config,
@@ -368,6 +369,11 @@ _OWN_INITS = {
     CompletionRequest: {"model": "m", "user_text": "q", "temperature": 0.8, "n_samples": 3,
                         "sample_batch_id": 2},
     CompletionResponse: {"texts": ("a", "b"), "usage": Usage(1, 2), "backend": "replay_hit"},
+    Answer: {"kind": AnswerFormat.NUMERIC, "value": "42", "abstain": False},
+    VoteResult: {"winner": Answer(AnswerFormat.YES_NO, "yes"),
+                 "counts": ((Answer(AnswerFormat.YES_NO, "yes"), 2),
+                            (Answer(AnswerFormat.YES_NO, "no"), 1)),
+                 "tie": False},
 }
 
 

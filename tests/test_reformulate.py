@@ -105,6 +105,21 @@ def test_a_variant_blank_after_every_retry_is_the_stem_with_its_choices():
     assert len(backend.calls) == 3
 
 
+def test_a_retry_logs_at_info_and_a_variant_kept_after_its_retries_warns(caplog):
+    backend = ScriptedBackend({PROMPT_INSTRUCTION: [CANONICAL_COT_PROMPT, "Go slowly.",
+                                                    "", " ", "go  SLOWLY."]})
+    spec = ReformulationSpec(ReformulationTarget.PROMPT, 3, include_original=True)
+    with caplog.at_level("INFO", logger="breadth.reformulate"):
+        result = reformulate(CANONICAL_COT_PROMPT, spec, backend)
+    assert result == [CANONICAL_COT_PROMPT, "Go slowly.", "go  SLOWLY."]
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("INFO", "duplicate reformulation for variant 0, regenerating"),
+        ("INFO", "blank reformulation for variant 1, regenerating"),
+        ("INFO", "blank reformulation for variant 1, regenerating"),
+        ("WARNING", "variant 1 still a duplicate after retries, keeping it"),
+    ]
+
+
 def test_choice_block_is_never_rewritten():
     text = ("How many toys? Answer Choices: (A) 15 (B) 16 (C) 17")
     stem, block = split_choice_block(text)

@@ -16,8 +16,12 @@ last stdout line is the harness's JSON result; a run that exits non-zero or
 is not ``correct`` stops the script with exit 1.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` the script
-prints both sides' medians and quartiles and the pairs (one per seed) in
-which the change is better. With ``--write`` it appends one entry per side
+prints both sides' medians and quartiles, the pairs (one per seed) in which
+the change is better, and the relative change of the medians next to the
+metric's declared bound and direction, with a verdict (see :func:`verdict`).
+The bounds are read, never written. A metric worse than its bound makes the
+script exit 1 once every workload is measured (and written, under
+``--write``). With ``--write`` it appends one entry per side
 to ``BENCH_<workload>.json`` at the repository root: the commit, the
 harness's tree hash (``git rev-parse REV:perfbench``), the seeds, the
 seconds per run, ``nproc``, the Python version and, per metric, its median,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -36,9 +41,11 @@ import statistics
 import subprocess
 import sys
 from contextlib import suppress
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 WORKLOADS = ("breadth-latency", "replay-sc", "record-deep")
+
+GAIN, UNRESOLVED, WORSE, WITHIN = "gain", "unresolved", "worse than bound", "within bound"
 
 
 def _git(root: str, *args: str) -> str:
@@ -85,6 +92,36 @@ def pairs_won(parent: Sequence[float], change: Sequence[float], better: str) -> 
     return sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
 
 
+def _relative(delta: float, base: float) -> float:
+    if base:
+        return delta / abs(base)
+    return 0.0 if delta == 0 else math.copysign(math.inf, delta)
+
+
+def verdict(parent: Sequence[float], change: Sequence[float], metric: dict) -> Tuple[float, str]:
+    """The relative change of the medians, change over parent, and its
+    verdict against ``metric``'s declared ``bound`` and ``better`` direction,
+    the first of these that holds:
+
+    - ``gain``: the change is better in at least 9 of 10 pairs, and its
+      median is better by more than the parent's quartile spread;
+    - ``unresolved``: the parent's quartile spread, relative to its median,
+      is wider than the bound, so the runs cannot tell the bound;
+    - ``worse than bound``: the median is worse by more than the bound;
+    - ``within bound``.
+    """
+    p, c = summarize(parent), summarize(change)
+    sign = 1 if metric["better"] == "higher" else -1
+    delta, spread = c["median"] - p["median"], p["q3"] - p["q1"]
+    relative = _relative(delta, p["median"])
+    if (10 * pairs_won(parent, change, metric["better"]) >= 9 * len(parent)
+            and sign * delta > spread):
+        return relative, GAIN
+    if _relative(spread, p["median"]) > metric["bound"]:
+        return relative, UNRESOLVED
+    return relative, WORSE if -sign * relative > metric["bound"] else WITHIN
+
+
 def entry(commit: str, harness: str, seeds: Sequence[int], seconds: float, python: str,
           runs: Sequence[dict], declared: Sequence[dict]) -> dict:
     """One side's ``BENCH_*.json`` entry from its harness results, in seed order."""
@@ -118,15 +155,27 @@ def append_entries(path: str, entries: Sequence[dict]) -> None:
 def report(workload: str, sides: Dict[str, List[dict]], declared: Sequence[dict]) -> str:
     lines = [f"{workload}: {len(sides['parent'])} pairs; median [q1, q3] parent -> change"]
     for metric in declared:
-        name = metric["name"]
-        values = {side: [run["metrics"][name]["value"] for run in runs]
-                  for side, runs in sides.items()}
-        p, c = summarize(values["parent"]), summarize(values["change"])
-        won = pairs_won(values["parent"], values["change"], metric["better"])
-        lines.append(f"  {name:<20} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
-                     f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {metric['unit']}; "
-                     f"change better in {won}/{len(values['parent'])}")
+        parent, change = _readings(sides, metric["name"])
+        p, c = summarize(parent), summarize(change)
+        won = pairs_won(parent, change, metric["better"])
+        relative, judged = verdict(parent, change, metric)
+        lines.append(f"  {metric['name']:<20} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] "
+                     f"-> {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {metric['unit']}; "
+                     f"change better in {won}/{len(parent)}; {relative:+.1%} "
+                     f"({metric['better']} is better, bound {metric['bound']:.0%}): {judged}")
     return "\n".join(lines)
+
+
+def _readings(sides: Dict[str, List[dict]], name: str) -> List[List[float]]:
+    """The parent's and the change's readings of the metric ``name``, in seed order."""
+    return [[run["metrics"][name]["value"] for run in sides[side]]
+            for side in ("parent", "change")]
+
+
+def worse_than_bound(sides: Dict[str, List[dict]], declared: Sequence[dict]) -> List[str]:
+    """The names of the metrics whose verdict is ``worse than bound``."""
+    return [metric["name"] for metric in declared
+            if verdict(*_readings(sides, metric["name"]), metric)[1] == WORSE]
 
 
 def _export(root: str, commit: str, where: str) -> None:
@@ -175,17 +224,21 @@ def main(argv=None) -> int:
         harness = os.path.join(exports["change"], "perfbench", "run.py")
         with open(os.path.join(exports["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             declared = json.load(fh)["end_to_end"]
+        worse = []
         for workload in workloads:
             sides: Dict[str, List[dict]] = {"parent": [], "change": []}
             for i, seed in enumerate(args.seeds):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     sides[side].append(_run(exports[side], harness, workload, seed, args.seconds))
             print(report(workload, sides, declared), flush=True)
+            worse += [f"{workload} {name}" for name in worse_than_bound(sides, declared)]
             if args.write:
                 append_entries(os.path.join(root, f"BENCH_{workload}.json"), [
                     entry(commits[side], harness_tree, args.seeds, args.seconds,
                           platform.python_version(), sides[side], declared)
                     for side in ("parent", "change")])
+        if worse:
+            raise RuntimeError(f"worse than its bound: {', '.join(worse)}")
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"bench_ab: {exc}", file=sys.stderr)
         return 1
