@@ -114,7 +114,7 @@ def test_a_write_interrupted_midway_leaves_the_history_byte_identical(tmp_path, 
 
 
 _METRIC = {m["name"]: m for m in DECLARED}
-_PARENT = [5300, 5310, 5320, 5330, 5340, 5350, 5360, 5370, 5380, 5390]  # spread 52.5
+_PARENT = [5300, 5310, 5320, 5330, 5340, 5350, 5360, 5370, 5380, 5390]  # quartiles 55 apart
 
 
 @pytest.mark.parametrize("name, parent, change, expected", [
